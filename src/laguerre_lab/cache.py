@@ -1,12 +1,15 @@
 """Decimal-string file cache for recurrence tables.
 
-Tables are the expensive artifact (one quadrature sweep plus the moment
+Tables are the expensive artifact (a quadrature sweep for the seed
+moments, the Pearson recurrence for the rest, then the moment
 Gram-Schmidt); they are keyed by a content hash of (weight point,
-digits, depth, format version) and stored as JSON of decimal strings.
-The build path always serializes and reloads, so warm and cold runs see
-bit-identical values and reports are reproducible byte for byte.
-Writes are atomic (temp file then rename).  Set LAB_CACHE_DIR to move
-the cache; an in-process memo layer sits on top.
+digits, quadrature tolerance, depth, format version) and stored as JSON
+of decimal strings.  The build path always serializes and reloads, so
+warm and cold runs see bit-identical values and reports are
+reproducible byte for byte.  Writes are atomic (temp file then rename).
+An entry that cannot be read, or that does not match the request, is a
+miss: the table is rebuilt and the file replaced.  Set LAB_CACHE_DIR to
+move the cache; an in-process memo layer sits on top.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from mpmath import mp, mpf
 from .orthopoly import RecurrenceTable, recurrence_table
 from .params import PrecisionContext, WeightParams
 
-FORMAT_VERSION = 1
+#: 2: moments k >= 1 come from the Pearson recurrence, not quadrature
+FORMAT_VERSION = 2
 
 _memo = {}
 
@@ -43,6 +47,10 @@ def _render(x, dps) -> str:
     return mp.nstr(x, dps, strip_zeros=True)
 
 
+def _params_doc(params: WeightParams) -> dict:
+    return {"alpha": str(params.alpha), "t": [str(v) for v in params.t]}
+
+
 def _serialize_table(tab: RecurrenceTable) -> dict:
     dps = tab.prec.work_dps + 10
     with mp.workdps(dps + 10):
@@ -50,8 +58,7 @@ def _serialize_table(tab: RecurrenceTable) -> dict:
             "version": FORMAT_VERSION,
             "N": tab.N,
             "digits": tab.prec.digits,
-            "params": {"alpha": str(tab.params.alpha),
-                       "t": [str(v) for v in tab.params.t]},
+            "params": _params_doc(tab.params),
             "moments": {str(k): _render(v, dps) for k, v in tab.moments.items()},
             "h": [_render(v, dps) for v in tab.h],
             "alpha_rc": [_render(v, dps) for v in tab.alpha_rc],
@@ -77,9 +84,27 @@ def _deserialize_table(doc: dict, params: WeightParams,
         )
 
 
+def _read_entry(path: Path, params: WeightParams, N: int,
+                prec: PrecisionContext):
+    """The table stored at path, or None for a miss.
+
+    A missing, unparsable or truncated file, a missing key, and a stored
+    version, depth, precision or point that differs from the request are
+    all misses.
+    """
+    try:
+        doc = json.loads(path.read_text())
+        stored = (doc["version"], doc["N"], doc["digits"], doc["params"])
+        if stored != (FORMAT_VERSION, N, prec.digits, _params_doc(params)):
+            return None
+        return _deserialize_table(doc, params, prec)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+
+
 def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
                             cache_dir=None) -> RecurrenceTable:
-    """Recurrence table through the cache (build, persist, reload)."""
+    """Recurrence table through the cache (read, or build, persist, reload)."""
     from .orthopoly import digits_for
 
     if prec.digits < digits_for(N):
@@ -89,11 +114,9 @@ def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext
         return _memo[key]
     root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = root / f"table-{key}.json"
-    if path.exists():
-        doc = json.loads(path.read_text())
-    else:
-        tab = recurrence_table(params, N, prec, auto_digits=False)
-        doc = _serialize_table(tab)
+    table = _read_entry(path, params, N, prec)
+    if table is None:
+        doc = _serialize_table(recurrence_table(params, N, prec, auto_digits=False))
         root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
         try:
@@ -104,7 +127,7 @@ def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-    table = _deserialize_table(doc, params, prec)
+        table = _deserialize_table(doc, params, prec)
     _memo[key] = table
     return table
 

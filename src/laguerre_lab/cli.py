@@ -231,7 +231,7 @@ def extras(cfg: RunConfig, args):
         from .scaling import scaled_sequences
 
         seqs = scaled_sequences(cfg.s1, cfg.s2, cfg.n_list, cfg.prec,
-                                alpha=cfg.params.alpha)
+                                alpha=cfg.params.alpha, cache_dir=cfg.cache_dir)
         emit_table(seqs, "csv", args.sweep_csv)
     if args.density_profile and "equilibrium" in cfg.active_suites:
         from .equilibrium import density, solve_support

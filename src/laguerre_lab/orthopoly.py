@@ -7,10 +7,12 @@ through the three-term recurrence
     x P_n = P_{n+1} + alpha_n P_n + beta_n P_{n-1},
 
 with alpha_n = <x P_n, P_n> / h_n and beta_n = h_n / h_{n-1} evaluated
-from the precomputed moment table.  Hankel conditioning grows
-exponentially in the degree, so the working precision is auto-raised to
-at least 20 + 4 N digits.  Determinant ratios of explicit minors serve
-only as a desk-scale oracle (see ``moment_determinant``).
+from the precomputed moment table: quadrature seeds k = -m..0 plus the
+exact Pearson recurrence (``quadrature.table_moments``).  Hankel
+conditioning grows exponentially in the degree, so the working
+precision is auto-raised to at least 20 + 4 N digits.  Determinant
+ratios of explicit minors serve only as a desk-scale oracle (see
+``moment_determinant``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from mpmath import mp, mpf
 
 from .errors import DegenerateInput, DomainError, PrecisionExhausted
 from .params import PrecisionContext, WeightParams, to_mpf
-from .quadrature import moments
+from .quadrature import table_moments
 
 #: heuristic floor on digits needed for a table of depth N
 def digits_for(N: int) -> int:
@@ -90,8 +92,7 @@ def recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
     eff = prec
     if auto_digits and prec.digits < digits_for(N):
         eff = prec.scaled(digits_for(N))
-    kmin = -params.m if params.is_deformed else 0
-    mu = moments(params, kmin, 2 * N + 1, eff)
+    mu = table_moments(params, 2 * N + 1, eff)
 
     with mp.workdps(eff.work_dps):
         coeffs = [[mpf(1)]]

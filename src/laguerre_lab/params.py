@@ -213,4 +213,8 @@ class PrecisionContext:
         )
 
     def cache_token(self) -> str:
-        return f"P={self.digits}"
+        # quad_tol decides when the seed sweep stops, so it can change a
+        # table's bits.  quad_max_level cannot: the level loop returns at
+        # the first converged level, so the cap only decides whether a
+        # build fails.
+        return f"P={self.digits};quad_tol={frac_str(self.quad_tol)}"

@@ -7,6 +7,11 @@ right), so the plain trapezoid rule with level doubling converges like
 a tanh-sinh rule.  An alternative composed map x = exp(sinh(v)) is kept
 around as an independent route for invariance checks.
 
+Table moments come from quadrature only for the m + 1 seeds k = -m..0;
+the rest follow from the exact Pearson recurrence of the semi-classical
+weight (``table_moments``).  The full quadrature sweep ``moments`` stays
+as the independent oracle for that route.
+
 All arithmetic is mpmath with guard digits on top of the caller's
 working precision; results are deterministic functions of the inputs.
 """
@@ -24,7 +29,7 @@ _TRUNC_EXTRA = 25
 _QUAD_GUARD = 10
 
 
-def _trapezoid_levels(g, prec: PrecisionContext, what: str, abs_floor_from_mass=True):
+def _trapezoid_levels(g, prec: PrecisionContext, what: str):
     """Trapezoid sum of g over the real line with level doubling.
 
     g(u) must decay at least exponentially in both directions.  Returns
@@ -74,8 +79,7 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str, abs_floor_from_mass=
         new_total = total / 2 + h2 * (mid_r + mid_l)
         mass = mass / 2 + h2 * (mmr + mml)
         prev, total, h = total, new_total, h2
-        floor = prec.quad_tol * mass if abs_floor_from_mass else mpf(0)
-        if abs(total - prev) <= prec.quad_tol * abs(total) + floor:
+        if abs(total - prev) <= prec.quad_tol * abs(total) + prec.quad_tol * mass:
             return total
     raise NonConvergence(f"{what}: level cap {prec.quad_max_level} reached before tolerance")
 
@@ -135,10 +139,10 @@ def integrate_weighted(f, params: WeightParams, prec: PrecisionContext, mapping=
 def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) -> dict:
     """All moments mu_k = int x^(alpha+k) w(x) dx for k = kmin..kmax in one pass.
 
-    The weight factor is shared across k at every node, so the cost of a
-    full moment table is one tanh-sinh style sweep.  With t_m > 0 any
-    integer k is admissible; in the degenerate t = 0 mode only
-    alpha + k > -1 converges.
+    The weight factor is shared across k at every node, so any range of
+    moments costs one tanh-sinh style sweep.  With t_m > 0 any integer k
+    is admissible; in the degenerate t = 0 mode only alpha + k > -1
+    converges.
     """
     if kmax < kmin:
         raise DomainError("kmax < kmin")
@@ -163,7 +167,7 @@ def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) 
 
         h = mpf(1)
 
-        def sweep(start, step, totals, masses, scales):
+        def sweep(start, step, totals, scales):
             u = start
             idle = 0
             for _ in range(2_000_000):
@@ -174,7 +178,6 @@ def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) 
                 for i, term in enumerate(terms):
                     a = abs(term)
                     totals[i] += term
-                    masses[i] += a
                     if a > scales[i]:
                         scales[i] = a
                         alive = True
@@ -190,21 +193,17 @@ def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) 
             raise NonConvergence("moments: tail did not decay")  # pragma: no cover
 
         totals = [mpf(0)] * nk
-        masses = [mpf(0)] * nk
         scales = [mpf(0)] * nk
-        sweep(mpf(0), h, totals, masses, scales)
-        sweep(-h, -h, totals, masses, scales)
+        sweep(mpf(0), h, totals, scales)
+        sweep(-h, -h, totals, scales)
         totals = [h * v for v in totals]
-        masses = [h * v for v in masses]
 
         for _ in range(prec.quad_max_level):
             h2 = h / 2
             mids = [mpf(0)] * nk
-            mmass = [mpf(0)] * nk
-            sweep(h2, h, mids, mmass, scales)
-            sweep(-h2, -h, mids, mmass, scales)
+            sweep(h2, h, mids, scales)
+            sweep(-h2, -h, mids, scales)
             new_totals = [t / 2 + h2 * v for t, v in zip(totals, mids)]
-            masses = [mt / 2 + h2 * v for mt, v in zip(masses, mmass)]
             done = all(
                 abs(nt - t) <= prec.quad_tol * abs(nt)
                 for nt, t in zip(new_totals, totals)
@@ -215,6 +214,32 @@ def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) 
         raise NonConvergence(
             f"moments: level cap {prec.quad_max_level} reached before tolerance"
         )
+
+
+def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext) -> dict:
+    """mu_k for k = -m..kmax (k = 0..kmax in the t = 0 mode): the moments of a table.
+
+    Only the seeds k = -m..0 (k = 0 alone at t = 0) are integrated, in one
+    ``moments`` sweep.  Integrating (x^(alpha+k) w)' by parts over (0, inf),
+    where v' = -alpha/x + 1 - sum_j j t_j x^(-j-1) is rational, gives the
+    exact Pearson recurrence
+
+        mu_k = (k + alpha) mu_{k-1} + sum_{j=1..m} j t_j mu_{k-1-j},
+
+    which yields k = 1..kmax.  Moments grow factorially, so they are the
+    dominant solution and the upward recursion is stable; it runs at the
+    sweep's working precision.
+    """
+    m = params.m if params.is_deformed else 0
+    mu = moments(params, -m, 0, prec)
+    with mp.workdps(prec.work_dps + _QUAD_GUARD):
+        coef = [to_mpf(j * tj) for j, tj in enumerate(params.t[:m], start=1)]
+        for k in range(1, kmax + 1):
+            acc = to_mpf(k + params.alpha) * mu[k - 1]
+            for j, c in enumerate(coef, start=1):
+                acc += c * mu[k - 1 - j]
+            mu[k] = acc
+        return {k: +v for k, v in mu.items()}
 
 
 def moment(k: int, params: WeightParams, prec: PrecisionContext) -> mpf:

@@ -62,10 +62,14 @@ def moments_suite(config: RunConfig) -> ResidualReport:
     with mp.workdps(prec.work_dps):
         half = to_mpf(prec.half_eps)
         kmin = -params.m if params.is_deformed else 0
-        worst_k = min((v, k) for k, v in moments(params, kmin, 6, prec).items())
+        quad = moments(params, kmin, 11, prec)
+        worst_k = min((v, k) for k, v in quad.items() if k <= 6)
         rep.add(Check("moment-positive",
                       mpf(0) if worst_k[0] > 0 else 1 - worst_k[0],
                       half, f"k={kmin}..6"))
+        # the table's moments (Pearson recurrence) against the full sweep
+        dev = max(abs(tab.moments[k] - v) / abs(v) for k, v in quad.items())
+        rep.add(Check("moment-pearson", dev, 10 * to_mpf(prec.quad_tol), f"k={kmin}..11"))
         bad = mpf(0)
         for nn in range(1, 13):
             mat = mp.matrix([[tab.moments[i + j] for j in range(nn)] for i in range(nn)])

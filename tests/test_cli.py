@@ -1,12 +1,13 @@
 import csv
 import json
+import re
 import time
 
 import pytest
 from mpmath import mpf
 
 from laguerre_lab import cli, suites
-from laguerre_lab.cache import cached_recurrence_table, clear_memo
+from laguerre_lab.cache import FORMAT_VERSION, cached_recurrence_table, clear_memo, table_key
 from laguerre_lab.config import parse_config
 from laguerre_lab.errors import ConfigError, PrecisionExhausted
 from laguerre_lab.params import PrecisionContext, WeightParams
@@ -195,3 +196,65 @@ def test_cache_speedup_and_stability(tmp_path):
     warm_time = time.perf_counter() - t0
     assert cold_time / warm_time >= 5
     assert cold.to_json() == warm.to_json()
+
+
+def _report_without_timestamp(path):
+    return re.sub(r'"timestamp": "[^"]*"', "", path.read_text())
+
+
+def test_truncated_cache_file_is_a_miss(tmp_path):
+    key = table_key(WeightParams("0.5", ("0.3", "0.2")), 12, PrecisionContext(digits=120))
+    reports = []
+    for name in ("clean", "truncated"):
+        cache = tmp_path / name
+        cache.mkdir()
+        if name == "truncated":
+            (cache / f"table-{key}.json").write_text('{"version": 1, "N": 12, "h": [')
+        out = tmp_path / f"{name}.json"
+        clear_memo()
+        assert cli.main(["moments", "--cache-dir", str(cache), "--out", str(out)]) == 0
+        reports.append(_report_without_timestamp(out))
+    assert reports[0] == reports[1]
+    rebuilt = json.loads((tmp_path / "truncated" / f"table-{key}.json").read_text())
+    assert rebuilt["version"] == FORMAT_VERSION and rebuilt["N"] == 12
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda doc: doc.update(version=1),
+    lambda doc: doc.update(N=4),
+    lambda doc: doc.update(digits=61),
+    lambda doc: doc["params"].update(alpha="1/3"),
+    lambda doc: doc.pop("h"),
+    lambda doc: doc["moments"].update({"0": "not a number"}),
+], ids=["version", "N", "digits", "params", "missing-key", "bad-value"])
+def test_mismatched_cache_entry_is_rebuilt(tmp_path, mangle):
+    params, prec = WeightParams("0.5", ("0.3", "0.2")), PrecisionContext(digits=60)
+    clear_memo()
+    clean = cached_recurrence_table(params, 3, prec, cache_dir=tmp_path)
+    path = tmp_path / f"table-{table_key(params, 3, prec)}.json"
+    good = path.read_text()
+    doc = json.loads(good)
+    mangle(doc)
+    path.write_text(json.dumps(doc))
+    clear_memo()
+    again = cached_recurrence_table(params, 3, prec, cache_dir=tmp_path)
+    assert (again.h, again.coeffs, again.moments) == (clean.h, clean.coeffs, clean.moments)
+    assert path.read_text() == good
+
+
+def test_sweep_csv_honours_cache_dir(tmp_path, monkeypatch):
+    home, env, cache = tmp_path / "home", tmp_path / "env", tmp_path / "cache"
+    home.mkdir()
+    env.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("LAB_CACHE_DIR", str(env))
+    args = cli.build_parser().parse_args([
+        "scaling", "--n-list", "4,6", "--digits", "50",
+        "--sweep-csv", str(tmp_path / "sweep.csv"), "--cache-dir", str(cache)])
+    # the sweep alone: in a full run the suite has already put these
+    # tables in the in-process memo, so the sweep never reaches the disk
+    clear_memo()
+    cli.extras(cli.config_from_args(args), args)
+    assert (tmp_path / "sweep.csv").exists()
+    assert list(home.iterdir()) == [] and list(env.iterdir()) == []
+    assert any(cache.iterdir())

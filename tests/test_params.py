@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from laguerre_lab.cache import table_key
 from laguerre_lab.errors import DomainError
 from laguerre_lab.params import PrecisionContext, WeightParams, to_fraction, to_mpf
 
@@ -97,3 +98,13 @@ def test_cache_tokens_distinguish_points():
     a = WeightParams("0.5", ("0.3", "0.2"))
     b = WeightParams("0.5", ("0.3", "0.200001"))
     assert a.cache_token() != b.cache_token()
+
+
+def test_table_key_covers_quad_tol():
+    p = WeightParams("0.5", ("0.3", "0.2"))
+    base = PrecisionContext(digits=120)
+    looser = PrecisionContext(digits=120, quad_tol=Fraction(1, 10**100))
+    assert table_key(p, 12, base) != table_key(p, 12, looser)
+    # the level cap decides only whether a build fails, never its bits
+    capped = PrecisionContext(digits=120, quad_max_level=20)
+    assert table_key(p, 12, base) == table_key(p, 12, capped)

@@ -4,14 +4,16 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from laguerre_lab.errors import DomainError, NonConvergence
-from laguerre_lab.params import PrecisionContext, WeightParams
+from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 from laguerre_lab.quadrature import (
     _trapezoid_levels,
     integrate_finite,
     integrate_weighted,
     moment,
     moments,
+    table_moments,
 )
+from laguerre_lab.scaling import ScalingPoint
 
 # Self-validated 200-digit oracle values at (alpha, t1, t2) = (0.5, 0.3, 0.2):
 # recomputed at 210 digits with doubled node density, the two runs agree
@@ -132,3 +134,35 @@ def test_level_cap_raises():
             return mp.exp(-(u * u)) / (u * u + mpf(10) ** -8)
         with pytest.raises(NonConvergence):
             _trapezoid_levels(g, prec, "test")
+
+
+@pytest.mark.parametrize("params, N, digits", [
+    (WeightParams("1/2", ("3/10", "1/5")), 12, 120),
+    (WeightParams("1/2", ("-3/10", "1/5")), 12, 120),
+    (WeightParams("-1/2", ("9/10", "1/20")), 12, 120),
+    (WeightParams("1/2", ("3/10", "1/5", "1/10")), 12, 120),
+    # the deepest scaling table: n = N = 24 at s1 = s2 = 1, P = 20 + 4 N
+    (ScalingPoint(24, 1, 1).params("1/2"), 24, 116),
+], ids=["default", "neg-t1", "neg-alpha", "m3", "scaling-n24"])
+def test_pearson_moments_match_quadrature(params, N, digits):
+    # the whole table range k = -m..2N+1, against the full quadrature sweep
+    prec = PrecisionContext(digits=digits)
+    rec = table_moments(params, 2 * N + 1, prec)
+    quad = moments(params, -params.m, 2 * N + 1, prec)
+    assert list(rec) == list(quad)
+    with mp.workdps(prec.work_dps):
+        tol = 10 * to_mpf(prec.quad_tol)
+        for k, v in quad.items():
+            assert abs(rec[k] - v) <= tol * abs(v), k
+
+
+def test_pearson_moments_classical_mode(prec120):
+    # t = 0: mu_k = Gamma(alpha + k + 1) exactly
+    params = WeightParams("1/2", ("0", "0"))
+    rec = table_moments(params, 25, prec120)
+    assert list(rec) == list(range(26))
+    with mp.workdps(prec120.work_dps):
+        tol = 10 * to_mpf(prec120.quad_tol)
+        for k, v in rec.items():
+            exact = mp.gamma(to_mpf(params.alpha) + k + 1)
+            assert abs(v - exact) <= tol * exact, k
