@@ -4,12 +4,17 @@ Tables are the expensive artifact (a quadrature sweep for the seed
 moments, the Pearson recurrence for the rest, then the moment
 Gram-Schmidt); they are keyed by a content hash of (weight point,
 digits, quadrature tolerance, depth, format version) and stored as JSON
-of decimal strings.  The build path always serializes and reloads, so
-warm and cold runs see bit-identical values and reports are
-reproducible byte for byte.  Writes are atomic (temp file then rename).
-An entry that cannot be read, or that does not match the request, is a
-miss: the table is rebuilt and the file replaced.  Set LAB_CACHE_DIR to
-move the cache; an in-process memo layer sits on top.
+of decimal strings.  A stencil node's table may take its seeds from the
+grid's anchor (``quadrature.SeedAnchor``) instead of quadrature; its
+key and its stored document then also cover the anchor point, so the
+same node built from another anchor, or integrated, is another entry.
+A centre's key has no anchor in it.  The build path always serializes
+and reloads, so warm and cold runs see bit-identical values and reports
+are reproducible byte for byte.  Writes are atomic (temp file then
+rename); a cache directory that cannot be created or written is a
+ConfigError.  An entry that cannot be read, or that does not match the
+request, is a miss: the table is rebuilt and the file replaced.  Set
+LAB_CACHE_DIR to move the cache; an in-process memo layer sits on top.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ from pathlib import Path
 
 from mpmath import mp, mpf
 
+from .errors import ConfigError
 from .orthopoly import RecurrenceTable, recurrence_table
 from .params import PrecisionContext, WeightParams
+from .quadrature import SeedAnchor
 
 #: 2: moments k >= 1 come from the Pearson recurrence, not quadrature
 FORMAT_VERSION = 2
@@ -38,8 +45,12 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "laguerre-lab"
 
 
-def table_key(params: WeightParams, N: int, prec: PrecisionContext) -> str:
+def table_key(params: WeightParams, N: int, prec: PrecisionContext,
+              origin: WeightParams = None) -> str:
+    """Content hash of a table request; origin is the anchor point of a node."""
     token = f"v{FORMAT_VERSION}|{params.cache_token()}|{prec.cache_token()}|N={N}"
+    if origin is not None:
+        token += f"|anchor={origin.cache_token()}"
     return hashlib.sha256(token.encode()).hexdigest()[:32]
 
 
@@ -51,10 +62,11 @@ def _params_doc(params: WeightParams) -> dict:
     return {"alpha": str(params.alpha), "t": [str(v) for v in params.t]}
 
 
-def _serialize_table(tab: RecurrenceTable) -> dict:
+def _serialize_table(tab: RecurrenceTable, origin: WeightParams) -> dict:
+    """The stored document; a centre's has no "anchor" entry."""
     dps = tab.prec.work_dps + 10
     with mp.workdps(dps + 10):
-        return {
+        doc = {
             "version": FORMAT_VERSION,
             "N": tab.N,
             "digits": tab.prec.digits,
@@ -66,6 +78,9 @@ def _serialize_table(tab: RecurrenceTable) -> dict:
             "p_sub": [_render(v, dps) for v in tab.p_sub],
             "coeffs": [[_render(c, dps) for c in row] for row in tab.coeffs],
         }
+    if origin is not None:
+        doc["anchor"] = _params_doc(origin)
+    return doc
 
 
 def _deserialize_table(doc: dict, params: WeightParams,
@@ -85,48 +100,70 @@ def _deserialize_table(doc: dict, params: WeightParams,
 
 
 def _read_entry(path: Path, params: WeightParams, N: int,
-                prec: PrecisionContext):
+                prec: PrecisionContext, origin: WeightParams):
     """The table stored at path, or None for a miss.
 
     A missing, unparsable or truncated file, a missing key, and a stored
-    version, depth, precision or point that differs from the request are
-    all misses.
+    version, depth, precision, point or anchor point that differs from
+    the request are all misses.
     """
     try:
         doc = json.loads(path.read_text())
-        stored = (doc["version"], doc["N"], doc["digits"], doc["params"])
-        if stored != (FORMAT_VERSION, N, prec.digits, _params_doc(params)):
+        stored = (doc["version"], doc["N"], doc["digits"], doc["params"], doc.get("anchor"))
+        wanted = (FORMAT_VERSION, N, prec.digits, _params_doc(params),
+                  None if origin is None else _params_doc(origin))
+        if stored != wanted:
             return None
         return _deserialize_table(doc, params, prec)
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
 
+def _write_entry(root: Path, path: Path, doc: dict):
+    """Write doc to path atomically: a temp file in root, then a rename.
+
+    An OSError here means the cache directory cannot be created or
+    written: a ConfigError, so the run exits 2 naming the directory.
+    """
+    tmp = None
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write the table cache directory {root}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
-                            cache_dir=None) -> RecurrenceTable:
-    """Recurrence table through the cache (read, or build, persist, reload)."""
+                            cache_dir=None, anchor: SeedAnchor = None) -> RecurrenceTable:
+    """Recurrence table through the cache (read, or build, persist, reload).
+
+    With an anchor, a build takes its seeds from ``anchor.seeds_at``:
+    the anchor's own seeds at its point, shifted ones elsewhere, and
+    quadrature where the shift is rejected.
+    """
     from .orthopoly import digits_for
 
     if prec.digits < digits_for(N):
         prec = prec.scaled(digits_for(N))
-    key = table_key(params, N, prec)
+    origin = anchor.point if anchor is not None and anchor.point != params else None
+    key = table_key(params, N, prec, origin)
     if key in _memo:
         return _memo[key]
     root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = root / f"table-{key}.json"
-    table = _read_entry(path, params, N, prec)
+    table = _read_entry(path, params, N, prec, origin)
     if table is None:
-        doc = _serialize_table(recurrence_table(params, N, prec, auto_digits=False))
-        root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        seeds = anchor.seeds_at(params, prec) if anchor is not None else None
+        tab = recurrence_table(params, N, prec, auto_digits=False, seeds=seeds)
+        doc = _serialize_table(tab, origin)
+        _write_entry(root, path, doc)
         table = _deserialize_table(doc, params, prec)
     _memo[key] = table
     return table

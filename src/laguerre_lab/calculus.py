@@ -2,19 +2,25 @@
 
 Derivatives of table/auxiliary quantities are central differences on a
 dyadic stencil with Richardson extrapolation; every stencil node is a
-full recurrence-table build at an exactly-rational shifted parameter
-point, memoized per grid.  Estimated derivative errors (extrapolation
-spread plus a roundoff floor) propagate into each check's tolerance, so
-the residual contracts below are self-calibrating: an identity passes
-when its residual is at the noise level of the derivatives that enter it.
+recurrence table at an exactly-rational shifted parameter point,
+memoized per grid.  Only the grid's centre is integrated: its seed
+moments (the grid's anchor) are shifted to each node by the exact
+parameter Taylor series, and a node is integrated only where that
+shift's error bound is too wide (``quadrature.shift_seeds``); the
+Pearson recurrence and Gram-Schmidt then run per node as before.
+Estimated derivative errors (extrapolation spread plus a roundoff floor)
+propagate into each check's tolerance, so the residual contracts below
+are self-calibrating: an identity passes when its residual is at the
+noise level of the derivatives that enter it.
 
-Checked here (m = 2): the log-derivative relations of h_n, beta_n, p(n),
-alpha_n; the two-variable Toda equations and the second-order molecule
-equation; the Riccati system; the coupled second-order PDEs for
-S_n = R_n + R_n*; the sigma-function layer H_n (definition consistency,
-auxiliary reconstruction with the sgn(t1) branch, the second-order
-sixth-degree PDE); and the small-t2 continuation onto the one-variable
-ordinary differential equation for R_n.
+Checked here (m = 2): the shifted seeds against quadrature; the
+log-derivative relations of h_n, beta_n, p(n), alpha_n; the
+two-variable Toda equations and the second-order molecule equation; the
+Riccati system; the coupled second-order PDEs for S_n = R_n + R_n*; the
+sigma-function layer H_n (definition consistency, auxiliary
+reconstruction with the sgn(t1) branch, the second-order sixth-degree
+PDE); and the small-t2 continuation onto the one-variable ordinary
+differential equation for R_n.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .errors import (
 )
 from .ladder import AuxQuadruple, aux_array
 from .params import PrecisionContext, WeightParams, to_mpf
+from .quadrature import SeedAnchor, shift_seeds
 from .reports import Check
 
 AXES = {"t1": 0, "t2": 1, "t3": 2}
@@ -71,16 +78,17 @@ class TableBundle:
 
 
 def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
-    """Builder for stencil grids: params -> TableBundle of depth N.
+    """Builder for stencil grids: (params, anchor) -> TableBundle of depth N.
 
     Tables come through the decimal-string cache, so repeated stencil
-    evaluations at the same exact rational nodes are read, not rebuilt.
+    evaluations at the same exact rational nodes are read, not rebuilt;
+    a build takes its seeds from the grid's anchor.
     """
 
-    def build(params: WeightParams) -> TableBundle:
+    def build(params: WeightParams, anchor: SeedAnchor) -> TableBundle:
         from .cache import cached_recurrence_table
 
-        tab = cached_recurrence_table(params, N, prec, cache_dir=cache_dir)
+        tab = cached_recurrence_table(params, N, prec, cache_dir=cache_dir, anchor=anchor)
         return TableBundle(tab, tuple(aux_array(tab, N)))
 
     return build
@@ -113,6 +121,11 @@ class StencilGrid:
     Offsets are exact rationals (multiples of the per-axis step), so the
     shifted parameter points are exact and reproducible; nodes that
     would leave the admissible region raise StencilOutOfDomain.
+
+    The grid owns the anchor: its centre point, whose seed moments are
+    integrated once per precision, when a table is first built.  The
+    builder is called as builder(params, anchor); the bundle builders
+    hand the anchor to the table cache.
     """
 
     def __init__(self, params: WeightParams, prec: PrecisionContext,
@@ -120,6 +133,7 @@ class StencilGrid:
         self.params = params
         self.prec = prec
         self.stencil = stencil
+        self.anchor = SeedAnchor(params)
         self._builder = builder
         rel = stencil.step(prec)
         self._h = tuple(rel * abs(t) for t in params.t)
@@ -143,7 +157,7 @@ class StencilGrid:
     def bundle(self, offsets=()):
         key = tuple(sorted(offsets))
         if key not in self._memo:
-            self._memo[key] = self._builder(self.params_at(key))
+            self._memo[key] = self._builder(self.params_at(key), self.anchor)
         return self._memo[key]
 
     def scalar(self, extract, offsets=()) -> mpf:
@@ -242,7 +256,7 @@ def fd_partial(quantity, wrt, point: WeightParams, stencil: DerivativeStencil,
     wrt is an axis name ("t1", "t2", "t3") for a first partial or a pair
     of names for a second/mixed partial.  Returns (value, error estimate).
     """
-    grid = StencilGrid(point, prec, stencil, quantity)
+    grid = StencilGrid(point, prec, stencil, lambda p, anchor: quantity(p))
     with mp.workdps(prec.work_dps):
         ex = lambda v: v  # builder already returns the scalar
         if isinstance(wrt, str):
@@ -256,6 +270,31 @@ def fd_partial(quantity, wrt, point: WeightParams, stencil: DerivativeStencil,
 # --------------------------------------------------------------------------
 # identity checks; each returns a list of Check entries
 # --------------------------------------------------------------------------
+
+def verify_seed_shift(grid: StencilGrid, cache_dir=None) -> Check:
+    """seed-shift: the centre's seeds shifted to the (+h, +h) corner against
+    a direct ``moments`` sweep there.
+
+    The centre's seeds are those of the grid's centre table; the direct
+    sweep is the seeds of an integrated depth-0 table at the corner.  Both
+    come through the cache, so a warm run integrates nothing.  Max
+    relative deviation over k = -m..0, held to 10 quad_tol like
+    ``moment-pearson``; a rejected shift fails the check.
+    """
+    from .cache import cached_recurrence_table
+
+    centre = grid.bundle().table
+    prec = centre.prec
+    corner = grid.params_at(((0, 1), (1, 1)))
+    direct = cached_recurrence_table(corner, 0, prec, cache_dir=cache_dir).moments
+    seeds = {k: centre.moments[k] for k in range(-grid.params.m, 1)}
+    shifted = shift_seeds(grid.params, seeds, corner, prec)
+    with mp.workdps(prec.work_dps):
+        dev = mp.inf if shifted is None else max(
+            abs(v - direct[k]) / abs(direct[k]) for k, v in shifted.items())
+        return Check("seed-shift", dev, 10 * to_mpf(prec.quad_tol),
+                     _point_str(grid.params, "node=+h,+h"))
+
 
 def _grid_m2(point, prec, stencil, n_max, grid=None):
     if grid is not None:
@@ -684,7 +723,7 @@ def verify_sigma_pde(n: int, point: WeightParams, stencil: DerivativeStencil,
 # --------------------------------------------------------------------------
 
 def verify_t2_zero_reduction(n: int, t1, alpha, eps_list, prec: PrecisionContext,
-                             stencil: DerivativeStencil = None):
+                             stencil: DerivativeStencil = None, cache_dir=None):
     """Continuation of the coupled system onto the single-variable ODE
 
     R'' = (R')^2/R - R'/t1 + R^3/t1^2 + (2n+1+alpha) R^2/t1^2
@@ -704,7 +743,7 @@ def verify_t2_zero_reduction(n: int, t1, alpha, eps_list, prec: PrecisionContext
         if eps <= 0:
             raise DomainError("t2 continuation needs eps > 0")
         point = WeightParams(alpha, (to_fraction(t1), eps))
-        grid = StencilGrid(point, prec, stencil, table_bundle_builder(n + 1, prec))
+        grid = StencilGrid(point, prec, stencil, table_bundle_builder(n + 1, prec, cache_dir))
         with mp.workdps(prec.work_dps):
             t1m = to_mpf(point.t1)
             am = to_mpf(point.alpha)
@@ -729,7 +768,7 @@ def verify_t2_zero_reduction(n: int, t1, alpha, eps_list, prec: PrecisionContext
 
 
 def sigma_reduction_residual(n: int, t1, alpha, eps, prec: PrecisionContext,
-                             stencil: DerivativeStencil = None):
+                             stencil: DerivativeStencil = None, cache_dir=None):
     """Residual of the t2-independent reduction of the sixth-degree PDE.
 
     With ' = d/dt1 at frozen t2 = eps, the curly-bracket factor
@@ -740,7 +779,7 @@ def sigma_reduction_residual(n: int, t1, alpha, eps, prec: PrecisionContext,
     from .params import to_fraction
 
     point = WeightParams(alpha, (to_fraction(t1), to_fraction(eps)))
-    grid = StencilGrid(point, prec, stencil, table_bundle_builder(n + 1, prec))
+    grid = StencilGrid(point, prec, stencil, table_bundle_builder(n + 1, prec, cache_dir))
     with mp.workdps(prec.work_dps):
         t1m = to_mpf(point.t1)
         am = to_mpf(point.alpha)

@@ -249,10 +249,12 @@ class RowBundle:
 
 
 def row_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
-    def build(params: WeightParams) -> RowBundle:
+    """Builder for stencil grids: (params, anchor) -> RowBundle of depth N."""
+
+    def build(params: WeightParams, anchor) -> RowBundle:
         from .cache import cached_recurrence_table
 
-        tab = cached_recurrence_table(params, N, prec, cache_dir=cache_dir)
+        tab = cached_recurrence_table(params, N, prec, cache_dir=cache_dir, anchor=anchor)
         return RowBundle(tab, tuple(aux_rows(tab, N)))
 
     return build

@@ -7,8 +7,9 @@ through the three-term recurrence
     x P_n = P_{n+1} + alpha_n P_n + beta_n P_{n-1},
 
 with alpha_n = <x P_n, P_n> / h_n and beta_n = h_n / h_{n-1} evaluated
-from the precomputed moment table: quadrature seeds k = -m..0 plus the
-exact Pearson recurrence (``quadrature.table_moments``).  Hankel
+from the precomputed moment table: seeds k = -m..0 (integrated, or
+shifted from a nearby anchor's seeds) plus the exact Pearson recurrence
+(``quadrature.table_moments``).  Hankel
 conditioning grows exponentially in the degree, so the working
 precision is auto-raised to at least 20 + 4 N digits.  Determinant
 ratios of explicit minors serve only as a desk-scale oracle (see
@@ -81,9 +82,11 @@ class RecurrenceTable:
 
 
 def recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
-                     auto_digits: bool = True) -> RecurrenceTable:
+                     auto_digits: bool = True, seeds: dict = None) -> RecurrenceTable:
     """Build the recurrence table for n <= N.
 
+    ``seeds`` may hand in the seed moments k = -m..0 at the table's
+    (possibly auto-raised) precision; without them they are integrated.
     Raises PrecisionExhausted if a squared norm comes out non-positive,
     which signals lost significance rather than a true negative norm.
     """
@@ -92,7 +95,7 @@ def recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
     eff = prec
     if auto_digits and prec.digits < digits_for(N):
         eff = prec.scaled(digits_for(N))
-    mu = table_moments(params, 2 * N + 1, eff)
+    mu = table_moments(params, 2 * N + 1, eff, seeds)
 
     with mp.workdps(eff.work_dps):
         coeffs = [[mpf(1)]]

@@ -158,12 +158,17 @@ class WeightParams:
         return "a=%s;t=%s" % (frac_str(self.alpha), ",".join(frac_str(v) for v in self.t))
 
 
+def _default_quad_tol(digits: int) -> Fraction:
+    return Fraction(1, 10 ** (digits - 10))
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Working precision plus derived quadrature / FD step policy.
 
     digits           -- working decimal precision P (>= 50)
-    quad_tol         -- relative quadrature target, default 10^(-P+10)
+    quad_tol         -- relative quadrature target, default 10^(-P+10);
+                        ``scaled`` keeps one set apart from the default
     quad_max_level   -- cap on trapezoid level-doubling (>= 8)
     fd_step_exponent -- rational q; FD relative step is 10^(-round(P*q)),
                         default q = 1/5 balancing truncation vs roundoff
@@ -180,7 +185,7 @@ class PrecisionContext:
         if self.quad_max_level < 8:
             raise DomainError("quad_max_level must be >= 8")
         if self.quad_tol is None:
-            object.__setattr__(self, "quad_tol", Fraction(1, 10 ** (self.digits - 10)))
+            object.__setattr__(self, "quad_tol", _default_quad_tol(self.digits))
         else:
             object.__setattr__(self, "quad_tol", to_fraction(self.quad_tol))
             if not self.quad_tol > 0:
@@ -205,9 +210,15 @@ class PrecisionContext:
         return Fraction(1, 10 ** (self.digits // 2))
 
     def scaled(self, digits: int) -> "PrecisionContext":
-        """Same policy at a different working precision."""
+        """Same policy at a different working precision.
+
+        A quad_tol set apart from the default for these digits is kept;
+        the default one follows the new digits.
+        """
+        custom = self.quad_tol != _default_quad_tol(self.digits)
         return PrecisionContext(
             digits=digits,
+            quad_tol=self.quad_tol if custom else None,
             quad_max_level=self.quad_max_level,
             fd_step_exponent=self.fd_step_exponent,
         )

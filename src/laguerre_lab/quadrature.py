@@ -9,8 +9,12 @@ around as an independent route for invariance checks.
 
 Table moments come from quadrature only for the m + 1 seeds k = -m..0;
 the rest follow from the exact Pearson recurrence of the semi-classical
-weight (``table_moments``).  The full quadrature sweep ``moments`` stays
-as the independent oracle for that route.
+weight (``table_moments``).  Near a point whose seeds are known, a
+``SeedAnchor`` gets a node's seeds without quadrature, by the exact
+parameter Taylor series d mu_k / d t_i = -mu_{k-i} (``shift_seeds``),
+and falls back to quadrature where the shift's error bound is too wide.
+The full quadrature sweep ``moments`` stays as the independent oracle
+for both routes.
 
 All arithmetic is mpmath with guard digits on top of the caller's
 working precision; results are deterministic functions of the inputs.
@@ -216,13 +220,25 @@ def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) 
         )
 
 
-def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext) -> dict:
+def _seed_depth(params: WeightParams) -> int:
+    """m, the depth of the seeds k = -m..0 (0 in the t = 0 mode)."""
+    return params.m if params.is_deformed else 0
+
+
+def seed_moments(params: WeightParams, prec: PrecisionContext) -> dict:
+    """The seeds mu_k, k = -m..0, of a table: one ``moments`` sweep."""
+    return moments(params, -_seed_depth(params), 0, prec)
+
+
+def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext,
+                  seeds: dict = None) -> dict:
     """mu_k for k = -m..kmax (k = 0..kmax in the t = 0 mode): the moments of a table.
 
     Only the seeds k = -m..0 (k = 0 alone at t = 0) are integrated, in one
-    ``moments`` sweep.  Integrating (x^(alpha+k) w)' by parts over (0, inf),
-    where v' = -alpha/x + 1 - sum_j j t_j x^(-j-1) is rational, gives the
-    exact Pearson recurrence
+    ``moments`` sweep, unless ``seeds`` hands them in (at this precision).
+    Integrating (x^(alpha+k) w)' by parts over (0, inf), where
+    v' = -alpha/x + 1 - sum_j j t_j x^(-j-1) is rational, gives the exact
+    Pearson recurrence
 
         mu_k = (k + alpha) mu_{k-1} + sum_{j=1..m} j t_j mu_{k-1-j},
 
@@ -230,8 +246,8 @@ def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext) -> di
     dominant solution and the upward recursion is stable; it runs at the
     sweep's working precision.
     """
-    m = params.m if params.is_deformed else 0
-    mu = moments(params, -m, 0, prec)
+    m = _seed_depth(params)
+    mu = dict(seeds) if seeds is not None else seed_moments(params, prec)
     with mp.workdps(prec.work_dps + _QUAD_GUARD):
         coef = [to_mpf(j * tj) for j, tj in enumerate(params.t[:m], start=1)]
         for k in range(1, kmax + 1):
@@ -240,6 +256,109 @@ def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext) -> di
                 acc += c * mu[k - 1 - j]
             mu[k] = acc
         return {k: +v for k, v in mu.items()}
+
+
+def shift_seeds(centre: WeightParams, seeds: dict, node: WeightParams,
+                prec: PrecisionContext):
+    """The seeds of node from the seeds of centre, or None if not accurate enough.
+
+    ``seeds`` are the centre's mu_k, k = -m..0, at this precision; node
+    differs from centre only in t, by delta.  Since d mu_k / d t_i = -mu_{k-i},
+
+        mu_k(t + delta) = sum_a prod_i (-delta_i)^(a_i) / a_i! mu_{k - sum_i i a_i}(t),
+
+    summed over the axes where delta_i != 0.  The deeper centre moments
+    come from the Pearson recurrence run downward,
+
+        mu_{k-1-m} = (mu_k - (k + alpha) mu_{k-1} - sum_{j<m} j t_j mu_{k-1-j}) / (m t_m),
+
+    which loses accuracy when t_m is small.  So an absolute error bound
+    rides along: quad_tol |mu_k| for each seed, then every recurrence step,
+    series term and rounding at the sweep precision.  The shifted seeds are
+    returned only when every bound is within 10 quad_tol |value|, the
+    tolerance of the ``moment-pearson`` check; otherwise None, and the node
+    is integrated.
+    """
+    m = _seed_depth(centre)
+    if not m or node.alpha != centre.alpha or node.m != centre.m:
+        return None
+    axes = [(i, b - a) for i, (a, b) in enumerate(zip(centre.t, node.t), start=1) if b != a]
+    with mp.workdps(prec.work_dps + _QUAD_GUARD):
+        ulp = mpf(2) ** (1 - mp.prec)
+        tol = to_mpf(prec.quad_tol)
+        alpha = to_mpf(centre.alpha)
+        coef = [to_mpf(j * tj) for j, tj in enumerate(centre.t[:-1], start=1)]
+        mtm = to_mpf(m * centre.t[-1])
+        mu = dict(seeds)
+        err = {k: tol * abs(v) for k, v in mu.items()}
+        # a series stops once a term is below the rounding of its sum; the
+        # cap only ends a shift too wide to pay (then the bound rejects it)
+        cap = 4 * prec.work_dps
+
+        def centre_moment(j):
+            for new in range(min(mu) - 1, j - 1, -1):
+                k = new + 1 + m
+                ka = k + alpha
+                acc = mu[k] - ka * mu[k - 1]
+                bound = err[k] + abs(ka) * err[k - 1]
+                size = abs(mu[k]) + abs(ka * mu[k - 1])
+                for jj, c in enumerate(coef, start=1):
+                    term = c * mu[k - 1 - jj]
+                    acc -= term
+                    bound += abs(c) * err[k - 1 - jj]
+                    size += abs(term)
+                mu[new] = acc / mtm
+                err[new] = (bound + (m + 2) * ulp * size) / mtm
+            return mu[j], err[j]
+
+        def series(k, rest):
+            if not rest:
+                return centre_moment(k)
+            (i, d), rest = rest[0], rest[1:]
+            step = -to_mpf(d)
+            total = bound = mpf(0)
+            w = mpf(1)
+            for a in range(cap):
+                v, e = series(k - i * a, rest)
+                term = w * v
+                total += term
+                bound += abs(w) * e + ulp * abs(total)
+                if a and abs(term) <= ulp * abs(total):
+                    return total, bound + abs(term)
+                w = w * step / (a + 1)
+            return total, mp.inf
+
+        out = {}
+        for k in range(-m, 1):
+            value, bound = series(k, axes)
+            if not bound <= 10 * tol * abs(value):
+                return None
+            out[k] = +value
+        return out
+
+
+class SeedAnchor:
+    """A centre point whose seed moments serve the nodes around it.
+
+    The centre's seeds are integrated once per precision, on first use.
+    ``seeds_at`` hands them out as they are at the centre and shifted by
+    ``shift_seeds`` at any other point, or None there when the shift is
+    not accurate enough (that node is integrated).
+    """
+
+    def __init__(self, point: WeightParams):
+        self.point = point
+        self._seeds = {}
+
+    def seeds(self, prec: PrecisionContext) -> dict:
+        if prec not in self._seeds:
+            self._seeds[prec] = seed_moments(self.point, prec)
+        return self._seeds[prec]
+
+    def seeds_at(self, params: WeightParams, prec: PrecisionContext):
+        if params == self.point:
+            return self.seeds(prec)
+        return shift_seeds(self.point, self.seeds(prec), params, prec)
 
 
 def moment(k: int, params: WeightParams, prec: PrecisionContext) -> mpf:

@@ -251,7 +251,8 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
                       mpf("0.5"), "order2;h,h/2"))
 
     eps_list = ("1e-4", "1e-5", "1e-6")
-    rode = ca.verify_t2_zero_reduction(1, "0.5", params.alpha, eps_list, prec)
+    rode = ca.verify_t2_zero_reduction(1, "0.5", params.alpha, eps_list, prec,
+                                       cache_dir=config.cache_dir)
     with mp.workdps(prec.work_dps):
         eps_last, res_last, err_last = rode[-1]
         rep.add(Check("rode-reduction", res_last,
@@ -260,6 +261,7 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
         ratios = [rode[i][1] / rode[i + 1][1] for i in range(len(rode) - 1)]
         bad = max(abs(r - 10) for r in ratios)
         rep.add(Check("rode-decay", bad, mpf(4), "eps=1e-4..1e-6"))
+    rep.add(ca.verify_seed_shift(grid, config.cache_dir))
     return rep
 
 
@@ -283,8 +285,10 @@ def sigma_suite(config: RunConfig) -> ResidualReport:
         rep.add(collected[cid])
 
     with mp.workdps(prec.work_dps):
-        r5 = ca.sigma_reduction_residual(2, "0.3", params.alpha, "1e-5", prec)
-        r4 = ca.sigma_reduction_residual(2, "0.3", params.alpha, "1e-4", prec)
+        r5 = ca.sigma_reduction_residual(2, "0.3", params.alpha, "1e-5", prec,
+                                         cache_dir=config.cache_dir)
+        r4 = ca.sigma_reduction_residual(2, "0.3", params.alpha, "1e-4", prec,
+                                         cache_dir=config.cache_dir)
         rep.add(Check("sigma-pde-reduction", r5,
                       min(r4, mpf(10) ** -3), "n=2;t1=0.3;eps=1e-5"))
 
@@ -432,9 +436,11 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("t3-continuity", drift, mpf("0.001"), "t3=1e-6"))
 
     m4 = WeightParams(config.params.alpha, ("0.3", "0.2", "0.1", "0.05"))
-    rep.extend(mt.verify_S1_S2_general_m(2, m4, st, prec))
     m5 = WeightParams(config.params.alpha, ("0.3", "0.2", "0.1", "0.05", "0.02"))
-    rep.extend(mt.verify_S1_S2_general_m(1, m5, st, prec))
+    for n, point in ((2, m4), (1, m5)):
+        gm = ca.StencilGrid(point, prec, st,
+                            mt.row_bundle_builder(n + 1, prec, config.cache_dir))
+        rep.extend(mt.verify_S1_S2_general_m(n, point, st, prec, grid=gm))
 
     with mp.workdps(prec.work_dps):
         tab4 = _table(config, m4, 3)

@@ -66,6 +66,17 @@ def test_exit_code_2_for_domain_violation(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_exit_code_2_for_unwritable_cache_dir(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file, not a directory")
+    clear_memo()
+    code = cli.main(["moments", "--digits", "60", "--cache-dir", str(blocker / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and str(blocker / "x") in err
+    assert err.count("\n") == 1
+
+
 def test_exit_code_2_for_unknown_suite(capsys):
     assert cli.main(["bogus-suite"]) == 2
 
@@ -226,7 +237,8 @@ def test_truncated_cache_file_is_a_miss(tmp_path):
     lambda doc: doc["params"].update(alpha="1/3"),
     lambda doc: doc.pop("h"),
     lambda doc: doc["moments"].update({"0": "not a number"}),
-], ids=["version", "N", "digits", "params", "missing-key", "bad-value"])
+    lambda doc: doc.update(anchor={"alpha": "1/2", "t": ["3/10", "1/4"]}),
+], ids=["version", "N", "digits", "params", "missing-key", "bad-value", "anchor"])
 def test_mismatched_cache_entry_is_rebuilt(tmp_path, mangle):
     params, prec = WeightParams("0.5", ("0.3", "0.2")), PrecisionContext(digits=60)
     clear_memo()
@@ -240,6 +252,20 @@ def test_mismatched_cache_entry_is_rebuilt(tmp_path, mangle):
     again = cached_recurrence_table(params, 3, prec, cache_dir=tmp_path)
     assert (again.h, again.coeffs, again.moments) == (clean.h, clean.coeffs, clean.moments)
     assert path.read_text() == good
+
+
+def test_stencil_suites_honour_cache_dir(tmp_path, monkeypatch):
+    # the rode, sigma-reduction and general-m grids build their own tables
+    home, env, cache = tmp_path / "home", tmp_path / "env", tmp_path / "cache"
+    home.mkdir()
+    env.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("LAB_CACHE_DIR", str(env))
+    clear_memo()
+    assert cli.main(["calculus,sigma-pde,multitime", "--digits", "60",
+                     "--cache-dir", str(cache)]) == 0
+    assert list(home.iterdir()) == [] and list(env.iterdir()) == []
+    assert any(cache.iterdir())
 
 
 def test_sweep_csv_honours_cache_dir(tmp_path, monkeypatch):

@@ -108,3 +108,12 @@ def test_table_key_covers_quad_tol():
     # the level cap decides only whether a build fails, never its bits
     capped = PrecisionContext(digits=120, quad_max_level=20)
     assert table_key(p, 12, base) == table_key(p, 12, capped)
+
+
+def test_scaled_keeps_a_configured_quad_tol():
+    custom = PrecisionContext(digits=50, quad_tol=Fraction(1, 10**31)).scaled(68)
+    assert (custom.digits, custom.quad_tol) == (68, Fraction(1, 10**31))
+    # the default tolerance follows the digits
+    default = PrecisionContext(digits=50).scaled(68)
+    assert default.quad_tol == Fraction(1, 10**58)
+    assert default == PrecisionContext(digits=68)

@@ -1,0 +1,135 @@
+"""Stencil nodes get their seeds from the centre's by the exact parameter shift.
+
+Every node a suite's stencil builds is checked against the quadrature
+oracle (``moments``); where the shift's error bound is too wide the node
+falls back to quadrature, and its table is the plain build bit for bit.
+"""
+
+import itertools
+import json
+from fractions import Fraction
+
+import pytest
+from mpmath import mp, mpf
+
+from laguerre_lab import calculus as ca
+from laguerre_lab.cache import cached_recurrence_table, clear_memo, table_key
+from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
+from laguerre_lab.quadrature import SeedAnchor, seed_moments, shift_seeds
+from laguerre_lab.suites import _LCG_SEED, _lcg_uniform
+
+P120 = PrecisionContext(digits=120)
+P60 = PrecisionContext(digits=60)
+DEFAULT = ca.DerivativeStencil()
+
+
+def _order2(step):
+    return ca.DerivativeStencil(order=2, rel_step=step, richardson_levels=1)
+
+
+def _stencil_nodes(point, prec, stencil, axes):
+    """Every node that first, second and mixed derivatives on axes touch."""
+    seen = []
+    grid = ca.StencilGrid(point, prec, stencil, lambda p, anchor: seen.append(p) or mpf(0))
+    with mp.workdps(prec.work_dps):
+        for a in axes:
+            grid.second(lambda v: v, a)  # its nodes include those of first
+        for a, b in itertools.combinations(axes, 2):
+            grid.mixed(lambda v: v, a, b)
+    return [p for p in seen if p != point]
+
+
+def _first_lcg_point():
+    state = _LCG_SEED
+    u = []
+    for _ in range(4):
+        state, v = _lcg_uniform(state)
+        u.append(v)
+    alpha = Fraction(-9, 10) + Fraction(round(u[0] * 3900), 1000)
+    t1 = (Fraction(1, 20) + Fraction(round(u[1] * 950), 1000)) * (1 if u[3] < Fraction(1, 2) else -1)
+    t2 = Fraction(1, 20) + Fraction(round(u[2] * 950), 1000)
+    return WeightParams(alpha, (t1, t2))
+
+
+CASES = [
+    # the calculus suite's main grid at the four cold-stencil points
+    *[(WeightParams(a, (t1, t2)), P120, DEFAULT, (0, 1))
+      for a, t1, t2 in (("1/2", "3/10", "1/5"), ("1/2", "-3/10", "1/5"),
+                        ("-1/2", "9/10", "1/20"), ("3/2", "1/2", "2/5"))],
+    # fd-convergence-order: order 2 at steps 1e-4 and 5e-5, on t1
+    (WeightParams("1/2", ("3/10", "1/5")), P120, _order2(Fraction(1, 10 ** 4)), (0,)),
+    (WeightParams("1/2", ("3/10", "1/5")), P120, _order2(Fraction(1, 2 * 10 ** 4)), (0,)),
+    # rode-reduction centres, on t1
+    (WeightParams("1/2", ("1/2", Fraction(1, 10 ** 4))), P120, DEFAULT, (0,)),
+    (WeightParams("1/2", ("1/2", Fraction(1, 10 ** 6))), P120, DEFAULT, (0,)),
+    # the multitime m = 3 grid
+    (WeightParams("1/2", ("3/10", "1/5", "1/10")), P120, DEFAULT, (0, 1, 2)),
+    # the first delta-random point, at P = 60
+    (_first_lcg_point(), P60, _order2(None), (0, 1)),
+]
+
+
+@pytest.mark.parametrize("point, prec, stencil, axes", CASES,
+                         ids=["cold-0", "cold-1", "cold-2", "cold-3", "fd-1e-4", "fd-5e-5",
+                              "rode-1e-4", "rode-1e-6", "m3", "delta-random"])
+def test_shifted_seeds_match_quadrature(point, prec, stencil, axes):
+    seeds = seed_moments(point, prec)
+    nodes = _stencil_nodes(point, prec, stencil, axes)
+    assert nodes
+    for node in nodes:
+        shifted = shift_seeds(point, seeds, node, prec)
+        assert shifted is not None, node
+        direct = seed_moments(node, prec)
+        assert list(shifted) == list(direct)
+        with mp.workdps(prec.work_dps):
+            tol = to_mpf(prec.quad_tol)
+            for k, v in direct.items():
+                assert abs(shifted[k] - v) <= tol * abs(v), (node, k)
+
+
+def test_anchor_hands_out_its_own_seeds_at_the_centre():
+    point = WeightParams("1/2", ("3/10", "1/5"))
+    anchor = SeedAnchor(point)
+    assert anchor.seeds_at(point, P60) is anchor.seeds(P60)
+    assert anchor.seeds(P60) == seed_moments(point, P60)
+
+
+def test_rejected_shift_falls_back_to_quadrature(tmp_path):
+    # at t2 = 1e-6 the downward recurrence amplifies the seeds' error
+    # bound about 9e5 times on the way to the +h node of t1
+    centre = WeightParams("1/2", ("1/2", Fraction(1, 10 ** 6)))
+    grid = ca.StencilGrid(centre, P60, _order2(Fraction(1, 10 ** 4)),
+                          ca.table_bundle_builder(3, P60, tmp_path))
+    node = grid.params_at(((0, 1),))
+    assert shift_seeds(centre, seed_moments(centre, P60), node, P60) is None
+    clear_memo()
+    anchored = grid.bundle(((0, 1),)).table
+    plain = cached_recurrence_table(node, 3, P60, cache_dir=tmp_path)
+    for field in ("h", "alpha_rc", "beta_rc", "p_sub", "coeffs", "moments"):
+        assert getattr(anchored, field) == getattr(plain, field), field
+
+
+def test_node_key_and_document_cover_the_anchor(tmp_path):
+    centre = WeightParams("1/2", ("3/10", "1/5"))
+    grid = ca.StencilGrid(centre, P60, DEFAULT, ca.table_bundle_builder(3, P60, tmp_path))
+    node = grid.params_at(((1, 1),))
+    assert table_key(node, 3, P60, centre) != table_key(node, 3, P60)
+    assert table_key(centre, 3, P60) == table_key(centre, 3, P60, None)
+
+    clear_memo()
+    good = grid.bundle(((1, 1),)).table
+    path = tmp_path / f"table-{table_key(node, 3, P60, centre)}.json"
+    text = path.read_text()
+    doc = json.loads(text)
+    assert doc["anchor"] == {"alpha": "1/2", "t": ["3/10", "1/5"]}
+    # the same node stored under another anchor is a miss and is rebuilt
+    doc["anchor"]["t"] = ["3/10", "1/4"]
+    path.write_text(json.dumps(doc))
+    clear_memo()
+    again = cached_recurrence_table(node, 3, P60, cache_dir=tmp_path, anchor=SeedAnchor(centre))
+    assert (again.h, again.coeffs, again.moments) == (good.h, good.coeffs, good.moments)
+    assert path.read_text() == text
+    # a centre's key and document have no anchor in them
+    grid.bundle()
+    centre_doc = json.loads((tmp_path / f"table-{table_key(centre, 3, P60)}.json").read_text())
+    assert "anchor" not in centre_doc
