@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the auxiliary quantities along n by all three routes.
 
-Shows, at one parameter point, the quadruple (or general aux row) from
+Shows, at one parameter point (m = 2 or m = 3), the auxiliary row from
 weighted integrals next to the difference-system iteration, with the
 worst pairwise deviation -- a quick cross-representation sanity sweep.
 
@@ -12,8 +12,7 @@ import argparse
 
 from mpmath import mp
 
-from laguerre_lab.ladder import aux_array, iterate_difference_system
-from laguerre_lab.multitime import AuxSextuple, aux_rows, iterate_difference_3
+from laguerre_lab.ladder import aux_rows, iterate_difference_system
 from laguerre_lab.orthopoly import recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams
 
@@ -27,23 +26,16 @@ def main():
     args = ap.parse_args()
 
     params = WeightParams(args.alpha, [v.strip() for v in args.t.split(",")])
+    if params.m not in (2, 3):
+        raise SystemExit("iteration route covers m = 2 and m = 3")
     prec = PrecisionContext(digits=args.digits)
     tab = recurrence_table(params, args.n_max + 1, prec)
 
     with mp.workdps(prec.work_dps):
-        if params.m == 2:
-            integral = [a.as_tuple() for a in aux_array(tab, args.n_max)]
-            iterated = [a.as_tuple() for a in
-                        iterate_difference_system(params, args.n_max, prec)]
-            names = ("R", "R*", "r", "r*")
-        elif params.m == 3:
-            integral = [AuxSextuple.from_row(r).as_tuple()
-                        for r in aux_rows(tab, args.n_max)]
-            iterated = [a.as_tuple() for a in
-                        iterate_difference_3(params, args.n_max, prec)]
-            names = ("R", "R*", "R^", "r", "r*", "r^")
-        else:
-            raise SystemExit("iteration route covers m = 2 and m = 3")
+        integral = [row.R + row.r for row in aux_rows(tab, args.n_max)]
+        iterated = [row.R + row.r for row in
+                    iterate_difference_system(params, args.n_max, prec)]
+        names = ("R", "R*", "R^")[:params.m] + ("r", "r*", "r^")[:params.m]
 
         header = f"{'n':>3} " + " ".join(f"{v:>16}" for v in names) + f" {'devmax':>10}"
         print(header)

@@ -30,7 +30,7 @@ from mpmath import mp, mpf
 from .errors import ConfigError
 from .orthopoly import RecurrenceTable, recurrence_table
 from .params import PrecisionContext, WeightParams
-from .quadrature import SeedAnchor
+from .quadrature import SeedAnchor, clear_seed_memo
 
 #: 2: moments k >= 1 come from the Pearson recurrence, not quadrature
 FORMAT_VERSION = 2
@@ -170,4 +170,6 @@ def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext
 
 
 def clear_memo():
+    """Forget the tables and seed moments this process has built or read."""
     _memo.clear()
+    clear_seed_memo()

@@ -11,16 +11,19 @@ Pearson recurrence and Gram-Schmidt then run per node as before.
 Estimated derivative errors (extrapolation spread plus a roundoff floor)
 propagate into each check's tolerance, so the residual contracts below
 are self-calibrating: an identity passes when its residual is at the
-noise level of the derivatives that enter it.
+noise level of the derivatives that enter it.  A node's auxiliary rows
+are computed when a check first reads them.
 
 Checked here (m = 2): the shifted seeds against quadrature; the
-log-derivative relations of h_n, beta_n, p(n), alpha_n; the
-two-variable Toda equations and the second-order molecule equation; the
+log-derivative relations of h_n, beta_n, p(n), alpha_n; the Toda
+equations, the second-order molecule equation and its ln D_n form; the
 Riccati system; the coupled second-order PDEs for S_n = R_n + R_n*; the
 sigma-function layer H_n (definition consistency, auxiliary
 reconstruction with the sgn(t1) branch, the second-order sixth-degree
 PDE); and the small-t2 continuation onto the one-variable ordinary
-differential equation for R_n.
+differential equation for R_n.  The derivative relations and the Toda
+family are written for any m, over the axes i = 1..m with the scale
+i t_i of D = sum_i i t_i d/dt_i; the m = 3 checks use them too.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
     NegativeDiscriminant,
     StencilOutOfDomain,
 )
-from .ladder import AuxQuadruple, aux_array
+from .ladder import AuxRow, aux_integrals
 from .params import PrecisionContext, WeightParams, to_mpf
 from .quadrature import SeedAnchor, shift_seeds
 from .reports import Check
@@ -69,12 +72,17 @@ class DerivativeStencil:
         return rel
 
 
-@dataclass(frozen=True)
 class TableBundle:
-    """Recurrence table plus the auxiliary quadruples at one point."""
+    """Recurrence table at one point; ``row(n)`` computes aux row n once."""
 
-    table: object
-    aux: tuple
+    def __init__(self, table):
+        self.table = table
+        self._rows = {}
+
+    def row(self, n: int) -> AuxRow:
+        if n not in self._rows:
+            self._rows[n] = aux_integrals(self.table, n)
+        return self._rows[n]
 
 
 def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
@@ -88,8 +96,8 @@ def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
     def build(params: WeightParams, anchor: SeedAnchor) -> TableBundle:
         from .cache import cached_recurrence_table
 
-        tab = cached_recurrence_table(params, N, prec, cache_dir=cache_dir, anchor=anchor)
-        return TableBundle(tab, tuple(aux_array(tab, N)))
+        return TableBundle(
+            cached_recurrence_table(params, N, prec, cache_dir=cache_dir, anchor=anchor))
 
     return build
 
@@ -296,7 +304,8 @@ def verify_seed_shift(grid: StencilGrid, cache_dir=None) -> Check:
                      _point_str(grid.params, "node=+h,+h"))
 
 
-def _grid_m2(point, prec, stencil, n_max, grid=None):
+def _grid(point, prec, stencil, n_max, grid=None):
+    """The given grid, or a new one around point whose tables reach n_max + 1."""
     if grid is not None:
         return grid
     return StencilGrid(point, prec, stencil, table_bundle_builder(n_max + 1, prec))
@@ -307,119 +316,152 @@ def _point_str(params, extra=""):
     return f"({vals})" + (f";{extra}" if extra else "")
 
 
+def axis_scales(point: WeightParams) -> list:
+    """i t_i for the axes i = 1..m, the weights of D = sum_i i t_i d/dt_i."""
+    return [i * to_mpf(t) for i, t in enumerate(point.t, start=1)]
+
+
+def axis_checks(grid: StencilGrid, ps: str, cid: str, extract, exact) -> list:
+    """One check per axis i = 1..m of i t_i d/dt_i extract = exact[i-1].
+
+    The id is cid formatted with i; the tolerance is ten times the
+    derivative's error estimate, scaled like the derivative.
+    """
+    out = []
+    for i, (scale, want) in enumerate(zip(axis_scales(grid.params), exact)):
+        d, e = grid.first(extract, i)
+        out.append(Check(cid.format(i + 1), abs(scale * d - want), 10 * abs(scale) * e, ps))
+    return out
+
+
+def derivative_relations(n: int, grid: StencilGrid, ps: str, names, suffix="") -> list:
+    """First-order derivative relations at index n, by name, each on the axes.
+
+        dlnh     i t_i d/dt_i ln h_n    = -R_{n,i}
+        dp       i t_i d/dt_i p(n)      =  r_{n,i}
+        dlnbeta  i t_i d/dt_i ln beta_n =  R_{n-1,i} - R_{n,i}     (n >= 1)
+        dalpha   i t_i d/dt_i alpha_n   =  r_{n,i} - r_{n+1,i}
+
+    Check ids are ``{name}-t{i}{suffix}``.
+    """
+    b = grid.bundle()
+    relations = {
+        "dlnh": (lambda v: mp.log(v.table.h[n]), lambda: [-x for x in b.row(n).R]),
+        "dp": (lambda v: v.table.p(n), lambda: b.row(n).r),
+        "dlnbeta": (lambda v: mp.log(v.table.beta(n)),
+                    lambda: [x - y for x, y in zip(b.row(n - 1).R, b.row(n).R)]),
+        "dalpha": (lambda v: v.table.alpha(n),
+                   lambda: [x - y for x, y in zip(b.row(n).r, b.row(n + 1).r)]),
+    }
+    out = []
+    for name in names:
+        extract, exact = relations[name]
+        out += axis_checks(grid, ps, f"{name}-t{{}}{suffix}", extract, exact())
+    return out
+
+
 def verify_derivative_relations(n: int, point: WeightParams,
                                 stencil: DerivativeStencil,
                                 prec: PrecisionContext, grid=None):
-    """Residuals of the first-order derivative relations at index n.
+    """Residuals of the first-order derivative relations at index n, by
+    quantity (ln h_n, p(n), ln beta_n for n >= 1, alpha_n), each on every axis.
 
-    t1 d/dt1 ln h_n = -R_n      2t2 d/dt2 ln h_n = -R_n*
-    t1 d/dt1 p(n)   =  r_n      2t2 d/dt2 p(n)   =  r_n*
-    plus the ln beta_n and alpha_n difference variants.
+    For m = 2:  t1 d/dt1 ln h_n = -R_n,  2t2 d/dt2 ln h_n = -R_n*,
+                t1 d/dt1 p(n)   =  r_n,  2t2 d/dt2 p(n)   =  r_n*.
     """
-    grid = _grid_m2(point, prec, stencil, n, grid)
-    out = []
-    ps = _point_str(point, f"n={n}")
+    grid = _grid(point, prec, stencil, n, grid)
+    names = ("dlnh", "dp", "dlnbeta", "dalpha") if n >= 1 else ("dlnh", "dp", "dalpha")
     with mp.workdps(prec.work_dps):
-        t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
-        b = grid.bundle()
-        ax = b.aux
+        return derivative_relations(n, grid, _point_str(point, f"n={n}"), names)
 
-        def check(cid, deriv_scale, fd, exact):
-            val, err = fd
-            res = abs(deriv_scale * val - exact)
-            tol = 10 * abs(deriv_scale) * err
-            out.append(Check(cid, res, tol, ps))
 
-        check("dlnh-t1", t1, grid.first(lambda v: mp.log(v.table.h[n]), 0), -ax[n].R)
-        check("dlnh-t2", 2 * t2, grid.first(lambda v: mp.log(v.table.h[n]), 1), -ax[n].Rstar)
-        check("dp-t1", t1, grid.first(lambda v: v.table.p(n), 0), ax[n].r)
-        check("dp-t2", 2 * t2, grid.first(lambda v: v.table.p(n), 1), ax[n].rstar)
-        if n >= 1:
-            check("dlnbeta-t1", t1, grid.first(lambda v: mp.log(v.table.beta(n)), 0),
-                  ax[n - 1].R - ax[n].R)
-            check("dlnbeta-t2", 2 * t2, grid.first(lambda v: mp.log(v.table.beta(n)), 1),
-                  ax[n - 1].Rstar - ax[n].Rstar)
-        check("dalpha-t1", t1, grid.first(lambda v: v.table.alpha(n), 0),
-              ax[n].r - ax[n + 1].r)
-        check("dalpha-t2", 2 * t2, grid.first(lambda v: v.table.alpha(n), 1),
-              ax[n].rstar - ax[n + 1].rstar)
+def _euler(grid: StencilGrid, extract):
+    """(D extract, error estimate), D = sum_i i t_i d/dt_i."""
+    scales = axis_scales(grid.params)
+    d = [grid.first(extract, i) for i in range(len(scales))]
+    return (mp.fsum(s * v for s, (v, _) in zip(scales, d)),
+            mp.fsum(abs(s) * e for s, (_, e) in zip(scales, d)))
+
+
+def _euler_second(grid: StencilGrid, extract):
+    """(D(D - 1) extract, error estimate): sum_i (i t_i)^2 f_ii
+    + 2 sum_{i<j} (i t_i)(j t_j) f_ij + sum_i i(i-1) t_i f_i."""
+    t = grid.params.t
+    scales = axis_scales(grid.params)
+    val = mpf(0)
+    err = mpf(0)
+    for i, s in enumerate(scales):
+        d2, e2 = grid.second(extract, i)
+        val += s ** 2 * d2
+        err += s ** 2 * e2
+        d1, e1 = grid.first(extract, i)
+        val += (i + 1) * i * to_mpf(t[i]) * d1
+        err += (i + 1) * i * abs(to_mpf(t[i])) * e1
+        for j in range(i + 1, len(scales)):
+            dm, em = grid.mixed(extract, i, j)
+            val += 2 * s * scales[j] * dm
+            err += 2 * abs(s * scales[j]) * em
+    return val, err
+
+
+def toda_checks(n: int, grid: StencilGrid, ps: str, tag="") -> list:
+    """The Toda family at index n, for any m (ids ``toda{tag}-...``):
+
+        alpha     D alpha_n       = beta_n - beta_{n+1} + alpha_n
+        beta      D ln beta_n     = alpha_{n-1} - alpha_n + 2                 (n >= 1)
+        molecule  D(D-1) ln beta_n = beta_{n-1} - 2 beta_n + beta_{n+1} - 2   (n >= 1)
+    """
+    tab = grid.bundle().table
+    lhs, err = _euler(grid, lambda v: v.table.alpha(n))
+    out = [Check(f"toda{tag}-alpha",
+                 abs(lhs - (tab.beta(n) - tab.beta(n + 1) + tab.alpha(n))), 10 * err, ps)]
+    if n >= 1:
+        lb = lambda v: mp.log(v.table.beta(n))
+        lhs, err = _euler(grid, lb)
+        out.append(Check(f"toda{tag}-beta",
+                         abs(lhs - (tab.alpha(n - 1) - tab.alpha(n) + 2)), 10 * err, ps))
+        lhs, err = _euler_second(grid, lb)
+        rhs = tab.beta(n - 1) - 2 * tab.beta(n) + tab.beta(n + 1) - 2
+        out.append(Check(f"toda{tag}-molecule", abs(lhs - rhs), 10 * err, ps))
     return out
 
 
 def verify_toda(n: int, point: WeightParams, stencil: DerivativeStencil,
                 prec: PrecisionContext, grid=None):
-    """The two first-order Toda relations, the second-order molecule
-    equation, and the ln D_n form of the beta_n identity."""
+    """The Toda family at index n >= 1 and the ln D_n form of the
+    molecule equation, D(D-1) ln D_n = beta_n - n(n + alpha)."""
     if n < 1:
         raise DomainError("Toda checks need n >= 1")
-    grid = _grid_m2(point, prec, stencil, n, grid)
-    out = []
+    grid = _grid(point, prec, stencil, n, grid)
     ps = _point_str(point, f"n={n}")
     with mp.workdps(prec.work_dps):
-        t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
-        tab = grid.bundle().table
-        alpha = to_mpf(point.alpha)
-
-        da1, e1 = grid.first(lambda v: v.table.alpha(n), 0)
-        da2, e2 = grid.first(lambda v: v.table.alpha(n), 1)
-        res = abs(t1 * da1 + 2 * t2 * da2 - (tab.beta(n) - tab.beta(n + 1) + tab.alpha(n)))
-        out.append(Check("toda-alpha", res, 10 * (abs(t1) * e1 + 2 * t2 * e2), ps))
-
-        lb = lambda v: mp.log(v.table.beta(n))
-        db1, f1 = grid.first(lb, 0)
-        db2, f2 = grid.first(lb, 1)
-        res = abs(t1 * db1 + 2 * t2 * db2 - (tab.alpha(n - 1) - tab.alpha(n) + 2))
-        out.append(Check("toda-beta", res, 10 * (abs(t1) * f1 + 2 * t2 * f2), ps))
-
-        def second_order_operator(extract):
-            d11, g11 = grid.second(extract, 0)
-            d22, g22 = grid.second(extract, 1)
-            d12, g12 = grid.mixed(extract, 0, 1)
-            d2, g2 = grid.first(extract, 1)
-            val = t1 ** 2 * d11 + 4 * t1 * t2 * d12 + 4 * t2 ** 2 * d22 + 2 * t2 * d2
-            err = (t1 ** 2 * g11 + 4 * abs(t1) * t2 * g12 + 4 * t2 ** 2 * g22 + 2 * t2 * g2)
-            return val, err
-
-        lhs, err = second_order_operator(lb)
-        rhs = tab.beta(n - 1) - 2 * tab.beta(n) + tab.beta(n + 1) - 2
-        out.append(Check("toda-molecule", abs(lhs - rhs), 10 * err, ps))
-
-        lhs, err = second_order_operator(lambda v: v.table.log_hankel(n))
-        rhs = tab.beta(n) - n * (n + alpha)
+        out = toda_checks(n, grid, ps)
+        lhs, err = _euler_second(grid, lambda v: v.table.log_hankel(n))
+        rhs = grid.bundle().table.beta(n) - n * (n + to_mpf(point.alpha))
         out.append(Check("toda-lndn", abs(lhs - rhs), 10 * err, ps))
     return out
 
 
 def verify_riccati(n: int, point: WeightParams, stencil: DerivativeStencil,
                    prec: PrecisionContext, grid=None):
-    """The four first-order Riccati-like equations for the quadruple."""
-    grid = _grid_m2(point, prec, stencil, n, grid)
-    out = []
+    """The four first-order Riccati-like equations of m = 2: the axis
+    components of D S_n (S_n = R_n + R_n*) and of D (r_n + r_n*)."""
+    grid = _grid(point, prec, stencil, n, grid)
     ps = _point_str(point, f"n={n}")
     with mp.workdps(prec.work_dps):
-        t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
+        t1 = to_mpf(point.t1)
         tau = to_mpf(point.tau)
         alpha = to_mpf(point.alpha)
-        a = grid.bundle().aux[n]
-        R, Rs, r, rs = a.as_tuple()
-
-        S = lambda v: v.aux[n].R + v.aux[n].Rstar
-        dS1, e1 = grid.first(S, 0)
-        dS2, e2 = grid.first(S, 1)
-        res = abs(t1 * dS1 - (2 * r + (2 * n + 1 + alpha + R + Rs) * R - t1))
-        out.append(Check("riccati-S-t1", res, 10 * abs(t1) * e1, ps))
-        res = abs(2 * t2 * dS2 - (2 * rs + (2 * n + 1 + alpha + R + Rs) * Rs - tau * R))
-        out.append(Check("riccati-S-t2", res, 10 * 2 * t2 * e2, ps))
-
+        a = grid.bundle().row(n)
+        (R, Rs), (r, rs) = a.R, a.r
+        big = 2 * n + 1 + alpha + R + Rs
         theta = ((Rs / R * r - rs) * (Rs / R * (t1 - r) + rs) / tau
                  + (2 * n + alpha) * r - n * t1)
-        low = lambda v: v.aux[n].r + v.aux[n].rstar
-        dr1, f1 = grid.first(low, 0)
-        dr2, f2 = grid.first(low, 1)
-        res = abs(t1 * dr1 - (theta + r + 2 * r * (r - t1) / R))
-        out.append(Check("riccati-r-t1", res, 10 * abs(t1) * f1, ps))
-        res = abs(2 * t2 * dr2 - (Rs / R * theta + rs + rs * (2 * r - t1) / R))
-        out.append(Check("riccati-r-t2", res, 10 * 2 * t2 * f2, ps))
+        out = axis_checks(grid, ps, "riccati-S-t{}", lambda v: v.row(n).Rsum,
+                          (2 * r + big * R - t1, 2 * rs + big * Rs - tau * R))
+        out += axis_checks(grid, ps, "riccati-r-t{}", lambda v: v.row(n).rsum,
+                           (theta + r + 2 * r * (r - t1) / R,
+                            Rs / R * theta + rs + rs * (2 * r - t1) / R))
     return out
 
 
@@ -431,17 +473,16 @@ def coupled_pde_residuals(n: int, point: WeightParams, stencil: DerivativeStenci
     Returns (res1, res2, bound) with residuals normalized by
     (1 + max term magnitude).
     """
-    grid = _grid_m2(point, prec, stencil, n, grid)
+    grid = _grid(point, prec, stencil, n, grid)
     with mp.workdps(prec.work_dps):
         t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
         alpha = to_mpf(point.alpha)
-        a = grid.bundle().aux[n]
-        R, Rs = a.R, a.Rstar
+        R, Rs = grid.bundle().row(n).R
         S = R + Rs
         T = Rs / R
 
-        Sx = lambda v: v.aux[n].R + v.aux[n].Rstar
-        Rx = lambda v: v.aux[n].R
+        Sx = lambda v: v.row(n).Rsum
+        Rx = lambda v: v.row(n).R[0]
         dS1, e1 = grid.first(Sx, 0)
         dS2, e2 = grid.first(Sx, 1)
         dS11, e11 = grid.second(Sx, 0)
@@ -506,25 +547,17 @@ def verify_coupled_pdes(n, point, stencil, prec, grid=None):
 
 @dataclass(frozen=True)
 class SigmaState:
-    """H_n with its FD partials and the derived sigma-layer quantities."""
+    """H_n with the FD partials and derived sigma-layer quantities the checks read."""
 
     n: int
     Hn: mpf
     S: mpf
     T: mpf
     Delta: mpf
-    Theta: mpf
-    Gamma: mpf
     dH1: mpf
     dH2: mpf
-    dH11: mpf
-    dH12: mpf
-    dH22: mpf
     dS1: mpf
     dS2: mpf
-    dS11: mpf
-    dS12: mpf
-    dS22: mpf
     beta: mpf
     dbeta1: mpf
     dbeta2: mpf
@@ -539,14 +572,15 @@ def hankel_sigma(n: int, point: WeightParams, stencil: DerivativeStencil,
     """Assemble H_n = n(n+alpha) + p(n) and its derivative data at point.
 
     beta_n and its t-partials come from the H_n derivative identities
-    (so the state is a pure function of H_n data); the quadruple-based
-    S, T, Theta ride along for cross-checks.
+    (so the state is a pure function of H_n data); S_n = R_n + R_n*,
+    T_n = R_n*/R_n and the partials of S_n ride along for cross-checks.
+    The error estimate covers every partial taken, the second partials
+    of S_n included.
     """
-    grid = _grid_m2(point, prec, stencil, n, grid)
+    grid = _grid(point, prec, stencil, n, grid)
     with mp.workdps(prec.work_dps):
         t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
         alpha = to_mpf(point.alpha)
-        tau = to_mpf(point.tau)
         nn = n * (n + alpha)
 
         H = lambda v: nn + v.table.p(n)
@@ -564,19 +598,16 @@ def hankel_sigma(n: int, point: WeightParams, stencil: DerivativeStencil,
         dD2, q2 = grid.first(lnD, 1)
         def_res = abs(Hn - (t1 * dD1 + 2 * t2 * dD2))
 
-        Sx = lambda v: v.aux[n].R + v.aux[n].Rstar
+        Sx = lambda v: v.row(n).Rsum
         dS1, f1 = grid.first(Sx, 0)
         dS2, f2 = grid.first(Sx, 1)
-        dS11, f11 = grid.second(Sx, 0)
-        dS12, f12 = grid.mixed(Sx, 0, 1)
-        dS22, f22 = grid.second(Sx, 1)
+        _, f11 = grid.second(Sx, 0)
+        _, f12 = grid.mixed(Sx, 0, 1)
+        _, f22 = grid.second(Sx, 1)
 
-        a = b.aux[n]
-        R, Rs, r_int, rs_int = a.as_tuple()
+        R, Rs = b.row(n).R
         S = R + Rs
         T = Rs / R
-        theta = ((Rs / R * r_int - rs_int) * (Rs / R * (t1 - r_int) + rs_int) / tau
-                 + (2 * n + alpha) * r_int - n * t1)
 
         beta = t1 * dH1 + 2 * t2 * dH2 - Hn + nn
         dbeta1 = t1 * dH11 + 2 * t2 * dH12
@@ -584,41 +615,46 @@ def hankel_sigma(n: int, point: WeightParams, stencil: DerivativeStencil,
         r = t1 * dH1
         rstar = 2 * t2 * dH2
         Delta = (t1 * dbeta1) ** 2 + 4 * beta * r * (r - t1)
-        Gamma = dH1 * (dH1 - 1)
 
         fd_error = mp.fsum([e1, e2, e11, e12, e22, f1, f2, f11, f12, f22, q1, q2])
         return SigmaState(
-            n=n, Hn=Hn, S=S, T=T, Delta=Delta, Theta=theta, Gamma=Gamma,
-            dH1=dH1, dH2=dH2, dH11=dH11, dH12=dH12, dH22=dH22,
-            dS1=dS1, dS2=dS2, dS11=dS11, dS12=dS12, dS22=dS22,
+            n=n, Hn=Hn, S=S, T=T, Delta=Delta, dH1=dH1, dH2=dH2, dS1=dS1, dS2=dS2,
             beta=beta, dbeta1=dbeta1, dbeta2=dbeta2, r=r, rstar=rstar,
             fd_error=fd_error, def_residual=def_res,
         )
 
 
-def reconstruct_aux_from_H(state: SigmaState, point: WeightParams,
-                           prec: PrecisionContext) -> AuxQuadruple:
-    """Invert the sigma layer: quadruple from H_n derivative data alone.
+def branch_aux(Delta, noise, beta, dbeta1, dbeta2, r, rstar,
+               point: WeightParams, prec: PrecisionContext):
+    """(R_n, R_n*) from H_n derivative data: beta_n, its t1 and t2
+    partials, r_n, r_n* and the discriminant
+    Delta = (t1 d beta_n/dt1)^2 + 4 beta_n r_n (r_n - t1).
 
     R_n takes the sgn(t1) square-root branch; R_n* follows from the
-    mixed-derivative relation.  Raises NegativeDiscriminant if the
-    discriminant is below the negative noise threshold, BranchAmbiguity
-    if it is too small to resolve the branch.
+    mixed-derivative relation.  The same formulas hold for m = 2 and
+    m = 3.  Raises NegativeDiscriminant if Delta is below the negative
+    noise threshold, BranchAmbiguity if sqrt(Delta) is not above noise.
     """
     with mp.workdps(prec.work_dps):
         t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
-        if state.Delta < -to_mpf(prec.half_eps):
-            raise NegativeDiscriminant(f"Delta = {state.Delta}")
-        root = mp.sqrt(abs(state.Delta))
-        if root <= state.fd_error:
+        if Delta < -to_mpf(prec.half_eps):
+            raise NegativeDiscriminant(f"Delta = {Delta}")
+        root = mp.sqrt(abs(Delta))
+        if root <= noise:
             raise BranchAmbiguity("sqrt(Delta) is below the FD noise level")
         sgn = 1 if point.t1 > 0 else -1
-        R = (-t1 * state.dbeta1 + sgn * root) / (2 * state.beta)
-        Rstar = (
-            state.rstar * (2 * state.r - t1)
-            + t1 * t2 * state.dbeta1 * state.dbeta2 / state.beta
-        ) / (sgn * root) - t2 * state.dbeta2 / state.beta
-        return AuxQuadruple(R=R, Rstar=Rstar, r=state.r, rstar=state.rstar)
+        R = (-t1 * dbeta1 + sgn * root) / (2 * beta)
+        Rstar = (rstar * (2 * r - t1) + t1 * t2 * dbeta1 * dbeta2 / beta) / (sgn * root) \
+            - t2 * dbeta2 / beta
+        return R, Rstar
+
+
+def reconstruct_aux_from_H(state: SigmaState, point: WeightParams,
+                           prec: PrecisionContext) -> AuxRow:
+    """Invert the sigma layer: the aux row from H_n derivative data alone."""
+    R, Rstar = branch_aux(state.Delta, state.fd_error, state.beta, state.dbeta1,
+                          state.dbeta2, state.r, state.rstar, point, prec)
+    return AuxRow(R=(R, Rstar), r=(state.r, state.rstar))
 
 
 def sigma_pde_residual(state: SigmaState, point: WeightParams,
@@ -679,13 +715,13 @@ def verify_sigma_pde(n: int, point: WeightParams, stencil: DerivativeStencil,
     """Checks of the sigma layer at index n: definition consistency,
     H derivative relations, discriminant sign/identity, reconstruction,
     the closed H(R, R*) form, and the sixth-degree PDE."""
-    grid = _grid_m2(point, prec, stencil, n, grid)
+    grid = _grid(point, prec, stencil, n, grid)
     state = hankel_sigma(n, point, stencil, prec, grid)
     out = []
     ps = _point_str(point, f"n={n}")
     with mp.workdps(prec.work_dps):
         t1 = to_mpf(point.t1)
-        a = grid.bundle().aux[n]
+        (R, Rs), (r, rs) = grid.bundle().row(n).R, grid.bundle().row(n).r
         tab = grid.bundle().table
         ferr = 10 * state.fd_error
 
@@ -694,11 +730,11 @@ def verify_sigma_pde(n: int, point: WeightParams, stencil: DerivativeStencil,
         nn = n * (n + to_mpf(point.alpha))
         out.append(Check("H-p-shift", abs(state.Hn - nn - tab.p(n)),
                          to_mpf(prec.half_eps), ps))
-        out.append(Check("dH-t1", abs(state.r - a.r), ferr, ps))
-        out.append(Check("dH-t2", abs(state.rstar - a.rstar), ferr, ps))
+        out.append(Check("dH-t1", abs(state.r - r), ferr, ps))
+        out.append(Check("dH-t2", abs(state.rstar - rs), ferr, ps))
 
         # Delta = (r(r-t1)/R + beta R)^2 >= 0, from integral-route data
-        ident = (a.r * (a.r - t1) / a.R + tab.beta(n) * a.R) ** 2
+        ident = (r * (r - t1) / R + tab.beta(n) * R) ** 2
         out.append(Check("delta-identity", abs(state.Delta - ident),
                          ferr * (1 + abs(state.dbeta1) + abs(state.beta)) ** 2, ps))
         out.append(Check("delta-nonneg",
@@ -706,10 +742,10 @@ def verify_sigma_pde(n: int, point: WeightParams, stencil: DerivativeStencil,
                          to_mpf(prec.half_eps) + ferr, ps))
 
         rec = reconstruct_aux_from_H(state, point, prec)
-        out.append(Check("reconstruct-R", abs(rec.R - a.R), ferr, ps))
-        out.append(Check("reconstruct-Rstar", abs(rec.Rstar - a.Rstar), ferr, ps))
-        out.append(Check("reconstruct-r", abs(rec.r - a.r), ferr, ps))
-        out.append(Check("reconstruct-rstar", abs(rec.rstar - a.rstar), ferr, ps))
+        out.append(Check("reconstruct-R", abs(rec.R[0] - R), ferr, ps))
+        out.append(Check("reconstruct-Rstar", abs(rec.R[1] - Rs), ferr, ps))
+        out.append(Check("reconstruct-r", abs(rec.r[0] - r), ferr, ps))
+        out.append(Check("reconstruct-rstar", abs(rec.r[1] - rs), ferr, ps))
 
         res, bound = h_from_aux_residual(n, state, point, prec)
         out.append(Check("H-from-aux", res, bound, ps))
@@ -747,7 +783,7 @@ def verify_t2_zero_reduction(n: int, t1, alpha, eps_list, prec: PrecisionContext
         with mp.workdps(prec.work_dps):
             t1m = to_mpf(point.t1)
             am = to_mpf(point.alpha)
-            Rx = lambda v: v.aux[n].R
+            Rx = lambda v: v.row(n).R[0]
             R = grid.scalar(Rx)
             dR, e1 = grid.first(Rx, 0)
             d2R, e2 = grid.second(Rx, 0)

@@ -1,94 +1,134 @@
-"""Ladder-operator layer for the two-parameter weight (m = 2).
+"""Ladder-operator layer for the deformed weight, any pole order m.
 
-Holds the auxiliary quadruple (R_n, R_n*, r_n, r_n*), the 1/z-coefficient
-form of the ladder coefficients A_n, B_n, pointwise residuals of the
+For w(x) = x^alpha exp(-x - sum_i t_i x^-i), i = 1..m, the ladder
+coefficients A_n(z), B_n(z) are Laurent polynomials in 1/z whose
+coefficients are linear in the auxiliary row at index n,
+
+    R_{n,i} = i t_i <P_n, x^-i P_n> / h_n,
+    r_{n,i} = i t_i <P_n, x^-i P_{n-1}> / h_{n-1},      i = 1..m
+
+(R_n, R_n*, r_n, r_n* for m = 2; m = 3 adds R^_n, r^_n).  Held here:
+the row from the moment table, the 1/z-coefficients of A_n, B_n and the
+integral definition of A_n as their oracle, pointwise residuals of the
 lowering/raising operators and of the compatibility conditions
-S1/S2/S2', the closed-form recurrence coefficients in terms of the
-auxiliaries, and the difference system iterated in n from the moment
-initial data.
+S1/S2/S2', alpha_n from the row, the sum rules, and the difference
+system iterated in n from the moment initial data.  The r-advance of
+that system is the S1 family for every m; solving for R and assembling
+beta_n from the row are closed forms per m (m = 2 and m = 3).
 
 Route naming used throughout tests and suites:
-  integral  -- quadruple from weighted moment sums of P_n^2, P_n P_{n-1}
-  identity  -- alpha_n, beta_n reassembled from the quadruple
-  iteration -- quadruple advanced by the difference system alone
+  integral  -- the row from weighted moment sums of P_n^2, P_n P_{n-1}
+  identity  -- alpha_n, beta_n reassembled from the row
+  iteration -- the row advanced by the difference system alone
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from mpmath import mp, mpf
 
 from .errors import DegenerateBracket, DegenerateInput, DomainError, SingularAux
-from .orthopoly import RecurrenceTable, eval_polynomial_derivative
+from .orthopoly import RecurrenceTable, eval_polynomial, eval_polynomial_derivative
 from .params import PrecisionContext, WeightParams, to_mpf
-from .quadrature import moments
+from .quadrature import integrate_weighted, seed_moments
 
 
 @dataclass(frozen=True)
-class AuxQuadruple:
-    """R, R*, r, r* at one index n and one (t1, t2)."""
+class AuxRow:
+    """R_{n,i} and r_{n,i} for i = 1..m at one index n and one point."""
 
-    R: mpf
-    Rstar: mpf
-    r: mpf
-    rstar: mpf
+    R: tuple
+    r: tuple
 
-    def as_tuple(self):
-        return (self.R, self.Rstar, self.r, self.rstar)
+    @property
+    def Rsum(self) -> mpf:
+        return sum(self.R)
 
-
-@dataclass(frozen=True)
-class LadderCoeffs:
-    """Coefficients of z^-1..z^-3 in A_n and B_n (1-based access)."""
-
-    a_coeffs: tuple
-    b_coeffs: tuple
-
-    def eval_a(self, z) -> mpf:
-        z = to_mpf(z)
-        return sum(c / z ** (i + 1) for i, c in enumerate(self.a_coeffs))
-
-    def eval_b(self, z) -> mpf:
-        z = to_mpf(z)
-        return sum(c / z ** (i + 1) for i, c in enumerate(self.b_coeffs))
+    @property
+    def rsum(self) -> mpf:
+        return sum(self.r)
 
 
-def _require_m2(params: WeightParams):
-    if params.m != 2 or not params.is_deformed:
-        raise DomainError("this layer needs the two-parameter weight (m = 2)")
-
-
-def aux_integrals(table: RecurrenceTable, n: int) -> AuxQuadruple:
-    """The four auxiliary integrals at index n, via the moment table."""
-    _require_m2(table.params)
+def aux_integrals(table: RecurrenceTable, n: int) -> AuxRow:
+    """The auxiliary row at index n, via the moment table."""
+    params = table.params
+    if not params.is_deformed:
+        raise DomainError("auxiliaries need a deformed weight")
     if n > table.N:
         raise DomainError(f"n = {n} exceeds table depth {table.N}")
     with mp.workdps(table.prec.work_dps):
-        t1, t2 = to_mpf(table.params.t1), to_mpf(table.params.t2)
-        R = t1 * table.inner_xk(n, n, -1) / table.h[n]
-        Rstar = 2 * t2 * table.inner_xk(n, n, -2) / table.h[n]
-        if n == 0:
-            r = rstar = mpf(0)
-        else:
-            r = t1 * table.inner_xk(n, n - 1, -1) / table.h[n - 1]
-            rstar = 2 * t2 * table.inner_xk(n, n - 1, -2) / table.h[n - 1]
-        return AuxQuadruple(R, Rstar, r, rstar)
+        R, r = [], []
+        for i, ti in enumerate(params.t, start=1):
+            iti = to_mpf(i * ti)
+            R.append(iti * table.inner_xk(n, n, -i) / table.h[n])
+            r.append(iti * table.inner_xk(n, n - 1, -i) / table.h[n - 1] if n else mpf(0))
+        return AuxRow(R=tuple(R), r=tuple(r))
 
 
-def aux_array(table: RecurrenceTable, N: int) -> list:
+def aux_rows(table: RecurrenceTable, N: int) -> list:
     """aux_integrals for n = 0..N."""
     return [aux_integrals(table, n) for n in range(N + 1)]
 
 
-def ladder_coeffs(aux: AuxQuadruple, n: int, params: WeightParams) -> LadderCoeffs:
-    """A_n = 1/z + (R+R*)/z^2 + tau R/z^3,  B_n = -n/z + (r+r*)/z^2 + tau r/z^3."""
-    _require_m2(params)
-    tau = to_mpf(params.tau)  # at the caller's working precision
-    return LadderCoeffs(
-        a_coeffs=(mpf(1), aux.R + aux.Rstar, tau * aux.R),
-        b_coeffs=(mpf(-n), aux.r + aux.rstar, tau * aux.r),
-    )
+def s1_coeff(params: WeightParams, j: int) -> mpf:
+    """j t_j / ((j-1) t_{j-1}), the coefficient of R_{n,j-1} in the S1 family
+    (tau = 2 t2/t1 for j = 2, rho = 3 t3/(2 t2) for j = 3)."""
+    return to_mpf(Fraction(j) * params.t[j - 1] / ((j - 1) * params.t[j - 2]))
+
+
+def ladder_coeffs(row: AuxRow, n: int, params: WeightParams):
+    """(a, b): the 1/z..1/z^(m+1) coefficients of A_n and B_n.
+
+    a_1 = 1, b_1 = -n and, for l = 2..m+1,
+    a_l = sum_{i=1..m+2-l} (l-2+i) t_{l-2+i} / (i t_i) R_{n,i}, b_l the
+    same with r_{n,i}.  For m = 2: A_n = 1/z + (R+R*)/z^2 + tau R/z^3,
+    B_n = -n/z + (r+r*)/z^2 + tau r/z^3.
+    """
+    m = params.m
+    if any(t == 0 for t in params.t):
+        raise DomainError("ladder coefficients need all t_i nonzero")
+    a = [mpf(1)]
+    b = [mpf(-n)]
+    for ell in range(2, m + 2):
+        ca = mpf(0)
+        cb = mpf(0)
+        for i in range(1, m + 3 - ell):
+            pref = to_mpf(Fraction(ell - 2 + i) * params.t[ell - 3 + i] /
+                          (i * params.t[i - 1]))
+            ca += pref * row.R[i - 1]
+            cb += pref * row.r[i - 1]
+        a.append(ca)
+        b.append(cb)
+    return tuple(a), tuple(b)
+
+
+def eval_laurent(coeffs, z) -> mpf:
+    """sum_k coeffs[k] / z^(k+1)."""
+    z = to_mpf(z)
+    return sum(c / z ** (k + 1) for k, c in enumerate(coeffs))
+
+
+def _ladder_at(row: AuxRow, n: int, params: WeightParams, z):
+    """(A_n(z), B_n(z)) from the row."""
+    a, b = ladder_coeffs(row, n, params)
+    return eval_laurent(a, z), eval_laurent(b, z)
+
+
+def ladder_A_direct(table: RecurrenceTable, n: int, z) -> mpf:
+    """A_n(z) from its integral definition with the divided-difference
+    kernel (the oracle route for the assembled coefficients)."""
+    params, prec = table.params, table.prec
+    z = to_mpf(z)
+    with mp.workdps(prec.work_dps):
+        zvz = z * params.potential_derivative(z)
+
+        def f(x):
+            kern = (zvz - x * params.potential_derivative(x)) / (z - x)
+            return kern * eval_polynomial(table, n, x) ** 2
+
+        return integrate_weighted(f, params, prec) / (z * table.h[n])
 
 
 def ladder_residuals(table: RecurrenceTable, aux: list, n: int, z):
@@ -103,130 +143,182 @@ def ladder_residuals(table: RecurrenceTable, aux: list, n: int, z):
     params = table.params
     with mp.workdps(table.prec.work_dps):
         pn, dpn, pn1, dpn1 = eval_polynomial_derivative(table, n, z)
-        cn = ladder_coeffs(aux[n], n, params)
+        A, B = _ladder_at(aux[n], n, params, z)
         vprime = params.potential_derivative(z)
-        lowering = dpn + cn.eval_b(z) * pn - table.beta(n) * cn.eval_a(z) * pn1
+        lowering = dpn + B * pn - table.beta(n) * A * pn1
         if n == 0:
             raising = mpf(0)  # P_{-1} = 0 and A_{-1} = 0
         else:
-            cn1 = ladder_coeffs(aux[n - 1], n - 1, params)
-            raising = dpn1 - (cn.eval_b(z) + vprime) * pn1 + cn1.eval_a(z) * pn
+            a_prev, _ = _ladder_at(aux[n - 1], n - 1, params, z)
+            raising = dpn1 - (B + vprime) * pn1 + a_prev * pn
         return abs(lowering), abs(raising)
 
 
 def compatibility_residuals(table: RecurrenceTable, aux: list, n: int, z):
     """Pointwise residuals of S1, S2 and S2' at z.
 
-    Needs the quadruples for j <= n+1 (partial sums of A_j are
-    accumulated from the stored per-j coefficients, not re-integrated).
+    Needs the rows for j <= n+1 (partial sums of A_j are accumulated
+    from the stored per-j coefficients, not re-integrated).
     """
     z = to_mpf(z)
     params = table.params
     with mp.workdps(table.prec.work_dps):
-        coeff = [ladder_coeffs(aux[j], j, params) for j in range(n + 2)]
+        A, B = zip(*(_ladder_at(aux[j], j, params, z) for j in range(n + 2)))
         vprime = params.potential_derivative(z)
         an = table.alpha(n)
-        bn0 = coeff[n].eval_b(z)
-        bn1 = coeff[n + 1].eval_b(z)
-        s1 = bn1 + bn0 - (z - an) * coeff[n].eval_a(z) + vprime
-        a_prev = coeff[n - 1].eval_a(z) if n >= 1 else mpf(0)
+        s1 = B[n + 1] + B[n] - (z - an) * A[n] + vprime
+        a_prev = A[n - 1] if n >= 1 else mpf(0)
         s2 = (
-            1 + (z - an) * (bn1 - bn0)
-            - table.beta(n + 1) * coeff[n + 1].eval_a(z)
+            1 + (z - an) * (B[n + 1] - B[n])
+            - table.beta(n + 1) * A[n + 1]
             + table.beta(n) * a_prev
         )
-        asum = mp.fsum(coeff[j].eval_a(z) for j in range(n))
-        s2p = (bn0 + vprime) * bn0 + asum - table.beta(n) * coeff[n].eval_a(z) * a_prev
+        s2p = (B[n] + vprime) * B[n] + mp.fsum(A[:n]) - table.beta(n) * A[n] * a_prev
         return abs(s1), abs(s2), abs(s2p)
 
 
-def alpha_from_aux(aux: AuxQuadruple, n: int, alpha) -> mpf:
-    """alpha_n = 2n + 1 + alpha + R_n + R_n*."""
-    return 2 * n + 1 + to_mpf(alpha) + aux.R + aux.Rstar
+def alpha_from_aux(row: AuxRow, n: int, alpha) -> mpf:
+    """alpha_n = 2n + 1 + alpha + sum_i R_{n,i}."""
+    return sum(row.R, 2 * n + 1 + to_mpf(alpha))
 
 
-def beta_from_aux(aux: AuxQuadruple, n: int, params: WeightParams,
+def beta_from_aux(row: AuxRow, n: int, params: WeightParams,
                   prec: PrecisionContext) -> mpf:
-    """beta_n assembled from the quadruple alone."""
-    _require_m2(params)
+    """beta_n assembled from the row alone: a closed form for m = 2 and m = 3."""
+    if params.m not in (2, 3):
+        raise DomainError("beta_n from the aux row has closed forms for m = 2 and 3 only")
     with mp.workdps(prec.work_dps):
-        if abs(aux.R) < to_mpf(prec.half_eps):
+        if abs(row.R[0]) < to_mpf(prec.half_eps):
             raise SingularAux(f"|R_{n}| below 10^-P/2")
         t1 = to_mpf(params.t1)
         tau = to_mpf(params.tau)
-        R, Rs, r, rs = aux.as_tuple()
+        R, Rs, r, rs = row.R[0], row.R[1], row.r[0], row.r[1]
         T = Rs / R
+        if params.m == 2:
+            return (
+                (rs - r * T) * (rs + (t1 - r) * T) / (tau * R)
+                + r * (t1 - r) / R ** 2
+                + (n * t1 - (2 * n + params.alpha) * r) / R
+            )
+        rho = to_mpf(params.rho)
+        alpha = to_mpf(params.alpha)
+        Rh, rh = row.R[2], row.r[2]
         return (
-            (rs - r * T) * (rs + (t1 - r) * T) / (tau * R)
-            + r * (t1 - r) / R ** 2
-            + (n * t1 - (2 * n + params.alpha) * r) / R
+            (1 - rho * Rs / (tau * R)) * (rs - r * T) * (rs + (t1 - r) * T) / (tau * R)
+            + 2 * rh * rs / (tau * R)
+            + r * (t1 - r) / R ** 2 * (1 - 2 * Rs * Rh / (tau * R))
+            + (t1 - 2 * r) / (tau * R ** 2) * (rh * Rs + Rh * rs)
+            + (n * t1 - (2 * n + alpha) * r) / R
         )
 
 
-def initial_aux(params: WeightParams, prec: PrecisionContext) -> AuxQuadruple:
-    """n = 0 quadruple from moment ratios: R_0 = t1 mu_-1/mu_0, R_0* = 2 t2 mu_-2/mu_0."""
-    _require_m2(params)
-    mu = moments(params, -2, 0, prec)
+def initial_aux(params: WeightParams, prec: PrecisionContext) -> AuxRow:
+    """n = 0 row from the seed moments: R_{0,i} = i t_i mu_-i / mu_0, r_{0,i} = 0."""
+    if not params.is_deformed:
+        raise DomainError("auxiliaries need a deformed weight")
+    mu = seed_moments(params, prec)
     with mp.workdps(prec.work_dps):
-        return AuxQuadruple(
-            R=to_mpf(params.t1) * mu[-1] / mu[0],
-            Rstar=2 * to_mpf(params.t2) * mu[-2] / mu[0],
-            r=mpf(0),
-            rstar=mpf(0),
-        )
+        R = tuple(i * to_mpf(ti) * mu[-i] / mu[0] for i, ti in enumerate(params.t, start=1))
+        return AuxRow(R=R, r=(mpf(0),) * params.m)
+
+
+def _bracket(value, thresh, n, equation):
+    if abs(value) < thresh:
+        raise DegenerateBracket(f"{equation} coefficient vanished at n = {n}",
+                                index=n, equation=equation)
+    return value
+
+
+def _R_step_2(n, r_row, prev, params, thresh):
+    """(R_n, R_n*) from r_n, r_n* and the row at n-1 (m = 2)."""
+    t1 = to_mpf(params.t1)
+    alpha = to_mpf(params.alpha)
+    tau = to_mpf(params.tau)
+    r, rs = r_row
+    Rm, Rms = prev.R
+    bracket3 = _bracket(
+        (rs ** 2 / tau - (2 * n + alpha) * r + n * t1) * Rm ** 2
+        + r * (t1 - r) * Rm
+        + (rs * (t1 - 2 * r) * Rm + r * (r - t1) * Rms) * Rms / tau,
+        thresh, n, "R-step")
+    R = r * (r - t1) * Rm ** 2 / bracket3
+    bracket4 = _bracket(r * (r - t1) * Rm, thresh, n, "Rstar-step")
+    Rs = (rs * (2 * r - t1) * Rm + r * (t1 - r) * Rms) * R / bracket4
+    return R, Rs
+
+
+def _R_step_3(n, r_row, prev, params, thresh):
+    """(R_n, R_n*, R^_n) from the r-triple and the row at n-1 (m = 3)."""
+    t1, t2 = to_mpf(params.t1), to_mpf(params.t2)
+    alpha = to_mpf(params.alpha)
+    tau = to_mpf(params.tau)
+    rho = to_mpf(params.rho)
+    r, rs, rh = r_row
+    Rm, Rms, Rmh = prev.R
+    br5 = _bracket(
+        (rs * Rm - r * Rms) * (rs * Rm - (r - t1) * Rms) * (rho / tau * Rms - Rm)
+        + (2 * r - t1) * (rh * Rms + rs * Rmh) * Rm ** 2
+        + r * (r - t1) * (tau * Rm - 2 * Rms * Rmh) * Rm
+        + ((2 * n + alpha) * tau * r - 2 * n * t2 - 2 * rh * rs) * Rm ** 3,
+        thresh, n, "R-step")
+    R = tau * r * (t1 - r) * Rm ** 3 / br5
+    br6 = _bracket(r * (r - t1) * Rm, thresh, n, "Rstar-step")
+    Rs = (rs * (2 * r - t1) * Rm + r * (t1 - r) * Rms) * R / br6
+    br4 = _bracket(tau * r * (r - t1) * Rm ** 2, thresh, n, "Rhat-step")
+    Rh = R * (
+        rho * (rs * Rm - r * Rms) * (rs * Rm + (t1 - r) * Rms)
+        + tau * Rm * (r * (t1 - r) * Rmh + (2 * r - t1) * rh * Rm)
+    ) / br4
+    return R, Rs, Rh
+
+
+_R_STEPS = {2: _R_step_2, 3: _R_step_3}
 
 
 def iterate_difference_system(params: WeightParams, N: int,
                               prec: PrecisionContext) -> list:
-    """Advance the quadruple by the difference system for n = 0..N.
+    """Advance the aux row by the difference system for n = 0..N.
 
-    Each step advances r, r* through the S1 family, then solves the two
-    remaining difference equations, which are linear in R_n and R_n*
-    respectively given the level n-1 data.
+    Each step advances r through the S1 family,
+
+        r_{n,1} = t1 - r_{n-1,1} - alpha_{n-1} R_{n-1,1},
+        r_{n,j} = j t_j / ((j-1) t_{j-1}) R_{n-1,j-1} - r_{n-1,j} - alpha_{n-1} R_{n-1,j},
+
+    with alpha_{n-1} from the row at n-1.  The remaining difference
+    equations are then linear in R_{n,1}, R_{n,2}, ... in turn; that
+    solve is a closed form per m (m = 2 and m = 3).
     """
-    _require_m2(params)
+    step = _R_STEPS.get(params.m)
+    if step is None or not params.is_deformed:
+        raise DomainError("the difference system is solved for m = 2 and m = 3 only")
     out = [initial_aux(params, prec)]
     with mp.workdps(prec.work_dps):
         thresh = to_mpf(prec.half_eps)
         t1 = to_mpf(params.t1)
         alpha = to_mpf(params.alpha)
-        tau = to_mpf(params.tau)
+        coeffs = [s1_coeff(params, j) for j in range(2, params.m + 1)]
         for n in range(1, N + 1):
             prev = out[-1]
-            Rm, Rms = prev.R, prev.Rstar
-            a_prev = 2 * (n - 1) + 1 + alpha + Rm + Rms
-            r = t1 - prev.r - a_prev * Rm
-            rs = tau * Rm - prev.rstar - a_prev * Rms
-            bracket3 = (
-                (rs ** 2 / tau - (2 * n + alpha) * r + n * t1) * Rm ** 2
-                + r * (t1 - r) * Rm
-                + (rs * (t1 - 2 * r) * Rm + r * (r - t1) * Rms) * Rms / tau
-            )
-            if abs(bracket3) < thresh:
-                raise DegenerateBracket(
-                    f"R_n coefficient vanished at n = {n}", index=n, equation="R-step")
-            R = r * (r - t1) * Rm ** 2 / bracket3
-            bracket4 = r * (r - t1) * Rm
-            if abs(bracket4) < thresh:
-                raise DegenerateBracket(
-                    f"R_n* coefficient vanished at n = {n}", index=n, equation="Rstar-step")
-            Rs = (rs * (2 * r - t1) * Rm + r * (t1 - r) * Rms) * R / bracket4
-            out.append(AuxQuadruple(R, Rs, r, rs))
+            a_prev = alpha_from_aux(prev, n - 1, alpha)
+            r = [t1 - prev.r[0] - a_prev * prev.R[0]]
+            for j, c in enumerate(coeffs, start=1):
+                r.append(c * prev.R[j - 1] - prev.r[j] - a_prev * prev.R[j])
+            out.append(AuxRow(R=step(n, r, prev, params, thresh), r=tuple(r)))
     return out
 
 
 def sum_rules(table: RecurrenceTable, aux: list, n: int):
     """Residuals of the three p(n)/beta_n sum rules.
 
-    (p + sum R)    p(n) = -n(n+alpha) - sum_{j<n}(R_j + R_j*)
-    (p - r + beta) p(n) = r_n + r_n* - beta_n
+    (p + sum R)    p(n) = -n(n+alpha) - sum_{j<n} sum_i R_{j,i}
+    (p - r + beta) p(n) = sum_i r_{n,i} - beta_n
     (det ratio)    beta_n = D_{n+1} D_{n-1} / D_n^2          (n >= 1)
     """
     with mp.workdps(table.prec.work_dps):
         alpha = to_mpf(table.params.alpha)
-        srr = mp.fsum(aux[j].R + aux[j].Rstar for j in range(n))
+        srr = mp.fsum(aux[j].Rsum for j in range(n))
         res1 = abs(table.p(n) + n * (n + alpha) + srr)
-        res2 = abs(table.p(n) - (aux[n].r + aux[n].rstar - table.beta(n)))
+        res2 = abs(table.p(n) - (aux[n].rsum - table.beta(n)))
         if n >= 1:
             # D_{n+1} D_{n-1} / D_n^2 = h_n / h_{n-1} in product form
             logratio = table.log_hankel(n + 1) + table.log_hankel(n - 1) - 2 * table.log_hankel(n)

@@ -61,9 +61,6 @@ class RecurrenceTable:
     def p(self, n: int) -> mpf:
         return self.p_sub[n]
 
-    def log_h(self, n: int) -> mpf:
-        return mp.log(self.h[n])
-
     def log_hankel(self, n: int) -> mpf:
         """ln D_n = sum_{j<n} ln h_j."""
         with mp.workdps(self.prec.work_dps):

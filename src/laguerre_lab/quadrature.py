@@ -13,6 +13,9 @@ weight (``table_moments``).  Near a point whose seeds are known, a
 ``SeedAnchor`` gets a node's seeds without quadrature, by the exact
 parameter Taylor series d mu_k / d t_i = -mu_{k-i} (``shift_seeds``),
 and falls back to quadrature where the shift's error bound is too wide.
+Seeds are integrated once per point and precision in a process
+(``seed_moments``), so grids and tables that share a centre share its
+sweep.
 The full quadrature sweep ``moments`` stays as the independent oracle
 for both routes.
 
@@ -225,9 +228,22 @@ def _seed_depth(params: WeightParams) -> int:
     return params.m if params.is_deformed else 0
 
 
+#: seeds already integrated in this process, by (point, precision)
+_seed_memo = {}
+
+
 def seed_moments(params: WeightParams, prec: PrecisionContext) -> dict:
-    """The seeds mu_k, k = -m..0, of a table: one ``moments`` sweep."""
-    return moments(params, -_seed_depth(params), 0, prec)
+    """The seeds mu_k, k = -m..0, of a point: one ``moments`` sweep per
+    point and precision in a process.  The dict is shared; do not modify it.
+    """
+    key = (params, prec)
+    if key not in _seed_memo:
+        _seed_memo[key] = moments(params, -_seed_depth(params), 0, prec)
+    return _seed_memo[key]
+
+
+def clear_seed_memo():
+    _seed_memo.clear()
 
 
 def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext,
@@ -247,7 +263,7 @@ def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext,
     sweep's working precision.
     """
     m = _seed_depth(params)
-    mu = dict(seeds) if seeds is not None else seed_moments(params, prec)
+    mu = dict(seeds if seeds is not None else seed_moments(params, prec))
     with mp.workdps(prec.work_dps + _QUAD_GUARD):
         coef = [to_mpf(j * tj) for j, tj in enumerate(params.t[:m], start=1)]
         for k in range(1, kmax + 1):
@@ -340,20 +356,18 @@ def shift_seeds(centre: WeightParams, seeds: dict, node: WeightParams,
 class SeedAnchor:
     """A centre point whose seed moments serve the nodes around it.
 
-    The centre's seeds are integrated once per precision, on first use.
-    ``seeds_at`` hands them out as they are at the centre and shifted by
-    ``shift_seeds`` at any other point, or None there when the shift is
-    not accurate enough (that node is integrated).
+    The centre's seeds come from ``seed_moments``, so they are integrated
+    once per precision in a process, however many grids or tables share
+    the point.  ``seeds_at`` hands them out as they are at the centre and
+    shifted by ``shift_seeds`` at any other point, or None there when the
+    shift is not accurate enough (that node is integrated).
     """
 
     def __init__(self, point: WeightParams):
         self.point = point
-        self._seeds = {}
 
     def seeds(self, prec: PrecisionContext) -> dict:
-        if prec not in self._seeds:
-            self._seeds[prec] = seed_moments(self.point, prec)
-        return self._seeds[prec]
+        return seed_moments(self.point, prec)
 
     def seeds_at(self, params: WeightParams, prec: PrecisionContext):
         if params == self.point:

@@ -132,10 +132,10 @@ def scaled_sequences(s1, s2, n_list, prec: PrecisionContext,
         with mp.workdps(prec_n.work_dps):
             a = aux_integrals(tab, n)
             am = to_mpf(alpha)
-            xs.append(n * a.R)
-            ys.append(n * a.Rstar)
-            rs.append(a.r)
-            rss.append(a.rstar)
+            xs.append(n * a.R[0])
+            ys.append(n * a.R[1])
+            rs.append(a.r[0])
+            rss.append(a.r[1])
             Hs.append(n * (n + am) + tab.p(n))
 
     with mp.workdps(prec.work_dps):

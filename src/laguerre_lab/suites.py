@@ -135,27 +135,28 @@ def ladder_suite(config: RunConfig) -> ResidualReport:
         raise DomainError("ladder suite needs m = 2")
     n_top = min(config.n_max, 10)
     tab = _table(config, params, n_top + 2)
-    aux = ld.aux_array(tab, n_top + 2)
+    aux = ld.aux_rows(tab, n_top + 2)
     iterated = ld.iterate_difference_system(params, n_top, prec)
     with mp.workdps(prec.work_dps):
         half = to_mpf(prec.half_eps)
         triple = half * mpf(10) ** 10
         t1 = to_mpf(params.t1)
 
-        rep.add(Check("aux-initial-r", abs(aux[0].r) + abs(aux[0].rstar), half, "n=0"))
+        rep.add(Check("aux-initial-r", abs(aux[0].r[0]) + abs(aux[0].r[1]), half, "n=0"))
         mu = tab.moments
         rep.add(Check("aux-initial-R",
-                      abs(aux[0].R - t1 * mu[-1] / mu[0])
-                      + abs(aux[0].Rstar - 2 * to_mpf(params.t2) * mu[-2] / mu[0]),
+                      abs(aux[0].R[0] - t1 * mu[-1] / mu[0])
+                      + abs(aux[0].R[1] - 2 * to_mpf(params.t2) * mu[-2] / mu[0]),
                       half, "n=0"))
         sgn = mp.sign(t1)
         bad_R = mpf(0)
         bad_Rs = mpf(0)
         for nn in range(n_top + 1):
-            if not aux[nn].R * sgn > 0:
-                bad_R = max(bad_R, abs(aux[nn].R))
-            if not aux[nn].Rstar > 0:
-                bad_Rs = max(bad_Rs, 1 - aux[nn].Rstar)
+            R, Rs = aux[nn].R
+            if not R * sgn > 0:
+                bad_R = max(bad_R, abs(R))
+            if not Rs > 0:
+                bad_Rs = max(bad_Rs, 1 - Rs)
         rep.add(Check("aux-sign-R", bad_R, half, f"n<={n_top}"))
         rep.add(Check("aux-sign-Rstar", bad_Rs, half, f"n<={n_top}"))
 
@@ -169,7 +170,8 @@ def ladder_suite(config: RunConfig) -> ResidualReport:
                       triple, f"n<={n_top}"))
         rep.add(Check("iteration-agree",
                       max(abs(a - b) for nn in range(n_top + 1)
-                          for a, b in zip(aux[nn].as_tuple(), iterated[nn].as_tuple())),
+                          for a, b in zip(aux[nn].R + aux[nn].r,
+                                          iterated[nn].R + iterated[nn].r)),
                       triple, f"n<={n_top}"))
 
         zs = ("0.7", "2", "5")
@@ -188,12 +190,12 @@ def ladder_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("compat-s2p", s2pr, half, ptz))
 
         rep.add(Check("s1-r-advance",
-                      max(abs(aux[nn + 1].r + aux[nn].r + tab.alpha(nn) * aux[nn].R - t1)
+                      max(abs(aux[nn + 1].r[0] + aux[nn].r[0] + tab.alpha(nn) * aux[nn].R[0] - t1)
                           for nn in range(n_top + 1)),
                       half, f"n<={n_top}"))
         rep.add(Check("s2p-product",
-                      max(abs(tab.beta(nn) * aux[nn].R * aux[nn - 1].R
-                              - aux[nn].r * (aux[nn].r - t1))
+                      max(abs(tab.beta(nn) * aux[nn].R[0] * aux[nn - 1].R[0]
+                              - aux[nn].r[0] * (aux[nn].r[0] - t1))
                           for nn in range(1, n_top + 1)),
                       half, f"n<={n_top}"))
 
@@ -205,15 +207,11 @@ def ladder_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("sum-p-r-beta", w2, half, f"n<={n_top}"))
         rep.add(Check("beta-det-ratio", w3, half, f"n<={n_top}"))
 
-        c2 = ld.ladder_coeffs(aux[2], 2, params)
-        direct = ld_direct_A(tab, 2, 5)
-        rep.add(Check("ladder-coeff-integral", abs(c2.eval_a(5) - direct), half, "n=2;z=5"))
+        a2, _ = ld.ladder_coeffs(aux[2], 2, params)
+        direct = ld.ladder_A_direct(tab, 2, 5)
+        rep.add(Check("ladder-coeff-integral", abs(ld.eval_laurent(a2, 5) - direct),
+                      half, "n=2;z=5"))
     return rep
-
-
-def ld_direct_A(tab, n, z):
-    """A_n(z) from the raw integral definition (oracle route)."""
-    return mt.ladder_A_direct(tab, n, z)
 
 
 def calculus_suite(config: RunConfig) -> ResidualReport:
@@ -244,7 +242,7 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
                               ca.table_bundle_builder(4, prec, config.cache_dir))
             t1 = to_mpf(params.t1)
             d, _ = g.first(lambda v: mp.log(v.table.h[3]), 0)
-            res.append(abs(t1 * d + g.bundle().aux[3].R))
+            res.append(abs(t1 * d + g.bundle().row(3).R[0]))
         ratio = res[0] / res[1]
         rep.add(Check("fd-convergence-order",
                       mpf(0) if ratio > mpf("3.5") else abs(ratio - 4),
@@ -405,33 +403,32 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
 
     n_top = min(config.n_max, 8)
     tab3 = _table(config, p3, n_top)
-    rows = mt.aux_rows(tab3, n_top)
-    iterated = mt.iterate_difference_3(p3, n_top, prec)
+    rows = ld.aux_rows(tab3, n_top)
+    iterated = ld.iterate_difference_system(p3, n_top, prec)
     with mp.workdps(prec.work_dps):
         triple = to_mpf(prec.half_eps) * mpf(10) ** 10
         worst = max(
             abs(a - b) for nn in range(n_top + 1)
-            for a, b in zip(mt.AuxSextuple.from_row(rows[nn]).as_tuple(),
-                            iterated[nn].as_tuple())
+            for a, b in zip(rows[nn].R + rows[nn].r, iterated[nn].R + iterated[nn].r)
         )
         rep.add(Check("iteration-agree-3", worst, triple, f"n<={n_top}"))
 
-    grid3 = ca.StencilGrid(p3, prec, st, mt.row_bundle_builder(3, prec, config.cache_dir))
+    grid3 = ca.StencilGrid(p3, prec, st, ca.table_bundle_builder(3, prec, config.cache_dir))
     rep.extend(mt.verify_identities_3(2, p3, st, prec, grid3))
     rep.extend(mt.h3_reconstruction(2, p3, st, prec, grid3))
 
-    # t3 -> 0+ continuity: the sextuple collapses onto the quadruple
+    # t3 -> 0+ continuity: the m = 3 row collapses onto the m = 2 row
     with mp.workdps(prec.work_dps):
         p3eps = WeightParams(p3.alpha, (p3.t[0], p3.t[1], Fraction(1, 10 ** 6)))
         tab_eps = _table(config, p3eps, 3)
-        s_eps = mt.AuxSextuple.from_row(mt.aux_integrals_m(tab_eps, 2))
+        s_eps = ld.aux_integrals(tab_eps, 2)
         p2 = WeightParams(p3.alpha, p3.t[:2])
         tab2 = _table(config, p2, 3)
         q2 = ld.aux_integrals(tab2, 2)
         drift = max(
-            abs(s_eps.R - q2.R), abs(s_eps.Rstar - q2.Rstar),
-            abs(s_eps.r - q2.r), abs(s_eps.rstar - q2.rstar),
-            abs(s_eps.Rhat), abs(s_eps.rhat),
+            abs(s_eps.R[0] - q2.R[0]), abs(s_eps.R[1] - q2.R[1]),
+            abs(s_eps.r[0] - q2.r[0]), abs(s_eps.r[1] - q2.r[1]),
+            abs(s_eps.R[2]), abs(s_eps.r[2]),
         )
         rep.add(Check("t3-continuity", drift, mpf("0.001"), "t3=1e-6"))
 
@@ -439,16 +436,16 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
     m5 = WeightParams(config.params.alpha, ("0.3", "0.2", "0.1", "0.05", "0.02"))
     for n, point in ((2, m4), (1, m5)):
         gm = ca.StencilGrid(point, prec, st,
-                            mt.row_bundle_builder(n + 1, prec, config.cache_dir))
+                            ca.table_bundle_builder(n + 1, prec, config.cache_dir))
         rep.extend(mt.verify_S1_S2_general_m(n, point, st, prec, grid=gm))
 
     with mp.workdps(prec.work_dps):
         tab4 = _table(config, m4, 3)
-        rows4 = mt.aux_rows(tab4, 3)
+        a2, _ = ld.ladder_coeffs(ld.aux_integrals(tab4, 2), 2, m4)
         worst = mpf(0)
         for z in ("0.9", "3"):
-            direct = mt.ladder_A_direct(tab4, 2, z)
-            asm = mt.eval_laurent(mt.ladder_coeffs_m(rows4[2], 2, m4)[0], z)
+            direct = ld.ladder_A_direct(tab4, 2, z)
+            asm = ld.eval_laurent(a2, z)
             worst = max(worst, abs(direct - asm))
         rep.add(Check("ladder-coeff-m", worst, to_mpf(prec.half_eps), "m=4;n=2"))
     return rep

@@ -1,6 +1,6 @@
 import pytest
 
-from laguerre_lab.ladder import aux_array
+from laguerre_lab.ladder import aux_rows
 from laguerre_lab.orthopoly import recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams
 
@@ -47,7 +47,7 @@ def table12(params_default, prec120):
 
 @pytest.fixture(scope="session")
 def aux12(table12):
-    return aux_array(table12, 12)
+    return aux_rows(table12, 12)
 
 
 @pytest.fixture(scope="session")
@@ -57,4 +57,4 @@ def table12_neg(params_neg_t1, prec120):
 
 @pytest.fixture(scope="session")
 def aux12_neg(table12_neg):
-    return aux_array(table12_neg, 12)
+    return aux_rows(table12_neg, 12)

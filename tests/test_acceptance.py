@@ -66,10 +66,10 @@ def test_criterion_01_cross_representation(point, mirror, tables):
     with mp.workdps(PREC.work_dps):
         for name, params in (("default", point), ("mirror", mirror)):
             tab = tables[name]
-            aux = ld.aux_array(tab, 11)
+            aux = ld.aux_rows(tab, 11)
             iterated = ld.iterate_difference_system(params, 10, PREC)
             for n in range(11):
-                for a, b in zip(aux[n].as_tuple(), iterated[n].as_tuple()):
+                for a, b in zip(aux[n].R + aux[n].r, iterated[n].R + iterated[n].r):
                     worst = max(worst, abs(a - b))
                 worst = max(worst, abs(
                     ld.alpha_from_aux(aux[n], n, params.alpha) - tab.alpha(n)))
@@ -87,7 +87,7 @@ def test_criterion_02_ladder_compatibility(point, tables):
     worst = mpf(0)
     with mp.workdps(PREC.work_dps):
         tab = tables["default"]
-        aux = ld.aux_array(tab, 12)
+        aux = ld.aux_rows(tab, 12)
         for n in range(7):
             for z in ("0.7", "2", "5"):
                 worst = max(worst, *ld.ladder_residuals(tab, aux, n, z))
@@ -109,7 +109,7 @@ def test_criterion_03_derivative_relations_toda(point, grid):
                                        richardson_levels=1)
             g = ca.StencilGrid(point, PREC, stn, ca.table_bundle_builder(4, PREC))
             d, _ = g.first(lambda v: mp.log(v.table.h[3]), 0)
-            res.append(abs(to_mpf(point.t1) * d + g.bundle().aux[3].R))
+            res.append(abs(to_mpf(point.t1) * d + g.bundle().row(3).R[0]))
         ratio = res[0] / res[1]
     ok = worst <= TOL12 and ratio >= mpf("3.5")
     _line(3, "derivative relations + Toda", ok,
@@ -199,19 +199,18 @@ def test_criterion_09_m3():
     p3 = WeightParams("0.5", ("0.3", "0.2", "0.1"))
     with mp.workdps(PREC.work_dps):
         tab = recurrence_table(p3, 9, PREC)
-        rows = mt.aux_rows(tab, 8)
-        iterated = mt.iterate_difference_3(p3, 8, PREC)
+        rows = ld.aux_rows(tab, 8)
+        iterated = ld.iterate_difference_system(p3, 8, PREC)
         worst_cross = mpf(0)
         for n in range(9):
-            s_int = mt.AuxSextuple.from_row(rows[n])
-            for a, b in zip(s_int.as_tuple(), iterated[n].as_tuple()):
+            for a, b in zip(rows[n].R + rows[n].r, iterated[n].R + iterated[n].r):
                 worst_cross = max(worst_cross, abs(a - b))
             worst_cross = max(worst_cross, abs(
-                mt.alpha_from_sextuple(s_int, n, p3.alpha) - tab.alpha(n)))
+                ld.alpha_from_aux(rows[n], n, p3.alpha) - tab.alpha(n)))
             if n >= 1:
                 worst_cross = max(worst_cross, abs(
-                    mt.beta_from_sextuple(s_int, n, p3, PREC) - tab.beta(n)))
-    grid3 = ca.StencilGrid(p3, PREC, STENCIL, mt.row_bundle_builder(3, PREC))
+                    ld.beta_from_aux(rows[n], n, p3, PREC) - tab.beta(n)))
+    grid3 = ca.StencilGrid(p3, PREC, STENCIL, ca.table_bundle_builder(3, PREC))
     ricc = [c for c in mt.verify_identities_3(2, p3, STENCIL, PREC, grid3)
             if c.id.startswith("riccati")]
     recon = mt.h3_reconstruction(2, p3, STENCIL, PREC, grid3)
@@ -232,7 +231,7 @@ def test_criterion_10_general_m():
                      (("0.3", "0.2", "0.1", "0.05", "0.02"), (1, 2))):
         params = WeightParams("0.5", tvec)
         g = ca.StencilGrid(params, PREC, STENCIL,
-                           mt.row_bundle_builder(max(ns) + 1, PREC))
+                           ca.table_bundle_builder(max(ns) + 1, PREC))
         with mp.workdps(PREC.work_dps):
             for n in ns:
                 for c in mt.verify_S1_S2_general_m(n, params, STENCIL, PREC, grid=g):

@@ -111,7 +111,7 @@ def test_fd_convergence_order(params_default, prec):
         g = ca.StencilGrid(params_default, prec, stn, ca.table_bundle_builder(4, prec))
         with mp.workdps(prec.work_dps):
             d, _ = g.first(lambda v: mp.log(v.table.h[3]), 0)
-            res.append(abs(to_mpf(params_default.t1) * d + g.bundle().aux[3].R))
+            res.append(abs(to_mpf(params_default.t1) * d + g.bundle().row(3).R[0]))
     with mp.workdps(60):
         ratio = res[0] / res[1]
         assert ratio > mpf("3.5"), ratio

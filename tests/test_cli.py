@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -206,6 +207,33 @@ def test_cache_speedup_and_stability(tmp_path):
     warm = suites.run_suite(cfg)[0]
     warm_time = time.perf_counter() - t0
     assert cold_time / warm_time >= 5
+    assert cold.to_json() == warm.to_json()
+
+
+def test_warm_run_integrates_and_writes_nothing(tmp_path, monkeypatch):
+    # the deterministic side of the speed-up above: a warm calculus run
+    # reads every table, so it sweeps no quadrature and adds no cache file
+    from laguerre_lab import quadrature
+
+    cache = tmp_path / "cache"
+    cfg = parse_config(None, {"digits": "60", "suites": "calculus", "cache_dir": str(cache)})
+    clear_memo()
+    cold = suites.run_suite(cfg)[0]
+    files = sorted(p.name for p in cache.iterdir())
+    sweeps = []
+    real = quadrature.moments
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("laguerre_lab") and getattr(module, "moments", None) is real:
+            monkeypatch.setattr(module, "moments", counted)
+    clear_memo()
+    warm = suites.run_suite(cfg)[0]
+    assert sweeps == []
+    assert sorted(p.name for p in cache.iterdir()) == files
     assert cold.to_json() == warm.to_json()
 
 

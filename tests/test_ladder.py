@@ -3,11 +3,12 @@ from mpmath import mp, mpf
 
 from laguerre_lab.errors import DegenerateInput, DomainError, SingularAux
 from laguerre_lab.ladder import (
-    AuxQuadruple,
+    AuxRow,
     alpha_from_aux,
     aux_integrals,
     beta_from_aux,
     compatibility_residuals,
+    eval_laurent,
     initial_aux,
     iterate_difference_system,
     ladder_coeffs,
@@ -38,32 +39,37 @@ def direct_ladder_A(table, n, z):
 
 def test_initial_conditions(params_default, prec120, aux12):
     a0 = initial_aux(params_default, prec120)
-    assert a0.r == 0 and a0.rstar == 0
+    assert a0.r == (0, 0)
     mu = moments(params_default, -2, 0, prec120)
     with mp.workdps(prec120.work_dps):
-        assert abs(a0.R - to_mpf(params_default.t1) * mu[-1] / mu[0]) < HALF
-        assert abs(a0.Rstar - 2 * to_mpf(params_default.t2) * mu[-2] / mu[0]) < HALF
+        assert abs(a0.R[0] - to_mpf(params_default.t1) * mu[-1] / mu[0]) < HALF
+        assert abs(a0.R[1] - 2 * to_mpf(params_default.t2) * mu[-2] / mu[0]) < HALF
         # integral route at n=0 agrees
-        assert abs(aux12[0].R - a0.R) < HALF
+        assert abs(aux12[0].R[0] - a0.R[0]) < HALF
 
 
 def test_aux_signs(aux12, aux12_neg):
     for n in range(10):
-        assert aux12[n].R > 0 and aux12[n].Rstar > 0
-        assert aux12_neg[n].R < 0 and aux12_neg[n].Rstar > 0
+        assert aux12[n].R[0] > 0 and aux12[n].R[1] > 0
+        assert aux12_neg[n].R[0] < 0 and aux12_neg[n].R[1] > 0
 
 
-def test_requires_m2(prec60):
-    tab3 = recurrence_table(WeightParams("0.5", ("0.3", "0.2", "0.1")), 2, prec60)
+def test_closed_forms_stop_at_m3(prec60):
+    # beta_n from the row and the R-solve of the difference system are
+    # closed forms for m = 2 and m = 3 only
+    p4 = WeightParams("0.5", ("0.3", "0.2", "0.1", "0.05"))
+    row = AuxRow(R=(mpf("0.1"),) * 4, r=(mpf("0.1"),) * 4)
     with pytest.raises(DomainError):
-        aux_integrals(tab3, 1)
+        beta_from_aux(row, 2, p4, prec60)
+    with pytest.raises(DomainError):
+        iterate_difference_system(p4, 2, prec60)
 
 
 def test_triple_representation_agreement(params_default, table12, aux12, prec120):
     iterated = iterate_difference_system(params_default, 10, prec120)
     with mp.workdps(prec120.work_dps):
         for n in range(11):
-            for a, b in zip(aux12[n].as_tuple(), iterated[n].as_tuple()):
+            for a, b in zip(aux12[n].R + aux12[n].r, iterated[n].R + iterated[n].r):
                 assert abs(a - b) < TRIPLE
         for n in range(11):
             assert abs(alpha_from_aux(aux12[n], n, params_default.alpha) - table12.alpha(n)) < TRIPLE
@@ -75,9 +81,9 @@ def test_triple_representation_negative_t1(params_neg_t1, table12_neg, aux12_neg
     iterated = iterate_difference_system(params_neg_t1, 10, prec120)
     with mp.workdps(prec120.work_dps):
         for n in range(11):
-            for a, b in zip(aux12_neg[n].as_tuple(), iterated[n].as_tuple()):
+            for a, b in zip(aux12_neg[n].R + aux12_neg[n].r, iterated[n].R + iterated[n].r):
                 assert abs(a - b) < TRIPLE
-            assert iterated[n].R < 0
+            assert iterated[n].R[0] < 0
 
 
 def test_first_step_closed_form(params_default, prec120):
@@ -85,24 +91,24 @@ def test_first_step_closed_form(params_default, prec120):
     with mp.workdps(prec120.work_dps):
         a0 = it[0]
         t1, alpha = to_mpf(params_default.t1), to_mpf(params_default.alpha)
-        r1 = t1 - (1 + alpha + a0.R + a0.Rstar) * a0.R
-        assert abs(r1 - it[1].r) < HALF
+        r1 = t1 - (1 + alpha + a0.R[0] + a0.R[1]) * a0.R[0]
+        assert abs(r1 - it[1].r[0]) < HALF
 
 
 def test_ladder_coeff_invariants(params_default, aux12):
     with mp.workdps(150):
-        c0 = ladder_coeffs(aux12[0], 0, params_default)
-        assert c0.a_coeffs[0] == 1
-        assert c0.b_coeffs[0] == 0  # -n at n = 0
-        c3 = ladder_coeffs(aux12[3], 3, params_default)
-        assert c3.a_coeffs[0] == 1 and c3.b_coeffs[0] == -3
+        a0, b0 = ladder_coeffs(aux12[0], 0, params_default)
+        assert a0[0] == 1
+        assert b0[0] == 0  # -n at n = 0
+        a3, b3 = ladder_coeffs(aux12[3], 3, params_default)
+        assert a3[0] == 1 and b3[0] == -3
 
 
 def test_ladder_coeffs_vs_integral_definition(table12, aux12):
     with mp.workdps(table12.prec.work_dps):
-        c2 = ladder_coeffs(aux12[2], 2, table12.params)
+        a2, _ = ladder_coeffs(aux12[2], 2, table12.params)
         direct = direct_ladder_A(table12, 2, 5)
-        assert abs(c2.eval_a(5) - direct) < HALF
+        assert abs(eval_laurent(a2, 5) - direct) < HALF
 
 
 def test_ladder_residuals(table12, aux12):
@@ -127,12 +133,13 @@ def test_s1_family_and_s2p_product(table12, aux12):
     with mp.workdps(table12.prec.work_dps):
         for n in range(10):
             # r_{n+1} + r_n + alpha_n R_n - t1 = 0
-            res = aux12[n + 1].r + aux12[n].r + table12.alpha(n) * aux12[n].R - to_mpf(params.t1)
+            res = (aux12[n + 1].r[0] + aux12[n].r[0] + table12.alpha(n) * aux12[n].R[0]
+                   - to_mpf(params.t1))
             assert abs(res) < HALF
         for n in range(1, 10):
             # beta_n R_n R_{n-1} = r_n (r_n - t1)
-            res = table12.beta(n) * aux12[n].R * aux12[n - 1].R - aux12[n].r * (
-                aux12[n].r - to_mpf(params.t1)
+            res = table12.beta(n) * aux12[n].R[0] * aux12[n - 1].R[0] - aux12[n].r[0] * (
+                aux12[n].r[0] - to_mpf(params.t1)
             )
             assert abs(res) < HALF
 
@@ -154,7 +161,7 @@ def test_t2_to_zero_star_ratio():
         tab = recurrence_table(params, 4, prec)
         with mp.workdps(prec.work_dps):
             a3 = aux_integrals(tab, 3)
-            vals.append((a3.Rstar / params.tau, a3.rstar / params.tau))
+            vals.append((a3.R[1] / params.tau, a3.r[1] / params.tau))
     with mp.workdps(70):
         for a, b in zip(vals[0], vals[1]):
             assert abs(a - b) <= mpf("0.01") * max(abs(a), abs(b))
@@ -162,6 +169,6 @@ def test_t2_to_zero_star_ratio():
 
 
 def test_singular_aux_guard(params_default, prec120):
-    bad = AuxQuadruple(mpf(10) ** -80, mpf("0.1"), mpf("0.1"), mpf("0.1"))
+    bad = AuxRow(R=(mpf(10) ** -80, mpf("0.1")), r=(mpf("0.1"), mpf("0.1")))
     with pytest.raises(SingularAux):
         beta_from_aux(bad, 2, params_default, prec120)

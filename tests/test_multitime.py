@@ -4,9 +4,19 @@ import pytest
 from mpmath import mp, mpf
 
 from laguerre_lab import multitime as mt
-from laguerre_lab.calculus import DerivativeStencil, StencilGrid
+from laguerre_lab.calculus import DerivativeStencil, StencilGrid, table_bundle_builder
 from laguerre_lab.errors import DomainError
-from laguerre_lab.ladder import aux_integrals, ladder_coeffs
+from laguerre_lab.ladder import (
+    alpha_from_aux,
+    aux_integrals,
+    aux_rows,
+    beta_from_aux,
+    eval_laurent,
+    initial_aux,
+    iterate_difference_system,
+    ladder_A_direct,
+    ladder_coeffs,
+)
 from laguerre_lab.orthopoly import recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 
@@ -30,76 +40,71 @@ def table3(params3, prec):
 
 @pytest.fixture(scope="module")
 def rows3(table3):
-    return mt.aux_rows(table3, 10)
+    return aux_rows(table3, 10)
 
 
 @pytest.fixture(scope="module")
 def grid3(params3, prec):
-    return StencilGrid(params3, prec, DerivativeStencil(),
-                       mt.row_bundle_builder(3, prec))
+    return StencilGrid(params3, prec, DerivativeStencil(), table_bundle_builder(3, prec))
 
 
 def test_initial_conditions(params3, prec, rows3):
-    s0 = mt.initial_sextuple(params3, prec)
-    assert s0.r == 0 and s0.rstar == 0 and s0.rhat == 0
+    s0 = initial_aux(params3, prec)
+    assert s0.r == (0, 0, 0)
     with mp.workdps(prec.work_dps):
-        s_int = mt.AuxSextuple.from_row(rows3[0])
-        for a, b in zip(s0.as_tuple(), s_int.as_tuple()):
+        for a, b in zip(s0.R + s0.r, rows3[0].R + rows3[0].r):
             assert abs(a - b) < TRIPLE
-        assert s0.Rhat > 0  # t3 > 0 makes the integrand positive
+        assert s0.R[2] > 0  # t3 > 0 makes the integrand positive
 
 
-def test_identification_with_m2_quantities(table3, rows3):
-    # R_{n,1} = R_n, R_{n,2} = R_n*, R_{n,3} = R^_n by definition
-    s = mt.AuxSextuple.from_row(rows3[2])
-    assert s.R == rows3[2].R[0]
-    assert s.Rstar == rows3[2].R[1]
-    assert s.Rhat == rows3[2].R[2]
+def test_identification_with_m2_quantities(params3, table3, rows3):
+    # R_{n,1} = R_n = t1 <P_n, x^-1 P_n>/h_n, R_{n,2} = R_n* = 2 t2 <P_n, x^-2 P_n>/h_n,
+    # R_{n,3} = R^_n = 3 t3 <P_n, x^-3 P_n>/h_n by definition
+    with mp.workdps(table3.prec.work_dps):
+        t1, t2, t3 = (to_mpf(v) for v in params3.t)
+        for got, scale, shift in zip(rows3[2].R, (t1, 2 * t2, 3 * t3), (-1, -2, -3)):
+            assert abs(got - scale * table3.inner_xk(2, 2, shift) / table3.h[2]) < TRIPLE
 
 
 def test_triple_representation_m3(params3, prec, table3, rows3):
-    iterated = mt.iterate_difference_3(params3, 8, prec)
+    iterated = iterate_difference_system(params3, 8, prec)
     with mp.workdps(prec.work_dps):
         for n in range(9):
-            s_int = mt.AuxSextuple.from_row(rows3[n])
-            for a, b in zip(s_int.as_tuple(), iterated[n].as_tuple()):
+            for a, b in zip(rows3[n].R + rows3[n].r, iterated[n].R + iterated[n].r):
                 assert abs(a - b) < TRIPLE
         for n in range(9):
-            got = mt.alpha_from_sextuple(mt.AuxSextuple.from_row(rows3[n]), n,
-                                         params3.alpha)
+            got = alpha_from_aux(rows3[n], n, params3.alpha)
             assert abs(got - table3.alpha(n)) < TRIPLE
         for n in range(1, 9):
-            got = mt.beta_from_sextuple(mt.AuxSextuple.from_row(rows3[n]), n,
-                                        params3, prec)
+            got = beta_from_aux(rows3[n], n, params3, prec)
             assert abs(got - table3.beta(n)) < TRIPLE
 
 
 def test_first_step_closed_form(params3, prec):
-    it = mt.iterate_difference_3(params3, 1, prec)
+    it = iterate_difference_system(params3, 1, prec)
     with mp.workdps(prec.work_dps):
         s0 = it[0]
         t1 = to_mpf(params3.t1)
         alpha = to_mpf(params3.alpha)
-        r1 = t1 - (1 + alpha + s0.R + s0.Rstar + s0.Rhat) * s0.R
-        assert abs(r1 - it[1].r) < TRIPLE
+        r1 = t1 - (1 + alpha + s0.R[0] + s0.R[1] + s0.R[2]) * s0.R[0]
+        assert abs(r1 - it[1].r[0]) < TRIPLE
 
 
 def test_negative_t2_sweep(prec):
     params = WeightParams("0.5", ("0.3", "-0.2", "0.1"))
     tab = recurrence_table(params, 5, prec)
-    rows = mt.aux_rows(tab, 5)
-    iterated = mt.iterate_difference_3(params, 5, prec)
+    rows = aux_rows(tab, 5)
+    iterated = iterate_difference_system(params, 5, prec)
     with mp.workdps(prec.work_dps):
         for n in range(6):
-            s_int = mt.AuxSextuple.from_row(rows[n])
-            for a, b in zip(s_int.as_tuple(), iterated[n].as_tuple()):
+            for a, b in zip(rows[n].R + rows[n].r, iterated[n].R + iterated[n].r):
                 assert abs(a - b) < TRIPLE
             assert rows[n].R[1] < 0  # sign of R_{n,2} tracks sign(t2)
 
 
 def test_ladder_coeffs_m3_structure(params3, prec, rows3):
     with mp.workdps(prec.work_dps):
-        a, b = mt.ladder_coeffs_m(rows3[1], 1, params3)
+        a, b = ladder_coeffs(rows3[1], 1, params3)
         assert len(a) == 4 and len(b) == 4
         assert a[0] == 1 and b[0] == -1
         # z^-4 coefficient of A_1 is tau*rho*R_{1,1} = (3 t3/t1) R_{1,1}
@@ -107,26 +112,15 @@ def test_ladder_coeffs_m3_structure(params3, prec, rows3):
         assert abs(a[3] - want) < TRIPLE
 
 
-def test_ladder_coeffs_m2_reduction(prec):
-    p2 = WeightParams("0.5", ("0.3", "0.2"))
-    tab = recurrence_table(p2, 4, prec)
-    with mp.workdps(prec.work_dps):
-        row = mt.aux_integrals_m(tab, 3)
-        a_m, b_m = mt.ladder_coeffs_m(row, 3, p2)
-        quad = aux_integrals(tab, 3)
-        c2 = ladder_coeffs(quad, 3, p2)
-        assert a_m == c2.a_coeffs
-        assert b_m == c2.b_coeffs
-
-
 def test_ladder_coeffs_m4_integral_oracle(prec):
-    p4 = WeightParams("0.5", ("0.3", "0.2", "0.1", "0.05"))
-    tab = recurrence_table(p4, 3, prec)
-    with mp.workdps(prec.work_dps):
-        row = mt.aux_integrals_m(tab, 1)
-        a, _ = mt.ladder_coeffs_m(row, 1, p4)
-        direct = mt.ladder_A_direct(tab, 1, 4)
-        assert abs(mt.eval_laurent(a, 4) - direct) < TRIPLE
+    # the assembled A_1(4) against its integral definition, at m = 2, 3, 4
+    for tvec in (("0.3", "0.2"), ("0.3", "0.2", "0.1"), ("0.3", "0.2", "0.1", "0.05")):
+        params = WeightParams("0.5", tvec)
+        tab = recurrence_table(params, 3, prec)
+        with mp.workdps(prec.work_dps):
+            a, _ = ladder_coeffs(aux_integrals(tab, 1), 1, params)
+            direct = ladder_A_direct(tab, 1, 4)
+            assert abs(eval_laurent(a, 4) - direct) < TRIPLE, params.m
 
 
 def test_identities_3(params3, prec, grid3):
@@ -153,7 +147,7 @@ def test_h3_reconstruction_negative_t1(prec):
 
 
 def test_t3_continuity(prec):
-    # sextuple -> (quadruple, 0, 0) as t3 -> 0+
+    # the m = 3 row -> (the m = 2 row, 0) as t3 -> 0+
     p2 = WeightParams("0.5", ("0.3", "0.2"))
     tab2 = recurrence_table(p2, 4, prec)
     with mp.workdps(prec.work_dps):
@@ -162,9 +156,9 @@ def test_t3_continuity(prec):
         for t3 in (Fraction(1, 10 ** 4), Fraction(1, 10 ** 6)):
             p3 = WeightParams("0.5", ("0.3", "0.2", t3))
             tab3 = recurrence_table(p3, 4, prec)
-            s = mt.AuxSextuple.from_row(mt.aux_integrals_m(tab3, 2))
-            drift = max(abs(s.R - q.R), abs(s.Rstar - q.Rstar), abs(s.Rhat),
-                        abs(s.r - q.r), abs(s.rstar - q.rstar), abs(s.rhat))
+            s = aux_integrals(tab3, 2)
+            drift = max(abs(s.R[0] - q.R[0]), abs(s.R[1] - q.R[1]), abs(s.R[2]),
+                        abs(s.r[0] - q.r[0]), abs(s.r[1] - q.r[1]), abs(s.r[2]))
             if drift_prev is not None:
                 assert drift < drift_prev / 10
             drift_prev = drift

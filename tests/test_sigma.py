@@ -53,7 +53,7 @@ def test_sigma_layer_negative_t1(params_neg_t1, prec, stencil, grid_neg):
     st = ca.hankel_sigma(3, params_neg_t1, stencil, prec, grid_neg)
     with mp.workdps(prec.work_dps):
         rec = ca.reconstruct_aux_from_H(st, params_neg_t1, prec)
-        assert rec.R < 0
+        assert rec.R[0] < 0
         assert st.T < 0
 
 
