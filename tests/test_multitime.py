@@ -112,6 +112,19 @@ def test_ladder_coeffs_m3_structure(params3, prec, rows3):
         assert abs(a[3] - want) < TRIPLE
 
 
+def test_ladder_coeffs_m2_reduction(prec):
+    # at m = 2 the general-m coefficients are the closed form
+    # A_n = 1/z + (R+R*)/z^2 + tau R/z^3, B_n = -n/z + (r+r*)/z^2 + tau r/z^3
+    p2 = WeightParams("0.5", ("0.3", "0.2"))
+    tab = recurrence_table(p2, 4, prec)
+    with mp.workdps(prec.work_dps):
+        row = aux_integrals(tab, 3)
+        a_m, b_m = ladder_coeffs(row, 3, p2)
+        tau = to_mpf(p2.tau)
+        assert a_m == (mpf(1), row.R[0] + row.R[1], tau * row.R[0])
+        assert b_m == (mpf(-3), row.r[0] + row.r[1], tau * row.r[0])
+
+
 def test_ladder_coeffs_m4_integral_oracle(prec):
     # the assembled A_1(4) against its integral definition, at m = 2, 3, 4
     for tvec in (("0.3", "0.2"), ("0.3", "0.2", "0.1"), ("0.3", "0.2", "0.1", "0.05")):
