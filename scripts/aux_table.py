@@ -34,7 +34,7 @@ def main():
     with mp.workdps(prec.work_dps):
         integral = [row.R + row.r for row in aux_rows(tab, args.n_max)]
         iterated = [row.R + row.r for row in
-                    iterate_difference_system(params, args.n_max, prec)]
+                    iterate_difference_system(tab, args.n_max, prec)]
         names = ("R", "R*", "R^")[:params.m] + ("r", "r*", "r^")[:params.m]
 
         header = f"{'n':>3} " + " ".join(f"{v:>16}" for v in names) + f" {'devmax':>10}"

@@ -14,6 +14,9 @@ are self-calibrating: an identity passes when its residual is at the
 noise level of the derivatives that enter it.  A node's auxiliary rows
 are computed when a check first reads them.
 
+Every derivative check takes (n, grid): its point, precision and
+stencil are the grid's, and its point string names the grid's point.
+
 Checked here (m = 2): the shifted seeds against quadrature; the
 log-derivative relations of h_n, beta_n, p(n), alpha_n; the Toda
 equations, the second-order molecule equation and its ln D_n form; the
@@ -21,14 +24,16 @@ Riccati system; the coupled second-order PDEs for S_n = R_n + R_n*; the
 sigma-function layer H_n (definition consistency, auxiliary
 reconstruction with the sgn(t1) branch, the second-order sixth-degree
 PDE); and the small-t2 continuation onto the one-variable ordinary
-differential equation for R_n.  The derivative relations and the Toda
-family are written for any m, over the axes i = 1..m with the scale
-i t_i of D = sum_i i t_i d/dt_i; the m = 3 checks use them too.
+differential equation for R_n.  The derivative relations, the Toda
+family and the H_n derivative data (``hankel_sigma``: H_n = D ln D_n,
+its partials, beta_n, d beta_n/dt_i, Delta) are written for any m, over
+the axes i = 1..m with the scale i t_i of D = sum_i i t_i d/dt_i; the
+m = 3 checks use them too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -40,11 +45,9 @@ from .errors import (
     StencilOutOfDomain,
 )
 from .ladder import AuxRow, aux_integrals
-from .params import PrecisionContext, WeightParams, to_mpf
+from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
 from .quadrature import SeedAnchor, shift_seeds
 from .reports import Check
-
-AXES = {"t1": 0, "t2": 1, "t3": 2}
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,6 @@ class DerivativeStencil:
         if self.richardson_levels < 1:
             raise DomainError("richardson_levels must be >= 1")
         if self.rel_step is not None:
-            from .params import to_fraction
-
             object.__setattr__(self, "rel_step", to_fraction(self.rel_step))
 
     def step(self, prec: PrecisionContext) -> Fraction:
@@ -173,8 +174,15 @@ class StencilGrid:
 
     # -- derivative estimators (inside the caller's working precision) --
 
-    def _vals(self, extract, axis, js):
-        return {j: self.scalar(extract, ((axis, j),) if j else ()) for j in js}
+    def _vals(self, extract, axis, centre: bool):
+        """Values at the stencil's axis offsets, +-q and (order 4) +-2q steps
+        for q = 2^-lev, plus the centre if asked."""
+        st = self.stencil
+        js = {Fraction(0)} if centre else set()
+        for lev in range(st.richardson_levels):
+            q = Fraction(1, 2 ** lev)
+            js.update([-2 * q, -q, q, 2 * q] if st.order == 4 else [-q, q])
+        return {j: self.scalar(extract, ((axis, j),) if j else ()) for j in sorted(js)}
 
     def _noise(self, vals):
         scale = max(abs(v) for v in vals.values())
@@ -184,17 +192,9 @@ class StencilGrid:
         """(d/dt_axis extract, error estimate)."""
         st = self.stencil
         h0 = self.step(axis)
-        levels = []
-        js_all = set()
-        for lev in range(st.richardson_levels):
-            s = Fraction(h0, 2 ** lev)
-            if st.order == 2:
-                js = [Fraction(j) * s / h0 for j in (-1, 1)]
-            else:
-                js = [Fraction(j) * s / h0 for j in (-2, -1, 1, 2)]
-            js_all.update(js)
-        vals = self._vals(extract, axis, sorted(js_all))
+        vals = self._vals(extract, axis, centre=False)
         hm = to_mpf(h0)
+        levels = []
         for lev in range(st.richardson_levels):
             q = Fraction(1, 2 ** lev)
             s = hm * to_mpf(q)
@@ -211,11 +211,7 @@ class StencilGrid:
         """(d^2/dt_axis^2 extract, error estimate)."""
         st = self.stencil
         h0 = self.step(axis)
-        js_all = {Fraction(0)}
-        for lev in range(st.richardson_levels):
-            q = Fraction(1, 2 ** lev)
-            js_all.update([-2 * q, -q, q, 2 * q] if st.order == 4 else [-q, q])
-        vals = self._vals(extract, axis, sorted(js_all))
+        vals = self._vals(extract, axis, centre=True)
         hm = to_mpf(h0)
         levels = []
         for lev in range(st.richardson_levels):
@@ -257,24 +253,6 @@ class StencilGrid:
         return val, err
 
 
-def fd_partial(quantity, wrt, point: WeightParams, stencil: DerivativeStencil,
-               prec: PrecisionContext):
-    """Generic partial derivative of quantity(params) -> mpf at point.
-
-    wrt is an axis name ("t1", "t2", "t3") for a first partial or a pair
-    of names for a second/mixed partial.  Returns (value, error estimate).
-    """
-    grid = StencilGrid(point, prec, stencil, lambda p, anchor: quantity(p))
-    with mp.workdps(prec.work_dps):
-        ex = lambda v: v  # builder already returns the scalar
-        if isinstance(wrt, str):
-            return grid.first(ex, AXES[wrt])
-        a, b = wrt
-        if a == b:
-            return grid.second(ex, AXES[a])
-        return grid.mixed(ex, AXES[a], AXES[b])
-
-
 # --------------------------------------------------------------------------
 # identity checks; each returns a list of Check entries
 # --------------------------------------------------------------------------
@@ -304,16 +282,14 @@ def verify_seed_shift(grid: StencilGrid, cache_dir=None) -> Check:
                      _point_str(grid.params, "node=+h,+h"))
 
 
-def _grid(point, prec, stencil, n_max, grid=None):
-    """The given grid, or a new one around point whose tables reach n_max + 1."""
-    if grid is not None:
-        return grid
-    return StencilGrid(point, prec, stencil, table_bundle_builder(n_max + 1, prec))
-
-
 def _point_str(params, extra=""):
     vals = ",".join(str(v) for v in (params.alpha,) + params.t)
     return f"({vals})" + (f";{extra}" if extra else "")
+
+
+def _label(grid: StencilGrid, n: int) -> str:
+    """The point string of a check at index n on grid: the grid's own point."""
+    return _point_str(grid.params, f"n={n}")
 
 
 def axis_scales(point: WeightParams) -> list:
@@ -321,7 +297,7 @@ def axis_scales(point: WeightParams) -> list:
     return [i * to_mpf(t) for i, t in enumerate(point.t, start=1)]
 
 
-def axis_checks(grid: StencilGrid, ps: str, cid: str, extract, exact) -> list:
+def axis_checks(n: int, grid: StencilGrid, cid: str, extract, exact) -> list:
     """One check per axis i = 1..m of i t_i d/dt_i extract = exact[i-1].
 
     The id is cid formatted with i; the tolerance is ten times the
@@ -330,11 +306,12 @@ def axis_checks(grid: StencilGrid, ps: str, cid: str, extract, exact) -> list:
     out = []
     for i, (scale, want) in enumerate(zip(axis_scales(grid.params), exact)):
         d, e = grid.first(extract, i)
-        out.append(Check(cid.format(i + 1), abs(scale * d - want), 10 * abs(scale) * e, ps))
+        out.append(Check(cid.format(i + 1), abs(scale * d - want), 10 * abs(scale) * e,
+                         _label(grid, n)))
     return out
 
 
-def derivative_relations(n: int, grid: StencilGrid, ps: str, names, suffix="") -> list:
+def derivative_relations(n: int, grid: StencilGrid, names, suffix="") -> list:
     """First-order derivative relations at index n, by name, each on the axes.
 
         dlnh     i t_i d/dt_i ln h_n    = -R_{n,i}
@@ -356,23 +333,20 @@ def derivative_relations(n: int, grid: StencilGrid, ps: str, names, suffix="") -
     out = []
     for name in names:
         extract, exact = relations[name]
-        out += axis_checks(grid, ps, f"{name}-t{{}}{suffix}", extract, exact())
+        out += axis_checks(n, grid, f"{name}-t{{}}{suffix}", extract, exact())
     return out
 
 
-def verify_derivative_relations(n: int, point: WeightParams,
-                                stencil: DerivativeStencil,
-                                prec: PrecisionContext, grid=None):
+def verify_derivative_relations(n: int, grid: StencilGrid):
     """Residuals of the first-order derivative relations at index n, by
     quantity (ln h_n, p(n), ln beta_n for n >= 1, alpha_n), each on every axis.
 
     For m = 2:  t1 d/dt1 ln h_n = -R_n,  2t2 d/dt2 ln h_n = -R_n*,
                 t1 d/dt1 p(n)   =  r_n,  2t2 d/dt2 p(n)   =  r_n*.
     """
-    grid = _grid(point, prec, stencil, n, grid)
     names = ("dlnh", "dp", "dlnbeta", "dalpha") if n >= 1 else ("dlnh", "dp", "dalpha")
-    with mp.workdps(prec.work_dps):
-        return derivative_relations(n, grid, _point_str(point, f"n={n}"), names)
+    with mp.workdps(grid.prec.work_dps):
+        return derivative_relations(n, grid, names)
 
 
 def _euler(grid: StencilGrid, extract):
@@ -404,13 +378,14 @@ def _euler_second(grid: StencilGrid, extract):
     return val, err
 
 
-def toda_checks(n: int, grid: StencilGrid, ps: str, tag="") -> list:
+def toda_checks(n: int, grid: StencilGrid, tag="") -> list:
     """The Toda family at index n, for any m (ids ``toda{tag}-...``):
 
         alpha     D alpha_n       = beta_n - beta_{n+1} + alpha_n
         beta      D ln beta_n     = alpha_{n-1} - alpha_n + 2                 (n >= 1)
         molecule  D(D-1) ln beta_n = beta_{n-1} - 2 beta_n + beta_{n+1} - 2   (n >= 1)
     """
+    ps = _label(grid, n)
     tab = grid.bundle().table
     lhs, err = _euler(grid, lambda v: v.table.alpha(n))
     out = [Check(f"toda{tag}-alpha",
@@ -426,29 +401,24 @@ def toda_checks(n: int, grid: StencilGrid, ps: str, tag="") -> list:
     return out
 
 
-def verify_toda(n: int, point: WeightParams, stencil: DerivativeStencil,
-                prec: PrecisionContext, grid=None):
+def verify_toda(n: int, grid: StencilGrid):
     """The Toda family at index n >= 1 and the ln D_n form of the
     molecule equation, D(D-1) ln D_n = beta_n - n(n + alpha)."""
     if n < 1:
         raise DomainError("Toda checks need n >= 1")
-    grid = _grid(point, prec, stencil, n, grid)
-    ps = _point_str(point, f"n={n}")
-    with mp.workdps(prec.work_dps):
-        out = toda_checks(n, grid, ps)
+    with mp.workdps(grid.prec.work_dps):
+        out = toda_checks(n, grid)
         lhs, err = _euler_second(grid, lambda v: v.table.log_hankel(n))
-        rhs = grid.bundle().table.beta(n) - n * (n + to_mpf(point.alpha))
-        out.append(Check("toda-lndn", abs(lhs - rhs), 10 * err, ps))
+        rhs = grid.bundle().table.beta(n) - n * (n + to_mpf(grid.params.alpha))
+        out.append(Check("toda-lndn", abs(lhs - rhs), 10 * err, _label(grid, n)))
     return out
 
 
-def verify_riccati(n: int, point: WeightParams, stencil: DerivativeStencil,
-                   prec: PrecisionContext, grid=None):
+def verify_riccati(n: int, grid: StencilGrid):
     """The four first-order Riccati-like equations of m = 2: the axis
     components of D S_n (S_n = R_n + R_n*) and of D (r_n + r_n*)."""
-    grid = _grid(point, prec, stencil, n, grid)
-    ps = _point_str(point, f"n={n}")
-    with mp.workdps(prec.work_dps):
+    point = grid.params
+    with mp.workdps(grid.prec.work_dps):
         t1 = to_mpf(point.t1)
         tau = to_mpf(point.tau)
         alpha = to_mpf(point.alpha)
@@ -457,24 +427,20 @@ def verify_riccati(n: int, point: WeightParams, stencil: DerivativeStencil,
         big = 2 * n + 1 + alpha + R + Rs
         theta = ((Rs / R * r - rs) * (Rs / R * (t1 - r) + rs) / tau
                  + (2 * n + alpha) * r - n * t1)
-        out = axis_checks(grid, ps, "riccati-S-t{}", lambda v: v.row(n).Rsum,
+        out = axis_checks(n, grid, "riccati-S-t{}", lambda v: v.row(n).Rsum,
                           (2 * r + big * R - t1, 2 * rs + big * Rs - tau * R))
-        out += axis_checks(grid, ps, "riccati-r-t{}", lambda v: v.row(n).rsum,
+        out += axis_checks(n, grid, "riccati-r-t{}", lambda v: v.row(n).rsum,
                            (theta + r + 2 * r * (r - t1) / R,
                             Rs / R * theta + rs + rs * (2 * r - t1) / R))
     return out
 
 
-def coupled_pde_residuals(n: int, point: WeightParams, stencil: DerivativeStencil,
-                          prec: PrecisionContext, grid=None):
-    """Normalized residuals of the coupled second-order PDE pair for
-    S_n = R_n + R_n*, plus the propagated error bound.
-
-    Returns (res1, res2, bound) with residuals normalized by
-    (1 + max term magnitude).
-    """
-    grid = _grid(point, prec, stencil, n, grid)
-    with mp.workdps(prec.work_dps):
+def verify_coupled_pdes(n: int, grid: StencilGrid):
+    """The coupled second-order PDE pair for S_n = R_n + R_n*: residuals
+    normalized by (1 + max term magnitude), held to 100 times the
+    propagated error bound."""
+    point = grid.params
+    with mp.workdps(grid.prec.work_dps):
         t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
         alpha = to_mpf(point.alpha)
         R, Rs = grid.bundle().row(n).R
@@ -531,12 +497,7 @@ def coupled_pde_residuals(n: int, point: WeightParams, stencil: DerivativeStenci
             2 * t2 * (g1 + abs(R) * e2), 4 * t2 ** 2 / abs(t1) * g2,
         ])
         bound = envelope / min(scale1, scale2)
-        return res1, res2, bound
-
-
-def verify_coupled_pdes(n, point, stencil, prec, grid=None):
-    res1, res2, bound = coupled_pde_residuals(n, point, stencil, prec, grid)
-    ps = _point_str(point, f"n={n}")
+    ps = _label(grid, n)
     tol = 100 * bound
     return [Check("pde-S-1", res1, tol, ps), Check("pde-S-2", res2, tol, ps)]
 
@@ -547,100 +508,87 @@ def verify_coupled_pdes(n, point, stencil, prec, grid=None):
 
 @dataclass(frozen=True)
 class SigmaState:
-    """H_n with the FD partials and derived sigma-layer quantities the checks read."""
+    """H_n = D ln D_n at a grid's point, its partials and the sigma-layer
+    quantities assembled from them, for any m.
+
+    dH[i] and d2H[(i, j)] are (value, error estimate) pairs on the axes
+    i, j = 0..m-1; a mixed partial is one estimate (lower axis first)
+    stored under both orders.  fd_error is the noise level that the
+    reconstruction and the residual bounds read.
+    """
 
     n: int
+    params: WeightParams
+    prec: PrecisionContext
     Hn: mpf
-    S: mpf
-    T: mpf
-    Delta: mpf
-    dH1: mpf
-    dH2: mpf
-    dS1: mpf
-    dS2: mpf
+    dH: tuple
+    d2H: dict
+    r: tuple
     beta: mpf
-    dbeta1: mpf
-    dbeta2: mpf
-    r: mpf
-    rstar: mpf
+    dbeta: tuple
+    Delta: mpf
     fd_error: mpf
-    def_residual: mpf  # |H_n - (t1 d1 + 2 t2 d2) ln D_n| by independent FD
 
 
-def hankel_sigma(n: int, point: WeightParams, stencil: DerivativeStencil,
-                 prec: PrecisionContext, grid=None) -> SigmaState:
-    """Assemble H_n = n(n+alpha) + p(n) and its derivative data at point.
+def hankel_sigma(n: int, grid: StencilGrid) -> SigmaState:
+    """H_n = n(n+alpha) + p(n) and its derivative data on grid, for any m.
 
-    beta_n and its t-partials come from the H_n derivative identities
-    (so the state is a pure function of H_n data); S_n = R_n + R_n*,
-    T_n = R_n*/R_n and the partials of S_n ride along for cross-checks.
-    The error estimate covers every partial taken, the second partials
-    of S_n included.
+        r_i          = i t_i dH_n/dt_i
+        beta_n       = sum_i r_i - H_n + n(n+alpha)
+        dbeta_n/dt_i = sum_j j t_j d^2H_n/dt_i dt_j + (i-1) dH_n/dt_i
+        Delta        = (t1 dbeta_n/dt1)^2 + 4 beta_n r_1 (r_1 - t1)
+
+    (i, j = 1..m), so the state is a pure function of H_n data.  fd_error
+    sums the error estimates of every partial taken, each mixed partial
+    once per order.
     """
-    grid = _grid(point, prec, stencil, n, grid)
+    point, prec = grid.params, grid.prec
+    m = point.m
     with mp.workdps(prec.work_dps):
-        t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
-        alpha = to_mpf(point.alpha)
-        nn = n * (n + alpha)
-
+        nn = n * (n + to_mpf(point.alpha))
         H = lambda v: nn + v.table.p(n)
-        b = grid.bundle()
-        Hn = H(b)
-        dH1, e1 = grid.first(H, 0)
-        dH2, e2 = grid.first(H, 1)
-        dH11, e11 = grid.second(H, 0)
-        dH12, e12 = grid.mixed(H, 0, 1)
-        dH22, e22 = grid.second(H, 1)
+        Hn = grid.scalar(H)
+        scales = axis_scales(point)
 
-        # independent definition route: (t1 d1 + 2 t2 d2) ln D_n
-        lnD = lambda v: v.table.log_hankel(n)
-        dD1, q1 = grid.first(lnD, 0)
-        dD2, q2 = grid.first(lnD, 1)
-        def_res = abs(Hn - (t1 * dD1 + 2 * t2 * dD2))
+        dH = tuple(grid.first(H, i) for i in range(m))
+        d2H = {}
+        for i in range(m):
+            d2H[(i, i)] = grid.second(H, i)
+            for j in range(i + 1, m):
+                d2H[(i, j)] = d2H[(j, i)] = grid.mixed(H, i, j)
 
-        Sx = lambda v: v.row(n).Rsum
-        dS1, f1 = grid.first(Sx, 0)
-        dS2, f2 = grid.first(Sx, 1)
-        _, f11 = grid.second(Sx, 0)
-        _, f12 = grid.mixed(Sx, 0, 1)
-        _, f22 = grid.second(Sx, 1)
-
-        R, Rs = b.row(n).R
-        S = R + Rs
-        T = Rs / R
-
-        beta = t1 * dH1 + 2 * t2 * dH2 - Hn + nn
-        dbeta1 = t1 * dH11 + 2 * t2 * dH12
-        dbeta2 = t1 * dH12 + 2 * t2 * dH22 + dH2
-        r = t1 * dH1
-        rstar = 2 * t2 * dH2
-        Delta = (t1 * dbeta1) ** 2 + 4 * beta * r * (r - t1)
-
-        fd_error = mp.fsum([e1, e2, e11, e12, e22, f1, f2, f11, f12, f22, q1, q2])
-        return SigmaState(
-            n=n, Hn=Hn, S=S, T=T, Delta=Delta, dH1=dH1, dH2=dH2, dS1=dS1, dS2=dS2,
-            beta=beta, dbeta1=dbeta1, dbeta2=dbeta2, r=r, rstar=rstar,
-            fd_error=fd_error, def_residual=def_res,
-        )
+        r = tuple(s * d for s, (d, _) in zip(scales, dH))
+        beta = mp.fsum(r) - Hn + nn
+        dbeta = tuple(
+            mp.fsum(s * d2H[(i, j)][0] for j, s in enumerate(scales)) + i * dH[i][0]
+            for i in range(m))
+        t1 = to_mpf(point.t1)
+        Delta = (t1 * dbeta[0]) ** 2 + 4 * beta * r[0] * (r[0] - t1)
+        fd_error = mp.fsum(e for _, e in dH) + mp.fsum(e for _, e in d2H.values())
+        return SigmaState(n=n, params=point, prec=prec, Hn=Hn, dH=dH, d2H=d2H, r=r,
+                          beta=beta, dbeta=dbeta, Delta=Delta, fd_error=fd_error)
 
 
-def branch_aux(Delta, noise, beta, dbeta1, dbeta2, r, rstar,
-               point: WeightParams, prec: PrecisionContext):
+def branch_aux(state: SigmaState):
     """(R_n, R_n*) from H_n derivative data: beta_n, its t1 and t2
-    partials, r_n, r_n* and the discriminant
-    Delta = (t1 d beta_n/dt1)^2 + 4 beta_n r_n (r_n - t1).
+    partials, r_n, r_n* and the discriminant Delta.
 
     R_n takes the sgn(t1) square-root branch; R_n* follows from the
     mixed-derivative relation.  The same formulas hold for m = 2 and
     m = 3.  Raises NegativeDiscriminant if Delta is below the negative
-    noise threshold, BranchAmbiguity if sqrt(Delta) is not above noise.
+    noise threshold, BranchAmbiguity if sqrt(Delta) is not above the
+    state's fd_error.
     """
+    point, prec = state.params, state.prec
+    beta, Delta = state.beta, state.Delta
+    dbeta1, dbeta2 = state.dbeta[:2]
+    r, rstar = state.r[:2]
     with mp.workdps(prec.work_dps):
         t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
         if Delta < -to_mpf(prec.half_eps):
             raise NegativeDiscriminant(f"Delta = {Delta}")
         root = mp.sqrt(abs(Delta))
-        if root <= noise:
+        if root <= state.fd_error:
             raise BranchAmbiguity("sqrt(Delta) is below the FD noise level")
         sgn = 1 if point.t1 > 0 else -1
         R = (-t1 * dbeta1 + sgn * root) / (2 * beta)
@@ -649,26 +597,22 @@ def branch_aux(Delta, noise, beta, dbeta1, dbeta2, r, rstar,
         return R, Rstar
 
 
-def reconstruct_aux_from_H(state: SigmaState, point: WeightParams,
-                           prec: PrecisionContext) -> AuxRow:
-    """Invert the sigma layer: the aux row from H_n derivative data alone."""
-    R, Rstar = branch_aux(state.Delta, state.fd_error, state.beta, state.dbeta1,
-                          state.dbeta2, state.r, state.rstar, point, prec)
-    return AuxRow(R=(R, Rstar), r=(state.r, state.rstar))
+def reconstruct_aux_from_H(state: SigmaState) -> AuxRow:
+    """Invert the m = 2 sigma layer: the aux row from H_n derivative data alone."""
+    return AuxRow(R=branch_aux(state), r=state.r[:2])
 
 
-def sigma_pde_residual(state: SigmaState, point: WeightParams,
-                       prec: PrecisionContext):
-    """Normalized residual of the second-order sixth-degree PDE for H_n.
+def sigma_pde_residual(state: SigmaState):
+    """Normalized residual of the second-order sixth-degree PDE for H_n (m = 2).
 
     Returns (residual, scale-free error bound).
     """
-    with mp.workdps(prec.work_dps):
-        t2 = to_mpf(point.t2)
-        alpha = to_mpf(point.alpha)
+    with mp.workdps(state.prec.work_dps):
+        t2 = to_mpf(state.params.t2)
+        alpha = to_mpf(state.params.alpha)
         n = state.n
-        b, db1, db2 = state.beta, state.dbeta1, state.dbeta2
-        H1, H2 = state.dH1, state.dH2
+        b, (db1, db2) = state.beta, state.dbeta
+        (H1, _), (H2, _) = state.dH
         lhs = (db1 ** 2 + 4 * b * H1 * (H1 - 1)) ** 3
         inner = (
             db1 ** 2 * (-2 * t2 * H2 ** 2 + (2 * n + alpha) * H1 - n)
@@ -685,16 +629,19 @@ def sigma_pde_residual(state: SigmaState, point: WeightParams,
         return res, bound
 
 
-def h_from_aux_residual(n: int, state: SigmaState, point: WeightParams,
-                        prec: PrecisionContext):
-    """Residual of the closed form of H_n in terms of R_n, R_n* and the
-    first derivatives of S_n (integral-route auxiliaries)."""
-    with mp.workdps(prec.work_dps):
-        t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
-        alpha = to_mpf(point.alpha)
-        R = state.S / (1 + state.T)  # S = R(1+T)
-        Rs = state.S - R
-        S, dS1, dS2 = state.S, state.dS1, state.dS2
+def h_from_aux_residual(state: SigmaState, row: AuxRow, dS):
+    """Residual of the closed form of H_n (m = 2) in terms of R_n, R_n* and
+    the first derivatives dS = (dS_n/dt1, dS_n/dt2) of S_n = R_n + R_n*
+    (integral-route auxiliaries in row)."""
+    with mp.workdps(state.prec.work_dps):
+        t1, t2 = to_mpf(state.params.t1), to_mpf(state.params.t2)
+        alpha = to_mpf(state.params.alpha)
+        n = state.n
+        S = row.R[0] + row.R[1]
+        T = row.R[1] / row.R[0]
+        R = S / (1 + T)  # S = R(1+T)
+        Rs = S - R
+        dS1, dS2 = dS
         expr = (
             -t1 / (8 * t2 * R) * (Rs / R * t1 * dS1 - 2 * t2 * dS2) ** 2
             + (t1 * dS1 / R - 1) ** 2 / 4
@@ -710,46 +657,68 @@ def h_from_aux_residual(n: int, state: SigmaState, point: WeightParams,
         return res, 10 * mag * state.fd_error * (1 + abs(dS1) + abs(dS2))
 
 
-def verify_sigma_pde(n: int, point: WeightParams, stencil: DerivativeStencil,
-                     prec: PrecisionContext, grid=None):
-    """Checks of the sigma layer at index n: definition consistency,
+def verify_sigma_pde(n: int, grid: StencilGrid):
+    """Checks of the m = 2 sigma layer at index n: definition consistency,
     H derivative relations, discriminant sign/identity, reconstruction,
-    the closed H(R, R*) form, and the sixth-degree PDE."""
-    grid = _grid(point, prec, stencil, n, grid)
-    state = hankel_sigma(n, point, stencil, prec, grid)
+    the closed H(R, R*) form, and the sixth-degree PDE.
+
+    Beyond ``hankel_sigma`` this reads the ln D_n definition route and
+    the S_n partials; their error estimates join the state's fd_error.
+    """
+    point, prec = grid.params, grid.prec
+    state = hankel_sigma(n, grid)
     out = []
-    ps = _point_str(point, f"n={n}")
+    ps = _label(grid, n)
     with mp.workdps(prec.work_dps):
-        t1 = to_mpf(point.t1)
-        (R, Rs), (r, rs) = grid.bundle().row(n).R, grid.bundle().row(n).r
+        t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
+
+        # independent definition route: (t1 d1 + 2 t2 d2) ln D_n
+        lnD = lambda v: v.table.log_hankel(n)
+        dD1, q1 = grid.first(lnD, 0)
+        dD2, q2 = grid.first(lnD, 1)
+        def_res = abs(state.Hn - (t1 * dD1 + 2 * t2 * dD2))
+
+        Sx = lambda v: v.row(n).Rsum
+        dS1, f1 = grid.first(Sx, 0)
+        dS2, f2 = grid.first(Sx, 1)
+        _, f11 = grid.second(Sx, 0)
+        _, f12 = grid.mixed(Sx, 0, 1)
+        _, f22 = grid.second(Sx, 1)
+
+        (_, e1), (_, e2) = state.dH
+        e11, e12, e22 = (state.d2H[k][1] for k in ((0, 0), (0, 1), (1, 1)))
+        state = replace(state, fd_error=mp.fsum(
+            [e1, e2, e11, e12, e22, f1, f2, f11, f12, f22, q1, q2]))
+
+        row = grid.bundle().row(n)
+        (R, Rs), (r, rs) = row.R, row.r
         tab = grid.bundle().table
         ferr = 10 * state.fd_error
 
-        out.append(Check("H-def", state.def_residual,
-                         ferr * (abs(t1) + 2 * to_mpf(point.t2)), ps))
+        out.append(Check("H-def", def_res, ferr * (abs(t1) + 2 * t2), ps))
         nn = n * (n + to_mpf(point.alpha))
         out.append(Check("H-p-shift", abs(state.Hn - nn - tab.p(n)),
                          to_mpf(prec.half_eps), ps))
-        out.append(Check("dH-t1", abs(state.r - r), ferr, ps))
-        out.append(Check("dH-t2", abs(state.rstar - rs), ferr, ps))
+        out.append(Check("dH-t1", abs(state.r[0] - r), ferr, ps))
+        out.append(Check("dH-t2", abs(state.r[1] - rs), ferr, ps))
 
         # Delta = (r(r-t1)/R + beta R)^2 >= 0, from integral-route data
         ident = (r * (r - t1) / R + tab.beta(n) * R) ** 2
         out.append(Check("delta-identity", abs(state.Delta - ident),
-                         ferr * (1 + abs(state.dbeta1) + abs(state.beta)) ** 2, ps))
+                         ferr * (1 + abs(state.dbeta[0]) + abs(state.beta)) ** 2, ps))
         out.append(Check("delta-nonneg",
                          -state.Delta if state.Delta < 0 else mpf(0),
                          to_mpf(prec.half_eps) + ferr, ps))
 
-        rec = reconstruct_aux_from_H(state, point, prec)
+        rec = reconstruct_aux_from_H(state)
         out.append(Check("reconstruct-R", abs(rec.R[0] - R), ferr, ps))
         out.append(Check("reconstruct-Rstar", abs(rec.R[1] - Rs), ferr, ps))
         out.append(Check("reconstruct-r", abs(rec.r[0] - r), ferr, ps))
         out.append(Check("reconstruct-rstar", abs(rec.r[1] - rs), ferr, ps))
 
-        res, bound = h_from_aux_residual(n, state, point, prec)
+        res, bound = h_from_aux_residual(state, row, (dS1, dS2))
         out.append(Check("H-from-aux", res, bound, ps))
-        res, bound = sigma_pde_residual(state, point, prec)
+        res, bound = sigma_pde_residual(state)
         out.append(Check("sigma-pde", res, 100 * bound, ps))
     return out
 
@@ -758,31 +727,34 @@ def verify_sigma_pde(n: int, point: WeightParams, stencil: DerivativeStencil,
 # small-t2 continuations
 # --------------------------------------------------------------------------
 
+def _grid_at_frozen_t2(n: int, t1, alpha, eps, prec: PrecisionContext, cache_dir):
+    """The default-stencil grid at (alpha; t1, eps), tables reaching n + 1."""
+    point = WeightParams(alpha, (to_fraction(t1), to_fraction(eps)))
+    return StencilGrid(point, prec, DerivativeStencil(),
+                       table_bundle_builder(n + 1, prec, cache_dir))
+
+
 def verify_t2_zero_reduction(n: int, t1, alpha, eps_list, prec: PrecisionContext,
-                             stencil: DerivativeStencil = None, cache_dir=None):
+                             cache_dir=None):
     """Continuation of the coupled system onto the single-variable ODE
 
     R'' = (R')^2/R - R'/t1 + R^3/t1^2 + (2n+1+alpha) R^2/t1^2
           + alpha/t1 - 1/R,   derivatives in t1 at frozen small t2.
 
     For each eps in eps_list (frozen t2 = eps), computes the residual of
-    the reduced ODE with R_n', R_n'' taken by FD in t1 only, normalized
-    by (1 + max term magnitude) like the other PDE checks.  Residuals
-    decay like O(eps); callers assert the decay rate.
+    the reduced ODE with R_n', R_n'' taken by FD in t1 only (the default
+    stencil), normalized by (1 + max term magnitude) like the other PDE
+    checks.  Residuals decay like O(eps); callers assert the decay rate.
     """
-    stencil = stencil or DerivativeStencil()
-    from .params import to_fraction
-
     results = []
     for eps in eps_list:
         eps = to_fraction(eps)
         if eps <= 0:
             raise DomainError("t2 continuation needs eps > 0")
-        point = WeightParams(alpha, (to_fraction(t1), eps))
-        grid = StencilGrid(point, prec, stencil, table_bundle_builder(n + 1, prec, cache_dir))
+        grid = _grid_at_frozen_t2(n, t1, alpha, eps, prec, cache_dir)
         with mp.workdps(prec.work_dps):
-            t1m = to_mpf(point.t1)
-            am = to_mpf(point.alpha)
+            t1m = to_mpf(grid.params.t1)
+            am = to_mpf(grid.params.alpha)
             Rx = lambda v: v.row(n).R[0]
             R = grid.scalar(Rx)
             dR, e1 = grid.first(Rx, 0)
@@ -804,21 +776,18 @@ def verify_t2_zero_reduction(n: int, t1, alpha, eps_list, prec: PrecisionContext
 
 
 def sigma_reduction_residual(n: int, t1, alpha, eps, prec: PrecisionContext,
-                             stencil: DerivativeStencil = None, cache_dir=None):
+                             cache_dir=None):
     """Residual of the t2-independent reduction of the sixth-degree PDE.
 
-    With ' = d/dt1 at frozen t2 = eps, the curly-bracket factor
+    With ' = d/dt1 at frozen t2 = eps (the default stencil), the
+    curly-bracket factor
     (t1 H'')^2 + 4 (t1 H' - H + n(n+alpha)) H'(H'-1) - ((2n+alpha)H' - n)^2
     tends to 0 as eps -> 0+.
     """
-    stencil = stencil or DerivativeStencil()
-    from .params import to_fraction
-
-    point = WeightParams(alpha, (to_fraction(t1), to_fraction(eps)))
-    grid = StencilGrid(point, prec, stencil, table_bundle_builder(n + 1, prec, cache_dir))
+    grid = _grid_at_frozen_t2(n, t1, alpha, eps, prec, cache_dir)
     with mp.workdps(prec.work_dps):
-        t1m = to_mpf(point.t1)
-        am = to_mpf(point.alpha)
+        t1m = to_mpf(grid.params.t1)
+        am = to_mpf(grid.params.alpha)
         nn = n * (n + am)
         H = lambda v: nn + v.table.p(n)
         Hn = grid.scalar(H)

@@ -195,11 +195,6 @@ def supplementary_residual(sol: EquilibriumSolution):
         return abs(r1), abs(r2)
 
 
-def lagrange_multiplier(sol: EquilibriumSolution) -> mpf:
-    """The closed-form multiplier A (stored on the solution)."""
-    return sol.A
-
-
 def equilibrium_condition_residual(sol: EquilibriumSolution, x) -> mpf:
     """|v(x) - 2 int sigma(y) ln|x-y| dy - A| at an interior probe x.
 

@@ -12,14 +12,15 @@ the row from the moment table, the 1/z-coefficients of A_n, B_n and the
 integral definition of A_n as their oracle, pointwise residuals of the
 lowering/raising operators and of the compatibility conditions
 S1/S2/S2', alpha_n from the row, the sum rules, and the difference
-system iterated in n from the moment initial data.  The r-advance of
+system iterated in n from the integral route's row 0.  The r-advance of
 that system is the S1 family for every m; solving for R and assembling
 beta_n from the row are closed forms per m (m = 2 and m = 3).
 
 Route naming used throughout tests and suites:
   integral  -- the row from weighted moment sums of P_n^2, P_n P_{n-1}
   identity  -- alpha_n, beta_n reassembled from the row
-  iteration -- the row advanced by the difference system alone
+  iteration -- the row advanced by the difference system alone, from
+               the integral route's row 0
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from mpmath import mp, mpf
 from .errors import DegenerateBracket, DegenerateInput, DomainError, SingularAux
 from .orthopoly import RecurrenceTable, eval_polynomial, eval_polynomial_derivative
 from .params import PrecisionContext, WeightParams, to_mpf
-from .quadrature import integrate_weighted, seed_moments
+from .quadrature import integrate_weighted
 
 
 @dataclass(frozen=True)
@@ -212,16 +213,6 @@ def beta_from_aux(row: AuxRow, n: int, params: WeightParams,
         )
 
 
-def initial_aux(params: WeightParams, prec: PrecisionContext) -> AuxRow:
-    """n = 0 row from the seed moments: R_{0,i} = i t_i mu_-i / mu_0, r_{0,i} = 0."""
-    if not params.is_deformed:
-        raise DomainError("auxiliaries need a deformed weight")
-    mu = seed_moments(params, prec)
-    with mp.workdps(prec.work_dps):
-        R = tuple(i * to_mpf(ti) * mu[-i] / mu[0] for i, ti in enumerate(params.t, start=1))
-        return AuxRow(R=R, r=(mpf(0),) * params.m)
-
-
 def _bracket(value, thresh, n, equation):
     if abs(value) < thresh:
         raise DegenerateBracket(f"{equation} coefficient vanished at n = {n}",
@@ -275,23 +266,27 @@ def _R_step_3(n, r_row, prev, params, thresh):
 _R_STEPS = {2: _R_step_2, 3: _R_step_3}
 
 
-def iterate_difference_system(params: WeightParams, N: int,
+def iterate_difference_system(table: RecurrenceTable, N: int,
                               prec: PrecisionContext) -> list:
     """Advance the aux row by the difference system for n = 0..N.
 
-    Each step advances r through the S1 family,
+    The start is the integral route's row 0 of table,
+    R_{0,i} = i t_i mu_{-i} / mu_0 and r_{0,i} = 0.  Each step advances r
+    through the S1 family,
 
         r_{n,1} = t1 - r_{n-1,1} - alpha_{n-1} R_{n-1,1},
         r_{n,j} = j t_j / ((j-1) t_{j-1}) R_{n-1,j-1} - r_{n-1,j} - alpha_{n-1} R_{n-1,j},
 
     with alpha_{n-1} from the row at n-1.  The remaining difference
     equations are then linear in R_{n,1}, R_{n,2}, ... in turn; that
-    solve is a closed form per m (m = 2 and m = 3).
+    solve is a closed form per m (m = 2 and m = 3).  The steps run at
+    prec, which may lie below the table's own precision.
     """
+    params = table.params
     step = _R_STEPS.get(params.m)
     if step is None or not params.is_deformed:
         raise DomainError("the difference system is solved for m = 2 and m = 3 only")
-    out = [initial_aux(params, prec)]
+    out = [aux_integrals(table, 0)]
     with mp.workdps(prec.work_dps):
         thresh = to_mpf(prec.half_eps)
         t1 = to_mpf(params.t1)

@@ -5,9 +5,11 @@ recurrence coefficients live in ``ladder`` for every m; for m = 3 the
 row is (R, R*, R^; r, r*, r^).  Checked here for m = 3: alpha_n and
 beta_n from the row, the six derivative relations and the Toda family
 (written once for any m in ``calculus``), the six-equation Riccati
-system, and the reconstruction of the whole row from H_n derivative
-data, which numerically certifies the pipeline behind the (unwritten)
-m = 3 PDE.
+system, and the reconstruction of the whole row from the H_n derivative
+data of ``calculus.hankel_sigma`` (the same assembly as m = 2), which
+numerically certifies the pipeline behind the (unwritten) m = 3 PDE.
+Each check takes (n, grid) and reads its point and precision from the
+grid.
 
 For general m (2 <= m <= 5) the S1 family, the two stated S2'
 coefficient identities, the H_n derivative relations and the pointwise
@@ -19,13 +21,12 @@ from __future__ import annotations
 from mpmath import mp
 
 from .calculus import (
-    DerivativeStencil,
-    _grid,
-    _point_str,
+    StencilGrid,
+    _label,
     axis_checks,
-    axis_scales,
     branch_aux,
     derivative_relations,
+    hankel_sigma,
     table_bundle_builder,
     toda_checks,
 )
@@ -38,7 +39,7 @@ from .ladder import (
     ladder_A_direct,  # noqa: F401  (looked up here by perfbench/tracer.py)
     s1_coeff,
 )
-from .params import PrecisionContext, WeightParams, to_mpf
+from .params import to_mpf
 from .reports import Check
 
 # earlier names of the merged functions, looked up here by perfbench/tracer.py
@@ -46,15 +47,14 @@ aux_integrals_m = aux_integrals
 row_bundle_builder = table_bundle_builder
 
 
-def verify_identities_3(n: int, point: WeightParams, stencil: DerivativeStencil,
-                        prec: PrecisionContext, grid=None):
+def verify_identities_3(n: int, grid: StencilGrid):
     """m = 3 checks at index n: closed-form alpha_n/beta_n, the six
     derivative relations, the Toda family, and the six Riccati equations."""
+    point, prec = grid.params, grid.prec
     if point.m != 3:
         raise DomainError("need m = 3")
-    grid = _grid(point, prec, stencil, n, grid)
     out = []
-    ps = _point_str(point, f"n={n}")
+    ps = _label(grid, n)
     with mp.workdps(prec.work_dps):
         t1 = to_mpf(point.t1)
         tau, rho = to_mpf(point.tau), to_mpf(point.rho)
@@ -71,10 +71,10 @@ def verify_identities_3(n: int, point: WeightParams, stencil: DerivativeStencil,
                              abs(beta_from_aux(row, n, point, prec) - tab.beta(n)),
                              to_mpf(prec.half_eps), ps))
 
-        rel = derivative_relations(n, grid, ps, ("dlnh", "dp"), "-3")
+        rel = derivative_relations(n, grid, ("dlnh", "dp"), "-3")
         for pair in zip(rel[:3], rel[3:]):
             out.extend(pair)
-        out.extend(toda_checks(n, grid, ps, "-3"))
+        out.extend(toda_checks(n, grid, "-3"))
 
         # Riccati system
         (R, Rs, Rh), (r, rs, rh) = row.R, row.r
@@ -93,65 +93,43 @@ def verify_identities_3(n: int, point: WeightParams, stencil: DerivativeStencil,
         rhs_r = (xi + r + 2 * r * (r - t1) / R,
                  Rs / R * xi + rs + rs * (2 * r - t1) / R,
                  Rh / R * xi + rh + rh * (2 * r - t1) / R + kappa)
-        ric_S = axis_checks(grid, ps, "riccati-3-S-t{}", lambda v: v.row(n).Rsum, rhs_R)
-        ric_r = axis_checks(grid, ps, "riccati-3-r-t{}", lambda v: v.row(n).rsum, rhs_r)
+        ric_S = axis_checks(n, grid, "riccati-3-S-t{}", lambda v: v.row(n).Rsum, rhs_R)
+        ric_r = axis_checks(n, grid, "riccati-3-r-t{}", lambda v: v.row(n).rsum, rhs_r)
         for pair in zip(ric_S, ric_r):
             out.extend(pair)
     return out
 
 
-def h3_reconstruction(n: int, point: WeightParams, stencil: DerivativeStencil,
-                      prec: PrecisionContext, grid=None):
-    """Reconstruct the whole m = 3 row from H_n derivative data and
-    compare with the integral route; certifies the substitution pipeline
-    that would produce the (undisplayed) m = 3 PDE for H_n.  R and R*
-    take the m = 2 branch formulas (``calculus.branch_aux``)."""
+def h3_reconstruction(n: int, grid: StencilGrid):
+    """Reconstruct the whole m = 3 row from H_n derivative data
+    (``calculus.hankel_sigma``) and compare with the integral route;
+    certifies the substitution pipeline that would produce the
+    (undisplayed) m = 3 PDE for H_n.  R and R* take the m = 2 branch
+    formulas (``calculus.branch_aux``); R^ follows from
+    d beta_n/dt3."""
+    point, prec = grid.params, grid.prec
     if point.m != 3:
         raise DomainError("need m = 3")
-    grid = _grid(point, prec, stencil, n, grid)
+    state = hankel_sigma(n, grid)
     out = []
-    ps = _point_str(point, f"n={n}")
+    ps = _label(grid, n)
     with mp.workdps(prec.work_dps):
         t1, t3 = to_mpf(point.t1), to_mpf(point.t3)
         tau, rho = to_mpf(point.tau), to_mpf(point.rho)
-        alpha = to_mpf(point.alpha)
-        nn = n * (n + alpha)
-        H = lambda v: nn + v.table.p(n)
-        Hn = grid.scalar(H)
-        scales = axis_scales(point)
-
-        d1 = [grid.first(H, i) for i in range(3)]
-        d2 = {}
-        for i in range(3):
-            d2[(i, i)] = grid.second(H, i)
-            for j in range(i + 1, 3):
-                d2[(i, j)] = grid.mixed(H, i, j)
-                d2[(j, i)] = d2[(i, j)]
-        ferr = mp.fsum(e for _, e in d1) + mp.fsum(e for _, e in d2.values())
-
-        rvec = [scales[i] * d1[i][0] for i in range(3)]
-        beta = mp.fsum(rvec) - Hn + nn
-        # d beta/d t_i = sum_j j t_j H_{ij} + (i-1) H_i  (i, j 1-based)
-        dbeta = []
-        for i in range(3):
-            v = mp.fsum((j + 1) * to_mpf(point.t[j]) * d2[(i, j)][0] for j in range(3))
-            v += i * d1[i][0]
-            dbeta.append(v)
-
-        r, rs, rh = rvec
-        Delta = (t1 * dbeta[0]) ** 2 + 4 * beta * r * (r - t1)
-        R, Rs = branch_aux(Delta, ferr, beta, dbeta[0], dbeta[1], r, rs, point, prec)
+        beta = state.beta
+        r, rs, rh = state.r
+        R, Rs = branch_aux(state)
         denom = r * (r - t1) / R + beta * R
         Rh = (rh * (2 * r - t1)
               + (rho / tau) * (rs - r * Rs / R) * (rs + (t1 - r) * Rs / R)
-              - 3 * t3 * dbeta[2] * R) / denom
+              - 3 * t3 * state.dbeta[2] * R) / denom
 
         want = grid.bundle().row(n)
-        tol = 10 * (ferr + to_mpf(prec.half_eps))
+        tol = 10 * (state.fd_error + to_mpf(prec.half_eps))
         for cid, got, exact in zip(
                 ("h3-reconstruct-R", "h3-reconstruct-Rstar", "h3-reconstruct-Rhat",
                  "h3-reconstruct-r", "h3-reconstruct-rstar", "h3-reconstruct-rhat"),
-                (R, Rs, Rh) + tuple(rvec), want.R + want.r):
+                (R, Rs, Rh) + state.r, want.R + want.r):
             out.append(Check(cid, abs(got - exact), tol, ps))
     return out
 
@@ -160,18 +138,16 @@ def h3_reconstruction(n: int, point: WeightParams, stencil: DerivativeStencil,
 # general m
 # --------------------------------------------------------------------------
 
-def verify_S1_S2_general_m(n: int, point: WeightParams,
-                           stencil: DerivativeStencil, prec: PrecisionContext,
-                           z_samples=("0.7", "2", "5"), grid=None):
+def verify_S1_S2_general_m(n: int, grid: StencilGrid):
     """S1-family and the stated S2' coefficient identities for general m,
     plus the H_n derivative relations and pointwise S1/S2' residuals of
-    the assembled ladder coefficients."""
+    the assembled ladder coefficients at z = 0.7, 2, 5."""
+    point, prec = grid.params, grid.prec
     m = point.m
     if m < 2 or m > 5:
         raise DomainError("general-m checks cover 2 <= m <= 5")
-    grid = _grid(point, prec, stencil, n, grid)
     out = []
-    ps = _point_str(point, f"n={n}")
+    ps = _label(grid, n)
     with mp.workdps(prec.work_dps):
         half = to_mpf(prec.half_eps)
         alpha = to_mpf(point.alpha)
@@ -203,10 +179,10 @@ def verify_S1_S2_general_m(n: int, point: WeightParams,
             out.append(Check("s2p-product-m", res, half, ps))
 
         nn = n * (n + alpha)
-        out.extend(axis_checks(grid, ps, "dH-t{}-m", lambda v: nn + v.table.p(n), rows[n].r))
+        out.extend(axis_checks(n, grid, "dH-t{}-m", lambda v: nn + v.table.p(n), rows[n].r))
 
         # pointwise compatibility of the assembled coefficients
-        for zs in z_samples:
+        for zs in ("0.7", "2", "5"):
             s1, _, s2p = compatibility_residuals(tab, rows, n, zs)
             out.append(Check("s1-point-m", s1, half, f"{ps};z={zs}"))
             out.append(Check("s2p-point-m", s2p, half, f"{ps};z={zs}"))

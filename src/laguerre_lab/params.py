@@ -170,14 +170,14 @@ class PrecisionContext:
     quad_tol         -- relative quadrature target, default 10^(-P+10);
                         ``scaled`` keeps one set apart from the default
     quad_max_level   -- cap on trapezoid level-doubling (>= 8)
-    fd_step_exponent -- rational q; FD relative step is 10^(-round(P*q)),
-                        default q = 1/5 balancing truncation vs roundoff
+
+    The FD relative step is 10^(-round(P/5)), balancing truncation
+    against roundoff.
     """
 
     digits: int = 120
     quad_tol: Fraction = None
     quad_max_level: int = 12
-    fd_step_exponent: Fraction = Fraction(1, 5)
 
     def __post_init__(self):
         if self.digits < 50:
@@ -197,7 +197,7 @@ class PrecisionContext:
 
     @property
     def fd_rel_step(self) -> Fraction:
-        return Fraction(1, 10 ** round(self.digits * self.fd_step_exponent))
+        return Fraction(1, 10 ** round(Fraction(self.digits, 5)))
 
     @property
     def eps(self) -> Fraction:
@@ -220,7 +220,6 @@ class PrecisionContext:
             digits=digits,
             quad_tol=self.quad_tol if custom else None,
             quad_max_level=self.quad_max_level,
-            fd_step_exponent=self.fd_step_exponent,
         )
 
     def cache_token(self) -> str:

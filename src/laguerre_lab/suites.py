@@ -8,6 +8,7 @@ reproduces values (and therefore serialized reports) bit for bit.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -25,7 +26,6 @@ from .orthopoly import (
     hankel_determinant,
     moment_determinant,
     orthogonality_residual,
-    recurrence_table,
 )
 from .params import PrecisionContext, WeightParams, to_mpf
 from .quadrature import integrate_weighted, moment, moments
@@ -41,9 +41,13 @@ def _lcg_uniform(state):
     return state, Fraction(state >> 11, 1 << 53)
 
 
+def _point_meta(params: WeightParams) -> str:
+    return f"alpha={params.alpha};t={','.join(str(v) for v in params.t)}"
+
+
 def _meta(config: RunConfig, **extra) -> dict:
     meta = {
-        "point": f"alpha={config.params.alpha};t={','.join(str(v) for v in config.params.t)}",
+        "point": _point_meta(config.params),
         "digits": config.prec.digits,
         "n_max": config.n_max,
     }
@@ -117,14 +121,16 @@ def recurrence_suite(config: RunConfig) -> ResidualReport:
             christoffel_darboux_residual(tab, 6, mpf(2) + mpf(10) ** (-prec.digits // 4), 2),
         )
         rep.add(Check("christoffel-darboux", worst, half, "n=6"))
-    t1 = Fraction(1, 10 ** 6)
-    ctab = recurrence_table(WeightParams(params.alpha, (t1, t1 * t1)), 4,
-                            PrecisionContext(digits=60))
+    # the deformation moves alpha_n, beta_n by O(t1^min(1, alpha+1)); hold that to 1e-6
+    e = math.ceil(Fraction(6) / min(1, params.alpha + 1))
+    t1 = Fraction(1, 10 ** e)
+    ctab = cached_recurrence_table(WeightParams(params.alpha, (t1, t1 * t1)), 4,
+                                   PrecisionContext(digits=60), cache_dir=config.cache_dir)
     with mp.workdps(70):
         am = to_mpf(params.alpha)
         worst = max(abs(ctab.alpha(nn) - (2 * nn + 1 + am)) for nn in range(4))
         worst = max(worst, max(abs(ctab.beta(nn) - nn * (nn + am)) for nn in range(1, 5)))
-        rep.add(Check("classical-limit", worst, mpf(10) ** -4, "t1=1e-6,t2=t1^2"))
+        rep.add(Check("classical-limit", worst, mpf(10) ** -4, f"t1=1e-{e},t2=t1^2"))
     return rep
 
 
@@ -136,7 +142,7 @@ def ladder_suite(config: RunConfig) -> ResidualReport:
     n_top = min(config.n_max, 10)
     tab = _table(config, params, n_top + 2)
     aux = ld.aux_rows(tab, n_top + 2)
-    iterated = ld.iterate_difference_system(params, n_top, prec)
+    iterated = ld.iterate_difference_system(tab, n_top, prec)
     with mp.workdps(prec.work_dps):
         half = to_mpf(prec.half_eps)
         triple = half * mpf(10) ** 10
@@ -219,15 +225,13 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
     params, prec = config.params, config.prec
     if params.m != 2:
         raise DomainError("calculus suite needs m = 2")
-    st = ca.DerivativeStencil()
-    grid = ca.StencilGrid(params, prec, st,
+    grid = ca.StencilGrid(params, prec, ca.DerivativeStencil(),
                           ca.table_bundle_builder(5, prec, config.cache_dir))
-    rep.extend(ca.verify_derivative_relations(3, params, st, prec, grid))
-    rep.extend(ca.verify_toda(2, params, st, prec, grid))
-    rep.extend(ca.verify_riccati(2, params, st, prec, grid))
+    rep.extend(ca.verify_derivative_relations(3, grid))
+    rep.extend(ca.verify_toda(2, grid))
+    rep.extend(ca.verify_riccati(2, grid))
     for nn in (1, 2, 3):
-        for c in ca.verify_coupled_pdes(nn, params, st, prec, grid):
-            rep.add(c)
+        rep.extend(ca.verify_coupled_pdes(nn, grid))
 
     # FD convergence order: an exact identity's residual must shrink at
     # the stencil's theoretical order (2 here) when the step halves
@@ -268,12 +272,11 @@ def sigma_suite(config: RunConfig) -> ResidualReport:
     params, prec = config.params, config.prec
     if params.m != 2:
         raise DomainError("sigma suite needs m = 2")
-    st = ca.DerivativeStencil()
-    grid = ca.StencilGrid(params, prec, st,
+    grid = ca.StencilGrid(params, prec, ca.DerivativeStencil(),
                           ca.table_bundle_builder(4, prec, config.cache_dir))
     collected = {}
     for nn in (1, 2, 3):
-        for c in ca.verify_sigma_pde(nn, params, st, prec, grid):
+        for c in ca.verify_sigma_pde(nn, grid):
             prev = collected.get(c.id)
             if prev is None or c.residual / c.tol > prev.residual / prev.tol:
                 collected[c.id] = c
@@ -307,7 +310,7 @@ def sigma_suite(config: RunConfig) -> ResidualReport:
         point = WeightParams(alpha, (t1, t2))
         sgrid = ca.StencilGrid(point, small, st60,
                                 ca.table_bundle_builder(3, small, config.cache_dir))
-        sst = ca.hankel_sigma(2, point, st60, small, sgrid)
+        sst = ca.hankel_sigma(2, sgrid)
         with mp.workdps(small.work_dps):
             if sst.Delta < 0:
                 worst = max(worst, -sst.Delta)
@@ -338,12 +341,13 @@ def scaling_suite(config: RunConfig) -> ResidualReport:
 
 
 def equilibrium_suite(config: RunConfig) -> ResidualReport:
-    rep = ResidualReport("equilibrium", metadata=_meta(config))
     prec = config.prec
     n = 10
     params = WeightParams(max(config.params.alpha, Fraction(1)),
                           config.params.t if config.params.is_deformed
                           and config.params.t1 > 0 else ("0.3", "0.2"))
+    rep = ResidualReport("equilibrium",
+                         metadata=_meta(config, verified_point=_point_meta(params)))
     sol = eq.solve_support(n, params, prec=prec)
     with mp.workdps(prec.work_dps):
         alpha, t = params.materialize()
@@ -395,16 +399,16 @@ def equilibrium_suite(config: RunConfig) -> ResidualReport:
 
 
 def multitime_suite(config: RunConfig) -> ResidualReport:
-    rep = ResidualReport("multitime", metadata=_meta(config))
     prec = config.prec
     base_t = config.params.t if config.params.m >= 2 else ("0.3", "0.2")
     p3 = WeightParams(config.params.alpha, tuple(base_t[:2]) + (Fraction(1, 10),))
+    rep = ResidualReport("multitime", metadata=_meta(config, verified_point=_point_meta(p3)))
     st = ca.DerivativeStencil()
 
     n_top = min(config.n_max, 8)
     tab3 = _table(config, p3, n_top)
     rows = ld.aux_rows(tab3, n_top)
-    iterated = ld.iterate_difference_system(p3, n_top, prec)
+    iterated = ld.iterate_difference_system(tab3, n_top, prec)
     with mp.workdps(prec.work_dps):
         triple = to_mpf(prec.half_eps) * mpf(10) ** 10
         worst = max(
@@ -414,8 +418,8 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("iteration-agree-3", worst, triple, f"n<={n_top}"))
 
     grid3 = ca.StencilGrid(p3, prec, st, ca.table_bundle_builder(3, prec, config.cache_dir))
-    rep.extend(mt.verify_identities_3(2, p3, st, prec, grid3))
-    rep.extend(mt.h3_reconstruction(2, p3, st, prec, grid3))
+    rep.extend(mt.verify_identities_3(2, grid3))
+    rep.extend(mt.h3_reconstruction(2, grid3))
 
     # t3 -> 0+ continuity: the m = 3 row collapses onto the m = 2 row
     with mp.workdps(prec.work_dps):
@@ -437,7 +441,7 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
     for n, point in ((2, m4), (1, m5)):
         gm = ca.StencilGrid(point, prec, st,
                             ca.table_bundle_builder(n + 1, prec, config.cache_dir))
-        rep.extend(mt.verify_S1_S2_general_m(n, point, st, prec, grid=gm))
+        rep.extend(mt.verify_S1_S2_general_m(n, gm))
 
     with mp.workdps(prec.work_dps):
         tab4 = _table(config, m4, 3)

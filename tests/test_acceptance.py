@@ -67,7 +67,7 @@ def test_criterion_01_cross_representation(point, mirror, tables):
         for name, params in (("default", point), ("mirror", mirror)):
             tab = tables[name]
             aux = ld.aux_rows(tab, 11)
-            iterated = ld.iterate_difference_system(params, 10, PREC)
+            iterated = ld.iterate_difference_system(tab, 10, PREC)
             for n in range(11):
                 for a, b in zip(aux[n].R + aux[n].r, iterated[n].R + iterated[n].r):
                     worst = max(worst, abs(a - b))
@@ -98,9 +98,9 @@ def test_criterion_02_ladder_compatibility(point, tables):
 def test_criterion_03_derivative_relations_toda(point, grid):
     worst = mpf(0)
     with mp.workdps(PREC.work_dps):
-        for c in ca.verify_derivative_relations(3, point, STENCIL, PREC, grid):
+        for c in ca.verify_derivative_relations(3, grid):
             worst = max(worst, c.residual)
-        for c in ca.verify_toda(2, point, STENCIL, PREC, grid):
+        for c in ca.verify_toda(2, grid):
             worst = max(worst, c.residual)
         # order >= 2 decay under step halving (order-2 stencil, no Richardson)
         res = []
@@ -120,10 +120,8 @@ def test_criterion_04_coupled_and_sigma_pdes(point, grid):
     worst = mpf(0)
     with mp.workdps(PREC.work_dps):
         for n in (1, 2, 3):
-            r1, r2, _ = ca.coupled_pde_residuals(n, point, STENCIL, PREC, grid)
-            worst = max(worst, r1, r2)
-            st = ca.hankel_sigma(n, point, STENCIL, PREC, grid)
-            res, _ = ca.sigma_pde_residual(st, point, PREC)
+            worst = max(worst, *(c.residual for c in ca.verify_coupled_pdes(n, grid)))
+            res, _ = ca.sigma_pde_residual(ca.hankel_sigma(n, grid))
             worst = max(worst, res)
     # Delta >= 0 at the 20 deterministic admissible points of the sigma suite
     from laguerre_lab.config import parse_config
@@ -200,7 +198,7 @@ def test_criterion_09_m3():
     with mp.workdps(PREC.work_dps):
         tab = recurrence_table(p3, 9, PREC)
         rows = ld.aux_rows(tab, 8)
-        iterated = ld.iterate_difference_system(p3, 8, PREC)
+        iterated = ld.iterate_difference_system(tab, 8, PREC)
         worst_cross = mpf(0)
         for n in range(9):
             for a, b in zip(rows[n].R + rows[n].r, iterated[n].R + iterated[n].r):
@@ -211,9 +209,9 @@ def test_criterion_09_m3():
                 worst_cross = max(worst_cross, abs(
                     ld.beta_from_aux(rows[n], n, p3, PREC) - tab.beta(n)))
     grid3 = ca.StencilGrid(p3, PREC, STENCIL, ca.table_bundle_builder(3, PREC))
-    ricc = [c for c in mt.verify_identities_3(2, p3, STENCIL, PREC, grid3)
+    ricc = [c for c in mt.verify_identities_3(2, grid3)
             if c.id.startswith("riccati")]
-    recon = mt.h3_reconstruction(2, p3, STENCIL, PREC, grid3)
+    recon = mt.h3_reconstruction(2, grid3)
     with mp.workdps(PREC.work_dps):
         worst_ricc = max(c.residual for c in ricc)
         worst_rec = max(c.residual for c in recon)
@@ -234,7 +232,7 @@ def test_criterion_10_general_m():
                            ca.table_bundle_builder(max(ns) + 1, PREC))
         with mp.workdps(PREC.work_dps):
             for n in ns:
-                for c in mt.verify_S1_S2_general_m(n, params, STENCIL, PREC, grid=g):
+                for c in mt.verify_S1_S2_general_m(n, g):
                     lim = TOL12 if c.id.startswith("dH-") else TOL40
                     if c.residual > lim:
                         ok = False

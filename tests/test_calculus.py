@@ -34,12 +34,22 @@ def test_stencil_invariants(prec):
     assert ca.DerivativeStencil().step(prec) == Fraction(1, 10**24)
 
 
+def _scalar_grid(quantity, point, prec, stencil):
+    """A stencil grid whose nodes hold quantity(params) itself."""
+    return ca.StencilGrid(point, prec, stencil, lambda p, anchor: quantity(p))
+
+
+def _value(v):
+    return v
+
+
 def test_fd_partial_trivials(params_default, prec, stencil):
     with mp.workdps(prec.work_dps):
-        v, e = ca.fd_partial(lambda p: to_mpf(p.t1) * to_mpf(p.t2), ("t1", "t2"),
-                             params_default, stencil, prec)
+        g = _scalar_grid(lambda p: to_mpf(p.t1) * to_mpf(p.t2), params_default, prec, stencil)
+        v, e = g.mixed(_value, 0, 1)
         assert abs(v - 1) < 10 * e + mpf(10) ** -60
-        v, e = ca.fd_partial(lambda p: mpf(3), "t1", params_default, stencil, prec)
+        g = _scalar_grid(lambda p: mpf(3), params_default, prec, stencil)
+        v, e = g.first(_value, 0)
         assert abs(v) <= e
 
 
@@ -47,10 +57,11 @@ def test_fd_partial_matches_exact_derivative(params_default, prec, stencil):
     # d/dt1 of t1^2 t2 = 2 t1 t2, second derivative = 2 t2
     q = lambda p: to_mpf(p.t1) ** 2 * to_mpf(p.t2)
     with mp.workdps(prec.work_dps):
-        v, e = ca.fd_partial(q, "t1", params_default, stencil, prec)
+        g = _scalar_grid(q, params_default, prec, stencil)
+        v, e = g.first(_value, 0)
         want = 2 * mpf("0.3") * mpf("0.2")
         assert abs(v - want) < 10 * e + mpf(10) ** -60
-        v2, e2 = ca.fd_partial(q, ("t1", "t1"), params_default, stencil, prec)
+        v2, e2 = g.second(_value, 0)
         assert abs(v2 - 2 * mpf("0.2")) < 10 * e2 + mpf(10) ** -50
 
 
@@ -62,43 +73,43 @@ def test_stencil_out_of_domain(prec, stencil):
         g.params_at(((1, -Fraction(10 ** 25)),))
 
 
-def test_derivative_relations(params_default, prec, stencil, grid):
-    checks = ca.verify_derivative_relations(3, params_default, stencil, prec, grid)
+def test_derivative_relations(grid):
+    checks = ca.verify_derivative_relations(3, grid)
     assert len(checks) == 8
     for c in checks:
         assert c.ok, c.id
         assert c.residual < mpf(10) ** -12
+        assert c.point == "(1/2,3/10,1/5);n=3"  # the grid's own point
 
 
 def test_derivative_relations_negative_t1(params_neg_t1, prec, stencil):
     g = ca.StencilGrid(params_neg_t1, prec, stencil, ca.table_bundle_builder(4, prec))
-    for c in ca.verify_derivative_relations(3, params_neg_t1, stencil, prec, g):
+    for c in ca.verify_derivative_relations(3, g):
         assert c.ok, c.id
 
 
-def test_toda(params_default, prec, stencil, grid):
-    checks = ca.verify_toda(2, params_default, stencil, prec, grid)
+def test_toda(grid):
+    checks = ca.verify_toda(2, grid)
     ids = {c.id for c in checks}
     assert ids == {"toda-alpha", "toda-beta", "toda-molecule", "toda-lndn"}
     for c in checks:
         assert c.ok, c.id
         assert c.residual < mpf(10) ** -12
     with pytest.raises(DomainError):
-        ca.verify_toda(0, params_default, stencil, prec, grid)
+        ca.verify_toda(0, grid)
 
 
-def test_riccati(params_default, prec, stencil, grid):
-    for c in ca.verify_riccati(2, params_default, stencil, prec, grid):
+def test_riccati(grid):
+    for c in ca.verify_riccati(2, grid):
         assert c.ok, c.id
         assert c.residual < mpf(10) ** -12
 
 
-def test_coupled_pdes(params_default, prec, stencil, grid):
+def test_coupled_pdes(grid):
     for n in (1, 2, 3):
-        res1, res2, bound = ca.coupled_pde_residuals(n, params_default, stencil,
-                                                     prec, grid)
-        assert res1 < mpf(10) ** -8 and res2 < mpf(10) ** -8
-        assert res1 <= 100 * bound and res2 <= 100 * bound
+        for c in ca.verify_coupled_pdes(n, grid):
+            assert c.residual < mpf(10) ** -8
+            assert c.ok, c.id
 
 
 def test_fd_convergence_order(params_default, prec):

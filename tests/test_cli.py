@@ -210,13 +210,14 @@ def test_cache_speedup_and_stability(tmp_path):
     assert cold.to_json() == warm.to_json()
 
 
-def test_warm_run_integrates_and_writes_nothing(tmp_path, monkeypatch):
-    # the deterministic side of the speed-up above: a warm calculus run
-    # reads every table, so it sweeps no quadrature and adds no cache file
+@pytest.mark.parametrize("suite", ["calculus", "recurrence", "ladder", "multitime"])
+def test_warm_run_integrates_and_writes_nothing(suite, tmp_path, monkeypatch):
+    # the deterministic side of the speed-up above: a warm run reads
+    # every table, so it sweeps no quadrature and adds no cache file
     from laguerre_lab import quadrature
 
     cache = tmp_path / "cache"
-    cfg = parse_config(None, {"digits": "60", "suites": "calculus", "cache_dir": str(cache)})
+    cfg = parse_config(None, {"digits": "60", "suites": suite, "cache_dir": str(cache)})
     clear_memo()
     cold = suites.run_suite(cfg)[0]
     files = sorted(p.name for p in cache.iterdir())
@@ -235,6 +236,28 @@ def test_warm_run_integrates_and_writes_nothing(tmp_path, monkeypatch):
     assert sweeps == []
     assert sorted(p.name for p in cache.iterdir()) == files
     assert cold.to_json() == warm.to_json()
+
+
+def test_classical_limit_for_negative_alpha(tmp_path, capsys):
+    # for alpha < 0 the deformation moves alpha_n, beta_n by O(t1^(alpha+1)),
+    # so the classical-limit point shrinks t1 to 1e-12 at alpha = -1/2
+    out = tmp_path / "rec.json"
+    assert cli.main(["recurrence", "--alpha", "-0.5", "--digits", "60",
+                     "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    entry = next(e for e in json.loads(out.read_text())["reports"][0]["entries"]
+                 if e["id"] == "classical-limit")
+    assert entry["point"] == "t1=1e-12,t2=t1^2"
+
+
+def test_reports_name_the_verified_point(tmp_path):
+    # the equilibrium suite verifies alpha = max(alpha, 1); at the default
+    # alpha = 1/2 its metadata names both points
+    cfg = parse_config(None, {"digits": "60", "suites": "equilibrium",
+                              "cache_dir": str(tmp_path / "cache")})
+    meta = suites.run_suite(cfg)[0].metadata
+    assert meta["point"] == "alpha=1/2;t=3/10,1/5"
+    assert meta["verified_point"] == "alpha=1;t=3/10,1/5"
 
 
 def _report_without_timestamp(path):

@@ -9,7 +9,6 @@ from laguerre_lab.ladder import (
     beta_from_aux,
     compatibility_residuals,
     eval_laurent,
-    initial_aux,
     iterate_difference_system,
     ladder_coeffs,
     ladder_residuals,
@@ -37,15 +36,16 @@ def direct_ladder_A(table, n, z):
         return integrate_weighted(f, params, prec) / (z * table.h[n])
 
 
-def test_initial_conditions(params_default, prec120, aux12):
-    a0 = initial_aux(params_default, prec120)
+def test_initial_conditions(params_default, prec120, table12):
+    # the iteration starts from the integral route's row 0, which is
+    # R_{0,i} = i t_i mu_{-i}/mu_0 from a direct moment sweep
+    a0 = iterate_difference_system(table12, 0, prec120)[0]
+    assert a0 == aux_integrals(table12, 0)
     assert a0.r == (0, 0)
     mu = moments(params_default, -2, 0, prec120)
     with mp.workdps(prec120.work_dps):
         assert abs(a0.R[0] - to_mpf(params_default.t1) * mu[-1] / mu[0]) < HALF
         assert abs(a0.R[1] - 2 * to_mpf(params_default.t2) * mu[-2] / mu[0]) < HALF
-        # integral route at n=0 agrees
-        assert abs(aux12[0].R[0] - a0.R[0]) < HALF
 
 
 def test_aux_signs(aux12, aux12_neg):
@@ -62,11 +62,11 @@ def test_closed_forms_stop_at_m3(prec60):
     with pytest.raises(DomainError):
         beta_from_aux(row, 2, p4, prec60)
     with pytest.raises(DomainError):
-        iterate_difference_system(p4, 2, prec60)
+        iterate_difference_system(recurrence_table(p4, 0, prec60), 2, prec60)
 
 
 def test_triple_representation_agreement(params_default, table12, aux12, prec120):
-    iterated = iterate_difference_system(params_default, 10, prec120)
+    iterated = iterate_difference_system(table12, 10, prec120)
     with mp.workdps(prec120.work_dps):
         for n in range(11):
             for a, b in zip(aux12[n].R + aux12[n].r, iterated[n].R + iterated[n].r):
@@ -78,7 +78,7 @@ def test_triple_representation_agreement(params_default, table12, aux12, prec120
 
 
 def test_triple_representation_negative_t1(params_neg_t1, table12_neg, aux12_neg, prec120):
-    iterated = iterate_difference_system(params_neg_t1, 10, prec120)
+    iterated = iterate_difference_system(table12_neg, 10, prec120)
     with mp.workdps(prec120.work_dps):
         for n in range(11):
             for a, b in zip(aux12_neg[n].R + aux12_neg[n].r, iterated[n].R + iterated[n].r):
@@ -86,8 +86,8 @@ def test_triple_representation_negative_t1(params_neg_t1, table12_neg, aux12_neg
             assert iterated[n].R[0] < 0
 
 
-def test_first_step_closed_form(params_default, prec120):
-    it = iterate_difference_system(params_default, 1, prec120)
+def test_first_step_closed_form(params_default, prec120, table12):
+    it = iterate_difference_system(table12, 1, prec120)
     with mp.workdps(prec120.work_dps):
         a0 = it[0]
         t1, alpha = to_mpf(params_default.t1), to_mpf(params_default.alpha)

@@ -12,13 +12,13 @@ from laguerre_lab.ladder import (
     aux_rows,
     beta_from_aux,
     eval_laurent,
-    initial_aux,
     iterate_difference_system,
     ladder_A_direct,
     ladder_coeffs,
 )
 from laguerre_lab.orthopoly import recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
+from laguerre_lab.quadrature import moments
 
 TRIPLE = mpf(10) ** -50
 
@@ -48,12 +48,16 @@ def grid3(params3, prec):
     return StencilGrid(params3, prec, DerivativeStencil(), table_bundle_builder(3, prec))
 
 
-def test_initial_conditions(params3, prec, rows3):
-    s0 = initial_aux(params3, prec)
+def test_initial_conditions(params3, prec, table3):
+    # the iteration starts from the integral route's row 0, which is
+    # R_{0,i} = i t_i mu_{-i}/mu_0 from a direct moment sweep
+    s0 = iterate_difference_system(table3, 0, prec)[0]
+    assert s0 == aux_integrals(table3, 0)
     assert s0.r == (0, 0, 0)
+    mu = moments(params3, -3, 0, prec)
     with mp.workdps(prec.work_dps):
-        for a, b in zip(s0.R + s0.r, rows3[0].R + rows3[0].r):
-            assert abs(a - b) < TRIPLE
+        for i, (got, t) in enumerate(zip(s0.R, params3.t), start=1):
+            assert abs(got - i * to_mpf(t) * mu[-i] / mu[0]) < TRIPLE
         assert s0.R[2] > 0  # t3 > 0 makes the integrand positive
 
 
@@ -67,7 +71,7 @@ def test_identification_with_m2_quantities(params3, table3, rows3):
 
 
 def test_triple_representation_m3(params3, prec, table3, rows3):
-    iterated = iterate_difference_system(params3, 8, prec)
+    iterated = iterate_difference_system(table3, 8, prec)
     with mp.workdps(prec.work_dps):
         for n in range(9):
             for a, b in zip(rows3[n].R + rows3[n].r, iterated[n].R + iterated[n].r):
@@ -80,8 +84,8 @@ def test_triple_representation_m3(params3, prec, table3, rows3):
             assert abs(got - table3.beta(n)) < TRIPLE
 
 
-def test_first_step_closed_form(params3, prec):
-    it = iterate_difference_system(params3, 1, prec)
+def test_first_step_closed_form(params3, prec, table3):
+    it = iterate_difference_system(table3, 1, prec)
     with mp.workdps(prec.work_dps):
         s0 = it[0]
         t1 = to_mpf(params3.t1)
@@ -94,7 +98,7 @@ def test_negative_t2_sweep(prec):
     params = WeightParams("0.5", ("0.3", "-0.2", "0.1"))
     tab = recurrence_table(params, 5, prec)
     rows = aux_rows(tab, 5)
-    iterated = iterate_difference_system(params, 5, prec)
+    iterated = iterate_difference_system(tab, 5, prec)
     with mp.workdps(prec.work_dps):
         for n in range(6):
             for a, b in zip(rows[n].R + rows[n].r, iterated[n].R + iterated[n].r):
@@ -136,8 +140,8 @@ def test_ladder_coeffs_m4_integral_oracle(prec):
             assert abs(eval_laurent(a, 4) - direct) < TRIPLE, params.m
 
 
-def test_identities_3(params3, prec, grid3):
-    checks = mt.verify_identities_3(2, params3, DerivativeStencil(), prec, grid3)
+def test_identities_3(grid3):
+    checks = mt.verify_identities_3(2, grid3)
     assert len(checks) == 17
     for c in checks:
         assert c.ok, (c.id, c.residual, c.tol)
@@ -145,8 +149,8 @@ def test_identities_3(params3, prec, grid3):
             assert c.residual < mpf(10) ** -12
 
 
-def test_h3_reconstruction(params3, prec, grid3):
-    checks = mt.h3_reconstruction(2, params3, DerivativeStencil(), prec, grid3)
+def test_h3_reconstruction(grid3):
+    checks = mt.h3_reconstruction(2, grid3)
     assert len(checks) == 6
     for c in checks:
         assert c.ok
@@ -155,7 +159,8 @@ def test_h3_reconstruction(params3, prec, grid3):
 
 def test_h3_reconstruction_negative_t1(prec):
     p = WeightParams("0.5", ("-0.3", "0.2", "0.1"))
-    for c in mt.h3_reconstruction(2, p, DerivativeStencil(), prec):
+    g = StencilGrid(p, prec, DerivativeStencil(), table_bundle_builder(3, prec))
+    for c in mt.h3_reconstruction(2, g):
         assert c.ok, (c.id, c.residual, c.tol)
 
 
@@ -178,10 +183,11 @@ def test_t3_continuity(prec):
         assert drift < mpf(10) ** -5
 
 
-def test_general_m_requires_range(params3, prec):
+def test_general_m_requires_range(prec):
+    g = StencilGrid(WeightParams("0.5", ("0.3",)), prec, DerivativeStencil(),
+                    table_bundle_builder(2, prec))
     with pytest.raises(DomainError):
-        mt.verify_S1_S2_general_m(1, WeightParams("0.5", ("0.3",)),
-                                  DerivativeStencil(), prec)
+        mt.verify_S1_S2_general_m(1, g)
 
 
 def test_general_m4_m5(prec):
@@ -189,7 +195,8 @@ def test_general_m4_m5(prec):
     for tvec, n in ((("0.3", "0.2", "0.1", "0.05"), 2),
                     (("0.3", "0.2", "0.1", "0.05", "0.02"), 1)):
         params = WeightParams("0.5", tvec)
-        for c in mt.verify_S1_S2_general_m(n, params, st, prec):
+        g = StencilGrid(params, prec, st, table_bundle_builder(n + 1, prec))
+        for c in mt.verify_S1_S2_general_m(n, g):
             assert c.ok, (params.m, c.id, c.residual, c.tol)
             if c.id.startswith("dH-"):
                 assert c.residual < mpf(10) ** -12

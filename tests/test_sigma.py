@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from mpmath import mp, mpf
 
@@ -28,50 +30,67 @@ def grid_neg(params_neg_t1, prec, stencil):
                           ca.table_bundle_builder(4, prec))
 
 
-def test_sigma_state_basics(params_default, prec, stencil, grid):
-    st = ca.hankel_sigma(2, params_default, stencil, prec, grid)
-    with mp.workdps(prec.work_dps):
+def test_sigma_state_basics(grid):
+    st = ca.hankel_sigma(2, grid)
+    byid = {c.id: c for c in ca.verify_sigma_pde(2, grid)}
+    with mp.workdps(grid.prec.work_dps):
         # H_n = n(n+alpha) + p(n) held exactly in table arithmetic
         tab = grid.bundle().table
         assert abs(st.Hn - 2 * (2 + mpf("0.5")) - tab.p(2)) < mpf(10) ** -100
         assert st.Delta >= 0
-        assert st.def_residual < mpf(10) ** -50
-        # T has the sign of t1
-        assert st.T > 0
+        assert byid["H-def"].residual < mpf(10) ** -50
+        # T = R*/R has the sign of t1
+        R, Rs = grid.bundle().row(2).R
+        assert Rs / R > 0
 
 
-def test_sigma_layer_full(params_default, prec, stencil, grid):
-    for c in ca.verify_sigma_pde(2, params_default, stencil, prec, grid):
+def test_sigma_state_general_m(grid):
+    # the m = 2 state is the general-m assembly: r_i = i t_i dH_i,
+    # beta_n = sum_i r_i - H_n + n(n+alpha), and d beta/dt_i from H_ij
+    st = ca.hankel_sigma(2, grid)
+    with mp.workdps(grid.prec.work_dps):
+        t1, t2 = mpf("0.3"), mpf("0.2")
+        (H1, _), (H2, _) = st.dH
+        assert st.r == (t1 * H1, 2 * t2 * H2)
+        assert st.beta == t1 * H1 + 2 * t2 * H2 - st.Hn + 2 * (2 + mpf("0.5"))
+        H11, H12, H22 = (st.d2H[k][0] for k in ((0, 0), (0, 1), (1, 1)))
+        assert st.d2H[(1, 0)] == st.d2H[(0, 1)]
+        assert st.dbeta == (t1 * H11 + 2 * t2 * H12, t1 * H12 + 2 * t2 * H22 + H2)
+        assert abs(st.beta - grid.bundle().table.beta(2)) < mpf(10) ** -12
+
+
+def test_sigma_layer_full(grid):
+    for c in ca.verify_sigma_pde(2, grid):
         assert c.ok, (c.id, c.residual, c.tol)
 
 
-def test_sigma_layer_negative_t1(params_neg_t1, prec, stencil, grid_neg):
-    checks = ca.verify_sigma_pde(3, params_neg_t1, stencil, prec, grid_neg)
+def test_sigma_layer_negative_t1(grid_neg):
+    checks = ca.verify_sigma_pde(3, grid_neg)
     byid = {c.id: c for c in checks}
     # branch must flip with sgn(t1) and reproduce the negative R
     assert byid["reconstruct-R"].ok
-    st = ca.hankel_sigma(3, params_neg_t1, stencil, prec, grid_neg)
-    with mp.workdps(prec.work_dps):
-        rec = ca.reconstruct_aux_from_H(st, params_neg_t1, prec)
+    st = ca.hankel_sigma(3, grid_neg)
+    with mp.workdps(grid_neg.prec.work_dps):
+        rec = ca.reconstruct_aux_from_H(st)
         assert rec.R[0] < 0
-        assert st.T < 0
+        R, Rs = grid_neg.bundle().row(3).R
+        assert Rs / R < 0
 
 
-def test_sigma_pde_small_n(params_default, prec, stencil, grid):
+def test_sigma_pde_small_n(grid):
     # n = 1 keeps every quantity finite and the PDE balanced
-    for c in ca.verify_sigma_pde(1, params_default, stencil, prec, grid):
+    for c in ca.verify_sigma_pde(1, grid):
         assert c.ok, c.id
 
 
-def test_reconstruction_guards(params_default, prec, stencil, grid):
-    st = ca.hankel_sigma(2, params_default, stencil, prec, grid)
-    bad = ca.SigmaState(**{**st.__dict__, "Delta": mpf(-1)})
+def test_reconstruction_guards(grid):
+    st = ca.hankel_sigma(2, grid)
+    bad = replace(st, Delta=mpf(-1))
     with pytest.raises(NegativeDiscriminant):
-        ca.reconstruct_aux_from_H(bad, params_default, prec)
-    tiny = ca.SigmaState(**{**st.__dict__, "Delta": mpf(10) ** -200,
-                            "fd_error": mpf(10) ** -50})
+        ca.reconstruct_aux_from_H(bad)
+    tiny = replace(st, Delta=mpf(10) ** -200, fd_error=mpf(10) ** -50)
     with pytest.raises(BranchAmbiguity):
-        ca.reconstruct_aux_from_H(tiny, params_default, prec)
+        ca.reconstruct_aux_from_H(tiny)
 
 
 def test_sigma_reduction_decays(params_default, prec):
