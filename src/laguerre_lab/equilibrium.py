@@ -14,7 +14,10 @@ Integrals over the support use the substitution x = (a+b)/2 +
 (b-a)/2 cos(theta), under which 1/sqrt((b-x)(x-a)) weights become
 trapezoid sums of smooth periodic functions (spectral accuracy); the
 logarithmic kernel of the equilibrium condition is split at its interior
-singularity and fed to the finite-interval tanh-sinh rule.
+singularity and fed to the finite-interval tanh-sinh rule.  Both rules
+take a batch: the integrals of one check (the two endpoint conditions,
+the six closed forms of an (a, b) pair, the panels of every probe) share
+one pass, each bit-identical to its lone value.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ from mpmath import mp, mpf
 from .errors import (
     DomainError,
     NoConvergence,
+    NonConvergence,
     NonPhysical,
     NoPositiveRoot,
     OutOfSupport,
     RootSelectionAmbiguous,
 )
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
-from .quadrature import integrate_finite
+from .quadrature import integrate_finite, sample_dps
 
 
 @dataclass(frozen=True)
@@ -133,41 +137,61 @@ def density(sol: EquilibriumSolution, x) -> mpf:
         x = to_mpf(x)
         if not sol.a < x < sol.b:
             raise OutOfSupport(f"x = {x} outside ({sol.a}, {sol.b})")
-        return mp.sqrt((sol.b - x) * (x - sol.a)) * _density_bracket(sol, x) / (
-            2 * mp.pi * sol.X)
+        return mp.sqrt((sol.b - x) * (x - sol.a)) * _density_bracket(
+            _bracket_coeffs(sol), x) / (2 * mp.pi * sol.X)
 
 
-def _density_bracket(sol: EquilibriumSolution, x) -> mpf:
-    """2 pi sqrt(ab) sigma(x) / sqrt((b-x)(x-a)) as a rational function of x."""
+def _bracket_coeffs(sol: EquilibriumSolution):
+    """(c1, c2, c3) of the density bracket at the working precision."""
     alpha, t = sol.params.materialize()
     t1 = t[0] if sol.params.is_deformed else mpf(0)
     t2 = t[1] if sol.params.is_deformed else mpf(0)
     X, Y = sol.X, sol.Y
     c1 = alpha + Y * t1 / X ** 2 + (3 * Y ** 2 - X ** 2) * t2 / X ** 4
     c2 = t1 + 2 * Y * t2 / X ** 2
-    return c1 / x + c2 / x ** 2 + 2 * t2 / x ** 3
+    return c1, c2, 2 * t2
 
 
-def _theta_trapezoid(g, prec: PrecisionContext, min_doublings=4):
-    """int_0^pi g(theta) dtheta by trapezoid doubling (spectral for the
-    even periodic extensions produced by the cosine substitution)."""
+def _density_bracket(coeffs, x) -> mpf:
+    """2 pi sqrt(ab) sigma(x) / sqrt((b-x)(x-a)) = c1/x + c2/x^2 + c3/x^3,
+    from the ``_bracket_coeffs`` of the solution."""
+    c1, c2, c3 = coeffs
+    return c1 / x + c2 / x ** 2 + c3 / x ** 3
+
+
+def _theta_trapezoid(g, prec: PrecisionContext, min_doublings=4) -> list:
+    """int_0^pi g_i(theta) dtheta for g(theta) = (g_1(theta), g_2(theta), ...)
+    by trapezoid doubling (spectral for the even periodic extensions
+    produced by the cosine substitution).
+
+    The integrands share the nodes and whatever g computes once per node.
+    Each keeps its own sums and convergence test and stops at the level
+    where a lone pass would, so its value is bit-identical to that pass.
+    """
     with mp.workdps(prec.work_dps):
         tol = to_mpf(prec.quad_tol)
         N = 8
-        vals = [g(mp.pi * k / N) for k in range(N + 1)]
-        total = mp.pi / N * (vals[0] / 2 + mp.fsum(vals[1:-1]) + vals[-1] / 2)
+        vals = list(zip(*[g(mp.pi * k / N) for k in range(N + 1)]))
+        total = [mp.pi / N * (v[0] / 2 + mp.fsum(v[1:-1]) + v[-1] / 2) for v in vals]
+        live = list(range(len(total)))
         for level in range(prec.quad_max_level + 8):
-            mids = [g(mp.pi * (2 * k + 1) / (2 * N)) for k in range(N)]
-            new_total = total / 2 + mp.pi / (2 * N) * mp.fsum(mids)
-            done = abs(new_total - total) <= tol * (abs(new_total) + 1)
-            total, N = new_total, 2 * N
-            if done and level >= min_doublings:
+            mids = list(zip(*[g(mp.pi * (2 * k + 1) / (2 * N)) for k in range(N)]))
+            running = []
+            for i in live:
+                new_total = total[i] / 2 + mp.pi / (2 * N) * mp.fsum(mids[i])
+                done = abs(new_total - total[i]) <= tol * (abs(new_total) + 1)
+                total[i] = new_total
+                if not (done and level >= min_doublings):
+                    running.append(i)
+            live, N = running, 2 * N
+            if not live:
                 return total
-        raise NoConvergence("theta trapezoid did not converge")
+        raise NonConvergence(f"theta trapezoid: no convergence in {prec.quad_max_level + 8} levels")
 
 
-def support_integral(sol: EquilibriumSolution, f) -> mpf:
-    """int_a^b f(x) / sqrt((b-x)(x-a)) dx via the cosine substitution."""
+def support_integral(sol: EquilibriumSolution, f) -> list:
+    """int_a^b f_i(x) / sqrt((b-x)(x-a)) dx for f(x) = (f_1(x), f_2(x), ...)
+    via the cosine substitution, in one theta pass."""
     mid = (sol.a + sol.b) / 2
     W = (sol.b - sol.a) / 2
     return _theta_trapezoid(lambda th: f(mid + W * mp.cos(th)), sol.prec)
@@ -178,52 +202,68 @@ def density_normalization(sol: EquilibriumSolution) -> mpf:
     with mp.workdps(sol.prec.work_dps):
         mid = (sol.a + sol.b) / 2
         W = (sol.b - sol.a) / 2
+        coeffs = _bracket_coeffs(sol)
+        norm = 2 * mp.pi * sol.X
 
         def g(th):
             x = mid + W * mp.cos(th)
-            return (W * mp.sin(th)) ** 2 * _density_bracket(sol, x) / (2 * mp.pi * sol.X)
+            return ((W * mp.sin(th)) ** 2 * _density_bracket(coeffs, x) / norm,)
 
-        return _theta_trapezoid(g, sol.prec)
+        return _theta_trapezoid(g, sol.prec)[0]
 
 
 def supplementary_residual(sol: EquilibriumSolution):
     """(|int v'/sqrt|, |int x v'/sqrt - 2 pi n|): the two endpoint conditions."""
     with mp.workdps(sol.prec.work_dps):
         vp = sol.params.potential_derivative
-        r1 = support_integral(sol, vp)
-        r2 = support_integral(sol, lambda x: x * vp(x)) - 2 * mp.pi * sol.n
-        return abs(r1), abs(r2)
+
+        def g(x):
+            v = vp(x)
+            return v, x * v
+
+        r1, r2 = support_integral(sol, g)
+        return abs(r1), abs(r2 - 2 * mp.pi * sol.n)
 
 
-def equilibrium_condition_residual(sol: EquilibriumSolution, x) -> mpf:
-    """|v(x) - 2 int sigma(y) ln|x-y| dy - A| at an interior probe x.
+def equilibrium_condition_residual(sol: EquilibriumSolution, xs) -> list:
+    """|v(x) - 2 int sigma(y) ln|x-y| dy - A| at each interior probe x in xs.
 
-    The logarithmic integral is split at the singularity and handled by
-    tanh-sinh on each theta panel.
+    The logarithmic integral is split at the singularity into two theta
+    panels, and the panels of every probe go through one tanh-sinh pass.
     """
     with mp.workdps(sol.prec.work_dps):
-        x = to_mpf(x)
-        if not sol.a < x < sol.b:
-            raise OutOfSupport(f"probe {x} outside the support")
+        xs = [to_mpf(x) for x in xs]
+        for x in xs:
+            if not sol.a < x < sol.b:
+                raise OutOfSupport(f"probe {x} outside the support")
         mid = (sol.a + sol.b) / 2
         W = (sol.b - sol.a) / 2
-        theta0 = mp.acos((x - mid) / W)
-
-        def g(th):
-            y = mid + W * mp.cos(th)
-            d = abs(x - y)
-            if d == 0:
-                # node collided with the probe after rounding; the DE
-                # weight there is far below the target tolerance
-                return mpf(0)
-            dens = (W * mp.sin(th)) ** 2 * _density_bracket(sol, y) / (2 * mp.pi * sol.X)
-            return mp.log(d) * dens
-
         quad_prec = sol.prec.scaled(min(sol.prec.digits, 60))
-        li = integrate_finite(g, 0, theta0, quad_prec, what="log-kernel-left") + \
-            integrate_finite(g, theta0, mp.pi, quad_prec, what="log-kernel-right")
-        v = -sol.params.log_weight(x)
-        return abs(v - 2 * li - sol.A)
+        # the kernel is sampled at the rule's precision; so are its constants
+        with mp.workdps(sample_dps(quad_prec)):
+            coeffs = _bracket_coeffs(sol)
+            norm = 2 * mp.pi * sol.X
+
+        def kernel(x):
+            def g(th):
+                y = mid + W * mp.cos(th)
+                d = abs(x - y)
+                if d == 0:
+                    # node collided with the probe after rounding; the DE
+                    # weight there is far below the target tolerance
+                    return mpf(0)
+                dens = (W * mp.sin(th)) ** 2 * _density_bracket(coeffs, y) / norm
+                return mp.log(d) * dens
+            return g
+
+        panels = []
+        for x in xs:
+            theta0 = mp.acos((x - mid) / W)
+            g = kernel(x)
+            panels += [(g, 0, theta0), (g, theta0, mp.pi)]
+        li = integrate_finite(panels, quad_prec, what="log-kernel")
+        return [abs(-sol.params.log_weight(x) - 2 * (left + right) - sol.A)
+                for x, left, right in zip(xs, li[0::2], li[1::2])]
 
 
 # --------------------------------------------------------------------------
@@ -410,18 +450,18 @@ def appendix_integrals(a, b, prec: PrecisionContext = None):
         mid = (a + b) / 2
         W = (b - a) / 2
         ab = a * b
-        cases = [
-            ("appendix-1", lambda x: mpf(1), mp.pi),
-            ("appendix-lnx", lambda x: mp.log(x),
-             2 * mp.pi * mp.log((mp.sqrt(a) + mp.sqrt(b)) / 2)),
-            ("appendix-x", lambda x: x, (a + b) / 2 * mp.pi),
-            ("appendix-xinv1", lambda x: 1 / x, mp.pi / mp.sqrt(ab)),
-            ("appendix-xinv2", lambda x: 1 / x ** 2, (a + b) * mp.pi / (2 * ab ** mpf("1.5"))),
-            ("appendix-xinv3", lambda x: 1 / x ** 3,
-             (3 * (a + b) ** 2 - 4 * ab) * mp.pi / (8 * ab ** mpf("2.5"))),
+        closed = [
+            ("appendix-1", mp.pi),
+            ("appendix-lnx", 2 * mp.pi * mp.log((mp.sqrt(a) + mp.sqrt(b)) / 2)),
+            ("appendix-x", (a + b) / 2 * mp.pi),
+            ("appendix-xinv1", mp.pi / mp.sqrt(ab)),
+            ("appendix-xinv2", (a + b) * mp.pi / (2 * ab ** mpf("1.5"))),
+            ("appendix-xinv3", (3 * (a + b) ** 2 - 4 * ab) * mp.pi / (8 * ab ** mpf("2.5"))),
         ]
-        out = []
-        for cid, g, closed in cases:
-            num = _theta_trapezoid(lambda th: g(mid + W * mp.cos(th)), prec)
-            out.append((cid, abs(num - closed)))
-        return out
+
+        def g(th):
+            x = mid + W * mp.cos(th)
+            return mpf(1), mp.log(x), x, 1 / x, 1 / x ** 2, 1 / x ** 3
+
+        nums = _theta_trapezoid(g, prec)
+        return [(cid, abs(num - value)) for (cid, value), num in zip(closed, nums)]

@@ -117,19 +117,23 @@ def _ladder_at(row: AuxRow, n: int, params: WeightParams, z):
     return eval_laurent(a, z), eval_laurent(b, z)
 
 
-def ladder_A_direct(table: RecurrenceTable, n: int, z) -> mpf:
-    """A_n(z) from its integral definition with the divided-difference
-    kernel (the oracle route for the assembled coefficients)."""
+def ladder_A_direct(table: RecurrenceTable, n: int, zs) -> list:
+    """A_n(z) at each z in zs from its integral definition with the
+    divided-difference kernel (the oracle route for the assembled
+    coefficients).  All z share one pass: x v'(x) and P_n(x)^2 are formed
+    once per node."""
     params, prec = table.params, table.prec
-    z = to_mpf(z)
+    zs = [to_mpf(z) for z in zs]
     with mp.workdps(prec.work_dps):
-        zvz = z * params.potential_derivative(z)
+        zvz = [z * params.potential_derivative(z) for z in zs]
 
         def f(x):
-            kern = (zvz - x * params.potential_derivative(x)) / (z - x)
-            return kern * eval_polynomial(table, n, x) ** 2
+            xvx = x * params.potential_derivative(x)
+            p2 = eval_polynomial(table, n, x) ** 2
+            return tuple((c - xvx) / (z - x) * p2 for z, c in zip(zs, zvz))
 
-        return integrate_weighted(f, params, prec) / (z * table.h[n])
+        return [v / (z * table.h[n])
+                for z, v in zip(zs, integrate_weighted(f, params, prec))]
 
 
 def ladder_residuals(table: RecurrenceTable, aux: list, n: int, z):

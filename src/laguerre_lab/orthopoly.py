@@ -24,7 +24,7 @@ from mpmath import mp, mpf
 
 from .errors import DegenerateInput, DomainError, PrecisionExhausted
 from .params import PrecisionContext, WeightParams, to_mpf
-from .quadrature import table_moments
+from .quadrature import integrate_weighted, table_moments
 
 #: heuristic floor on digits needed for a table of depth N
 def digits_for(N: int) -> int:
@@ -171,14 +171,22 @@ def eval_polynomial(table: RecurrenceTable, n: int, x) -> mpf:
 
 def eval_polynomial_pair(table: RecurrenceTable, n: int, x):
     """(P_n(x), P_{n-1}(x)); P_{-1} := 0."""
+    values = eval_polynomials(table, n, x)
+    return values[n], values[n - 1] if n else mpf(0)
+
+
+def eval_polynomials(table: RecurrenceTable, n: int, x) -> list:
+    """[P_0(x), ..., P_n(x)] from one run of the forward three-term recurrence."""
     if n > table.N:
         raise DomainError(f"n = {n} exceeds table depth {table.N}")
     x = to_mpf(x)
     with mp.workdps(table.prec.work_dps):
         prev, cur = mpf(0), mpf(1)
+        values = [cur]
         for j in range(n):
             prev, cur = cur, (x - table.alpha(j)) * cur - table.beta(j) * prev
-        return cur, prev
+            values.append(cur)
+        return values
 
 
 def eval_polynomial_derivative(table: RecurrenceTable, n: int, x):
@@ -226,23 +234,24 @@ def christoffel_darboux_residual(table: RecurrenceTable, n: int, x, y) -> mpf:
         return abs(lhs - rhs)
 
 
-def orthogonality_residual(table: RecurrenceTable, j: int, k: int, quad=True) -> mpf:
-    """|int P_j P_k w dx - h_j delta_jk| / sqrt(h_j h_k).
+def orthogonality_residual(table: RecurrenceTable, pairs) -> list:
+    """|int P_j P_k w dx - h_j delta_jk| / sqrt(h_j h_k) for each (j, k) in pairs.
 
-    With quad=True the integral is recomputed by independent quadrature
-    of the recurrence-evaluated polynomials; otherwise the moment route
-    is used.
+    The integrals are recomputed by independent quadrature of the
+    recurrence-evaluated polynomials, all pairs in one pass: P_0..P_top
+    come from one recurrence run per node.
     """
-    from .quadrature import integrate_weighted
+    top = max(max(pair) for pair in pairs)
+
+    def products(x):
+        values = eval_polynomials(table, top, x)
+        return tuple(values[j] * values[k] for j, k in pairs)
 
     with mp.workdps(table.prec.work_dps):
-        if quad:
-            val = integrate_weighted(
-                lambda t: eval_polynomial(table, j, t) * eval_polynomial(table, k, t),
-                table.params, table.prec,
-            )
-        else:
-            val = table.inner_xk(j, k, 0)
-        if j == k:
-            val -= table.h[j]
-        return abs(val) / mp.sqrt(table.h[j] * table.h[k])
+        vals = integrate_weighted(products, table.params, table.prec)
+        out = []
+        for (j, k), val in zip(pairs, vals):
+            if j == k:
+                val -= table.h[j]
+            out.append(abs(val) / mp.sqrt(table.h[j] * table.h[k]))
+        return out

@@ -19,6 +19,14 @@ sweep.
 The full quadrature sweep ``moments`` stays as the independent oracle
 for both routes.
 
+The oracle rules ``integrate_weighted`` and ``integrate_finite`` sum a
+batch of integrands in one pass: the nodes and the per-node work are
+shared, while each integrand keeps its own sums, tail cut-off, L1 mass
+and level-convergence test in the order of a lone pass, so every value is
+bit-identical to integrating it alone.  A lone integral is a batch of
+one.  ``moments`` keeps its own pass: its integrands stop together, on a
+rule of their own.
+
 All arithmetic is mpmath with guard digits on top of the caller's
 working precision; results are deterministic functions of the inputs.
 """
@@ -36,59 +44,84 @@ _TRUNC_EXTRA = 25
 _QUAD_GUARD = 10
 
 
-def _trapezoid_levels(g, prec: PrecisionContext, what: str):
-    """Trapezoid sum of g over the real line with level doubling.
+def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
+    """Trapezoid sums over the real line with level doubling, for a batch
+    of integrands in one pass.
 
-    g(u) must decay at least exponentially in both directions.  Returns
-    the converged sum.  Convergence: successive levels agree to
-    quad_tol relative to max(|total|, quad_tol-scaled L1 mass).
+    g(u, live) returns the terms at u of the integrands whose indices are
+    in ``live``, in that order (every integrand when ``live`` is None; the
+    first node tells the rule how many there are).  Each integrand must
+    decay at least exponentially in both directions.  Each keeps its own
+    sums, tail cut-off, L1 mass and convergence test, and leaves the pass
+    where a lone pass of its own would stop, so its sum is bit-identical
+    to that lone pass.  Convergence: successive levels agree to quad_tol
+    relative to max(|total|, quad_tol-scaled L1 mass).  Returns the
+    converged sums in integrand order.
     """
     trunc = mpf(10) ** (-(prec.digits + _TRUNC_EXTRA))
     h = mpf(1)
 
-    def sweep(start, step):
-        """Sum g over start, start+step, ... until terms are negligible."""
-        total = mpf(0)
-        mass = mpf(0)
-        scale = mpf(0)
+    def sweep(start, step, live):
+        """Sum each live integrand over start, start+step, ... until its own
+        terms are negligible: {index: [sum, L1 mass, scale, idle]}."""
+        acc = {}
         u = start
-        idle = 0
         for _ in range(2_000_000):
-            term = g(u)
-            a = abs(term)
-            if not mp.isfinite(a):
-                raise NonConvergence(f"{what}: non-finite integrand sample at u = {u}")
-            total += term
-            mass += a
-            if a > scale:
-                scale = a
-                idle = 0
-            elif a < trunc * scale:
-                idle += 1
-                if idle >= 3:
-                    break
+            terms = g(u, live)
+            running = []
+            for i, term in zip(range(len(terms)) if live is None else live, terms):
+                a = abs(term)
+                if not mp.isfinite(a):
+                    raise NonConvergence(f"{what}: non-finite integrand sample at u = {u}")
+                s = acc.setdefault(i, [mpf(0), mpf(0), mpf(0), 0])
+                s[0] += term
+                s[1] += a
+                if a > s[2]:
+                    s[2] = a
+                    s[3] = 0
+                elif a < trunc * s[2]:
+                    s[3] += 1
+                    if s[3] >= 3:
+                        continue
+                running.append(i)
+            if not running:
+                return acc
+            live = running
             u += step
-        else:  # pragma: no cover - guarded by decay preconditions
-            raise NonConvergence(f"{what}: tail did not decay")
-        return total, mass
+        raise NonConvergence(f"{what}: tail did not decay")  # pragma: no cover
 
-    right, mass_r = sweep(mpf(0), h)
-    left, mass_l = sweep(-h, -h)
-    total = h * (right + left)
-    mass = h * (mass_r + mass_l)
+    right = sweep(mpf(0), h, None)
+    live = list(right)
+    left = sweep(-h, -h, live)
+    total = [h * (right[i][0] + left[i][0]) for i in live]
+    mass = [h * (right[i][1] + left[i][1]) for i in live]
 
-    prev = None
     for _ in range(prec.quad_max_level):
         # refine: add midpoints (odd multiples of h/2) on both sides
         h2 = h / 2
-        mid_r, mmr = sweep(h2, h)
-        mid_l, mml = sweep(-h2, -h)
-        new_total = total / 2 + h2 * (mid_r + mid_l)
-        mass = mass / 2 + h2 * (mmr + mml)
-        prev, total, h = total, new_total, h2
-        if abs(total - prev) <= prec.quad_tol * abs(total) + prec.quad_tol * mass:
+        mid_r = sweep(h2, h, live)
+        mid_l = sweep(-h2, -h, live)
+        running = []
+        for i in live:
+            new_total = total[i] / 2 + h2 * (mid_r[i][0] + mid_l[i][0])
+            mass[i] = mass[i] / 2 + h2 * (mid_r[i][1] + mid_l[i][1])
+            prev, total[i] = total[i], new_total
+            if not abs(new_total - prev) <= prec.quad_tol * abs(new_total) + prec.quad_tol * mass[i]:
+                running.append(i)
+        live, h = running, h2
+        if not live:
             return total
     raise NonConvergence(f"{what}: level cap {prec.quad_max_level} reached before tolerance")
+
+
+def sample_dps(prec: PrecisionContext) -> int:
+    """The working precision at which the rules sample their integrands."""
+    return prec.work_dps + _QUAD_GUARD
+
+
+def _live(items, live):
+    """The items of the integrands in ``live`` (all of them when None)."""
+    return items if live is None else [items[i] for i in live]
 
 
 def _log_weight_u_fn(params: WeightParams):
@@ -114,33 +147,41 @@ def _log_weight_u_fn(params: WeightParams):
     return logw
 
 
-def integrate_weighted(f, params: WeightParams, prec: PrecisionContext, mapping="exp") -> mpf:
-    """Integral of f(x) w(x) dx over (0, inf) to relative accuracy quad_tol.
+def integrate_weighted(f, params: WeightParams, prec: PrecisionContext, mapping="exp") -> list:
+    """Integrals of f_i(x) w(x) dx over (0, inf) to relative accuracy quad_tol.
 
     Parameters
     ----------
     f : callable
-        Integrand factor, evaluated at mpf x > 0; f(x) w(x) must be
-        absolutely integrable.
+        f(x) returns the integrand factors (f_1(x), f_2(x), ...) at mpf
+        x > 0, each with f_i(x) w(x) absolutely integrable.  The batch
+        shares one pass: the nodes, the weight and whatever f computes once
+        per node; a lone integral is a batch of one.
     params, prec : weight and precision contexts.
     mapping : "exp" for x = e^u (default) or "expsinh" for the composed
         x = exp(sinh(v)) route used by invariance checks.
+
+    Returns the list of integrals, each bit-identical to a pass of its own.
     """
     if mapping not in ("exp", "expsinh"):
         raise DomainError(f"unknown mapping {mapping!r}")
-    with mp.workdps(prec.work_dps + _QUAD_GUARD):
+    with mp.workdps(sample_dps(prec)):
         logw = _log_weight_u_fn(params)
+
         if mapping == "exp":
-            def g(u):
+            def g(u, live):
                 x = mp.exp(u)
-                return mp.exp(logw(u, x)) * f(x)
+                w = mp.exp(logw(u, x))
+                return [w * v for v in _live(f(x), live)]
         else:
-            def g(v):
+            def g(v, live):
                 u = mp.sinh(v)
                 x = mp.exp(u)
-                return mp.exp(logw(u, x)) * f(x) * mp.cosh(v)
+                w = mp.exp(logw(u, x))
+                c = mp.cosh(v)
+                return [w * fx * c for fx in _live(f(x), live)]
         result = _trapezoid_levels(g, prec, "integrate_weighted")
-    return +result
+    return [+v for v in result]
 
 
 def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) -> dict:
@@ -380,30 +421,41 @@ def moment(k: int, params: WeightParams, prec: PrecisionContext) -> mpf:
     return moments(params, k, k, prec)[k]
 
 
-def integrate_finite(f, a, b, prec: PrecisionContext, what="integrate_finite") -> mpf:
-    """Tanh-sinh integral of f over the finite interval [a, b].
+def integrate_finite(panels, prec: PrecisionContext, what="integrate_finite") -> list:
+    """Tanh-sinh integrals of f over [a, b] for each panel (f, a, b), in one pass.
 
     Handles integrable endpoint singularities (log, inverse square
-    root); used by the equilibrium-measure checks.
+    root); used by the equilibrium-measure checks.  The panels share the
+    nodes t and every factor that does not depend on the interval (sinh t,
+    e^{-2|w|}, cosh t, cosh^2 w; the half-width scales them), and each
+    result is bit-identical to a pass of its panel alone.
     """
-    a, b = to_mpf(a), to_mpf(b)
-    if not b > a:
+    ends = [(f, to_mpf(a), to_mpf(b)) for f, a, b in panels]
+    if not all(b > a for _, a, b in ends):
         raise DomainError("need b > a")
-    with mp.workdps(prec.work_dps + _QUAD_GUARD):
-        half = (b - a) / 2
+    with mp.workdps(sample_dps(prec)):
         pihalf = mp.pi / 2
+        # per panel the products half * 2 and half * pi/2 of the half-width,
+        # rounded as a lone pass rounds them
+        spans = [(f, a, b, (b - a) / 2 * 2, (b - a) / 2 * pihalf) for f, a, b in ends]
 
-        def g(t):
+        def g(t, live):
             w = pihalf * mp.sinh(t)
             # distance to the near endpoint via 1 + tanh(w) = 2e^{2w}/(1+e^{2w}),
             # which keeps full relative accuracy for endpoint singularities
             e2 = mp.exp(-2 * abs(w))
-            dist = half * 2 * e2 / (1 + e2)
-            if dist == 0:
-                return mpf(0)
-            x = a + dist if t < 0 else b - dist
-            dxdt = half * pihalf * mp.cosh(t) / mp.cosh(w) ** 2
-            return f(x) * dxdt
+            e2p1 = 1 + e2
+            cht = mp.cosh(t)
+            chw2 = mp.cosh(w) ** 2
+            out = []
+            for f, a, b, width, scale in _live(spans, live):
+                dist = width * e2 / e2p1
+                if dist == 0:
+                    out.append(mpf(0))
+                    continue
+                x = a + dist if t < 0 else b - dist
+                out.append(f(x) * (scale * cht / chw2))
+            return out
 
         result = _trapezoid_levels(g, prec, what)
-    return +result
+    return [+v for v in result]

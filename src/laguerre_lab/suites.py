@@ -85,8 +85,8 @@ def moments_suite(config: RunConfig) -> ResidualReport:
         hi = moment(0, params, prec)
         rep.add(Check("precision-doubling", abs(lo - hi),
                       mpf(10) ** (-(max(50, prec.digits // 2) - 10)), "k=0"))
-        a = integrate_weighted(lambda x: 1, params, prec)
-        b = integrate_weighted(lambda x: 1, params, prec, mapping="expsinh")
+        (a,) = integrate_weighted(lambda x: (1,), params, prec)
+        (b,) = integrate_weighted(lambda x: (1,), params, prec, mapping="expsinh")
         rep.add(Check("map-invariance", abs(a - b), 10 * to_mpf(prec.quad_tol) * abs(a), "f=1"))
     return rep
 
@@ -98,10 +98,7 @@ def recurrence_suite(config: RunConfig) -> ResidualReport:
     tab = _table(config, params, N)
     with mp.workdps(prec.work_dps):
         half = to_mpf(prec.half_eps)
-        worst = max(
-            orthogonality_residual(tab, j, k)
-            for j, k in ((1, 0), (4, 2), (8, 3), (6, 6))
-        )
+        worst = max(orthogonality_residual(tab, ((1, 0), (4, 2), (8, 3), (6, 6))))
         rep.add(Check("orthogonality", worst, half, "pairs<=8"))
         worst = max(
             abs(mp.fsum(tab.alpha(j) for j in range(nn)) + tab.p(nn))
@@ -214,7 +211,7 @@ def ladder_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("beta-det-ratio", w3, half, f"n<={n_top}"))
 
         a2, _ = ld.ladder_coeffs(aux[2], 2, params)
-        direct = ld.ladder_A_direct(tab, 2, 5)
+        (direct,) = ld.ladder_A_direct(tab, 2, (5,))
         rep.add(Check("ladder-coeff-integral", abs(ld.eval_laurent(a2, 5) - direct),
                       half, "n=2;z=5"))
     return rep
@@ -367,10 +364,8 @@ def equilibrium_suite(config: RunConfig) -> ResidualReport:
         r1, r2 = eq.supplementary_residual(sol)
         rep.add(Check("supplementary-v1", r1, mpf(10) ** -10, f"n={n}"))
         rep.add(Check("supplementary-v2", r2, mpf(10) ** -10, f"n={n}"))
-        worst = max(
-            eq.equilibrium_condition_residual(sol, sol.a + q * (sol.b - sol.a))
-            for q in (mpf("0.25"), mpf("0.5"), mpf("0.75"))
-        )
+        worst = max(eq.equilibrium_condition_residual(
+            sol, [sol.a + q * (sol.b - sol.a) for q in (mpf("0.25"), mpf("0.5"), mpf("0.75"))]))
         rep.add(Check("lagrange-eq", worst, mpf(10) ** -8, "3 probes"))
         x9, x5 = eq.solve_X_equations(n, params, prec)
         rep.add(Check("degree9-root", abs(x9 - sol.X), mpf(10) ** -10, f"n={n}"))
@@ -446,11 +441,9 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
     with mp.workdps(prec.work_dps):
         tab4 = _table(config, m4, 3)
         a2, _ = ld.ladder_coeffs(ld.aux_integrals(tab4, 2), 2, m4)
-        worst = mpf(0)
-        for z in ("0.9", "3"):
-            direct = ld.ladder_A_direct(tab4, 2, z)
-            asm = ld.eval_laurent(a2, z)
-            worst = max(worst, abs(direct - asm))
+        zs = ("0.9", "3")
+        worst = max(abs(direct - ld.eval_laurent(a2, z))
+                    for z, direct in zip(zs, ld.ladder_A_direct(tab4, 2, zs)))
         rep.add(Check("ladder-coeff-m", worst, to_mpf(prec.half_eps), "m=4;n=2"))
     return rep
 

@@ -166,9 +166,8 @@ def test_criterion_07_equilibrium():
     sol = eq.solve_support(10, params, prec=PREC)
     with mp.workdps(PREC.work_dps):
         ok = abs(eq.density_normalization(sol) - 10) <= TOL10
-        for q in ("0.25", "0.5", "0.75"):
-            x = sol.a + mpf(q) * (sol.b - sol.a)
-            ok &= eq.equilibrium_condition_residual(sol, x) <= TOL8
+        xs = [sol.a + mpf(q) * (sol.b - sol.a) for q in ("0.25", "0.5", "0.75")]
+        ok &= max(eq.equilibrium_condition_residual(sol, xs)) <= TOL8
         x9, _ = eq.solve_X_equations(10, params, PREC)
         ok &= abs(x9 - sol.X) <= TOL10
         limit = eq.solve_support(10, WeightParams("1"), prec=PREC)

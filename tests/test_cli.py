@@ -210,6 +210,21 @@ def test_cache_speedup_and_stability(tmp_path):
     assert cold.to_json() == warm.to_json()
 
 
+def _count_calls(monkeypatch, module, attr):
+    """Record every call of module.attr through any laguerre_lab binding."""
+    calls = []
+    real = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("laguerre_lab") and getattr(mod, attr, None) is real:
+            monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
 @pytest.mark.parametrize("suite", ["calculus", "recurrence", "ladder", "multitime"])
 def test_warm_run_integrates_and_writes_nothing(suite, tmp_path, monkeypatch):
     # the deterministic side of the speed-up above: a warm run reads
@@ -221,21 +236,29 @@ def test_warm_run_integrates_and_writes_nothing(suite, tmp_path, monkeypatch):
     clear_memo()
     cold = suites.run_suite(cfg)[0]
     files = sorted(p.name for p in cache.iterdir())
-    sweeps = []
-    real = quadrature.moments
-
-    def counted(*args, **kwargs):
-        sweeps.append(args)
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("laguerre_lab") and getattr(module, "moments", None) is real:
-            monkeypatch.setattr(module, "moments", counted)
+    sweeps = _count_calls(monkeypatch, quadrature, "moments")
     clear_memo()
     warm = suites.run_suite(cfg)[0]
     assert sweeps == []
     assert sorted(p.name for p in cache.iterdir()) == files
     assert cold.to_json() == warm.to_json()
+
+
+@pytest.mark.parametrize("suite,rule", [("recurrence", "integrate_weighted"),
+                                        ("equilibrium", "integrate_finite")])
+def test_warm_run_makes_one_oracle_pass(suite, rule, tmp_path, monkeypatch):
+    # the four orthogonality pairs, and the two log-kernel panels of each
+    # of the three lagrange-eq probes, share one quadrature pass
+    from laguerre_lab import quadrature
+
+    cfg = parse_config(None, {"digits": "60", "suites": suite,
+                              "cache_dir": str(tmp_path / "cache")})
+    clear_memo()
+    suites.run_suite(cfg)
+    passes = _count_calls(monkeypatch, quadrature, rule)
+    clear_memo()
+    suites.run_suite(cfg)
+    assert len(passes) == 1
 
 
 def test_classical_limit_for_negative_alpha(tmp_path, capsys):

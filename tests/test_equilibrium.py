@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from laguerre_lab import equilibrium as eq
-from laguerre_lab.errors import DomainError, OutOfSupport
+from laguerre_lab.errors import DomainError, NonConvergence, OutOfSupport
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 
 
@@ -61,9 +62,42 @@ def test_density_nonnegative_grid(sol):
 
 def test_equilibrium_condition(sol):
     with mp.workdps(sol.prec.work_dps):
-        for q in ("0.25", "0.5", "0.75"):
-            x = sol.a + mpf(q) * (sol.b - sol.a)
-            assert eq.equilibrium_condition_residual(sol, x) < mpf(10) ** -8
+        xs = [sol.a + mpf(q) * (sol.b - sol.a) for q in ("0.25", "0.5", "0.75")]
+        for res in eq.equilibrium_condition_residual(sol, xs):
+            assert res < mpf(10) ** -8
+
+
+def test_condition_probes_batch_is_bit_identical_to_lone(sol):
+    with mp.workdps(sol.prec.work_dps):
+        xs = [sol.a + mpf(q) * (sol.b - sol.a) for q in ("0.3", "0.6")]
+        assert eq.equilibrium_condition_residual(sol, xs) == [
+            eq.equilibrium_condition_residual(sol, [x])[0] for x in xs]
+
+
+def test_theta_batch_is_bit_identical_to_lone(prec):
+    integrands = (
+        lambda th: mpf(1),
+        lambda th: mp.exp(mp.cos(th)),
+        lambda th: mp.log(3 + mp.cos(th)),
+        lambda th: 1 / (mpf("1.01") + mp.cos(th)),  # near a pole: three more levels
+    )
+    lone, samples = [], []
+    for g in integrands:
+        nodes = []
+        lone.append(eq._theta_trapezoid(
+            lambda th, g=g: (nodes.append(th), g(th))[1:], prec)[0])
+        samples.append(len(nodes))
+    assert len(set(samples)) > 1  # they stop at different levels
+    assert eq._theta_trapezoid(lambda th: tuple(g(th) for g in integrands), prec) == lone
+
+
+def test_theta_level_cap_raises_nonconvergence():
+    # a jump converges like O(h) and never meets the tolerance.  The rule
+    # reads only these three fields; a cap below PrecisionContext's floor
+    # of 8 keeps the test to quad_max_level + 8 = 8 levels
+    prec = SimpleNamespace(work_dps=40, quad_tol=Fraction(1, 10 ** 30), quad_max_level=0)
+    with pytest.raises(NonConvergence):
+        eq._theta_trapezoid(lambda th: (mpf(1), mpf(1) if th < 1 else mpf(0)), prec)
 
 
 def test_lagrange_limit_value(prec):
@@ -133,7 +167,7 @@ def test_appendix_specific_values(prec):
     # plain integral is pi; the 1/x variant is pi/sqrt(ab) = pi/2 at (1,4)
     with mp.workdps(prec.work_dps):
         sol = eq.solve_support(10, WeightParams("1", ("0.3", "0.2")), prec=prec)
-        v = eq.support_integral(sol, lambda x: mpf(1))
+        (v,) = eq.support_integral(sol, lambda x: (mpf(1),))
         assert abs(v - mp.pi) < mpf(10) ** -90
 
 

@@ -33,7 +33,7 @@ def direct_ladder_A(table, n, z):
             kern = (zvz - x * params.potential_derivative(x)) / (z - x)
             return kern * eval_polynomial(table, n, x) ** 2
 
-        return integrate_weighted(f, params, prec) / (z * table.h[n])
+        return integrate_weighted(lambda x: (f(x),), params, prec)[0] / (z * table.h[n])
 
 
 def test_initial_conditions(params_default, prec120, table12):

@@ -136,7 +136,7 @@ def test_ladder_coeffs_m4_integral_oracle(prec):
         tab = recurrence_table(params, 3, prec)
         with mp.workdps(prec.work_dps):
             a, _ = ladder_coeffs(aux_integrals(tab, 1), 1, params)
-            direct = ladder_A_direct(tab, 1, 4)
+            (direct,) = ladder_A_direct(tab, 1, (4,))
             assert abs(eval_laurent(a, 4) - direct) < TRIPLE, params.m
 
 

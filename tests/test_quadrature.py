@@ -3,7 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from laguerre_lab import cli, suites
 from laguerre_lab.errors import DomainError, NonConvergence
+from laguerre_lab.ladder import ladder_A_direct
+from laguerre_lab.orthopoly import eval_polynomials, orthogonality_residual, recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 from laguerre_lab.quadrature import (
     _trapezoid_levels,
@@ -32,14 +35,15 @@ def test_gamma_trivials():
     prec = PrecisionContext(digits=60)
     p = WeightParams("0", ("0", "0"))
     with mp.workdps(80):
-        assert abs(integrate_weighted(lambda x: 1, p, prec) - 1) < mpf(10) ** -55
-        assert abs(integrate_weighted(lambda x: x * x, p, prec) - 2) < mpf(10) ** -55
+        one, two = integrate_weighted(lambda x: (1, x * x), p, prec)
+        assert abs(one - 1) < mpf(10) ** -55
+        assert abs(two - 2) < mpf(10) ** -55
         assert abs(moment(3, p, prec) - 6) < mpf(10) ** -54
 
 
 def test_golden_values(params_default, prec120):
     with mp.workdps(150):
-        v = integrate_weighted(lambda x: 1, params_default, prec120)
+        (v,) = integrate_weighted(lambda x: (1,), params_default, prec120)
         assert abs(v - mpf(MU0_GOLDEN)) < mpf(10) ** -105
         w = moment(-1, params_default, prec120)
         assert abs(w - mpf(MUM1_GOLDEN)) < mpf(10) ** -105
@@ -85,11 +89,11 @@ def test_doubling_check(params_default):
 
 def test_mapping_invariance(params_default, prec120):
     with mp.workdps(150):
-        a = integrate_weighted(lambda x: 1, params_default, prec120)
-        b = integrate_weighted(lambda x: 1, params_default, prec120, mapping="expsinh")
+        (a,) = integrate_weighted(lambda x: (1,), params_default, prec120)
+        (b,) = integrate_weighted(lambda x: (1,), params_default, prec120, mapping="expsinh")
         assert abs(a - b) <= prec120.quad_tol * abs(a) * 10
     with pytest.raises(DomainError):
-        integrate_weighted(lambda x: 1, params_default, prec120, mapping="bogus")
+        integrate_weighted(lambda x: (1,), params_default, prec120, mapping="bogus")
 
 
 def test_negative_t1_supported(params_neg_t1, prec60):
@@ -119,10 +123,10 @@ def test_finite_interval_log_singularity():
     prec = PrecisionContext(digits=60)
     with mp.workdps(80):
         # int_0^1 ln(x) dx = -1
-        v = integrate_finite(lambda x: mp.log(x), 0, 1, prec)
+        (v,) = integrate_finite([(mp.log, 0, 1)], prec)
         assert abs(v + 1) < mpf(10) ** -55
         # inverse square-root endpoint: int_0^1 dx/sqrt(x) = 2
-        w = integrate_finite(lambda x: 1 / mp.sqrt(x), 0, 1, prec)
+        (w,) = integrate_finite([(lambda x: 1 / mp.sqrt(x), 0, 1)], prec)
         assert abs(w - 2) < mpf(10) ** -55
 
 
@@ -130,10 +134,78 @@ def test_level_cap_raises():
     # a pole very close to the real axis defeats the level cap
     prec = PrecisionContext(digits=60, quad_max_level=8)
     with mp.workdps(80):
-        def g(u):
-            return mp.exp(-(u * u)) / (u * u + mpf(10) ** -8)
+        def g(u, live):
+            return [mp.exp(-(u * u)) / (u * u + mpf(10) ** -8)]
         with pytest.raises(NonConvergence):
             _trapezoid_levels(g, prec, "test")
+
+
+@pytest.fixture(scope="module")
+def table8():
+    return recurrence_table(WeightParams("0.5", ("0.3", "0.2")), 8, PrecisionContext(digits=60))
+
+
+@pytest.mark.parametrize("mapping", ["exp", "expsinh"])
+def test_weighted_batch_is_bit_identical_to_lone(table8, mapping):
+    params, prec = table8.params, table8.prec
+    integrands = (
+        lambda x: mpf(1),
+        lambda x: x ** 8,
+        lambda x: (lambda P: P[8] * P[3])(eval_polynomials(table8, 8, x)),
+    )
+    lone, samples = [], []
+    for f in integrands:
+        nodes = []
+        lone.append(integrate_weighted(lambda x, f=f: (nodes.append(x), f(x))[1:],
+                                       params, prec, mapping)[0])
+        samples.append(len(nodes))
+    # they stop at different tails or levels: a batch that stopped them
+    # together would change the bits of some
+    assert len(set(samples)) > 1
+    batch = integrate_weighted(lambda x: tuple(f(x) for f in integrands), params, prec, mapping)
+    assert batch == lone
+
+
+def test_finite_batch_is_bit_identical_to_lone():
+    prec = PrecisionContext(digits=60)
+    with mp.workdps(80):
+        panels = [
+            (mp.log, 0, 1),  # log endpoint singularity
+            (lambda x: 1 / mp.sqrt(x), 0, 1),  # inverse square root
+            (lambda x: 1 / mp.sqrt(x), 0, 4),
+            (lambda x: mp.log(x) * mp.cos(x), 0, mpf(7) / 2),
+            (mp.exp, -1, 2),  # smooth
+        ]
+        lone = [integrate_finite([panel], prec)[0] for panel in panels]
+        assert integrate_finite(panels, prec) == lone
+        assert abs(lone[0] + 1) < mpf(10) ** -55 and abs(lone[2] - 4) < mpf(10) ** -55
+
+
+def test_orthogonality_pairs_and_ladder_z_batch_match_lone(table8):
+    pairs = ((1, 0), (4, 2), (8, 3), (6, 6))
+    assert orthogonality_residual(table8, pairs) == [
+        orthogonality_residual(table8, (pair,))[0] for pair in pairs]
+    zs = ("0.9", "3")
+    assert ladder_A_direct(table8, 2, zs) == [ladder_A_direct(table8, 2, (z,))[0] for z in zs]
+
+
+def test_batch_with_non_finite_sample_raises_like_lone(params_default, prec60, monkeypatch):
+    def blows_up(x):
+        return mp.inf if x > 2 else x
+
+    with pytest.raises(NonConvergence):
+        integrate_weighted(lambda x: (blows_up(x),), params_default, prec60)
+    with pytest.raises(NonConvergence):
+        integrate_weighted(lambda x: (1, blows_up(x)), params_default, prec60)
+    with pytest.raises(NonConvergence):
+        integrate_finite([(mp.exp, 0, 1), (lambda x: blows_up(4 * x), 0, 1)], prec60)
+
+    # a numerical breakdown: the CLI exits 3
+    def oracle_suite(config):
+        integrate_weighted(lambda x: (1, blows_up(x)), config.params, config.prec)
+
+    monkeypatch.setitem(suites.SUITE_RUNNERS, "moments", oracle_suite)
+    assert cli.main(["moments", "--digits", "60"]) == 3
 
 
 @pytest.mark.parametrize("params, N, digits", [
