@@ -5,9 +5,10 @@ moments, the Pearson recurrence for the rest, then the moment
 Gram-Schmidt); they are keyed by a content hash of (weight point,
 digits, quadrature tolerance, depth, format version) and stored as JSON
 of decimal strings.  A stencil node's table may take its seeds from the
-grid's anchor (``quadrature.SeedAnchor``) instead of quadrature; its
-key and its stored document then also cover the anchor point, so the
-same node built from another anchor, or integrated, is another entry.
+grid's centre, the anchor point, by ``quadrature.shift_seeds`` instead
+of quadrature; its key and its stored document then also cover the
+anchor point, so the same node built from another anchor, or
+integrated, is another entry.
 A centre's key has no anchor in it.  The build path always serializes
 and reloads, so warm and cold runs see bit-identical values and reports
 are reproducible byte for byte.  Writes are atomic (temp file then
@@ -30,7 +31,7 @@ from mpmath import mp, mpf
 from .errors import ConfigError
 from .orthopoly import RecurrenceTable, recurrence_table
 from .params import PrecisionContext, WeightParams
-from .quadrature import SeedAnchor, clear_seed_memo
+from .quadrature import clear_seed_memo, seed_moments, shift_seeds
 
 #: 2: moments k >= 1 come from the Pearson recurrence, not quadrature
 FORMAT_VERSION = 2
@@ -141,18 +142,19 @@ def _write_entry(root: Path, path: Path, doc: dict):
 
 
 def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
-                            cache_dir=None, anchor: SeedAnchor = None) -> RecurrenceTable:
+                            cache_dir=None, anchor: WeightParams = None) -> RecurrenceTable:
     """Recurrence table through the cache (read, or build, persist, reload).
 
-    With an anchor, a build takes its seeds from ``anchor.seeds_at``:
-    the anchor's own seeds at its point, shifted ones elsewhere, and
-    quadrature where the shift is rejected.
+    With an anchor point other than params, a build shifts the anchor's
+    seeds (``seed_moments``) to params by ``shift_seeds``, and integrates
+    where the shift is rejected.  At the anchor itself the table is the
+    plain one: its seeds are the anchor's own.
     """
     from .orthopoly import digits_for
 
     if prec.digits < digits_for(N):
         prec = prec.scaled(digits_for(N))
-    origin = anchor.point if anchor is not None and anchor.point != params else None
+    origin = None if anchor is None or anchor == params else anchor
     key = table_key(params, N, prec, origin)
     if key in _memo:
         return _memo[key]
@@ -160,7 +162,8 @@ def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext
     path = root / f"table-{key}.json"
     table = _read_entry(path, params, N, prec, origin)
     if table is None:
-        seeds = anchor.seeds_at(params, prec) if anchor is not None else None
+        seeds = None if origin is None else shift_seeds(
+            origin, seed_moments(origin, prec), params, prec)
         tab = recurrence_table(params, N, prec, auto_digits=False, seeds=seeds)
         doc = _serialize_table(tab, origin)
         _write_entry(root, path, doc)

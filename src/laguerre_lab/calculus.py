@@ -27,8 +27,11 @@ PDE); and the small-t2 continuation onto the one-variable ordinary
 differential equation for R_n.  The derivative relations, the Toda
 family and the H_n derivative data (``hankel_sigma``: H_n = D ln D_n,
 its partials, beta_n, d beta_n/dt_i, Delta) are written for any m, over
-the axes i = 1..m with the scale i t_i of D = sum_i i t_i d/dt_i; the
-m = 3 checks use them too.
+the axes i = 1..m with the scale i t_i of D = sum_i i t_i d/dt_i.  The
+Riccati system (``riccati_checks``) and the row reconstruction from H_n
+(``reconstruct_aux_from_H``) are closed forms written once, for m = 3,
+and run at m = 2 with rho, R^_n and r^_n set to 0.  The m = 3 checks use
+all of these too.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ from .errors import (
     NegativeDiscriminant,
     StencilOutOfDomain,
 )
-from .ladder import AuxRow, aux_integrals
+from .ladder import AuxRow, aux_integrals, pad3, rho_of
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
-from .quadrature import SeedAnchor, shift_seeds
+from .quadrature import shift_seeds
 from .reports import Check
 
 
@@ -91,10 +94,10 @@ def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
 
     Tables come through the decimal-string cache, so repeated stencil
     evaluations at the same exact rational nodes are read, not rebuilt;
-    a build takes its seeds from the grid's anchor.
+    a build takes its seeds from the anchor point, the grid's centre.
     """
 
-    def build(params: WeightParams, anchor: SeedAnchor) -> TableBundle:
+    def build(params: WeightParams, anchor: WeightParams) -> TableBundle:
         from .cache import cached_recurrence_table
 
         return TableBundle(
@@ -103,8 +106,8 @@ def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
     return build
 
 
-def _richardson(seq, p, gain=2):
-    """Neville extrapolation of step-halved estimates with error h^p, h^(p+gain), ...
+def _richardson(seq, p):
+    """Neville extrapolation of step-halved estimates with error h^p, h^(p+2), ...
 
     Returns (value, spread); spread is the last correction size, the
     usual a-posteriori error estimate.
@@ -113,7 +116,7 @@ def _richardson(seq, p, gain=2):
     k = 1
     while len(rows[-1]) > 1:
         prev = rows[-1]
-        fac = mpf(2) ** (p + gain * (k - 1)) - 1
+        fac = mpf(2) ** (p + 2 * (k - 1)) - 1
         rows.append([prev[i + 1] + (prev[i + 1] - prev[i]) / fac for i in range(len(prev) - 1)])
         k += 1
     best = rows[-1][0]
@@ -131,10 +134,10 @@ class StencilGrid:
     shifted parameter points are exact and reproducible; nodes that
     would leave the admissible region raise StencilOutOfDomain.
 
-    The grid owns the anchor: its centre point, whose seed moments are
-    integrated once per precision, when a table is first built.  The
-    builder is called as builder(params, anchor); the bundle builders
-    hand the anchor to the table cache.
+    The grid's centre is the anchor of every node: its seed moments are
+    integrated once per precision, when a table is first built, and
+    shifted to the nodes.  The builder is called as builder(params,
+    centre); the bundle builders hand the centre to the table cache.
     """
 
     def __init__(self, params: WeightParams, prec: PrecisionContext,
@@ -142,7 +145,6 @@ class StencilGrid:
         self.params = params
         self.prec = prec
         self.stencil = stencil
-        self.anchor = SeedAnchor(params)
         self._builder = builder
         rel = stencil.step(prec)
         self._h = tuple(rel * abs(t) for t in params.t)
@@ -166,7 +168,7 @@ class StencilGrid:
     def bundle(self, offsets=()):
         key = tuple(sorted(offsets))
         if key not in self._memo:
-            self._memo[key] = self._builder(self.params_at(key), self.anchor)
+            self._memo[key] = self._builder(self.params_at(key), self.params)
         return self._memo[key]
 
     def scalar(self, extract, offsets=()) -> mpf:
@@ -414,25 +416,46 @@ def verify_toda(n: int, grid: StencilGrid):
     return out
 
 
+def riccati_checks(n: int, grid: StencilGrid, tag="") -> tuple:
+    """The first-order Riccati system at index n: the axis components of
+    D sum_i R_{n,i} and of D sum_i r_{n,i}, as (S checks, r checks) with
+    ids ``riccati{tag}-{S,r}-t{i}``.  Written for m = 3; at m = 2 rho,
+    R^_n and r^_n are 0."""
+    point = grid.params
+    if point.m not in (2, 3):
+        raise DomainError("the Riccati system is written for m = 2 and 3 only")
+    t1 = to_mpf(point.t1)
+    tau = to_mpf(point.tau)
+    rho = rho_of(point)
+    alpha = to_mpf(point.alpha)
+    row = grid.bundle().row(n)
+    (R, Rs, Rh), (r, rs, rh) = pad3(row.R), pad3(row.r)
+    K = (rs / R - r * Rs / R ** 2) * (rs - (r - t1) * Rs / R)
+    xi = (
+        K * (rho * Rs / tau - R) / tau
+        + 2 * r * (t1 - r) * Rs * Rh / (tau * R ** 2)
+        + (2 * r - t1) / (tau * R) * (rh * Rs + Rh * rs)
+        - 2 * rh * rs / tau
+        + (2 * n + alpha) * r - n * t1
+    )
+    big = 2 * n + 1 + alpha + R + Rs + Rh
+    # axis_checks stops at the m-th entry
+    rhs_S = (2 * r + big * R - t1,
+             2 * rs + big * Rs - tau * R,
+             2 * rh + big * Rh - rho * Rs)
+    rhs_r = (xi + r + 2 * r * (r - t1) / R,
+             Rs / R * xi + rs + rs * (2 * r - t1) / R,
+             Rh / R * xi + rh + rh * (2 * r - t1) / R + rho * K / tau)
+    return (axis_checks(n, grid, f"riccati{tag}-S-t{{}}", lambda v: v.row(n).Rsum, rhs_S),
+            axis_checks(n, grid, f"riccati{tag}-r-t{{}}", lambda v: v.row(n).rsum, rhs_r))
+
+
 def verify_riccati(n: int, grid: StencilGrid):
     """The four first-order Riccati-like equations of m = 2: the axis
     components of D S_n (S_n = R_n + R_n*) and of D (r_n + r_n*)."""
-    point = grid.params
     with mp.workdps(grid.prec.work_dps):
-        t1 = to_mpf(point.t1)
-        tau = to_mpf(point.tau)
-        alpha = to_mpf(point.alpha)
-        a = grid.bundle().row(n)
-        (R, Rs), (r, rs) = a.R, a.r
-        big = 2 * n + 1 + alpha + R + Rs
-        theta = ((Rs / R * r - rs) * (Rs / R * (t1 - r) + rs) / tau
-                 + (2 * n + alpha) * r - n * t1)
-        out = axis_checks(n, grid, "riccati-S-t{}", lambda v: v.row(n).Rsum,
-                          (2 * r + big * R - t1, 2 * rs + big * Rs - tau * R))
-        out += axis_checks(n, grid, "riccati-r-t{}", lambda v: v.row(n).rsum,
-                           (theta + r + 2 * r * (r - t1) / R,
-                            Rs / R * theta + rs + rs * (2 * r - t1) / R))
-    return out
+        ric_S, ric_r = riccati_checks(n, grid)
+    return ric_S + ric_r
 
 
 def verify_coupled_pdes(n: int, grid: StencilGrid):
@@ -598,8 +621,23 @@ def branch_aux(state: SigmaState):
 
 
 def reconstruct_aux_from_H(state: SigmaState) -> AuxRow:
-    """Invert the m = 2 sigma layer: the aux row from H_n derivative data alone."""
-    return AuxRow(R=branch_aux(state), r=state.r[:2])
+    """Invert the sigma layer: the aux row from H_n derivative data alone,
+    for m = 2 and 3.  R_n, R_n* take the branch formulas (``branch_aux``)
+    and R^_n follows from d beta_n/dt3; written for m = 3, so at m = 2
+    R^_n comes out 0 and is left off the row."""
+    point = state.params
+    if point.m not in (2, 3):
+        raise DomainError("the row is reconstructed from H_n for m = 2 and 3 only")
+    R, Rs = branch_aux(state)
+    with mp.workdps(state.prec.work_dps):
+        t1, t3 = to_mpf(point.t1), to_mpf(point.t3)
+        tau, rho = to_mpf(point.tau), rho_of(point)
+        r, rs, rh = pad3(state.r)
+        denom = r * (r - t1) / R + state.beta * R
+        Rh = (rh * (2 * r - t1)
+              + (rho / tau) * (rs - r * Rs / R) * (rs + (t1 - r) * Rs / R)
+              - 3 * t3 * pad3(state.dbeta)[2] * R) / denom
+    return AuxRow(R=(R, Rs, Rh)[:point.m], r=state.r)
 
 
 def sigma_pde_residual(state: SigmaState):

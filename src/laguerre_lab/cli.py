@@ -93,8 +93,9 @@ def reports_document(reports, timestamp=None) -> dict:
 
 
 def emit_table(obj, fmt: str, path: str):
-    """Serialize a report set, one report, a recurrence table, or a
-    scaling sweep; decimal strings only, stable key order."""
+    """Serialize a recurrence table or a scaling sweep in fmt, or a report
+    set or one report as CSV (report JSON is ``reports_document``, written
+    by ``main``); decimal strings only, stable key order."""
     from .orthopoly import RecurrenceTable
     from .scaling import ScaledSequences
 
@@ -105,20 +106,15 @@ def emit_table(obj, fmt: str, path: str):
         _emit_sweep(obj, fmt, path)
         return
     reports = obj if isinstance(obj, list) else [obj]
-    if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(reports_document(reports), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            first = True
-            for rep in reports:
-                for row in rep.csv_rows():
-                    if row[0] == "suite" and not first:
-                        continue
-                    writer.writerow(row)
-                    first = False
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        first = True
+        for rep in reports:
+            for row in rep.csv_rows():
+                if row[0] == "suite" and not first:
+                    continue
+                writer.writerow(row)
+                first = False
 
 
 def _emit_recurrence(tab, fmt: str, path: str):

@@ -159,14 +159,15 @@ def _density_bracket(coeffs, x) -> mpf:
     return c1 / x + c2 / x ** 2 + c3 / x ** 3
 
 
-def _theta_trapezoid(g, prec: PrecisionContext, min_doublings=4) -> list:
+def _theta_trapezoid(g, prec: PrecisionContext) -> list:
     """int_0^pi g_i(theta) dtheta for g(theta) = (g_1(theta), g_2(theta), ...)
     by trapezoid doubling (spectral for the even periodic extensions
     produced by the cosine substitution).
 
     The integrands share the nodes and whatever g computes once per node.
     Each keeps its own sums and convergence test and stops at the level
-    where a lone pass would, so its value is bit-identical to that pass.
+    where a lone pass would, so its value is bit-identical to that pass;
+    none stops before the fifth doubling (256 intervals).
     """
     with mp.workdps(prec.work_dps):
         tol = to_mpf(prec.quad_tol)
@@ -181,7 +182,7 @@ def _theta_trapezoid(g, prec: PrecisionContext, min_doublings=4) -> list:
                 new_total = total[i] / 2 + mp.pi / (2 * N) * mp.fsum(mids[i])
                 done = abs(new_total - total[i]) <= tol * (abs(new_total) + 1)
                 total[i] = new_total
-                if not (done and level >= min_doublings):
+                if not (done and level >= 4):
                     running.append(i)
             live, N = running, 2 * N
             if not live:

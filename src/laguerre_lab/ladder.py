@@ -13,8 +13,9 @@ integral definition of A_n as their oracle, pointwise residuals of the
 lowering/raising operators and of the compatibility conditions
 S1/S2/S2', alpha_n from the row, the sum rules, and the difference
 system iterated in n from the integral route's row 0.  The r-advance of
-that system is the S1 family for every m; solving for R and assembling
-beta_n from the row are closed forms per m (m = 2 and m = 3).
+that system is the S1 family for every m.  Solving for R and assembling
+beta_n from the row are closed forms written once, for m = 3; m = 2
+runs them with rho = 3 t3/(2 t2), R^_n and r^_n set to 0 (``pad3``).
 
 Route naming used throughout tests and suites:
   integral  -- the row from weighted moment sums of P_n^2, P_n P_{n-1}
@@ -187,9 +188,21 @@ def alpha_from_aux(row: AuxRow, n: int, alpha) -> mpf:
     return sum(row.R, 2 * n + 1 + to_mpf(alpha))
 
 
+def rho_of(params: WeightParams) -> mpf:
+    """rho = 3 t3 / (2 t2): 0 at m = 2, where t3 = 0."""
+    return to_mpf(Fraction(3, 2) * params.t3 / params.t2)
+
+
+def pad3(values) -> tuple:
+    """values padded with zeros to three components: the m = 3 closed
+    forms read an m = 2 row as one with R^_n = r^_n = 0."""
+    return tuple(values) + (mpf(0),) * (3 - len(values))
+
+
 def beta_from_aux(row: AuxRow, n: int, params: WeightParams,
                   prec: PrecisionContext) -> mpf:
-    """beta_n assembled from the row alone: a closed form for m = 2 and m = 3."""
+    """beta_n assembled from the row alone: the m = 3 closed form, which
+    at m = 2 (rho = R^_n = r^_n = 0) is the m = 2 one."""
     if params.m not in (2, 3):
         raise DomainError("beta_n from the aux row has closed forms for m = 2 and 3 only")
     with mp.workdps(prec.work_dps):
@@ -197,17 +210,10 @@ def beta_from_aux(row: AuxRow, n: int, params: WeightParams,
             raise SingularAux(f"|R_{n}| below 10^-P/2")
         t1 = to_mpf(params.t1)
         tau = to_mpf(params.tau)
-        R, Rs, r, rs = row.R[0], row.R[1], row.r[0], row.r[1]
-        T = Rs / R
-        if params.m == 2:
-            return (
-                (rs - r * T) * (rs + (t1 - r) * T) / (tau * R)
-                + r * (t1 - r) / R ** 2
-                + (n * t1 - (2 * n + params.alpha) * r) / R
-            )
-        rho = to_mpf(params.rho)
+        rho = rho_of(params)
         alpha = to_mpf(params.alpha)
-        Rh, rh = row.R[2], row.r[2]
+        (R, Rs, Rh), (r, rs, rh) = pad3(row.R), pad3(row.r)
+        T = Rs / R
         return (
             (1 - rho * Rs / (tau * R)) * (rs - r * T) * (rs + (t1 - r) * T) / (tau * R)
             + 2 * rh * rs / (tau * R)
@@ -224,32 +230,18 @@ def _bracket(value, thresh, n, equation):
     return value
 
 
-def _R_step_2(n, r_row, prev, params, thresh):
-    """(R_n, R_n*) from r_n, r_n* and the row at n-1 (m = 2)."""
-    t1 = to_mpf(params.t1)
-    alpha = to_mpf(params.alpha)
-    tau = to_mpf(params.tau)
-    r, rs = r_row
-    Rm, Rms = prev.R
-    bracket3 = _bracket(
-        (rs ** 2 / tau - (2 * n + alpha) * r + n * t1) * Rm ** 2
-        + r * (t1 - r) * Rm
-        + (rs * (t1 - 2 * r) * Rm + r * (r - t1) * Rms) * Rms / tau,
-        thresh, n, "R-step")
-    R = r * (r - t1) * Rm ** 2 / bracket3
-    bracket4 = _bracket(r * (r - t1) * Rm, thresh, n, "Rstar-step")
-    Rs = (rs * (2 * r - t1) * Rm + r * (t1 - r) * Rms) * R / bracket4
-    return R, Rs
+def _R_step(n, r_row, prev, params, thresh):
+    """(R_{n,1}, ..., R_{n,m}) from the r-row at n and the row at n-1.
 
-
-def _R_step_3(n, r_row, prev, params, thresh):
-    """(R_n, R_n*, R^_n) from the r-triple and the row at n-1 (m = 3)."""
+    The m = 3 solve; at m = 2 it runs with rho, r^_n and R^_{n-1} set
+    to 0, and the R^ solve is left out.
+    """
     t1, t2 = to_mpf(params.t1), to_mpf(params.t2)
     alpha = to_mpf(params.alpha)
     tau = to_mpf(params.tau)
-    rho = to_mpf(params.rho)
-    r, rs, rh = r_row
-    Rm, Rms, Rmh = prev.R
+    rho = rho_of(params)
+    r, rs, rh = pad3(r_row)
+    Rm, Rms, Rmh = pad3(prev.R)
     br5 = _bracket(
         (rs * Rm - r * Rms) * (rs * Rm - (r - t1) * Rms) * (rho / tau * Rms - Rm)
         + (2 * r - t1) * (rh * Rms + rs * Rmh) * Rm ** 2
@@ -259,15 +251,14 @@ def _R_step_3(n, r_row, prev, params, thresh):
     R = tau * r * (t1 - r) * Rm ** 3 / br5
     br6 = _bracket(r * (r - t1) * Rm, thresh, n, "Rstar-step")
     Rs = (rs * (2 * r - t1) * Rm + r * (t1 - r) * Rms) * R / br6
-    br4 = _bracket(tau * r * (r - t1) * Rm ** 2, thresh, n, "Rhat-step")
-    Rh = R * (
-        rho * (rs * Rm - r * Rms) * (rs * Rm + (t1 - r) * Rms)
-        + tau * Rm * (r * (t1 - r) * Rmh + (2 * r - t1) * rh * Rm)
-    ) / br4
-    return R, Rs, Rh
-
-
-_R_STEPS = {2: _R_step_2, 3: _R_step_3}
+    out = (R, Rs)
+    if params.m == 3:
+        br4 = _bracket(tau * r * (r - t1) * Rm ** 2, thresh, n, "Rhat-step")
+        out += (R * (
+            rho * (rs * Rm - r * Rms) * (rs * Rm + (t1 - r) * Rms)
+            + tau * Rm * (r * (t1 - r) * Rmh + (2 * r - t1) * rh * Rm)
+        ) / br4,)
+    return out
 
 
 def iterate_difference_system(table: RecurrenceTable, N: int,
@@ -283,12 +274,12 @@ def iterate_difference_system(table: RecurrenceTable, N: int,
 
     with alpha_{n-1} from the row at n-1.  The remaining difference
     equations are then linear in R_{n,1}, R_{n,2}, ... in turn; that
-    solve is a closed form per m (m = 2 and m = 3).  The steps run at
-    prec, which may lie below the table's own precision.
+    solve is the m = 3 closed form, run at m = 2 with the third
+    components 0 (``_R_step``).  The steps run at prec, which may lie
+    below the table's own precision.
     """
     params = table.params
-    step = _R_STEPS.get(params.m)
-    if step is None or not params.is_deformed:
+    if params.m not in (2, 3) or not params.is_deformed:
         raise DomainError("the difference system is solved for m = 2 and m = 3 only")
     out = [aux_integrals(table, 0)]
     with mp.workdps(prec.work_dps):
@@ -302,7 +293,7 @@ def iterate_difference_system(table: RecurrenceTable, N: int,
             r = [t1 - prev.r[0] - a_prev * prev.R[0]]
             for j, c in enumerate(coeffs, start=1):
                 r.append(c * prev.R[j - 1] - prev.r[j] - a_prev * prev.R[j])
-            out.append(AuxRow(R=step(n, r, prev, params, thresh), r=tuple(r)))
+            out.append(AuxRow(R=_R_step(n, r, prev, params, thresh), r=tuple(r)))
     return out
 
 

@@ -5,8 +5,9 @@ recurrence coefficients live in ``ladder`` for every m; for m = 3 the
 row is (R, R*, R^; r, r*, r^).  Checked here for m = 3: alpha_n and
 beta_n from the row, the six derivative relations and the Toda family
 (written once for any m in ``calculus``), the six-equation Riccati
-system, and the reconstruction of the whole row from the H_n derivative
-data of ``calculus.hankel_sigma`` (the same assembly as m = 2), which
+system and the reconstruction of the whole row from H_n derivative data
+(closed forms written once, for m = 3, in ``calculus``, where m = 2
+runs them with rho, R^_n and r^_n set to 0); the reconstruction
 numerically certifies the pipeline behind the (unwritten) m = 3 PDE.
 Each check takes (n, grid) and reads its point and precision from the
 grid.
@@ -24,9 +25,10 @@ from .calculus import (
     StencilGrid,
     _label,
     axis_checks,
-    branch_aux,
     derivative_relations,
     hankel_sigma,
+    reconstruct_aux_from_H,
+    riccati_checks,
     table_bundle_builder,
     toda_checks,
 )
@@ -56,8 +58,6 @@ def verify_identities_3(n: int, grid: StencilGrid):
     out = []
     ps = _label(grid, n)
     with mp.workdps(prec.work_dps):
-        t1 = to_mpf(point.t1)
-        tau, rho = to_mpf(point.tau), to_mpf(point.rho)
         alpha = to_mpf(point.alpha)
         b = grid.bundle()
         tab = b.table
@@ -76,37 +76,16 @@ def verify_identities_3(n: int, grid: StencilGrid):
             out.extend(pair)
         out.extend(toda_checks(n, grid, "-3"))
 
-        # Riccati system
-        (R, Rs, Rh), (r, rs, rh) = row.R, row.r
-        kappa = (rho / tau) * (rs / R - r * Rs / R ** 2) * (rs - (r - t1) * Rs / R)
-        xi = (
-            kappa * (Rs / tau - R / rho)
-            + 2 * r * (t1 - r) * Rs * Rh / (tau * R ** 2)
-            + (2 * r - t1) / (tau * R) * (rh * Rs + Rh * rs)
-            - 2 * rh * rs / tau
-            + (2 * n + alpha) * r - n * t1
-        )
-        big = 2 * n + 1 + alpha + R + Rs + Rh
-        rhs_R = (2 * r + big * R - t1,
-                 2 * rs + big * Rs - tau * R,
-                 2 * rh + big * Rh - rho * Rs)
-        rhs_r = (xi + r + 2 * r * (r - t1) / R,
-                 Rs / R * xi + rs + rs * (2 * r - t1) / R,
-                 Rh / R * xi + rh + rh * (2 * r - t1) / R + kappa)
-        ric_S = axis_checks(n, grid, "riccati-3-S-t{}", lambda v: v.row(n).Rsum, rhs_R)
-        ric_r = axis_checks(n, grid, "riccati-3-r-t{}", lambda v: v.row(n).rsum, rhs_r)
-        for pair in zip(ric_S, ric_r):
+        for pair in zip(*riccati_checks(n, grid, "-3")):
             out.extend(pair)
     return out
 
 
 def h3_reconstruction(n: int, grid: StencilGrid):
     """Reconstruct the whole m = 3 row from H_n derivative data
-    (``calculus.hankel_sigma``) and compare with the integral route;
-    certifies the substitution pipeline that would produce the
-    (undisplayed) m = 3 PDE for H_n.  R and R* take the m = 2 branch
-    formulas (``calculus.branch_aux``); R^ follows from
-    d beta_n/dt3."""
+    (``calculus.reconstruct_aux_from_H``, the same inversion as m = 2)
+    and compare with the integral route; certifies the substitution
+    pipeline that would produce the (undisplayed) m = 3 PDE for H_n."""
     point, prec = grid.params, grid.prec
     if point.m != 3:
         raise DomainError("need m = 3")
@@ -114,22 +93,13 @@ def h3_reconstruction(n: int, grid: StencilGrid):
     out = []
     ps = _label(grid, n)
     with mp.workdps(prec.work_dps):
-        t1, t3 = to_mpf(point.t1), to_mpf(point.t3)
-        tau, rho = to_mpf(point.tau), to_mpf(point.rho)
-        beta = state.beta
-        r, rs, rh = state.r
-        R, Rs = branch_aux(state)
-        denom = r * (r - t1) / R + beta * R
-        Rh = (rh * (2 * r - t1)
-              + (rho / tau) * (rs - r * Rs / R) * (rs + (t1 - r) * Rs / R)
-              - 3 * t3 * state.dbeta[2] * R) / denom
-
+        rec = reconstruct_aux_from_H(state)
         want = grid.bundle().row(n)
         tol = 10 * (state.fd_error + to_mpf(prec.half_eps))
         for cid, got, exact in zip(
                 ("h3-reconstruct-R", "h3-reconstruct-Rstar", "h3-reconstruct-Rhat",
                  "h3-reconstruct-r", "h3-reconstruct-rstar", "h3-reconstruct-rhat"),
-                (R, Rs, Rh) + state.r, want.R + want.r):
+                rec.R + rec.r, want.R + want.r):
             out.append(Check(cid, abs(got - exact), tol, ps))
     return out
 

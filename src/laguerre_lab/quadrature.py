@@ -9,10 +9,10 @@ around as an independent route for invariance checks.
 
 Table moments come from quadrature only for the m + 1 seeds k = -m..0;
 the rest follow from the exact Pearson recurrence of the semi-classical
-weight (``table_moments``).  Near a point whose seeds are known, a
-``SeedAnchor`` gets a node's seeds without quadrature, by the exact
-parameter Taylor series d mu_k / d t_i = -mu_{k-i} (``shift_seeds``),
-and falls back to quadrature where the shift's error bound is too wide.
+weight (``table_moments``).  Near a point whose seeds are known, a node's
+seeds come without quadrature from the exact parameter Taylor series
+d mu_k / d t_i = -mu_{k-i} (``shift_seeds``), with quadrature as the
+fallback where the shift's error bound is too wide.
 Seeds are integrated once per point and precision in a process
 (``seed_moments``), so grids and tables that share a centre share its
 sweep.
@@ -56,7 +56,8 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
     where a lone pass of its own would stop, so its sum is bit-identical
     to that lone pass.  Convergence: successive levels agree to quad_tol
     relative to max(|total|, quad_tol-scaled L1 mass).  Returns the
-    converged sums in integrand order.
+    converged sums in integrand order.  A sample that is not finite, or
+    that divides by zero, raises NonConvergence.
     """
     trunc = mpf(10) ** (-(prec.digits + _TRUNC_EXTRA))
     h = mpf(1)
@@ -67,7 +68,11 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
         acc = {}
         u = start
         for _ in range(2_000_000):
-            terms = g(u, live)
+            try:
+                terms = g(u, live)
+            except ZeroDivisionError as exc:
+                raise NonConvergence(
+                    f"{what}: integrand sample at u = {u} divides by zero") from exc
             running = []
             for i, term in zip(range(len(terms)) if live is None else live, terms):
                 a = abs(term)
@@ -394,28 +399,6 @@ def shift_seeds(centre: WeightParams, seeds: dict, node: WeightParams,
         return out
 
 
-class SeedAnchor:
-    """A centre point whose seed moments serve the nodes around it.
-
-    The centre's seeds come from ``seed_moments``, so they are integrated
-    once per precision in a process, however many grids or tables share
-    the point.  ``seeds_at`` hands them out as they are at the centre and
-    shifted by ``shift_seeds`` at any other point, or None there when the
-    shift is not accurate enough (that node is integrated).
-    """
-
-    def __init__(self, point: WeightParams):
-        self.point = point
-
-    def seeds(self, prec: PrecisionContext) -> dict:
-        return seed_moments(self.point, prec)
-
-    def seeds_at(self, params: WeightParams, prec: PrecisionContext):
-        if params == self.point:
-            return self.seeds(prec)
-        return shift_seeds(self.point, self.seeds(prec), params, prec)
-
-
 def moment(k: int, params: WeightParams, prec: PrecisionContext) -> mpf:
     """mu_k = int_0^inf x^(alpha+k) w(x) dx at full precision."""
     return moments(params, k, k, prec)[k]
@@ -425,7 +408,11 @@ def integrate_finite(panels, prec: PrecisionContext, what="integrate_finite") ->
     """Tanh-sinh integrals of f over [a, b] for each panel (f, a, b), in one pass.
 
     Handles integrable endpoint singularities (log, inverse square
-    root); used by the equilibrium-measure checks.  The panels share the
+    root) at full accuracy only at an endpoint at 0: the distance to the
+    near endpoint keeps its relative accuracy, but x = b - dist (or
+    a + dist with a != 0) rounds to the endpoint once dist is below its
+    ulp, and a sample there that divides by zero raises NonConvergence.
+    Used by the equilibrium-measure checks.  The panels share the
     nodes t and every factor that does not depend on the interval (sinh t,
     e^{-2|w|}, cosh t, cosh^2 w; the half-width scales them), and each
     result is bit-identical to a pass of its panel alone.

@@ -101,8 +101,9 @@ def _neville_at_zero(ns, vals):
     return P[(L, L)], err
 
 
-def digits_for_scaling(n: int, base: int = 50) -> int:
-    return max(base, 20 + 4 * n)
+def digits_for_scaling(n: int) -> int:
+    """Table digits at scaling index n: 20 + 4n, at least the 50-digit floor."""
+    return max(50, 20 + 4 * n)
 
 
 def scaled_sequences(s1, s2, n_list, prec: PrecisionContext,
@@ -127,7 +128,7 @@ def scaled_sequences(s1, s2, n_list, prec: PrecisionContext,
     for n in n_list:
         pt = ScalingPoint(n, s1, s2)
         params = pt.params(alpha)
-        prec_n = prec.scaled(digits_for_scaling(n, base=min(prec.digits, 50)))
+        prec_n = prec.scaled(digits_for_scaling(n))
         tab = cached_recurrence_table(params, n, prec_n, cache_dir=cache_dir)
         with mp.workdps(prec_n.work_dps):
             a = aux_integrals(tab, n)

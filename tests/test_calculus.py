@@ -99,8 +99,14 @@ def test_toda(grid):
         ca.verify_toda(0, grid)
 
 
-def test_riccati(grid):
-    for c in ca.verify_riccati(2, grid):
+@pytest.mark.parametrize("point", ["default", "neg-t1"])
+def test_riccati(point, grid, params_neg_t1, prec, stencil):
+    if point == "neg-t1":
+        grid = ca.StencilGrid(params_neg_t1, prec, stencil, ca.table_bundle_builder(3, prec))
+    checks = ca.verify_riccati(2, grid)
+    assert [c.id for c in checks] == ["riccati-S-t1", "riccati-S-t2",
+                                      "riccati-r-t1", "riccati-r-t2"]
+    for c in checks:
         assert c.ok, c.id
         assert c.residual < mpf(10) ** -12
 

@@ -1,9 +1,11 @@
 import pytest
 from mpmath import mp, mpf
 
-from laguerre_lab.errors import DegenerateInput, DomainError, SingularAux
+from laguerre_lab import calculus as ca
+from laguerre_lab.errors import DegenerateBracket, DegenerateInput, DomainError, SingularAux
 from laguerre_lab.ladder import (
     AuxRow,
+    _R_step,
     alpha_from_aux,
     aux_integrals,
     beta_from_aux,
@@ -55,14 +57,21 @@ def test_aux_signs(aux12, aux12_neg):
 
 
 def test_closed_forms_stop_at_m3(prec60):
-    # beta_n from the row and the R-solve of the difference system are
-    # closed forms for m = 2 and m = 3 only
+    # beta_n from the row, the R-solve of the difference system, the
+    # Riccati system and the row from H_n are closed forms for m = 2 and 3 only
     p4 = WeightParams("0.5", ("0.3", "0.2", "0.1", "0.05"))
     row = AuxRow(R=(mpf("0.1"),) * 4, r=(mpf("0.1"),) * 4)
     with pytest.raises(DomainError):
         beta_from_aux(row, 2, p4, prec60)
     with pytest.raises(DomainError):
         iterate_difference_system(recurrence_table(p4, 0, prec60), 2, prec60)
+    grid = ca.StencilGrid(p4, prec60, ca.DerivativeStencil(), lambda p, anchor: None)
+    with pytest.raises(DomainError):
+        ca.riccati_checks(2, grid)
+    state = ca.SigmaState(n=2, params=p4, prec=prec60, Hn=mpf(0), dH=(), d2H={}, r=row.r,
+                          beta=mpf(1), dbeta=row.R, Delta=mpf(1), fd_error=mpf(0))
+    with pytest.raises(DomainError):
+        ca.reconstruct_aux_from_H(state)
 
 
 def test_triple_representation_agreement(params_default, table12, aux12, prec120):
@@ -166,6 +175,18 @@ def test_t2_to_zero_star_ratio():
         for a, b in zip(vals[0], vals[1]):
             assert abs(a - b) <= mpf("0.01") * max(abs(a), abs(b))
         assert vals[1][0] > 0
+
+
+@pytest.mark.parametrize("tvec", [("0.3", "0.2"), ("0.3", "0.2", "0.1")], ids=["m2", "m3"])
+def test_vanishing_bracket_names_its_equation(tvec, prec60):
+    # r_n = t1 zeroes the coefficient r_n (r_n - t1) R_{n-1} of the R* solve
+    params = WeightParams("0.5", tvec)
+    prev = aux_integrals(recurrence_table(params, 2, prec60), 1)
+    with mp.workdps(prec60.work_dps):
+        r_row = (to_mpf(params.t1),) + prev.r[1:]
+        with pytest.raises(DegenerateBracket, match="Rstar-step") as info:
+            _R_step(2, r_row, prev, params, to_mpf(prec60.half_eps))
+    assert (info.value.equation, info.value.index) == ("Rstar-step", 2)
 
 
 def test_singular_aux_guard(params_default, prec120):

@@ -130,6 +130,13 @@ def test_finite_interval_log_singularity():
         assert abs(w - 2) < mpf(10) ** -55
 
 
+def test_singular_sample_at_a_nonzero_endpoint_raises_nonconvergence():
+    # near b = 3 the node b - dist rounds to b, where 1/sqrt(3 - x) divides
+    # by zero: a numerical breakdown (exit 3), not a bare ZeroDivisionError
+    with pytest.raises(NonConvergence, match="divides by zero"):
+        integrate_finite([(lambda x: 1 / mp.sqrt(3 - x), 1, 3)], PrecisionContext(digits=60))
+
+
 def test_level_cap_raises():
     # a pole very close to the real axis defeats the level cap
     prec = PrecisionContext(digits=60, quad_max_level=8)

@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 from laguerre_lab import calculus as ca
 from laguerre_lab.cache import cached_recurrence_table, clear_memo, table_key
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
-from laguerre_lab.quadrature import SeedAnchor, seed_moments, shift_seeds
+from laguerre_lab.quadrature import seed_moments, shift_seeds
 from laguerre_lab.suites import _LCG_SEED, _lcg_uniform
 
 P120 = PrecisionContext(digits=120)
@@ -87,11 +87,15 @@ def test_shifted_seeds_match_quadrature(point, prec, stencil, axes):
                 assert abs(shifted[k] - v) <= tol * abs(v), (node, k)
 
 
-def test_anchor_hands_out_its_own_seeds_at_the_centre():
+def test_anchor_hands_out_its_own_seeds_at_the_centre(tmp_path):
+    # at its own anchor a table is the plain one: same key, same stored bits
     point = WeightParams("1/2", ("3/10", "1/5"))
-    anchor = SeedAnchor(point)
-    assert anchor.seeds_at(point, P60) is anchor.seeds(P60)
-    assert anchor.seeds(P60) == seed_moments(point, P60)
+    name = f"table-{table_key(point, 3, P60)}.json"
+    clear_memo()
+    cached_recurrence_table(point, 3, P60, cache_dir=tmp_path / "anchored", anchor=point)
+    clear_memo()
+    cached_recurrence_table(point, 3, P60, cache_dir=tmp_path / "plain")
+    assert (tmp_path / "anchored" / name).read_text() == (tmp_path / "plain" / name).read_text()
 
 
 def test_rejected_shift_falls_back_to_quadrature(tmp_path):
@@ -126,7 +130,7 @@ def test_node_key_and_document_cover_the_anchor(tmp_path):
     doc["anchor"]["t"] = ["3/10", "1/4"]
     path.write_text(json.dumps(doc))
     clear_memo()
-    again = cached_recurrence_table(node, 3, P60, cache_dir=tmp_path, anchor=SeedAnchor(centre))
+    again = cached_recurrence_table(node, 3, P60, cache_dir=tmp_path, anchor=centre)
     assert (again.h, again.coeffs, again.moments) == (good.h, good.coeffs, good.moments)
     assert path.read_text() == text
     # a centre's key and document have no anchor in them
