@@ -17,13 +17,13 @@ from laguerre_lab.orthopoly import recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--alpha", default="0.5")
     ap.add_argument("--t", default="0.3,0.2")
     ap.add_argument("--n-max", type=int, default=10)
     ap.add_argument("--digits", type=int, default=120)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     params = WeightParams(args.alpha, [v.strip() for v in args.t.split(",")])
     if params.m not in (2, 3):

@@ -21,7 +21,7 @@ from laguerre_lab.params import PrecisionContext, WeightParams
 from laguerre_lab.reports import render
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=10)
     ap.add_argument("--alpha", default="1")
@@ -30,14 +30,14 @@ def main():
     ap.add_argument("--digits", type=int, default=80)
     ap.add_argument("--points", type=int, default=200)
     ap.add_argument("--profile", default=None, help="CSV output path")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     params = WeightParams(args.alpha, (args.t1, args.t2))
     prec = PrecisionContext(digits=args.digits)
     sol = solve_support(args.n, params, prec=prec)
     with mp.workdps(prec.work_dps):
         norm_res = abs(density_normalization(sol) - args.n)
-        x9, x5 = solve_X_equations(args.n, params, prec)
+        x9, x5 = solve_X_equations(sol)
         doc = {
             "a": render(sol.a), "b": render(sol.b), "A": render(sol.A),
             "X": render(sol.X), "Y": render(sol.Y),

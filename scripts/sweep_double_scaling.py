@@ -14,13 +14,13 @@ from pathlib import Path
 
 from mpmath import mp
 
-from laguerre_lab.cli import emit_table
+from laguerre_lab.cli import write_sweep
 from laguerre_lab.params import PrecisionContext
 from laguerre_lab.reports import render
 from laguerre_lab.scaling import convergence_slope, scaled_sequences
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", default="0.5,1,2",
                     help="comma list of values; the sweep runs the tensor "
@@ -29,7 +29,7 @@ def main():
     ap.add_argument("--alpha", default="0.5")
     ap.add_argument("--digits", type=int, default=60)
     ap.add_argument("--out-dir", default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     vals = [v.strip() for v in args.grid.split(",") if v.strip()]
     n_list = tuple(int(v) for v in args.n_list.split(","))
@@ -45,12 +45,11 @@ def main():
         seqs = scaled_sequences(s1, s2, n_list, prec, alpha=args.alpha)
         with mp.workdps(30):
             slope = convergence_slope(seqs)
-            print(f"{s1:>6} {s2:>6} {render(seqs.R)[:14]:>14} "
-                  f"{render(seqs.Rstar)[:14]:>14} {render(seqs.H)[:14]:>14} "
-                  f"{mp.nstr(slope, 4):>8}")
+            cells = " ".join(f"{render(seqs[q].limit)[:14]:>14}" for q in ("R", "Rstar", "H"))
+            print(f"{s1:>6} {s2:>6} {cells} {mp.nstr(slope, 4):>8}")
         if out_dir:
             stem = out_dir / f"sweep_s1={s1}_s2={s2}"
-            emit_table(seqs, "csv", str(stem) + ".csv")
+            write_sweep(seqs, str(stem) + ".csv")
     if out_dir:
         meta = {"grid": vals, "n_list": list(n_list), "alpha": args.alpha,
                 "digits": args.digits}

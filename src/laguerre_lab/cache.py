@@ -29,7 +29,7 @@ from pathlib import Path
 from mpmath import mp, mpf
 
 from .errors import ConfigError
-from .orthopoly import RecurrenceTable, recurrence_table
+from .orthopoly import RecurrenceTable, recurrence_table, table_precision
 from .params import PrecisionContext, WeightParams
 from .quadrature import clear_seed_memo, seed_moments, shift_seeds
 
@@ -150,10 +150,7 @@ def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext
     where the shift is rejected.  At the anchor itself the table is the
     plain one: its seeds are the anchor's own.
     """
-    from .orthopoly import digits_for
-
-    if prec.digits < digits_for(N):
-        prec = prec.scaled(digits_for(N))
+    prec = table_precision(prec, N)
     origin = None if anchor is None or anchor == params else anchor
     key = table_key(params, N, prec, origin)
     if key in _memo:
@@ -164,7 +161,7 @@ def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext
     if table is None:
         seeds = None if origin is None else shift_seeds(
             origin, seed_moments(origin, prec), params, prec)
-        tab = recurrence_table(params, N, prec, auto_digits=False, seeds=seeds)
+        tab = recurrence_table(params, N, prec, seeds=seeds)
         doc = _serialize_table(tab, origin)
         _write_entry(root, path, doc)
         table = _deserialize_table(doc, params, prec)

@@ -1,9 +1,11 @@
 """Finite-difference calculus in (t1, t2) and the differential identity checks.
 
 Derivatives of table/auxiliary quantities are central differences on a
-dyadic stencil with Richardson extrapolation; every stencil node is a
-recurrence table at an exactly-rational shifted parameter point,
-memoized per grid.  Only the grid's centre is integrated: its seed
+dyadic stencil with Richardson extrapolation.  Each difference formula
+is written once, as a table of taps (``FIRST``, ``SECOND``, ``CROSS``),
+and the s-grid of ``scaling`` reads the same tables.  Every stencil
+node is a recurrence table at an exactly-rational shifted parameter
+point, memoized per grid.  Only the grid's centre is integrated: its seed
 moments (the grid's anchor) are shifted to each node by the exact
 parameter Taylor series, and a node is integrated only where that
 shift's error bound is too wide (``quadrature.shift_seeds``); the
@@ -47,7 +49,7 @@ from .errors import (
     NegativeDiscriminant,
     StencilOutOfDomain,
 )
-from .ladder import AuxRow, aux_integrals, pad3, rho_of
+from .ladder import AuxRow, aux_integrals, pad3
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
 from .quadrature import shift_seeds
 from .reports import Check
@@ -104,6 +106,61 @@ def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
             cached_recurrence_table(params, N, prec, cache_dir=cache_dir, anchor=anchor))
 
     return build
+
+
+@dataclass(frozen=True)
+class Difference:
+    """A central difference sum_j w_j f(x + o_j h) / (c h_1^k_1 ...).
+
+    taps    -- (o_j, w_j): the offsets in steps, one per axis varied, and
+               the weight
+    c       -- the denominator factor
+    powers  -- the power k_i of each axis step in the denominator
+    order   -- p of the leading error term h^p
+    """
+
+    taps: tuple
+    c: int
+    powers: tuple
+    order: int
+
+    def denominator(self, steps, c=None):
+        """c h_1^k_1 h_2^k_2 ..., multiplied left to right; c is the
+        table's own unless given."""
+        den = self.c if c is None else c
+        for h, k in zip(steps, self.powers):
+            for _ in range(k):
+                den = den * h
+        return den
+
+    def quotient(self, value, steps):
+        """The difference of value(offsets) at the signed steps.
+
+        Terms are added in tap order as +-|w| value, so each quotient has
+        the bits of the formula written out by hand.
+        """
+        total = None
+        for offsets, w in self.taps:
+            term = value(offsets) if abs(w) == 1 else abs(w) * value(offsets)
+            if total is None:
+                total = term if w > 0 else -term
+            else:
+                total = total + term if w > 0 else total - term
+        return total / self.denominator(steps)
+
+
+#: first and second differences along one axis, by accuracy order
+FIRST = {
+    2: Difference((((1,), 1), ((-1,), -1)), 2, (1,), 2),
+    4: Difference((((2,), -1), ((1,), 8), ((-1,), -8), ((-2,), 1)), 12, (1,), 4),
+}
+SECOND = {
+    2: Difference((((1,), 1), ((0,), -2), ((-1,), 1)), 1, (2,), 2),
+    4: Difference((((2,), -1), ((1,), 16), ((0,), -30), ((-1,), 16), ((-2,), -1)),
+                  12, (2,), 4),
+}
+#: the 4-corner cross difference in two axes
+CROSS = Difference((((1, 1), 1), ((1, -1), -1), ((-1, 1), -1), ((-1, -1), 1)), 4, (1, 1), 2)
 
 
 def _richardson(seq, p):
@@ -176,83 +233,43 @@ class StencilGrid:
 
     # -- derivative estimators (inside the caller's working precision) --
 
-    def _vals(self, extract, axis, centre: bool):
-        """Values at the stencil's axis offsets, +-q and (order 4) +-2q steps
-        for q = 2^-lev, plus the centre if asked."""
-        st = self.stencil
-        js = {Fraction(0)} if centre else set()
-        for lev in range(st.richardson_levels):
-            q = Fraction(1, 2 ** lev)
-            js.update([-2 * q, -q, q, 2 * q] if st.order == 4 else [-q, q])
-        return {j: self.scalar(extract, ((axis, j),) if j else ()) for j in sorted(js)}
+    def _derivative(self, diff: Difference, extract, axes, gain):
+        """(diff of extract on the axes, error estimate).
 
-    def _noise(self, vals):
-        scale = max(abs(v) for v in vals.values())
-        return to_mpf(self.prec.eps) * (scale + 1)
+        The levels halve the steps and are Richardson-extrapolated; the
+        error is the extrapolation spread plus gain times the eps noise of
+        the values over the smallest steps.
+        """
+        n_levels = self.stencil.richardson_levels
+        hs = [to_mpf(self.step(ax)) for ax in axes]
+        vals = {}
+        levels = []
+        for lev in range(n_levels):
+            q = Fraction(1, 2 ** lev)
+
+            def at(offsets):
+                key = tuple((ax, j * q) for ax, j in zip(axes, offsets) if j)
+                if key not in vals:
+                    vals[key] = self.scalar(extract, key)
+                return vals[key]
+
+            levels.append(diff.quotient(at, [h * to_mpf(q) for h in hs]))
+        val, spread = _richardson(levels, diff.order)
+        noise = to_mpf(self.prec.eps) * (max(abs(v) for v in vals.values()) + 1)
+        smallest = diff.denominator([h / 2 ** (n_levels - 1) for h in hs], c=1)
+        return val, spread + gain * noise / smallest
 
     def first(self, extract, axis: int):
         """(d/dt_axis extract, error estimate)."""
-        st = self.stencil
-        h0 = self.step(axis)
-        vals = self._vals(extract, axis, centre=False)
-        hm = to_mpf(h0)
-        levels = []
-        for lev in range(st.richardson_levels):
-            q = Fraction(1, 2 ** lev)
-            s = hm * to_mpf(q)
-            if st.order == 2:
-                d = (vals[q] - vals[-q]) / (2 * s)
-            else:
-                d = (-vals[2 * q] + 8 * vals[q] - 8 * vals[-q] + vals[-2 * q]) / (12 * s)
-            levels.append(d)
-        val, spread = _richardson(levels, st.order)
-        err = spread + self._noise(vals) / (hm / 2 ** (st.richardson_levels - 1))
-        return val, err
+        return self._derivative(FIRST[self.stencil.order], extract, (axis,), 1)
 
     def second(self, extract, axis: int):
         """(d^2/dt_axis^2 extract, error estimate)."""
-        st = self.stencil
-        h0 = self.step(axis)
-        vals = self._vals(extract, axis, centre=True)
-        hm = to_mpf(h0)
-        levels = []
-        for lev in range(st.richardson_levels):
-            q = Fraction(1, 2 ** lev)
-            s = hm * to_mpf(q)
-            if st.order == 2:
-                d = (vals[q] - 2 * vals[Fraction(0)] + vals[-q]) / (s * s)
-            else:
-                d = (-vals[2 * q] + 16 * vals[q] - 30 * vals[Fraction(0)]
-                     + 16 * vals[-q] - vals[-2 * q]) / (12 * s * s)
-            levels.append(d)
-        val, spread = _richardson(levels, st.order)
-        smin = hm / 2 ** (st.richardson_levels - 1)
-        err = spread + 4 * self._noise(vals) / (smin * smin)
-        return val, err
+        return self._derivative(SECOND[self.stencil.order], extract, (axis,), 4)
 
     def mixed(self, extract, ax1: int, ax2: int):
         """(d^2/dt_ax1 dt_ax2 extract, error estimate); 4-point cross base."""
-        st = self.stencil
-        h1, h2 = self.step(ax1), self.step(ax2)
-        levels = []
-        scale = mpf(0)
-        for lev in range(st.richardson_levels):
-            q = Fraction(1, 2 ** lev)
-            corner = {}
-            for s1 in (q, -q):
-                for s2 in (q, -q):
-                    v = self.scalar(extract, ((ax1, s1), (ax2, s2)))
-                    corner[(s1, s2)] = v
-                    scale = max(scale, abs(v))
-            s1m, s2m = to_mpf(h1) * to_mpf(q), to_mpf(h2) * to_mpf(q)
-            d = (corner[(q, q)] - corner[(q, -q)] - corner[(-q, q)] + corner[(-q, -q)]) / (
-                4 * s1m * s2m)
-            levels.append(d)
-        val, spread = _richardson(levels, 2)
-        s1m = to_mpf(h1) / 2 ** (st.richardson_levels - 1)
-        s2m = to_mpf(h2) / 2 ** (st.richardson_levels - 1)
-        err = spread + to_mpf(self.prec.eps) * (scale + 1) / (s1m * s2m)
-        return val, err
+        return self._derivative(CROSS, extract, (ax1, ax2), 1)
 
 
 # --------------------------------------------------------------------------
@@ -426,7 +443,7 @@ def riccati_checks(n: int, grid: StencilGrid, tag="") -> tuple:
         raise DomainError("the Riccati system is written for m = 2 and 3 only")
     t1 = to_mpf(point.t1)
     tau = to_mpf(point.tau)
-    rho = rho_of(point)
+    rho = to_mpf(point.rho)
     alpha = to_mpf(point.alpha)
     row = grid.bundle().row(n)
     (R, Rs, Rh), (r, rs, rh) = pad3(row.R), pad3(row.r)
@@ -631,7 +648,7 @@ def reconstruct_aux_from_H(state: SigmaState) -> AuxRow:
     R, Rs = branch_aux(state)
     with mp.workdps(state.prec.work_dps):
         t1, t3 = to_mpf(point.t1), to_mpf(point.t3)
-        tau, rho = to_mpf(point.tau), rho_of(point)
+        tau, rho = to_mpf(point.tau), to_mpf(point.rho)
         r, rs, rh = pad3(state.r)
         denom = r * (r - t1) / R + state.beta * R
         Rh = (rh * (2 * r - t1)

@@ -92,20 +92,9 @@ def reports_document(reports, timestamp=None) -> dict:
             "metadata": {} if timestamp is None else {"timestamp": timestamp}}
 
 
-def emit_table(obj, fmt: str, path: str):
-    """Serialize a recurrence table or a scaling sweep in fmt, or a report
-    set or one report as CSV (report JSON is ``reports_document``, written
-    by ``main``); decimal strings only, stable key order."""
-    from .orthopoly import RecurrenceTable
-    from .scaling import ScaledSequences
-
-    if isinstance(obj, RecurrenceTable):
-        _emit_recurrence(obj, fmt, path)
-        return
-    if isinstance(obj, ScaledSequences):
-        _emit_sweep(obj, fmt, path)
-        return
-    reports = obj if isinstance(obj, list) else [obj]
+def write_reports_csv(reports, path: str):
+    """The reports as one CSV with a single header row (report JSON is
+    ``reports_document``, written by ``main``)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         first = True
@@ -117,7 +106,8 @@ def emit_table(obj, fmt: str, path: str):
                 first = False
 
 
-def _emit_recurrence(tab, fmt: str, path: str):
+def write_table(tab, fmt: str, path: str):
+    """A recurrence table as JSON or CSV; decimal strings, stable key order."""
     dps = tab.prec.work_dps + 10
     with mp.workdps(dps + 10):
         rows = []
@@ -140,35 +130,21 @@ def _emit_recurrence(tab, fmt: str, path: str):
             writer.writerows(rows)
 
 
-def _emit_sweep(seqs, fmt: str, path: str):
-    limits = {
-        "R": render(seqs.R), "Rstar": render(seqs.Rstar),
-        "r": render(seqs.r), "rstar": render(seqs.rstar), "H": render(seqs.H),
-        "err_R": render(seqs.err_R), "err_Rstar": render(seqs.err_Rstar),
-        "err_r": render(seqs.err_r), "err_rstar": render(seqs.err_rstar),
-        "err_H": render(seqs.err_H),
-    }
-    if fmt == "json":
-        doc = {
-            "s1": str(seqs.s1), "s2": str(seqs.s2),
-            "rows": [
-                {"n": n, "x": render(x), "y": render(y), "H": render(H)}
-                for n, x, y, H in zip(seqs.n_list, seqs.x_seq, seqs.y_seq, seqs.H_seq)
-            ],
-            "limits": limits,
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "x", "y", "H"])
-            for n, x, y, H in zip(seqs.n_list, seqs.x_seq, seqs.y_seq, seqs.H_seq):
-                writer.writerow([n, render(x), render(y), render(H)])
-        with open(path + ".limits.json", "w") as fh:
-            json.dump({"limits": limits}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def write_sweep(seqs, path: str):
+    """A scaling sweep: the per-n rows (n, n R_n, n R_n*, H_n) as CSV at
+    path, and the limits with their errors as JSON at path + ".limits.json"."""
+    limits = {}
+    for q, v in seqs.quantities.items():
+        limits[q] = render(v.limit)
+        limits["err_" + q] = render(v.err)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "x", "y", "H"])
+        for n, x, y, H in zip(seqs.n_list, seqs["R"].seq, seqs["Rstar"].seq, seqs["H"].seq):
+            writer.writerow([n, render(x), render(y), render(H)])
+    with open(path + ".limits.json", "w") as fh:
+        json.dump({"limits": limits}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:
@@ -210,7 +186,7 @@ def main(argv=None) -> int:
                 json.dump(doc, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         else:
-            emit_table(reports, "csv", cfg.out)
+            write_reports_csv(reports, cfg.out)
         print(f"wrote {cfg.out}")
     return 1 if failed else 0
 
@@ -222,18 +198,17 @@ def extras(cfg: RunConfig, args):
 
         tab = cached_recurrence_table(cfg.params, cfg.n_max, cfg.prec,
                                       cache_dir=cfg.cache_dir)
-        emit_table(tab, cfg.format, args.table_out)
+        write_table(tab, cfg.format, args.table_out)
     if args.sweep_csv and "scaling" in cfg.active_suites:
         from .scaling import scaled_sequences
 
         seqs = scaled_sequences(cfg.s1, cfg.s2, cfg.n_list, cfg.prec,
                                 alpha=cfg.params.alpha, cache_dir=cfg.cache_dir)
-        emit_table(seqs, "csv", args.sweep_csv)
+        write_sweep(seqs, args.sweep_csv)
     if args.density_profile and "equilibrium" in cfg.active_suites:
-        from .equilibrium import density, solve_support
+        from .equilibrium import density, solve_support, verified_point
 
-        params = cfg.params
-        sol = solve_support(10, params, prec=cfg.prec)
+        sol = solve_support(10, verified_point(cfg.params), prec=cfg.prec)
         with mp.workdps(cfg.prec.work_dps):
             with open(args.density_profile, "w", newline="") as fh:
                 writer = csv.writer(fh)

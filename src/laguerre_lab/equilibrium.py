@@ -37,7 +37,7 @@ from .errors import (
     RootSelectionAmbiguous,
 )
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
-from .quadrature import integrate_finite, sample_dps
+from .quadrature import QUAD_MAX_LEVEL, integrate_finite, sample_dps
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,14 @@ def _support_system(X, Y, n, alpha, t1, t2):
     return f1, f2
 
 
+def verified_point(params: WeightParams) -> WeightParams:
+    """The m = 2 point the equilibrium layer verifies for a configured one:
+    alpha raised to at least 1, and (t1, t2) when t1 > 0 and t2 > 0, else
+    (3/10, 1/5); t3 and beyond are dropped."""
+    t = params.t[:2] if params.t1 > 0 and params.t2 > 0 else ("0.3", "0.2")
+    return WeightParams(max(params.alpha, Fraction(1)), t)
+
+
 def solve_support(n: int, params: WeightParams, tol=None,
                   prec: PrecisionContext = None) -> EquilibriumSolution:
     """Damped Newton solve of the endpoint system in (X, Y).
@@ -73,6 +81,8 @@ def solve_support(n: int, params: WeightParams, tol=None,
     if n < 1:
         raise DomainError("need n >= 1")
     deformed = params.is_deformed
+    if deformed and params.m != 2:
+        raise DomainError(f"the endpoint system is written for m = 2, not m = {params.m}")
     if deformed and not (params.alpha > 0 and params.t1 > 0 and params.t2 > 0):
         raise DomainError("single-cut solve needs alpha > 0, t1 > 0, t2 > 0")
     with mp.workdps(prec.work_dps):
@@ -175,7 +185,7 @@ def _theta_trapezoid(g, prec: PrecisionContext) -> list:
         vals = list(zip(*[g(mp.pi * k / N) for k in range(N + 1)]))
         total = [mp.pi / N * (v[0] / 2 + mp.fsum(v[1:-1]) + v[-1] / 2) for v in vals]
         live = list(range(len(total)))
-        for level in range(prec.quad_max_level + 8):
+        for level in range(QUAD_MAX_LEVEL + 8):
             mids = list(zip(*[g(mp.pi * (2 * k + 1) / (2 * N)) for k in range(N)]))
             running = []
             for i in live:
@@ -187,7 +197,7 @@ def _theta_trapezoid(g, prec: PrecisionContext) -> list:
             live, N = running, 2 * N
             if not live:
                 return total
-        raise NonConvergence(f"theta trapezoid: no convergence in {prec.quad_max_level + 8} levels")
+        raise NonConvergence(f"theta trapezoid: no convergence in {QUAD_MAX_LEVEL + 8} levels")
 
 
 def support_integral(sol: EquilibriumSolution, f) -> list:
@@ -239,7 +249,7 @@ def equilibrium_condition_residual(sol: EquilibriumSolution, xs) -> list:
                 raise OutOfSupport(f"probe {x} outside the support")
         mid = (sol.a + sol.b) / 2
         W = (sol.b - sol.a) / 2
-        quad_prec = sol.prec.scaled(min(sol.prec.digits, 60))
+        quad_prec = PrecisionContext(digits=min(sol.prec.digits, 60))
         # the kernel is sampled at the rule's precision; so are its constants
         with mp.workdps(sample_dps(quad_prec)):
             coeffs = _bracket_coeffs(sol)
@@ -389,22 +399,21 @@ def positive_roots(coeffs, hi, tol) -> list:
     return sorted(roots)
 
 
-def solve_X_equations(n: int, params: WeightParams, prec: PrecisionContext = None,
-                      tol=None):
-    """(X from the degree-9 equation, X from the double-scaled degree-5).
+def solve_X_equations(sol: EquilibriumSolution, tol=None):
+    """(X from the degree-9 equation, X from the double-scaled degree-5)
+    at the solution's n, point and precision.
 
-    The degree-9 root matching the Newton endpoint solve is selected;
+    The degree-9 root matching the Newton endpoint solve sol is selected;
     ambiguity within tol raises RootSelectionAmbiguous.  The degree-5
     root uses s1 = 2n t1, s2 = 4 n^2 t2.
     """
-    prec = prec or PrecisionContext()
+    n, params, prec = sol.n, sol.params, sol.prec
     with mp.workdps(prec.work_dps):
         alpha, t = params.materialize()
         tol = to_mpf(tol) if tol is not None else mpf(10) ** (-(prec.digits - 30))
         if not params.is_deformed:
             return alpha, alpha  # X^8 (X - alpha) and X^4 (X - alpha)
         t1, t2 = t[0], t[1]
-        sol = solve_support(n, params, prec=prec)
         hi = 10 * (2 * n + alpha)
         roots = positive_roots(degree9_coeffs(n, alpha, t1, t2), hi, tol)
         if not roots:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .errors import DegenerateBracket, DegenerateInput, DomainError, SingularAux
-from .orthopoly import RecurrenceTable, eval_polynomial, eval_polynomial_derivative
+from .orthopoly import RecurrenceTable, eval_polynomial_derivative, eval_polynomials
 from .params import PrecisionContext, WeightParams, to_mpf
 from .quadrature import integrate_weighted
 
@@ -130,7 +130,7 @@ def ladder_A_direct(table: RecurrenceTable, n: int, zs) -> list:
 
         def f(x):
             xvx = x * params.potential_derivative(x)
-            p2 = eval_polynomial(table, n, x) ** 2
+            p2 = eval_polynomials(table, n, x)[n] ** 2
             return tuple((c - xvx) / (z - x) * p2 for z, c in zip(zs, zvz))
 
         return [v / (z * table.h[n])
@@ -188,11 +188,6 @@ def alpha_from_aux(row: AuxRow, n: int, alpha) -> mpf:
     return sum(row.R, 2 * n + 1 + to_mpf(alpha))
 
 
-def rho_of(params: WeightParams) -> mpf:
-    """rho = 3 t3 / (2 t2): 0 at m = 2, where t3 = 0."""
-    return to_mpf(Fraction(3, 2) * params.t3 / params.t2)
-
-
 def pad3(values) -> tuple:
     """values padded with zeros to three components: the m = 3 closed
     forms read an m = 2 row as one with R^_n = r^_n = 0."""
@@ -210,7 +205,7 @@ def beta_from_aux(row: AuxRow, n: int, params: WeightParams,
             raise SingularAux(f"|R_{n}| below 10^-P/2")
         t1 = to_mpf(params.t1)
         tau = to_mpf(params.tau)
-        rho = rho_of(params)
+        rho = to_mpf(params.rho)
         alpha = to_mpf(params.alpha)
         (R, Rs, Rh), (r, rs, rh) = pad3(row.R), pad3(row.r)
         T = Rs / R
@@ -239,7 +234,7 @@ def _R_step(n, r_row, prev, params, thresh):
     t1, t2 = to_mpf(params.t1), to_mpf(params.t2)
     alpha = to_mpf(params.alpha)
     tau = to_mpf(params.tau)
-    rho = rho_of(params)
+    rho = to_mpf(params.rho)
     r, rs, rh = pad3(r_row)
     Rm, Rms, Rmh = pad3(prev.R)
     br5 = _bracket(

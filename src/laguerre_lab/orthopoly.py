@@ -31,6 +31,11 @@ def digits_for(N: int) -> int:
     return 20 + 4 * N
 
 
+def table_precision(prec: PrecisionContext, N: int) -> PrecisionContext:
+    """The precision of a depth-N table: prec, raised to digits_for(N)."""
+    return prec if prec.digits >= digits_for(N) else PrecisionContext(digits=digits_for(N))
+
+
 @dataclass(frozen=True)
 class RecurrenceTable:
     """Recurrence data h_n, alpha_n, beta_n, p(n) for n = 0..N at one point.
@@ -79,19 +84,17 @@ class RecurrenceTable:
 
 
 def recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
-                     auto_digits: bool = True, seeds: dict = None) -> RecurrenceTable:
-    """Build the recurrence table for n <= N.
+                     seeds: dict = None) -> RecurrenceTable:
+    """Build the recurrence table for n <= N, at ``table_precision``.
 
     ``seeds`` may hand in the seed moments k = -m..0 at the table's
-    (possibly auto-raised) precision; without them they are integrated.
+    precision; without them they are integrated.
     Raises PrecisionExhausted if a squared norm comes out non-positive,
     which signals lost significance rather than a true negative norm.
     """
     if N < 0:
         raise DomainError("N must be >= 0")
-    eff = prec
-    if auto_digits and prec.digits < digits_for(N):
-        eff = prec.scaled(digits_for(N))
+    eff = table_precision(prec, N)
     mu = table_moments(params, 2 * N + 1, eff, seeds)
 
     with mp.workdps(eff.work_dps):
@@ -164,17 +167,6 @@ def moment_determinant(table: RecurrenceTable, n: int) -> mpf:
         return mp.det(mat)
 
 
-def eval_polynomial(table: RecurrenceTable, n: int, x) -> mpf:
-    """Monic P_n(x) by the forward three-term recurrence."""
-    return eval_polynomial_pair(table, n, x)[0]
-
-
-def eval_polynomial_pair(table: RecurrenceTable, n: int, x):
-    """(P_n(x), P_{n-1}(x)); P_{-1} := 0."""
-    values = eval_polynomials(table, n, x)
-    return values[n], values[n - 1] if n else mpf(0)
-
-
 def eval_polynomials(table: RecurrenceTable, n: int, x) -> list:
     """[P_0(x), ..., P_n(x)] from one run of the forward three-term recurrence."""
     if n > table.N:
@@ -224,13 +216,9 @@ def christoffel_darboux_residual(table: RecurrenceTable, n: int, x, y) -> mpf:
     if abs(x - y) < to_mpf(table.prec.half_eps):
         raise DegenerateInput("x and y too close for the divided difference")
     with mp.workdps(table.prec.work_dps):
-        lhs = mp.fsum(
-            eval_polynomial(table, j, x) * eval_polynomial(table, j, y) / table.h[j]
-            for j in range(n)
-        )
-        pnx, pn1x = eval_polynomial_pair(table, n, x)
-        pny, pn1y = eval_polynomial_pair(table, n, y)
-        rhs = (pnx * pn1y - pny * pn1x) / (table.h[n - 1] * (x - y))
+        px, py = eval_polynomials(table, n, x), eval_polynomials(table, n, y)
+        lhs = mp.fsum(px[j] * py[j] / table.h[j] for j in range(n))
+        rhs = (px[n] * py[n - 1] - py[n] * px[n - 1]) / (table.h[n - 1] * (x - y))
         return abs(lhs - rhs)
 
 

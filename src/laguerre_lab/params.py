@@ -121,9 +121,9 @@ class WeightParams:
 
     @property
     def rho(self) -> Fraction:
-        """3 t3 / (2 t2), exact; requires t2 != 0."""
-        if self.m < 3 or self.t2 == 0:
-            raise DomainError("rho = 3 t3 / (2 t2) needs m >= 3 and t2 != 0")
+        """3 t3 / (2 t2), exact: 0 at m = 2, where t3 = 0; requires t2 != 0."""
+        if self.t2 == 0:
+            raise DomainError("rho = 3 t3 / (2 t2) needs t2 != 0")
         return Fraction(3, 2) * self.t3 / self.t2
 
     def with_t(self, t) -> "WeightParams":
@@ -158,38 +158,27 @@ class WeightParams:
         return "a=%s;t=%s" % (frac_str(self.alpha), ",".join(frac_str(v) for v in self.t))
 
 
-def _default_quad_tol(digits: int) -> Fraction:
-    return Fraction(1, 10 ** (digits - 10))
-
-
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision plus derived quadrature / FD step policy.
+    """Working precision P plus the quadrature / FD step policy derived
+    from it; P is the only setting.
 
-    digits           -- working decimal precision P (>= 50)
-    quad_tol         -- relative quadrature target, default 10^(-P+10);
-                        ``scaled`` keeps one set apart from the default
-    quad_max_level   -- cap on trapezoid level-doubling (>= 8)
+    digits     -- working decimal precision P (>= 50)
+    quad_tol   -- relative quadrature target 10^(-P+10)
 
     The FD relative step is 10^(-round(P/5)), balancing truncation
     against roundoff.
     """
 
     digits: int = 120
-    quad_tol: Fraction = None
-    quad_max_level: int = 12
 
     def __post_init__(self):
         if self.digits < 50:
             raise DomainError(f"digits must be >= 50, got {self.digits}")
-        if self.quad_max_level < 8:
-            raise DomainError("quad_max_level must be >= 8")
-        if self.quad_tol is None:
-            object.__setattr__(self, "quad_tol", _default_quad_tol(self.digits))
-        else:
-            object.__setattr__(self, "quad_tol", to_fraction(self.quad_tol))
-            if not self.quad_tol > 0:
-                raise DomainError("quad_tol must be > 0")
+
+    @property
+    def quad_tol(self) -> Fraction:
+        return Fraction(1, 10 ** (self.digits - 10))
 
     @property
     def work_dps(self) -> int:
@@ -209,22 +198,7 @@ class PrecisionContext:
         """10^(-digits/2): default residual contract for exact identities."""
         return Fraction(1, 10 ** (self.digits // 2))
 
-    def scaled(self, digits: int) -> "PrecisionContext":
-        """Same policy at a different working precision.
-
-        A quad_tol set apart from the default for these digits is kept;
-        the default one follows the new digits.
-        """
-        custom = self.quad_tol != _default_quad_tol(self.digits)
-        return PrecisionContext(
-            digits=digits,
-            quad_tol=self.quad_tol if custom else None,
-            quad_max_level=self.quad_max_level,
-        )
-
     def cache_token(self) -> str:
-        # quad_tol decides when the seed sweep stops, so it can change a
-        # table's bits.  quad_max_level cannot: the level loop returns at
-        # the first converged level, so the cap only decides whether a
-        # build fails.
+        # quad_tol follows from the digits; it stays in the token so that
+        # the keys of existing caches still match
         return f"P={self.digits};quad_tol={frac_str(self.quad_tol)}"

@@ -42,6 +42,8 @@ from .params import PrecisionContext, WeightParams, to_mpf
 _TRUNC_EXTRA = 25
 #: quadrature-internal guard digits beyond the context's work_dps
 _QUAD_GUARD = 10
+#: cap on trapezoid level doubling
+QUAD_MAX_LEVEL = 12
 
 
 def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
@@ -101,7 +103,7 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
     total = [h * (right[i][0] + left[i][0]) for i in live]
     mass = [h * (right[i][1] + left[i][1]) for i in live]
 
-    for _ in range(prec.quad_max_level):
+    for _ in range(QUAD_MAX_LEVEL):
         # refine: add midpoints (odd multiples of h/2) on both sides
         h2 = h / 2
         mid_r = sweep(h2, h, live)
@@ -116,7 +118,7 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
         live, h = running, h2
         if not live:
             return total
-    raise NonConvergence(f"{what}: level cap {prec.quad_max_level} reached before tolerance")
+    raise NonConvergence(f"{what}: level cap {QUAD_MAX_LEVEL} reached before tolerance")
 
 
 def sample_dps(prec: PrecisionContext) -> int:
@@ -251,7 +253,7 @@ def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) 
         sweep(-h, -h, totals, scales)
         totals = [h * v for v in totals]
 
-        for _ in range(prec.quad_max_level):
+        for _ in range(QUAD_MAX_LEVEL):
             h2 = h / 2
             mids = [mpf(0)] * nk
             sweep(h2, h, mids, scales)
@@ -265,7 +267,7 @@ def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) 
             if done:
                 return {kmin + i: +totals[i] for i in range(nk)}
         raise NonConvergence(
-            f"moments: level cap {prec.quad_max_level} reached before tolerance"
+            f"moments: level cap {QUAD_MAX_LEVEL} reached before tolerance"
         )
 
 

@@ -4,7 +4,8 @@ Per-n recurrence tables are built at the exactly-rational points
 (t1, t2) = (s1/2n, s2/4n^2) with per-n precision 20 + 4n digits, the
 sequences n R_n, n R_n*, r_n, r_n*, H_n are Richardson-extrapolated in
 1/n (Neville at 0), and the limiting identities and PDEs are checked on
-a small s-stencil of extrapolated values.  Reported errors are the last
+a small s-stencil of extrapolated values, differenced by the tap tables
+of ``calculus``.  Reported errors are the last
 Neville correction; finite-difference noise in s adds the propagated
 extrapolation errors, and every residual contract scales with that
 combined estimate.
@@ -14,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
+from .calculus import CROSS, FIRST, SECOND, Difference, _richardson
 from .errors import DomainError, SingularAux
 from .ladder import aux_integrals
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
@@ -26,6 +29,8 @@ from .reports import Check
 FIRST_DELTA = Fraction(1, 32)
 #: relative s-step for second derivatives (noise/curvature balance)
 SECOND_DELTA = Fraction(1, 8)
+#: the scaled quantities: n R_n, n R_n*, r_n, r_n*, H_n
+QUANTITIES = ("R", "Rstar", "r", "rstar", "H")
 
 
 @dataclass(frozen=True)
@@ -52,37 +57,27 @@ class ScalingPoint:
         return WeightParams(alpha, (self.t1, self.t2))
 
 
+class Scaled(NamedTuple):
+    """One scaled quantity: its per-n sequence, 1/n limit and error."""
+
+    seq: tuple
+    limit: mpf
+    err: mpf
+
+
 @dataclass(frozen=True)
 class ScaledSequences:
-    """Per-n scaled values plus their 1/n-extrapolated limits."""
+    """Per-n scaled values plus their 1/n-extrapolated limits, by quantity
+    (``QUANTITIES``): ``seqs["R"].limit``."""
 
     alpha: Fraction
     s1: Fraction
     s2: Fraction
     n_list: tuple
-    x_seq: tuple      # n R_n
-    y_seq: tuple      # n R_n*
-    r_seq: tuple
-    rstar_seq: tuple
-    H_seq: tuple
-    R: mpf
-    Rstar: mpf
-    r: mpf
-    rstar: mpf
-    H: mpf
-    err_R: mpf
-    err_Rstar: mpf
-    err_r: mpf
-    err_rstar: mpf
-    err_H: mpf
+    quantities: dict
 
-    @property
-    def U(self) -> mpf:
-        return self.R + self.Rstar
-
-    @property
-    def V(self) -> mpf:
-        return self.Rstar / self.R
+    def __getitem__(self, quantity: str) -> Scaled:
+        return self.quantities[quantity]
 
 
 def _neville_at_zero(ns, vals):
@@ -124,43 +119,33 @@ def scaled_sequences(s1, s2, n_list, prec: PrecisionContext,
 
     from .cache import cached_recurrence_table
 
-    xs, ys, rs, rss, Hs = [], [], [], [], []
+    seqs = {q: [] for q in QUANTITIES}
     for n in n_list:
         pt = ScalingPoint(n, s1, s2)
         params = pt.params(alpha)
-        prec_n = prec.scaled(digits_for_scaling(n))
+        prec_n = PrecisionContext(digits=digits_for_scaling(n))
         tab = cached_recurrence_table(params, n, prec_n, cache_dir=cache_dir)
         with mp.workdps(prec_n.work_dps):
             a = aux_integrals(tab, n)
-            am = to_mpf(alpha)
-            xs.append(n * a.R[0])
-            ys.append(n * a.R[1])
-            rs.append(a.r[0])
-            rss.append(a.r[1])
-            Hs.append(n * (n + am) + tab.p(n))
+            H = n * (n + to_mpf(alpha)) + tab.p(n)
+            for q, v in zip(QUANTITIES, (n * a.R[0], n * a.R[1], a.r[0], a.r[1], H)):
+                seqs[q].append(v)
 
     with mp.workdps(prec.work_dps):
-        R, eR = _neville_at_zero(n_list, xs)
-        Rstar, eRs = _neville_at_zero(n_list, ys)
-        r, er = _neville_at_zero(n_list, rs)
-        rstar, ers = _neville_at_zero(n_list, rss)
-        H, eH = _neville_at_zero(n_list, Hs)
-    return ScaledSequences(
-        alpha=alpha, s1=s1, s2=s2, n_list=n_list,
-        x_seq=tuple(xs), y_seq=tuple(ys), r_seq=tuple(rs),
-        rstar_seq=tuple(rss), H_seq=tuple(Hs),
-        R=R, Rstar=Rstar, r=r, rstar=rstar, H=H,
-        err_R=eR, err_Rstar=eRs, err_r=er, err_rstar=ers, err_H=eH,
-    )
+        quantities = {q: Scaled(tuple(v), *_neville_at_zero(n_list, v))
+                      for q, v in seqs.items()}
+    return ScaledSequences(alpha=alpha, s1=s1, s2=s2, n_list=n_list, quantities=quantities)
 
 
 def convergence_slope(seqs: ScaledSequences) -> mpf:
-    """Least-squares log-log slope of |x_n - R| against n (expect ~ -1)."""
+    """Least-squares log-log slope of |x_n - R| against n, x_n = n R_n
+    (expect ~ -1)."""
+    R = seqs["R"]
     with mp.workdps(60):
         pts = [
-            (mp.log(n), mp.log(abs(x - seqs.R)))
-            for n, x in zip(seqs.n_list, seqs.x_seq)
-            if abs(x - seqs.R) > 0
+            (mp.log(n), mp.log(abs(x - R.limit)))
+            for n, x in zip(seqs.n_list, R.seq)
+            if abs(x - R.limit) > 0
         ]
         k = len(pts)
         sx = mp.fsum(p[0] for p in pts)
@@ -192,71 +177,52 @@ class ScaledGrid:
         return self._memo[key]
 
     def value(self, quantity: str, j1=Fraction(0), j2=Fraction(0)):
-        """(value, extrapolation error) of 'R'|'Rstar'|'r'|'rstar'|'H'|'U'."""
+        """(limit, extrapolation error) of a quantity or of U = R + R*."""
         s = self.at(j1, j2)
         if quantity == "U":
-            return s.R + s.Rstar, s.err_R + s.err_Rstar
-        v = getattr(s, quantity)
-        return v, getattr(s, "err_" + quantity)
+            return s["R"].limit + s["Rstar"].limit, s["R"].err + s["Rstar"].err
+        return s[quantity].limit, s[quantity].err
 
-    def first(self, quantity: str, axis: int, delta: Fraction = FIRST_DELTA):
+    def _derivative(self, diff: Difference, quantity: str, axes, delta: Fraction):
+        """(diff of the extrapolated quantity in s on the axes, error).
+
+        Two levels, relative steps delta and delta/2, Richardson-
+        extrapolated; the error is the spread plus the largest propagated
+        1/n-extrapolation error of a level.
+        """
+        with mp.workdps(self.prec.work_dps):
+            bases = [to_mpf(self.s1 if ax == 0 else self.s2) for ax in axes]
+            vals = {}
+            levels = []
+            emax = mpf(0)
+            for q in (Fraction(1), Fraction(1, 2)):
+                d = delta * q
+
+                def at(offsets):
+                    key = [Fraction(0), Fraction(0)]
+                    for ax, j in zip(axes, offsets):
+                        key[ax] = j * d
+                    key = tuple(key)
+                    if key not in vals:
+                        vals[key] = self.value(quantity, *key)
+                    return vals[key]
+
+                steps = [b * to_mpf(d) for b in bases]  # signed: offsets are relative
+                levels.append(diff.quotient(lambda o: at(o)[0], steps))
+                prop = sum(abs(w) * at(o)[1] for o, w in diff.taps)
+                emax = max(emax, prop / abs(diff.denominator(steps)))
+            val, spread = _richardson(levels, diff.order)
+            return val, spread + emax
+
+    def first(self, quantity: str, axis: int):
         """d/ds_axis of the extrapolated quantity, with combined error."""
-        with mp.workdps(self.prec.work_dps):
-            base = to_mpf(self.s1 if axis == 0 else self.s2)
-            ests = []
-            emax = mpf(0)
-            for lev in (Fraction(1), Fraction(1, 2)):
-                d = delta * lev
-                off = lambda j: (j, Fraction(0)) if axis == 0 else (Fraction(0), j)
-                vp, ep = self.value(quantity, *off(d))
-                vm, em = self.value(quantity, *off(-d))
-                h = base * to_mpf(d)  # signed: offsets are relative
-                ests.append((vp - vm) / (2 * h))
-                emax = max(emax, (ep + em) / (2 * abs(h)))
-            val = (4 * ests[1] - ests[0]) / 3
-            err = abs(ests[1] - ests[0]) / 3 + emax
-            return val, err
+        return self._derivative(FIRST[2], quantity, (axis,), FIRST_DELTA)
 
-    def second(self, quantity: str, axis: int, delta: Fraction = SECOND_DELTA):
-        with mp.workdps(self.prec.work_dps):
-            base = to_mpf(self.s1 if axis == 0 else self.s2)
-            v0, e0 = self.value(quantity)
-            ests = []
-            emax = mpf(0)
-            for lev in (Fraction(1), Fraction(1, 2)):
-                d = delta * lev
-                off = lambda j: (j, Fraction(0)) if axis == 0 else (Fraction(0), j)
-                vp, ep = self.value(quantity, *off(d))
-                vm, em = self.value(quantity, *off(-d))
-                h = base * to_mpf(d)
-                ests.append((vp - 2 * v0 + vm) / (h * h))
-                emax = max(emax, (ep + em + 2 * e0) / (h * h))
-            val = (4 * ests[1] - ests[0]) / 3
-            err = abs(ests[1] - ests[0]) / 3 + emax
-            return val, err
+    def second(self, quantity: str, axis: int):
+        return self._derivative(SECOND[2], quantity, (axis,), SECOND_DELTA)
 
-    def mixed(self, quantity: str, delta: Fraction = SECOND_DELTA):
-        with mp.workdps(self.prec.work_dps):
-            b1, b2 = to_mpf(self.s1), to_mpf(self.s2)
-            ests = []
-            emax = mpf(0)
-            for lev in (Fraction(1), Fraction(1, 2)):
-                d = delta * lev
-                tot = mpf(0)
-                etot = mpf(0)
-                for u in (d, -d):
-                    for w in (d, -d):
-                        v, e = self.value(quantity, u, w)
-                        sgn = 1 if (u > 0) == (w > 0) else -1
-                        tot += sgn * v
-                        etot += e
-                h1 = b1 * to_mpf(d)  # signed steps
-                h2 = b2 * to_mpf(d)
-                ests.append(tot / (4 * h1 * h2))
-                emax = max(emax, etot / (4 * abs(h1 * h2)))
-            val = (4 * ests[1] - ests[0]) / 3
-            err = abs(ests[1] - ests[0]) / 3 + emax
-            return val, err
+    def mixed(self, quantity: str):
+        return self._derivative(CROSS, quantity, (0, 1), SECOND_DELTA)
 
 
 def verify_limit_identities(grid: ScaledGrid):
@@ -269,20 +235,22 @@ def verify_limit_identities(grid: ScaledGrid):
         s1m, s2m = to_mpf(grid.s1), to_mpf(grid.s2)
         dH1, e1 = grid.first("H", 0)
         dH2, e2 = grid.first("H", 1)
-        out.append(Check("scaled-R-plus-r", abs(s.R + s.r),
-                         10 * (s.err_R + s.err_r), ps))
-        out.append(Check("scaled-Rstar-plus-rstar", abs(s.Rstar + s.rstar),
-                         10 * (s.err_Rstar + s.err_rstar), ps))
-        out.append(Check("limit-R-identity", abs(s.R + s1m * dH1),
-                         10 * (s.err_R + abs(s1m) * e1), ps))
-        out.append(Check("limit-Rstar-identity", abs(s.Rstar + 2 * s2m * dH2),
-                         10 * (s.err_Rstar + 2 * s2m * e2), ps))
+        R, Rs, r, rs = (s[q] for q in ("R", "Rstar", "r", "rstar"))
+        out.append(Check("scaled-R-plus-r", abs(R.limit + r.limit),
+                         10 * (R.err + r.err), ps))
+        out.append(Check("scaled-Rstar-plus-rstar", abs(Rs.limit + rs.limit),
+                         10 * (Rs.err + rs.err), ps))
+        out.append(Check("limit-R-identity", abs(R.limit + s1m * dH1),
+                         10 * (R.err + abs(s1m) * e1), ps))
+        out.append(Check("limit-Rstar-identity", abs(Rs.limit + 2 * s2m * dH2),
+                         10 * (Rs.err + 2 * s2m * e2), ps))
         # sgn(dH/ds1) = -1: require dH1 negative beyond its error bar
         out.append(Check("dH-ds1-sign", mpf(0) if dH1 < -e1 else abs(dH1) + e1,
                          max(10 * e1, mpf(10) ** -10), ps))
+        V = Rs.limit / R.limit
         out.append(Check("scaled-V-sign",
-                         mpf(0) if s.V * mp.sign(s1m) > 0 else abs(s.V),
-                         s.err_Rstar + s.err_R, ps))
+                         mpf(0) if V * mp.sign(s1m) > 0 else abs(V),
+                         Rs.err + R.err, ps))
     return out
 
 
@@ -296,7 +264,8 @@ def verify_limiting_pdes(grid: ScaledGrid):
         s = grid.at()
         alpha = to_mpf(to_mpf(grid.alpha))
         s1, s2 = to_mpf(grid.s1), to_mpf(grid.s2)
-        R, Rs, H = s.R, s.Rstar, s.H
+        R, Rs, H = (s[q].limit for q in ("R", "Rstar", "H"))
+        err_RRs, err_H = s["R"].err + s["Rstar"].err, s["H"].err
         if abs(R) < mpf(10) ** -8:
             raise SingularAux("extrapolated R too small on the grid")
         U = R + Rs
@@ -307,8 +276,6 @@ def verify_limiting_pdes(grid: ScaledGrid):
         dU11, eU11 = grid.second("U", 0)
         dU22, eU22 = grid.second("U", 1)
         dU12, eU12 = grid.mixed("U")
-        dR1, eR1 = grid.first("R", 0)
-        dR2, eR2 = grid.first("R", 1)
         dH1, eH1 = grid.first("H", 0)
         dH2, eH2 = grid.first("H", 1)
         dH11, eH11 = grid.second("H", 0)
@@ -328,7 +295,7 @@ def verify_limiting_pdes(grid: ScaledGrid):
         scale1 = 1 + max(abs(v) for v in terms1)
         err1 = (s1 ** 2 * eU11 + 2 * abs(s1) * s2 * eU12
                 + (abs(s1) * (1 + 2 * abs(s1 * dU1 / R)) + 2 * s2 * (1 + abs(s1 * Rs / s2 / R) ** 2 * abs(s1 * dU1) + abs(dU2))) * (eU1 + eU2)
-                + (2 * abs(U) + abs(s1 ** 2 / R ** 2) + 1) * (s.err_R + s.err_Rstar))
+                + (2 * abs(U) + abs(s1 ** 2 / R ** 2) + 1) * err_RRs)
         out.append(Check("limit-pde-1", abs(mp.fsum(terms1)) / scale1,
                          10 * err1 / scale1, ps))
 
@@ -349,7 +316,7 @@ def verify_limiting_pdes(grid: ScaledGrid):
                    + abs(2 * s1 * s2 / R) * (abs(dU1) + abs(dU2))
                    + abs(V * s1) + 2 * s2) * (eU1 + eU2)
                 + (2 * abs(U) + 2 * abs(Rs) + abs(2 * s2 / s1) + 1
-                   + abs(s1 ** 3 / s2) * V ** 2 / abs(R)) * (s.err_R + s.err_Rstar))
+                   + abs(s1 ** 3 / s2) * V ** 2 / abs(R)) * err_RRs)
         out.append(Check("limit-pde-2", abs(mp.fsum(terms2)) / scale2,
                          10 * err2 / scale2, ps))
 
@@ -364,8 +331,8 @@ def verify_limiting_pdes(grid: ScaledGrid):
 
         expr = h_expr(R, Rs, dU1, dU2)
         errH = (abs(s1 * s2 / R) * (1 + abs(s1 * Rs / s2 / R)) ** 2 * (abs(dU1) + abs(dU2) + 1) * (eU1 + eU2)
-                + (1 + abs(s1 / R) ** 2 + abs(s1 ** 3 / s2) * abs(Rs) / R ** 2) * (s.err_R + s.err_Rstar)
-                + s.err_H)
+                + (1 + abs(s1 / R) ** 2 + abs(s1 ** 3 / s2) * abs(Rs) / R ** 2) * err_RRs
+                + err_H)
         out.append(Check("limit-H-expr", abs(expr - H), 10 * errH, ps))
 
         # substitution route: R -> -s1 dH1, R* -> -2 s2 dH2, with
@@ -378,7 +345,7 @@ def verify_limiting_pdes(grid: ScaledGrid):
         errsub = (abs(s1) * eH1 + 2 * s2 * eH2
                   + (abs(s1) + 1) ** 2 * (eH11 + eH12 + eH22 + eH1 + eH2)
                   * (1 + abs(s1 * dU1h / Rh) + abs(s1 * Rsh / (s2 * Rh)) ** 2)
-                  + s.err_H)
+                  + err_H)
         out.append(Check("limit-H-subst", abs(expr_sub - H), 10 * errsub, ps))
 
         terms3 = [
@@ -392,7 +359,7 @@ def verify_limiting_pdes(grid: ScaledGrid):
         scale3 = 1 + max(abs(v) for v in terms3)
         mag = (1 + abs(dH1) + abs(dH2)) * (1 + abs(s1 * dH11) + abs(2 * s2 * dH12) + abs(2 * s2 * dH22))
         err3 = (8 * s2 * mag ** 2 * (eH11 + eH12 + eH22)
-                + mag ** 2 * (eH1 + eH2 + s.err_H))
+                + mag ** 2 * (eH1 + eH2 + err_H))
         out.append(Check("limit-H-pde", abs(mp.fsum(terms3)) / scale3,
                          10 * err3 / scale3, ps))
     return out

@@ -81,7 +81,7 @@ def moments_suite(config: RunConfig) -> ResidualReport:
             if not d > 0:
                 bad = max(bad, 1 - d)
         rep.add(Check("hankel-positive-definite", bad, half, "N<=12"))
-        lo = moment(0, params, prec.scaled(max(50, prec.digits // 2)))
+        lo = moment(0, params, PrecisionContext(digits=max(50, prec.digits // 2)))
         hi = moment(0, params, prec)
         rep.add(Check("precision-doubling", abs(lo - hi),
                       mpf(10) ** (-(max(50, prec.digits // 2) - 10)), "k=0"))
@@ -340,9 +340,7 @@ def scaling_suite(config: RunConfig) -> ResidualReport:
 def equilibrium_suite(config: RunConfig) -> ResidualReport:
     prec = config.prec
     n = 10
-    params = WeightParams(max(config.params.alpha, Fraction(1)),
-                          config.params.t if config.params.is_deformed
-                          and config.params.t1 > 0 else ("0.3", "0.2"))
+    params = eq.verified_point(config.params)
     rep = ResidualReport("equilibrium",
                          metadata=_meta(config, verified_point=_point_meta(params)))
     sol = eq.solve_support(n, params, prec=prec)
@@ -367,7 +365,7 @@ def equilibrium_suite(config: RunConfig) -> ResidualReport:
         worst = max(eq.equilibrium_condition_residual(
             sol, [sol.a + q * (sol.b - sol.a) for q in (mpf("0.25"), mpf("0.5"), mpf("0.75"))]))
         rep.add(Check("lagrange-eq", worst, mpf(10) ** -8, "3 probes"))
-        x9, x5 = eq.solve_X_equations(n, params, prec)
+        x9, x5 = eq.solve_X_equations(sol)
         rep.add(Check("degree9-root", abs(x9 - sol.X), mpf(10) ** -10, f"n={n}"))
         rep.add(Check("degree5-root",
                       abs(eq._poly_eval(eq.degree5_coeffs(

@@ -148,8 +148,9 @@ def test_criterion_06_double_scaling():
     grid = sc.ScaledGrid(1, 1, (8, 12, 16, 24), PREC)
     with mp.workdps(PREC.work_dps):
         s = grid.at()
-        ok = abs(s.R + s.r) <= s.err_R + s.err_r
-        ok &= abs(s.Rstar + s.rstar) <= s.err_Rstar + s.err_rstar
+        R, Rs, r, rs = (s[q] for q in ("R", "Rstar", "r", "rstar"))
+        ok = abs(R.limit + r.limit) <= R.err + r.err
+        ok &= abs(Rs.limit + rs.limit) <= Rs.err + rs.err
         ident = sc.verify_limit_identities(grid)
         byid = {c.id: c for c in ident}
         ok &= byid["dH-ds1-sign"].ok
@@ -158,7 +159,7 @@ def test_criterion_06_double_scaling():
         slope = sc.convergence_slope(s)
         ok &= abs(slope + 1) <= mpf("0.3")
     _line(6, "double scaling at (1,1)", bool(ok),
-          f"|R+r|={mp.nstr(abs(s.R + s.r), 3)} slope={mp.nstr(slope, 4)}")
+          f"|R+r|={mp.nstr(abs(R.limit + r.limit), 3)} slope={mp.nstr(slope, 4)}")
 
 
 def test_criterion_07_equilibrium():
@@ -168,7 +169,7 @@ def test_criterion_07_equilibrium():
         ok = abs(eq.density_normalization(sol) - 10) <= TOL10
         xs = [sol.a + mpf(q) * (sol.b - sol.a) for q in ("0.25", "0.5", "0.75")]
         ok &= max(eq.equilibrium_condition_residual(sol, xs)) <= TOL8
-        x9, _ = eq.solve_X_equations(10, params, PREC)
+        x9, _ = eq.solve_X_equations(sol)
         ok &= abs(x9 - sol.X) <= TOL10
         limit = eq.solve_support(10, WeightParams("1"), prec=PREC)
         solver_tol = mpf(10) ** (-(PREC.digits - 25))

@@ -5,15 +5,16 @@ import sys
 import time
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from laguerre_lab import cli, suites
+from laguerre_lab import equilibrium as eq
 from laguerre_lab.cache import FORMAT_VERSION, cached_recurrence_table, clear_memo, table_key
 from laguerre_lab.config import parse_config
 from laguerre_lab.errors import ConfigError, PrecisionExhausted
 from laguerre_lab.params import PrecisionContext, WeightParams
 from laguerre_lab.registry import REGISTRY, validate_ids
-from laguerre_lab.reports import Check, ResidualReport
+from laguerre_lab.reports import Check, ResidualReport, render
 
 
 def test_defaults_documented():
@@ -150,7 +151,7 @@ def test_recurrence_table_csv_roundtrip(tmp_path):
     prec = PrecisionContext(digits=60)
     tab = cached_recurrence_table(params, 3, prec, cache_dir=tmp_path / "c")
     out = tmp_path / "table.csv"
-    cli.emit_table(tab, "csv", str(out))
+    cli.write_table(tab, "csv", str(out))
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 4  # N = 3 -> 4 data rows
     assert list(rows[0]) == ["n", "h", "alpha", "beta", "p"]
@@ -158,7 +159,7 @@ def test_recurrence_table_csv_roundtrip(tmp_path):
     assert rows[0]["p"] == "0.0"
     # writing again reproduces the bytes (decimal strings, no float noise)
     out2 = tmp_path / "table2.csv"
-    cli.emit_table(tab, "csv", str(out2))
+    cli.write_table(tab, "csv", str(out2))
     assert out.read_text() == out2.read_text()
 
 
@@ -168,12 +169,13 @@ def test_sweep_emission(tmp_path):
     prec = PrecisionContext(digits=50)
     seqs = scaled_sequences(1, 1, (4, 6, 8), prec, cache_dir=tmp_path / "c")
     out = tmp_path / "sweep.csv"
-    cli.emit_table(seqs, "csv", str(out))
+    cli.write_sweep(seqs, str(out))
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["n", "x", "y", "H"]
     assert len(rows) == 4
     limits = json.loads((tmp_path / "sweep.csv.limits.json").read_text())
-    assert set(limits["limits"]) >= {"R", "Rstar", "r", "rstar", "H"}
+    names = ("R", "Rstar", "r", "rstar", "H")
+    assert set(limits["limits"]) == set(names) | {"err_" + q for q in names}
 
 
 def test_table_flag_and_m_check(tmp_path):
@@ -281,6 +283,30 @@ def test_reports_name_the_verified_point(tmp_path):
     meta = suites.run_suite(cfg)[0].metadata
     assert meta["point"] == "alpha=1/2;t=3/10,1/5"
     assert meta["verified_point"] == "alpha=1;t=3/10,1/5"
+
+
+def test_equilibrium_verifies_the_m2_part_of_an_m3_point(tmp_path):
+    # the endpoint system is the m = 2 one: at t3 = 1/10 the suite
+    # verifies (t1, t2) and its checks and metadata agree on that point
+    out = tmp_path / "eq.json"
+    assert cli.main(["equilibrium", "--t3", "0.1", "--digits", "60",
+                     "--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["reports"][0]["metadata"]
+    assert meta["verified_point"] == "alpha=1;t=3/10,1/5"
+
+
+def test_density_profile_is_written_at_the_verified_point(tmp_path):
+    # t1 < 0 has no single-cut solve: the suite and the profile both fall
+    # back to alpha = 1, t = (3/10, 1/5)
+    prof = tmp_path / "profile.csv"
+    assert cli.main(["equilibrium", "--t1", "-0.3", "--digits", "60",
+                     "--density-profile", str(prof)]) == 0
+    rows = list(csv.reader(prof.read_text().splitlines()))
+    assert rows[0] == ["x", "sigma"] and len(rows) == 200
+    prec = PrecisionContext(digits=60)
+    sol = eq.solve_support(10, WeightParams("1", ("0.3", "0.2")), prec=prec)
+    with mp.workdps(prec.work_dps):
+        assert rows[1][0] == render(sol.a + (sol.b - sol.a) / 200)
 
 
 def _report_without_timestamp(path):

@@ -39,6 +39,19 @@ def test_support_preconditions(prec):
         eq.solve_support(10, WeightParams("1", ("-0.3", "0.2")), prec=prec)
     with pytest.raises(DomainError):
         eq.solve_support(0, WeightParams("1", ("0.3", "0.2")), prec=prec)
+    # the endpoint system is the m = 2 one; t3 is not dropped silently
+    with pytest.raises(DomainError):
+        eq.solve_support(10, WeightParams("1", ("0.3", "0.2", "0.1")), prec=prec)
+
+
+def test_verified_point():
+    # alpha >= 1, (t1, t2) of the configuration when both are > 0, t3 dropped
+    assert eq.verified_point(WeightParams("0.5", ("0.3", "0.2", "0.1"))) == \
+        WeightParams("1", ("0.3", "0.2"))
+    assert eq.verified_point(WeightParams("2", ("0.4", "0.1"))) == \
+        WeightParams("2", ("0.4", "0.1"))
+    for t in (("-0.3", "0.2"), ("0", "0"), ("0.3", "-0.2", "0.1")):
+        assert eq.verified_point(WeightParams("1", t)) == WeightParams("1", ("0.3", "0.2"))
 
 
 def test_density_boundary_and_normalization(sol):
@@ -91,11 +104,12 @@ def test_theta_batch_is_bit_identical_to_lone(prec):
     assert eq._theta_trapezoid(lambda th: tuple(g(th) for g in integrands), prec) == lone
 
 
-def test_theta_level_cap_raises_nonconvergence():
+def test_theta_level_cap_raises_nonconvergence(monkeypatch):
     # a jump converges like O(h) and never meets the tolerance.  The rule
-    # reads only these three fields; a cap below PrecisionContext's floor
-    # of 8 keeps the test to quad_max_level + 8 = 8 levels
-    prec = SimpleNamespace(work_dps=40, quad_tol=Fraction(1, 10 ** 30), quad_max_level=0)
+    # reads only these two fields; a cap of 0 keeps the test to
+    # QUAD_MAX_LEVEL + 8 = 8 levels
+    monkeypatch.setattr(eq, "QUAD_MAX_LEVEL", 0)
+    prec = SimpleNamespace(work_dps=40, quad_tol=Fraction(1, 10 ** 30))
     with pytest.raises(NonConvergence):
         eq._theta_trapezoid(lambda th: (mpf(1), mpf(1) if th < 1 else mpf(0)), prec)
 
@@ -111,7 +125,7 @@ def test_lagrange_limit_value(prec):
 
 
 def test_degree9_matches_newton(params_eq, prec, sol):
-    x9, x5 = eq.solve_X_equations(10, params_eq, prec)
+    x9, x5 = eq.solve_X_equations(sol)
     with mp.workdps(prec.work_dps):
         assert abs(x9 - sol.X) < mpf(10) ** -10
         alpha, t = params_eq.materialize()
@@ -123,7 +137,7 @@ def test_degree9_matches_newton(params_eq, prec, sol):
 
 def test_degenerate_polynomials(prec):
     # t = 0 factorizations: X^8 (X - alpha) and X^4 (X - alpha)
-    x9, x5 = eq.solve_X_equations(10, WeightParams("1.5"), prec)
+    x9, x5 = eq.solve_X_equations(eq.solve_support(10, WeightParams("1.5"), prec=prec))
     with mp.workdps(60):
         assert x9 == to_mpf("1.5") and x5 == to_mpf("1.5")
 
@@ -184,5 +198,5 @@ def test_support_property(n, a10, t110, t210):
         assert 0 < sol.a < sol.b
         assert sol.X <= sol.Y
         # consistency triangle: degree-9 root agrees with the Newton X
-        x9, _ = eq.solve_X_equations(n, params, prec)
+        x9, _ = eq.solve_X_equations(sol)
         assert abs(x9 - sol.X) < mpf(10) ** -8

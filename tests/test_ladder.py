@@ -16,7 +16,7 @@ from laguerre_lab.ladder import (
     ladder_residuals,
     sum_rules,
 )
-from laguerre_lab.orthopoly import eval_polynomial, recurrence_table
+from laguerre_lab.orthopoly import eval_polynomials, recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 from laguerre_lab.quadrature import integrate_weighted, moments
 
@@ -33,7 +33,7 @@ def direct_ladder_A(table, n, z):
 
         def f(x):
             kern = (zvz - x * params.potential_derivative(x)) / (z - x)
-            return kern * eval_polynomial(table, n, x) ** 2
+            return kern * eval_polynomials(table, n, x)[n] ** 2
 
         return integrate_weighted(lambda x: (f(x),), params, prec)[0] / (z * table.h[n])
 

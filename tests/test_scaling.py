@@ -7,7 +7,7 @@ from mpmath import mp, mpf
 
 from laguerre_lab import scaling as sc
 from laguerre_lab.errors import DomainError
-from laguerre_lab.params import PrecisionContext
+from laguerre_lab.params import PrecisionContext, to_mpf
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +41,13 @@ def test_n_list_validation(prec):
 def test_sequences_finite_and_signed(grid11):
     s = grid11.at()
     with mp.workdps(60):
-        for x in s.x_seq:
+        R, Rs, r, rs = (s[q] for q in ("R", "Rstar", "r", "rstar"))
+        for x in R.seq:
             assert mp.isfinite(x) and x > 0  # same sign as s1
         # R + r -> 0 within extrapolation error
-        assert abs(s.R + s.r) <= s.err_R + s.err_r
-        assert abs(s.Rstar + s.rstar) <= s.err_Rstar + s.err_rstar
-        assert s.V > 0
+        assert abs(R.limit + r.limit) <= R.err + r.err
+        assert abs(Rs.limit + rs.limit) <= Rs.err + rs.err
+        assert Rs.limit / R.limit > 0
 
 
 def test_limit_identities(grid11):
@@ -61,7 +62,7 @@ def test_limit_identities_negative_s1(prec):
         assert c.ok, (c.id, c.residual, c.tol)
     s = grid.at()
     with mp.workdps(60):
-        assert s.R < 0  # R keeps the sign of s1
+        assert s["R"].limit < 0  # R keeps the sign of s1
 
 
 def test_limiting_pdes(grid11):
@@ -81,7 +82,40 @@ def test_tail_invariance(prec, grid11):
     s_full = grid11.at()
     s_tail = sc.scaled_sequences(1, 1, (12, 16, 24), prec)
     with mp.workdps(60):
-        assert abs(s_full.R - s_tail.R) <= 2 * (s_full.err_R + s_tail.err_R)
+        full, tail = s_full["R"], s_tail["R"]
+        assert abs(full.limit - tail.limit) <= 2 * (full.err + tail.err)
+
+
+class CubicGrid(sc.ScaledGrid):
+    """A grid whose every quantity is the cubic f(s1, s2), with zero errors."""
+
+    @staticmethod
+    def f(s1, s2):
+        return 1 + 2 * s1 - 3 * s2 + s1 ** 2 * s2 - s1 ** 3 / 5 + s2 ** 3 / 2 + s1 * s2 ** 2 / 3
+
+    def at(self, j1=Fraction(0), j2=Fraction(0)):
+        v = to_mpf(self.f(self.s1 * (1 + j1), self.s2 * (1 + j2)))
+        return sc.ScaledSequences(self.alpha, self.s1, self.s2, self.n_list,
+                                  {q: sc.Scaled((), v, mpf(0)) for q in sc.QUANTITIES})
+
+
+@pytest.mark.parametrize("s1,s2", [(Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1, 2))])
+def test_scaled_grid_differences_are_exact_on_a_cubic(prec, s1, s2):
+    # central differences with one Richardson step are exact on a cubic
+    grid = CubicGrid(s1, s2, (8, 12), prec)
+    exact = {
+        ("first", 0): 2 + 2 * s1 * s2 - Fraction(3, 5) * s1 ** 2 + s2 ** 2 / 3,
+        ("first", 1): -3 + s1 ** 2 + Fraction(3, 2) * s2 ** 2 + Fraction(2, 3) * s1 * s2,
+        ("second", 0): 2 * s2 - Fraction(6, 5) * s1,
+        ("second", 1): 3 * s2 + Fraction(2, 3) * s1,
+        ("mixed",): 2 * s1 + Fraction(2, 3) * s2,
+    }
+    with mp.workdps(prec.work_dps):
+        half = to_mpf(prec.half_eps)
+        for (kind, *axis), want in exact.items():
+            for q, scale in (("H", 1), ("U", 2)):  # U = R + R* = 2 f
+                val, _ = getattr(grid, kind)(q, *axis)
+                assert abs(val - scale * to_mpf(want)) <= half, (kind, axis, q)
 
 
 def test_reduced_limit_residual(prec):

@@ -1,0 +1,37 @@
+"""Each ``scripts/*.py`` runs end to end through its ``main`` on tiny
+arguments, with the table cache in a temporary directory."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+#: script name -> arguments; out-of-tree paths are relative to tmp_path
+ARGS = {
+    "aux_table": ["--n-max", "2", "--digits", "50"],
+    "equilibrium_profile": ["--n", "4", "--digits", "50", "--points", "4",
+                            "--profile", "{tmp}/profile.csv"],
+    "sweep_double_scaling": ["--grid", "1", "--n-list", "4,6", "--digits", "50",
+                             "--out-dir", "{tmp}/sweep"],
+}
+
+
+def test_every_script_is_covered():
+    assert {p.stem for p in SCRIPTS.glob("*.py")} == set(ARGS)
+
+
+@pytest.mark.parametrize("name", sorted(ARGS))
+def test_script_main_runs(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LAB_CACHE_DIR", str(tmp_path / "cache"))
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main([a.format(tmp=tmp_path) for a in ARGS[name]])
+    assert capsys.readouterr().out
+    if name == "equilibrium_profile":
+        assert len((tmp_path / "profile.csv").read_text().splitlines()) == 4
+    if name == "sweep_double_scaling":
+        # the tensor grid (1, 1) and its mirror (-1, 1), one CSV each
+        assert len(list((tmp_path / "sweep").glob("sweep_*.csv"))) == 2
