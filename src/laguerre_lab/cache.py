@@ -1,17 +1,24 @@
-"""Decimal-string file cache for recurrence tables.
+"""Exact-binary file cache for recurrence tables.
 
 Tables are the expensive artifact (a quadrature sweep for the seed
 moments, the Pearson recurrence for the rest, then the moment
 Gram-Schmidt); they are keyed by a content hash of (weight point,
-digits, quadrature tolerance, depth, format version) and stored as JSON
-of decimal strings.  A stencil node's table may take its seeds from the
-grid's centre, the anchor point, by ``quadrature.shift_seeds`` instead
-of quadrature; its key and its stored document then also cover the
-anchor point, so the same node built from another anchor, or
-integrated, is another entry.
-A centre's key has no anchor in it.  The build path always serializes
-and reloads, so warm and cold runs see bit-identical values and reports
-are reproducible byte for byte.  Writes are atomic (temp file then
+digits, quadrature tolerance, depth, format version) and stored as JSON.
+A build renders every value at work_dps + 10 digits and parses it back
+at work_dps, then keeps those bits in memory and stores them exactly:
+each value is "[-]<hex mantissa>p<exponent>" of mpmath's normalized
+(sign, man, exp), zero is "0p0".  A read decodes the bits with no
+decimal parsing, and any other spelling (a decimal, an even mantissa, a
+signed zero) makes the entry a miss, so warm and cold runs see
+bit-identical values and reports are reproducible byte for byte.
+Format 2 stored decimal strings under other keys; those files are never
+read and can be deleted.
+
+A stencil node's table may take its seeds from the grid's centre, the
+anchor point, by ``quadrature.shift_seeds`` instead of quadrature; its
+key and its stored document then also cover the anchor point, so the
+same node built from another anchor, or integrated, is another entry.
+A centre's key has no anchor in it.  Writes are atomic (temp file then
 rename); a cache directory that cannot be created or written is a
 ConfigError.  An entry that cannot be read, or that does not match the
 request, is a miss: the table is rebuilt and the file replaced.  Set
@@ -27,14 +34,16 @@ import tempfile
 from pathlib import Path
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from .errors import ConfigError
 from .orthopoly import RecurrenceTable, recurrence_table, table_precision
 from .params import PrecisionContext, WeightParams
 from .quadrature import clear_seed_memo, seed_moments, shift_seeds
 
-#: 2: moments k >= 1 come from the Pearson recurrence, not quadrature
-FORMAT_VERSION = 2
+#: 2: moments k >= 1 come from the Pearson recurrence, not quadrature;
+#: 3: values are stored as exact binary, not as decimal strings
+FORMAT_VERSION = 3
 
 _memo = {}
 
@@ -55,49 +64,63 @@ def table_key(params: WeightParams, N: int, prec: PrecisionContext,
     return hashlib.sha256(token.encode()).hexdigest()[:32]
 
 
-def _render(x, dps) -> str:
-    return mp.nstr(x, dps, strip_zeros=True)
-
-
 def _params_doc(params: WeightParams) -> dict:
     return {"alpha": str(params.alpha), "t": [str(v) for v in params.t]}
 
 
-def _serialize_table(tab: RecurrenceTable, origin: WeightParams) -> dict:
-    """The stored document; a centre's has no "anchor" entry."""
+def _values(src: dict, f) -> dict:
+    """The value fields of a table (``vars``) or a document, each value mapped by f."""
+    out = {name: tuple(map(f, src[name])) for name in ("h", "alpha_rc", "beta_rc", "p_sub")}
+    out["coeffs"] = tuple(tuple(map(f, row)) for row in src["coeffs"])
+    out["moments"] = {int(k): f(v) for k, v in src["moments"].items()}
+    return out
+
+
+def _decimal_round_trip(tab: RecurrenceTable) -> RecurrenceTable:
+    """tab with every value rendered at work_dps + 10 digits and parsed back.
+
+    The parse is at work_dps, so this moves the low bits of many values.
+    These are the bits every run reads, cold or warm, and the reports'
+    bytes rest on them.
+    """
     dps = tab.prec.work_dps + 10
     with mp.workdps(dps + 10):
-        doc = {
-            "version": FORMAT_VERSION,
-            "N": tab.N,
-            "digits": tab.prec.digits,
-            "params": _params_doc(tab.params),
-            "moments": {str(k): _render(v, dps) for k, v in tab.moments.items()},
-            "h": [_render(v, dps) for v in tab.h],
-            "alpha_rc": [_render(v, dps) for v in tab.alpha_rc],
-            "beta_rc": [_render(v, dps) for v in tab.beta_rc],
-            "p_sub": [_render(v, dps) for v in tab.p_sub],
-            "coeffs": [[_render(c, dps) for c in row] for row in tab.coeffs],
-        }
+        text = _values(vars(tab), lambda v: mp.nstr(v, dps, strip_zeros=True))
+    with mp.workdps(tab.prec.work_dps):
+        return RecurrenceTable(params=tab.params, prec=tab.prec, N=tab.N, **_values(text, mpf))
+
+
+def _spell(v: tuple) -> str:
+    """A raw mpf (sign, man, exp, bc) as "[-]<hex man>p<exp>"; zero is "0p0"."""
+    sign, man, exp, _ = v
+    return f"{'-' * sign}{man:x}p{exp}"
+
+
+def _parse(s: str) -> mpf:
+    """The mpf spelled s by ``_spell``; any other string is a ValueError.
+
+    Only the spelling of a normalized finite value is accepted: not a
+    decimal, not an even mantissa ("2p0"), not a signed zero ("-0p0").
+    """
+    man, _, exp = s.partition("p")
+    v = from_man_exp(int(man, 16), int(exp))
+    if _spell(v) != s:
+        raise ValueError(f"not a normalized binary table value: {s!r}")
+    return mp.make_mpf(v)
+
+
+def _document(tab: RecurrenceTable, origin: WeightParams) -> dict:
+    """The stored document; a centre's has no "anchor" entry."""
+    doc = {
+        "version": FORMAT_VERSION,
+        "N": tab.N,
+        "digits": tab.prec.digits,
+        "params": _params_doc(tab.params),
+        **_values(vars(tab), lambda v: _spell(v._mpf_)),
+    }
     if origin is not None:
         doc["anchor"] = _params_doc(origin)
     return doc
-
-
-def _deserialize_table(doc: dict, params: WeightParams,
-                       prec: PrecisionContext) -> RecurrenceTable:
-    with mp.workdps(prec.work_dps):
-        return RecurrenceTable(
-            params=params,
-            prec=prec,
-            N=doc["N"],
-            h=tuple(mpf(v) for v in doc["h"]),
-            alpha_rc=tuple(mpf(v) for v in doc["alpha_rc"]),
-            beta_rc=tuple(mpf(v) for v in doc["beta_rc"]),
-            p_sub=tuple(mpf(v) for v in doc["p_sub"]),
-            coeffs=tuple(tuple(mpf(c) for c in row) for row in doc["coeffs"]),
-            moments={int(k): mpf(v) for k, v in doc["moments"].items()},
-        )
 
 
 def _read_entry(path: Path, params: WeightParams, N: int,
@@ -115,7 +138,7 @@ def _read_entry(path: Path, params: WeightParams, N: int,
                   None if origin is None else _params_doc(origin))
         if stored != wanted:
             return None
-        return _deserialize_table(doc, params, prec)
+        return RecurrenceTable(params=params, prec=prec, N=N, **_values(doc, _parse))
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
@@ -161,10 +184,8 @@ def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext
     if table is None:
         seeds = None if origin is None else shift_seeds(
             origin, seed_moments(origin, prec), params, prec)
-        tab = recurrence_table(params, N, prec, seeds=seeds)
-        doc = _serialize_table(tab, origin)
-        _write_entry(root, path, doc)
-        table = _deserialize_table(doc, params, prec)
+        table = _decimal_round_trip(recurrence_table(params, N, prec, seeds=seeds))
+        _write_entry(root, path, _document(table, origin))
     _memo[key] = table
     return table
 

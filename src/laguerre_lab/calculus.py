@@ -94,7 +94,7 @@ class TableBundle:
 def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
     """Builder for stencil grids: (params, anchor) -> TableBundle of depth N.
 
-    Tables come through the decimal-string cache, so repeated stencil
+    Tables come through the table cache, so repeated stencil
     evaluations at the same exact rational nodes are read, not rebuilt;
     a build takes its seeds from the anchor point, the grid's centre.
     """

@@ -60,12 +60,15 @@ def aux_integrals(table: RecurrenceTable, n: int) -> AuxRow:
         raise DomainError("auxiliaries need a deformed weight")
     if n > table.N:
         raise DomainError(f"n = {n} exceeds table depth {table.N}")
+    shifts = range(-1, -params.m - 1, -1)
     with mp.workdps(table.prec.work_dps):
+        diag = table.inner_xk(n, n, shifts)
+        off = table.inner_xk(n, n - 1, shifts) if n else None
         R, r = [], []
         for i, ti in enumerate(params.t, start=1):
             iti = to_mpf(i * ti)
-            R.append(iti * table.inner_xk(n, n, -i) / table.h[n])
-            r.append(iti * table.inner_xk(n, n - 1, -i) / table.h[n - 1] if n else mpf(0))
+            R.append(iti * diag[i - 1] / table.h[n])
+            r.append(iti * off[i - 1] / table.h[n - 1] if n else mpf(0))
         return AuxRow(R=tuple(R), r=tuple(r))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_mul, mpf_sum
 
 from .errors import DegenerateInput, DomainError, PrecisionExhausted
 from .params import PrecisionContext, WeightParams, to_mpf
@@ -71,15 +72,26 @@ class RecurrenceTable:
         with mp.workdps(self.prec.work_dps):
             return mp.fsum(mp.log(hj) for hj in self.h[:n])
 
-    def inner_xk(self, j: int, k: int, shift: int) -> mpf:
-        """<P_j, P_k>_w with the measure shifted by x^shift (moment route)."""
-        cj, ck = self.coeffs[j], self.coeffs[k]
+    def inner_xk(self, j: int, k: int, shifts) -> tuple:
+        """<P_j, P_k>_w with the measure shifted by x^s, for each s in shifts.
+
+        The moment route, on raw mpf tuples: each coefficient product a b
+        is rounded once and reused for every shift, and each term
+        (a b) mu_{ia+ib+s} is rounded and summed exactly in the same
+        order as ``mp.fsum(a * b * mu[ia + ib + s] ...)``, so every value
+        has that expression's bits.
+        """
         mu = self.moments
         with mp.workdps(self.prec.work_dps):
-            return mp.fsum(
-                a * b * mu[ia + ib + shift]
-                for ia, a in enumerate(cj)
-                for ib, b in enumerate(ck)
+            prec, rnd = mp._prec_rounding
+            products = [(ia + ib, mpf_mul(a._mpf_, b._mpf_, prec, rnd))
+                        for ia, a in enumerate(self.coeffs[j])
+                        for ib, b in enumerate(self.coeffs[k])]
+            return tuple(
+                mp.make_mpf(mpf_sum(
+                    [mpf_mul(ab, mu[i + s]._mpf_, prec, rnd) for i, ab in products],
+                    prec, rnd))
+                for s in shifts
             )
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -64,6 +65,13 @@ def to_mpf(value) -> mpf:
         return mpf(value)
     q = to_fraction(value)
     return mpf(q.numerator) / q.denominator
+
+
+@lru_cache(maxsize=64)
+def _potential_coefficients(params: WeightParams, prec: int) -> tuple:
+    """(alpha, (k t_k for k = 1..m)) as mpf at binary precision prec."""
+    with mp.workprec(prec):
+        return to_mpf(params.alpha), tuple(k * to_mpf(tk) for k, tk in enumerate(params.t, start=1))
 
 
 def frac_str(q: Fraction) -> str:
@@ -137,11 +145,12 @@ class WeightParams:
     def potential_derivative(self, z) -> mpf:
         """v'(z) for v = -ln w:  -alpha/z + 1 - sum_k k t_k z^(-k-1)."""
         z = to_mpf(z)
-        out = -to_mpf(self.alpha) / z + 1
+        alpha, ktk = _potential_coefficients(self, mp.prec)
+        out = -alpha / z + 1
         zp = z
-        for k, tk in enumerate(self.t, start=1):
+        for c in ktk:
             zp *= z
-            out -= k * to_mpf(tk) / zp
+            out -= c / zp
         return out
 
     def log_weight(self, x) -> mpf:

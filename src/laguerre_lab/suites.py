@@ -2,7 +2,7 @@
 
 Each suite function takes a RunConfig and returns a ResidualReport whose
 entry ids exactly match the registry for that suite.  Tables are pulled
-through the decimal-string cache so a warm rerun skips quadrature and
+through the exact-binary table cache so a warm rerun skips quadrature and
 reproduces values (and therefore serialized reports) bit for bit.
 """
 

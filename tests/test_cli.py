@@ -12,6 +12,7 @@ from laguerre_lab import equilibrium as eq
 from laguerre_lab.cache import FORMAT_VERSION, cached_recurrence_table, clear_memo, table_key
 from laguerre_lab.config import parse_config
 from laguerre_lab.errors import ConfigError, PrecisionExhausted
+from laguerre_lab.orthopoly import recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams
 from laguerre_lab.registry import REGISTRY, validate_ids
 from laguerre_lab.reports import Check, ResidualReport, render
@@ -338,7 +339,11 @@ def test_truncated_cache_file_is_a_miss(tmp_path):
     lambda doc: doc.pop("h"),
     lambda doc: doc["moments"].update({"0": "not a number"}),
     lambda doc: doc.update(anchor={"alpha": "1/2", "t": ["3/10", "1/4"]}),
-], ids=["version", "N", "digits", "params", "missing-key", "bad-value", "anchor"])
+    lambda doc: doc["h"].__setitem__(1, "0.25"),
+    lambda doc: doc["moments"].update({"0": "2p0"}),
+    lambda doc: doc["coeffs"][1].__setitem__(0, "-0p0"),
+], ids=["version", "N", "digits", "params", "missing-key", "bad-value", "anchor",
+        "decimal", "even-mantissa", "signed-zero"])
 def test_mismatched_cache_entry_is_rebuilt(tmp_path, mangle):
     params, prec = WeightParams("0.5", ("0.3", "0.2")), PrecisionContext(digits=60)
     clear_memo()
@@ -352,6 +357,37 @@ def test_mismatched_cache_entry_is_rebuilt(tmp_path, mangle):
     again = cached_recurrence_table(params, 3, prec, cache_dir=tmp_path)
     assert (again.h, again.coeffs, again.moments) == (clean.h, clean.coeffs, clean.moments)
     assert path.read_text() == good
+
+
+def test_cache_entry_stores_the_decimal_round_trip_bits(tmp_path):
+    # a build rounds every value through a decimal string at 10 guard
+    # digits and parses it back; the entry stores those bits exactly
+    params, prec = WeightParams("0.5", ("0.3", "0.2")), PrecisionContext(digits=60)
+    raw = recurrence_table(params, 6, prec)
+    dps = raw.prec.work_dps + 10
+
+    def round_trip(v):
+        with mp.workdps(dps + 10):
+            text = mp.nstr(v, dps, strip_zeros=True)
+        with mp.workdps(raw.prec.work_dps):
+            return mpf(text)._mpf_
+
+    def values(tab):
+        rows = (tab.h, tab.alpha_rc, tab.beta_rc, tab.p_sub, *tab.coeffs)
+        return [v for row in rows for v in row] + list(tab.moments.values())
+
+    want = [round_trip(v) for v in values(raw)]
+    assert want != [v._mpf_ for v in values(raw)]  # the round trip moves bits
+    clear_memo()
+    cold = cached_recurrence_table(params, 6, prec, cache_dir=tmp_path)
+    clear_memo()
+    warm = cached_recurrence_table(params, 6, prec, cache_dir=tmp_path)
+    assert warm is not cold and list(warm.moments) == list(raw.moments)
+    assert [v._mpf_ for v in values(cold)] == want
+    assert [v._mpf_ for v in values(warm)] == want
+    doc = json.loads((tmp_path / f"table-{table_key(params, 6, prec)}.json").read_text())
+    assert doc["version"] == FORMAT_VERSION == 3
+    assert doc["coeffs"][0] == ["1p0"] and doc["p_sub"][0] == "0p0"
 
 
 def test_stencil_suites_honour_cache_dir(tmp_path, monkeypatch):

@@ -66,8 +66,9 @@ def test_identification_with_m2_quantities(params3, table3, rows3):
     # R_{n,3} = R^_n = 3 t3 <P_n, x^-3 P_n>/h_n by definition
     with mp.workdps(table3.prec.work_dps):
         t1, t2, t3 = (to_mpf(v) for v in params3.t)
-        for got, scale, shift in zip(rows3[2].R, (t1, 2 * t2, 3 * t3), (-1, -2, -3)):
-            assert abs(got - scale * table3.inner_xk(2, 2, shift) / table3.h[2]) < TRIPLE
+        inner = table3.inner_xk(2, 2, (-1, -2, -3))
+        for got, scale, value in zip(rows3[2].R, (t1, 2 * t2, 3 * t3), inner):
+            assert abs(got - scale * value / table3.h[2]) < TRIPLE
 
 
 def test_triple_representation_m3(params3, prec, table3, rows3):

@@ -129,3 +129,30 @@ def test_table_positivity_property(a10, t110, t210):
     tab = recurrence_table(params, 4, PrecisionContext(digits=50))
     assert all(h > 0 for h in tab.h)
     assert all(b > 0 for b in tab.beta_rc)
+
+
+def _fsum_inner(table, j, k, shift):
+    """<P_j, P_k>_w shifted by x^shift, as one mp.fsum over mpf products."""
+    cj, ck, mu = table.coeffs[j], table.coeffs[k], table.moments
+    with mp.workdps(table.prec.work_dps):
+        return mp.fsum(
+            a * b * mu[ia + ib + shift] for ia, a in enumerate(cj) for ib, b in enumerate(ck)
+        )
+
+
+@pytest.mark.parametrize("t", [
+    ("0.3", "0.2"),
+    ("0.3", "0.2", "0.1"),
+    ("-0.3", "0.2", "0.1", "0.05", "0.02"),
+], ids=["m2", "m3", "m5"])
+def test_inner_xk_has_the_bits_of_one_fsum(t):
+    # one pass over the coefficient products for all shifts must give,
+    # bit for bit, the per-shift fsum of mpf products it replaces
+    table = recurrence_table(WeightParams("0.5", t), 12, PrecisionContext(digits=60))
+    shifts = tuple(range(-1, -len(t) - 1, -1))
+    for n in range(table.N + 1):
+        for k in (n, n - 1) if n else (n,):
+            got = table.inner_xk(n, k, shifts)
+            assert len(got) == len(shifts)
+            for value, shift in zip(got, shifts):
+                assert value._mpf_ == _fsum_inner(table, n, k, shift)._mpf_, (n, k, shift)

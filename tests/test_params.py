@@ -63,6 +63,15 @@ def test_potential_derivative():
         # -alpha/z + 1 - t1/z^2 - 2 t2/z^3
         want = -mpf(1) / 2 + 1 - mpf(2) / 4 - mpf(6) / 8
         assert abs(p.potential_derivative(z) - want) < mpf(10) ** -35
+    # alpha and k t_k are held per precision: a call at 40 digits does
+    # not leave 40-digit coefficients for a call at 100
+    p = WeightParams("1/3", ("1/7", "2/9"))
+    exact = -Fraction(1, 3) / 2 + 1 - Fraction(1, 7) / 4 - 2 * Fraction(2, 9) / 8
+    for digits in (40, 100):
+        with mp.workdps(digits):
+            got = p.potential_derivative(2)
+        with mp.workdps(digits + 20):
+            assert abs(got - to_mpf(exact)) < mpf(10) ** (5 - digits)
 
 
 def test_to_fraction_decimal_faithful():
