@@ -29,7 +29,6 @@ from mpmath import mp, mpf
 
 from .errors import (
     DomainError,
-    NoConvergence,
     NonConvergence,
     NonPhysical,
     NoPositiveRoot,
@@ -108,7 +107,7 @@ def solve_support(n: int, params: WeightParams, tol=None,
             j22 = 2 * t2 / X ** 3 - 1
             det = j11 * j22 - j12 * j21
             if det == 0:
-                raise NoConvergence("singular Jacobian in the endpoint solve")
+                raise NonConvergence("singular Jacobian in the endpoint solve")
             dX = (f1 * j22 - f2 * j12) / det
             dY = (f2 * j11 - f1 * j21) / det
             lam = mpf(1)
@@ -120,11 +119,11 @@ def solve_support(n: int, params: WeightParams, tol=None,
                         break
                 lam /= 2
             else:
-                raise NoConvergence("backtracking stalled in the endpoint solve")
+                raise NonConvergence("backtracking stalled in the endpoint solve")
             X, Y, f1, f2 = Xn, Yn, g1, g2
             norm = abs(f1) + abs(f2)
         else:
-            raise NoConvergence(f"Newton did not reach tol {tol}")
+            raise NonConvergence(f"Newton did not reach tol {tol}")
 
         gap = mp.sqrt(Y ** 2 - X ** 2)
         a, b = Y - gap, Y + gap

@@ -27,7 +27,7 @@ class NumericalError(LabError):
 
 
 class NonConvergence(NumericalError):
-    """Quadrature or iteration hit its level/step cap before tolerance."""
+    """Quadrature, iteration or a Newton solve stopped before its tolerance."""
 
 
 class PrecisionExhausted(NumericalError):
@@ -61,10 +61,6 @@ class NegativeDiscriminant(NumericalError):
 
 class BranchAmbiguity(NumericalError):
     """Square-root branch cannot be resolved within finite-difference noise."""
-
-
-class NoConvergence(NumericalError):
-    """Newton solve failed from the given initial guess region."""
 
 
 class NonPhysical(NumericalError):

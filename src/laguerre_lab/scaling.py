@@ -4,11 +4,12 @@ Per-n recurrence tables are built at the exactly-rational points
 (t1, t2) = (s1/2n, s2/4n^2) with per-n precision 20 + 4n digits, the
 sequences n R_n, n R_n*, r_n, r_n*, H_n are Richardson-extrapolated in
 1/n (Neville at 0), and the limiting identities and PDEs are checked on
-a small s-stencil of extrapolated values, differenced by the tap tables
-of ``calculus``.  Reported errors are the last
-Neville correction; finite-difference noise in s adds the propagated
-extrapolation errors, and every residual contract scales with that
-combined estimate.
+the extrapolated values.  Derivatives in s are taken at finite n, on the
+t-stencil grid of ``calculus`` at each scaling point, and extrapolated in
+1/n the same way; one check set differences the limits in s instead
+(``ScaledGrid.fd_first``).  Reported errors are the last Neville
+correction plus the stencil error, and every residual contract scales
+with the error propagated from its inputs.
 """
 
 from __future__ import annotations
@@ -19,16 +20,12 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .calculus import CROSS, FIRST, SECOND, Difference, _richardson
+from .calculus import FIRST, DerivativeStencil, StencilGrid, _richardson, table_bundle_builder
 from .errors import DomainError, SingularAux
 from .ladder import aux_integrals
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
 from .reports import Check
 
-#: relative s-step for first derivatives of extrapolated quantities
-FIRST_DELTA = Fraction(1, 32)
-#: relative s-step for second derivatives (noise/curvature balance)
-SECOND_DELTA = Fraction(1, 8)
 #: the scaled quantities: n R_n, n R_n*, r_n, r_n*, H_n
 QUANTITIES = ("R", "Rstar", "r", "rstar", "H")
 
@@ -156,7 +153,9 @@ def convergence_slope(seqs: ScaledSequences) -> mpf:
 
 
 class ScaledGrid:
-    """Memoized extrapolated limits on an (s1, s2) stencil."""
+    """Extrapolated limits at one (s1, s2) (``at``, memoized per s-point)
+    and their derivatives in s, taken at finite n on one t-stencil grid
+    per n and extrapolated in 1/n like the values."""
 
     def __init__(self, s1, s2, n_list, prec: PrecisionContext, alpha="0.5",
                  cache_dir=None):
@@ -166,6 +165,7 @@ class ScaledGrid:
         self.prec = prec
         self.cache_dir = cache_dir
         self._memo = {}
+        self._grids = {}
 
     def at(self, j1=Fraction(0), j2=Fraction(0)) -> ScaledSequences:
         key = (j1, j2)
@@ -176,53 +176,65 @@ class ScaledGrid:
                 cache_dir=self.cache_dir)
         return self._memo[key]
 
-    def value(self, quantity: str, j1=Fraction(0), j2=Fraction(0)):
-        """(limit, extrapolation error) of a quantity or of U = R + R*."""
-        s = self.at(j1, j2)
-        if quantity == "U":
-            return s["R"].limit + s["Rstar"].limit, s["R"].err + s["Rstar"].err
-        return s[quantity].limit, s[quantity].err
-
-    def _derivative(self, diff: Difference, quantity: str, axes, delta: Fraction):
-        """(diff of the extrapolated quantity in s on the axes, error).
-
-        Two levels, relative steps delta and delta/2, Richardson-
-        extrapolated; the error is the spread plus the largest propagated
-        1/n-extrapolation error of a level.
-        """
+    def _derivative(self, kind: str, quantity: str, axes):
+        """(1/n limit of the scaled t-derivative of H_n or U_n, error): the
+        ``StencilGrid`` method kind, one axis per differentiation; the
+        error is the Neville correction plus the largest scaled stencil error."""
+        vals, emax = [], mpf(0)
+        for n in self.n_list:
+            if n not in self._grids:  # centred on the table scaled_sequences reads at n
+                prec_n = PrecisionContext(digits=digits_for_scaling(n))
+                self._grids[n] = StencilGrid(
+                    ScalingPoint(n, self.s1, self.s2).params(self.alpha), prec_n,
+                    DerivativeStencil(order=2), table_bundle_builder(n, prec_n, self.cache_dir))
+            grid = self._grids[n]
+            # H_n = n(n + alpha) + p(n), whose constant has no t-derivative
+            extract = ((lambda b: b.table.p(n)) if quantity == "H"
+                       else (lambda b: n * (b.row(n).R[0] + b.row(n).R[1])))
+            with mp.workdps(grid.prec.work_dps):
+                d, e = getattr(grid, kind)(extract, *sorted(set(axes)))
+                # d/ds1 = (2n)^-1 d/dt1, d/ds2 = (2n)^-2 d/dt2
+                scale = mpf(1) / (2 * n) ** (len(axes) + sum(axes))
+                vals.append(scale * d)
+                emax = max(emax, scale * e)
         with mp.workdps(self.prec.work_dps):
-            bases = [to_mpf(self.s1 if ax == 0 else self.s2) for ax in axes]
-            vals = {}
-            levels = []
-            emax = mpf(0)
-            for q in (Fraction(1), Fraction(1, 2)):
-                d = delta * q
+            limit, err = _neville_at_zero(self.n_list, vals)
+            return limit, err + emax
 
+    def first(self, quantity: str, axis: int):
+        """d/ds_axis of quantity ("H" or "U"), with its error."""
+        return self._derivative("first", quantity, (axis,))
+
+    def second(self, quantity: str, axis: int):
+        return self._derivative("second", quantity, (axis, axis))
+
+    def mixed(self, quantity: str):
+        return self._derivative("mixed", quantity, (0, 1))
+
+    def fd_first(self, quantity: str, axis: int):
+        """d/ds_axis of the extrapolated quantity by differences in s.
+
+        ``FIRST[2]`` at relative steps 1/32 and 1/64, Richardson-
+        extrapolated; the error is the spread plus the largest propagated
+        1/n-extrapolation error of a level.  The identities that read it
+        check, with r_n = t1 dH_n/dt1 at finite n, that the 1/n limit and
+        d/ds commute.
+        """
+        diff = FIRST[2]
+        with mp.workdps(self.prec.work_dps):
+            base = to_mpf(self.s1 if axis == 0 else self.s2)
+            levels, emax = [], mpf(0)
+            for d in (Fraction(1, 32), Fraction(1, 64)):
                 def at(offsets):
-                    key = [Fraction(0), Fraction(0)]
-                    for ax, j in zip(axes, offsets):
-                        key[ax] = j * d
-                    key = tuple(key)
-                    if key not in vals:
-                        vals[key] = self.value(quantity, *key)
-                    return vals[key]
+                    j = offsets[0] * d
+                    return self.at(*((j, Fraction(0)) if axis == 0 else (Fraction(0), j)))[quantity]
 
-                steps = [b * to_mpf(d) for b in bases]  # signed: offsets are relative
-                levels.append(diff.quotient(lambda o: at(o)[0], steps))
-                prop = sum(abs(w) * at(o)[1] for o, w in diff.taps)
+                steps = [base * to_mpf(d)]  # signed: offsets are relative
+                levels.append(diff.quotient(lambda o: at(o).limit, steps))
+                prop = sum(abs(w) * at(o).err for o, w in diff.taps)
                 emax = max(emax, prop / abs(diff.denominator(steps)))
             val, spread = _richardson(levels, diff.order)
             return val, spread + emax
-
-    def first(self, quantity: str, axis: int):
-        """d/ds_axis of the extrapolated quantity, with combined error."""
-        return self._derivative(FIRST[2], quantity, (axis,), FIRST_DELTA)
-
-    def second(self, quantity: str, axis: int):
-        return self._derivative(SECOND[2], quantity, (axis,), SECOND_DELTA)
-
-    def mixed(self, quantity: str):
-        return self._derivative(CROSS, quantity, (0, 1), SECOND_DELTA)
 
 
 def verify_limit_identities(grid: ScaledGrid):
@@ -233,8 +245,8 @@ def verify_limit_identities(grid: ScaledGrid):
     with mp.workdps(grid.prec.work_dps):
         s = grid.at()
         s1m, s2m = to_mpf(grid.s1), to_mpf(grid.s2)
-        dH1, e1 = grid.first("H", 0)
-        dH2, e2 = grid.first("H", 1)
+        dH1, e1 = grid.fd_first("H", 0)
+        dH2, e2 = grid.fd_first("H", 1)
         R, Rs, r, rs = (s[q] for q in ("R", "Rstar", "r", "rstar"))
         out.append(Check("scaled-R-plus-r", abs(R.limit + r.limit),
                          10 * (R.err + r.err), ps))
@@ -254,133 +266,118 @@ def verify_limit_identities(grid: ScaledGrid):
     return out
 
 
+#: the derivative inputs of the limiting PDEs: name suffix -> ScaledGrid method, axis
+DERIVATIVES = {"1": ("first", 0), "2": ("first", 1), "11": ("second", 0),
+               "22": ("second", 1), "12": ("mixed",)}
+
+
+def _propagated(f, x: dict, err: dict):
+    """First-order propagated error of f(**x): the sum, over the inputs,
+    of the change in f when that one input moves by its error."""
+    f0 = f(**x)
+    return mp.fsum(abs(f(**{**x, k: x[k] + e}) - f0) for k, e in err.items())
+
+
+def _normalized(terms):
+    return mp.fsum(terms) / (1 + max(abs(v) for v in terms))
+
+
 def verify_limiting_pdes(grid: ScaledGrid):
     """Residuals of the two limiting coupled PDEs for U = R + R*, the
     closed H(R, R*) form, its H-derivative substitution variant, and
-    the limiting second-order second-degree PDE for H."""
-    out = []
+    the limiting second-order second-degree PDE for H.
+
+    Each residual is a function of R, R*, H and the ten derivatives of U
+    and H (``DERIVATIVES``), held to 10x its propagated error.
+    """
     ps = f"(s1,s2)=({grid.s1},{grid.s2})"
     with mp.workdps(grid.prec.work_dps):
         s = grid.at()
-        alpha = to_mpf(to_mpf(grid.alpha))
+        alpha = to_mpf(grid.alpha)
         s1, s2 = to_mpf(grid.s1), to_mpf(grid.s2)
-        R, Rs, H = (s[q].limit for q in ("R", "Rstar", "H"))
-        err_RRs, err_H = s["R"].err + s["Rstar"].err, s["H"].err
-        if abs(R) < mpf(10) ** -8:
+        if abs(s["R"].limit) < mpf(10) ** -8:
             raise SingularAux("extrapolated R too small on the grid")
-        U = R + Rs
-        V = Rs / R
+        x = {q: s[q].limit for q in ("R", "Rstar", "H")}
+        err = {q: s[q].err for q in ("R", "Rstar", "H")}
+        for q in ("U", "H"):
+            for suffix, (kind, *axis) in DERIVATIVES.items():
+                x[f"d{q}{suffix}"], err[f"d{q}{suffix}"] = getattr(grid, kind)(q, *axis)
 
-        dU1, eU1 = grid.first("U", 0)
-        dU2, eU2 = grid.first("U", 1)
-        dU11, eU11 = grid.second("U", 0)
-        dU22, eU22 = grid.second("U", 1)
-        dU12, eU12 = grid.mixed("U")
-        dH1, eH1 = grid.first("H", 0)
-        dH2, eH2 = grid.first("H", 1)
-        dH11, eH11 = grid.second("H", 0)
-        dH22, eH22 = grid.second("H", 1)
-        dH12, eH12 = grid.mixed("H")
+        def pde1(R, Rstar, dU1, dU2, dU11, dU12, **_):
+            return _normalized([
+                s1 ** 2 * dU11,
+                2 * s1 * s2 * dU12,
+                2 * s1 * s2 * ((s1 * Rstar / (2 * s2 * R)) * dU1 - dU2) ** 2,
+                s1 * dU1 * (1 - s1 * dU1 / R),
+                -2 * R * (R + Rstar),
+                -(s1 ** 3 / (8 * s2)) * (Rstar / R) ** 2,
+                -alpha / 2 * s1,
+                s1 ** 2 / (4 * R),
+            ])
 
-        terms1 = [
-            s1 ** 2 * dU11,
-            2 * s1 * s2 * dU12,
-            2 * s1 * s2 * ((s1 * Rs / (2 * s2 * R)) * s1 * dU1 - dU2) ** 2,
-            s1 * dU1 * (1 - s1 * dU1 / R),
-            -2 * R * U,
-            -(s1 ** 3 / (8 * s2)) * (Rs / R) ** 2,
-            -alpha / 2 * s1,
-            s1 ** 2 / (4 * R),
-        ]
-        scale1 = 1 + max(abs(v) for v in terms1)
-        err1 = (s1 ** 2 * eU11 + 2 * abs(s1) * s2 * eU12
-                + (abs(s1) * (1 + 2 * abs(s1 * dU1 / R)) + 2 * s2 * (1 + abs(s1 * Rs / s2 / R) ** 2 * abs(s1 * dU1) + abs(dU2))) * (eU1 + eU2)
-                + (2 * abs(U) + abs(s1 ** 2 / R ** 2) + 1) * err_RRs)
-        out.append(Check("limit-pde-1", abs(mp.fsum(terms1)) / scale1,
-                         10 * err1 / scale1, ps))
+        def pde2(R, Rstar, dU1, dU2, dU22, dU12, **_):
+            V = Rstar / R
+            return _normalized([
+                4 * s2 ** 2 * dU22,
+                2 * s1 * s2 * dU12,
+                (s1 / (2 * s2)) * V * (V * s1 * dU1 - 2 * s2 * dU2) ** 2,
+                -(2 * s1 * s2 / R) * dU1 * dU2,
+                V * s1 * dU1,
+                2 * s2 * dU2,
+                -2 * Rstar * (R + Rstar),
+                (2 * s2 / s1) * R,
+                -s1 * V * ((s1 ** 2 / (8 * s2)) * V ** 2 + alpha / 2),
+            ])
 
-        terms2 = [
-            4 * s2 ** 2 * dU22,
-            2 * s1 * s2 * dU12,
-            (s1 / (2 * s2)) * V * (V * s1 * dU1 - 2 * s2 * dU2) ** 2,
-            -(2 * s1 * s2 / R) * dU1 * dU2,
-            V * s1 * dU1,
-            2 * s2 * dU2,
-            -2 * Rs * U,
-            (2 * s2 / s1) * R,
-            -s1 * V * ((s1 ** 2 / (8 * s2)) * V ** 2 + alpha / 2),
-        ]
-        scale2 = 1 + max(abs(v) for v in terms2)
-        err2 = (4 * s2 ** 2 * eU22 + 2 * abs(s1) * s2 * eU12
-                + (abs(s1 / s2) * abs(V) * (abs(V * s1) + 2 * s2) * (abs(V * s1 * dU1) + abs(2 * s2 * dU2))
-                   + abs(2 * s1 * s2 / R) * (abs(dU1) + abs(dU2))
-                   + abs(V * s1) + 2 * s2) * (eU1 + eU2)
-                + (2 * abs(U) + 2 * abs(Rs) + abs(2 * s2 / s1) + 1
-                   + abs(s1 ** 3 / s2) * V ** 2 / abs(R)) * err_RRs)
-        out.append(Check("limit-pde-2", abs(mp.fsum(terms2)) / scale2,
-                         10 * err2 / scale2, ps))
-
-        def h_expr(Rv, Rsv, dUa, dUb):
+        def expr(R, Rstar, dU1, dU2, H, **_):
             return (
-                -(s1 * s2 / Rv) * ((s1 * Rsv / (2 * s2 * Rv)) * dUa - dUb) ** 2
-                + (s1 * dUa / Rv - 1) ** 2 / 4
-                - (Rv + Rsv)
-                + s1 ** 3 * Rsv ** 2 / (16 * s2 * Rv ** 3)
-                - (s1 / (2 * Rv) - alpha) ** 2 / 4
+                -(s1 * s2 / R) * ((s1 * Rstar / (2 * s2 * R)) * dU1 - dU2) ** 2
+                + (s1 * dU1 / R - 1) ** 2 / 4
+                - (R + Rstar)
+                + s1 ** 3 * Rstar ** 2 / (16 * s2 * R ** 3)
+                - (s1 / (2 * R) - alpha) ** 2 / 4
+                - H
             )
 
-        expr = h_expr(R, Rs, dU1, dU2)
-        errH = (abs(s1 * s2 / R) * (1 + abs(s1 * Rs / s2 / R)) ** 2 * (abs(dU1) + abs(dU2) + 1) * (eU1 + eU2)
-                + (1 + abs(s1 / R) ** 2 + abs(s1 ** 3 / s2) * abs(Rs) / R ** 2) * err_RRs
-                + err_H)
-        out.append(Check("limit-H-expr", abs(expr - H), 10 * errH, ps))
+        def subst(H, dH1, dH2, dH11, dH22, dH12, **_):
+            # R -> -s1 dH1, R* -> -2 s2 dH2, with d(U)/ds from second
+            # derivatives of H
+            return expr(-s1 * dH1, -2 * s2 * dH2, -(dH1 + s1 * dH11 + 2 * s2 * dH12),
+                        -(s1 * dH12 + 2 * dH2 + 2 * s2 * dH22), H)
 
-        # substitution route: R -> -s1 dH1, R* -> -2 s2 dH2, with
-        # d(U)/ds from second derivatives of H
-        Rh = -s1 * dH1
-        Rsh = -2 * s2 * dH2
-        dU1h = -(dH1 + s1 * dH11 + 2 * s2 * dH12)
-        dU2h = -(s1 * dH12 + 2 * dH2 + 2 * s2 * dH22)
-        expr_sub = h_expr(Rh, Rsh, dU1h, dU2h)
-        errsub = (abs(s1) * eH1 + 2 * s2 * eH2
-                  + (abs(s1) + 1) ** 2 * (eH11 + eH12 + eH22 + eH1 + eH2)
-                  * (1 + abs(s1 * dU1h / Rh) + abs(s1 * Rsh / (s2 * Rh)) ** 2)
-                  + err_H)
-        out.append(Check("limit-H-subst", abs(expr_sub - H), 10 * errsub, ps))
+        def h_pde(H, dH1, dH2, dH11, dH22, dH12, **_):
+            return _normalized([
+                4 * s2 * (dH2 * (s1 * dH11 + 2 * s2 * dH12)
+                          - dH1 * (2 * s2 * dH22 + s1 * dH12 + dH2)) ** 2,
+                dH1 * (s1 * dH11 + 2 * s2 * dH12) ** 2,
+                4 * dH1 ** 3 * (s1 * dH1 + 2 * s2 * dH2 - H),
+                -dH1 * (alpha * dH1 + mpf(1) / 2) ** 2,
+                -s2 * dH2 ** 2,
+            ])
 
-        terms3 = [
-            4 * s2 * (dH2 * (s1 * dH11 + 2 * s2 * dH12)
-                      - dH1 * (2 * s2 * dH22 + s1 * dH12 + dH2)) ** 2,
-            dH1 * (s1 * dH11 + 2 * s2 * dH12) ** 2,
-            4 * dH1 ** 3 * (s1 * dH1 + 2 * s2 * dH2 - H),
-            -dH1 * (alpha * dH1 + mpf(1) / 2) ** 2,
-            -s2 * dH2 ** 2,
-        ]
-        scale3 = 1 + max(abs(v) for v in terms3)
-        mag = (1 + abs(dH1) + abs(dH2)) * (1 + abs(s1 * dH11) + abs(2 * s2 * dH12) + abs(2 * s2 * dH22))
-        err3 = (8 * s2 * mag ** 2 * (eH11 + eH12 + eH22)
-                + mag ** 2 * (eH1 + eH2 + err_H))
-        out.append(Check("limit-H-pde", abs(mp.fsum(terms3)) / scale3,
-                         10 * err3 / scale3, ps))
-    return out
+        return [Check(cid, abs(f(**x)), 10 * _propagated(f, x, err), ps)
+                for cid, f in (("limit-pde-1", pde1), ("limit-pde-2", pde2),
+                               ("limit-H-expr", expr), ("limit-H-subst", subst),
+                               ("limit-H-pde", h_pde))]
 
 
 def reduced_limit_residual(s1, s2_small, n_list, prec: PrecisionContext,
                            alpha="0.5", cache_dir=None):
     """Residual of the s2 -> 0 reduction
     (s1 H'')^2 + 4 (H')^2 (s1 H' - H) - (alpha H' + 1/2)^2 with ' = d/ds1,
-    normalized by (1 + max term); decays as s2 -> 0+.
+    normalized by (1 + max term); decays as s2 -> 0+ at s1 > 0.  At
+    s1 < 0 it has no limit: the weight x^alpha e^(-x + |t1|/x) is not
+    integrable at 0 once t2 -> 0.
     """
     grid = ScaledGrid(s1, s2_small, n_list, prec, alpha=alpha, cache_dir=cache_dir)
     with mp.workdps(prec.work_dps):
         s1m = to_mpf(grid.s1)
-        am = to_mpf(to_mpf(grid.alpha))
-        H, _ = grid.value("H")
+        am = to_mpf(grid.alpha)
+        H = grid.at()["H"].limit
         dH1, _ = grid.first("H", 0)
         dH11, _ = grid.second("H", 0)
-        terms = [
+        return abs(_normalized([
             (s1m * dH11) ** 2,
             4 * dH1 ** 2 * (s1m * dH1 - H),
             -(am * dH1 + mpf(1) / 2) ** 2,
-        ]
-        return abs(mp.fsum(terms)) / (1 + max(abs(v) for v in terms))
+        ]))

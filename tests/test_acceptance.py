@@ -155,7 +155,7 @@ def test_criterion_06_double_scaling():
         byid = {c.id: c for c in ident}
         ok &= byid["dH-ds1-sign"].ok
         pdes = sc.verify_limiting_pdes(grid)
-        ok &= all(c.ok for c in pdes)  # tolerances are 10x combined error
+        ok &= all(c.ok for c in pdes)  # tolerances are 10x propagated error
         slope = sc.convergence_slope(s)
         ok &= abs(slope + 1) <= mpf("0.3")
     _line(6, "double scaling at (1,1)", bool(ok),

@@ -228,14 +228,17 @@ def _count_calls(monkeypatch, module, attr):
     return calls
 
 
-@pytest.mark.parametrize("suite", ["calculus", "recurrence", "ladder", "multitime"])
+@pytest.mark.parametrize("suite", ["calculus", "recurrence", "ladder", "multitime", "scaling"])
 def test_warm_run_integrates_and_writes_nothing(suite, tmp_path, monkeypatch):
     # the deterministic side of the speed-up above: a warm run reads
-    # every table, so it sweeps no quadrature and adds no cache file
+    # every table, the scaling suite's stencil nodes included, so it
+    # sweeps no quadrature and adds no cache file
     from laguerre_lab import quadrature
 
     cache = tmp_path / "cache"
-    cfg = parse_config(None, {"digits": "60", "suites": suite, "cache_dir": str(cache)})
+    extra = {"n_list": "8,10"} if suite == "scaling" else {}
+    cfg = parse_config(None, {"digits": "60", "suites": suite, "cache_dir": str(cache),
+                              **extra})
     clear_memo()
     cold = suites.run_suite(cfg)[0]
     files = sorted(p.name for p in cache.iterdir())
@@ -262,6 +265,21 @@ def test_warm_run_makes_one_oracle_pass(suite, rule, tmp_path, monkeypatch):
     clear_memo()
     suites.run_suite(cfg)
     assert len(passes) == 1
+
+
+def test_scaling_at_negative_s1(tmp_path, capsys):
+    # limit-pde-1 has one factor s1 in its squared term, and the s2 -> 0
+    # reduction, which has no limit at s1 < 0, is checked at |s1|
+    out = tmp_path / "sc.json"
+    assert cli.main(["scaling", "--s1", "-1", "--n-list", "8,10,12", "--digits", "60",
+                     "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    entries = {e["id"]: e for e in json.loads(out.read_text())["reports"][0]["entries"]}
+    assert mpf(entries["limit-pde-1"]["residual"]) < mpf("1e-3")
+    for cid, e in entries.items():
+        if cid.startswith(("limit-pde-", "limit-H-")):
+            assert mpf(e["tolerance"]) < mpf("0.1"), cid
+    assert entries["reduced-limit"]["point"] == "s1=1;s2=1/20"
 
 
 def test_classical_limit_for_negative_alpha(tmp_path, capsys):

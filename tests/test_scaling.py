@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -66,8 +67,11 @@ def test_limit_identities_negative_s1(prec):
 
 
 def test_limiting_pdes(grid11):
+    # the tolerances are propagated from the derivative errors, not
+    # divided by the s-step: well below 1e-3 at (1, 1)
     for c in sc.verify_limiting_pdes(grid11):
         assert c.ok, (c.id, c.residual, c.tol)
+        assert c.tol < mpf("1e-3"), (c.id, c.tol)
 
 
 def test_convergence_slope(grid11):
@@ -86,36 +90,77 @@ def test_tail_invariance(prec, grid11):
         assert abs(full.limit - tail.limit) <= 2 * (full.err + tail.err)
 
 
-class CubicGrid(sc.ScaledGrid):
-    """A grid whose every quantity is the cubic f(s1, s2), with zero errors."""
-
-    @staticmethod
-    def f(s1, s2):
-        return 1 + 2 * s1 - 3 * s2 + s1 ** 2 * s2 - s1 ** 3 / 5 + s2 ** 3 / 2 + s1 * s2 ** 2 / 3
-
-    def at(self, j1=Fraction(0), j2=Fraction(0)):
-        v = to_mpf(self.f(self.s1 * (1 + j1), self.s2 * (1 + j2)))
-        return sc.ScaledSequences(self.alpha, self.s1, self.s2, self.n_list,
-                                  {q: sc.Scaled((), v, mpf(0)) for q in sc.QUANTITIES})
+def cubic(s1, s2):
+    return 1 + 2 * s1 - 3 * s2 + s1 ** 2 * s2 - s1 ** 3 / 5 + s2 ** 3 / 2 + s1 * s2 ** 2 / 3
 
 
-@pytest.mark.parametrize("s1,s2", [(Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1, 2))])
-def test_scaled_grid_differences_are_exact_on_a_cubic(prec, s1, s2):
-    # central differences with one Richardson step are exact on a cubic
-    grid = CubicGrid(s1, s2, (8, 12), prec)
-    exact = {
+def cubic_derivatives(s1, s2):
+    return {
         ("first", 0): 2 + 2 * s1 * s2 - Fraction(3, 5) * s1 ** 2 + s2 ** 2 / 3,
         ("first", 1): -3 + s1 ** 2 + Fraction(3, 2) * s2 ** 2 + Fraction(2, 3) * s1 * s2,
         ("second", 0): 2 * s2 - Fraction(6, 5) * s1,
         ("second", 1): 3 * s2 + Fraction(2, 3) * s1,
         ("mixed",): 2 * s1 + Fraction(2, 3) * s2,
     }
+
+
+CUBIC_POINTS = [(Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1, 2))]
+
+
+class CubicGrid(sc.ScaledGrid):
+    """A grid whose every quantity is the cubic f(s1, s2), with zero errors."""
+
+    def at(self, j1=Fraction(0), j2=Fraction(0)):
+        v = to_mpf(cubic(self.s1 * (1 + j1), self.s2 * (1 + j2)))
+        return sc.ScaledSequences(self.alpha, self.s1, self.s2, self.n_list,
+                                  {q: sc.Scaled((), v, mpf(0)) for q in sc.QUANTITIES})
+
+
+@pytest.mark.parametrize("s1,s2", CUBIC_POINTS)
+def test_scaled_grid_differences_are_exact_on_a_cubic(prec, s1, s2):
+    # central differences in s with one Richardson step are exact on a cubic
+    grid = CubicGrid(s1, s2, (8, 12), prec)
     with mp.workdps(prec.work_dps):
         half = to_mpf(prec.half_eps)
-        for (kind, *axis), want in exact.items():
-            for q, scale in (("H", 1), ("U", 2)):  # U = R + R* = 2 f
+        for axis in (0, 1):
+            want = to_mpf(cubic_derivatives(s1, s2)[("first", axis)])
+            for q in ("H", "R"):
+                val, _ = grid.fd_first(q, axis)
+                assert abs(val - want) <= half, (axis, q)
+
+
+class CubicNode:
+    """A stencil node whose H_n and U_n = n (R_n + R_n*) are
+    cubic(s1, s2) + 7 (1 + s1)/n at s1 = 2n t1, s2 = 4n^2 t2."""
+
+    def __init__(self, params, n):
+        t1, t2 = params.t
+        s1, s2 = 2 * n * t1, 4 * n * n * t2
+        self.v = cubic(s1, s2) + Fraction(7, n) * (1 + s1)
+        self.table = self
+
+    def p(self, n):
+        return to_mpf(self.v)
+
+    def row(self, n):
+        half = to_mpf(self.v / (2 * n))
+        return SimpleNamespace(R=(half, half))
+
+
+@pytest.mark.parametrize("s1,s2", CUBIC_POINTS)
+def test_scaled_t_derivatives_are_exact_on_a_cubic(prec, s1, s2, monkeypatch):
+    # each node's t-differences (order 2, one Richardson step) give the
+    # s-derivatives exactly; d/ds1 carries a 7/n term, which the 1/n
+    # extrapolation removes exactly
+    monkeypatch.setattr(sc, "table_bundle_builder",
+                        lambda N, prec, cache_dir: lambda params, anchor: CubicNode(params, N))
+    grid = sc.ScaledGrid(s1, s2, (8, 16), prec)
+    with mp.workdps(prec.work_dps):
+        half = to_mpf(prec.half_eps)
+        for (kind, *axis), want in cubic_derivatives(s1, s2).items():
+            for q in ("H", "U"):
                 val, _ = getattr(grid, kind)(q, *axis)
-                assert abs(val - scale * to_mpf(want)) <= half, (kind, axis, q)
+                assert abs(val - to_mpf(want)) <= half, (kind, axis, q)
 
 
 def test_reduced_limit_residual(prec):
