@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Solve the equilibrium measure and dump endpoints plus a density profile.
+"""Solve the equilibrium measure and dump endpoints, the normalization
+residual, the largest Lagrange-condition residual at a + (b-a) {1/4, 1/2,
+3/4}, the number of log-potential series terms, and a density profile.
 
     python scripts/equilibrium_profile.py --n 10 --alpha 1 --t1 0.3 --t2 0.2 \
         --profile density.csv
@@ -14,6 +16,8 @@ from mpmath import mp
 from laguerre_lab.equilibrium import (
     density,
     density_normalization,
+    equilibrium_condition_residual,
+    series_terms,
     solve_support,
     solve_X_equations,
 )
@@ -37,11 +41,15 @@ def main(argv=None):
     sol = solve_support(args.n, params, prec=prec)
     with mp.workdps(prec.work_dps):
         norm_res = abs(density_normalization(sol) - args.n)
+        probes = [sol.a + mp.mpf(q) * (sol.b - sol.a) for q in ("0.25", "0.5", "0.75")]
+        lagrange_res = max(equilibrium_condition_residual(sol, probes))
         x9, x5 = solve_X_equations(sol)
         doc = {
             "a": render(sol.a), "b": render(sol.b), "A": render(sol.A),
             "X": render(sol.X), "Y": render(sol.Y),
             "normalization_residual": render(norm_res),
+            "lagrange_residual": render(lagrange_res),
+            "series_terms": series_terms(sol),
             "degree9_root": render(x9), "degree5_root": render(x5),
         }
         print(json.dumps(doc, indent=2))

@@ -10,14 +10,32 @@ The support endpoints come from a damped Newton solve for
 
 valid for alpha > 0, t1 > 0, t2 > 0 (convex potential, single cut); the
 degenerate t = 0 limit mode gives X = alpha, Y = 2n + alpha exactly.
-Integrals over the support use the substitution x = (a+b)/2 +
-(b-a)/2 cos(theta), under which 1/sqrt((b-x)(x-a)) weights become
-trapezoid sums of smooth periodic functions (spectral accuracy); the
-logarithmic kernel of the equilibrium condition is split at its interior
-singularity and fed to the finite-interval tanh-sinh rule.  Both rules
-take a batch: the integrals of one check (the two endpoint conditions,
-the six closed forms of an (a, b) pair, the panels of every probe) share
-one pass, each bit-identical to its lone value.
+The density is sigma(x) = sqrt((b-x)(x-a)) (c1/x + c2/x^2 + c3/x^3) / (2 pi X).
+On x = Y + W cos(theta), W = (b-a)/2, the bracket has the closed-form
+cosine series (eps_0 = 1, eps_j = 2; rho = (Y-X)/W = (sqrt b - sqrt a) /
+(sqrt b + sqrt a) < 1, q = -rho)
+
+    1/x   = sum_j eps_j q^j cos(j theta) / X
+    1/x^2 = sum_j eps_j q^j (jX + Y) cos(j theta) / X^3
+    1/x^3 = sum_j eps_j q^j ((j^2-1) X^2 + 3jXY + 3Y^2) cos(j theta) / (2 X^5)
+
+(1/x^2 = -d/dY 1/x and 1/x^3 = -1/2 d/dY 1/x^2 at fixed W).  Times
+sin^2(theta) = (1 - cos 2 theta)/2 it gives g(theta) = sum_k g_k cos(k theta),
+and with ln|cos phi - cos theta| = -ln 2 - 2 sum_k cos(k phi) cos(k theta) / k
+(Mason & Handscomb, Chebyshev Polynomials, 2003) the two density
+integrals the suite checks are, at x = Y + W cos(phi),
+
+    2 int sigma(y) ln|x-y| dy = (W^2/X) (g_0 ln(W/2) - sum_{k>=1} g_k cos(k phi) / k)
+    int sigma = W^2 g_0 / (2X).
+
+The log-potential series is geometric in rho; ``series_terms`` cuts it
+where an explicit tail bound falls below 10^-(P+5) of the charge term.
+The other integrals over the support (the endpoint conditions, the
+closed-form identities) use the same substitution, under which
+1/sqrt((b-x)(x-a)) weights become trapezoid sums of smooth periodic
+functions (spectral accuracy).  The trapezoid takes a batch: the
+integrals of one check share one pass, each bit-identical to its lone
+value.
 """
 
 from __future__ import annotations
@@ -36,7 +54,7 @@ from .errors import (
     RootSelectionAmbiguous,
 )
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
-from .quadrature import QUAD_MAX_LEVEL, integrate_finite, sample_dps
+from .quadrature import QUAD_MAX_LEVEL
 
 
 @dataclass(frozen=True)
@@ -207,19 +225,66 @@ def support_integral(sol: EquilibriumSolution, f) -> list:
     return _theta_trapezoid(lambda th: f(mid + W * mp.cos(th)), sol.prec)
 
 
-def density_normalization(sol: EquilibriumSolution) -> mpf:
-    """int_a^b sigma(x) dx, which the multiplier pins to n."""
+def _bracket_series(sol: EquilibriumSolution):
+    """(W, q, (p0, p1, p2)): on y = Y + W cos(theta) the density bracket is
+    sum_j eps_j beta_j cos(j theta) with beta_j = q^j (p0 + p1 j + p2 j^2),
+    the cosine series of c1/y + c2/y^2 + c3/y^3."""
+    c1, c2, c3 = _bracket_coeffs(sol)
+    X, Y = sol.X, sol.Y
+    W = (sol.b - sol.a) / 2
+    p0 = c1 / X + c2 * Y / X ** 3 + c3 * (3 * Y ** 2 - X ** 2) / (2 * X ** 5)
+    p1 = c2 / X ** 2 + 3 * c3 * Y / (2 * X ** 4)
+    p2 = c3 / (2 * X ** 3)
+    return W, -(Y - X) / W, (p0, p1, p2)
+
+
+def _g0(q, p) -> mpf:
+    """g_0 = (beta_0 - beta_2) / 2 of g(theta) = sin^2(theta) * bracket."""
+    p0, p1, p2 = p
+    return (p0 - q ** 2 * (p0 + 2 * p1 + 4 * p2)) / 2
+
+
+def series_terms(sol: EquilibriumSolution) -> int:
+    """The number J of cosine terms the log potential sums: the least
+    J >= 2 with T(J) <= 10^-(P+5) g_0, so that the truncation error
+    (W^2/X) T(J) is at most 10^-(P+5) of the charge term (W^2/X) g_0 = 2n
+    (twice the mass of the density).
+
+    With rho = -q, M(j) = |p0| + |p1| j + |p2| j^2 >= |beta_j| / rho^j,
+    |g_k| <= (2|beta_k| + |beta_(k-2)| + |beta_(k+2)|) / 2
+          <= 2 rho^(k-2) M(k+2)
+    and M(j+1)/M(j) <= (1 + 1/j)^2, the terms past J shrink at least by
+    the ratio r = rho (1 + 1/(J+3))^2, so for r < 1
+
+        sum_{k>J} |g_k| / k <= T(J) = 2 rho^(J-1) M(J+3) / ((J+1)(1-r)).
+
+    T falls with J, so J is found by bisection.  A J past the theta
+    trapezoid's node cap 8 * 2^(QUAD_MAX_LEVEL+8) raises NonConvergence.
+    """
     with mp.workdps(sol.prec.work_dps):
-        mid = (sol.a + sol.b) / 2
-        W = (sol.b - sol.a) / 2
-        coeffs = _bracket_coeffs(sol)
-        norm = 2 * mp.pi * sol.X
+        _, q, p = _bracket_series(sol)
+        rho, m = -q, [abs(c) for c in p]
+        target = mpf(10) ** -(sol.prec.digits + 5) * _g0(q, p)
 
-        def g(th):
-            x = mid + W * mp.cos(th)
-            return ((W * mp.sin(th)) ** 2 * _density_bracket(coeffs, x) / norm,)
+        def within(J):
+            r = rho * (1 + mpf(1) / (J + 3)) ** 2
+            tail = 2 * rho ** (J - 1) * (m[0] + (J + 3) * (m[1] + (J + 3) * m[2]))
+            return r < 1 and tail <= target * (J + 1) * (1 - r)
 
-        return _theta_trapezoid(g, sol.prec)[0]
+        lo, hi = 1, 8 * 2 ** (QUAD_MAX_LEVEL + 8)
+        if not within(hi):
+            raise NonConvergence(f"log-potential series: more than {hi} terms at rho = {rho}")
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if within(mid) else (mid, hi)
+        return hi
+
+
+def density_normalization(sol: EquilibriumSolution) -> mpf:
+    """int_a^b sigma(x) dx = W^2 g_0 / (2X), which the multiplier pins to n."""
+    with mp.workdps(sol.prec.work_dps):
+        W, q, p = _bracket_series(sol)
+        return W ** 2 * _g0(q, p) / (2 * sol.X)
 
 
 def supplementary_residual(sol: EquilibriumSolution):
@@ -235,45 +300,53 @@ def supplementary_residual(sol: EquilibriumSolution):
         return abs(r1), abs(r2 - 2 * mp.pi * sol.n)
 
 
-def equilibrium_condition_residual(sol: EquilibriumSolution, xs) -> list:
-    """|v(x) - 2 int sigma(y) ln|x-y| dy - A| at each interior probe x in xs.
-
-    The logarithmic integral is split at the singularity into two theta
-    panels, and the panels of every probe go through one tanh-sinh pass.
-    """
+def log_potential(sol: EquilibriumSolution, xs) -> list:
+    """2 int_a^b sigma(y) ln|x-y| dy at each interior x in xs: the cosine
+    series of the module docstring, summed to ``series_terms`` terms."""
     with mp.workdps(sol.prec.work_dps):
         xs = [to_mpf(x) for x in xs]
         for x in xs:
             if not sol.a < x < sol.b:
                 raise OutOfSupport(f"probe {x} outside the support")
-        mid = (sol.a + sol.b) / 2
-        W = (sol.b - sol.a) / 2
-        quad_prec = PrecisionContext(digits=min(sol.prec.digits, 60))
-        # the kernel is sampled at the rule's precision; so are its constants
-        with mp.workdps(sample_dps(quad_prec)):
-            coeffs = _bracket_coeffs(sol)
-            norm = 2 * mp.pi * sol.X
-
-        def kernel(x):
-            def g(th):
-                y = mid + W * mp.cos(th)
-                d = abs(x - y)
-                if d == 0:
-                    # node collided with the probe after rounding; the DE
-                    # weight there is far below the target tolerance
-                    return mpf(0)
-                dens = (W * mp.sin(th)) ** 2 * _density_bracket(coeffs, y) / norm
-                return mp.log(d) * dens
-            return g
-
-        panels = []
+        J = series_terms(sol)
+        W, q, (p0, p1, p2) = _bracket_series(sol)
+        beta, qj = [], mpf(1)
+        for j in range(J + 3):
+            beta.append(qj * (p0 + j * (p1 + j * p2)))
+            qj *= q
+        # g_k / k for k = 1..J; the factor sin^2 = (1 - cos 2 theta)/2
+        # mixes beta_k with beta_(k-2) and beta_(k+2)
+        h = [(beta[1] - beta[3]) / 2] + [
+            (2 * beta[k] - beta[k - 2] - beta[k + 2]) / (2 * k) for k in range(2, J + 1)]
+        charge = _g0(q, (p0, p1, p2)) * mp.log(W / 2)
+        out = []
         for x in xs:
-            theta0 = mp.acos((x - mid) / W)
-            g = kernel(x)
-            panels += [(g, 0, theta0), (g, theta0, mp.pi)]
-        li = integrate_finite(panels, quad_prec, what="log-kernel")
-        return [abs(-sol.params.log_weight(x) - 2 * (left + right) - sol.A)
-                for x, left, right in zip(xs, li[0::2], li[1::2])]
+            # cos(k phi) by the Chebyshev recurrence, cos(phi) = (x - Y)/W
+            cos1 = (x - sol.Y) / W
+            two_cos1 = 2 * cos1
+            c_prev, c, acc = mpf(1), cos1, h[0] * cos1
+            for hk in h[1:]:
+                c_prev, c = c, two_cos1 * c - c_prev
+                acc += hk * c
+            out.append(W ** 2 / sol.X * (charge - acc))
+        return out
+
+
+def equilibrium_condition_residual(sol: EquilibriumSolution, xs) -> list:
+    """|v(x) - 2 int sigma(y) ln|x-y| dy - A| at each interior probe x in xs.
+
+    The log potential is the cosine series of the module docstring
+    (``log_potential``), from the kernel expansion
+    ln|cos phi - cos theta| = -ln 2 - 2 sum_k cos(k phi) cos(k theta) / k
+    (Mason & Handscomb, Chebyshev Polynomials, 2003).  Its terms fall
+    like rho^k, rho = (Y-X)/W, and it is summed to the J of
+    ``series_terms``, whose tail bound 2 rho^(J-1) M(J+3) / ((J+1)(1-r))
+    keeps the truncation below 10^-(P+5) of the charge term.
+    """
+    with mp.workdps(sol.prec.work_dps):
+        xs = [to_mpf(x) for x in xs]
+        return [abs(-sol.params.log_weight(x) - pot - sol.A)
+                for x, pot in zip(xs, log_potential(sol, xs))]
 
 
 # --------------------------------------------------------------------------

@@ -414,7 +414,8 @@ def integrate_finite(panels, prec: PrecisionContext, what="integrate_finite") ->
     near endpoint keeps its relative accuracy, but x = b - dist (or
     a + dist with a != 0) rounds to the endpoint once dist is below its
     ulp, and a sample there that divides by zero raises NonConvergence.
-    Used by the equilibrium-measure checks.  The panels share the
+    No suite calls it: it is the test oracle that the equilibrium log
+    potential's cosine series is checked against.  The panels share the
     nodes t and every factor that does not depend on the interval (sinh t,
     e^{-2|w|}, cosh t, cosh^2 w; the half-width scales them), and each
     result is bit-identical to a pass of its panel alone.

@@ -353,8 +353,9 @@ def equilibrium_suite(config: RunConfig) -> ResidualReport:
         tolN = mpf(10) ** (-(prec.digits - 25))
         rep.add(Check("support-eq1", abs(f1), tolN, f"n={n}"))
         rep.add(Check("support-eq2", abs(f2), tolN, f"n={n}"))
+        # the series identities hold to the endpoint solve, like limit-A
         rep.add(Check("density-normalization", abs(eq.density_normalization(sol) - n),
-                      mpf(10) ** -10, f"n={n}"))
+                      tolN * 100, f"n={n}"))
         neg = mpf(0)
         for k in range(1, 102):
             x = sol.a + (sol.b - sol.a) * k / mpf(102)
@@ -367,7 +368,7 @@ def equilibrium_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("supplementary-v2", r2, mpf(10) ** -10, f"n={n}"))
         worst = max(eq.equilibrium_condition_residual(
             sol, [sol.a + q * (sol.b - sol.a) for q in (mpf("0.25"), mpf("0.5"), mpf("0.75"))]))
-        rep.add(Check("lagrange-eq", worst, mpf(10) ** -8, "3 probes"))
+        rep.add(Check("lagrange-eq", worst, tolN * 100, "3 probes"))
         x9, x5 = eq.solve_X_equations(sol)
         rep.add(Check("degree9-root", abs(x9 - sol.X), mpf(10) ** -10, f"n={n}"))
         rep.add(Check("degree5-root",

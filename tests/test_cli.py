@@ -253,8 +253,10 @@ def test_warm_run_integrates_and_writes_nothing(suite, tmp_path, monkeypatch):
 @pytest.mark.parametrize("suite,rule", [("recurrence", "integrate_weighted"),
                                         ("equilibrium", "integrate_finite")])
 def test_warm_run_makes_one_oracle_pass(suite, rule, tmp_path, monkeypatch):
-    # the four orthogonality pairs, and the two log-kernel panels of each
-    # of the three lagrange-eq probes, share one quadrature pass
+    # the four orthogonality pairs share one quadrature pass.  lagrange-eq
+    # and density-normalization sum cosine series, so equilibrium makes no
+    # tanh-sinh pass, and three theta passes: the two supplementary
+    # conditions and the six closed forms of each of two (a, b) pairs
     from laguerre_lab import quadrature
 
     cfg = parse_config(None, {"digits": "60", "suites": suite,
@@ -262,9 +264,13 @@ def test_warm_run_makes_one_oracle_pass(suite, rule, tmp_path, monkeypatch):
     clear_memo()
     suites.run_suite(cfg)
     passes = _count_calls(monkeypatch, quadrature, rule)
+    theta = _count_calls(monkeypatch, eq, "_theta_trapezoid")
     clear_memo()
     suites.run_suite(cfg)
-    assert len(passes) == 1
+    if suite == "recurrence":
+        assert len(passes) == 1
+    else:
+        assert (len(passes), len(theta)) == (0, 3)
 
 
 def test_scaling_at_negative_s1(tmp_path, capsys):
@@ -312,6 +318,19 @@ def test_equilibrium_verifies_the_m2_part_of_an_m3_point(tmp_path):
                      "--out", str(out)]) == 0
     meta = json.loads(out.read_text())["reports"][0]["metadata"]
     assert meta["verified_point"] == "alpha=1;t=3/10,1/5"
+
+
+@pytest.mark.parametrize("args", [["--t1", "0.001", "--t2", "0.001"], ["--digits", "200"]])
+def test_equilibrium_series_checks(args, tmp_path):
+    # rho = 0.936 at t1 = t2 = 1/1000 takes 4488 series terms; at 200
+    # digits the series carries lagrange-eq below 1e-190
+    out = tmp_path / "eq.json"
+    assert cli.main(["equilibrium", *args, "--out", str(out)]) == 0
+    entries = {e["id"]: e for e in json.loads(out.read_text())["reports"][0]["entries"]}
+    for cid in ("lagrange-eq", "density-normalization"):
+        assert mpf(entries[cid]["residual"]) < mpf(entries[cid]["tolerance"]) / 100, cid
+    if "200" in args:
+        assert mpf(entries["lagrange-eq"]["residual"]) < mpf("1e-190")
 
 
 def test_density_profile_is_written_at_the_verified_point(tmp_path):

@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 from laguerre_lab import equilibrium as eq
 from laguerre_lab.errors import DomainError, NonConvergence, OutOfSupport
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
+from laguerre_lab.quadrature import integrate_finite
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +74,73 @@ def test_density_nonnegative_grid(sol):
             assert eq.density(sol, x) >= 0
 
 
+def _probes(sol):
+    return [sol.a + mpf(q) * (sol.b - sol.a) for q in ("0.25", "0.5", "0.75")]
+
+
 def test_equilibrium_condition(sol):
     with mp.workdps(sol.prec.work_dps):
-        xs = [sol.a + mpf(q) * (sol.b - sol.a) for q in ("0.25", "0.5", "0.75")]
-        for res in eq.equilibrium_condition_residual(sol, xs):
-            assert res < mpf(10) ** -8
+        for res in eq.equilibrium_condition_residual(sol, _probes(sol)):
+            assert res < mpf(10) ** -93
+    with pytest.raises(OutOfSupport):
+        eq.equilibrium_condition_residual(sol, [sol.b + 1])
+
+
+def test_log_potential_series_matches_tanh_sinh_and_mp_quad():
+    # two quadrature routes: the log kernel split at its singularity into
+    # two theta panels, through integrate_finite and through mp.quad
+    p60 = PrecisionContext(digits=60)
+    sol = eq.solve_support(10, WeightParams("1", ("0.3", "0.2")), prec=p60)
+    with mp.workdps(p60.work_dps):
+        xs = _probes(sol)
+        series = eq.log_potential(sol, xs)
+        mid, W = (sol.a + sol.b) / 2, (sol.b - sol.a) / 2
+        coeffs = eq._bracket_coeffs(sol)
+
+        def kernel(x):
+            def g(th):
+                y = mid + W * mp.cos(th)
+                d = abs(x - y)
+                if d == 0:  # a node that rounds onto the probe; its weight is negligible
+                    return mpf(0)
+                return mp.log(d) * (W * mp.sin(th)) ** 2 * eq._density_bracket(coeffs, y) \
+                    / (mp.pi * sol.X)
+            return g
+
+        cuts = [mp.acos((x - mid) / W) for x in xs]
+        panels = [(kernel(x), lo, hi) for x, c in zip(xs, cuts) for lo, hi in ((0, c), (c, mp.pi))]
+        tanh_sinh = integrate_finite(panels, p60)
+        for x, c, s, left, right in zip(xs, cuts, series, tanh_sinh[0::2], tanh_sinh[1::2]):
+            assert abs(s - (left + right)) < mpf(10) ** -50
+            assert abs(s - mp.quad(kernel(x), [0, c, mp.pi])) < mpf(10) ** -50
+
+
+def test_normalization_series_matches_theta_trapezoid(sol):
+    with mp.workdps(sol.prec.work_dps):
+        coeffs = eq._bracket_coeffs(sol)
+        (theta,) = eq.support_integral(sol, lambda x: (
+            (sol.b - x) * (x - sol.a) * eq._density_bracket(coeffs, x) / (2 * mp.pi * sol.X),))
+        assert abs(eq.density_normalization(sol) - theta) < mpf(10) ** -110
+
+
+def test_log_potential_tail_bound_holds(monkeypatch):
+    # summing twice the terms moves the potential by at most the bound
+    # series_terms guarantees: 10^-(P+5) of the charge term 2n
+    p60 = PrecisionContext(digits=60)
+    sol = eq.solve_support(10, WeightParams("1", ("0.3", "0.2")), prec=p60)
+    with mp.workdps(p60.work_dps):
+        cut = eq.log_potential(sol, _probes(sol))
+        J = eq.series_terms(sol)
+        monkeypatch.setattr(eq, "series_terms", lambda s: 2 * J)
+        for short, long in zip(cut, eq.log_potential(sol, _probes(sol))):
+            assert abs(short - long) <= 20 * mpf(10) ** -65
+
+
+def test_series_term_cap_raises_nonconvergence(sol, monkeypatch):
+    # the default point needs 1805 terms; a cap of 8 * 2^(-5 + 8) = 64 is too few
+    monkeypatch.setattr(eq, "QUAD_MAX_LEVEL", -5)
+    with pytest.raises(NonConvergence):
+        eq.equilibrium_condition_residual(sol, _probes(sol))
 
 
 def test_condition_probes_batch_is_bit_identical_to_lone(sol):

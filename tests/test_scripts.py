@@ -2,6 +2,7 @@
 arguments, with the table cache in a temporary directory."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -29,8 +30,11 @@ def test_script_main_runs(name, tmp_path, monkeypatch, capsys):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     module.main([a.format(tmp=tmp_path) for a in ARGS[name]])
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out
     if name == "equilibrium_profile":
+        doc = json.loads(out[:out.rindex("}") + 1])
+        assert {"lagrange_residual", "series_terms"} <= set(doc)
         assert len((tmp_path / "profile.csv").read_text().splitlines()) == 4
     if name == "sweep_double_scaling":
         # the tensor grid (1, 1) and its mirror (-1, 1), one CSV each
