@@ -3,13 +3,14 @@
 Derivatives of table/auxiliary quantities are central differences on a
 dyadic stencil with Richardson extrapolation.  Each difference formula
 is written once, as a table of taps (``FIRST``, ``SECOND``, ``CROSS``),
-and the s-grid of ``scaling`` reads the same tables.  Every stencil
-node is a recurrence table at an exactly-rational shifted parameter
-point, memoized per grid.  Only the grid's centre is integrated: its seed
-moments (the grid's anchor) are shifted to each node by the exact
-parameter Taylor series, and a node is integrated only where that
-shift's error bound is too wide (``quadrature.shift_seeds``); the
-Pearson recurrence and Gram-Schmidt then run per node as before.
+and ``StencilGrid`` is their only reader; ``scaling`` differentiates on
+the same grids.  Every stencil node is a recurrence table at an
+exactly-rational shifted parameter point, memoized per grid.  Only the
+grid's centre is integrated: its seed moments (the grid's anchor) are
+shifted to each node by the exact parameter Taylor series, and a node
+is integrated only where that shift's error bound is too wide
+(``quadrature.shift_seeds``); the Pearson recurrence and Gram-Schmidt
+then run per node as before.
 Estimated derivative errors (extrapolation spread plus a roundoff floor)
 propagate into each check's tolerance, so the residual contracts below
 are self-calibrating: an identity passes when its residual is at the
@@ -134,7 +135,7 @@ class Difference:
         return den
 
     def quotient(self, value, steps):
-        """The difference of value(offsets) at the signed steps.
+        """The difference of value(offsets) at the steps.
 
         Terms are added in tap order as +-|w| value, so each quotient has
         the bits of the formula written out by hand.

@@ -6,10 +6,9 @@ sequences n R_n, n R_n*, r_n, r_n*, H_n are Richardson-extrapolated in
 1/n (Neville at 0), and the limiting identities and PDEs are checked on
 the extrapolated values.  Derivatives in s are taken at finite n, on the
 t-stencil grid of ``calculus`` at each scaling point, and extrapolated in
-1/n the same way; one check set differences the limits in s instead
-(``ScaledGrid.fd_first``).  Reported errors are the last Neville
-correction plus the stencil error, and every residual contract scales
-with the error propagated from its inputs.
+1/n the same way; this is the only derivative route.  Reported errors
+are the last Neville correction plus the stencil error, and every
+residual contract scales with the error propagated from its inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .calculus import FIRST, DerivativeStencil, StencilGrid, _richardson, table_bundle_builder
+from .calculus import DerivativeStencil, StencilGrid, table_bundle_builder
 from .errors import DomainError, SingularAux
 from .ladder import aux_integrals
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
@@ -153,9 +152,9 @@ def convergence_slope(seqs: ScaledSequences) -> mpf:
 
 
 class ScaledGrid:
-    """Extrapolated limits at one (s1, s2) (``at``, memoized per s-point)
-    and their derivatives in s, taken at finite n on one t-stencil grid
-    per n and extrapolated in 1/n like the values."""
+    """Extrapolated limits at one (s1, s2) (``at``, memoized) and their
+    derivatives in s, taken at finite n on one t-stencil grid per n and
+    extrapolated in 1/n like the values."""
 
     def __init__(self, s1, s2, n_list, prec: PrecisionContext, alpha="0.5",
                  cache_dir=None):
@@ -164,17 +163,14 @@ class ScaledGrid:
         self.n_list = tuple(n_list)
         self.prec = prec
         self.cache_dir = cache_dir
-        self._memo = {}
+        self._seqs = None
         self._grids = {}
 
-    def at(self, j1=Fraction(0), j2=Fraction(0)) -> ScaledSequences:
-        key = (j1, j2)
-        if key not in self._memo:
-            self._memo[key] = scaled_sequences(
-                self.s1 * (1 + j1), self.s2 * (1 + j2),
-                self.n_list, self.prec, alpha=self.alpha,
-                cache_dir=self.cache_dir)
-        return self._memo[key]
+    def at(self) -> ScaledSequences:
+        if self._seqs is None:
+            self._seqs = scaled_sequences(self.s1, self.s2, self.n_list, self.prec,
+                                          alpha=self.alpha, cache_dir=self.cache_dir)
+        return self._seqs
 
     def _derivative(self, kind: str, quantity: str, axes):
         """(1/n limit of the scaled t-derivative of H_n or U_n, error): the
@@ -211,31 +207,6 @@ class ScaledGrid:
     def mixed(self, quantity: str):
         return self._derivative("mixed", quantity, (0, 1))
 
-    def fd_first(self, quantity: str, axis: int):
-        """d/ds_axis of the extrapolated quantity by differences in s.
-
-        ``FIRST[2]`` at relative steps 1/32 and 1/64, Richardson-
-        extrapolated; the error is the spread plus the largest propagated
-        1/n-extrapolation error of a level.  The identities that read it
-        check, with r_n = t1 dH_n/dt1 at finite n, that the 1/n limit and
-        d/ds commute.
-        """
-        diff = FIRST[2]
-        with mp.workdps(self.prec.work_dps):
-            base = to_mpf(self.s1 if axis == 0 else self.s2)
-            levels, emax = [], mpf(0)
-            for d in (Fraction(1, 32), Fraction(1, 64)):
-                def at(offsets):
-                    j = offsets[0] * d
-                    return self.at(*((j, Fraction(0)) if axis == 0 else (Fraction(0), j)))[quantity]
-
-                steps = [base * to_mpf(d)]  # signed: offsets are relative
-                levels.append(diff.quotient(lambda o: at(o).limit, steps))
-                prop = sum(abs(w) * at(o).err for o, w in diff.taps)
-                emax = max(emax, prop / abs(diff.denominator(steps)))
-            val, spread = _richardson(levels, diff.order)
-            return val, spread + emax
-
 
 def verify_limit_identities(grid: ScaledGrid):
     """R = -s1 dH/ds1, R* = -2 s2 dH/ds2, R = -r, R* = -r*, and the
@@ -245,8 +216,8 @@ def verify_limit_identities(grid: ScaledGrid):
     with mp.workdps(grid.prec.work_dps):
         s = grid.at()
         s1m, s2m = to_mpf(grid.s1), to_mpf(grid.s2)
-        dH1, e1 = grid.fd_first("H", 0)
-        dH2, e2 = grid.fd_first("H", 1)
+        dH1, e1 = grid.first("H", 0)
+        dH2, e2 = grid.first("H", 1)
         R, Rs, r, rs = (s[q] for q in ("R", "Rstar", "r", "rstar"))
         out.append(Check("scaled-R-plus-r", abs(R.limit + r.limit),
                          10 * (R.err + r.err), ps))

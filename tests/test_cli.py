@@ -275,7 +275,9 @@ def test_warm_run_makes_one_oracle_pass(suite, rule, tmp_path, monkeypatch):
 
 def test_scaling_at_negative_s1(tmp_path, capsys):
     # limit-pde-1 has one factor s1 in its squared term, and the s2 -> 0
-    # reduction, which has no limit at s1 < 0, is checked at |s1|
+    # reduction, which has no limit at s1 < 0, is checked at |s1|.  The
+    # identities on dH/ds read finite-n t-derivatives, so their tolerances
+    # stay at the size of the 1/n extrapolation error
     out = tmp_path / "sc.json"
     assert cli.main(["scaling", "--s1", "-1", "--n-list", "8,10,12", "--digits", "60",
                      "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 0
@@ -283,9 +285,26 @@ def test_scaling_at_negative_s1(tmp_path, capsys):
     entries = {e["id"]: e for e in json.loads(out.read_text())["reports"][0]["entries"]}
     assert mpf(entries["limit-pde-1"]["residual"]) < mpf("1e-3")
     for cid, e in entries.items():
-        if cid.startswith(("limit-pde-", "limit-H-")):
+        if cid.startswith(("limit-pde-", "limit-H-")) or cid in (
+                "limit-R-identity", "limit-Rstar-identity", "dH-ds1-sign"):
             assert mpf(e["tolerance"]) < mpf("0.1"), cid
     assert entries["reduced-limit"]["point"] == "s1=1;s2=1/20"
+
+
+def test_cold_scaling_builds_one_sequence_set_per_grid(tmp_path, monkeypatch):
+    # every derivative in s is a finite-n t-derivative on the stencil
+    # grid of the scaling point, so a cold run builds the scaled sequences
+    # once for the main grid and once for the reduced-limit grid, and
+    # sweeps the seeds of each of their two n once
+    from laguerre_lab import quadrature, scaling
+
+    cfg = parse_config(None, {"digits": "60", "suites": "scaling", "n_list": "8,10",
+                              "cache_dir": str(tmp_path / "cache")})
+    clear_memo()
+    seqs = _count_calls(monkeypatch, scaling, "scaled_sequences")
+    sweeps = _count_calls(monkeypatch, quadrature, "moments")
+    suites.run_suite(cfg)
+    assert (len(seqs), len(sweeps)) == (2, 4)
 
 
 def test_classical_limit_for_negative_alpha(tmp_path, capsys):

@@ -107,28 +107,6 @@ def cubic_derivatives(s1, s2):
 CUBIC_POINTS = [(Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1, 2))]
 
 
-class CubicGrid(sc.ScaledGrid):
-    """A grid whose every quantity is the cubic f(s1, s2), with zero errors."""
-
-    def at(self, j1=Fraction(0), j2=Fraction(0)):
-        v = to_mpf(cubic(self.s1 * (1 + j1), self.s2 * (1 + j2)))
-        return sc.ScaledSequences(self.alpha, self.s1, self.s2, self.n_list,
-                                  {q: sc.Scaled((), v, mpf(0)) for q in sc.QUANTITIES})
-
-
-@pytest.mark.parametrize("s1,s2", CUBIC_POINTS)
-def test_scaled_grid_differences_are_exact_on_a_cubic(prec, s1, s2):
-    # central differences in s with one Richardson step are exact on a cubic
-    grid = CubicGrid(s1, s2, (8, 12), prec)
-    with mp.workdps(prec.work_dps):
-        half = to_mpf(prec.half_eps)
-        for axis in (0, 1):
-            want = to_mpf(cubic_derivatives(s1, s2)[("first", axis)])
-            for q in ("H", "R"):
-                val, _ = grid.fd_first(q, axis)
-                assert abs(val - want) <= half, (axis, q)
-
-
 class CubicNode:
     """A stencil node whose H_n and U_n = n (R_n + R_n*) are
     cubic(s1, s2) + 7 (1 + s1)/n at s1 = 2n t1, s2 = 4n^2 t2."""
