@@ -11,11 +11,11 @@ shifted to each node by the exact parameter Taylor series, and a node
 is integrated only where that shift's error bound is too wide
 (``quadrature.shift_seeds``); the Pearson recurrence and Gram-Schmidt
 then run per node as before.
-Estimated derivative errors (extrapolation spread plus a roundoff floor)
-propagate into each check's tolerance, so the residual contracts below
-are self-calibrating: an identity passes when its residual is at the
-noise level of the derivatives that enter it.  A node's auxiliary rows
-are computed when a check first reads them.
+Each derivative carries an error estimate (extrapolation spread plus a
+roundoff floor), and every check is held to 10 times the first-order
+error of its signed residual propagated from the derivatives it reads
+(``propagated``; |coef| times the error for a linear one).  A node's
+auxiliary rows are computed when a check first reads them.
 
 Every derivative check takes (n, grid): its point, precision and
 stencil are the grid's, and its point string names the grid's point.
@@ -39,7 +39,7 @@ all of these too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -312,6 +312,24 @@ def _label(grid: StencilGrid, n: int) -> str:
     return _point_str(grid.params, f"n={n}")
 
 
+def propagated(f, x: dict, err: dict):
+    """First-order propagated error of f(**x): the sum, over the inputs,
+    of the change in f when that one input moves by its error."""
+    f0 = f(**x)
+    return mp.fsum(abs(f(**{**x, k: x[k] + e}) - f0) for k, e in err.items())
+
+
+def normalized(terms):
+    """The sum of terms over 1 + the largest term magnitude."""
+    return mp.fsum(terms) / (1 + max(abs(v) for v in terms))
+
+
+def propagated_check(cid: str, f, x: dict, err: dict, point: str) -> Check:
+    """|f(**x)| held to 10 times its propagated error; f is the signed
+    residual of a nonlinear identity in the derivative inputs x."""
+    return Check(cid, abs(f(**x)), 10 * propagated(f, x, err), point)
+
+
 def axis_scales(point: WeightParams) -> list:
     """i t_i for the axes i = 1..m, the weights of D = sum_i i t_i d/dt_i."""
     return [i * to_mpf(t) for i, t in enumerate(point.t, start=1)]
@@ -478,9 +496,10 @@ def verify_riccati(n: int, grid: StencilGrid):
 
 def verify_coupled_pdes(n: int, grid: StencilGrid):
     """The coupled second-order PDE pair for S_n = R_n + R_n*: residuals
-    normalized by (1 + max term magnitude), held to 100 times the
-    propagated error bound."""
+    normalized by (1 + max term magnitude), each held to 10 times its
+    error propagated from the S_n and R_n partials it reads."""
     point = grid.params
+    ps = _label(grid, n)
     with mp.workdps(grid.prec.work_dps):
         t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
         alpha = to_mpf(point.alpha)
@@ -490,57 +509,46 @@ def verify_coupled_pdes(n: int, grid: StencilGrid):
 
         Sx = lambda v: v.row(n).Rsum
         Rx = lambda v: v.row(n).R[0]
-        dS1, e1 = grid.first(Sx, 0)
-        dS2, e2 = grid.first(Sx, 1)
-        dS11, e11 = grid.second(Sx, 0)
-        dS12, e12 = grid.mixed(Sx, 0, 1)
-        dS22, e22 = grid.second(Sx, 1)
-        dR1, g1 = grid.first(Rx, 0)
-        dR2, g2 = grid.first(Rx, 1)
+        x, err = {}, {}
+        for name, (kind, extract, axes) in {
+                "dS1": ("first", Sx, (0,)), "dS2": ("first", Sx, (1,)),
+                "dS11": ("second", Sx, (0,)), "dS12": ("mixed", Sx, (0, 1)),
+                "dS22": ("second", Sx, (1,)),
+                "dR1": ("first", Rx, (0,)), "dR2": ("first", Rx, (1,))}.items():
+            x[name], err[name] = getattr(grid, kind)(extract, *axes)
 
-        terms1 = [
-            t1 ** 2 * dS11,
-            2 * t1 * t2 * dS12,
-            t1 * t2 * (T / (2 * t2) * t1 * dS1 - dS2) ** 2,
-            -(t1 ** 2 / R) * dS1 ** 2,
-            (1 - Rs) * t1 * dS1,
-            2 * t2 * (R * dS2 + dR1),
-            -R * S * (S + 2 * n + 1 + alpha),
-            t2 / t1 * R * (R - 2),
-            -alpha * t1,
-            t1 ** 2 / R,
-            -(t1 ** 3 / (4 * t2)) * T ** 2,
-        ]
-        scale1 = 1 + max(abs(v) for v in terms1)
-        res1 = abs(mp.fsum(terms1)) / scale1
+        def pde1(dS1, dS2, dS11, dS12, dR1, **_):
+            return normalized([
+                t1 ** 2 * dS11,
+                2 * t1 * t2 * dS12,
+                t1 * t2 * (T / (2 * t2) * t1 * dS1 - dS2) ** 2,
+                -(t1 ** 2 / R) * dS1 ** 2,
+                (1 - Rs) * t1 * dS1,
+                2 * t2 * (R * dS2 + dR1),
+                -R * S * (S + 2 * n + 1 + alpha),
+                t2 / t1 * R * (R - 2),
+                -alpha * t1,
+                t1 ** 2 / R,
+                -(t1 ** 3 / (4 * t2)) * T ** 2,
+            ])
 
-        terms2 = [
-            4 * t2 ** 2 * dS22,
-            2 * t1 * t2 * dS12,
-            (t1 / (4 * t2)) * T * (T * t1 * dS1 - 2 * t2 * dS2) ** 2,
-            -(2 * t1 * t2 / R) * dS1 * dS2,
-            dS1 * (t1 * (T + Rs) - 2 * t2),
-            (1 - R) * 2 * t2 * dS2,
-            (4 * t2 ** 2 / t1) * dR2,
-            ((2 * t2 / t1) * R - Rs * S) * (S + 2 * n + 1 + alpha),
-            t2 / t1 * R * (Rs + 2),
-            -alpha * t1 * T,
-            -(t1 ** 3 / (4 * t2)) * T ** 3,
-        ]
-        scale2 = 1 + max(abs(v) for v in terms2)
-        res2 = abs(mp.fsum(terms2)) / scale2
+        def pde2(dS1, dS2, dS22, dS12, dR2, **_):
+            return normalized([
+                4 * t2 ** 2 * dS22,
+                2 * t1 * t2 * dS12,
+                (t1 / (4 * t2)) * T * (T * t1 * dS1 - 2 * t2 * dS2) ** 2,
+                -(2 * t1 * t2 / R) * dS1 * dS2,
+                dS1 * (t1 * (T + Rs) - 2 * t2),
+                (1 - R) * 2 * t2 * dS2,
+                (4 * t2 ** 2 / t1) * dR2,
+                ((2 * t2 / t1) * R - Rs * S) * (S + 2 * n + 1 + alpha),
+                t2 / t1 * R * (Rs + 2),
+                -alpha * t1 * T,
+                -(t1 ** 3 / (4 * t2)) * T ** 3,
+            ])
 
-        # first-derivative errors enter squared terms; keep a crude but
-        # honest envelope dominated by the second-derivative spreads
-        envelope = mp.fsum([
-            t1 ** 2 * e11, 4 * abs(t1) * t2 * e12, 4 * t2 ** 2 * e22,
-            (abs(t1) + 2 * t2) ** 2 * (e1 + e2) * (1 + abs(dS1) + abs(dS2)),
-            2 * t2 * (g1 + abs(R) * e2), 4 * t2 ** 2 / abs(t1) * g2,
-        ])
-        bound = envelope / min(scale1, scale2)
-    ps = _label(grid, n)
-    tol = 100 * bound
-    return [Check("pde-S-1", res1, tol, ps), Check("pde-S-2", res2, tol, ps)]
+        return [propagated_check("pde-S-1", pde1, x, err, ps),
+                propagated_check("pde-S-2", pde2, x, err, ps)]
 
 
 # --------------------------------------------------------------------------
@@ -554,8 +562,9 @@ class SigmaState:
 
     dH[i] and d2H[(i, j)] are (value, error estimate) pairs on the axes
     i, j = 0..m-1; a mixed partial is one estimate (lower axis first)
-    stored under both orders.  fd_error is the noise level that the
-    reconstruction and the residual bounds read.
+    stored under both orders.  fd_error, the sum of those estimates, is
+    the noise level of the branch guard of ``branch_aux``; check
+    tolerances propagate the estimates through ``sigma_state`` instead.
     """
 
     n: int
@@ -572,42 +581,64 @@ class SigmaState:
 
 
 def hankel_sigma(n: int, grid: StencilGrid) -> SigmaState:
-    """H_n = n(n+alpha) + p(n) and its derivative data on grid, for any m.
-
-        r_i          = i t_i dH_n/dt_i
-        beta_n       = sum_i r_i - H_n + n(n+alpha)
-        dbeta_n/dt_i = sum_j j t_j d^2H_n/dt_i dt_j + (i-1) dH_n/dt_i
-        Delta        = (t1 dbeta_n/dt1)^2 + 4 beta_n r_1 (r_1 - t1)
-
-    (i, j = 1..m), so the state is a pure function of H_n data.  fd_error
-    sums the error estimates of every partial taken, each mixed partial
-    once per order.
-    """
+    """H_n = n(n+alpha) + p(n) and its first and second partials on grid,
+    for any m, assembled by ``sigma_state``."""
     point, prec = grid.params, grid.prec
     m = point.m
     with mp.workdps(prec.work_dps):
         nn = n * (n + to_mpf(point.alpha))
         H = lambda v: nn + v.table.p(n)
         Hn = grid.scalar(H)
-        scales = axis_scales(point)
-
         dH = tuple(grid.first(H, i) for i in range(m))
         d2H = {}
         for i in range(m):
             d2H[(i, i)] = grid.second(H, i)
             for j in range(i + 1, m):
                 d2H[(i, j)] = d2H[(j, i)] = grid.mixed(H, i, j)
+        return sigma_state(n, point, prec, Hn, dH, d2H)
 
+
+def sigma_state(n: int, point: WeightParams, prec: PrecisionContext, Hn, dH, d2H) -> SigmaState:
+    """The sigma state assembled from H_n and its (value, error) partials:
+
+        r_i          = i t_i dH_n/dt_i
+        beta_n       = sum_i r_i - H_n + n(n+alpha)
+        dbeta_n/dt_i = sum_j j t_j d^2H_n/dt_i dt_j + (i-1) dH_n/dt_i
+        Delta        = (t1 dbeta_n/dt1)^2 + 4 beta_n r_1 (r_1 - t1)
+
+    (i, j = 1..m), a pure function of H_n data.  fd_error sums the error
+    estimates of every partial, each mixed partial once per order.
+    """
+    with mp.workdps(prec.work_dps):
+        nn = n * (n + to_mpf(point.alpha))
+        scales = axis_scales(point)
         r = tuple(s * d for s, (d, _) in zip(scales, dH))
         beta = mp.fsum(r) - Hn + nn
         dbeta = tuple(
             mp.fsum(s * d2H[(i, j)][0] for j, s in enumerate(scales)) + i * dH[i][0]
-            for i in range(m))
+            for i in range(point.m))
         t1 = to_mpf(point.t1)
         Delta = (t1 * dbeta[0]) ** 2 + 4 * beta * r[0] * (r[0] - t1)
         fd_error = mp.fsum(e for _, e in dH) + mp.fsum(e for _, e in d2H.values())
         return SigmaState(n=n, params=point, prec=prec, Hn=Hn, dH=dH, d2H=d2H, r=r,
                           beta=beta, dbeta=dbeta, Delta=Delta, fd_error=fd_error)
+
+
+def on_partials(state: SigmaState, residual):
+    """(f, x, err) for ``propagated``: residual(state) as f(**x) of the
+    H_n partials named H1, H12, ... (a mixed partial once), and their
+    errors; f re-assembles the state from x by ``sigma_state``."""
+    name = lambda axes: "H" + "".join(str(i + 1) for i in sorted(axes))
+    pairs = {name((i,)): p for i, p in enumerate(state.dH)}
+    pairs.update((name(k), p) for k, p in state.d2H.items())
+
+    def f(**x):
+        return residual(sigma_state(
+            state.n, state.params, state.prec, state.Hn,
+            tuple((x[name((i,))], e) for i, (_, e) in enumerate(state.dH)),
+            {k: (x[name(k)], e) for k, (_, e) in state.d2H.items()}))
+
+    return f, {k: v for k, (v, _) in pairs.items()}, {k: e for k, (_, e) in pairs.items()}
 
 
 def branch_aux(state: SigmaState):
@@ -659,10 +690,8 @@ def reconstruct_aux_from_H(state: SigmaState) -> AuxRow:
 
 
 def sigma_pde_residual(state: SigmaState):
-    """Normalized residual of the second-order sixth-degree PDE for H_n (m = 2).
-
-    Returns (residual, scale-free error bound).
-    """
+    """Signed normalized residual of the second-order sixth-degree PDE for
+    H_n (m = 2)."""
     with mp.workdps(state.prec.work_dps):
         t2 = to_mpf(state.params.t2)
         alpha = to_mpf(state.params.alpha)
@@ -676,19 +705,13 @@ def sigma_pde_residual(state: SigmaState):
             + 2 * b * (2 * H1 * (H1 - 1) * ((2 * n + alpha) * H1 - n) + t2 * H2 ** 2)
         )
         rhs = inner ** 2
-        scale = 1 + max(abs(lhs), abs(rhs))
-        res = abs(lhs - rhs) / scale
-        # the PDE is polynomial of combined degree six in the derivative
-        # data; propagate the first-order perturbation of the dominant terms
-        mag = 1 + max(abs(b), abs(db1), abs(db2), abs(H1), abs(H2), abs(t2))
-        bound = 50 * mag ** 5 * state.fd_error / scale
-        return res, bound
+        return (lhs - rhs) / (1 + max(abs(lhs), abs(rhs)))
 
 
 def h_from_aux_residual(state: SigmaState, row: AuxRow, dS):
-    """Residual of the closed form of H_n (m = 2) in terms of R_n, R_n* and
-    the first derivatives dS = (dS_n/dt1, dS_n/dt2) of S_n = R_n + R_n*
-    (integral-route auxiliaries in row)."""
+    """Signed residual of the closed form of H_n (m = 2) in terms of R_n,
+    R_n* and the first derivatives dS = (dS_n/dt1, dS_n/dt2) of
+    S_n = R_n + R_n* (integral-route auxiliaries in row)."""
     with mp.workdps(state.prec.work_dps):
         t1, t2 = to_mpf(state.params.t1), to_mpf(state.params.t2)
         alpha = to_mpf(state.params.alpha)
@@ -708,9 +731,7 @@ def h_from_aux_residual(state: SigmaState, row: AuxRow, dS):
             - (t1 / R - alpha) ** 2 / 4
             + t1 ** 3 / (8 * t2) * Rs ** 2 / R ** 3
         )
-        res = abs(expr - state.Hn)
-        mag = 1 + (abs(t1) ** 3 / t2) * (1 + abs(Rs / R)) ** 2 / abs(R)
-        return res, 10 * mag * state.fd_error * (1 + abs(dS1) + abs(dS2))
+        return expr - state.Hn
 
 
 def verify_sigma_pde(n: int, grid: StencilGrid):
@@ -718,65 +739,48 @@ def verify_sigma_pde(n: int, grid: StencilGrid):
     H derivative relations, discriminant sign/identity, reconstruction,
     the closed H(R, R*) form, and the sixth-degree PDE.
 
-    Beyond ``hankel_sigma`` this reads the ln D_n definition route and
-    the S_n partials; their error estimates join the state's fd_error.
+    Each derivative check propagates the errors of the H_n partials
+    through ``sigma_state`` (``on_partials``), except ``H-def`` and
+    ``H-from-aux``, which read the ln D_n and S_n first partials.
     """
     point, prec = grid.params, grid.prec
     state = hankel_sigma(n, grid)
-    out = []
     ps = _label(grid, n)
     with mp.workdps(prec.work_dps):
         t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
-
-        # independent definition route: (t1 d1 + 2 t2 d2) ln D_n
-        lnD = lambda v: v.table.log_hankel(n)
-        dD1, q1 = grid.first(lnD, 0)
-        dD2, q2 = grid.first(lnD, 1)
-        def_res = abs(state.Hn - (t1 * dD1 + 2 * t2 * dD2))
-
-        Sx = lambda v: v.row(n).Rsum
-        dS1, f1 = grid.first(Sx, 0)
-        dS2, f2 = grid.first(Sx, 1)
-        _, f11 = grid.second(Sx, 0)
-        _, f12 = grid.mixed(Sx, 0, 1)
-        _, f22 = grid.second(Sx, 1)
-
-        (_, e1), (_, e2) = state.dH
-        e11, e12, e22 = (state.d2H[k][1] for k in ((0, 0), (0, 1), (1, 1)))
-        state = replace(state, fd_error=mp.fsum(
-            [e1, e2, e11, e12, e22, f1, f2, f11, f12, f22, q1, q2]))
-
         row = grid.bundle().row(n)
         (R, Rs), (r, rs) = row.R, row.r
         tab = grid.bundle().table
-        ferr = 10 * state.fd_error
-
-        out.append(Check("H-def", def_res, ferr * (abs(t1) + 2 * t2), ps))
-        nn = n * (n + to_mpf(point.alpha))
-        out.append(Check("H-p-shift", abs(state.Hn - nn - tab.p(n)),
-                         to_mpf(prec.half_eps), ps))
-        out.append(Check("dH-t1", abs(state.r[0] - r), ferr, ps))
-        out.append(Check("dH-t2", abs(state.r[1] - rs), ferr, ps))
-
         # Delta = (r(r-t1)/R + beta R)^2 >= 0, from integral-route data
         ident = (r * (r - t1) / R + tab.beta(n) * R) ** 2
-        out.append(Check("delta-identity", abs(state.Delta - ident),
-                         ferr * (1 + abs(state.dbeta[0]) + abs(state.beta)) ** 2, ps))
-        out.append(Check("delta-nonneg",
-                         -state.Delta if state.Delta < 0 else mpf(0),
-                         to_mpf(prec.half_eps) + ferr, ps))
+        on_H = lambda cid, residual: propagated_check(cid, *on_partials(state, residual), ps)
+        x, err = {}, {}
+        for name, extract in (("D", lambda v: v.table.log_hankel(n)),
+                              ("S", lambda v: v.row(n).Rsum)):
+            for i in (0, 1):
+                x[f"{name}{i + 1}"], err[f"{name}{i + 1}"] = grid.first(extract, i)
 
-        rec = reconstruct_aux_from_H(state)
-        out.append(Check("reconstruct-R", abs(rec.R[0] - R), ferr, ps))
-        out.append(Check("reconstruct-Rstar", abs(rec.R[1] - Rs), ferr, ps))
-        out.append(Check("reconstruct-r", abs(rec.r[0] - r), ferr, ps))
-        out.append(Check("reconstruct-rstar", abs(rec.r[1] - rs), ferr, ps))
-
-        res, bound = h_from_aux_residual(state, row, (dS1, dS2))
-        out.append(Check("H-from-aux", res, bound, ps))
-        res, bound = sigma_pde_residual(state)
-        out.append(Check("sigma-pde", res, 100 * bound, ps))
-    return out
+        nn = n * (n + to_mpf(point.alpha))
+        return [
+            # independent definition route: (t1 d1 + 2 t2 d2) ln D_n
+            propagated_check("H-def", lambda D1, D2, **_: state.Hn - (t1 * D1 + 2 * t2 * D2),
+                             x, err, ps),
+            Check("H-p-shift", abs(state.Hn - nn - tab.p(n)), to_mpf(prec.half_eps), ps),
+            on_H("dH-t1", lambda s: s.r[0] - r),
+            on_H("dH-t2", lambda s: s.r[1] - rs),
+            on_H("delta-identity", lambda s: s.Delta - ident),
+            Check("delta-nonneg", -state.Delta if state.Delta < 0 else mpf(0),
+                  to_mpf(prec.half_eps)
+                  + 10 * propagated(*on_partials(state, lambda s: s.Delta)), ps),
+            on_H("reconstruct-R", lambda s: reconstruct_aux_from_H(s).R[0] - R),
+            on_H("reconstruct-Rstar", lambda s: reconstruct_aux_from_H(s).R[1] - Rs),
+            on_H("reconstruct-r", lambda s: reconstruct_aux_from_H(s).r[0] - r),
+            on_H("reconstruct-rstar", lambda s: reconstruct_aux_from_H(s).r[1] - rs),
+            propagated_check("H-from-aux",
+                             lambda S1, S2, **_: h_from_aux_residual(state, row, (S1, S2)),
+                             x, err, ps),
+            on_H("sigma-pde", sigma_pde_residual),
+        ]
 
 
 # --------------------------------------------------------------------------
@@ -800,7 +804,8 @@ def verify_t2_zero_reduction(n: int, t1, alpha, eps_list, prec: PrecisionContext
     For each eps in eps_list (frozen t2 = eps), computes the residual of
     the reduced ODE with R_n', R_n'' taken by FD in t1 only (the default
     stencil), normalized by (1 + max term magnitude) like the other PDE
-    checks.  Residuals decay like O(eps); callers assert the decay rate.
+    checks, as (eps, residual, error propagated from R_n', R_n'').
+    Residuals decay like O(eps); callers assert the decay rate.
     """
     results = []
     for eps in eps_list:
@@ -813,21 +818,22 @@ def verify_t2_zero_reduction(n: int, t1, alpha, eps_list, prec: PrecisionContext
             am = to_mpf(grid.params.alpha)
             Rx = lambda v: v.row(n).R[0]
             R = grid.scalar(Rx)
-            dR, e1 = grid.first(Rx, 0)
-            d2R, e2 = grid.second(Rx, 0)
-            terms = [
-                d2R,
-                -dR ** 2 / R,
-                dR / t1m,
-                -R ** 3 / t1m ** 2,
-                -(2 * n + 1 + am) * R ** 2 / t1m ** 2,
-                -am / t1m,
-                1 / R,
-            ]
-            scale = 1 + max(abs(v) for v in terms)
-            res = abs(mp.fsum(terms)) / scale
-            err = (e2 + e1 * (1 + 2 * abs(dR / R) + 1 / abs(t1m))) / scale
-            results.append((eps, res, err))
+            x, err = {}, {}
+            x["dR"], err["dR"] = grid.first(Rx, 0)
+            x["d2R"], err["d2R"] = grid.second(Rx, 0)
+
+            def ode(dR, d2R):
+                return normalized([
+                    d2R,
+                    -dR ** 2 / R,
+                    dR / t1m,
+                    -R ** 3 / t1m ** 2,
+                    -(2 * n + 1 + am) * R ** 2 / t1m ** 2,
+                    -am / t1m,
+                    1 / R,
+                ])
+
+            results.append((eps, abs(ode(**x)), propagated(ode, x, err)))
     return results
 
 

@@ -27,6 +27,8 @@ from .calculus import (
     axis_checks,
     derivative_relations,
     hankel_sigma,
+    on_partials,
+    propagated_check,
     reconstruct_aux_from_H,
     riccati_checks,
     table_bundle_builder,
@@ -84,23 +86,24 @@ def verify_identities_3(n: int, grid: StencilGrid):
 def h3_reconstruction(n: int, grid: StencilGrid):
     """Reconstruct the whole m = 3 row from H_n derivative data
     (``calculus.reconstruct_aux_from_H``, the same inversion as m = 2)
-    and compare with the integral route; certifies the substitution
+    and compare with the integral route, each component held to 10 times
+    its error propagated from the H_n partials; certifies the substitution
     pipeline that would produce the (undisplayed) m = 3 PDE for H_n."""
     point, prec = grid.params, grid.prec
     if point.m != 3:
         raise DomainError("need m = 3")
     state = hankel_sigma(n, grid)
-    out = []
     ps = _label(grid, n)
     with mp.workdps(prec.work_dps):
-        rec = reconstruct_aux_from_H(state)
         want = grid.bundle().row(n)
-        tol = 10 * (state.fd_error + to_mpf(prec.half_eps))
-        for cid, got, exact in zip(
-                ("h3-reconstruct-R", "h3-reconstruct-Rstar", "h3-reconstruct-Rhat",
-                 "h3-reconstruct-r", "h3-reconstruct-rstar", "h3-reconstruct-rhat"),
-                rec.R + rec.r, want.R + want.r):
-            out.append(Check(cid, abs(got - exact), tol, ps))
+        out = []
+        for k, cid in enumerate(("h3-reconstruct-R", "h3-reconstruct-Rstar",
+                                 "h3-reconstruct-Rhat", "h3-reconstruct-r",
+                                 "h3-reconstruct-rstar", "h3-reconstruct-rhat")):
+            def residual(s, k=k):
+                rec = reconstruct_aux_from_H(s)
+                return (rec.R + rec.r)[k] - (want.R + want.r)[k]
+            out.append(propagated_check(cid, *on_partials(state, residual), ps))
     return out
 
 

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .calculus import DerivativeStencil, StencilGrid, table_bundle_builder
+from .calculus import (DerivativeStencil, StencilGrid, normalized, propagated_check,
+                       table_bundle_builder)
 from .errors import DomainError, SingularAux
 from .ladder import aux_integrals
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
@@ -242,17 +243,6 @@ DERIVATIVES = {"1": ("first", 0), "2": ("first", 1), "11": ("second", 0),
                "22": ("second", 1), "12": ("mixed",)}
 
 
-def _propagated(f, x: dict, err: dict):
-    """First-order propagated error of f(**x): the sum, over the inputs,
-    of the change in f when that one input moves by its error."""
-    f0 = f(**x)
-    return mp.fsum(abs(f(**{**x, k: x[k] + e}) - f0) for k, e in err.items())
-
-
-def _normalized(terms):
-    return mp.fsum(terms) / (1 + max(abs(v) for v in terms))
-
-
 def verify_limiting_pdes(grid: ScaledGrid):
     """Residuals of the two limiting coupled PDEs for U = R + R*, the
     closed H(R, R*) form, its H-derivative substitution variant, and
@@ -275,7 +265,7 @@ def verify_limiting_pdes(grid: ScaledGrid):
                 x[f"d{q}{suffix}"], err[f"d{q}{suffix}"] = getattr(grid, kind)(q, *axis)
 
         def pde1(R, Rstar, dU1, dU2, dU11, dU12, **_):
-            return _normalized([
+            return normalized([
                 s1 ** 2 * dU11,
                 2 * s1 * s2 * dU12,
                 2 * s1 * s2 * ((s1 * Rstar / (2 * s2 * R)) * dU1 - dU2) ** 2,
@@ -288,7 +278,7 @@ def verify_limiting_pdes(grid: ScaledGrid):
 
         def pde2(R, Rstar, dU1, dU2, dU22, dU12, **_):
             V = Rstar / R
-            return _normalized([
+            return normalized([
                 4 * s2 ** 2 * dU22,
                 2 * s1 * s2 * dU12,
                 (s1 / (2 * s2)) * V * (V * s1 * dU1 - 2 * s2 * dU2) ** 2,
@@ -317,7 +307,7 @@ def verify_limiting_pdes(grid: ScaledGrid):
                         -(s1 * dH12 + 2 * dH2 + 2 * s2 * dH22), H)
 
         def h_pde(H, dH1, dH2, dH11, dH22, dH12, **_):
-            return _normalized([
+            return normalized([
                 4 * s2 * (dH2 * (s1 * dH11 + 2 * s2 * dH12)
                           - dH1 * (2 * s2 * dH22 + s1 * dH12 + dH2)) ** 2,
                 dH1 * (s1 * dH11 + 2 * s2 * dH12) ** 2,
@@ -326,7 +316,7 @@ def verify_limiting_pdes(grid: ScaledGrid):
                 -s2 * dH2 ** 2,
             ])
 
-        return [Check(cid, abs(f(**x)), 10 * _propagated(f, x, err), ps)
+        return [propagated_check(cid, f, x, err, ps)
                 for cid, f in (("limit-pde-1", pde1), ("limit-pde-2", pde2),
                                ("limit-H-expr", expr), ("limit-H-subst", subst),
                                ("limit-H-pde", h_pde))]
@@ -347,7 +337,7 @@ def reduced_limit_residual(s1, s2_small, n_list, prec: PrecisionContext,
         H = grid.at()["H"].limit
         dH1, _ = grid.first("H", 0)
         dH11, _ = grid.second("H", 0)
-        return abs(_normalized([
+        return abs(normalized([
             (s1m * dH11) ** 2,
             4 * dH1 ** 2 * (s1m * dH1 - H),
             -(am * dH1 + mpf(1) / 2) ** 2,

@@ -255,7 +255,7 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
     with mp.workdps(prec.work_dps):
         eps_last, res_last, err_last = rode[-1]
         rep.add(Check("rode-reduction", res_last,
-                      max(mpf(10) ** -8, 10 * to_mpf(eps_last), 100 * err_last),
+                      max(mpf(10) ** -8, 10 * to_mpf(eps_last), 10 * err_last),
                       f"n=1;t1=0.5;eps={eps_last}"))
         ratios = [rode[i][1] / rode[i + 1][1] for i in range(len(rode) - 1)]
         bad = max(abs(r - 10) for r in ratios)

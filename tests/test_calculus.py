@@ -116,6 +116,7 @@ def test_coupled_pdes(grid):
         for c in ca.verify_coupled_pdes(n, grid):
             assert c.residual < mpf(10) ** -8
             assert c.ok, c.id
+            assert c.tol < mpf(10) ** -49, (c.id, c.tol)
 
 
 def test_fd_convergence_order(params_default, prec):

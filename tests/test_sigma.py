@@ -5,6 +5,7 @@ from mpmath import mp, mpf
 
 from laguerre_lab import calculus as ca
 from laguerre_lab.errors import BranchAmbiguity, NegativeDiscriminant
+from laguerre_lab.ladder import AuxRow
 from laguerre_lab.params import PrecisionContext
 
 
@@ -59,9 +60,34 @@ def test_sigma_state_general_m(grid):
         assert abs(st.beta - grid.bundle().table.beta(2)) < mpf(10) ** -12
 
 
+#: sigma-layer checks that read only first derivatives
+FIRST_ORDER = ("H-def", "dH-t1", "dH-t2", "H-from-aux", "reconstruct-r", "reconstruct-rstar")
+
+
 def test_sigma_layer_full(grid):
     for c in ca.verify_sigma_pde(2, grid):
         assert c.ok, (c.id, c.residual, c.tol)
+        ceiling = -90 if c.id in FIRST_ORDER else -49
+        assert c.tol < mpf(10) ** ceiling, (c.id, c.tol)
+
+
+def test_sigma_layer_catches_aux_fault(params_default, prec, stencil, monkeypatch):
+    # a relative error of 1e-80 in every aux row, far inside the working
+    # precision, must fail the checks that compare H_n partials with the row
+    real = ca.aux_integrals
+
+    def faulty(table, n):
+        row = real(table, n)
+        with mp.workdps(prec.work_dps):
+            f = 1 + mpf(10) ** -80
+            return AuxRow(R=tuple(f * v for v in row.R), r=tuple(f * v for v in row.r))
+
+    monkeypatch.setattr(ca, "aux_integrals", faulty)
+    # a fresh grid: rows are memoized per bundle and never cached on disk
+    fresh = ca.StencilGrid(params_default, prec, stencil, ca.table_bundle_builder(4, prec))
+    byid = {c.id: c for c in ca.verify_sigma_pde(3, fresh)}
+    for cid in ("dH-t1", "dH-t2", "H-from-aux"):
+        assert not byid[cid].ok, (cid, byid[cid].residual, byid[cid].tol)
 
 
 def test_sigma_layer_negative_t1(grid_neg):
