@@ -12,10 +12,12 @@ is integrated only where that shift's error bound is too wide
 (``quadrature.shift_seeds``); the Pearson recurrence and Gram-Schmidt
 then run per node as before.
 Each derivative carries an error estimate (extrapolation spread plus a
-roundoff floor), and every check is held to 10 times the first-order
-error of its signed residual propagated from the derivatives it reads
-(``propagated``; |coef| times the error for a linear one).  A node's
-auxiliary rows are computed when a check first reads them.
+roundoff floor).  A nonlinear check reads one dict of (value, error)
+pairs, gathered by ``partials`` under the keys "1", "2", "11", "12",
+"22" (1-based axes, lower first); it evaluates its signed residual once
+on each of ``moved``'s inputs and is held to 10 times the sum of the
+changes (``propagated_check``), a linear one to 10 |coef| times the
+error.  A node's auxiliary rows are computed when a check first reads them.
 
 Every derivative check takes (n, grid): its point, precision and
 stencil are the grid's, and its point string names the grid's point.
@@ -229,9 +231,6 @@ class StencilGrid:
             self._memo[key] = self._builder(self.params_at(key), self.params)
         return self._memo[key]
 
-    def scalar(self, extract, offsets=()) -> mpf:
-        return extract(self.bundle(offsets))
-
     # -- derivative estimators (inside the caller's working precision) --
 
     def _derivative(self, diff: Difference, extract, axes, gain):
@@ -251,7 +250,7 @@ class StencilGrid:
             def at(offsets):
                 key = tuple((ax, j * q) for ax, j in zip(axes, offsets) if j)
                 if key not in vals:
-                    vals[key] = self.scalar(extract, key)
+                    vals[key] = extract(self.bundle(key))
                 return vals[key]
 
             levels.append(diff.quotient(at, [h * to_mpf(q) for h in hs]))
@@ -271,6 +270,18 @@ class StencilGrid:
     def mixed(self, extract, ax1: int, ax2: int):
         """(d^2/dt_ax1 dt_ax2 extract, error estimate); 4-point cross base."""
         return self._derivative(CROSS, extract, (ax1, ax2), 1)
+
+
+def partials(grid, f, keys) -> dict:
+    """{key: (value, error)} of the partials of f on grid: key "i" is
+    d/dt_i, "ii" d^2/dt_i^2 and "ij" (i < j) the mixed partial, axes
+    1-based.  grid is a ``StencilGrid`` (f extracts a scalar from a
+    node) or a ``scaling.ScaledGrid`` (f names a scaled quantity)."""
+    out = {}
+    for key in keys:
+        kind = "first" if len(key) == 1 else "second" if key[0] == key[1] else "mixed"
+        out[key] = getattr(grid, kind)(f, *sorted({int(c) - 1 for c in key}))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -312,11 +323,17 @@ def _label(grid: StencilGrid, n: int) -> str:
     return _point_str(grid.params, f"n={n}")
 
 
-def propagated(f, x: dict, err: dict):
-    """First-order propagated error of f(**x): the sum, over the inputs,
-    of the change in f when that one input moves by its error."""
-    f0 = f(**x)
-    return mp.fsum(abs(f(**{**x, k: x[k] + e}) - f0) for k, e in err.items())
+def moved(x: dict) -> list:
+    """The values of x ({name: (value, error)}), then the values with each
+    input in turn moved by its error."""
+    values = {k: v for k, (v, _) in x.items()}
+    return [values] + [{**values, k: v + e} for k, (v, e) in x.items()]
+
+
+def propagated(values):
+    """First-order propagated error of a residual from its values on
+    ``moved`` inputs: the sum of the changes from values[0]."""
+    return mp.fsum(abs(v - values[0]) for v in values[1:])
 
 
 def normalized(terms):
@@ -324,10 +341,10 @@ def normalized(terms):
     return mp.fsum(terms) / (1 + max(abs(v) for v in terms))
 
 
-def propagated_check(cid: str, f, x: dict, err: dict, point: str) -> Check:
-    """|f(**x)| held to 10 times its propagated error; f is the signed
-    residual of a nonlinear identity in the derivative inputs x."""
-    return Check(cid, abs(f(**x)), 10 * propagated(f, x, err), point)
+def propagated_check(cid: str, values, point: str) -> Check:
+    """|values[0]| held to 10 times its propagated error; values are the
+    signed residual of a nonlinear identity on ``moved`` inputs."""
+    return Check(cid, abs(values[0]), 10 * propagated(values), point)
 
 
 def axis_scales(point: WeightParams) -> list:
@@ -507,17 +524,13 @@ def verify_coupled_pdes(n: int, grid: StencilGrid):
         S = R + Rs
         T = Rs / R
 
-        Sx = lambda v: v.row(n).Rsum
-        Rx = lambda v: v.row(n).R[0]
-        x, err = {}, {}
-        for name, (kind, extract, axes) in {
-                "dS1": ("first", Sx, (0,)), "dS2": ("first", Sx, (1,)),
-                "dS11": ("second", Sx, (0,)), "dS12": ("mixed", Sx, (0, 1)),
-                "dS22": ("second", Sx, (1,)),
-                "dR1": ("first", Rx, (0,)), "dR2": ("first", Rx, (1,))}.items():
-            x[name], err[name] = getattr(grid, kind)(extract, *axes)
+        x = {"S" + k: p for k, p in partials(
+            grid, lambda v: v.row(n).Rsum, ("1", "2", "11", "12", "22")).items()}
+        x.update(("R" + k, p) for k, p in partials(
+            grid, lambda v: v.row(n).R[0], ("1", "2")).items())
 
-        def pde1(dS1, dS2, dS11, dS12, dR1, **_):
+        def pde1(v):
+            dS1, dS2, dS11, dS12, dR1 = (v[k] for k in "S1 S2 S11 S12 R1".split())
             return normalized([
                 t1 ** 2 * dS11,
                 2 * t1 * t2 * dS12,
@@ -532,7 +545,8 @@ def verify_coupled_pdes(n: int, grid: StencilGrid):
                 -(t1 ** 3 / (4 * t2)) * T ** 2,
             ])
 
-        def pde2(dS1, dS2, dS22, dS12, dR2, **_):
+        def pde2(v):
+            dS1, dS2, dS22, dS12, dR2 = (v[k] for k in "S1 S2 S22 S12 R2".split())
             return normalized([
                 4 * t2 ** 2 * dS22,
                 2 * t1 * t2 * dS12,
@@ -547,8 +561,9 @@ def verify_coupled_pdes(n: int, grid: StencilGrid):
                 -(t1 ** 3 / (4 * t2)) * T ** 3,
             ])
 
-        return [propagated_check("pde-S-1", pde1, x, err, ps),
-                propagated_check("pde-S-2", pde2, x, err, ps)]
+        values = moved(x)
+        return [propagated_check(cid, [f(v) for v in values], ps)
+                for cid, f in (("pde-S-1", pde1), ("pde-S-2", pde2))]
 
 
 # --------------------------------------------------------------------------
@@ -560,19 +575,19 @@ class SigmaState:
     """H_n = D ln D_n at a grid's point, its partials and the sigma-layer
     quantities assembled from them, for any m.
 
-    dH[i] and d2H[(i, j)] are (value, error estimate) pairs on the axes
-    i, j = 0..m-1; a mixed partial is one estimate (lower axis first)
-    stored under both orders.  fd_error, the sum of those estimates, is
-    the noise level of the branch guard of ``branch_aux``; check
-    tolerances propagate the estimates through ``sigma_state`` instead.
+    d holds every first and second partial of H_n as a (value, error
+    estimate) pair under its ``partials`` key ("1", "12", ...; a mixed
+    partial once).  fd_error, the sum of the estimates with each mixed
+    partial counted once per order, is the noise level of the branch
+    guard of ``branch_aux``; check tolerances propagate the estimates
+    through the states of ``moved_states`` instead.
     """
 
     n: int
     params: WeightParams
     prec: PrecisionContext
     Hn: mpf
-    dH: tuple
-    d2H: dict
+    d: dict
     r: tuple
     beta: mpf
     dbeta: tuple
@@ -588,18 +603,14 @@ def hankel_sigma(n: int, grid: StencilGrid) -> SigmaState:
     with mp.workdps(prec.work_dps):
         nn = n * (n + to_mpf(point.alpha))
         H = lambda v: nn + v.table.p(n)
-        Hn = grid.scalar(H)
-        dH = tuple(grid.first(H, i) for i in range(m))
-        d2H = {}
-        for i in range(m):
-            d2H[(i, i)] = grid.second(H, i)
-            for j in range(i + 1, m):
-                d2H[(i, j)] = d2H[(j, i)] = grid.mixed(H, i, j)
-        return sigma_state(n, point, prec, Hn, dH, d2H)
+        axes = range(1, m + 1)
+        keys = [str(i) for i in axes] + [f"{i}{j}" for i in axes for j in axes if i <= j]
+        return sigma_state(n, point, prec, H(grid.bundle()), partials(grid, H, keys))
 
 
-def sigma_state(n: int, point: WeightParams, prec: PrecisionContext, Hn, dH, d2H) -> SigmaState:
-    """The sigma state assembled from H_n and its (value, error) partials:
+def sigma_state(n: int, point: WeightParams, prec: PrecisionContext, Hn, d: dict) -> SigmaState:
+    """The sigma state assembled from H_n and its partials d, by
+    ``partials`` key, each a (value, error) pair:
 
         r_i          = i t_i dH_n/dt_i
         beta_n       = sum_i r_i - H_n + n(n+alpha)
@@ -612,33 +623,26 @@ def sigma_state(n: int, point: WeightParams, prec: PrecisionContext, Hn, dH, d2H
     with mp.workdps(prec.work_dps):
         nn = n * (n + to_mpf(point.alpha))
         scales = axis_scales(point)
-        r = tuple(s * d for s, (d, _) in zip(scales, dH))
+        H = lambda *axes: d["".join(str(i + 1) for i in sorted(axes))][0]
+        r = tuple(s * H(i) for i, s in enumerate(scales))
         beta = mp.fsum(r) - Hn + nn
-        dbeta = tuple(
-            mp.fsum(s * d2H[(i, j)][0] for j, s in enumerate(scales)) + i * dH[i][0]
-            for i in range(point.m))
+        dbeta = tuple(mp.fsum(s * H(i, j) for j, s in enumerate(scales)) + i * H(i)
+                      for i in range(point.m))
         t1 = to_mpf(point.t1)
         Delta = (t1 * dbeta[0]) ** 2 + 4 * beta * r[0] * (r[0] - t1)
-        fd_error = mp.fsum(e for _, e in dH) + mp.fsum(e for _, e in d2H.values())
-        return SigmaState(n=n, params=point, prec=prec, Hn=Hn, dH=dH, d2H=d2H, r=r,
+        fd_error = (mp.fsum(e for k, (_, e) in d.items() if len(k) == 1)
+                    + mp.fsum(e * len(set(k)) for k, (_, e) in d.items() if len(k) == 2))
+        return SigmaState(n=n, params=point, prec=prec, Hn=Hn, d=d, r=r,
                           beta=beta, dbeta=dbeta, Delta=Delta, fd_error=fd_error)
 
 
-def on_partials(state: SigmaState, residual):
-    """(f, x, err) for ``propagated``: residual(state) as f(**x) of the
-    H_n partials named H1, H12, ... (a mixed partial once), and their
-    errors; f re-assembles the state from x by ``sigma_state``."""
-    name = lambda axes: "H" + "".join(str(i + 1) for i in sorted(axes))
-    pairs = {name((i,)): p for i, p in enumerate(state.dH)}
-    pairs.update((name(k), p) for k, p in state.d2H.items())
-
-    def f(**x):
-        return residual(sigma_state(
-            state.n, state.params, state.prec, state.Hn,
-            tuple((x[name((i,))], e) for i, (_, e) in enumerate(state.dH)),
-            {k: (x[name(k)], e) for k, (_, e) in state.d2H.items()}))
-
-    return f, {k: v for k, (v, _) in pairs.items()}, {k: e for k, (_, e) in pairs.items()}
+def moved_states(state: SigmaState) -> list:
+    """The state re-assembled on each of ``moved(state.d)``: unmoved, then
+    with each H_n partial in turn moved by its error."""
+    with mp.workdps(state.prec.work_dps):
+        return [sigma_state(state.n, state.params, state.prec, state.Hn,
+                            {k: (v, state.d[k][1]) for k, v in values.items()})
+                for values in moved(state.d)]
 
 
 def branch_aux(state: SigmaState):
@@ -697,7 +701,7 @@ def sigma_pde_residual(state: SigmaState):
         alpha = to_mpf(state.params.alpha)
         n = state.n
         b, (db1, db2) = state.beta, state.dbeta
-        (H1, _), (H2, _) = state.dH
+        H1, H2 = state.d["1"][0], state.d["2"][0]
         lhs = (db1 ** 2 + 4 * b * H1 * (H1 - 1)) ** 3
         inner = (
             db1 ** 2 * (-2 * t2 * H2 ** 2 + (2 * n + alpha) * H1 - n)
@@ -739,9 +743,10 @@ def verify_sigma_pde(n: int, grid: StencilGrid):
     H derivative relations, discriminant sign/identity, reconstruction,
     the closed H(R, R*) form, and the sixth-degree PDE.
 
-    Each derivative check propagates the errors of the H_n partials
-    through ``sigma_state`` (``on_partials``), except ``H-def`` and
-    ``H-from-aux``, which read the ln D_n and S_n first partials.
+    Each derivative check is evaluated on the states of ``moved_states``
+    (one row reconstruction each) and held to its propagated error,
+    except ``H-def`` and ``H-from-aux``, which read the ln D_n and S_n
+    first partials.
     """
     point, prec = grid.params, grid.prec
     state = hankel_sigma(n, grid)
@@ -753,33 +758,29 @@ def verify_sigma_pde(n: int, grid: StencilGrid):
         tab = grid.bundle().table
         # Delta = (r(r-t1)/R + beta R)^2 >= 0, from integral-route data
         ident = (r * (r - t1) / R + tab.beta(n) * R) ** 2
-        on_H = lambda cid, residual: propagated_check(cid, *on_partials(state, residual), ps)
-        x, err = {}, {}
-        for name, extract in (("D", lambda v: v.table.log_hankel(n)),
-                              ("S", lambda v: v.row(n).Rsum)):
-            for i in (0, 1):
-                x[f"{name}{i + 1}"], err[f"{name}{i + 1}"] = grid.first(extract, i)
+        D = partials(grid, lambda v: v.table.log_hankel(n), ("1", "2"))
+        S = partials(grid, lambda v: v.row(n).Rsum, ("1", "2"))
+        states = moved_states(state)
+        recs = [reconstruct_aux_from_H(s) for s in states]
 
         nn = n * (n + to_mpf(point.alpha))
         return [
             # independent definition route: (t1 d1 + 2 t2 d2) ln D_n
-            propagated_check("H-def", lambda D1, D2, **_: state.Hn - (t1 * D1 + 2 * t2 * D2),
-                             x, err, ps),
+            propagated_check("H-def", [state.Hn - (t1 * v["1"] + 2 * t2 * v["2"])
+                                       for v in moved(D)], ps),
             Check("H-p-shift", abs(state.Hn - nn - tab.p(n)), to_mpf(prec.half_eps), ps),
-            on_H("dH-t1", lambda s: s.r[0] - r),
-            on_H("dH-t2", lambda s: s.r[1] - rs),
-            on_H("delta-identity", lambda s: s.Delta - ident),
+            propagated_check("dH-t1", [s.r[0] - r for s in states], ps),
+            propagated_check("dH-t2", [s.r[1] - rs for s in states], ps),
+            propagated_check("delta-identity", [s.Delta - ident for s in states], ps),
             Check("delta-nonneg", -state.Delta if state.Delta < 0 else mpf(0),
-                  to_mpf(prec.half_eps)
-                  + 10 * propagated(*on_partials(state, lambda s: s.Delta)), ps),
-            on_H("reconstruct-R", lambda s: reconstruct_aux_from_H(s).R[0] - R),
-            on_H("reconstruct-Rstar", lambda s: reconstruct_aux_from_H(s).R[1] - Rs),
-            on_H("reconstruct-r", lambda s: reconstruct_aux_from_H(s).r[0] - r),
-            on_H("reconstruct-rstar", lambda s: reconstruct_aux_from_H(s).r[1] - rs),
-            propagated_check("H-from-aux",
-                             lambda S1, S2, **_: h_from_aux_residual(state, row, (S1, S2)),
-                             x, err, ps),
-            on_H("sigma-pde", sigma_pde_residual),
+                  to_mpf(prec.half_eps) + 10 * propagated([s.Delta for s in states]), ps),
+            propagated_check("reconstruct-R", [rec.R[0] - R for rec in recs], ps),
+            propagated_check("reconstruct-Rstar", [rec.R[1] - Rs for rec in recs], ps),
+            propagated_check("reconstruct-r", [rec.r[0] - r for rec in recs], ps),
+            propagated_check("reconstruct-rstar", [rec.r[1] - rs for rec in recs], ps),
+            propagated_check("H-from-aux", [h_from_aux_residual(state, row, (v["1"], v["2"]))
+                                            for v in moved(S)], ps),
+            propagated_check("sigma-pde", [sigma_pde_residual(s) for s in states], ps),
         ]
 
 
@@ -817,12 +818,10 @@ def verify_t2_zero_reduction(n: int, t1, alpha, eps_list, prec: PrecisionContext
             t1m = to_mpf(grid.params.t1)
             am = to_mpf(grid.params.alpha)
             Rx = lambda v: v.row(n).R[0]
-            R = grid.scalar(Rx)
-            x, err = {}, {}
-            x["dR"], err["dR"] = grid.first(Rx, 0)
-            x["d2R"], err["d2R"] = grid.second(Rx, 0)
+            R = Rx(grid.bundle())
 
-            def ode(dR, d2R):
+            def ode(v):
+                dR, d2R = v["1"], v["11"]
                 return normalized([
                     d2R,
                     -dR ** 2 / R,
@@ -833,7 +832,8 @@ def verify_t2_zero_reduction(n: int, t1, alpha, eps_list, prec: PrecisionContext
                     1 / R,
                 ])
 
-            results.append((eps, abs(ode(**x)), propagated(ode, x, err)))
+            values = [ode(v) for v in moved(partials(grid, Rx, ("1", "11")))]
+            results.append((eps, abs(values[0]), propagated(values)))
     return results
 
 
@@ -852,9 +852,8 @@ def sigma_reduction_residual(n: int, t1, alpha, eps, prec: PrecisionContext,
         am = to_mpf(grid.params.alpha)
         nn = n * (n + am)
         H = lambda v: nn + v.table.p(n)
-        Hn = grid.scalar(H)
-        dH, _ = grid.first(H, 0)
-        d2H, _ = grid.second(H, 0)
+        Hn = H(grid.bundle())
+        (dH, _), (d2H, _) = partials(grid, H, ("1", "11")).values()
         val = ((t1m * d2H) ** 2
                + 4 * (t1m * dH - Hn + nn) * dH * (dH - 1)
                - ((2 * n + am) * dH - n) ** 2)

@@ -2,9 +2,9 @@
 
 Runs one suite (or ``all``), prints a per-suite summary, optionally
 writes the reports as JSON or CSV, and exits 0 when every residual
-passes, 1 on any failure, 2 on configuration/domain errors, 3 on
-numerical breakdowns (lost precision, degenerate brackets,
-non-convergence).
+passes, 1 on any failure, 2 on configuration/domain errors (an output
+path that cannot be written among them), 3 on numerical breakdowns
+(lost precision, degenerate brackets, non-convergence).
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def reports_document(reports, timestamp=None) -> dict:
 
 def write_reports_csv(reports, path: str):
     """The reports as one CSV with a single header row (report JSON is
-    ``reports_document``, written by ``main``)."""
+    ``reports_document``, written by ``run``)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         first = True
@@ -150,23 +150,23 @@ def write_sweep(seqs, path: str):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except (ConfigError, DomainError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    from .suites import run_suite
-
-    try:
-        reports = run_suite(cfg)
-        extras(cfg, args)
-    except (ConfigError, DomainError) as exc:
+        return run(args)
+    except (ConfigError, DomainError, OSError) as exc:
+        # OSError: a path that cannot be written; exit 1 is for residual failures
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
+
+def run(args) -> int:
+    """``main`` without its error handling: 1 if a residual failed, else 0."""
+    from .suites import run_suite
+
+    cfg = config_from_args(args)
+    reports = run_suite(cfg)
+    extras(cfg, args)
     failed = 0
     for rep in reports:
         unknown = validate_ids(rep.suite, rep.entries)

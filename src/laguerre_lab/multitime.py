@@ -27,7 +27,7 @@ from .calculus import (
     axis_checks,
     derivative_relations,
     hankel_sigma,
-    on_partials,
+    moved_states,
     propagated_check,
     reconstruct_aux_from_H,
     riccati_checks,
@@ -92,19 +92,15 @@ def h3_reconstruction(n: int, grid: StencilGrid):
     point, prec = grid.params, grid.prec
     if point.m != 3:
         raise DomainError("need m = 3")
-    state = hankel_sigma(n, grid)
     ps = _label(grid, n)
+    recs = [reconstruct_aux_from_H(s) for s in moved_states(hankel_sigma(n, grid))]
     with mp.workdps(prec.work_dps):
         want = grid.bundle().row(n)
-        out = []
-        for k, cid in enumerate(("h3-reconstruct-R", "h3-reconstruct-Rstar",
-                                 "h3-reconstruct-Rhat", "h3-reconstruct-r",
-                                 "h3-reconstruct-rstar", "h3-reconstruct-rhat")):
-            def residual(s, k=k):
-                rec = reconstruct_aux_from_H(s)
-                return (rec.R + rec.r)[k] - (want.R + want.r)[k]
-            out.append(propagated_check(cid, *on_partials(state, residual), ps))
-    return out
+        return [propagated_check(cid, [(rec.R + rec.r)[k] - (want.R + want.r)[k]
+                                       for rec in recs], ps)
+                for k, cid in enumerate(("h3-reconstruct-R", "h3-reconstruct-Rstar",
+                                         "h3-reconstruct-Rhat", "h3-reconstruct-r",
+                                         "h3-reconstruct-rstar", "h3-reconstruct-rhat"))]
 
 
 # --------------------------------------------------------------------------

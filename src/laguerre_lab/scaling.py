@@ -7,8 +7,10 @@ sequences n R_n, n R_n*, r_n, r_n*, H_n are Richardson-extrapolated in
 the extrapolated values.  Derivatives in s are taken at finite n, on the
 t-stencil grid of ``calculus`` at each scaling point, and extrapolated in
 1/n the same way; this is the only derivative route.  Reported errors
-are the last Neville correction plus the stencil error, and every
-residual contract scales with the error propagated from its inputs.
+are the last Neville correction plus the stencil error.  The limiting
+PDEs read one dict of (value, error) pairs, the limits R, Rstar, H and
+the ``calculus.partials`` of U and H ("dU1", .., "dH12"), and are held
+to 10 times their error propagated over ``calculus.moved`` inputs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .calculus import (DerivativeStencil, StencilGrid, normalized, propagated_check,
-                       table_bundle_builder)
+from .calculus import (DerivativeStencil, StencilGrid, moved, normalized, partials,
+                       propagated_check, table_bundle_builder)
 from .errors import DomainError, SingularAux
 from .ladder import aux_integrals
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
@@ -205,8 +207,8 @@ class ScaledGrid:
     def second(self, quantity: str, axis: int):
         return self._derivative("second", quantity, (axis, axis))
 
-    def mixed(self, quantity: str):
-        return self._derivative("mixed", quantity, (0, 1))
+    def mixed(self, quantity: str, ax1: int, ax2: int):
+        return self._derivative("mixed", quantity, (ax1, ax2))
 
 
 def verify_limit_identities(grid: ScaledGrid):
@@ -217,8 +219,7 @@ def verify_limit_identities(grid: ScaledGrid):
     with mp.workdps(grid.prec.work_dps):
         s = grid.at()
         s1m, s2m = to_mpf(grid.s1), to_mpf(grid.s2)
-        dH1, e1 = grid.first("H", 0)
-        dH2, e2 = grid.first("H", 1)
+        (dH1, e1), (dH2, e2) = partials(grid, "H", ("1", "2")).values()
         R, Rs, r, rs = (s[q] for q in ("R", "Rstar", "r", "rstar"))
         out.append(Check("scaled-R-plus-r", abs(R.limit + r.limit),
                          10 * (R.err + r.err), ps))
@@ -238,18 +239,13 @@ def verify_limit_identities(grid: ScaledGrid):
     return out
 
 
-#: the derivative inputs of the limiting PDEs: name suffix -> ScaledGrid method, axis
-DERIVATIVES = {"1": ("first", 0), "2": ("first", 1), "11": ("second", 0),
-               "22": ("second", 1), "12": ("mixed",)}
-
-
 def verify_limiting_pdes(grid: ScaledGrid):
     """Residuals of the two limiting coupled PDEs for U = R + R*, the
     closed H(R, R*) form, its H-derivative substitution variant, and
     the limiting second-order second-degree PDE for H.
 
-    Each residual is a function of R, R*, H and the ten derivatives of U
-    and H (``DERIVATIVES``), held to 10x its propagated error.
+    Each residual is a function of R, R*, H and the ten first and second
+    partials of U and H, held to 10x its propagated error.
     """
     ps = f"(s1,s2)=({grid.s1},{grid.s2})"
     with mp.workdps(grid.prec.work_dps):
@@ -258,13 +254,13 @@ def verify_limiting_pdes(grid: ScaledGrid):
         s1, s2 = to_mpf(grid.s1), to_mpf(grid.s2)
         if abs(s["R"].limit) < mpf(10) ** -8:
             raise SingularAux("extrapolated R too small on the grid")
-        x = {q: s[q].limit for q in ("R", "Rstar", "H")}
-        err = {q: s[q].err for q in ("R", "Rstar", "H")}
+        x = {q: (s[q].limit, s[q].err) for q in ("R", "Rstar", "H")}
         for q in ("U", "H"):
-            for suffix, (kind, *axis) in DERIVATIVES.items():
-                x[f"d{q}{suffix}"], err[f"d{q}{suffix}"] = getattr(grid, kind)(q, *axis)
+            x.update((f"d{q}{k}", p)
+                     for k, p in partials(grid, q, ("1", "2", "11", "22", "12")).items())
 
-        def pde1(R, Rstar, dU1, dU2, dU11, dU12, **_):
+        def pde1(v):
+            R, Rstar, dU1, dU2, dU11, dU12 = (v[k] for k in "R Rstar dU1 dU2 dU11 dU12".split())
             return normalized([
                 s1 ** 2 * dU11,
                 2 * s1 * s2 * dU12,
@@ -276,7 +272,8 @@ def verify_limiting_pdes(grid: ScaledGrid):
                 s1 ** 2 / (4 * R),
             ])
 
-        def pde2(R, Rstar, dU1, dU2, dU22, dU12, **_):
+        def pde2(v):
+            R, Rstar, dU1, dU2, dU22, dU12 = (v[k] for k in "R Rstar dU1 dU2 dU22 dU12".split())
             V = Rstar / R
             return normalized([
                 4 * s2 ** 2 * dU22,
@@ -290,7 +287,8 @@ def verify_limiting_pdes(grid: ScaledGrid):
                 -s1 * V * ((s1 ** 2 / (8 * s2)) * V ** 2 + alpha / 2),
             ])
 
-        def expr(R, Rstar, dU1, dU2, H, **_):
+        def expr(v):
+            R, Rstar, dU1, dU2, H = (v[k] for k in "R Rstar dU1 dU2 H".split())
             return (
                 -(s1 * s2 / R) * ((s1 * Rstar / (2 * s2 * R)) * dU1 - dU2) ** 2
                 + (s1 * dU1 / R - 1) ** 2 / 4
@@ -300,13 +298,16 @@ def verify_limiting_pdes(grid: ScaledGrid):
                 - H
             )
 
-        def subst(H, dH1, dH2, dH11, dH22, dH12, **_):
+        def subst(v):
             # R -> -s1 dH1, R* -> -2 s2 dH2, with d(U)/ds from second
             # derivatives of H
-            return expr(-s1 * dH1, -2 * s2 * dH2, -(dH1 + s1 * dH11 + 2 * s2 * dH12),
-                        -(s1 * dH12 + 2 * dH2 + 2 * s2 * dH22), H)
+            H, dH1, dH2, dH11, dH22, dH12 = (v[k] for k in "H dH1 dH2 dH11 dH22 dH12".split())
+            return expr({"R": -s1 * dH1, "Rstar": -2 * s2 * dH2, "H": H,
+                         "dU1": -(dH1 + s1 * dH11 + 2 * s2 * dH12),
+                         "dU2": -(s1 * dH12 + 2 * dH2 + 2 * s2 * dH22)})
 
-        def h_pde(H, dH1, dH2, dH11, dH22, dH12, **_):
+        def h_pde(v):
+            H, dH1, dH2, dH11, dH22, dH12 = (v[k] for k in "H dH1 dH2 dH11 dH22 dH12".split())
             return normalized([
                 4 * s2 * (dH2 * (s1 * dH11 + 2 * s2 * dH12)
                           - dH1 * (2 * s2 * dH22 + s1 * dH12 + dH2)) ** 2,
@@ -316,7 +317,8 @@ def verify_limiting_pdes(grid: ScaledGrid):
                 -s2 * dH2 ** 2,
             ])
 
-        return [propagated_check(cid, f, x, err, ps)
+        values = moved(x)
+        return [propagated_check(cid, [f(v) for v in values], ps)
                 for cid, f in (("limit-pde-1", pde1), ("limit-pde-2", pde2),
                                ("limit-H-expr", expr), ("limit-H-subst", subst),
                                ("limit-H-pde", h_pde))]
@@ -335,8 +337,7 @@ def reduced_limit_residual(s1, s2_small, n_list, prec: PrecisionContext,
         s1m = to_mpf(grid.s1)
         am = to_mpf(grid.alpha)
         H = grid.at()["H"].limit
-        dH1, _ = grid.first("H", 0)
-        dH11, _ = grid.second("H", 0)
+        (dH1, _), (dH11, _) = partials(grid, "H", ("1", "11")).values()
         return abs(normalized([
             (s1m * dH11) ** 2,
             4 * dH1 ** 2 * (s1m * dH1 - H),

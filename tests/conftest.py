@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from laguerre_lab.ladder import aux_rows
@@ -18,6 +20,27 @@ def lab_cache(tmp_path_factory):
         os.environ.pop("LAB_CACHE_DIR", None)
     else:
         os.environ["LAB_CACHE_DIR"] = old
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, attr): a list that records the arguments of every
+    later call of module.attr through any laguerre_lab binding."""
+
+    def count(module, attr):
+        calls = []
+        real = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("laguerre_lab") and getattr(mod, attr, None) is real:
+                monkeypatch.setattr(mod, attr, counted)
+        return calls
+
+    return count
 
 
 @pytest.fixture(scope="session")

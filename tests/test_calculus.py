@@ -63,6 +63,11 @@ def test_fd_partial_matches_exact_derivative(params_default, prec, stencil):
         assert abs(v - want) < 10 * e + mpf(10) ** -60
         v2, e2 = g.second(_value, 0)
         assert abs(v2 - 2 * mpf("0.2")) < 10 * e2 + mpf(10) ** -50
+        # the same partials by key; the mixed one is d^2/dt1 dt2 = 2 t1
+        d = ca.partials(g, _value, ("1", "11", "12"))
+        assert (d["1"], d["11"]) == ((v, e), (v2, e2))
+        v12, e12 = d["12"]
+        assert abs(v12 - 2 * mpf("0.3")) < 10 * e12 + mpf(10) ** -50
 
 
 def test_stencil_out_of_domain(prec, stencil):

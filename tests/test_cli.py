@@ -1,7 +1,6 @@
 import csv
 import json
 import re
-import sys
 import time
 
 import pytest
@@ -77,6 +76,21 @@ def test_exit_code_2_for_unwritable_cache_dir(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("configuration error: ") and str(blocker / "x") in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,suite", [("--out", "moments"), ("--table-out", "moments"),
+                                        ("--sweep-csv", "scaling"),
+                                        ("--density-profile", "equilibrium")])
+def test_exit_code_2_for_unwritable_output_path(flag, suite, tmp_path, monkeypatch, capsys):
+    # exit 1 means a residual failed; an output that cannot be written is a
+    # configuration error naming the path.  The suite itself is not run
+    monkeypatch.setitem(suites.SUITE_RUNNERS, suite, lambda config: ResidualReport(suite))
+    path = tmp_path / "missing" / "x.json"
+    code = cli.main([suite, "--digits", "60", "--n-list", "8,10", flag, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and str(path) in err
     assert err.count("\n") == 1
 
 
@@ -213,23 +227,8 @@ def test_cache_speedup_and_stability(tmp_path):
     assert cold.to_json() == warm.to_json()
 
 
-def _count_calls(monkeypatch, module, attr):
-    """Record every call of module.attr through any laguerre_lab binding."""
-    calls = []
-    real = getattr(module, attr)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("laguerre_lab") and getattr(mod, attr, None) is real:
-            monkeypatch.setattr(mod, attr, counted)
-    return calls
-
-
 @pytest.mark.parametrize("suite", ["calculus", "recurrence", "ladder", "multitime", "scaling"])
-def test_warm_run_integrates_and_writes_nothing(suite, tmp_path, monkeypatch):
+def test_warm_run_integrates_and_writes_nothing(suite, tmp_path, count_calls):
     # the deterministic side of the speed-up above: a warm run reads
     # every table, the scaling suite's stencil nodes included, so it
     # sweeps no quadrature and adds no cache file
@@ -242,7 +241,7 @@ def test_warm_run_integrates_and_writes_nothing(suite, tmp_path, monkeypatch):
     clear_memo()
     cold = suites.run_suite(cfg)[0]
     files = sorted(p.name for p in cache.iterdir())
-    sweeps = _count_calls(monkeypatch, quadrature, "moments")
+    sweeps = count_calls(quadrature, "moments")
     clear_memo()
     warm = suites.run_suite(cfg)[0]
     assert sweeps == []
@@ -252,7 +251,7 @@ def test_warm_run_integrates_and_writes_nothing(suite, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("suite,rule", [("recurrence", "integrate_weighted"),
                                         ("equilibrium", "integrate_finite")])
-def test_warm_run_makes_one_oracle_pass(suite, rule, tmp_path, monkeypatch):
+def test_warm_run_makes_one_oracle_pass(suite, rule, tmp_path, count_calls):
     # the four orthogonality pairs share one quadrature pass.  lagrange-eq
     # and density-normalization sum cosine series, so equilibrium makes no
     # tanh-sinh pass, and three theta passes: the two supplementary
@@ -263,8 +262,8 @@ def test_warm_run_makes_one_oracle_pass(suite, rule, tmp_path, monkeypatch):
                               "cache_dir": str(tmp_path / "cache")})
     clear_memo()
     suites.run_suite(cfg)
-    passes = _count_calls(monkeypatch, quadrature, rule)
-    theta = _count_calls(monkeypatch, eq, "_theta_trapezoid")
+    passes = count_calls(quadrature, rule)
+    theta = count_calls(eq, "_theta_trapezoid")
     clear_memo()
     suites.run_suite(cfg)
     if suite == "recurrence":
@@ -291,7 +290,7 @@ def test_scaling_at_negative_s1(tmp_path, capsys):
     assert entries["reduced-limit"]["point"] == "s1=1;s2=1/20"
 
 
-def test_cold_scaling_builds_one_sequence_set_per_grid(tmp_path, monkeypatch):
+def test_cold_scaling_builds_one_sequence_set_per_grid(tmp_path, count_calls):
     # every derivative in s is a finite-n t-derivative on the stencil
     # grid of the scaling point, so a cold run builds the scaled sequences
     # once for the main grid and once for the reduced-limit grid, and
@@ -301,8 +300,8 @@ def test_cold_scaling_builds_one_sequence_set_per_grid(tmp_path, monkeypatch):
     cfg = parse_config(None, {"digits": "60", "suites": "scaling", "n_list": "8,10",
                               "cache_dir": str(tmp_path / "cache")})
     clear_memo()
-    seqs = _count_calls(monkeypatch, scaling, "scaled_sequences")
-    sweeps = _count_calls(monkeypatch, quadrature, "moments")
+    seqs = count_calls(scaling, "scaled_sequences")
+    sweeps = count_calls(quadrature, "moments")
     suites.run_suite(cfg)
     assert (len(seqs), len(sweeps)) == (2, 4)
 

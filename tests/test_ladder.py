@@ -68,7 +68,7 @@ def test_closed_forms_stop_at_m3(prec60):
     grid = ca.StencilGrid(p4, prec60, ca.DerivativeStencil(), lambda p, anchor: None)
     with pytest.raises(DomainError):
         ca.riccati_checks(2, grid)
-    state = ca.SigmaState(n=2, params=p4, prec=prec60, Hn=mpf(0), dH=(), d2H={}, r=row.r,
+    state = ca.SigmaState(n=2, params=p4, prec=prec60, Hn=mpf(0), d={}, r=row.r,
                           beta=mpf(1), dbeta=row.R, Delta=mpf(1), fd_error=mpf(0))
     with pytest.raises(DomainError):
         ca.reconstruct_aux_from_H(state)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from laguerre_lab import calculus as ca
 from laguerre_lab import scaling as sc
 from laguerre_lab.errors import DomainError
 from laguerre_lab.params import PrecisionContext, to_mpf
@@ -95,12 +96,13 @@ def cubic(s1, s2):
 
 
 def cubic_derivatives(s1, s2):
+    """The s-partials of cubic, by ``calculus.partials`` key."""
     return {
-        ("first", 0): 2 + 2 * s1 * s2 - Fraction(3, 5) * s1 ** 2 + s2 ** 2 / 3,
-        ("first", 1): -3 + s1 ** 2 + Fraction(3, 2) * s2 ** 2 + Fraction(2, 3) * s1 * s2,
-        ("second", 0): 2 * s2 - Fraction(6, 5) * s1,
-        ("second", 1): 3 * s2 + Fraction(2, 3) * s1,
-        ("mixed",): 2 * s1 + Fraction(2, 3) * s2,
+        "1": 2 + 2 * s1 * s2 - Fraction(3, 5) * s1 ** 2 + s2 ** 2 / 3,
+        "2": -3 + s1 ** 2 + Fraction(3, 2) * s2 ** 2 + Fraction(2, 3) * s1 * s2,
+        "11": 2 * s2 - Fraction(6, 5) * s1,
+        "22": 3 * s2 + Fraction(2, 3) * s1,
+        "12": 2 * s1 + Fraction(2, 3) * s2,
     }
 
 
@@ -135,10 +137,12 @@ def test_scaled_t_derivatives_are_exact_on_a_cubic(prec, s1, s2, monkeypatch):
     grid = sc.ScaledGrid(s1, s2, (8, 16), prec)
     with mp.workdps(prec.work_dps):
         half = to_mpf(prec.half_eps)
-        for (kind, *axis), want in cubic_derivatives(s1, s2).items():
-            for q in ("H", "U"):
-                val, _ = getattr(grid, kind)(q, *axis)
-                assert abs(val - to_mpf(want)) <= half, (kind, axis, q)
+        want = cubic_derivatives(s1, s2)
+        for q in ("H", "U"):
+            got = ca.partials(grid, q, want)
+            assert list(got) == list(want)
+            for key, (val, _) in got.items():
+                assert abs(val - to_mpf(want[key])) <= half, (key, q)
 
 
 def test_reduced_limit_residual(prec):

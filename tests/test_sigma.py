@@ -4,9 +4,10 @@ import pytest
 from mpmath import mp, mpf
 
 from laguerre_lab import calculus as ca
+from laguerre_lab import multitime as mt
 from laguerre_lab.errors import BranchAmbiguity, NegativeDiscriminant
 from laguerre_lab.ladder import AuxRow
-from laguerre_lab.params import PrecisionContext
+from laguerre_lab.params import PrecisionContext, WeightParams
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +52,10 @@ def test_sigma_state_general_m(grid):
     st = ca.hankel_sigma(2, grid)
     with mp.workdps(grid.prec.work_dps):
         t1, t2 = mpf("0.3"), mpf("0.2")
-        (H1, _), (H2, _) = st.dH
+        assert list(st.d) == ["1", "2", "11", "12", "22"]  # a mixed partial once
+        H1, H2, H11, H12, H22 = (v for v, _ in st.d.values())
         assert st.r == (t1 * H1, 2 * t2 * H2)
         assert st.beta == t1 * H1 + 2 * t2 * H2 - st.Hn + 2 * (2 + mpf("0.5"))
-        H11, H12, H22 = (st.d2H[k][0] for k in ((0, 0), (0, 1), (1, 1)))
-        assert st.d2H[(1, 0)] == st.d2H[(0, 1)]
         assert st.dbeta == (t1 * H11 + 2 * t2 * H12, t1 * H12 + 2 * t2 * H22 + H2)
         assert abs(st.beta - grid.bundle().table.beta(2)) < mpf(10) ** -12
 
@@ -88,6 +88,24 @@ def test_sigma_layer_catches_aux_fault(params_default, prec, stencil, monkeypatc
     byid = {c.id: c for c in ca.verify_sigma_pde(3, fresh)}
     for cid in ("dH-t1", "dH-t2", "H-from-aux"):
         assert not byid[cid].ok, (cid, byid[cid].residual, byid[cid].tol)
+
+
+def test_sigma_layer_assembles_each_moved_state_once(grid, prec, stencil, count_calls):
+    # the hankel_sigma state, then the unmoved state and one per moved H_n
+    # partial: 5 at m = 2, 9 at m = 3; one reconstruction per moved state
+    grid3 = ca.StencilGrid(WeightParams("0.5", ("0.3", "0.2", "0.1")), prec, stencil,
+                           ca.table_bundle_builder(3, prec))
+    runs = ((lambda: ca.verify_sigma_pde(2, grid), (7, 6)),
+            (lambda: mt.h3_reconstruction(2, grid3), (11, 10)))
+    for run, _ in runs:
+        run()  # warm: every node table and aux row is read, not built
+    states = count_calls(ca, "sigma_state")
+    recs = count_calls(ca, "reconstruct_aux_from_H")
+    for run, want in runs:
+        states.clear()
+        recs.clear()
+        run()
+        assert (len(states), len(recs)) == want
 
 
 def test_sigma_layer_negative_t1(grid_neg):
