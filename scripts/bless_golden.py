@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Rewrite a golden report file from a fresh run of its CLI arguments.
+
+A golden file (``tests/golden/*.json``) holds the arguments of one ``lab``
+run, the mpmath version and backend it was made with, and each report's
+suite, metadata (no timestamp) and entries; ``tests/test_golden.py``
+reruns it and holds the run to those bytes.  This script reruns the
+file's arguments, or the arguments given after the path (for a new file
+or a changed run), and prints every residual and tolerance string that
+changed, old -> new, plus every entry that appeared or went away.  It
+writes the file unless some tolerance is looser than the committed one;
+then it writes nothing and exits 1.
+
+    python scripts/bless_golden.py tests/golden/NAME.json
+    python scripts/bless_golden.py tests/golden/NAME.json moments,recurrence --digits 120
+"""
+
+import argparse
+import json
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import mpmath
+from mpmath import mp, mpf
+
+from laguerre_lab import cli
+
+
+def golden_document(args, out: Path) -> dict:
+    """Run ``lab args`` writing JSON to out; the document a golden file holds."""
+    code = cli.main(list(args) + ["--out", str(out)])
+    if code != 0:
+        raise SystemExit(f"lab {' '.join(args)} exited {code}; a golden run must pass")
+    reports = json.loads(out.read_text())["reports"]
+    return {
+        "args": list(args),
+        "mpmath": {"version": mpmath.__version__, "backend": mpmath.libmp.BACKEND},
+        "reports": [{k: rep[k] for k in ("suite", "metadata", "entries")}
+                    for rep in reports],
+    }
+
+
+def keyed_entries(doc: dict) -> dict:
+    """{(suite, id, point, occurrence): entry} of a golden document."""
+    seen = Counter()
+    out = {}
+    for rep in doc["reports"]:
+        for e in rep["entries"]:
+            key = (rep["suite"], e["id"], e["point"])
+            out[key + (seen[key],)] = e
+            seen[key] += 1
+    return out
+
+
+def looser_tolerances(old: dict, new: dict) -> list:
+    """(suite, id, point, old tolerance, new tolerance) of every entry both
+    documents hold whose new tolerance is above the old one."""
+    a, b = keyed_entries(old), keyed_entries(new)
+    with mp.workdps(40):
+        return [key[:3] + (a[key]["tolerance"], b[key]["tolerance"])
+                for key in a if key in b
+                and mpf(b[key]["tolerance"]) > mpf(a[key]["tolerance"])]
+
+
+def changes(old: dict, new: dict) -> list:
+    """One line per changed residual or tolerance string, added or removed entry."""
+    a, b = keyed_entries(old), keyed_entries(new)
+    lines = []
+    for key in a:
+        name = " ".join(key[:3])
+        if key not in b:
+            lines.append(f"removed {name}")
+            continue
+        for field in ("residual", "tolerance", "pass"):
+            if a[key][field] != b[key][field]:
+                lines.append(f"{name} {field}: {a[key][field]} -> {b[key][field]}")
+    lines += [f"added {' '.join(key[:3])}" for key in b if key not in a]
+    return lines
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("path", type=Path, help="golden file to rewrite (or create)")
+    ap.add_argument("lab_args", nargs=argparse.REMAINDER,
+                    help="lab arguments (default: the file's own)")
+    args = ap.parse_args(argv)
+
+    old = json.loads(args.path.read_text()) if args.path.exists() else None
+    lab_args = args.lab_args or (old["args"] if old else None)
+    if not lab_args:
+        raise SystemExit(f"{args.path} does not exist: give the lab arguments")
+    with tempfile.TemporaryDirectory() as tmp:
+        new = golden_document(lab_args, Path(tmp) / "rep.json")
+
+    if old is not None:
+        if old["mpmath"] != new["mpmath"]:
+            print(f"mpmath: {old['mpmath']} -> {new['mpmath']}")
+        for line in changes(old, new):
+            print(line)
+        looser = looser_tolerances(old, new)
+        if looser:
+            for suite, cid, point, was, now in looser:
+                print(f"looser tolerance {suite} {cid} {point}: {was} -> {now}",
+                      file=sys.stderr)
+            print(f"refused: {len(looser)} tolerance(s) looser than {args.path}; "
+                  "file not written", file=sys.stderr)
+            raise SystemExit(1)
+    args.path.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {args.path}")
+
+
+if __name__ == "__main__":
+    main()

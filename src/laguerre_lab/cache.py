@@ -39,7 +39,7 @@ from mpmath.libmp import from_man_exp
 from .errors import ConfigError
 from .orthopoly import RecurrenceTable, recurrence_table, table_precision
 from .params import PrecisionContext, WeightParams
-from .quadrature import clear_seed_memo, seed_moments, shift_seeds
+from .quadrature import clear_memos, seed_moments, shift_seeds
 
 #: 2: moments k >= 1 come from the Pearson recurrence, not quadrature;
 #: 3: values are stored as exact binary, not as decimal strings
@@ -191,6 +191,7 @@ def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext
 
 
 def clear_memo():
-    """Forget the tables and seed moments this process has built or read."""
+    """Forget the tables, seed moments and quadrature node exponentials e^u
+    this process has built or read."""
     _memo.clear()
-    clear_seed_memo()
+    clear_memos()

@@ -29,11 +29,22 @@ rule of their own.
 
 All arithmetic is mpmath with guard digits on top of the caller's
 working precision; results are deterministic functions of the inputs.
+The node loops of ``moments`` and ``_trapezoid_levels`` (the log weight,
+the sums, the tail cut-off and the finiteness test) run on raw mpf tuples
+through ``mpmath.libmp``, each operation correctly rounded at the working
+precision in the order mpf arithmetic would take, so their bits are those
+of plain mpf code; the tail threshold trunc * scale is formed only when a
+scale grows.  x = e^u at a node of the x = e^u map is memoized by u at one
+binary precision at a time (a pass at another precision starts a new memo;
+``clear_memos`` empties it), so sweeps at different points share the
+exponentials of their common nodes; the weight is evaluated at every node.
 """
 
 from __future__ import annotations
 
 from mpmath import mp, mpf
+from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_cosh_sinh, mpf_exp, mpf_ge, mpf_gt,
+                          mpf_lt, mpf_mul, mpf_mul_int, mpf_rdiv_int, mpf_sub)
 
 from .errors import DomainError, NonConvergence
 from .params import PrecisionContext, WeightParams, to_mpf
@@ -50,9 +61,10 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
     """Trapezoid sums over the real line with level doubling, for a batch
     of integrands in one pass.
 
-    g(u, live) returns the terms at u of the integrands whose indices are
-    in ``live``, in that order (every integrand when ``live`` is None; the
-    first node tells the rule how many there are).  Each integrand must
+    g(u, live) returns the terms at the raw mpf u (``mpf._mpf_``) of the
+    integrands whose indices are in ``live``, in that order, as raw mpf
+    tuples at the working precision (every integrand when ``live`` is None;
+    the first node tells the rule how many there are).  Each integrand must
     decay at least exponentially in both directions.  Each keeps its own
     sums, tail cut-off, L1 mass and convergence test, and leaves the pass
     where a lone pass of its own would stop, so its sum is bit-identical
@@ -61,40 +73,45 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
     converged sums in integrand order.  A sample that is not finite, or
     that divides by zero, raises NonConvergence.
     """
-    trunc = mpf(10) ** (-(prec.digits + _TRUNC_EXTRA))
+    wp, rnd = mp._prec_rounding
+    trunc = (mpf(10) ** (-(prec.digits + _TRUNC_EXTRA)))._mpf_
     h = mpf(1)
 
     def sweep(start, step, live):
         """Sum each live integrand over start, start+step, ... until its own
-        terms are negligible: {index: [sum, L1 mass, scale, idle]}."""
-        acc = {}
-        u = start
+        terms are negligible: {index: (sum, L1 mass)}."""
+        acc = {}  # index -> [sum, L1 mass, scale, trunc * scale, idle]
+        u, step = start._mpf_, step._mpf_
         for _ in range(2_000_000):
             try:
                 terms = g(u, live)
             except ZeroDivisionError as exc:
                 raise NonConvergence(
-                    f"{what}: integrand sample at u = {u} divides by zero") from exc
+                    f"{what}: integrand sample at u = {mp.make_mpf(u)} divides by zero") from exc
             running = []
             for i, term in zip(range(len(terms)) if live is None else live, terms):
-                a = abs(term)
-                if not mp.isfinite(a):
-                    raise NonConvergence(f"{what}: non-finite integrand sample at u = {u}")
-                s = acc.setdefault(i, [mpf(0), mpf(0), mpf(0), 0])
-                s[0] += term
-                s[1] += a
-                if a > s[2]:
+                a = mpf_abs(term, wp, rnd)
+                if not a[1] and a[2]:  # inf or nan
+                    raise NonConvergence(
+                        f"{what}: non-finite integrand sample at u = {mp.make_mpf(u)}")
+                s = acc.get(i)
+                if s is None:
+                    s = acc[i] = [fzero, fzero, fzero, fzero, 0]
+                s[0] = mpf_add(s[0], term, wp, rnd)
+                s[1] = mpf_add(s[1], a, wp, rnd)
+                if mpf_gt(a, s[2]):
                     s[2] = a
-                    s[3] = 0
-                elif a < trunc * s[2]:
-                    s[3] += 1
-                    if s[3] >= 3:
+                    s[3] = mpf_mul(trunc, a, wp, rnd)
+                    s[4] = 0
+                elif mpf_lt(a, s[3]):
+                    s[4] += 1
+                    if s[4] >= 3:
                         continue
                 running.append(i)
             if not running:
-                return acc
+                return {i: (mp.make_mpf(s[0]), mp.make_mpf(s[1])) for i, s in acc.items()}
             live = running
-            u += step
+            u = mpf_add(u, step, wp, rnd)
         raise NonConvergence(f"{what}: tail did not decay")  # pragma: no cover
 
     right = sweep(mpf(0), h, None)
@@ -132,26 +149,53 @@ def _live(items, live):
 
 
 def _log_weight_u_fn(params: WeightParams):
-    """ln[x w(x)] at x = e^u as a closure over materialized parameters.
+    """ln[x w(x)] at x = e^u as a closure over materialized parameters, on
+    raw mpf tuples: logw(u, x) with x = e^u.
 
     Must be built inside the working-precision block; the e^u factor is
-    the Jacobian of the log map.
+    the Jacobian of the log map.  Each operation is the one, in the order,
+    that mpf arithmetic on a1 u - x - sum_k t_k x^-k would make.
     """
+    wp, rnd = mp._prec_rounding
     alpha, t = params.materialize()
-    a1 = alpha + 1
-    deformed = params.is_deformed
+    a1 = (alpha + 1)._mpf_
+    t = [tk._mpf_ for tk in t] if params.is_deformed else []
 
-    def logw(u, expu):
-        acc = a1 * u - expu
-        if deformed:
-            inv = 1 / expu
-            p = mpf(1)
-            for tk in t:
-                p *= inv
-                acc -= tk * p
+    def logw(u, x):
+        acc = mpf_sub(mpf_mul(a1, u, wp, rnd), x, wp, rnd)
+        if t:
+            inv = mpf_rdiv_int(1, x, wp, rnd)
+            p = inv
+            for j, tk in enumerate(t):
+                if j:
+                    p = mpf_mul(p, inv, wp, rnd)
+                acc = mpf_sub(acc, mpf_mul(tk, p, wp, rnd), wp, rnd)
         return acc
 
     return logw
+
+
+#: (binary precision, {u: e^u}): x at the raw trapezoid nodes u sampled so
+#: far, at one precision; a pass at another precision starts a new memo
+_node_exp = (0, {})
+
+
+def _node_exp_fn():
+    """exp_u(u): e^u of a raw mpf node u at the working precision, through
+    the memo of that precision."""
+    global _node_exp
+    wp, rnd = mp._prec_rounding
+    if _node_exp[0] != wp:
+        _node_exp = (wp, {})
+    memo = _node_exp[1]
+
+    def exp_u(u):
+        x = memo.get(u)
+        if x is None:
+            x = memo[u] = mpf_exp(u, wp, rnd)
+        return x
+
+    return exp_u
 
 
 def integrate_weighted(f, params: WeightParams, prec: PrecisionContext, mapping="exp") -> list:
@@ -173,20 +217,23 @@ def integrate_weighted(f, params: WeightParams, prec: PrecisionContext, mapping=
     if mapping not in ("exp", "expsinh"):
         raise DomainError(f"unknown mapping {mapping!r}")
     with mp.workdps(sample_dps(prec)):
+        wp, rnd = mp._prec_rounding
         logw = _log_weight_u_fn(params)
 
         if mapping == "exp":
+            exp_u = _node_exp_fn()
+
             def g(u, live):
-                x = mp.exp(u)
-                w = mp.exp(logw(u, x))
-                return [w * v for v in _live(f(x), live)]
+                x = exp_u(u)
+                w = mp.make_mpf(mpf_exp(logw(u, x), wp, rnd))
+                return [(w * v)._mpf_ for v in _live(f(mp.make_mpf(x)), live)]
         else:
             def g(v, live):
-                u = mp.sinh(v)
-                x = mp.exp(u)
-                w = mp.exp(logw(u, x))
-                c = mp.cosh(v)
-                return [w * fx * c for fx in _live(f(x), live)]
+                c, u = mpf_cosh_sinh(v, wp, rnd)
+                x = mpf_exp(u, wp, rnd)
+                w = mp.make_mpf(mpf_exp(logw(u, x), wp, rnd))
+                c = mp.make_mpf(c)
+                return [(w * fx * c)._mpf_ for fx in _live(f(mp.make_mpf(x)), live)]
         result = _trapezoid_levels(g, prec, "integrate_weighted")
     return [+v for v in result]
 
@@ -208,35 +255,39 @@ def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) 
     nk = kmax - kmin + 1
 
     with mp.workdps(prec.work_dps + _QUAD_GUARD):
-        trunc = mpf(10) ** (-(prec.digits + _TRUNC_EXTRA))
+        wp, rnd = mp._prec_rounding
+        trunc = (mpf(10) ** (-(prec.digits + _TRUNC_EXTRA)))._mpf_
         logw = _log_weight_u_fn(params)
-
-        def node_terms(u):
-            x = mp.exp(u)
-            base = mp.exp(logw(u, x) + kmin * u)
-            out = [base]
-            for _ in range(nk - 1):
-                base *= x
-                out.append(base)
-            return out
-
+        exp_u = _node_exp_fn()
         h = mpf(1)
+        # per k over the whole pass: the largest |term| and trunc times it
+        scales = [fzero] * nk
+        cuts = [fzero] * nk
 
-        def sweep(start, step, totals, scales):
-            u = start
+        def sweep(start, step, totals):
+            """Add x^(alpha+k) w e^u over start, start+step, ... to the raw
+            totals per k, until every k's terms are negligible."""
+            u, step = start._mpf_, step._mpf_
             idle = 0
             for _ in range(2_000_000):
-                terms = node_terms(u)
-                if not mp.isfinite(terms[-1]):
-                    raise NonConvergence(f"moments: non-finite sample at u = {u}")
+                x = exp_u(u)
+                base = mpf_exp(mpf_add(logw(u, x), mpf_mul_int(u, kmin, wp, rnd), wp, rnd),
+                               wp, rnd)
+                terms = [base]
+                for _ in range(nk - 1):
+                    base = mpf_mul(base, x, wp, rnd)
+                    terms.append(base)
+                if not base[1] and base[2]:  # inf or nan
+                    raise NonConvergence(f"moments: non-finite sample at u = {mp.make_mpf(u)}")
                 alive = False
                 for i, term in enumerate(terms):
-                    a = abs(term)
-                    totals[i] += term
-                    if a > scales[i]:
+                    a = mpf_abs(term)
+                    totals[i] = mpf_add(totals[i], term, wp, rnd)
+                    if mpf_gt(a, scales[i]):
                         scales[i] = a
+                        cuts[i] = mpf_mul(trunc, a, wp, rnd)
                         alive = True
-                    elif a >= trunc * scales[i]:
+                    elif mpf_ge(a, cuts[i]):
                         alive = True
                 if alive:
                     idle = 0
@@ -244,21 +295,20 @@ def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) 
                     idle += 1
                     if idle >= 3:
                         return
-                u += step
+                u = mpf_add(u, step, wp, rnd)
             raise NonConvergence("moments: tail did not decay")  # pragma: no cover
 
-        totals = [mpf(0)] * nk
-        scales = [mpf(0)] * nk
-        sweep(mpf(0), h, totals, scales)
-        sweep(-h, -h, totals, scales)
-        totals = [h * v for v in totals]
+        raw = [fzero] * nk
+        sweep(mpf(0), h, raw)
+        sweep(-h, -h, raw)
+        totals = [h * mp.make_mpf(v) for v in raw]
 
         for _ in range(QUAD_MAX_LEVEL):
             h2 = h / 2
-            mids = [mpf(0)] * nk
-            sweep(h2, h, mids, scales)
-            sweep(-h2, -h, mids, scales)
-            new_totals = [t / 2 + h2 * v for t, v in zip(totals, mids)]
+            raw = [fzero] * nk
+            sweep(h2, h, raw)
+            sweep(-h2, -h, raw)
+            new_totals = [t / 2 + h2 * mp.make_mpf(v) for t, v in zip(totals, raw)]
             done = all(
                 abs(nt - t) <= prec.quad_tol * abs(nt)
                 for nt, t in zip(new_totals, totals)
@@ -290,8 +340,11 @@ def seed_moments(params: WeightParams, prec: PrecisionContext) -> dict:
     return _seed_memo[key]
 
 
-def clear_seed_memo():
+def clear_memos():
+    """Forget the seeds and the node exponentials e^u of this process."""
+    global _node_exp
     _seed_memo.clear()
+    _node_exp = (0, {})
 
 
 def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext,
@@ -430,21 +483,21 @@ def integrate_finite(panels, prec: PrecisionContext, what="integrate_finite") ->
         spans = [(f, a, b, (b - a) / 2 * 2, (b - a) / 2 * pihalf) for f, a, b in ends]
 
         def g(t, live):
-            w = pihalf * mp.sinh(t)
+            cht, sht = (mp.make_mpf(v) for v in mpf_cosh_sinh(t, *mp._prec_rounding))
+            w = pihalf * sht
             # distance to the near endpoint via 1 + tanh(w) = 2e^{2w}/(1+e^{2w}),
             # which keeps full relative accuracy for endpoint singularities
             e2 = mp.exp(-2 * abs(w))
             e2p1 = 1 + e2
-            cht = mp.cosh(t)
             chw2 = mp.cosh(w) ** 2
             out = []
             for f, a, b, width, scale in _live(spans, live):
                 dist = width * e2 / e2p1
                 if dist == 0:
-                    out.append(mpf(0))
+                    out.append(fzero)
                     continue
-                x = a + dist if t < 0 else b - dist
-                out.append(f(x) * (scale * cht / chw2))
+                x = a + dist if t[0] else b - dist
+                out.append((f(x) * (scale * cht / chw2))._mpf_)
             return out
 
         result = _trapezoid_levels(g, prec, what)

@@ -2,18 +2,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec, finf, fnan
 
 from laguerre_lab import cli, quadrature, suites
+from laguerre_lab.cache import clear_memo
 from laguerre_lab.errors import DomainError, NonConvergence
 from laguerre_lab.ladder import ladder_A_direct
 from laguerre_lab.orthopoly import eval_polynomials, orthogonality_residual, recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 from laguerre_lab.quadrature import (
+    _QUAD_GUARD,
+    _TRUNC_EXTRA,
+    _live,
     _trapezoid_levels,
     integrate_finite,
     integrate_weighted,
     moment,
     moments,
+    sample_dps,
+    seed_moments,
     table_moments,
 )
 from laguerre_lab.scaling import ScalingPoint
@@ -143,7 +150,8 @@ def test_level_cap_raises(monkeypatch):
     prec = PrecisionContext(digits=60)
     with mp.workdps(80):
         def g(u, live):
-            return [mp.exp(-(u * u)) / (u * u + mpf(10) ** -8)]
+            u = mp.make_mpf(u)
+            return [(mp.exp(-(u * u)) / (u * u + mpf(10) ** -8))._mpf_]
         with pytest.raises(NonConvergence):
             _trapezoid_levels(g, prec, "test")
 
@@ -153,14 +161,29 @@ def table8():
     return recurrence_table(WeightParams("0.5", ("0.3", "0.2")), 8, PrecisionContext(digits=60))
 
 
+def weighted_integrands(table):
+    """Three integrands that a lone pass stops at different tails or levels."""
+    return (
+        lambda x: mpf(1),
+        lambda x: x ** 8,
+        lambda x: (lambda P: P[8] * P[3])(eval_polynomials(table, 8, x)),
+    )
+
+
+#: panels (f, a, b) with endpoint singularities and a smooth one
+FINITE_PANELS = [
+    (mp.log, 0, 1),  # log endpoint singularity
+    (lambda x: 1 / mp.sqrt(x), 0, 1),  # inverse square root
+    (lambda x: 1 / mp.sqrt(x), 0, 4),
+    (lambda x: mp.log(x) * mp.cos(x), 0, mpf(7) / 2),
+    (mp.exp, -1, 2),  # smooth
+]
+
+
 @pytest.mark.parametrize("mapping", ["exp", "expsinh"])
 def test_weighted_batch_is_bit_identical_to_lone(table8, mapping):
     params, prec = table8.params, table8.prec
-    integrands = (
-        lambda x: mpf(1),
-        lambda x: x ** 8,
-        lambda x: (lambda P: P[8] * P[3])(eval_polynomials(table8, 8, x)),
-    )
+    integrands = weighted_integrands(table8)
     lone, samples = [], []
     for f in integrands:
         nodes = []
@@ -177,15 +200,8 @@ def test_weighted_batch_is_bit_identical_to_lone(table8, mapping):
 def test_finite_batch_is_bit_identical_to_lone():
     prec = PrecisionContext(digits=60)
     with mp.workdps(80):
-        panels = [
-            (mp.log, 0, 1),  # log endpoint singularity
-            (lambda x: 1 / mp.sqrt(x), 0, 1),  # inverse square root
-            (lambda x: 1 / mp.sqrt(x), 0, 4),
-            (lambda x: mp.log(x) * mp.cos(x), 0, mpf(7) / 2),
-            (mp.exp, -1, 2),  # smooth
-        ]
-        lone = [integrate_finite([panel], prec)[0] for panel in panels]
-        assert integrate_finite(panels, prec) == lone
+        lone = [integrate_finite([panel], prec)[0] for panel in FINITE_PANELS]
+        assert integrate_finite(FINITE_PANELS, prec) == lone
         assert abs(lone[0] + 1) < mpf(10) ** -55 and abs(lone[2] - 4) < mpf(10) ** -55
 
 
@@ -246,3 +262,270 @@ def test_pearson_moments_classical_mode(prec120):
         for k, v in rec.items():
             exact = mp.gamma(to_mpf(params.alpha) + k + 1)
             assert abs(v - exact) <= tol * exact, k
+
+
+# The sweeps as plain mpf-object loops, before the raw-tuple node kernel:
+# the reference that the kernel must match bit for bit.
+
+def _ref_trapezoid_levels(g, prec, what):
+    trunc = mpf(10) ** (-(prec.digits + _TRUNC_EXTRA))
+    h = mpf(1)
+
+    def sweep(start, step, live):
+        acc = {}
+        u = start
+        for _ in range(2_000_000):
+            terms = g(u, live)
+            running = []
+            for i, term in zip(range(len(terms)) if live is None else live, terms):
+                a = abs(term)
+                assert mp.isfinite(a)
+                s = acc.setdefault(i, [mpf(0), mpf(0), mpf(0), 0])
+                s[0] += term
+                s[1] += a
+                if a > s[2]:
+                    s[2] = a
+                    s[3] = 0
+                elif a < trunc * s[2]:
+                    s[3] += 1
+                    if s[3] >= 3:
+                        continue
+                running.append(i)
+            if not running:
+                return acc
+            live = running
+            u += step
+
+    right = sweep(mpf(0), h, None)
+    live = list(right)
+    left = sweep(-h, -h, live)
+    total = [h * (right[i][0] + left[i][0]) for i in live]
+    mass = [h * (right[i][1] + left[i][1]) for i in live]
+    for _ in range(quadrature.QUAD_MAX_LEVEL):
+        h2 = h / 2
+        mid_r = sweep(h2, h, live)
+        mid_l = sweep(-h2, -h, live)
+        running = []
+        for i in live:
+            new_total = total[i] / 2 + h2 * (mid_r[i][0] + mid_l[i][0])
+            mass[i] = mass[i] / 2 + h2 * (mid_r[i][1] + mid_l[i][1])
+            prev, total[i] = total[i], new_total
+            if not abs(new_total - prev) <= prec.quad_tol * abs(new_total) + prec.quad_tol * mass[i]:
+                running.append(i)
+        live, h = running, h2
+        if not live:
+            return total
+    raise NonConvergence(what)
+
+
+def _ref_log_weight_u_fn(params):
+    alpha, t = params.materialize()
+    a1 = alpha + 1
+
+    def logw(u, expu):
+        acc = a1 * u - expu
+        if params.is_deformed:
+            inv = 1 / expu
+            p = mpf(1)
+            for tk in t:
+                p *= inv
+                acc -= tk * p
+        return acc
+
+    return logw
+
+
+def _ref_integrate_weighted(f, params, prec, mapping="exp"):
+    with mp.workdps(sample_dps(prec)):
+        logw = _ref_log_weight_u_fn(params)
+        if mapping == "exp":
+            def g(u, live):
+                x = mp.exp(u)
+                w = mp.exp(logw(u, x))
+                return [w * v for v in _live(f(x), live)]
+        else:
+            def g(v, live):
+                u = mp.sinh(v)
+                x = mp.exp(u)
+                w = mp.exp(logw(u, x))
+                c = mp.cosh(v)
+                return [w * fx * c for fx in _live(f(x), live)]
+        result = _ref_trapezoid_levels(g, prec, "integrate_weighted")
+    return [+v for v in result]
+
+
+def _ref_moments(params, kmin, kmax, prec):
+    nk = kmax - kmin + 1
+    with mp.workdps(prec.work_dps + _QUAD_GUARD):
+        trunc = mpf(10) ** (-(prec.digits + _TRUNC_EXTRA))
+        logw = _ref_log_weight_u_fn(params)
+
+        def node_terms(u):
+            x = mp.exp(u)
+            base = mp.exp(logw(u, x) + kmin * u)
+            out = [base]
+            for _ in range(nk - 1):
+                base *= x
+                out.append(base)
+            return out
+
+        h = mpf(1)
+
+        def sweep(start, step, totals, scales):
+            u = start
+            idle = 0
+            while True:
+                terms = node_terms(u)
+                assert mp.isfinite(terms[-1])
+                alive = False
+                for i, term in enumerate(terms):
+                    a = abs(term)
+                    totals[i] += term
+                    if a > scales[i]:
+                        scales[i] = a
+                        alive = True
+                    elif a >= trunc * scales[i]:
+                        alive = True
+                if alive:
+                    idle = 0
+                else:
+                    idle += 1
+                    if idle >= 3:
+                        return
+                u += step
+
+        totals = [mpf(0)] * nk
+        scales = [mpf(0)] * nk
+        sweep(mpf(0), h, totals, scales)
+        sweep(-h, -h, totals, scales)
+        totals = [h * v for v in totals]
+        for _ in range(quadrature.QUAD_MAX_LEVEL):
+            h2 = h / 2
+            mids = [mpf(0)] * nk
+            sweep(h2, h, mids, scales)
+            sweep(-h2, -h, mids, scales)
+            new_totals = [t / 2 + h2 * v for t, v in zip(totals, mids)]
+            done = all(abs(nt - t) <= prec.quad_tol * abs(nt)
+                       for nt, t in zip(new_totals, totals))
+            totals, h = new_totals, h2
+            if done:
+                return {kmin + i: +totals[i] for i in range(nk)}
+        raise NonConvergence("moments")
+
+
+def _ref_integrate_finite(panels, prec):
+    ends = [(f, to_mpf(a), to_mpf(b)) for f, a, b in panels]
+    with mp.workdps(sample_dps(prec)):
+        pihalf = mp.pi / 2
+        spans = [(f, a, b, (b - a) / 2 * 2, (b - a) / 2 * pihalf) for f, a, b in ends]
+
+        def g(t, live):
+            w = pihalf * mp.sinh(t)
+            e2 = mp.exp(-2 * abs(w))
+            e2p1 = 1 + e2
+            cht = mp.cosh(t)
+            chw2 = mp.cosh(w) ** 2
+            out = []
+            for f, a, b, width, scale in _live(spans, live):
+                dist = width * e2 / e2p1
+                if dist == 0:
+                    out.append(mpf(0))
+                    continue
+                x = a + dist if t < 0 else b - dist
+                out.append(f(x) * (scale * cht / chw2))
+            return out
+
+        result = _ref_trapezoid_levels(g, prec, "integrate_finite")
+    return [+v for v in result]
+
+
+def _kernel_cases(table8, default, p120, p60):
+    """{case: (kernel run, reference run)}."""
+    # the rode-reduction point: t2 = 1e-6 gives the deepest left tail
+    rode = WeightParams("1/2", ("1/2", "1/1000000"))
+    batch = lambda x: tuple(f(x) for f in weighted_integrands(table8))
+    tp, tq = table8.params, table8.prec
+    return {
+        "moments-d120": (lambda: moments(default, -2, 11, p120),
+                         lambda: _ref_moments(default, -2, 11, p120)),
+        "seeds-rode": (lambda: moments(rode, -2, 0, p120),
+                       lambda: _ref_moments(rode, -2, 0, p120)),
+        "moment0-d60": (lambda: moment(0, default, p60),
+                        lambda: _ref_moments(default, 0, 0, p60)[0]),
+        "weighted-exp": (lambda: integrate_weighted(batch, tp, tq),
+                         lambda: _ref_integrate_weighted(batch, tp, tq)),
+        "weighted-expsinh": (lambda: integrate_weighted(batch, tp, tq, "expsinh"),
+                             lambda: _ref_integrate_weighted(batch, tp, tq, "expsinh")),
+        "finite-panels": (lambda: integrate_finite(FINITE_PANELS, p60),
+                          lambda: _ref_integrate_finite(FINITE_PANELS, p60)),
+    }
+
+
+@pytest.mark.parametrize("case", ["moments-d120", "seeds-rode", "moment0-d60", "weighted-exp",
+                                  "weighted-expsinh", "finite-panels"])
+def test_node_kernel_matches_mpf_reference(table8, params_default, prec120, prec60, case):
+    kernel, reference = _kernel_cases(table8, params_default, prec120, prec60)[case]
+    want = reference()
+    clear_memo()
+    assert kernel() == want  # node memo empty
+    warm = dict(quadrature._node_exp[1])
+    assert bool(warm) == (case not in ("weighted-expsinh", "finite-panels"))
+    assert kernel() == want  # node memo warm
+    assert quadrature._node_exp[1] == warm  # every e^u came from the memo
+
+
+def test_node_exp_memo_holds_one_precision(monkeypatch, prec120, prec60):
+    exps, nodes = [], []
+    real_exp, real_logw = quadrature.mpf_exp, quadrature._log_weight_u_fn
+
+    def counted_logw(params):
+        logw = real_logw(params)
+        return lambda u, x: (nodes.append(u), logw(u, x))[1]
+
+    monkeypatch.setattr(quadrature, "mpf_exp", lambda x, *a: (exps.append(x), real_exp(x, *a))[1])
+    monkeypatch.setattr(quadrature, "_log_weight_u_fn", counted_logw)
+
+    def sweep(params, prec):
+        """(e^u evaluated, nodes sampled) by a seed sweep; every node also
+        takes one e^ for its weight."""
+        exps.clear()
+        nodes.clear()
+        seed_moments(params, prec)
+        return len(exps) - len(nodes), len(nodes)
+
+    memo = lambda: set(quadrature._node_exp[1])
+    a = WeightParams("1/2", ("3/10", "1/5"))
+    b = WeightParams("1/2", ("-3/10", "1/5"))
+    clear_memo()
+    assert sweep(a, prec120) == (len(memo()),) * 2
+    first = memo()
+    # another point at the same precision: e^u only at the nodes a did not reach
+    computed, sampled = sweep(b, prec120)
+    assert first < memo() and computed == len(memo() - first) and 0 < computed < sampled
+    # a pass at another precision drops the old entries
+    assert sweep(a, prec60) == (len(memo()),) * 2
+    assert quadrature._node_exp[0] == dps_to_prec(sample_dps(prec60))
+    clear_memo()
+    assert memo() == set()
+    assert sweep(a, prec120) == (len(first),) * 2 and memo() == first
+
+
+@pytest.mark.parametrize("bad", [finf, fnan], ids=["inf", "nan"])
+def test_non_finite_sample_through_the_kernel(bad, params_default, prec60, monkeypatch):
+    real = quadrature._log_weight_u_fn
+
+    def poisoned(params):
+        logw = real(params)
+        return lambda u, x: bad if mp.make_mpf(u) > 2 else logw(u, x)
+
+    monkeypatch.setattr(quadrature, "_log_weight_u_fn", poisoned)
+    with pytest.raises(NonConvergence, match="moments: non-finite sample"):
+        moments(params_default, -2, 3, prec60)
+    assert cli.main(["moments", "--digits", "60"]) == 3
+
+    with mp.workdps(80):
+        def g(u, live):
+            u = mp.make_mpf(u)
+            return _live([(mp.exp(-(u * u)))._mpf_, bad if u > 2 else mpf(1)._mpf_], live)
+        with pytest.raises(NonConvergence, match="test: non-finite integrand sample"):
+            _trapezoid_levels(g, prec60, "test")

@@ -12,6 +12,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 #: script name -> arguments; out-of-tree paths are relative to tmp_path
 ARGS = {
     "aux_table": ["--n-max", "2", "--digits", "50"],
+    "bless_golden": ["{tmp}/golden.json", "recurrence", "--digits", "50"],
     "equilibrium_profile": ["--n", "4", "--digits", "50", "--points", "4",
                             "--profile", "{tmp}/profile.csv"],
     "sweep_double_scaling": ["--grid", "1", "--n-list", "4,6", "--digits", "50",
@@ -23,12 +24,17 @@ def test_every_script_is_covered():
     assert {p.stem for p in SCRIPTS.glob("*.py")} == set(ARGS)
 
 
-@pytest.mark.parametrize("name", sorted(ARGS))
-def test_script_main_runs(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LAB_CACHE_DIR", str(tmp_path / "cache"))
+def load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(ARGS))
+def test_script_main_runs(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LAB_CACHE_DIR", str(tmp_path / "cache"))
+    module = load(name)
     module.main([a.format(tmp=tmp_path) for a in ARGS[name]])
     out = capsys.readouterr().out
     assert out
@@ -39,3 +45,32 @@ def test_script_main_runs(name, tmp_path, monkeypatch, capsys):
     if name == "sweep_double_scaling":
         # the tensor grid (1, 1) and its mirror (-1, 1), one CSV each
         assert len(list((tmp_path / "sweep").glob("sweep_*.csv"))) == 2
+
+
+def test_bless_golden_lists_changes_and_refuses_a_looser_tolerance(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LAB_CACHE_DIR", str(tmp_path / "cache"))
+    bless = load("bless_golden")
+    path = tmp_path / "golden.json"
+    bless.main([str(path), "recurrence", "--digits", "50"])
+    blessed = path.read_text()
+    doc = json.loads(blessed)
+    first = doc["reports"][0]["entries"][0]
+
+    # a moved residual string is listed old -> new and rewritten
+    was = first["residual"]
+    first["residual"] = "9.0e-99"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    bless.main([str(path)])
+    assert f"{first['id']} {first['point']} residual: 9.0e-99 -> {was}" in capsys.readouterr().out
+    assert path.read_text() == blessed
+
+    # a committed tolerance below the one the run makes: refused, file kept
+    first["residual"], first["tolerance"] = was, "1.0e-70"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        bless.main([str(path)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"looser tolerance recurrence {first['id']} {first['point']}: 1.0e-70 ->" in err
+    assert json.loads(path.read_text()) == doc
