@@ -8,13 +8,12 @@ residual, the largest Lagrange-condition residual at a + (b-a) {1/4, 1/2,
 """
 
 import argparse
-import csv
 import json
 
 from mpmath import mp
 
+from laguerre_lab.cli import write_density_profile
 from laguerre_lab.equilibrium import (
-    density,
     density_normalization,
     equilibrium_condition_residual,
     series_terms,
@@ -54,12 +53,7 @@ def main(argv=None):
         }
         print(json.dumps(doc, indent=2))
         if args.profile:
-            with open(args.profile, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "sigma"])
-                for k in range(1, args.points):
-                    x = sol.a + (sol.b - sol.a) * k / mp.mpf(args.points)
-                    writer.writerow([render(x), render(density(sol, x))])
+            write_density_profile(sol, args.profile, args.points)
             print(f"wrote {args.profile}")
 
 

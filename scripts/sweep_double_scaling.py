@@ -17,7 +17,7 @@ from mpmath import mp
 from laguerre_lab.cli import write_sweep
 from laguerre_lab.params import PrecisionContext
 from laguerre_lab.reports import render
-from laguerre_lab.scaling import convergence_slope, scaled_sequences
+from laguerre_lab.scaling import ScaledGrid, convergence_slope
 
 
 def main(argv=None):
@@ -42,7 +42,7 @@ def main(argv=None):
     points += [("-" + s1, s2) for s1, s2 in points]
     print(f"{'s1':>6} {'s2':>6} {'R':>14} {'R*':>14} {'H':>14} {'slope':>8}")
     for s1, s2 in points:
-        seqs = scaled_sequences(s1, s2, n_list, prec, alpha=args.alpha)
+        seqs = ScaledGrid(s1, s2, n_list, prec, alpha=args.alpha).at()
         with mp.workdps(30):
             slope = convergence_slope(seqs)
             cells = " ".join(f"{render(seqs[q].limit)[:14]:>14}" for q in ("R", "Rstar", "H"))

@@ -147,6 +147,20 @@ def write_sweep(seqs, path: str):
         fh.write("\n")
 
 
+def write_density_profile(sol, path: str, points: int):
+    """The equilibrium density of sol as an "x, sigma" CSV at path, at
+    x = a + (b - a) k / points for k = 1..points-1, at sol's precision."""
+    from .equilibrium import density
+
+    with mp.workdps(sol.prec.work_dps):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "sigma"])
+            for k in range(1, points):
+                x = sol.a + (sol.b - sol.a) * k / to_mpf(points)
+                writer.writerow([render(x), render(density(sol, x))])
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -200,22 +214,16 @@ def extras(cfg: RunConfig, args):
                                       cache_dir=cfg.cache_dir)
         write_table(tab, cfg.format, args.table_out)
     if args.sweep_csv and "scaling" in cfg.active_suites:
-        from .scaling import scaled_sequences
+        from .scaling import ScaledGrid
 
-        seqs = scaled_sequences(cfg.s1, cfg.s2, cfg.n_list, cfg.prec,
-                                alpha=cfg.params.alpha, cache_dir=cfg.cache_dir)
-        write_sweep(seqs, args.sweep_csv)
+        grid = ScaledGrid(cfg.s1, cfg.s2, cfg.n_list, cfg.prec,
+                          alpha=cfg.params.alpha, cache_dir=cfg.cache_dir)
+        write_sweep(grid.at(), args.sweep_csv)
     if args.density_profile and "equilibrium" in cfg.active_suites:
-        from .equilibrium import density, solve_support, verified_point
+        from .equilibrium import solve_support, verified_point
 
         sol = solve_support(10, verified_point(cfg.params), prec=cfg.prec)
-        with mp.workdps(cfg.prec.work_dps):
-            with open(args.density_profile, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "sigma"])
-                for k in range(1, 200):
-                    x = sol.a + (sol.b - sol.a) * k / to_mpf(200)
-                    writer.writerow([render(x), render(density(sol, x))])
+        write_density_profile(sol, args.density_profile, 200)
 
 
 if __name__ == "__main__":

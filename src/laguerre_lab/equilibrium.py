@@ -85,16 +85,16 @@ def verified_point(params: WeightParams) -> WeightParams:
     return WeightParams(max(params.alpha, Fraction(1)), t)
 
 
-def solve_support(n: int, params: WeightParams, tol=None,
-                  prec: PrecisionContext = None) -> EquilibriumSolution:
-    """Damped Newton solve of the endpoint system in (X, Y).
+def solve_support(n: int, params: WeightParams,
+                  prec: PrecisionContext) -> EquilibriumSolution:
+    """Damped Newton solve of the endpoint system in (X, Y), to a residual
+    norm of 10^-(P-20).
 
     Initial guess X0 = alpha + (2n t1)^(1/3) + (12 n^2 t2)^(1/5),
     Y0 = 2n + alpha (exact in the t -> 0 limit, dominant-balance
     corrections otherwise); steps are halved until the residual norm
     decreases and the iterate stays in X > 0, Y > X.
     """
-    prec = prec or PrecisionContext()
     if n < 1:
         raise DomainError("need n >= 1")
     deformed = params.is_deformed
@@ -106,7 +106,7 @@ def solve_support(n: int, params: WeightParams, tol=None,
         alpha, t = params.materialize()
         t1 = t[0] if deformed else mpf(0)
         t2 = t[1] if deformed else mpf(0)
-        tol = to_mpf(tol) if tol is not None else mpf(10) ** (-(prec.digits - 20))
+        tol = mpf(10) ** (-(prec.digits - 20))
 
         Y = mpf(2 * n) + alpha
         X = alpha + (2 * n * t1) ** mpf("1/3") + (12 * n * n * t2) ** mpf("0.2") \
@@ -471,18 +471,19 @@ def positive_roots(coeffs, hi, tol) -> list:
     return sorted(roots)
 
 
-def solve_X_equations(sol: EquilibriumSolution, tol=None):
+def solve_X_equations(sol: EquilibriumSolution):
     """(X from the degree-9 equation, X from the double-scaled degree-5)
     at the solution's n, point and precision.
 
     The degree-9 root matching the Newton endpoint solve sol is selected;
-    ambiguity within tol raises RootSelectionAmbiguous.  The degree-5
+    roots are isolated to tol = 10^-(P-30), and another root within 100 tol
+    of it raises RootSelectionAmbiguous.  The degree-5
     root uses s1 = 2n t1, s2 = 4 n^2 t2.
     """
     n, params, prec = sol.n, sol.params, sol.prec
     with mp.workdps(prec.work_dps):
         alpha, t = params.materialize()
-        tol = to_mpf(tol) if tol is not None else mpf(10) ** (-(prec.digits - 30))
+        tol = mpf(10) ** (-(prec.digits - 30))
         if not params.is_deformed:
             return alpha, alpha  # X^8 (X - alpha) and X^4 (X - alpha)
         t1, t2 = t[0], t[1]
@@ -491,7 +492,7 @@ def solve_X_equations(sol: EquilibriumSolution, tol=None):
         if not roots:
             raise NoPositiveRoot("degree-9 equation has no positive root")
         best = min(roots, key=lambda r: abs(r - sol.X))
-        near = [r for r in roots if abs(r - best) <= to_mpf(tol) * 100 and r is not best]
+        near = [r for r in roots if abs(r - best) <= tol * 100 and r is not best]
         if near:
             raise RootSelectionAmbiguous(f"roots {near} within tol of {best}")
         s1, s2 = 2 * n * t1, 4 * n * n * t2
@@ -505,10 +506,9 @@ def solve_X_equations(sol: EquilibriumSolution, tol=None):
 # Marchenko-Pastur limit and the closed-form integral identities
 # --------------------------------------------------------------------------
 
-def mp_limit_check(y, n: int, alpha, prec: PrecisionContext = None):
+def mp_limit_check(y, n: int, alpha, prec: PrecisionContext):
     """(sigma(4 n y) at finite n in the t -> 0 limit mode, the
     Marchenko-Pastur value (1/2pi) sqrt((1-y)/y), their gap)."""
-    prec = prec or PrecisionContext()
     y = to_fraction(y)
     if not Fraction(0) < y < Fraction(1):
         raise DomainError("y must be in (0, 1)")
@@ -521,10 +521,9 @@ def mp_limit_check(y, n: int, alpha, prec: PrecisionContext = None):
         return dens, mpv, abs(dens - mpv)
 
 
-def appendix_integrals(a, b, prec: PrecisionContext = None):
+def appendix_integrals(a, b, prec: PrecisionContext):
     """Residuals of the six closed forms of int_a^b g(x)/sqrt((b-x)(x-a)) dx
     for g = 1, ln x, x, 1/x, 1/x^2, 1/x^3, against the quadrature route."""
-    prec = prec or PrecisionContext()
     a, b = to_mpf(a), to_mpf(b)
     if not 0 < a < b:
         raise DomainError("need 0 < a < b")

@@ -16,6 +16,9 @@ system iterated in n from the integral route's row 0.  The r-advance of
 that system is the S1 family for every m.  Solving for R and assembling
 beta_n from the row are closed forms written once, for m = 3; m = 2
 runs them with rho = 3 t3/(2 t2), R^_n and r^_n set to 0 (``pad3``).
+The suites' identities on the row are written once for every m:
+``row_residuals`` (alpha_n, beta_n, S1, S2'), ``iteration_deviation``
+and ``ladder_coeff_deviation`` (A_n from the row against its integral).
 
 Route naming used throughout tests and suites:
   integral  -- the row from weighted moment sums of P_n^2, P_n P_{n-1}
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -219,6 +223,57 @@ def beta_from_aux(row: AuxRow, n: int, params: WeightParams,
             + (t1 - 2 * r) / (tau * R ** 2) * (rh * Rs + Rh * rs)
             + (n * t1 - (2 * n + alpha) * r) / R
         )
+
+
+class RowResiduals(NamedTuple):
+    """|residual| of each identity between the recurrence coefficients and
+    the aux row at one index n (``row_residuals``)."""
+
+    alpha: mpf   # alpha_n from the row
+    beta: mpf    # beta_n from the row; None at n = 0 or m > 3
+    s1: tuple    # the S1 family, j = 1..m
+    s2p: mpf     # the S2' product; None at n = 0
+
+
+def row_residuals(tab: RecurrenceTable, rows, n: int, prec: PrecisionContext) -> RowResiduals:
+    """The identities at index n between tab's alpha_n, beta_n and its aux
+    rows (rows[k] at index k, for k = n-1..n+1), at prec:
+
+        alpha  alpha_n = 2n + 1 + alpha + sum_i R_{n,i}     (``alpha_from_aux``)
+        beta   beta_n  = ``beta_from_aux``                 (n >= 1, m <= 3)
+        S1     r_{n+1,j} + r_{n,j} + alpha_n R_{n,j} = c_j,  j = 1..m,
+               c_1 = t1, c_j = j t_j / ((j-1) t_{j-1}) R_{n,j-1}
+        S2'    beta_n R_{n,1} R_{n-1,1} = r_{n,1} (r_{n,1} - t1)   (n >= 1)
+    """
+    params = tab.params
+    with mp.workdps(prec.work_dps):
+        t1 = to_mpf(params.t1)
+        row, an = rows[n], tab.alpha(n)
+        s1 = tuple(abs(rows[n + 1].r[j - 1] + row.r[j - 1] + an * row.R[j - 1]
+                       - (t1 if j == 1 else s1_coeff(params, j) * row.R[j - 2]))
+                   for j in range(1, params.m + 1))
+        beta = s2p = None
+        if n >= 1:
+            if params.m <= 3:
+                beta = abs(beta_from_aux(row, n, params, prec) - tab.beta(n))
+            s2p = abs(tab.beta(n) * row.R[0] * rows[n - 1].R[0] - row.r[0] * (row.r[0] - t1))
+        return RowResiduals(abs(alpha_from_aux(row, n, params.alpha) - tab.alpha(n)),
+                            beta, s1, s2p)
+
+
+def iteration_deviation(rows, iterated) -> mpf:
+    """max |integral - iteration| over every component of the rows that
+    iterated covers (``iterate_difference_system``), at the caller's precision."""
+    return max(abs(a - b) for row, it in zip(rows, iterated)
+               for a, b in zip(row.R + row.r, it.R + it.r))
+
+
+def ladder_coeff_deviation(table: RecurrenceTable, n: int, zs) -> mpf:
+    """max over z in zs of |A_n(z) from the row - A_n(z) from its integral
+    (``ladder_A_direct``)|, at the caller's precision."""
+    a, _ = ladder_coeffs(aux_integrals(table, n), n, table.params)
+    return max(abs(eval_laurent(a, z) - direct)
+               for z, direct in zip(zs, ladder_A_direct(table, n, zs)))
 
 
 def _bracket(value, thresh, n, equation):

@@ -14,7 +14,10 @@ grid.
 
 For general m (2 <= m <= 5) the S1 family, the two stated S2'
 coefficient identities, the H_n derivative relations and the pointwise
-S1/S2' residuals of the assembled ladder coefficients are checked.
+S1/S2' residuals of the assembled ladder coefficients are checked.  The
+row identities (alpha_n, beta_n, S1, S2') come from
+``ladder.row_residuals``, the same copy the m = 2 ladder suite reads;
+only ``alpha-aux-m`` keeps its own sum.
 """
 
 from __future__ import annotations
@@ -36,12 +39,10 @@ from .calculus import (
 )
 from .errors import DomainError
 from .ladder import (
-    alpha_from_aux,
     aux_integrals,
-    beta_from_aux,
     compatibility_residuals,
     ladder_A_direct,  # noqa: F401  (looked up here by perfbench/tracer.py)
-    s1_coeff,
+    row_residuals,
 )
 from .params import to_mpf
 from .reports import Check
@@ -60,18 +61,11 @@ def verify_identities_3(n: int, grid: StencilGrid):
     out = []
     ps = _label(grid, n)
     with mp.workdps(prec.work_dps):
-        alpha = to_mpf(point.alpha)
         b = grid.bundle()
-        tab = b.table
-        row = b.row(n)
-
-        out.append(Check("alpha-aux-3",
-                         abs(alpha_from_aux(row, n, alpha) - tab.alpha(n)),
-                         to_mpf(prec.half_eps), ps))
+        res = row_residuals(b.table, [b.row(k) for k in range(n + 2)], n, prec)
+        out.append(Check("alpha-aux-3", res.alpha, to_mpf(prec.half_eps), ps))
         if n >= 1:
-            out.append(Check("beta-aux-3",
-                             abs(beta_from_aux(row, n, point, prec) - tab.beta(n)),
-                             to_mpf(prec.half_eps), ps))
+            out.append(Check("beta-aux-3", res.beta, to_mpf(prec.half_eps), ps))
 
         rel = derivative_relations(n, grid, ("dlnh", "dp"), "-3")
         for pair in zip(rel[:3], rel[3:]):
@@ -120,32 +114,25 @@ def verify_S1_S2_general_m(n: int, grid: StencilGrid):
     with mp.workdps(prec.work_dps):
         half = to_mpf(prec.half_eps)
         alpha = to_mpf(point.alpha)
-        t1 = to_mpf(point.t1)
         b = grid.bundle()
         tab = b.table
         rows = [b.row(k) for k in range(n + 2)]
+        res = row_residuals(tab, rows, n, prec)
 
+        # its own sum, (2n + 1 + alpha) + sum_i R_{n,i}: not alpha_from_aux's order
         out.append(Check("alpha-aux-m",
                          abs(tab.alpha(n) - (2 * n + 1 + alpha + rows[n].Rsum)),
                          half, ps))
-        out.append(Check("s1-anchor-m",
-                         abs(rows[n + 1].r[0] + rows[n].r[0]
-                             + tab.alpha(n) * rows[n].R[0] - t1),
-                         half, ps))
-        for j in range(2, m + 1):
-            res = abs(rows[n + 1].r[j - 1] + rows[n].r[j - 1]
-                      + tab.alpha(n) * rows[n].R[j - 1]
-                      - s1_coeff(point, j) * rows[n].R[j - 2])
-            out.append(Check(f"s1-chain-m-{j}", res, half, ps))
+        out.append(Check("s1-anchor-m", res.s1[0], half, ps))
+        out.extend(Check(f"s1-chain-m-{j}", v, half, ps)
+                   for j, v in enumerate(res.s1[1:], start=2))
 
         srr = mp.fsum(rows[k].Rsum for k in range(n))
         out.append(Check("beta-sum-m",
                          abs(tab.beta(n) - (n * (n + alpha) + srr + rows[n].rsum)),
                          half, ps))
         if n >= 1:
-            res = abs(rows[n].r[0] * (rows[n].r[0] - t1)
-                      - tab.beta(n) * rows[n].R[0] * rows[n - 1].R[0])
-            out.append(Check("s2p-product-m", res, half, ps))
+            out.append(Check("s2p-product-m", res.s2p, half, ps))
 
         nn = n * (n + alpha)
         out.extend(axis_checks(n, grid, "dH-t{}-m", lambda v: nn + v.table.p(n), rows[n].r))

@@ -212,16 +212,6 @@ def eval_polynomial_derivative(table: RecurrenceTable, n: int, x):
         return cur, dcur, prev, dprev
 
 
-def eval_by_coeffs(table: RecurrenceTable, n: int, x) -> mpf:
-    """Horner evaluation of the stored monic coefficient vector (oracle route)."""
-    x = to_mpf(x)
-    with mp.workdps(table.prec.work_dps):
-        acc = mpf(0)
-        for c in reversed(table.coeffs[n]):
-            acc = acc * x + c
-        return acc
-
-
 def christoffel_darboux_residual(table: RecurrenceTable, n: int, x, y) -> mpf:
     """|sum_{j<n} P_j(x)P_j(y)/h_j - [P_n(x)P_{n-1}(y)-P_n(y)P_{n-1}(x)] / (h_{n-1}(x-y))|."""
     x, y = to_mpf(x), to_mpf(y)

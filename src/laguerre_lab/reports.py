@@ -8,7 +8,6 @@ serialize to the JSON/CSV formats of the command-line surface.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
@@ -66,10 +65,6 @@ class ResidualReport:
     def n_failed(self) -> int:
         return sum(1 for c in self.entries if not c.ok)
 
-    @property
-    def all_pass(self) -> bool:
-        return self.n_failed == 0
-
     def as_dict(self, timestamp=None) -> dict:
         meta = dict(sorted(self.metadata.items()))
         if timestamp is not None:
@@ -79,9 +74,6 @@ class ResidualReport:
             "entries": [c.entry() for c in self.entries],
             "metadata": meta,
         }
-
-    def to_json(self, timestamp=None) -> str:
-        return json.dumps(self.as_dict(timestamp), indent=2, sort_keys=True)
 
     def csv_rows(self):
         yield ["suite", "id", "point", "residual", "tolerance", "pass"]

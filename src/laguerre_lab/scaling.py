@@ -1,16 +1,17 @@
 """Double-scaling sweeps s1 = 2n t1, s2 = 4n^2 t2 and their limits.
 
-Per-n recurrence tables are built at the exactly-rational points
-(t1, t2) = (s1/2n, s2/4n^2) with per-n precision 20 + 4n digits, the
-sequences n R_n, n R_n*, r_n, r_n*, H_n are Richardson-extrapolated in
-1/n (Neville at 0), and the limiting identities and PDEs are checked on
-the extrapolated values.  Derivatives in s are taken at finite n, on the
-t-stencil grid of ``calculus`` at each scaling point, and extrapolated in
-1/n the same way; this is the only derivative route.  Reported errors
-are the last Neville correction plus the stencil error.  The limiting
-PDEs read one dict of (value, error) pairs, the limits R, Rstar, H and
-the ``calculus.partials`` of U and H ("dU1", .., "dH12"), and are held
-to 10 times their error propagated over ``calculus.moved`` inputs.
+A ``ScaledGrid`` holds one t-stencil grid (``calculus.StencilGrid``) per
+n, centred at the exactly-rational point (t1, t2) = (s1/2n, s2/4n^2)
+with per-n precision 20 + 4n digits.  The sequences n R_n, n R_n*, r_n,
+r_n*, H_n are read from each grid's centre, whose aux row is computed
+once, and Richardson-extrapolated in 1/n (Neville at 0); the limiting
+identities and PDEs are checked on the extrapolated values.  Derivatives
+in s are taken at finite n on the same grids and extrapolated in 1/n the
+same way; this is the only derivative route.  Reported errors are the
+last Neville correction plus the stencil error.  The limiting PDEs read
+one dict of (value, error) pairs, the limits R, Rstar, H and the
+``calculus.partials`` of U and H ("dU1", .., "dH12"), and are held to 10
+times their error propagated over ``calculus.moved`` inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from mpmath import mp, mpf
 from .calculus import (DerivativeStencil, StencilGrid, moved, normalized, partials,
                        propagated_check, table_bundle_builder)
 from .errors import DomainError, SingularAux
-from .ladder import aux_integrals
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
 from .reports import Check
 
@@ -67,11 +67,8 @@ class Scaled(NamedTuple):
 @dataclass(frozen=True)
 class ScaledSequences:
     """Per-n scaled values plus their 1/n-extrapolated limits, by quantity
-    (``QUANTITIES``): ``seqs["R"].limit``."""
+    (``QUANTITIES``): ``seqs["R"].limit``; the point is the ``ScaledGrid``'s."""
 
-    alpha: Fraction
-    s1: Fraction
-    s2: Fraction
     n_list: tuple
     quantities: dict
 
@@ -100,40 +97,23 @@ def digits_for_scaling(n: int) -> int:
     return max(50, 20 + 4 * n)
 
 
-def scaled_sequences(s1, s2, n_list, prec: PrecisionContext,
-                     alpha="0.5", cache_dir=None) -> ScaledSequences:
-    """Build the scaled sequences and their extrapolated limits.
-
-    n_list must be increasing with min >= 4; per-n tables are built at
-    digits 20 + 4n (through the table cache) so the shrinking t-values
-    stay resolved.
-    """
-    s1, s2 = to_fraction(s1), to_fraction(s2)
-    alpha = to_fraction(alpha)
-    n_list = tuple(n_list)
-    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise DomainError("n_list must be increasing with at least two entries")
-    if n_list[0] < 4:
-        raise DomainError("n_list entries must be >= 4")
-
-    from .cache import cached_recurrence_table
-
+def scaled_sequences(grid: "ScaledGrid") -> ScaledSequences:
+    """The scaled sequences of grid and their extrapolated limits: n R_n,
+    n R_n*, r_n, r_n* and H_n read from the centre of each per-n stencil
+    grid, then extrapolated in 1/n at the grid's precision."""
     seqs = {q: [] for q in QUANTITIES}
-    for n in n_list:
-        pt = ScalingPoint(n, s1, s2)
-        params = pt.params(alpha)
-        prec_n = PrecisionContext(digits=digits_for_scaling(n))
-        tab = cached_recurrence_table(params, n, prec_n, cache_dir=cache_dir)
-        with mp.workdps(prec_n.work_dps):
-            a = aux_integrals(tab, n)
-            H = n * (n + to_mpf(alpha)) + tab.p(n)
+    for n, g in grid.grids.items():
+        b = g.bundle()
+        with mp.workdps(g.prec.work_dps):
+            a = b.row(n)
+            H = n * (n + to_mpf(grid.alpha)) + b.table.p(n)
             for q, v in zip(QUANTITIES, (n * a.R[0], n * a.R[1], a.r[0], a.r[1], H)):
                 seqs[q].append(v)
 
-    with mp.workdps(prec.work_dps):
-        quantities = {q: Scaled(tuple(v), *_neville_at_zero(n_list, v))
+    with mp.workdps(grid.prec.work_dps):
+        quantities = {q: Scaled(tuple(v), *_neville_at_zero(grid.n_list, v))
                       for q, v in seqs.items()}
-    return ScaledSequences(alpha=alpha, s1=s1, s2=s2, n_list=n_list, quantities=quantities)
+    return ScaledSequences(n_list=grid.n_list, quantities=quantities)
 
 
 def convergence_slope(seqs: ScaledSequences) -> mpf:
@@ -157,22 +137,31 @@ def convergence_slope(seqs: ScaledSequences) -> mpf:
 class ScaledGrid:
     """Extrapolated limits at one (s1, s2) (``at``, memoized) and their
     derivatives in s, taken at finite n on one t-stencil grid per n and
-    extrapolated in 1/n like the values."""
+    extrapolated in 1/n like the values.  n_list is increasing with
+    min >= 4; the grid at n, ``grids[n]``, sits at ``ScalingPoint(n, s1, s2)``
+    with ``digits_for_scaling(n)`` digits, so the shrinking t stay resolved."""
 
     def __init__(self, s1, s2, n_list, prec: PrecisionContext, alpha="0.5",
                  cache_dir=None):
         self.s1, self.s2 = to_fraction(s1), to_fraction(s2)
         self.alpha = to_fraction(alpha)
         self.n_list = tuple(n_list)
+        if len(self.n_list) < 2 or any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
+            raise DomainError("n_list must be increasing with at least two entries")
+        if self.n_list[0] < 4:
+            raise DomainError("n_list entries must be >= 4")
         self.prec = prec
-        self.cache_dir = cache_dir
         self._seqs = None
-        self._grids = {}
+        self.grids = {}
+        for n in self.n_list:
+            prec_n = PrecisionContext(digits=digits_for_scaling(n))
+            self.grids[n] = StencilGrid(
+                ScalingPoint(n, self.s1, self.s2).params(self.alpha), prec_n,
+                DerivativeStencil(order=2), table_bundle_builder(n, prec_n, cache_dir))
 
     def at(self) -> ScaledSequences:
         if self._seqs is None:
-            self._seqs = scaled_sequences(self.s1, self.s2, self.n_list, self.prec,
-                                          alpha=self.alpha, cache_dir=self.cache_dir)
+            self._seqs = scaled_sequences(self)
         return self._seqs
 
     def _derivative(self, kind: str, quantity: str, axes):
@@ -180,13 +169,7 @@ class ScaledGrid:
         ``StencilGrid`` method kind, one axis per differentiation; the
         error is the Neville correction plus the largest scaled stencil error."""
         vals, emax = [], mpf(0)
-        for n in self.n_list:
-            if n not in self._grids:  # centred on the table scaled_sequences reads at n
-                prec_n = PrecisionContext(digits=digits_for_scaling(n))
-                self._grids[n] = StencilGrid(
-                    ScalingPoint(n, self.s1, self.s2).params(self.alpha), prec_n,
-                    DerivativeStencil(order=2), table_bundle_builder(n, prec_n, self.cache_dir))
-            grid = self._grids[n]
+        for n, grid in self.grids.items():
             # H_n = n(n + alpha) + p(n), whose constant has no t-derivative
             extract = ((lambda b: b.table.p(n)) if quantity == "H"
                        else (lambda b: n * (b.row(n).R[0] + b.row(n).R[1])))

@@ -163,18 +163,10 @@ def ladder_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("aux-sign-R", bad_R, half, f"n<={n_top}"))
         rep.add(Check("aux-sign-Rstar", bad_Rs, half, f"n<={n_top}"))
 
-        rep.add(Check("alpha-aux",
-                      max(abs(ld.alpha_from_aux(aux[nn], nn, params.alpha) - tab.alpha(nn))
-                          for nn in range(n_top + 1)),
-                      triple, f"n<={n_top}"))
-        rep.add(Check("beta-aux",
-                      max(abs(ld.beta_from_aux(aux[nn], nn, params, prec) - tab.beta(nn))
-                          for nn in range(1, n_top + 1)),
-                      triple, f"n<={n_top}"))
-        rep.add(Check("iteration-agree",
-                      max(abs(a - b) for nn in range(n_top + 1)
-                          for a, b in zip(aux[nn].R + aux[nn].r,
-                                          iterated[nn].R + iterated[nn].r)),
+        res = [ld.row_residuals(tab, aux, nn, prec) for nn in range(n_top + 1)]
+        rep.add(Check("alpha-aux", max(r.alpha for r in res), triple, f"n<={n_top}"))
+        rep.add(Check("beta-aux", max(r.beta for r in res[1:]), triple, f"n<={n_top}"))
+        rep.add(Check("iteration-agree", ld.iteration_deviation(aux, iterated),
                       triple, f"n<={n_top}"))
 
         zs = ("0.7", "2", "5")
@@ -192,15 +184,8 @@ def ladder_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("compat-s2", s2r, half, ptz))
         rep.add(Check("compat-s2p", s2pr, half, ptz))
 
-        rep.add(Check("s1-r-advance",
-                      max(abs(aux[nn + 1].r[0] + aux[nn].r[0] + tab.alpha(nn) * aux[nn].R[0] - t1)
-                          for nn in range(n_top + 1)),
-                      half, f"n<={n_top}"))
-        rep.add(Check("s2p-product",
-                      max(abs(tab.beta(nn) * aux[nn].R[0] * aux[nn - 1].R[0]
-                              - aux[nn].r[0] * (aux[nn].r[0] - t1))
-                          for nn in range(1, n_top + 1)),
-                      half, f"n<={n_top}"))
+        rep.add(Check("s1-r-advance", max(r.s1[0] for r in res), half, f"n<={n_top}"))
+        rep.add(Check("s2p-product", max(r.s2p for r in res[1:]), half, f"n<={n_top}"))
 
         w1 = w2 = w3 = mpf(0)
         for nn in range(n_top + 1):
@@ -210,9 +195,7 @@ def ladder_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("sum-p-r-beta", w2, half, f"n<={n_top}"))
         rep.add(Check("beta-det-ratio", w3, half, f"n<={n_top}"))
 
-        a2, _ = ld.ladder_coeffs(aux[2], 2, params)
-        (direct,) = ld.ladder_A_direct(tab, 2, (5,))
-        rep.add(Check("ladder-coeff-integral", abs(ld.eval_laurent(a2, 5) - direct),
+        rep.add(Check("ladder-coeff-integral", ld.ladder_coeff_deviation(tab, 2, (5,)),
                       half, "n=2;z=5"))
     return rep
 
@@ -408,11 +391,8 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
     iterated = ld.iterate_difference_system(tab3, n_top, prec)
     with mp.workdps(prec.work_dps):
         triple = to_mpf(prec.half_eps) * mpf(10) ** 10
-        worst = max(
-            abs(a - b) for nn in range(n_top + 1)
-            for a, b in zip(rows[nn].R + rows[nn].r, iterated[nn].R + iterated[nn].r)
-        )
-        rep.add(Check("iteration-agree-3", worst, triple, f"n<={n_top}"))
+        rep.add(Check("iteration-agree-3", ld.iteration_deviation(rows, iterated),
+                      triple, f"n<={n_top}"))
 
     grid3 = ca.StencilGrid(p3, prec, st, ca.table_bundle_builder(3, prec, config.cache_dir))
     rep.extend(mt.verify_identities_3(2, grid3))
@@ -441,12 +421,9 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
         rep.extend(mt.verify_S1_S2_general_m(n, gm))
 
     with mp.workdps(prec.work_dps):
-        tab4 = _table(config, m4, 3)
-        a2, _ = ld.ladder_coeffs(ld.aux_integrals(tab4, 2), 2, m4)
-        zs = ("0.9", "3")
-        worst = max(abs(direct - ld.eval_laurent(a2, z))
-                    for z, direct in zip(zs, ld.ladder_A_direct(tab4, 2, zs)))
-        rep.add(Check("ladder-coeff-m", worst, to_mpf(prec.half_eps), "m=4;n=2"))
+        rep.add(Check("ladder-coeff-m",
+                      ld.ladder_coeff_deviation(_table(config, m4, 3), 2, ("0.9", "3")),
+                      to_mpf(prec.half_eps), "m=4;n=2"))
     return rep
 
 

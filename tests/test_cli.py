@@ -179,10 +179,10 @@ def test_recurrence_table_csv_roundtrip(tmp_path):
 
 
 def test_sweep_emission(tmp_path):
-    from laguerre_lab.scaling import scaled_sequences
+    from laguerre_lab.scaling import ScaledGrid
 
     prec = PrecisionContext(digits=50)
-    seqs = scaled_sequences(1, 1, (4, 6, 8), prec, cache_dir=tmp_path / "c")
+    seqs = ScaledGrid(1, 1, (4, 6, 8), prec, cache_dir=tmp_path / "c").at()
     out = tmp_path / "sweep.csv"
     cli.write_sweep(seqs, str(out))
     rows = list(csv.reader(out.read_text().splitlines()))
@@ -224,7 +224,7 @@ def test_cache_speedup_and_stability(tmp_path):
     warm = suites.run_suite(cfg)[0]
     warm_time = time.perf_counter() - t0
     assert cold_time / warm_time >= 5
-    assert cold.to_json() == warm.to_json()
+    assert cold.as_dict() == warm.as_dict()
 
 
 @pytest.mark.parametrize("suite", ["calculus", "recurrence", "ladder", "multitime", "scaling"])
@@ -246,7 +246,7 @@ def test_warm_run_integrates_and_writes_nothing(suite, tmp_path, count_calls):
     warm = suites.run_suite(cfg)[0]
     assert sweeps == []
     assert sorted(p.name for p in cache.iterdir()) == files
-    assert cold.to_json() == warm.to_json()
+    assert cold.as_dict() == warm.as_dict()
 
 
 @pytest.mark.parametrize("suite,rule", [("recurrence", "integrate_weighted"),
@@ -304,6 +304,21 @@ def test_cold_scaling_builds_one_sequence_set_per_grid(tmp_path, count_calls):
     sweeps = count_calls(quadrature, "moments")
     suites.run_suite(cfg)
     assert (len(seqs), len(sweeps)) == (2, 4)
+
+
+def test_cold_scaling_computes_each_centre_row_once(tmp_path, count_calls):
+    # the scaled sequences read n R_n, n R_n*, r_n, r_n* from the aux row
+    # at the centre of each per-n stencil grid, the row the second
+    # derivatives of U read there: 36 rows over the two grids' stencil
+    # nodes, where reading them from a separate table took 38
+    from laguerre_lab import ladder
+
+    cfg = parse_config(None, {"digits": "60", "suites": "scaling", "n_list": "8,10",
+                              "cache_dir": str(tmp_path / "cache")})
+    clear_memo()
+    rows = count_calls(ladder, "aux_integrals")
+    suites.run_suite(cfg)
+    assert len(rows) == 36
 
 
 def test_classical_limit_for_negative_alpha(tmp_path, capsys):

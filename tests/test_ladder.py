@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
@@ -5,6 +7,7 @@ from laguerre_lab import calculus as ca
 from laguerre_lab.errors import DegenerateBracket, DegenerateInput, DomainError, SingularAux
 from laguerre_lab.ladder import (
     AuxRow,
+    aux_rows,
     _R_step,
     alpha_from_aux,
     aux_integrals,
@@ -14,6 +17,7 @@ from laguerre_lab.ladder import (
     iterate_difference_system,
     ladder_coeffs,
     ladder_residuals,
+    row_residuals,
     sum_rules,
 )
 from laguerre_lab.orthopoly import eval_polynomials, recurrence_table
@@ -151,6 +155,40 @@ def test_s1_family_and_s2p_product(table12, aux12):
                 aux12[n].r[0] - to_mpf(params.t1)
             )
             assert abs(res) < HALF
+
+
+@pytest.mark.parametrize("tvec", [("0.3", "0.2"), ("0.3", "0.2", "0.1"),
+                                  ("0.3", "0.2", "0.1", "0.05")], ids=["m2", "m3", "m4"])
+def test_row_residuals_are_the_written_out_identities(tvec, prec60):
+    # row_residuals is the one copy of alpha_n from the row, the S1 family
+    # and the S2' product for every m: bit for bit the formulas below
+    params = WeightParams("0.5", tvec)
+    tab = recurrence_table(params, 3, prec60)
+    rows = aux_rows(tab, 3)
+    for n in (0, 1, 2):
+        res = row_residuals(tab, rows, n, prec60)
+        with mp.workdps(prec60.work_dps):
+            t = [to_mpf(v) for v in params.t]
+            row, nxt, an = rows[n], rows[n + 1], tab.alpha(n)
+            alpha = 2 * n + 1 + to_mpf(params.alpha)
+            for R in row.R:
+                alpha = alpha + R
+            s1 = [abs(nxt.r[0] + row.r[0] + an * row.R[0] - t[0])]
+            for j in range(2, params.m + 1):
+                c = to_mpf(Fraction(j) * params.t[j - 1] / ((j - 1) * params.t[j - 2]))
+                s1.append(abs(nxt.r[j - 1] + row.r[j - 1] + an * row.R[j - 1]
+                              - c * row.R[j - 2]))
+            assert res.alpha == abs(alpha - an)
+            assert res.s1 == tuple(s1)
+            if n == 0:
+                assert res.s2p is None and res.beta is None
+            else:
+                assert res.s2p == abs(row.r[0] * (row.r[0] - t[0])
+                                      - tab.beta(n) * row.R[0] * rows[n - 1].R[0])
+                assert res.beta == (abs(beta_from_aux(row, n, params, prec60) - tab.beta(n))
+                                    if params.m <= 3 else None)
+        checked = [v for v in (res.alpha, res.beta, res.s2p, *res.s1) if v is not None]
+        assert max(checked) < mpf(10) ** -(prec60.digits // 2)
 
 
 def test_sum_rules(table12, aux12):

@@ -7,14 +7,23 @@ from laguerre_lab import orthopoly
 from laguerre_lab.errors import DegenerateInput, DomainError, PrecisionExhausted
 from laguerre_lab.orthopoly import (
     christoffel_darboux_residual,
-    eval_by_coeffs,
     eval_polynomials,
     hankel_determinant,
     moment_determinant,
     orthogonality_residual,
     recurrence_table,
 )
-from laguerre_lab.params import PrecisionContext, WeightParams
+from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
+
+
+def eval_by_coeffs(table, n: int, x) -> mpf:
+    """Horner evaluation of the stored monic coefficient vector (oracle route)."""
+    x = to_mpf(x)
+    with mp.workdps(table.prec.work_dps):
+        acc = mpf(0)
+        for c in reversed(table.coeffs[n]):
+            acc = acc * x + c
+        return acc
 
 
 def test_classical_laguerre_trivials():

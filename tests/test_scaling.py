@@ -35,9 +35,9 @@ def test_scaling_point_invariants():
 
 def test_n_list_validation(prec):
     with pytest.raises(DomainError):
-        sc.scaled_sequences(1, 1, (8, 8), prec)
+        sc.ScaledGrid(1, 1, (8, 8), prec)
     with pytest.raises(DomainError):
-        sc.scaled_sequences(1, 1, (2, 8), prec)
+        sc.ScaledGrid(1, 1, (2, 8), prec)
 
 
 def test_sequences_finite_and_signed(grid11):
@@ -85,7 +85,7 @@ def test_tail_invariance(prec, grid11):
     # dropping the smallest n moves the limit by less than the combined
     # reported errors
     s_full = grid11.at()
-    s_tail = sc.scaled_sequences(1, 1, (12, 16, 24), prec)
+    s_tail = sc.ScaledGrid(1, 1, (12, 16, 24), prec).at()
     with mp.workdps(60):
         full, tail = s_full["R"], s_tail["R"]
         assert abs(full.limit - tail.limit) <= 2 * (full.err + tail.err)
