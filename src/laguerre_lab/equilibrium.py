@@ -476,9 +476,9 @@ def solve_X_equations(sol: EquilibriumSolution):
     at the solution's n, point and precision.
 
     The degree-9 root matching the Newton endpoint solve sol is selected;
-    roots are isolated to tol = 10^-(P-30), and another root within 100 tol
-    of it raises RootSelectionAmbiguous.  The degree-5
-    root uses s1 = 2n t1, s2 = 4 n^2 t2.
+    roots are isolated to tol = 10^-(P-30), and another root within
+    100 tol of it raises RootSelectionAmbiguous.  The degree-5 root uses
+    s1 = 2n t1, s2 = 4 n^2 t2.
     """
     n, params, prec = sol.n, sol.params, sol.prec
     with mp.workdps(prec.work_dps):

@@ -309,8 +309,8 @@ def test_cold_scaling_builds_one_sequence_set_per_grid(tmp_path, count_calls):
 def test_cold_scaling_computes_each_centre_row_once(tmp_path, count_calls):
     # the scaled sequences read n R_n, n R_n*, r_n, r_n* from the aux row
     # at the centre of each per-n stencil grid, the row the second
-    # derivatives of U read there: 36 rows over the two grids' stencil
-    # nodes, where reading them from a separate table took 38
+    # derivatives of U read there, so each centre row is computed once:
+    # 36 rows over the stencil nodes of the two grids' two n
     from laguerre_lab import ladder
 
     cfg = parse_config(None, {"digits": "60", "suites": "scaling", "n_list": "8,10",

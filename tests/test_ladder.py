@@ -7,10 +7,10 @@ from laguerre_lab import calculus as ca
 from laguerre_lab.errors import DegenerateBracket, DegenerateInput, DomainError, SingularAux
 from laguerre_lab.ladder import (
     AuxRow,
-    aux_rows,
     _R_step,
     alpha_from_aux,
     aux_integrals,
+    aux_rows,
     beta_from_aux,
     compatibility_residuals,
     eval_laurent,
@@ -168,12 +168,12 @@ def test_row_residuals_are_the_written_out_identities(tvec, prec60):
     for n in (0, 1, 2):
         res = row_residuals(tab, rows, n, prec60)
         with mp.workdps(prec60.work_dps):
-            t = [to_mpf(v) for v in params.t]
+            t1 = to_mpf(params.t1)
             row, nxt, an = rows[n], rows[n + 1], tab.alpha(n)
             alpha = 2 * n + 1 + to_mpf(params.alpha)
             for R in row.R:
                 alpha = alpha + R
-            s1 = [abs(nxt.r[0] + row.r[0] + an * row.R[0] - t[0])]
+            s1 = [abs(nxt.r[0] + row.r[0] + an * row.R[0] - t1)]
             for j in range(2, params.m + 1):
                 c = to_mpf(Fraction(j) * params.t[j - 1] / ((j - 1) * params.t[j - 2]))
                 s1.append(abs(nxt.r[j - 1] + row.r[j - 1] + an * row.R[j - 1]
@@ -183,7 +183,7 @@ def test_row_residuals_are_the_written_out_identities(tvec, prec60):
             if n == 0:
                 assert res.s2p is None and res.beta is None
             else:
-                assert res.s2p == abs(row.r[0] * (row.r[0] - t[0])
+                assert res.s2p == abs(row.r[0] * (row.r[0] - t1)
                                       - tab.beta(n) * row.R[0] * rows[n - 1].R[0])
                 assert res.beta == (abs(beta_from_aux(row, n, params, prec60) - tab.beta(n))
                                     if params.m <= 3 else None)
