@@ -19,8 +19,11 @@ on each of ``moved``'s inputs and is held to 10 times the sum of the
 changes (``propagated_check``), a linear one to 10 |coef| times the
 error.  A node's auxiliary rows are computed when a check first reads them.
 
-Every derivative check takes (n, grid): its point, precision and
-stencil are the grid's, and its point string names the grid's point.
+Every check takes (n, grid), or the grid alone, the seed shift and the
+small-t2 reductions included: its point, precision, stencil and table
+depth are the grid's, and its point string names the grid's point.  No
+check builds a grid; the suites build each one, the frozen-t2 grids of
+the reductions among them.
 
 Checked here (m = 2): the shifted seeds against quadrature; the
 log-derivative relations of h_n, beta_n, p(n), alpha_n; the Toda
@@ -99,7 +102,8 @@ def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
 
     Tables come through the table cache, so repeated stencil
     evaluations at the same exact rational nodes are read, not rebuilt;
-    a build takes its seeds from the anchor point, the grid's centre.
+    a build takes its seeds from the anchor point, the grid's centre, and
+    integrates them at a point that is its own anchor.
     """
 
     def build(params: WeightParams, anchor: WeightParams) -> TableBundle:
@@ -288,22 +292,21 @@ def partials(grid, f, keys) -> dict:
 # identity checks; each returns a list of Check entries
 # --------------------------------------------------------------------------
 
-def verify_seed_shift(grid: StencilGrid, cache_dir=None) -> Check:
+def verify_seed_shift(grid: StencilGrid) -> Check:
     """seed-shift: the centre's seeds shifted to the (+h, +h) corner against
     a direct ``moments`` sweep there.
 
     The centre's seeds are those of the grid's centre table; the direct
-    sweep is the seeds of an integrated depth-0 table at the corner.  Both
-    come through the cache, so a warm run integrates nothing.  Max
-    relative deviation over k = -m..0, held to 10 quad_tol like
-    ``moment-pearson``; a rejected shift fails the check.
+    sweep is the seeds of the corner's table built by the grid's own node
+    builder with the corner as its own anchor, so integrated.  Both come
+    through the builder, so a warm run integrates nothing.  Max relative
+    deviation over k = -m..0, held to 10 quad_tol like ``moment-pearson``;
+    a rejected shift fails the check.
     """
-    from .cache import cached_recurrence_table
-
     centre = grid.bundle().table
     prec = centre.prec
     corner = grid.params_at(((0, 1), (1, 1)))
-    direct = cached_recurrence_table(corner, 0, prec, cache_dir=cache_dir).moments
+    direct = grid._builder(corner, corner).table.moments
     seeds = {k: centre.moments[k] for k in range(-grid.params.m, 1)}
     shifted = shift_seeds(grid.params, seeds, corner, prec)
     with mp.workdps(prec.work_dps):
@@ -788,66 +791,49 @@ def verify_sigma_pde(n: int, grid: StencilGrid):
 # small-t2 continuations
 # --------------------------------------------------------------------------
 
-def _grid_at_frozen_t2(n: int, t1, alpha, eps, prec: PrecisionContext, cache_dir):
-    """The default-stencil grid at (alpha; t1, eps), tables reaching n + 1."""
-    point = WeightParams(alpha, (to_fraction(t1), to_fraction(eps)))
-    return StencilGrid(point, prec, DerivativeStencil(),
-                       table_bundle_builder(n + 1, prec, cache_dir))
-
-
-def verify_t2_zero_reduction(n: int, t1, alpha, eps_list, prec: PrecisionContext,
-                             cache_dir=None):
+def verify_t2_zero_reduction(n: int, grid: StencilGrid):
     """Continuation of the coupled system onto the single-variable ODE
 
     R'' = (R')^2/R - R'/t1 + R^3/t1^2 + (2n+1+alpha) R^2/t1^2
           + alpha/t1 - 1/R,   derivatives in t1 at frozen small t2.
 
-    For each eps in eps_list (frozen t2 = eps), computes the residual of
-    the reduced ODE with R_n', R_n'' taken by FD in t1 only (the default
-    stencil), normalized by (1 + max term magnitude) like the other PDE
-    checks, as (eps, residual, error propagated from R_n', R_n'').
-    Residuals decay like O(eps); callers assert the decay rate.
+    On grid, whose point has a small t2 = eps, computes the residual of the
+    reduced ODE with R_n', R_n'' taken by FD in t1 only, normalized by
+    (1 + max term magnitude) like the other PDE checks, as (residual,
+    error propagated from R_n', R_n'').  Residuals decay like O(eps);
+    callers assert the decay rate over a sequence of grids.
     """
-    results = []
-    for eps in eps_list:
-        eps = to_fraction(eps)
-        if eps <= 0:
-            raise DomainError("t2 continuation needs eps > 0")
-        grid = _grid_at_frozen_t2(n, t1, alpha, eps, prec, cache_dir)
-        with mp.workdps(prec.work_dps):
-            t1m = to_mpf(grid.params.t1)
-            am = to_mpf(grid.params.alpha)
-            Rx = lambda v: v.row(n).R[0]
-            R = Rx(grid.bundle())
+    with mp.workdps(grid.prec.work_dps):
+        t1m = to_mpf(grid.params.t1)
+        am = to_mpf(grid.params.alpha)
+        Rx = lambda v: v.row(n).R[0]
+        R = Rx(grid.bundle())
 
-            def ode(v):
-                dR, d2R = v["1"], v["11"]
-                return normalized([
-                    d2R,
-                    -dR ** 2 / R,
-                    dR / t1m,
-                    -R ** 3 / t1m ** 2,
-                    -(2 * n + 1 + am) * R ** 2 / t1m ** 2,
-                    -am / t1m,
-                    1 / R,
-                ])
+        def ode(v):
+            dR, d2R = v["1"], v["11"]
+            return normalized([
+                d2R,
+                -dR ** 2 / R,
+                dR / t1m,
+                -R ** 3 / t1m ** 2,
+                -(2 * n + 1 + am) * R ** 2 / t1m ** 2,
+                -am / t1m,
+                1 / R,
+            ])
 
-            values = [ode(v) for v in moved(partials(grid, Rx, ("1", "11")))]
-            results.append((eps, abs(values[0]), propagated(values)))
-    return results
+        values = [ode(v) for v in moved(partials(grid, Rx, ("1", "11")))]
+        return abs(values[0]), propagated(values)
 
 
-def sigma_reduction_residual(n: int, t1, alpha, eps, prec: PrecisionContext,
-                             cache_dir=None):
+def sigma_reduction_residual(n: int, grid: StencilGrid):
     """Residual of the t2-independent reduction of the sixth-degree PDE.
 
-    With ' = d/dt1 at frozen t2 = eps (the default stencil), the
+    With ' = d/dt1 on grid, whose point has a small t2 = eps, the
     curly-bracket factor
     (t1 H'')^2 + 4 (t1 H' - H + n(n+alpha)) H'(H'-1) - ((2n+alpha)H' - n)^2
     tends to 0 as eps -> 0+.
     """
-    grid = _grid_at_frozen_t2(n, t1, alpha, eps, prec, cache_dir)
-    with mp.workdps(prec.work_dps):
+    with mp.workdps(grid.prec.work_dps):
         t1m = to_mpf(grid.params.t1)
         am = to_mpf(grid.params.alpha)
         nn = n * (n + am)

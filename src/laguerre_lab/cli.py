@@ -214,16 +214,13 @@ def extras(cfg: RunConfig, args):
                                       cache_dir=cfg.cache_dir)
         write_table(tab, cfg.format, args.table_out)
     if args.sweep_csv and "scaling" in cfg.active_suites:
-        from .scaling import ScaledGrid
+        from .suites import scaled_grid
 
-        grid = ScaledGrid(cfg.s1, cfg.s2, cfg.n_list, cfg.prec,
-                          alpha=cfg.params.alpha, cache_dir=cfg.cache_dir)
-        write_sweep(grid.at(), args.sweep_csv)
+        write_sweep(scaled_grid(cfg, cfg.s1, cfg.s2).at(), args.sweep_csv)
     if args.density_profile and "equilibrium" in cfg.active_suites:
-        from .equilibrium import solve_support, verified_point
+        from .suites import equilibrium_solution
 
-        sol = solve_support(10, verified_point(cfg.params), prec=cfg.prec)
-        write_density_profile(sol, args.density_profile, 200)
+        write_density_profile(equilibrium_solution(cfg), args.density_profile, 200)
 
 
 if __name__ == "__main__":

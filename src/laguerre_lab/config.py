@@ -64,10 +64,10 @@ def _read_config_file(path: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value", key=line)
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}", key=key)
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = val
     return out
 
@@ -81,7 +81,7 @@ def parse_config(path: str = None, overrides: dict = None) -> RunConfig:
         if val is None:
             continue
         if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown option {key!r}", key=key)
+            raise ConfigError(f"unknown option {key!r}")
         merged[key] = val
 
     try:
@@ -98,7 +98,7 @@ def parse_config(path: str = None, overrides: dict = None) -> RunConfig:
     suites = tuple(s.strip() for s in str(merged["suites"]).split(",") if s.strip())
     for s in suites:
         if s != "all" and s not in SUITE_NAMES:
-            raise ConfigError(f"unknown suite {s!r} (choose from {SUITE_NAMES})", key="suites")
+            raise ConfigError(f"unknown suite {s!r} (choose from {SUITE_NAMES})")
 
     try:
         n_max = int(merged["n_max"])
@@ -108,11 +108,11 @@ def parse_config(path: str = None, overrides: dict = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if n_max < 1:
-        raise ConfigError("n_max must be >= 1", key="n_max")
+        raise ConfigError("n_max must be >= 1")
 
     fmt = str(merged["format"])
     if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}", key="format")
+        raise ConfigError(f"format must be csv or json, got {fmt!r}")
 
     return RunConfig(
         params=params,

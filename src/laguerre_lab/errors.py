@@ -17,10 +17,6 @@ class DomainError(LabError):
 class ConfigError(LabError):
     """Malformed configuration source or unknown key."""
 
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
-
 
 class NumericalError(LabError):
     """Base class for runtime numerical breakdowns (exit code 3)."""
@@ -44,11 +40,6 @@ class SingularAux(NumericalError):
 
 class DegenerateBracket(NumericalError):
     """The linear-solve bracket of a difference step is numerically zero."""
-
-    def __init__(self, message, index=None, equation=None):
-        super().__init__(message)
-        self.index = index
-        self.equation = equation
 
 
 class StencilOutOfDomain(DomainError):

@@ -278,8 +278,7 @@ def ladder_coeff_deviation(table: RecurrenceTable, n: int, zs) -> mpf:
 
 def _bracket(value, thresh, n, equation):
     if abs(value) < thresh:
-        raise DegenerateBracket(f"{equation} coefficient vanished at n = {n}",
-                                index=n, equation=equation)
+        raise DegenerateBracket(f"{equation} coefficient vanished at n = {n}")
     return value
 
 

@@ -307,16 +307,14 @@ def verify_limiting_pdes(grid: ScaledGrid):
                                ("limit-H-pde", h_pde))]
 
 
-def reduced_limit_residual(s1, s2_small, n_list, prec: PrecisionContext,
-                           alpha="0.5", cache_dir=None):
+def reduced_limit_residual(grid: ScaledGrid):
     """Residual of the s2 -> 0 reduction
-    (s1 H'')^2 + 4 (H')^2 (s1 H' - H) - (alpha H' + 1/2)^2 with ' = d/ds1,
-    normalized by (1 + max term); decays as s2 -> 0+ at s1 > 0.  At
-    s1 < 0 it has no limit: the weight x^alpha e^(-x + |t1|/x) is not
-    integrable at 0 once t2 -> 0.
+    (s1 H'')^2 + 4 (H')^2 (s1 H' - H) - (alpha H' + 1/2)^2 with ' = d/ds1
+    on grid, a ``ScaledGrid`` at small s2, normalized by (1 + max term);
+    decays as s2 -> 0+ at s1 > 0.  At s1 < 0 it has no limit: the weight
+    x^alpha e^(-x + |t1|/x) is not integrable at 0 once t2 -> 0.
     """
-    grid = ScaledGrid(s1, s2_small, n_list, prec, alpha=alpha, cache_dir=cache_dir)
-    with mp.workdps(prec.work_dps):
+    with mp.workdps(grid.prec.work_dps):
         s1m = to_mpf(grid.s1)
         am = to_mpf(grid.alpha)
         H = grid.at()["H"].limit

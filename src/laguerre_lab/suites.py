@@ -55,8 +55,35 @@ def _meta(config: RunConfig, **extra) -> dict:
     return meta
 
 
+#: the depth of every table at the configured point, the calculus grid's;
+#: a table's first rows have the same bits at any depth of one precision
+_POINT_DEPTH = 5
+
+
 def _table(config: RunConfig, params: WeightParams, N: int):
     return cached_recurrence_table(params, N, config.prec, cache_dir=config.cache_dir)
+
+
+def _stencil_grid(config: RunConfig, point: WeightParams, depth: int,
+                  stencil=ca.DerivativeStencil(), prec: PrecisionContext = None):
+    """The stencil grid at point whose nodes are depth-``depth`` tables
+    through the configured cache, at the configured precision unless prec
+    is given."""
+    prec = config.prec if prec is None else prec
+    return ca.StencilGrid(point, prec, stencil,
+                          ca.table_bundle_builder(depth, prec, config.cache_dir))
+
+
+def scaled_grid(config: RunConfig, s1, s2) -> sc.ScaledGrid:
+    """The scaled grid at (s1, s2) over the configured n_list, alpha,
+    precision and cache."""
+    return sc.ScaledGrid(s1, s2, config.n_list, config.prec,
+                         alpha=config.params.alpha, cache_dir=config.cache_dir)
+
+
+def equilibrium_solution(config: RunConfig) -> eq.EquilibriumSolution:
+    """The n = 10 equilibrium solution at the verified point of config."""
+    return eq.solve_support(10, eq.verified_point(config.params), prec=config.prec)
 
 
 def moments_suite(config: RunConfig) -> ResidualReport:
@@ -205,8 +232,7 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
     params, prec = config.params, config.prec
     if params.m != 2:
         raise DomainError("calculus suite needs m = 2")
-    grid = ca.StencilGrid(params, prec, ca.DerivativeStencil(),
-                          ca.table_bundle_builder(5, prec, config.cache_dir))
+    grid = _stencil_grid(config, params, _POINT_DEPTH)
     rep.extend(ca.verify_derivative_relations(3, grid))
     rep.extend(ca.verify_toda(2, grid))
     rep.extend(ca.verify_riccati(2, grid))
@@ -222,8 +248,7 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
     with mp.workdps(prec.work_dps):
         res = []
         for stn in (coarse, fine):
-            g = ca.StencilGrid(params, prec, stn,
-                              ca.table_bundle_builder(4, prec, config.cache_dir))
+            g = _stencil_grid(config, params, _POINT_DEPTH, stn)
             t1 = to_mpf(params.t1)
             d, _ = g.first(lambda v: mp.log(v.table.h[3]), 0)
             res.append(abs(t1 * d + g.bundle().row(3).R[0]))
@@ -232,18 +257,20 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
                       mpf(0) if ratio > mpf("3.5") else abs(ratio - 4),
                       mpf("0.5"), "order2;h,h/2"))
 
-    eps_list = ("1e-4", "1e-5", "1e-6")
-    rode = ca.verify_t2_zero_reduction(1, "0.5", params.alpha, eps_list, prec,
-                                       cache_dir=config.cache_dir)
+    # the t2 -> 0+ continuation on frozen t2 = eps, eps = 1e-4, 1e-5, 1e-6
+    frozen = [_stencil_grid(config, WeightParams(params.alpha, ("0.5", eps)), 2)
+              for eps in ("1e-4", "1e-5", "1e-6")]
+    rode = [ca.verify_t2_zero_reduction(1, g) for g in frozen]
     with mp.workdps(prec.work_dps):
-        eps_last, res_last, err_last = rode[-1]
+        eps_last = frozen[-1].params.t2
+        res_last, err_last = rode[-1]
         rep.add(Check("rode-reduction", res_last,
                       max(mpf(10) ** -8, 10 * to_mpf(eps_last), 10 * err_last),
                       f"n=1;t1=0.5;eps={eps_last}"))
-        ratios = [rode[i][1] / rode[i + 1][1] for i in range(len(rode) - 1)]
+        ratios = [a / b for (a, _), (b, _) in zip(rode, rode[1:])]
         bad = max(abs(r - 10) for r in ratios)
         rep.add(Check("rode-decay", bad, mpf(4), "eps=1e-4..1e-6"))
-    rep.add(ca.verify_seed_shift(grid, config.cache_dir))
+    rep.add(ca.verify_seed_shift(grid))
     return rep
 
 
@@ -252,24 +279,20 @@ def sigma_suite(config: RunConfig) -> ResidualReport:
     params, prec = config.params, config.prec
     if params.m != 2:
         raise DomainError("sigma suite needs m = 2")
-    grid = ca.StencilGrid(params, prec, ca.DerivativeStencil(),
-                          ca.table_bundle_builder(4, prec, config.cache_dir))
+    grid = _stencil_grid(config, params, _POINT_DEPTH)
     collected = {}
     for nn in (1, 2, 3):
         for c in ca.verify_sigma_pde(nn, grid):
             prev = collected.get(c.id)
             if prev is None or c.residual / c.tol > prev.residual / prev.tol:
                 collected[c.id] = c
-    for cid in ("H-def", "H-p-shift", "dH-t1", "dH-t2", "delta-identity",
-                "delta-nonneg", "reconstruct-R", "reconstruct-Rstar",
-                "reconstruct-r", "reconstruct-rstar", "H-from-aux", "sigma-pde"):
-        rep.add(collected[cid])
+    # in verify_sigma_pde's order, which is the registry's
+    rep.extend(collected.values())
 
     with mp.workdps(prec.work_dps):
-        r5 = ca.sigma_reduction_residual(2, "0.3", params.alpha, "1e-5", prec,
-                                         cache_dir=config.cache_dir)
-        r4 = ca.sigma_reduction_residual(2, "0.3", params.alpha, "1e-4", prec,
-                                         cache_dir=config.cache_dir)
+        r5, r4 = [ca.sigma_reduction_residual(
+            2, _stencil_grid(config, WeightParams(params.alpha, ("0.3", eps)), 3))
+            for eps in ("1e-5", "1e-4")]
         rep.add(Check("sigma-pde-reduction", r5,
                       min(r4, mpf(10) ** -3), "n=2;t1=0.3;eps=1e-5"))
 
@@ -288,9 +311,7 @@ def sigma_suite(config: RunConfig) -> ResidualReport:
         t1 = (Fraction(1, 20) + Fraction(round(u2 * 950), 1000)) * (1 if u4 < Fraction(1, 2) else -1)
         t2 = Fraction(1, 20) + Fraction(round(u3 * 950), 1000)
         point = WeightParams(alpha, (t1, t2))
-        sgrid = ca.StencilGrid(point, small, st60,
-                                ca.table_bundle_builder(3, small, config.cache_dir))
-        sst = ca.hankel_sigma(2, sgrid)
+        sst = ca.hankel_sigma(2, _stencil_grid(config, point, 3, st60, small))
         with mp.workdps(small.work_dps):
             if sst.Delta < 0:
                 worst = max(worst, -sst.Delta)
@@ -305,8 +326,7 @@ def scaling_suite(config: RunConfig) -> ResidualReport:
                        n_list=",".join(str(n) for n in config.n_list)),
     )
     prec = config.prec
-    grid = sc.ScaledGrid(config.s1, config.s2, config.n_list, prec,
-                         alpha=config.params.alpha, cache_dir=config.cache_dir)
+    grid = scaled_grid(config, config.s1, config.s2)
     rep.extend(sc.verify_limit_identities(grid))
     rep.extend(sc.verify_limiting_pdes(grid))
     with mp.workdps(prec.work_dps):
@@ -315,9 +335,7 @@ def scaling_suite(config: RunConfig) -> ResidualReport:
                       f"n={config.n_list}"))
         # the s2 -> 0 reduction has a limit only at s1 > 0: check it at |s1|
         s1 = abs(config.s1)
-        red = sc.reduced_limit_residual(s1, Fraction(1, 20), config.n_list,
-                                        prec, alpha=config.params.alpha,
-                                        cache_dir=config.cache_dir)
+        red = sc.reduced_limit_residual(scaled_grid(config, s1, Fraction(1, 20)))
         rep.add(Check("reduced-limit", red, mpf("0.01"),
                       "s2=1/20" if config.s1 > 0 else f"s1={s1};s2=1/20"))
     return rep
@@ -325,11 +343,10 @@ def scaling_suite(config: RunConfig) -> ResidualReport:
 
 def equilibrium_suite(config: RunConfig) -> ResidualReport:
     prec = config.prec
-    n = 10
-    params = eq.verified_point(config.params)
+    sol = equilibrium_solution(config)
+    n, params = sol.n, sol.params
     rep = ResidualReport("equilibrium",
                          metadata=_meta(config, verified_point=_point_meta(params)))
-    sol = eq.solve_support(n, params, prec=prec)
     with mp.workdps(prec.work_dps):
         alpha, t = params.materialize()
         f1, f2 = eq._support_system(sol.X, sol.Y, n, alpha, t[0], t[1])
@@ -383,7 +400,6 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
     base_t = config.params.t if config.params.m >= 2 else ("0.3", "0.2")
     p3 = WeightParams(config.params.alpha, tuple(base_t[:2]) + (Fraction(1, 10),))
     rep = ResidualReport("multitime", metadata=_meta(config, verified_point=_point_meta(p3)))
-    st = ca.DerivativeStencil()
 
     n_top = min(config.n_max, 8)
     tab3 = _table(config, p3, n_top)
@@ -394,7 +410,7 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("iteration-agree-3", ld.iteration_deviation(rows, iterated),
                       triple, f"n<={n_top}"))
 
-    grid3 = ca.StencilGrid(p3, prec, st, ca.table_bundle_builder(3, prec, config.cache_dir))
+    grid3 = _stencil_grid(config, p3, 3)
     rep.extend(mt.verify_identities_3(2, grid3))
     rep.extend(mt.h3_reconstruction(2, grid3))
 
@@ -404,7 +420,7 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
         tab_eps = _table(config, p3eps, 3)
         s_eps = ld.aux_integrals(tab_eps, 2)
         p2 = WeightParams(p3.alpha, p3.t[:2])
-        tab2 = _table(config, p2, 3)
+        tab2 = _table(config, p2, _POINT_DEPTH)
         q2 = ld.aux_integrals(tab2, 2)
         drift = max(
             abs(s_eps.R[0] - q2.R[0]), abs(s_eps.R[1] - q2.R[1]),
@@ -416,9 +432,7 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
     m4 = WeightParams(config.params.alpha, ("0.3", "0.2", "0.1", "0.05"))
     m5 = WeightParams(config.params.alpha, ("0.3", "0.2", "0.1", "0.05", "0.02"))
     for n, point in ((2, m4), (1, m5)):
-        gm = ca.StencilGrid(point, prec, st,
-                            ca.table_bundle_builder(n + 1, prec, config.cache_dir))
-        rep.extend(mt.verify_S1_S2_general_m(n, gm))
+        rep.extend(mt.verify_S1_S2_general_m(n, _stencil_grid(config, point, n + 1)))
 
     with mp.workdps(prec.work_dps):
         rep.add(Check("ladder-coeff-m",

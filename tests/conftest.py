@@ -1,3 +1,4 @@
+import inspect
 import sys
 
 import pytest
@@ -25,14 +26,16 @@ def lab_cache(tmp_path_factory):
 @pytest.fixture
 def count_calls(monkeypatch):
     """count_calls(module, attr): a list that records the arguments of every
-    later call of module.attr through any laguerre_lab binding."""
+    later call of module.attr through any laguerre_lab binding, each call
+    as a dict of the arguments it passed, by parameter name."""
 
     def count(module, attr):
         calls = []
         real = getattr(module, attr)
+        signature = inspect.signature(real)
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append(signature.bind(*args, **kwargs).arguments)
             return real(*args, **kwargs)
 
         for name, mod in list(sys.modules.items()):

@@ -132,12 +132,14 @@ def test_criterion_04_coupled_and_sigma_pdes(point, grid):
 
 
 def test_criterion_05_rode_reduction(point):
-    out = ca.verify_t2_zero_reduction(1, "0.5", point.alpha,
-                                      ("1e-4", "1e-5", "1e-6"), PREC)
+    eps_list = ("1e-4", "1e-5", "1e-6")
+    out = [ca.verify_t2_zero_reduction(1, ca.StencilGrid(
+        WeightParams(point.alpha, ("0.5", eps)), PREC, STENCIL, ca.table_bundle_builder(2, PREC)))
+        for eps in eps_list]
     with mp.workdps(60):
-        eps, res, _ = out[-1]
-        bound = max(TOL8, 10 * to_mpf(eps))
-        ratios = [out[i][1] / out[i + 1][1] for i in range(len(out) - 1)]
+        res, _ = out[-1]
+        bound = max(TOL8, 10 * to_mpf(eps_list[-1]))
+        ratios = [out[i][0] / out[i + 1][0] for i in range(len(out) - 1)]
         ok = res <= bound and all(mpf(5) < r < mpf(20) for r in ratios)
         _line(5, "t2->0 reduction", ok,
               f"res={mp.nstr(res, 3)} ratios={[mp.nstr(r, 4) for r in ratios]}")

@@ -140,13 +140,22 @@ def test_fd_convergence_order(params_default, prec):
         assert ratio > mpf("3.5"), ratio
 
 
+def _frozen_t2_grid(alpha, t1, eps, depth, prec):
+    """The default-stencil grid at (alpha; t1, eps), tables of the given depth."""
+    return ca.StencilGrid(WeightParams(alpha, (t1, eps)), prec, ca.DerivativeStencil(),
+                          ca.table_bundle_builder(depth, prec))
+
+
 def test_rode_reduction_decay(params_default, prec):
-    out = ca.verify_t2_zero_reduction(1, "0.5", params_default.alpha,
-                                      ("1e-4", "1e-5", "1e-6"), prec)
+    eps_list = ("1e-4", "1e-5", "1e-6")
+    out = [ca.verify_t2_zero_reduction(1, _frozen_t2_grid(params_default.alpha, "0.5",
+                                                           eps, 2, prec))
+           for eps in eps_list]
     with mp.workdps(60):
-        eps_last, res_last, _ = out[-1]
-        assert res_last <= max(mpf(10) ** -8, 10 * to_mpf(eps_last))
-        for (_, r0, _), (_, r1, _) in zip(out, out[1:]):
+        res_last, _ = out[-1]
+        assert res_last <= max(mpf(10) ** -8, 10 * to_mpf(eps_list[-1]))
+        for (r0, _), (r1, _) in zip(out, out[1:]):
             assert mpf(5) < r0 / r1 < mpf(20)
+    # t2 = eps = 0 is no admissible m = 2 point
     with pytest.raises(DomainError):
-        ca.verify_t2_zero_reduction(1, "0.5", "0.5", ("0",), prec)
+        _frozen_t2_grid("0.5", "0.5", "0", 2, prec)

@@ -321,6 +321,24 @@ def test_cold_scaling_computes_each_centre_row_once(tmp_path, count_calls):
     assert len(rows) == 36
 
 
+def test_cold_stencil_run_reads_each_node_at_one_depth(tmp_path, count_calls):
+    # the calculus, sigma-pde and fd-convergence grids and seed-shift's
+    # corner read the configured point at one depth, so no table is built
+    # twice for one (point, anchor) pair; a centre is its own anchor
+    from laguerre_lab import cache
+
+    cfg = parse_config(None, {"digits": "60", "suites": "calculus,sigma-pde",
+                              "cache_dir": str(tmp_path / "cache")})
+    clear_memo()
+    requests = count_calls(cache, "cached_recurrence_table")
+    suites.run_suite(cfg)
+    depths = {}
+    for call in requests:
+        point, anchor = call["params"], call.get("anchor")
+        depths.setdefault((point, None if anchor == point else anchor), set()).add(call["N"])
+    assert requests and {pair: d for pair, d in depths.items() if len(d) > 1} == {}
+
+
 def test_classical_limit_for_negative_alpha(tmp_path, capsys):
     # for alpha < 0 the deformation moves alpha_n, beta_n by O(t1^(alpha+1)),
     # so the classical-limit point shrinks t1 to 1e-12 at alpha = -1/2

@@ -222,9 +222,8 @@ def test_vanishing_bracket_names_its_equation(tvec, prec60):
     prev = aux_integrals(recurrence_table(params, 2, prec60), 1)
     with mp.workdps(prec60.work_dps):
         r_row = (to_mpf(params.t1),) + prev.r[1:]
-        with pytest.raises(DegenerateBracket, match="Rstar-step") as info:
+        with pytest.raises(DegenerateBracket, match="Rstar-step coefficient vanished at n = 2"):
             _R_step(2, r_row, prev, params, to_mpf(prec60.half_eps))
-    assert (info.value.equation, info.value.index) == ("Rstar-step", 2)
 
 
 def test_singular_aux_guard(params_default, prec120):

@@ -147,8 +147,8 @@ def test_scaled_t_derivatives_are_exact_on_a_cubic(prec, s1, s2, monkeypatch):
 
 def test_reduced_limit_residual(prec):
     with mp.workdps(60):
-        r_small = sc.reduced_limit_residual(1, Fraction(1, 50), (8, 12, 16), prec)
-        r_big = sc.reduced_limit_residual(1, Fraction(1, 5), (8, 12, 16), prec)
+        r_small = sc.reduced_limit_residual(sc.ScaledGrid(1, Fraction(1, 50), (8, 12, 16), prec))
+        r_big = sc.reduced_limit_residual(sc.ScaledGrid(1, Fraction(1, 5), (8, 12, 16), prec))
         assert r_small < r_big
         assert r_small < mpf("0.01")
 

@@ -137,9 +137,10 @@ def test_reconstruction_guards(grid):
         ca.reconstruct_aux_from_H(tiny)
 
 
-def test_sigma_reduction_decays(params_default, prec):
-    r4 = ca.sigma_reduction_residual(2, "0.3", params_default.alpha, "1e-4", prec)
-    r5 = ca.sigma_reduction_residual(2, "0.3", params_default.alpha, "1e-5", prec)
+def test_sigma_reduction_decays(params_default, prec, stencil):
+    r4, r5 = (ca.sigma_reduction_residual(2, ca.StencilGrid(
+        WeightParams(params_default.alpha, ("0.3", eps)), prec, stencil,
+        ca.table_bundle_builder(3, prec))) for eps in ("1e-4", "1e-5"))
     with mp.workdps(60):
         assert r5 < r4
         assert r5 < mpf(10) ** -4
