@@ -290,10 +290,10 @@ def density_normalization(sol: EquilibriumSolution) -> mpf:
 def supplementary_residual(sol: EquilibriumSolution):
     """(|int v'/sqrt|, |int x v'/sqrt - 2 pi n|): the two endpoint conditions."""
     with mp.workdps(sol.prec.work_dps):
-        vp = sol.params.potential_derivative
+        vprime = sol.params.potential_derivative_raw()
 
         def g(x):
-            v = vp(x)
+            v = mp.make_mpf(vprime(x._mpf_))
             return v, x * v
 
         r1, r2 = support_integral(sol, g)

@@ -34,11 +34,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_div, mpf_mul, mpf_pow_int, mpf_sub
 
 from .errors import DegenerateBracket, DegenerateInput, DomainError, SingularAux
-from .orthopoly import RecurrenceTable, eval_polynomial_derivative, eval_polynomials
+from .orthopoly import RecurrenceTable, eval_polynomial_derivative, polynomials_raw
 from .params import PrecisionContext, WeightParams, to_mpf
-from .quadrature import integrate_weighted
+from .quadrature import integrate_weighted, sample_dps
 
 
 @dataclass(frozen=True)
@@ -126,20 +127,34 @@ def _ladder_at(row: AuxRow, n: int, params: WeightParams, z):
 
 
 def ladder_A_direct(table: RecurrenceTable, n: int, zs) -> list:
-    """A_n(z) at each z in zs from its integral definition with the
+    """A_n(z) at each z > 0 in zs from its integral definition with the
     divided-difference kernel (the oracle route for the assembled
     coefficients).  All z share one pass: x v'(x) and P_n(x)^2 are formed
-    once per node."""
+    once per node, on raw mpf tuples at the sampling precision.  At a node
+    x == z the kernel takes its limit d/dz[z v'(z)] = 1 + sum_k k^2 t_k z^(-k-1)."""
     params, prec = table.params, table.prec
     zs = [to_mpf(z) for z in zs]
+    if not all(z > 0 for z in zs):
+        raise DegenerateInput("z must be > 0")
+    values = polynomials_raw(table, n)
     with mp.workdps(prec.work_dps):
-        zvz = [z * params.potential_derivative(z) for z in zs]
+        zvz = [(z * params.potential_derivative(z))._mpf_ for z in zs]
+    with mp.workdps(sample_dps(prec)):
+        wp, rnd = mp._prec_rounding
+        vprime = params.potential_derivative_raw()
+        limits = [(1 + mp.fsum(k * k * to_mpf(tk) / z ** (k + 1)
+                               for k, tk in enumerate(params.t, start=1)))._mpf_ for z in zs]
+    kernels = list(zip([z._mpf_ for z in zs], zvz, limits))
 
-        def f(x):
-            xvx = x * params.potential_derivative(x)
-            p2 = eval_polynomials(table, n, x)[n] ** 2
-            return tuple((c - xvx) / (z - x) * p2 for z, c in zip(zs, zvz))
+    def f(x):
+        xvx = mpf_mul(x, vprime(x), wp, rnd)
+        p2 = mpf_pow_int(values(x)[n], 2, wp, rnd)
+        return [mpf_mul(lim if x == z else
+                        mpf_div(mpf_sub(c, xvx, wp, rnd), mpf_sub(z, x, wp, rnd), wp, rnd),
+                        p2, wp, rnd)
+                for z, c, lim in kernels]
 
+    with mp.workdps(prec.work_dps):
         return [v / (z * table.h[n])
                 for z, v in zip(zs, integrate_weighted(f, params, prec))]
 

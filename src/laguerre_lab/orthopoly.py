@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_mul, mpf_sum
+from mpmath.libmp import dps_to_prec, fone, fzero, mpf_mul, mpf_sub, mpf_sum
 
 from .errors import DegenerateInput, DomainError, PrecisionExhausted
 from .params import PrecisionContext, WeightParams, to_mpf
-from .quadrature import integrate_weighted, table_moments
+from .quadrature import integrate_weighted, sample_dps, table_moments
 
 #: heuristic floor on digits needed for a table of depth N
 def digits_for(N: int) -> int:
@@ -179,18 +179,34 @@ def moment_determinant(table: RecurrenceTable, n: int) -> mpf:
         return mp.det(mat)
 
 
-def eval_polynomials(table: RecurrenceTable, n: int, x) -> list:
-    """[P_0(x), ..., P_n(x)] from one run of the forward three-term recurrence."""
+def polynomials_raw(table: RecurrenceTable, n: int):
+    """The forward three-term recurrence on raw mpf tuples: values(x) is
+    [P_0(x), ..., P_n(x)] at the raw mpf x (``mpf._mpf_``).
+
+    It runs at the table's work_dps, with alpha_j and beta_j looked up
+    once.  Each operation is the one, in the order, that mpf arithmetic on
+    (x - alpha_j) P_j - beta_j P_{j-1} would make.
+    """
     if n > table.N:
         raise DomainError(f"n = {n} exceeds table depth {table.N}")
-    x = to_mpf(x)
-    with mp.workdps(table.prec.work_dps):
-        prev, cur = mpf(0), mpf(1)
-        values = [cur]
-        for j in range(n):
-            prev, cur = cur, (x - table.alpha(j)) * cur - table.beta(j) * prev
-            values.append(cur)
-        return values
+    prec, rnd = dps_to_prec(table.prec.work_dps), mp._prec_rounding[1]
+    coefs = [(table.alpha(j)._mpf_, table.beta(j)._mpf_) for j in range(n)]
+
+    def values(x):
+        prev, cur = fzero, fone
+        out = [cur]
+        for a, b in coefs:
+            prev, cur = cur, mpf_sub(mpf_mul(mpf_sub(x, a, prec, rnd), cur, prec, rnd),
+                                     mpf_mul(b, prev, prec, rnd), prec, rnd)
+            out.append(cur)
+        return out
+
+    return values
+
+
+def eval_polynomials(table: RecurrenceTable, n: int, x) -> list:
+    """[P_0(x), ..., P_n(x)] from one run of the forward three-term recurrence."""
+    return [mp.make_mpf(v) for v in polynomials_raw(table, n)(to_mpf(x)._mpf_)]
 
 
 def eval_polynomial_derivative(table: RecurrenceTable, n: int, x):
@@ -232,10 +248,12 @@ def orthogonality_residual(table: RecurrenceTable, pairs) -> list:
     come from one recurrence run per node.
     """
     top = max(max(pair) for pair in pairs)
+    values = polynomials_raw(table, top)
+    prec, rnd = dps_to_prec(sample_dps(table.prec)), mp._prec_rounding[1]
 
     def products(x):
-        values = eval_polynomials(table, top, x)
-        return tuple(values[j] * values[k] for j, k in pairs)
+        v = values(x)
+        return [mpf_mul(v[j], v[k], prec, rnd) for j, k in pairs]
 
     with mp.workdps(table.prec.work_dps):
         vals = integrate_weighted(products, table.params, table.prec)

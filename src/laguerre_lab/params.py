@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp, mpf
+from mpmath.libmp import fone, mpf_add, mpf_div, mpf_mul, mpf_sub
 
 from .errors import DomainError
 
@@ -69,9 +70,10 @@ def to_mpf(value) -> mpf:
 
 @lru_cache(maxsize=64)
 def _potential_coefficients(params: WeightParams, prec: int) -> tuple:
-    """(alpha, (k t_k for k = 1..m)) as mpf at binary precision prec."""
+    """(-alpha, (k t_k for k = 1..m)) as raw mpf tuples at binary precision prec."""
     with mp.workprec(prec):
-        return to_mpf(params.alpha), tuple(k * to_mpf(tk) for k, tk in enumerate(params.t, start=1))
+        return ((-to_mpf(params.alpha))._mpf_,
+                tuple((k * to_mpf(tk))._mpf_ for k, tk in enumerate(params.t, start=1)))
 
 
 def frac_str(q: Fraction) -> str:
@@ -144,14 +146,28 @@ class WeightParams:
 
     def potential_derivative(self, z) -> mpf:
         """v'(z) for v = -ln w:  -alpha/z + 1 - sum_k k t_k z^(-k-1)."""
-        z = to_mpf(z)
-        alpha, ktk = _potential_coefficients(self, mp.prec)
-        out = -alpha / z + 1
-        zp = z
-        for c in ktk:
-            zp *= z
-            out -= c / zp
-        return out
+        return mp.make_mpf(self.potential_derivative_raw()(to_mpf(z)._mpf_))
+
+    def potential_derivative_raw(self):
+        """v' on raw mpf tuples: vprime(z) at the raw mpf z (``mpf._mpf_``).
+
+        Build it inside the working-precision block: alpha and k t_k are
+        looked up once, at that precision.  Each operation is the one, in
+        the order, that mpf arithmetic on -alpha/z + 1 - sum_k k t_k / z^(k+1)
+        would make, with z^(k+1) formed by repeated multiplication.
+        """
+        prec, rnd = mp._prec_rounding
+        neg_alpha, ktk = _potential_coefficients(self, prec)
+
+        def vprime(z):
+            out = mpf_add(mpf_div(neg_alpha, z, prec, rnd), fone, prec, rnd)
+            zp = z
+            for c in ktk:
+                zp = mpf_mul(zp, z, prec, rnd)
+                out = mpf_sub(out, mpf_div(c, zp, prec, rnd), prec, rnd)
+            return out
+
+        return vprime
 
     def log_weight(self, x) -> mpf:
         """ln w(x) = alpha ln x - x - sum_k t_k x^(-k)."""

@@ -37,7 +37,12 @@ of plain mpf code; the tail threshold trunc * scale is formed only when a
 scale grows.  x = e^u at a node of the x = e^u map is memoized by u at one
 binary precision at a time (a pass at another precision starts a new memo;
 ``clear_memos`` empties it), so sweeps at different points share the
-exponentials of their common nodes; the weight is evaluated at every node.
+exponentials of their common nodes.  ``integrate_weighted`` hands its
+integrands the raw node x and takes their raw factors; on the x = e^u map
+it also memoizes the node weight w(x) e^u by u, for one point and
+precision at a time (``clear_memos`` empties it too), so the oracle passes
+at one point evaluate each weight once.  ``moments`` evaluates its weight
+x^(alpha+kmin) w(x) e^u at every node.
 """
 
 from __future__ import annotations
@@ -179,6 +184,11 @@ def _log_weight_u_fn(params: WeightParams):
 #: far, at one precision; a pass at another precision starts a new memo
 _node_exp = (0, {})
 
+#: ((point, binary precision), {u: w(x) x at x = e^u}): the node weights of
+#: the x = e^u map at one point and precision; a pass at another point or
+#: precision starts a new memo
+_node_weight = (None, {})
+
 
 def _node_exp_fn():
     """exp_u(u): e^u of a raw mpf node u at the working precision, through
@@ -198,42 +208,70 @@ def _node_exp_fn():
     return exp_u
 
 
+def _node_weight_fn(params: WeightParams):
+    """weight_u(u, x): exp(ln[x w(x)]) at the raw node u with x = e^u, at the
+    working precision, through the memo of this point and precision."""
+    global _node_weight
+    wp, rnd = mp._prec_rounding
+    if _node_weight[0] != (params, wp):
+        _node_weight = ((params, wp), {})
+    memo = _node_weight[1]
+    logw = _log_weight_u_fn(params)
+
+    def weight_u(u, x):
+        w = memo.get(u)
+        if w is None:
+            w = memo[u] = mpf_exp(logw(u, x), wp, rnd)
+        return w
+
+    return weight_u
+
+
 def integrate_weighted(f, params: WeightParams, prec: PrecisionContext, mapping="exp") -> list:
     """Integrals of f_i(x) w(x) dx over (0, inf) to relative accuracy quad_tol.
 
     Parameters
     ----------
     f : callable
-        f(x) returns the integrand factors (f_1(x), f_2(x), ...) at mpf
-        x > 0, each with f_i(x) w(x) absolutely integrable.  The batch
-        shares one pass: the nodes, the weight and whatever f computes once
-        per node; a lone integral is a batch of one.
+        f(x) returns the integrand factors (f_1(x), f_2(x), ...) at the raw
+        mpf x > 0 (``mpf._mpf_``) as raw mpf tuples, each rounded as the
+        caller wants it: the rule takes them as they are.  Each f_i(x) w(x)
+        must be absolutely integrable.  The batch shares one pass: the
+        nodes, the weight and whatever f computes once per node; a lone
+        integral is a batch of one.  f runs at the sampling precision
+        (``sample_dps``).
     params, prec : weight and precision contexts.
     mapping : "exp" for x = e^u (default) or "expsinh" for the composed
         x = exp(sinh(v)) route used by invariance checks.
 
-    Returns the list of integrals, each bit-identical to a pass of its own.
+    Each term is w(x) e^u f_i(x) (times cosh v on the composed map), rounded
+    once per product at the sampling precision.  On the x = e^u map the
+    weight factor w(x) e^u at each node is memoized by u for the point and
+    sampling precision of the last such pass, so passes at one point share
+    it.  Returns the list of integrals, each bit-identical to a pass of its
+    own.
     """
     if mapping not in ("exp", "expsinh"):
         raise DomainError(f"unknown mapping {mapping!r}")
     with mp.workdps(sample_dps(prec)):
         wp, rnd = mp._prec_rounding
-        logw = _log_weight_u_fn(params)
 
         if mapping == "exp":
             exp_u = _node_exp_fn()
+            weight_u = _node_weight_fn(params)
 
             def g(u, live):
                 x = exp_u(u)
-                w = mp.make_mpf(mpf_exp(logw(u, x), wp, rnd))
-                return [(w * v)._mpf_ for v in _live(f(mp.make_mpf(x)), live)]
+                w = weight_u(u, x)
+                return [mpf_mul(w, v, wp, rnd) for v in _live(f(x), live)]
         else:
+            logw = _log_weight_u_fn(params)
+
             def g(v, live):
                 c, u = mpf_cosh_sinh(v, wp, rnd)
                 x = mpf_exp(u, wp, rnd)
-                w = mp.make_mpf(mpf_exp(logw(u, x), wp, rnd))
-                c = mp.make_mpf(c)
-                return [(w * fx * c)._mpf_ for fx in _live(f(mp.make_mpf(x)), live)]
+                w = mpf_exp(logw(u, x), wp, rnd)
+                return [mpf_mul(mpf_mul(w, fx, wp, rnd), c, wp, rnd) for fx in _live(f(x), live)]
         result = _trapezoid_levels(g, prec, "integrate_weighted")
     return [+v for v in result]
 
@@ -341,10 +379,12 @@ def seed_moments(params: WeightParams, prec: PrecisionContext) -> dict:
 
 
 def clear_memos():
-    """Forget the seeds and the node exponentials e^u of this process."""
-    global _node_exp
+    """Forget the seeds, the node exponentials e^u and the node weights of
+    this process."""
+    global _node_exp, _node_weight
     _seed_memo.clear()
     _node_exp = (0, {})
+    _node_weight = (None, {})
 
 
 def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext,

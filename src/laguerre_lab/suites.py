@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import fone
 
 from . import calculus as ca
 from . import equilibrium as eq
@@ -112,8 +113,8 @@ def moments_suite(config: RunConfig) -> ResidualReport:
         hi = moment(0, params, prec)
         rep.add(Check("precision-doubling", abs(lo - hi),
                       mpf(10) ** (-(max(50, prec.digits // 2) - 10)), "k=0"))
-        (a,) = integrate_weighted(lambda x: (1,), params, prec)
-        (b,) = integrate_weighted(lambda x: (1,), params, prec, mapping="expsinh")
+        (a,) = integrate_weighted(lambda x: (fone,), params, prec)
+        (b,) = integrate_weighted(lambda x: (fone,), params, prec, mapping="expsinh")
         rep.add(Check("map-invariance", abs(a - b), 10 * to_mpf(prec.quad_tol) * abs(a), "f=1"))
     return rep
 

@@ -2,10 +2,19 @@ import inspect
 import sys
 
 import pytest
+from mpmath import mp
 
 from laguerre_lab.ladder import aux_rows
 from laguerre_lab.orthopoly import recurrence_table
-from laguerre_lab.params import PrecisionContext, WeightParams
+from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
+
+
+def mpf_integrand(f):
+    """The raw integrand that ``quadrature.integrate_weighted`` takes, from
+    f(x) -> (f_1(x), f_2(x), ...) on mpf x with mpf or int factors: the rule
+    multiplies each raw factor as the mpf rule multiplied w * f_i(x), so
+    the integrals keep their bits."""
+    return lambda x: tuple(to_mpf(v)._mpf_ for v in f(mp.make_mpf(x)))
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -44,6 +53,16 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture(scope="session", params=[("1/2", "3/10", 120), ("1/2", "-3/10", 80),
+                                        ("-1/2", "3/10", 60)],
+                ids=["default-d120", "t1-neg-d80", "alpha-neg-d60"])
+def oracle_point(request):
+    """(alpha, t1, precision): the points at which the raw oracle integrands
+    are held to their mpf forms bit for bit."""
+    alpha, t1, digits = request.param
+    return alpha, t1, PrecisionContext(digits=digits)
 
 
 @pytest.fixture(scope="session")

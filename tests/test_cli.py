@@ -250,9 +250,11 @@ def test_warm_run_integrates_and_writes_nothing(suite, tmp_path, count_calls):
 
 
 @pytest.mark.parametrize("suite,rule", [("recurrence", "integrate_weighted"),
+                                        ("ladder", "integrate_weighted"),
                                         ("equilibrium", "integrate_finite")])
 def test_warm_run_makes_one_oracle_pass(suite, rule, tmp_path, count_calls):
-    # the four orthogonality pairs share one quadrature pass.  lagrange-eq
+    # the four orthogonality pairs share one quadrature pass, and so does
+    # ladder-coeff-integral, the ladder suite's one oracle.  lagrange-eq
     # and density-normalization sum cosine series, so equilibrium makes no
     # tanh-sinh pass, and three theta passes: the two supplementary
     # conditions and the six closed forms of each of two (a, b) pairs
@@ -266,7 +268,7 @@ def test_warm_run_makes_one_oracle_pass(suite, rule, tmp_path, count_calls):
     theta = count_calls(eq, "_theta_trapezoid")
     clear_memo()
     suites.run_suite(cfg)
-    if suite == "recurrence":
+    if rule == "integrate_weighted":
         assert len(passes) == 1
     else:
         assert (len(passes), len(theta)) == (0, 3)

@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import fone
 
 from laguerre_lab import calculus as ca
+from laguerre_lab import ladder as ld
+from laguerre_lab import quadrature
+from laguerre_lab.cache import clear_memo
 from laguerre_lab.errors import DegenerateBracket, DegenerateInput, DomainError, SingularAux
 from laguerre_lab.ladder import (
     AuxRow,
@@ -15,6 +19,7 @@ from laguerre_lab.ladder import (
     compatibility_residuals,
     eval_laurent,
     iterate_difference_system,
+    ladder_A_direct,
     ladder_coeffs,
     ladder_residuals,
     row_residuals,
@@ -22,24 +27,74 @@ from laguerre_lab.ladder import (
 )
 from laguerre_lab.orthopoly import eval_polynomials, recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
-from laguerre_lab.quadrature import integrate_weighted, moments
+from laguerre_lab.quadrature import integrate_weighted, moments, sample_dps
+
+from conftest import mpf_integrand
 
 HALF = mpf(10) ** -60  # 10^(-P/2) at the 120-digit default
 TRIPLE = mpf(10) ** -50  # 10^(-P/2+10) cross-representation contract
 
 
-def direct_ladder_A(table, n, z):
-    """A_n(z) straight from its integral definition (divided-difference kernel)."""
-    params, prec = table.params, table.prec
+def _ref_ladder_kernel(table, n, z):
+    """The integrand (z v'(z) - x v'(x)) / (z - x) P_n(x)^2 of A_n(z) in mpf
+    arithmetic, at mpf x."""
+    params = table.params
     z = mpf(z)
-    with mp.workdps(prec.work_dps):
+    with mp.workdps(table.prec.work_dps):
         zvz = z * params.potential_derivative(z)
 
-        def f(x):
-            kern = (zvz - x * params.potential_derivative(x)) / (z - x)
-            return kern * eval_polynomials(table, n, x)[n] ** 2
+    def f(x):
+        kern = (zvz - x * params.potential_derivative(x)) / (z - x)
+        return kern * eval_polynomials(table, n, x)[n] ** 2
 
-        return integrate_weighted(lambda x: (f(x),), params, prec)[0] / (z * table.h[n])
+    return f
+
+
+def direct_ladder_A(table, n, z):
+    """A_n(z) straight from its integral definition (divided-difference kernel)."""
+    z = mpf(z)
+    f = _ref_ladder_kernel(table, n, z)
+    with mp.workdps(table.prec.work_dps):
+        integral = integrate_weighted(mpf_integrand(lambda x: (f(x),)), table.params, table.prec)
+        return integral[0] / (z * table.h[n])
+
+
+def test_ladder_A_direct_matches_mpf_form(oracle_point, monkeypatch):
+    # the raw integrand against its mpf form bit for bit at m = 2, 3, 4, at
+    # nodes of the x = e^u map and in the value: with the memos empty, then
+    # with the weight slot filled by another pass at the same point
+    alpha, t1, prec = oracle_point
+    integrands = []
+    real = ld.integrate_weighted
+    monkeypatch.setattr(ld, "integrate_weighted",
+                        lambda f, *args: (integrands.append(f), real(f, *args))[1])
+    for m, z in ((2, 5), (3, "0.9"), (4, "3")):
+        table = recurrence_table(WeightParams(alpha, (t1, "0.2", "0.1", "0.05")[:m]), 3, prec)
+        want = direct_ladder_A(table, 2, z)._mpf_
+        clear_memo()
+        assert ladder_A_direct(table, 2, (z,))[0]._mpf_ == want
+        kernel = _ref_ladder_kernel(table, 2, z)
+        ref = mpf_integrand(lambda x: (kernel(x),))
+        with mp.workdps(sample_dps(prec)):
+            for k in range(-96, 97, 7):
+                x = mp.exp(mpf(k) / 16)._mpf_
+                assert list(integrands[-1](x)) == list(ref(x)), k
+        clear_memo()
+        integrate_weighted(lambda x: (fone,), table.params, prec)
+        assert quadrature._node_weight[1]
+        assert ladder_A_direct(table, 2, (z,))[0]._mpf_ == want
+
+
+def test_ladder_A_direct_at_a_node(table12, aux12):
+    # z = 1 is the u = 0 node of the x = e^u map, where the divided
+    # difference is 0/0: the kernel takes its limit there
+    with mp.workdps(table12.prec.work_dps):
+        a2, _ = ladder_coeffs(aux12[2], 2, table12.params)
+        (direct,) = ladder_A_direct(table12, 2, (1,))
+        assert abs(eval_laurent(a2, 1) - direct) < HALF
+    for z in (0, "-0.5"):
+        with pytest.raises(DegenerateInput):
+            ladder_A_direct(table12, 2, (z,))
 
 
 def test_initial_conditions(params_default, prec120, table12):

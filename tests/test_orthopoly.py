@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import fone
 
-from laguerre_lab import orthopoly
+from laguerre_lab import orthopoly, quadrature
+from laguerre_lab.cache import clear_memo
 from laguerre_lab.errors import DegenerateInput, DomainError, PrecisionExhausted
 from laguerre_lab.orthopoly import (
     christoffel_darboux_residual,
@@ -14,6 +16,9 @@ from laguerre_lab.orthopoly import (
     recurrence_table,
 )
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
+from laguerre_lab.quadrature import integrate_weighted
+
+from conftest import mpf_integrand
 
 
 def eval_by_coeffs(table, n: int, x) -> mpf:
@@ -99,6 +104,39 @@ def test_christoffel_darboux(table12):
         assert christoffel_darboux_residual(table12, 6, x, y) < half
     with pytest.raises(DegenerateInput):
         christoffel_darboux_residual(table12, 6, 2, 2)
+
+
+def _ref_orthogonality(table, pairs):
+    """orthogonality_residual with its integrand in mpf arithmetic."""
+    top = max(max(pair) for pair in pairs)
+
+    def products(x):
+        values = eval_polynomials(table, top, x)
+        return tuple(values[j] * values[k] for j, k in pairs)
+
+    with mp.workdps(table.prec.work_dps):
+        vals = integrate_weighted(mpf_integrand(products), table.params, table.prec)
+        out = []
+        for (j, k), val in zip(pairs, vals):
+            if j == k:
+                val -= table.h[j]
+            out.append(abs(val) / mp.sqrt(table.h[j] * table.h[k]))
+        return out
+
+
+def test_orthogonality_matches_mpf_form(oracle_point):
+    # the raw integrand against its mpf form bit for bit: with the memos
+    # empty, then with the weight slot filled by another pass at the point
+    alpha, t1, prec = oracle_point
+    table = recurrence_table(WeightParams(alpha, (t1, "0.2")), 8, prec)
+    pairs = ((1, 0), (4, 2), (8, 3), (6, 6))
+    want = [v._mpf_ for v in _ref_orthogonality(table, pairs)]
+    clear_memo()
+    assert [v._mpf_ for v in orthogonality_residual(table, pairs)] == want
+    clear_memo()
+    integrate_weighted(lambda x: (fone,), table.params, prec)
+    assert quadrature._node_weight[1]
+    assert [v._mpf_ for v in orthogonality_residual(table, pairs)] == want
 
 
 def test_orthogonality_independent_quadrature(table12):

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, finf, fnan
+from mpmath.libmp import dps_to_prec, finf, fnan, fone
 
 from laguerre_lab import cli, quadrature, suites
 from laguerre_lab.cache import clear_memo
+from laguerre_lab.config import parse_config
 from laguerre_lab.errors import DomainError, NonConvergence
 from laguerre_lab.ladder import ladder_A_direct
 from laguerre_lab.orthopoly import eval_polynomials, orthogonality_residual, recurrence_table
@@ -25,6 +26,8 @@ from laguerre_lab.quadrature import (
 )
 from laguerre_lab.scaling import ScalingPoint
 
+from conftest import mpf_integrand
+
 # Self-validated 200-digit oracle values at (alpha, t1, t2) = (0.5, 0.3, 0.2):
 # recomputed at 210 digits with doubled node density, the two runs agree
 # beyond 150 digits.
@@ -42,7 +45,7 @@ def test_gamma_trivials():
     prec = PrecisionContext(digits=60)
     p = WeightParams("0", ("0", "0"))
     with mp.workdps(80):
-        one, two = integrate_weighted(lambda x: (1, x * x), p, prec)
+        one, two = integrate_weighted(mpf_integrand(lambda x: (1, x * x)), p, prec)
         assert abs(one - 1) < mpf(10) ** -55
         assert abs(two - 2) < mpf(10) ** -55
         assert abs(moment(3, p, prec) - 6) < mpf(10) ** -54
@@ -50,7 +53,7 @@ def test_gamma_trivials():
 
 def test_golden_values(params_default, prec120):
     with mp.workdps(150):
-        (v,) = integrate_weighted(lambda x: (1,), params_default, prec120)
+        (v,) = integrate_weighted(mpf_integrand(lambda x: (1,)), params_default, prec120)
         assert abs(v - mpf(MU0_GOLDEN)) < mpf(10) ** -105
         w = moment(-1, params_default, prec120)
         assert abs(w - mpf(MUM1_GOLDEN)) < mpf(10) ** -105
@@ -96,11 +99,13 @@ def test_doubling_check(params_default):
 
 def test_mapping_invariance(params_default, prec120):
     with mp.workdps(150):
-        (a,) = integrate_weighted(lambda x: (1,), params_default, prec120)
-        (b,) = integrate_weighted(lambda x: (1,), params_default, prec120, mapping="expsinh")
+        (a,) = integrate_weighted(mpf_integrand(lambda x: (1,)), params_default, prec120)
+        (b,) = integrate_weighted(mpf_integrand(lambda x: (1,)), params_default, prec120,
+                                  mapping="expsinh")
         assert abs(a - b) <= prec120.quad_tol * abs(a) * 10
     with pytest.raises(DomainError):
-        integrate_weighted(lambda x: (1,), params_default, prec120, mapping="bogus")
+        integrate_weighted(mpf_integrand(lambda x: (1,)), params_default, prec120,
+                           mapping="bogus")
 
 
 def test_negative_t1_supported(params_neg_t1, prec60):
@@ -187,13 +192,14 @@ def test_weighted_batch_is_bit_identical_to_lone(table8, mapping):
     lone, samples = [], []
     for f in integrands:
         nodes = []
-        lone.append(integrate_weighted(lambda x, f=f: (nodes.append(x), f(x))[1:],
+        lone.append(integrate_weighted(mpf_integrand(lambda x, f=f: (nodes.append(x), f(x))[1:]),
                                        params, prec, mapping)[0])
         samples.append(len(nodes))
     # they stop at different tails or levels: a batch that stopped them
     # together would change the bits of some
     assert len(set(samples)) > 1
-    batch = integrate_weighted(lambda x: tuple(f(x) for f in integrands), params, prec, mapping)
+    batch = integrate_weighted(mpf_integrand(lambda x: tuple(f(x) for f in integrands)),
+                               params, prec, mapping)
     assert batch == lone
 
 
@@ -218,15 +224,15 @@ def test_batch_with_non_finite_sample_raises_like_lone(params_default, prec60, m
         return mp.inf if x > 2 else x
 
     with pytest.raises(NonConvergence):
-        integrate_weighted(lambda x: (blows_up(x),), params_default, prec60)
+        integrate_weighted(mpf_integrand(lambda x: (blows_up(x),)), params_default, prec60)
     with pytest.raises(NonConvergence):
-        integrate_weighted(lambda x: (1, blows_up(x)), params_default, prec60)
+        integrate_weighted(mpf_integrand(lambda x: (1, blows_up(x))), params_default, prec60)
     with pytest.raises(NonConvergence):
         integrate_finite([(mp.exp, 0, 1), (lambda x: blows_up(4 * x), 0, 1)], prec60)
 
     # a numerical breakdown: the CLI exits 3
     def oracle_suite(config):
-        integrate_weighted(lambda x: (1, blows_up(x)), config.params, config.prec)
+        integrate_weighted(mpf_integrand(lambda x: (1, blows_up(x))), config.params, config.prec)
 
     monkeypatch.setitem(suites.SUITE_RUNNERS, "moments", oracle_suite)
     assert cli.main(["moments", "--digits", "60"]) == 3
@@ -452,9 +458,9 @@ def _kernel_cases(table8, default, p120, p60):
                        lambda: _ref_moments(rode, -2, 0, p120)),
         "moment0-d60": (lambda: moment(0, default, p60),
                         lambda: _ref_moments(default, 0, 0, p60)[0]),
-        "weighted-exp": (lambda: integrate_weighted(batch, tp, tq),
+        "weighted-exp": (lambda: integrate_weighted(mpf_integrand(batch), tp, tq),
                          lambda: _ref_integrate_weighted(batch, tp, tq)),
-        "weighted-expsinh": (lambda: integrate_weighted(batch, tp, tq, "expsinh"),
+        "weighted-expsinh": (lambda: integrate_weighted(mpf_integrand(batch), tp, tq, "expsinh"),
                              lambda: _ref_integrate_weighted(batch, tp, tq, "expsinh")),
         "finite-panels": (lambda: integrate_finite(FINITE_PANELS, p60),
                           lambda: _ref_integrate_finite(FINITE_PANELS, p60)),
@@ -508,6 +514,65 @@ def test_node_exp_memo_holds_one_precision(monkeypatch, prec120, prec60):
     clear_memo()
     assert memo() == set()
     assert sweep(a, prec120) == (len(first),) * 2 and memo() == first
+
+
+@pytest.mark.parametrize("mapping", ["exp", "expsinh"])
+def test_unit_integrand_matches_mpf_reference(oracle_point, mapping):
+    # f = 1 against the mpf rule bit for bit: with the memos empty, then
+    # with the weight slot filled by another pass at the same point
+    alpha, t1, prec = oracle_point
+    params = WeightParams(alpha, (t1, "1/5"))
+    want = _ref_integrate_weighted(lambda x: (1,), params, prec, mapping)[0]._mpf_
+    clear_memo()
+    assert integrate_weighted(lambda x: (fone,), params, prec, mapping)[0]._mpf_ == want
+    clear_memo()
+    integrate_weighted(mpf_integrand(lambda x: (x,)), params, prec)
+    assert quadrature._node_weight[1]
+    assert integrate_weighted(lambda x: (fone,), params, prec, mapping)[0]._mpf_ == want
+
+
+def test_node_weight_memo_holds_one_point(tmp_path, monkeypatch, count_calls, prec60):
+    # orthogonality and ladder-coeff-integral of a warm recurrence,ladder run
+    # sample one point at one precision, and evaluate each weight once
+    weighed, sampled = [], []
+    real_logw, real_weight = quadrature._log_weight_u_fn, quadrature._node_weight_fn
+
+    def counted_logw(params):
+        logw = real_logw(params)
+        return lambda u, x: (weighed.append(u), logw(u, x))[1]
+
+    def counted_weight(params):
+        weight_u = real_weight(params)
+        nodes = set()
+        sampled.append(nodes)
+        return lambda u, x: (nodes.add(u), weight_u(u, x))[1]
+
+    cfg = parse_config(None, {"digits": "60", "suites": "recurrence,ladder",
+                              "cache_dir": str(tmp_path / "cache")})
+    clear_memo()
+    suites.run_suite(cfg)
+    monkeypatch.setattr(quadrature, "_log_weight_u_fn", counted_logw)
+    monkeypatch.setattr(quadrature, "_node_weight_fn", counted_weight)
+    passes = count_calls(quadrature, "integrate_weighted")
+    clear_memo()
+    suites.run_suite(cfg)
+    assert len(passes) == len(sampled) == 2
+    assert passes[0]["params"] == passes[1]["params"] == cfg.params
+    (point, _), memo = quadrature._node_weight
+    assert point == cfg.params and set(memo) == sampled[0] | sampled[1]
+    assert len(weighed) == len(memo) < len(sampled[0]) + len(sampled[1])
+
+    # a pass at another point, or at another precision, replaces the slot
+    other = WeightParams("1/2", ("-3/10", "1/5"))
+    integrate_weighted(lambda x: (fone,), other, prec60)
+    assert quadrature._node_weight[0] == (other, dps_to_prec(sample_dps(prec60)))
+    assert quadrature._node_weight[1] is not memo
+    memo = quadrature._node_weight[1]
+    integrate_weighted(lambda x: (fone,), other, PrecisionContext(digits=50))
+    assert quadrature._node_weight[0] == (other, dps_to_prec(sample_dps(PrecisionContext(50))))
+    assert quadrature._node_weight[1] is not memo
+    clear_memo()
+    assert quadrature._node_weight == (None, {})
 
 
 @pytest.mark.parametrize("bad", [finf, fnan], ids=["inf", "nan"])
