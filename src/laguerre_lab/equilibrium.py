@@ -54,7 +54,7 @@ from .errors import (
     RootSelectionAmbiguous,
 )
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
-from .quadrature import QUAD_MAX_LEVEL
+from .quadrature import QUAD_MAX_LEVEL, level_settled
 
 
 @dataclass(frozen=True)
@@ -192,22 +192,26 @@ def _theta_trapezoid(g, prec: PrecisionContext) -> list:
     produced by the cosine substitution).
 
     The integrands share the nodes and whatever g computes once per node.
-    Each keeps its own sums and convergence test and stops at the level
-    where a lone pass would, so its value is bit-identical to that pass;
-    none stops before the fifth doubling (256 intervals).
+    Each keeps its own sums and stop test, ``level_settled`` normalised by
+    |total| + 1: the error of a smooth periodic integrand falls like
+    e^(-cN), so each doubling about doubles its digits and a pass stops on
+    the predicted error of the last level once that shows.  Each stops at
+    the level where a lone pass would, so its value is bit-identical to
+    that pass; none stops before the fifth doubling (256 intervals).
     """
     with mp.workdps(prec.work_dps):
-        tol = to_mpf(prec.quad_tol)
         N = 8
         vals = list(zip(*[g(mp.pi * k / N) for k in range(N + 1)]))
         total = [mp.pi / N * (v[0] / 2 + mp.fsum(v[1:-1]) + v[-1] / 2) for v in vals]
         live = list(range(len(total)))
+        rel = [None] * len(total)
         for level in range(QUAD_MAX_LEVEL + 8):
             mids = list(zip(*[g(mp.pi * (2 * k + 1) / (2 * N)) for k in range(N)]))
             running = []
             for i in live:
                 new_total = total[i] / 2 + mp.pi / (2 * N) * mp.fsum(mids[i])
-                done = abs(new_total - total[i]) <= tol * (abs(new_total) + 1)
+                done, rel[i] = level_settled(abs(new_total - total[i]), abs(new_total) + 1,
+                                             prec.quad_tol, rel[i])
                 total[i] = new_total
                 if not (done and level >= 4):
                     running.append(i)

@@ -24,8 +24,12 @@ batch of integrands in one pass: the nodes and the per-node work are
 shared, while each integrand keeps its own sums, tail cut-off, L1 mass
 and level-convergence test in the order of a lone pass, so every value is
 bit-identical to integrating it alone.  A lone integral is a batch of
-one.  ``moments`` keeps its own pass: its integrands stop together, on a
-rule of their own.
+one.  They stop on ``level_settled``, which the theta trapezoid of
+``equilibrium`` shares: where the level differences show the digits
+doubling, a pass stops on the level whose predicted error is within
+quad_tol / 10, one level before two levels agree to quad_tol and confirm
+it.  ``moments`` keeps its own pass: its integrands stop together, on a
+rule of their own that still confirms, since its seeds are table bits.
 
 All arithmetic is mpmath with guard digits on top of the caller's
 working precision; results are deterministic functions of the inputs.
@@ -62,6 +66,35 @@ _QUAD_GUARD = 10
 QUAD_MAX_LEVEL = 12
 
 
+def level_settled(diff, norm, tol, prev):
+    """(stop, r): whether an oracle trapezoid pass stops at its level T_L.
+
+    diff = |T_L - T_{L-1}|, norm = |T_L| + mass (the integrand's L1 mass,
+    or the fixed scale a rule normalises by), tol the pass's quad_tol and
+    prev the r of the level before (None on the first refinement).  The
+    pass stops when diff <= tol * norm.  It also stops on the predicted
+    error of T_L, with r = diff / norm and D = log10 r, when
+      - r <= sqrt(tol);
+      - the digits were seen to double, 1.5 <= D_L / D_{L-1} <= 2.5;
+      - the double-exponential estimate of the next level's difference,
+        10^(D_L^2 / D_{L-1}) (Bailey, Jeyabalan & Li, Exp. Math. 14,
+        2005), is at most tol / 10, and so is 10^(1.75 D_L).
+    The digit ratio can fall from one level to the next (ladder_A_direct
+    at m = 3, P = 60: 2.08, then 1.89), so the estimate assumes at most
+    a 1.75-fold gain.  The bounds on r and on the ratio keep a
+    pre-asymptotic jump from stopping the pass; then it runs to the level
+    that confirms the value.  r comes back as the next level's prev.
+    """
+    tol, r = to_mpf(tol), diff / norm
+    if diff <= tol * norm:
+        return True, r
+    if prev is None or not 0 < prev < 1 or not r * r <= tol:
+        return False, r
+    d = mp.log10(r)
+    ratio = d / mp.log10(prev)
+    return 1.5 <= ratio <= 2.5 and d * min(ratio, 1.75) <= mp.log10(tol) - 1, r
+
+
 def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
     """Trapezoid sums over the real line with level doubling, for a batch
     of integrands in one pass.
@@ -73,10 +106,10 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
     decay at least exponentially in both directions.  Each keeps its own
     sums, tail cut-off, L1 mass and convergence test, and leaves the pass
     where a lone pass of its own would stop, so its sum is bit-identical
-    to that lone pass.  Convergence: successive levels agree to quad_tol
-    relative to max(|total|, quad_tol-scaled L1 mass).  Returns the
-    converged sums in integrand order.  A sample that is not finite, or
-    that divides by zero, raises NonConvergence.
+    to that lone pass.  Each stops on ``level_settled``, normalised by
+    |total| + its L1 mass.  Returns the converged sums in integrand order.
+    A sample that is not finite, or that divides by zero, raises
+    NonConvergence.
     """
     wp, rnd = mp._prec_rounding
     trunc = (mpf(10) ** (-(prec.digits + _TRUNC_EXTRA)))._mpf_
@@ -124,6 +157,7 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
     left = sweep(-h, -h, live)
     total = [h * (right[i][0] + left[i][0]) for i in live]
     mass = [h * (right[i][1] + left[i][1]) for i in live]
+    rel = [None] * len(live)
 
     for _ in range(QUAD_MAX_LEVEL):
         # refine: add midpoints (odd multiples of h/2) on both sides
@@ -135,7 +169,9 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
             new_total = total[i] / 2 + h2 * (mid_r[i][0] + mid_l[i][0])
             mass[i] = mass[i] / 2 + h2 * (mid_r[i][1] + mid_l[i][1])
             prev, total[i] = total[i], new_total
-            if not abs(new_total - prev) <= prec.quad_tol * abs(new_total) + prec.quad_tol * mass[i]:
+            stop, rel[i] = level_settled(abs(new_total - prev), abs(new_total) + mass[i],
+                                         prec.quad_tol, rel[i])
+            if not stop:
                 running.append(i)
         live, h = running, h2
         if not live:
@@ -248,8 +284,9 @@ def integrate_weighted(f, params: WeightParams, prec: PrecisionContext, mapping=
     once per product at the sampling precision.  On the x = e^u map the
     weight factor w(x) e^u at each node is memoized by u for the point and
     sampling precision of the last such pass, so passes at one point share
-    it.  Returns the list of integrals, each bit-identical to a pass of its
-    own.
+    it.  Each integrand stops on ``level_settled``: on its predicted error
+    where the digits are seen to double, else where two levels agree.
+    Returns the list of integrals, each bit-identical to a pass of its own.
     """
     if mapping not in ("exp", "expsinh"):
         raise DomainError(f"unknown mapping {mapping!r}")

@@ -273,6 +273,18 @@ def test_pearson_moments_classical_mode(prec120):
 # The sweeps as plain mpf-object loops, before the raw-tuple node kernel:
 # the reference that the kernel must match bit for bit.
 
+def _ref_predicted(r, last, tol):
+    """The predicted-error stop of the oracle trapezoid, in Bailey's form:
+    r and last are the relative differences of this level and the one
+    before; the digits doubled, and the next level's difference
+    10^(D^2 / D_prev), and 10^(1.75 D) too, is at most tol / 10."""
+    if not (0 < last < 1 and r <= mp.sqrt(tol)):
+        return False
+    d, dp = mp.log10(r), mp.log10(last)
+    return 1.5 <= d / dp <= 2.5 and max(mpf(10) ** (d * d / dp),
+                                        mpf(10) ** (mpf("1.75") * d)) <= tol / 10
+
+
 def _ref_trapezoid_levels(g, prec, what):
     trunc = mpf(10) ** (-(prec.digits + _TRUNC_EXTRA))
     h = mpf(1)
@@ -307,6 +319,7 @@ def _ref_trapezoid_levels(g, prec, what):
     left = sweep(-h, -h, live)
     total = [h * (right[i][0] + left[i][0]) for i in live]
     mass = [h * (right[i][1] + left[i][1]) for i in live]
+    rel = [None] * len(live)
     for _ in range(quadrature.QUAD_MAX_LEVEL):
         h2 = h / 2
         mid_r = sweep(h2, h, live)
@@ -316,8 +329,13 @@ def _ref_trapezoid_levels(g, prec, what):
             new_total = total[i] / 2 + h2 * (mid_r[i][0] + mid_l[i][0])
             mass[i] = mass[i] / 2 + h2 * (mid_r[i][1] + mid_l[i][1])
             prev, total[i] = total[i], new_total
-            if not abs(new_total - prev) <= prec.quad_tol * abs(new_total) + prec.quad_tol * mass[i]:
-                running.append(i)
+            r, last = abs(new_total - prev) / (abs(new_total) + mass[i]), rel[i]
+            rel[i] = r
+            if r <= to_mpf(prec.quad_tol):
+                continue
+            if last is not None and _ref_predicted(r, last, to_mpf(prec.quad_tol)):
+                continue
+            running.append(i)
         live, h = running, h2
         if not live:
             return total
