@@ -42,14 +42,15 @@ def main(argv=None):
     points += [("-" + s1, s2) for s1, s2 in points]
     print(f"{'s1':>6} {'s2':>6} {'R':>14} {'R*':>14} {'H':>14} {'slope':>8}")
     for s1, s2 in points:
-        seqs = ScaledGrid(s1, s2, n_list, prec, alpha=args.alpha).at()
+        grid = ScaledGrid(s1, s2, n_list, prec, alpha=args.alpha)
+        seqs = grid.at()
         with mp.workdps(30):
-            slope = convergence_slope(seqs)
+            slope = convergence_slope(grid)
             cells = " ".join(f"{render(seqs[q].limit)[:14]:>14}" for q in ("R", "Rstar", "H"))
             print(f"{s1:>6} {s2:>6} {cells} {mp.nstr(slope, 4):>8}")
         if out_dir:
             stem = out_dir / f"sweep_s1={s1}_s2={s2}"
-            write_sweep(seqs, str(stem) + ".csv")
+            write_sweep(grid, str(stem) + ".csv")
     if out_dir:
         meta = {"grid": vals, "n_list": list(n_list), "alpha": args.alpha,
                 "digits": args.digits}

@@ -191,7 +191,7 @@ def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext
 
 
 def clear_memo():
-    """Forget the tables, seed moments and quadrature node exponentials e^u
-    this process has built or read."""
+    """Forget the tables (and so their aux rows), seed moments and
+    quadrature node exponentials e^u this process has built or read."""
     _memo.clear()
     clear_memos()

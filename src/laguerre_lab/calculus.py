@@ -4,8 +4,9 @@ Derivatives of table/auxiliary quantities are central differences on a
 dyadic stencil with Richardson extrapolation.  Each difference formula
 is written once, as a table of taps (``FIRST``, ``SECOND``, ``CROSS``),
 and ``StencilGrid`` is their only reader; ``scaling`` differentiates on
-the same grids.  Every stencil node is a recurrence table at an
-exactly-rational shifted parameter point, memoized per grid.  Only the
+the same grids.  Every stencil node is the recurrence table at an
+exactly-rational shifted parameter point, read through the table cache,
+so grids that share a node share its table.  Only the
 grid's centre is integrated: its seed moments (the grid's anchor) are
 shifted to each node by the exact parameter Taylor series, and a node
 is integrated only where that shift's error bound is too wide
@@ -17,7 +18,8 @@ pairs, gathered by ``partials`` under the keys "1", "2", "11", "12",
 "22" (1-based axes, lower first); it evaluates its signed residual once
 on each of ``moved``'s inputs and is held to 10 times the sum of the
 changes (``propagated_check``), a linear one to 10 |coef| times the
-error.  A node's auxiliary rows are computed when a check first reads them.
+error.  A node's auxiliary rows are read through ``ladder.aux_row``: each
+is computed once per table, by whichever reader comes first.
 
 Every check takes (n, grid), or the grid alone, the seed shift and the
 small-t2 reductions included: its point, precision, stencil and table
@@ -55,7 +57,7 @@ from .errors import (
     NegativeDiscriminant,
     StencilOutOfDomain,
 )
-from .ladder import AuxRow, aux_integrals, pad3
+from .ladder import AuxRow, aux_row, pad3
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
 from .quadrature import shift_seeds
 from .reports import Check
@@ -84,21 +86,8 @@ class DerivativeStencil:
         return rel
 
 
-class TableBundle:
-    """Recurrence table at one point; ``row(n)`` computes aux row n once."""
-
-    def __init__(self, table):
-        self.table = table
-        self._rows = {}
-
-    def row(self, n: int) -> AuxRow:
-        if n not in self._rows:
-            self._rows[n] = aux_integrals(self.table, n)
-        return self._rows[n]
-
-
 def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
-    """Builder for stencil grids: (params, anchor) -> TableBundle of depth N.
+    """Builder for stencil grids: (params, anchor) -> the node's table of depth N.
 
     Tables come through the table cache, so repeated stencil
     evaluations at the same exact rational nodes are read, not rebuilt;
@@ -106,11 +95,10 @@ def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
     integrates them at a point that is its own anchor.
     """
 
-    def build(params: WeightParams, anchor: WeightParams) -> TableBundle:
+    def build(params: WeightParams, anchor: WeightParams):
         from .cache import cached_recurrence_table
 
-        return TableBundle(
-            cached_recurrence_table(params, N, prec, cache_dir=cache_dir, anchor=anchor))
+        return cached_recurrence_table(params, N, prec, cache_dir=cache_dir, anchor=anchor)
 
     return build
 
@@ -192,7 +180,7 @@ def _richardson(seq, p):
 
 
 class StencilGrid:
-    """Memoized bundle evaluations on the FD stencil around one point.
+    """Memoized node tables on the FD stencil around one point.
 
     Offsets are exact rationals (multiples of the per-axis step), so the
     shifted parameter points are exact and reproducible; nodes that
@@ -201,7 +189,8 @@ class StencilGrid:
     The grid's centre is the anchor of every node: its seed moments are
     integrated once per precision, when a table is first built, and
     shifted to the nodes.  The builder is called as builder(params,
-    centre); the bundle builders hand the centre to the table cache.
+    centre); ``table_bundle_builder`` hands the centre to the table cache.
+    ``bundle(offsets)`` is the node's table.
     """
 
     def __init__(self, params: WeightParams, prec: PrecisionContext,
@@ -303,10 +292,10 @@ def verify_seed_shift(grid: StencilGrid) -> Check:
     deviation over k = -m..0, held to 10 quad_tol like ``moment-pearson``;
     a rejected shift fails the check.
     """
-    centre = grid.bundle().table
+    centre = grid.bundle()
     prec = centre.prec
     corner = grid.params_at(((0, 1), (1, 1)))
-    direct = grid._builder(corner, corner).table.moments
+    direct = grid._builder(corner, corner).moments
     seeds = {k: centre.moments[k] for k in range(-grid.params.m, 1)}
     shifted = shift_seeds(grid.params, seeds, corner, prec)
     with mp.workdps(prec.work_dps):
@@ -381,12 +370,12 @@ def derivative_relations(n: int, grid: StencilGrid, names, suffix="") -> list:
     """
     b = grid.bundle()
     relations = {
-        "dlnh": (lambda v: mp.log(v.table.h[n]), lambda: [-x for x in b.row(n).R]),
-        "dp": (lambda v: v.table.p(n), lambda: b.row(n).r),
-        "dlnbeta": (lambda v: mp.log(v.table.beta(n)),
-                    lambda: [x - y for x, y in zip(b.row(n - 1).R, b.row(n).R)]),
-        "dalpha": (lambda v: v.table.alpha(n),
-                   lambda: [x - y for x, y in zip(b.row(n).r, b.row(n + 1).r)]),
+        "dlnh": (lambda v: mp.log(v.h[n]), lambda: [-x for x in aux_row(b, n).R]),
+        "dp": (lambda v: v.p(n), lambda: aux_row(b, n).r),
+        "dlnbeta": (lambda v: mp.log(v.beta(n)),
+                    lambda: [x - y for x, y in zip(aux_row(b, n - 1).R, aux_row(b, n).R)]),
+        "dalpha": (lambda v: v.alpha(n),
+                   lambda: [x - y for x, y in zip(aux_row(b, n).r, aux_row(b, n + 1).r)]),
     }
     out = []
     for name in names:
@@ -444,12 +433,12 @@ def toda_checks(n: int, grid: StencilGrid, tag="") -> list:
         molecule  D(D-1) ln beta_n = beta_{n-1} - 2 beta_n + beta_{n+1} - 2   (n >= 1)
     """
     ps = _label(grid, n)
-    tab = grid.bundle().table
-    lhs, err = _euler(grid, lambda v: v.table.alpha(n))
+    tab = grid.bundle()
+    lhs, err = _euler(grid, lambda v: v.alpha(n))
     out = [Check(f"toda{tag}-alpha",
                  abs(lhs - (tab.beta(n) - tab.beta(n + 1) + tab.alpha(n))), 10 * err, ps)]
     if n >= 1:
-        lb = lambda v: mp.log(v.table.beta(n))
+        lb = lambda v: mp.log(v.beta(n))
         lhs, err = _euler(grid, lb)
         out.append(Check(f"toda{tag}-beta",
                          abs(lhs - (tab.alpha(n - 1) - tab.alpha(n) + 2)), 10 * err, ps))
@@ -466,8 +455,8 @@ def verify_toda(n: int, grid: StencilGrid):
         raise DomainError("Toda checks need n >= 1")
     with mp.workdps(grid.prec.work_dps):
         out = toda_checks(n, grid)
-        lhs, err = _euler_second(grid, lambda v: v.table.log_hankel(n))
-        rhs = grid.bundle().table.beta(n) - n * (n + to_mpf(grid.params.alpha))
+        lhs, err = _euler_second(grid, lambda v: v.log_hankel(n))
+        rhs = grid.bundle().beta(n) - n * (n + to_mpf(grid.params.alpha))
         out.append(Check("toda-lndn", abs(lhs - rhs), 10 * err, _label(grid, n)))
     return out
 
@@ -484,7 +473,7 @@ def riccati_checks(n: int, grid: StencilGrid, tag="") -> tuple:
     tau = to_mpf(point.tau)
     rho = to_mpf(point.rho)
     alpha = to_mpf(point.alpha)
-    row = grid.bundle().row(n)
+    row = aux_row(grid.bundle(), n)
     (R, Rs, Rh), (r, rs, rh) = pad3(row.R), pad3(row.r)
     K = (rs / R - r * Rs / R ** 2) * (rs - (r - t1) * Rs / R)
     xi = (
@@ -502,8 +491,8 @@ def riccati_checks(n: int, grid: StencilGrid, tag="") -> tuple:
     rhs_r = (xi + r + 2 * r * (r - t1) / R,
              Rs / R * xi + rs + rs * (2 * r - t1) / R,
              Rh / R * xi + rh + rh * (2 * r - t1) / R + rho * K / tau)
-    return (axis_checks(n, grid, f"riccati{tag}-S-t{{}}", lambda v: v.row(n).Rsum, rhs_S),
-            axis_checks(n, grid, f"riccati{tag}-r-t{{}}", lambda v: v.row(n).rsum, rhs_r))
+    return (axis_checks(n, grid, f"riccati{tag}-S-t{{}}", lambda v: aux_row(v, n).Rsum, rhs_S),
+            axis_checks(n, grid, f"riccati{tag}-r-t{{}}", lambda v: aux_row(v, n).rsum, rhs_r))
 
 
 def verify_riccati(n: int, grid: StencilGrid):
@@ -523,14 +512,14 @@ def verify_coupled_pdes(n: int, grid: StencilGrid):
     with mp.workdps(grid.prec.work_dps):
         t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
         alpha = to_mpf(point.alpha)
-        R, Rs = grid.bundle().row(n).R
+        R, Rs = aux_row(grid.bundle(), n).R
         S = R + Rs
         T = Rs / R
 
         x = {"S" + k: p for k, p in partials(
-            grid, lambda v: v.row(n).Rsum, ("1", "2", "11", "12", "22")).items()}
+            grid, lambda v: aux_row(v, n).Rsum, ("1", "2", "11", "12", "22")).items()}
         x.update(("R" + k, p) for k, p in partials(
-            grid, lambda v: v.row(n).R[0], ("1", "2")).items())
+            grid, lambda v: aux_row(v, n).R[0], ("1", "2")).items())
 
         def pde1(v):
             dS1, dS2, dS11, dS12, dR1 = (v[k] for k in "S1 S2 S11 S12 R1".split())
@@ -605,7 +594,7 @@ def hankel_sigma(n: int, grid: StencilGrid) -> SigmaState:
     m = point.m
     with mp.workdps(prec.work_dps):
         nn = n * (n + to_mpf(point.alpha))
-        H = lambda v: nn + v.table.p(n)
+        H = lambda v: nn + v.p(n)
         axes = range(1, m + 1)
         keys = [str(i) for i in axes] + [f"{i}{j}" for i in axes for j in axes if i <= j]
         return sigma_state(n, point, prec, H(grid.bundle()), partials(grid, H, keys))
@@ -756,13 +745,13 @@ def verify_sigma_pde(n: int, grid: StencilGrid):
     ps = _label(grid, n)
     with mp.workdps(prec.work_dps):
         t1, t2 = to_mpf(point.t1), to_mpf(point.t2)
-        row = grid.bundle().row(n)
+        tab = grid.bundle()
+        row = aux_row(tab, n)
         (R, Rs), (r, rs) = row.R, row.r
-        tab = grid.bundle().table
         # Delta = (r(r-t1)/R + beta R)^2 >= 0, from integral-route data
         ident = (r * (r - t1) / R + tab.beta(n) * R) ** 2
-        D = partials(grid, lambda v: v.table.log_hankel(n), ("1", "2"))
-        S = partials(grid, lambda v: v.row(n).Rsum, ("1", "2"))
+        D = partials(grid, lambda v: v.log_hankel(n), ("1", "2"))
+        S = partials(grid, lambda v: aux_row(v, n).Rsum, ("1", "2"))
         states = moved_states(state)
         recs = [reconstruct_aux_from_H(s) for s in states]
 
@@ -806,7 +795,7 @@ def verify_t2_zero_reduction(n: int, grid: StencilGrid):
     with mp.workdps(grid.prec.work_dps):
         t1m = to_mpf(grid.params.t1)
         am = to_mpf(grid.params.alpha)
-        Rx = lambda v: v.row(n).R[0]
+        Rx = lambda v: aux_row(v, n).R[0]
         R = Rx(grid.bundle())
 
         def ode(v):
@@ -837,7 +826,7 @@ def sigma_reduction_residual(n: int, grid: StencilGrid):
         t1m = to_mpf(grid.params.t1)
         am = to_mpf(grid.params.alpha)
         nn = n * (n + am)
-        H = lambda v: nn + v.table.p(n)
+        H = lambda v: nn + v.p(n)
         Hn = H(grid.bundle())
         (dH, _), (d2H, _) = partials(grid, H, ("1", "11")).values()
         val = ((t1m * d2H) ** 2

@@ -130,17 +130,19 @@ def write_table(tab, fmt: str, path: str):
             writer.writerows(rows)
 
 
-def write_sweep(seqs, path: str):
-    """A scaling sweep: the per-n rows (n, n R_n, n R_n*, H_n) as CSV at
-    path, and the limits with their errors as JSON at path + ".limits.json"."""
+def write_sweep(grid, path: str):
+    """The sweep of a ``scaling.ScaledGrid``: the per-n rows (n, n R_n,
+    n R_n*, H_n) as CSV at path, and the limits with their errors as JSON
+    at path + ".limits.json"."""
+    seqs = grid.at()
     limits = {}
-    for q, v in seqs.quantities.items():
+    for q, v in seqs.items():
         limits[q] = render(v.limit)
         limits["err_" + q] = render(v.err)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "x", "y", "H"])
-        for n, x, y, H in zip(seqs.n_list, seqs["R"].seq, seqs["Rstar"].seq, seqs["H"].seq):
+        for n, x, y, H in zip(grid.n_list, seqs["R"].seq, seqs["Rstar"].seq, seqs["H"].seq):
             writer.writerow([n, render(x), render(y), render(H)])
     with open(path + ".limits.json", "w") as fh:
         json.dump({"limits": limits}, fh, indent=2, sort_keys=True)
@@ -216,7 +218,7 @@ def extras(cfg: RunConfig, args):
     if args.sweep_csv and "scaling" in cfg.active_suites:
         from .suites import scaled_grid
 
-        write_sweep(scaled_grid(cfg, cfg.s1, cfg.s2).at(), args.sweep_csv)
+        write_sweep(scaled_grid(cfg, cfg.s1, cfg.s2), args.sweep_csv)
     if args.density_profile and "equilibrium" in cfg.active_suites:
         from .suites import equilibrium_solution
 

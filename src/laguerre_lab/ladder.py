@@ -8,10 +8,11 @@ coefficients are linear in the auxiliary row at index n,
     r_{n,i} = i t_i <P_n, x^-i P_{n-1}> / h_{n-1},      i = 1..m
 
 (R_n, R_n*, r_n, r_n* for m = 2; m = 3 adds R^_n, r^_n).  Held here:
-the row from the moment table, the 1/z-coefficients of A_n, B_n and the
-integral definition of A_n as their oracle, pointwise residuals of the
-lowering/raising operators and of the compatibility conditions
-S1/S2/S2', alpha_n from the row, the sum rules, and the difference
+the row from the moment table (``aux_integrals``; every reader goes
+through ``aux_row``, one memo per table), the 1/z-coefficients of A_n,
+B_n and the integral definition of A_n as their oracle, pointwise
+residuals of the lowering/raising operators and of the compatibility
+conditions S1/S2/S2', alpha_n from the row, the sum rules, and the difference
 system iterated in n from the integral route's row 0.  The r-advance of
 that system is the S1 family for every m.  Solving for R and assembling
 beta_n from the row are closed forms written once, for m = 3; m = 2
@@ -77,9 +78,18 @@ def aux_integrals(table: RecurrenceTable, n: int) -> AuxRow:
         return AuxRow(R=tuple(R), r=tuple(r))
 
 
+def aux_row(table: RecurrenceTable, n: int) -> AuxRow:
+    """The auxiliary row at index n, computed (``aux_integrals``) on the
+    first read and memoized on the table, so every reader shares it."""
+    rows = table.rows
+    if n not in rows:
+        rows[n] = aux_integrals(table, n)
+    return rows[n]
+
+
 def aux_rows(table: RecurrenceTable, N: int) -> list:
-    """aux_integrals for n = 0..N."""
-    return [aux_integrals(table, n) for n in range(N + 1)]
+    """The rows n = 0..N (``aux_row``)."""
+    return [aux_row(table, n) for n in range(N + 1)]
 
 
 def s1_coeff(params: WeightParams, j: int) -> mpf:
@@ -286,7 +296,7 @@ def iteration_deviation(rows, iterated) -> mpf:
 def ladder_coeff_deviation(table: RecurrenceTable, n: int, zs) -> mpf:
     """max over z in zs of |A_n(z) from the row - A_n(z) from its integral
     (``ladder_A_direct``)|, at the caller's precision."""
-    a, _ = ladder_coeffs(aux_integrals(table, n), n, table.params)
+    a, _ = ladder_coeffs(aux_row(table, n), n, table.params)
     return max(abs(eval_laurent(a, z) - direct)
                for z, direct in zip(zs, ladder_A_direct(table, n, zs)))
 
@@ -348,7 +358,7 @@ def iterate_difference_system(table: RecurrenceTable, N: int,
     params = table.params
     if params.m not in (2, 3) or not params.is_deformed:
         raise DomainError("the difference system is solved for m = 2 and m = 3 only")
-    out = [aux_integrals(table, 0)]
+    out = [aux_row(table, 0)]
     with mp.workdps(prec.work_dps):
         thresh = to_mpf(prec.half_eps)
         t1 = to_mpf(params.t1)

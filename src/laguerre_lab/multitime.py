@@ -40,6 +40,7 @@ from .calculus import (
 from .errors import DomainError
 from .ladder import (
     aux_integrals,
+    aux_row,
     compatibility_residuals,
     ladder_A_direct,  # noqa: F401  (looked up here by perfbench/tracer.py)
     row_residuals,
@@ -61,8 +62,8 @@ def verify_identities_3(n: int, grid: StencilGrid):
     out = []
     ps = _label(grid, n)
     with mp.workdps(prec.work_dps):
-        b = grid.bundle()
-        res = row_residuals(b.table, [b.row(k) for k in range(n + 2)], n, prec)
+        tab = grid.bundle()
+        res = row_residuals(tab, [aux_row(tab, k) for k in range(n + 2)], n, prec)
         out.append(Check("alpha-aux-3", res.alpha, to_mpf(prec.half_eps), ps))
         if n >= 1:
             out.append(Check("beta-aux-3", res.beta, to_mpf(prec.half_eps), ps))
@@ -89,7 +90,7 @@ def h3_reconstruction(n: int, grid: StencilGrid):
     ps = _label(grid, n)
     recs = [reconstruct_aux_from_H(s) for s in moved_states(hankel_sigma(n, grid))]
     with mp.workdps(prec.work_dps):
-        want = grid.bundle().row(n)
+        want = aux_row(grid.bundle(), n)
         return [propagated_check(cid, [(rec.R + rec.r)[k] - (want.R + want.r)[k]
                                        for rec in recs], ps)
                 for k, cid in enumerate(("h3-reconstruct-R", "h3-reconstruct-Rstar",
@@ -114,9 +115,8 @@ def verify_S1_S2_general_m(n: int, grid: StencilGrid):
     with mp.workdps(prec.work_dps):
         half = to_mpf(prec.half_eps)
         alpha = to_mpf(point.alpha)
-        b = grid.bundle()
-        tab = b.table
-        rows = [b.row(k) for k in range(n + 2)]
+        tab = grid.bundle()
+        rows = [aux_row(tab, k) for k in range(n + 2)]
         res = row_residuals(tab, rows, n, prec)
 
         # its own sum, (2n + 1 + alpha) + sum_i R_{n,i}: not alpha_from_aux's order
@@ -135,7 +135,7 @@ def verify_S1_S2_general_m(n: int, grid: StencilGrid):
             out.append(Check("s2p-product-m", res.s2p, half, ps))
 
         nn = n * (n + alpha)
-        out.extend(axis_checks(n, grid, "dH-t{}-m", lambda v: nn + v.table.p(n), rows[n].r))
+        out.extend(axis_checks(n, grid, "dH-t{}-m", lambda v: nn + v.p(n), rows[n].r))
 
         # pointwise compatibility of the assembled coefficients
         for zs in ("0.7", "2", "5"):

@@ -43,7 +43,9 @@ class RecurrenceTable:
 
     ``coeffs[n]`` is the monic coefficient vector of P_n (degree order),
     ``moments[k]`` holds mu_k for k = -m..2N+1 (k >= 0 in the t = 0
-    limit mode).  Tables are immutable and safe to share.
+    limit mode).  Tables are immutable and safe to share.  ``rows`` is
+    the memo of aux rows by index (``ladder.aux_row``), shared by every
+    reader of the table; it is neither compared nor stored in the cache.
     """
 
     params: WeightParams
@@ -55,6 +57,7 @@ class RecurrenceTable:
     p_sub: tuple
     coeffs: tuple
     moments: dict = field(repr=False)
+    rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     def alpha(self, n: int) -> mpf:
         return self.alpha_rc[n]

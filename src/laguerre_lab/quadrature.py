@@ -329,7 +329,7 @@ def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) 
         )
     nk = kmax - kmin + 1
 
-    with mp.workdps(prec.work_dps + _QUAD_GUARD):
+    with mp.workdps(sample_dps(prec)):
         wp, rnd = mp._prec_rounding
         trunc = (mpf(10) ** (-(prec.digits + _TRUNC_EXTRA)))._mpf_
         logw = _log_weight_u_fn(params)
@@ -442,7 +442,7 @@ def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext,
     """
     m = _seed_depth(params)
     mu = dict(seeds if seeds is not None else seed_moments(params, prec))
-    with mp.workdps(prec.work_dps + _QUAD_GUARD):
+    with mp.workdps(sample_dps(prec)):
         coef = [to_mpf(j * tj) for j, tj in enumerate(params.t[:m], start=1)]
         for k in range(1, kmax + 1):
             acc = to_mpf(k + params.alpha) * mu[k - 1]
@@ -477,7 +477,7 @@ def shift_seeds(centre: WeightParams, seeds: dict, node: WeightParams,
     if not m or node.alpha != centre.alpha or node.m != centre.m:
         return None
     axes = [(i, b - a) for i, (a, b) in enumerate(zip(centre.t, node.t), start=1) if b != a]
-    with mp.workdps(prec.work_dps + _QUAD_GUARD):
+    with mp.workdps(sample_dps(prec)):
         ulp = mpf(2) ** (1 - mp.prec)
         tol = to_mpf(prec.quad_tol)
         alpha = to_mpf(centre.alpha)
@@ -536,7 +536,7 @@ def moment(k: int, params: WeightParams, prec: PrecisionContext) -> mpf:
     return moments(params, k, k, prec)[k]
 
 
-def integrate_finite(panels, prec: PrecisionContext, what="integrate_finite") -> list:
+def integrate_finite(panels, prec: PrecisionContext) -> list:
     """Tanh-sinh integrals of f over [a, b] for each panel (f, a, b), in one pass.
 
     Handles integrable endpoint singularities (log, inverse square
@@ -577,5 +577,5 @@ def integrate_finite(panels, prec: PrecisionContext, what="integrate_finite") ->
                 out.append((f(x) * (scale * cht / chw2))._mpf_)
             return out
 
-        result = _trapezoid_levels(g, prec, what)
+        result = _trapezoid_levels(g, prec, "integrate_finite")
     return [+v for v in result]

@@ -65,14 +65,11 @@ class ResidualReport:
     def n_failed(self) -> int:
         return sum(1 for c in self.entries if not c.ok)
 
-    def as_dict(self, timestamp=None) -> dict:
-        meta = dict(sorted(self.metadata.items()))
-        if timestamp is not None:
-            meta["timestamp"] = timestamp
+    def as_dict(self) -> dict:
         return {
             "suite": self.suite,
             "entries": [c.entry() for c in self.entries],
-            "metadata": meta,
+            "metadata": dict(sorted(self.metadata.items())),
         }
 
     def csv_rows(self):

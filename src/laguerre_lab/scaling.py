@@ -3,12 +3,14 @@
 A ``ScaledGrid`` holds one t-stencil grid (``calculus.StencilGrid``) per
 n, centred at the exactly-rational point (t1, t2) = (s1/2n, s2/4n^2)
 with per-n precision 20 + 4n digits.  The sequences n R_n, n R_n*, r_n,
-r_n*, H_n are read from each grid's centre, whose aux row is computed
-once, and Richardson-extrapolated in 1/n (Neville at 0); the limiting
-identities and PDEs are checked on the extrapolated values.  Derivatives
-in s are taken at finite n on the same grids and extrapolated in 1/n the
-same way; this is the only derivative route.  Reported errors are the
-last Neville correction plus the stencil error.  The limiting PDEs read
+r_n*, H_n are read from each grid's centre table, whose aux row
+(``ladder.aux_row``) the stencil derivatives share, and
+Richardson-extrapolated in 1/n (Neville at 0), one ``Scaled`` per
+quantity; the limiting identities and PDEs are checked on the
+extrapolated values.  Derivatives in s are taken at finite n on the
+same grids and extrapolated in 1/n by the same step (``_extrapolated``);
+this is the only derivative route.  Reported errors are the last
+Neville correction plus the stencil error.  The limiting PDEs read
 one dict of (value, error) pairs, the limits R, Rstar, H and the
 ``calculus.partials`` of U and H ("dU1", .., "dH12"), and are held to 10
 times their error propagated over ``calculus.moved`` inputs.
@@ -16,8 +18,6 @@ times their error propagated over ``calculus.moved`` inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -25,35 +25,13 @@ from mpmath import mp, mpf
 from .calculus import (DerivativeStencil, StencilGrid, moved, normalized, partials,
                        propagated_check, table_bundle_builder)
 from .errors import DomainError, SingularAux
+from .ladder import aux_row
+from .orthopoly import digits_for
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
 from .reports import Check
 
 #: the scaled quantities: n R_n, n R_n*, r_n, r_n*, H_n
 QUANTITIES = ("R", "Rstar", "r", "rstar", "H")
-
-
-@dataclass(frozen=True)
-class ScalingPoint:
-    """One (n, s1, s2) node with the induced finite-n parameters."""
-
-    n: int
-    s1: Fraction
-    s2: Fraction
-
-    def __post_init__(self):
-        if self.n < 1 or self.s1 == 0 or not self.s2 > 0:
-            raise DomainError("need n >= 1, s1 != 0, s2 > 0")
-
-    @property
-    def t1(self) -> Fraction:
-        return self.s1 / (2 * self.n)
-
-    @property
-    def t2(self) -> Fraction:
-        return self.s2 / (4 * self.n * self.n)
-
-    def params(self, alpha) -> WeightParams:
-        return WeightParams(alpha, (self.t1, self.t2))
 
 
 class Scaled(NamedTuple):
@@ -62,18 +40,6 @@ class Scaled(NamedTuple):
     seq: tuple
     limit: mpf
     err: mpf
-
-
-@dataclass(frozen=True)
-class ScaledSequences:
-    """Per-n scaled values plus their 1/n-extrapolated limits, by quantity
-    (``QUANTITIES``): ``seqs["R"].limit``; the point is the ``ScaledGrid``'s."""
-
-    n_list: tuple
-    quantities: dict
-
-    def __getitem__(self, quantity: str) -> Scaled:
-        return self.quantities[quantity]
 
 
 def _neville_at_zero(ns, vals):
@@ -93,37 +59,43 @@ def _neville_at_zero(ns, vals):
 
 
 def digits_for_scaling(n: int) -> int:
-    """Table digits at scaling index n: 20 + 4n, at least the 50-digit floor."""
-    return max(50, 20 + 4 * n)
+    """Table digits at scaling index n: ``orthopoly.digits_for(n)``, at
+    least the 50-digit floor."""
+    return max(50, digits_for(n))
 
 
-def scaled_sequences(grid: "ScaledGrid") -> ScaledSequences:
-    """The scaled sequences of grid and their extrapolated limits: n R_n,
-    n R_n*, r_n, r_n* and H_n read from the centre of each per-n stencil
-    grid, then extrapolated in 1/n at the grid's precision."""
-    seqs = {q: [] for q in QUANTITIES}
+def _extrapolated(grid: "ScaledGrid", at_n) -> list:
+    """The 1/n limits, one ``Scaled`` per entry of the tuple at_n(n, g)
+    returns for each n of grid and its stencil grid g there: at_n runs at
+    g's precision, the extrapolation at grid's."""
+    per_n = []
     for n, g in grid.grids.items():
-        b = g.bundle()
         with mp.workdps(g.prec.work_dps):
-            a = b.row(n)
-            H = n * (n + to_mpf(grid.alpha)) + b.table.p(n)
-            for q, v in zip(QUANTITIES, (n * a.R[0], n * a.R[1], a.r[0], a.r[1], H)):
-                seqs[q].append(v)
-
+            per_n.append(at_n(n, g))
     with mp.workdps(grid.prec.work_dps):
-        quantities = {q: Scaled(tuple(v), *_neville_at_zero(grid.n_list, v))
-                      for q, v in seqs.items()}
-    return ScaledSequences(n_list=grid.n_list, quantities=quantities)
+        return [Scaled(seq, *_neville_at_zero(grid.n_list, seq)) for seq in zip(*per_n)]
 
 
-def convergence_slope(seqs: ScaledSequences) -> mpf:
+def scaled_sequences(grid: "ScaledGrid") -> dict:
+    """{quantity: ``Scaled``} of grid, by ``QUANTITIES``: n R_n, n R_n*,
+    r_n, r_n* and H_n read from the centre table of each per-n stencil
+    grid, then extrapolated in 1/n."""
+    def at_n(n, g):
+        tab = g.bundle()
+        a = aux_row(tab, n)
+        return (n * a.R[0], n * a.R[1], a.r[0], a.r[1], n * (n + to_mpf(grid.alpha)) + tab.p(n))
+
+    return dict(zip(QUANTITIES, _extrapolated(grid, at_n)))
+
+
+def convergence_slope(grid: "ScaledGrid") -> mpf:
     """Least-squares log-log slope of |x_n - R| against n, x_n = n R_n
-    (expect ~ -1)."""
-    R = seqs["R"]
+    (expect ~ -1), over grid's n_list."""
+    R = grid.at()["R"]
     with mp.workdps(60):
         pts = [
             (mp.log(n), mp.log(abs(x - R.limit)))
-            for n, x in zip(seqs.n_list, R.seq)
+            for n, x in zip(grid.n_list, R.seq)
             if abs(x - R.limit) > 0
         ]
         k = len(pts)
@@ -137,15 +109,18 @@ def convergence_slope(seqs: ScaledSequences) -> mpf:
 class ScaledGrid:
     """Extrapolated limits at one (s1, s2) (``at``, memoized) and their
     derivatives in s, taken at finite n on one t-stencil grid per n and
-    extrapolated in 1/n like the values.  n_list is increasing with
-    min >= 4; the grid at n, ``grids[n]``, sits at ``ScalingPoint(n, s1, s2)``
-    with ``digits_for_scaling(n)`` digits, so the shrinking t stay resolved."""
+    extrapolated in 1/n like the values.  Needs s1 != 0, s2 > 0 and an
+    increasing n_list with min >= 4; the grid at n, ``grids[n]``, sits at
+    (alpha, (s1/2n, s2/4n^2)) with ``digits_for_scaling(n)`` digits, so
+    the shrinking t stay resolved."""
 
     def __init__(self, s1, s2, n_list, prec: PrecisionContext, alpha="0.5",
                  cache_dir=None):
         self.s1, self.s2 = to_fraction(s1), to_fraction(s2)
         self.alpha = to_fraction(alpha)
         self.n_list = tuple(n_list)
+        if self.s1 == 0 or not self.s2 > 0:
+            raise DomainError("need s1 != 0, s2 > 0")
         if len(self.n_list) < 2 or any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise DomainError("n_list must be increasing with at least two entries")
         if self.n_list[0] < 4:
@@ -156,10 +131,11 @@ class ScaledGrid:
         for n in self.n_list:
             prec_n = PrecisionContext(digits=digits_for_scaling(n))
             self.grids[n] = StencilGrid(
-                ScalingPoint(n, self.s1, self.s2).params(self.alpha), prec_n,
+                WeightParams(self.alpha, (self.s1 / (2 * n), self.s2 / (4 * n * n))), prec_n,
                 DerivativeStencil(order=2), table_bundle_builder(n, prec_n, cache_dir))
 
-    def at(self) -> ScaledSequences:
+    def at(self) -> dict:
+        """``scaled_sequences`` of the grid."""
         if self._seqs is None:
             self._seqs = scaled_sequences(self)
         return self._seqs
@@ -168,20 +144,21 @@ class ScaledGrid:
         """(1/n limit of the scaled t-derivative of H_n or U_n, error): the
         ``StencilGrid`` method kind, one axis per differentiation; the
         error is the Neville correction plus the largest scaled stencil error."""
-        vals, emax = [], mpf(0)
-        for n, grid in self.grids.items():
+        errors = []
+
+        def at_n(n, g):
             # H_n = n(n + alpha) + p(n), whose constant has no t-derivative
-            extract = ((lambda b: b.table.p(n)) if quantity == "H"
-                       else (lambda b: n * (b.row(n).R[0] + b.row(n).R[1])))
-            with mp.workdps(grid.prec.work_dps):
-                d, e = getattr(grid, kind)(extract, *sorted(set(axes)))
-                # d/ds1 = (2n)^-1 d/dt1, d/ds2 = (2n)^-2 d/dt2
-                scale = mpf(1) / (2 * n) ** (len(axes) + sum(axes))
-                vals.append(scale * d)
-                emax = max(emax, scale * e)
+            extract = ((lambda v: v.p(n)) if quantity == "H"
+                       else (lambda v: n * (aux_row(v, n).R[0] + aux_row(v, n).R[1])))
+            d, e = getattr(g, kind)(extract, *sorted(set(axes)))
+            # d/ds1 = (2n)^-1 d/dt1, d/ds2 = (2n)^-2 d/dt2
+            scale = mpf(1) / (2 * n) ** (len(axes) + sum(axes))
+            errors.append(scale * e)
+            return (scale * d,)
+
+        (value,) = _extrapolated(self, at_n)
         with mp.workdps(self.prec.work_dps):
-            limit, err = _neville_at_zero(self.n_list, vals)
-            return limit, err + emax
+            return value.limit, value.err + max(errors)
 
     def first(self, quantity: str, axis: int):
         """d/ds_axis of quantity ("H" or "U"), with its error."""

@@ -104,8 +104,7 @@ def moments_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("moment-pearson", dev, 10 * to_mpf(prec.quad_tol), f"k={kmin}..11"))
         bad = mpf(0)
         for nn in range(1, 13):
-            mat = mp.matrix([[tab.moments[i + j] for j in range(nn)] for i in range(nn)])
-            d = mp.det(mat)
+            d = moment_determinant(tab, nn)
             if not d > 0:
                 bad = max(bad, 1 - d)
         rep.add(Check("hankel-positive-definite", bad, half, "N<=12"))
@@ -250,8 +249,8 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
         for stn in (coarse, fine):
             g = _stencil_grid(config, params, _POINT_DEPTH, stn)
             t1 = to_mpf(params.t1)
-            d, _ = g.first(lambda v: mp.log(v.table.h[3]), 0)
-            res.append(abs(t1 * d + g.bundle().row(3).R[0]))
+            d, _ = g.first(lambda v: mp.log(v.h[3]), 0)
+            res.append(abs(t1 * d + ld.aux_row(g.bundle(), 3).R[0]))
         ratio = res[0] / res[1]
         rep.add(Check("fd-convergence-order",
                       mpf(0) if ratio > mpf("3.5") else abs(ratio - 4),
@@ -330,7 +329,7 @@ def scaling_suite(config: RunConfig) -> ResidualReport:
     rep.extend(sc.verify_limit_identities(grid))
     rep.extend(sc.verify_limiting_pdes(grid))
     with mp.workdps(prec.work_dps):
-        slope = sc.convergence_slope(grid.at())
+        slope = sc.convergence_slope(grid)
         rep.add(Check("convergence-slope", abs(slope + 1), mpf("0.3"),
                       f"n={config.n_list}"))
         # the s2 -> 0 reduction has a limit only at s1 > 0: check it at |s1|
@@ -418,10 +417,10 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
     with mp.workdps(prec.work_dps):
         p3eps = WeightParams(p3.alpha, (p3.t[0], p3.t[1], Fraction(1, 10 ** 6)))
         tab_eps = _table(config, p3eps, 3)
-        s_eps = ld.aux_integrals(tab_eps, 2)
+        s_eps = ld.aux_row(tab_eps, 2)
         p2 = WeightParams(p3.alpha, p3.t[:2])
         tab2 = _table(config, p2, _POINT_DEPTH)
-        q2 = ld.aux_integrals(tab2, 2)
+        q2 = ld.aux_row(tab2, 2)
         drift = max(
             abs(s_eps.R[0] - q2.R[0]), abs(s_eps.R[1] - q2.R[1]),
             abs(s_eps.r[0] - q2.r[0]), abs(s_eps.r[1] - q2.r[1]),

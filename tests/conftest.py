@@ -4,6 +4,7 @@ import sys
 import pytest
 from mpmath import mp
 
+from laguerre_lab.cache import clear_memo
 from laguerre_lab.ladder import aux_rows
 from laguerre_lab.orthopoly import recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
@@ -30,6 +31,16 @@ def lab_cache(tmp_path_factory):
         os.environ.pop("LAB_CACHE_DIR", None)
     else:
         os.environ["LAB_CACHE_DIR"] = old
+
+
+@pytest.fixture
+def fresh_memo():
+    """An empty in-process table memo (``cache.clear_memo``) at the start of
+    the test and again at its end: the tables the test reads start with no
+    memoized aux row, and none it leaves behind is read by a later test."""
+    clear_memo()
+    yield
+    clear_memo()
 
 
 @pytest.fixture

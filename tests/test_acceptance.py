@@ -108,8 +108,8 @@ def test_criterion_03_derivative_relations_toda(point, grid):
             stn = ca.DerivativeStencil(order=2, rel_step=Fraction(1, denom),
                                        richardson_levels=1)
             g = ca.StencilGrid(point, PREC, stn, ca.table_bundle_builder(4, PREC))
-            d, _ = g.first(lambda v: mp.log(v.table.h[3]), 0)
-            res.append(abs(to_mpf(point.t1) * d + g.bundle().row(3).R[0]))
+            d, _ = g.first(lambda v: mp.log(v.h[3]), 0)
+            res.append(abs(to_mpf(point.t1) * d + ld.aux_row(g.bundle(), 3).R[0]))
         ratio = res[0] / res[1]
     ok = worst <= TOL12 and ratio >= mpf("3.5")
     _line(3, "derivative relations + Toda", ok,
@@ -157,7 +157,7 @@ def test_criterion_06_double_scaling():
         ok &= byid["dH-ds1-sign"].ok
         pdes = sc.verify_limiting_pdes(grid)
         ok &= all(c.ok for c in pdes)  # tolerances are 10x propagated error
-        slope = sc.convergence_slope(s)
+        slope = sc.convergence_slope(grid)
         ok &= abs(slope + 1) <= mpf("0.3")
     _line(6, "double scaling at (1,1)", bool(ok),
           f"|R+r|={mp.nstr(abs(R.limit + r.limit), 3)} slope={mp.nstr(slope, 4)}")

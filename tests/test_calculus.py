@@ -5,6 +5,7 @@ from mpmath import mp, mpf
 
 from laguerre_lab import calculus as ca
 from laguerre_lab.errors import DomainError, StencilOutOfDomain
+from laguerre_lab.ladder import aux_row
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 
 
@@ -133,8 +134,8 @@ def test_fd_convergence_order(params_default, prec):
                                    richardson_levels=1)
         g = ca.StencilGrid(params_default, prec, stn, ca.table_bundle_builder(4, prec))
         with mp.workdps(prec.work_dps):
-            d, _ = g.first(lambda v: mp.log(v.table.h[3]), 0)
-            res.append(abs(to_mpf(params_default.t1) * d + g.bundle().row(3).R[0]))
+            d, _ = g.first(lambda v: mp.log(v.h[3]), 0)
+            res.append(abs(to_mpf(params_default.t1) * d + aux_row(g.bundle(), 3).R[0]))
     with mp.workdps(60):
         ratio = res[0] / res[1]
         assert ratio > mpf("3.5"), ratio

@@ -182,9 +182,9 @@ def test_sweep_emission(tmp_path):
     from laguerre_lab.scaling import ScaledGrid
 
     prec = PrecisionContext(digits=50)
-    seqs = ScaledGrid(1, 1, (4, 6, 8), prec, cache_dir=tmp_path / "c").at()
+    grid = ScaledGrid(1, 1, (4, 6, 8), prec, cache_dir=tmp_path / "c")
     out = tmp_path / "sweep.csv"
-    cli.write_sweep(seqs, str(out))
+    cli.write_sweep(grid, str(out))
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["n", "x", "y", "H"]
     assert len(rows) == 4
@@ -321,6 +321,37 @@ def test_cold_scaling_computes_each_centre_row_once(tmp_path, count_calls):
     rows = count_calls(ladder, "aux_integrals")
     suites.run_suite(cfg)
     assert len(rows) == 36
+
+
+def test_sweep_csv_computes_no_row_twice(tmp_path, count_calls):
+    # --sweep-csv reads the scaled sequences of its own grid at the suite's
+    # point; its centre tables are the suite's, and rows are memoized on
+    # the table, so the flag adds no row computation to the 36 above
+    from laguerre_lab import ladder
+
+    clear_memo()
+    rows = count_calls(ladder, "aux_integrals")
+    assert cli.main(["scaling", "--digits", "60", "--n-list", "8,10",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--sweep-csv", str(tmp_path / "sweep.csv")]) == 0
+    assert len(rows) == 36
+
+
+def test_warm_multi_suite_run_computes_each_row_once(tmp_path, count_calls):
+    # the calculus and sigma-pde grids, the fd-convergence grids and the
+    # multitime tables read shared tables; each aux row is memoized on its
+    # table, so a warm run computes no (table, n) row twice
+    from laguerre_lab import ladder
+
+    cfg = parse_config(None, {"digits": "60", "suites": "calculus,sigma-pde,multitime",
+                              "cache_dir": str(tmp_path / "cache")})
+    clear_memo()
+    suites.run_suite(cfg)
+    clear_memo()
+    rows = count_calls(ladder, "aux_integrals")
+    suites.run_suite(cfg)
+    computed = [(id(call["table"]), call["n"]) for call in rows]
+    assert computed and len(set(computed)) == len(computed)
 
 
 def test_cold_stencil_run_reads_each_node_at_one_depth(tmp_path, count_calls):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,6 @@ from laguerre_lab.quadrature import (
     seed_moments,
     table_moments,
 )
-from laguerre_lab.scaling import ScalingPoint
 
 from conftest import mpf_integrand
 
@@ -244,7 +245,7 @@ def test_batch_with_non_finite_sample_raises_like_lone(params_default, prec60, m
     (WeightParams("-1/2", ("9/10", "1/20")), 12, 120),
     (WeightParams("1/2", ("3/10", "1/5", "1/10")), 12, 120),
     # the deepest scaling table: n = N = 24 at s1 = s2 = 1, P = 20 + 4 N
-    (ScalingPoint(24, 1, 1).params("1/2"), 24, 116),
+    (WeightParams("1/2", (Fraction(1, 48), Fraction(1, 2304))), 24, 116),
 ], ids=["default", "neg-t1", "neg-alpha", "m3", "scaling-n24"])
 def test_pearson_moments_match_quadrature(params, N, digits):
     # the whole table range k = -m..2N+1, against the full quadrature sweep

@@ -22,15 +22,15 @@ def grid11(prec):
     return sc.ScaledGrid(1, 1, (8, 12, 16, 24), prec)
 
 
-def test_scaling_point_invariants():
-    p = sc.ScalingPoint(8, Fraction(1), Fraction(1))
-    assert p.t1 == Fraction(1, 16) and p.t2 == Fraction(1, 256)
-    with pytest.raises(DomainError):
-        sc.ScalingPoint(0, Fraction(1), Fraction(1))
-    with pytest.raises(DomainError):
-        sc.ScalingPoint(8, Fraction(0), Fraction(1))
-    with pytest.raises(DomainError):
-        sc.ScalingPoint(8, Fraction(1), Fraction(-1))
+def test_scaling_point_invariants(prec):
+    # the grid at n sits at t = (s1/2n, s2/4n^2); s1 = 0 and s2 <= 0 are
+    # rejected, s1 = s2 = 0 too, though WeightParams takes t = 0 as the
+    # classical mode
+    grid = sc.ScaledGrid(1, 1, (8, 12), prec)
+    assert grid.grids[8].params.t == (Fraction(1, 16), Fraction(1, 256))
+    for s1, s2 in ((0, 1), (1, -1), (1, 0), (0, 0)):
+        with pytest.raises(DomainError):
+            sc.ScaledGrid(s1, s2, (8, 12), prec)
 
 
 def test_n_list_validation(prec):
@@ -38,6 +38,8 @@ def test_n_list_validation(prec):
         sc.ScaledGrid(1, 1, (8, 8), prec)
     with pytest.raises(DomainError):
         sc.ScaledGrid(1, 1, (2, 8), prec)
+    with pytest.raises(DomainError):
+        sc.ScaledGrid(1, 1, (0, 8), prec)
 
 
 def test_sequences_finite_and_signed(grid11):
@@ -77,7 +79,7 @@ def test_limiting_pdes(grid11):
 
 def test_convergence_slope(grid11):
     with mp.workdps(60):
-        slope = sc.convergence_slope(grid11.at())
+        slope = sc.convergence_slope(grid11)
         assert abs(slope + 1) < mpf("0.3")
 
 
@@ -110,21 +112,19 @@ CUBIC_POINTS = [(Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1, 2))]
 
 
 class CubicNode:
-    """A stencil node whose H_n and U_n = n (R_n + R_n*) are
-    cubic(s1, s2) + 7 (1 + s1)/n at s1 = 2n t1, s2 = 4n^2 t2."""
+    """A stencil node table whose H_n and U_n = n (R_n + R_n*) are
+    cubic(s1, s2) + 7 (1 + s1)/n at s1 = 2n t1, s2 = 4n^2 t2; its aux row
+    sits in the row memo that ``ladder.aux_row`` reads."""
 
     def __init__(self, params, n):
         t1, t2 = params.t
         s1, s2 = 2 * n * t1, 4 * n * n * t2
         self.v = cubic(s1, s2) + Fraction(7, n) * (1 + s1)
-        self.table = self
+        half = to_mpf(self.v / (2 * n))
+        self.rows = {n: SimpleNamespace(R=(half, half))}
 
     def p(self, n):
         return to_mpf(self.v)
-
-    def row(self, n):
-        half = to_mpf(self.v / (2 * n))
-        return SimpleNamespace(R=(half, half))
 
 
 @pytest.mark.parametrize("s1,s2", CUBIC_POINTS)
@@ -158,8 +158,11 @@ def test_reduced_limit_residual(prec):
        s1num=st.integers(min_value=-8, max_value=8).filter(lambda v: v != 0),
        s2num=st.integers(min_value=1, max_value=8))
 def test_scaling_point_params_property(n, s1num, s2num):
-    p = sc.ScalingPoint(n, Fraction(s1num, 4), Fraction(s2num, 4))
-    params = p.params("0.5")
+    # building a grid builds no table, so this costs nothing per example
+    grid = sc.ScaledGrid(Fraction(s1num, 4), Fraction(s2num, 4), (n, n + 1),
+                         PrecisionContext(digits=60))
+    params = grid.grids[n].params
+    assert params.alpha == Fraction(1, 2)
     assert params.t1 == Fraction(s1num, 4) / (2 * n)
     assert params.t2 == Fraction(s2num, 4) / (4 * n * n)
     assert params.is_deformed

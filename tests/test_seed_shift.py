@@ -107,7 +107,7 @@ def test_rejected_shift_falls_back_to_quadrature(tmp_path):
     node = grid.params_at(((0, 1),))
     assert shift_seeds(centre, seed_moments(centre, P60), node, P60) is None
     clear_memo()
-    anchored = grid.bundle(((0, 1),)).table
+    anchored = grid.bundle(((0, 1),))
     plain = cached_recurrence_table(node, 3, P60, cache_dir=tmp_path)
     for field in ("h", "alpha_rc", "beta_rc", "p_sub", "coeffs", "moments"):
         assert getattr(anchored, field) == getattr(plain, field), field
@@ -121,7 +121,7 @@ def test_node_key_and_document_cover_the_anchor(tmp_path):
     assert table_key(centre, 3, P60) == table_key(centre, 3, P60, None)
 
     clear_memo()
-    good = grid.bundle(((1, 1),)).table
+    good = grid.bundle(((1, 1),))
     path = tmp_path / f"table-{table_key(node, 3, P60, centre)}.json"
     text = path.read_text()
     doc = json.loads(text)

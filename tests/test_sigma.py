@@ -4,9 +4,10 @@ import pytest
 from mpmath import mp, mpf
 
 from laguerre_lab import calculus as ca
+from laguerre_lab import ladder
 from laguerre_lab import multitime as mt
 from laguerre_lab.errors import BranchAmbiguity, NegativeDiscriminant
-from laguerre_lab.ladder import AuxRow
+from laguerre_lab.ladder import AuxRow, aux_row
 from laguerre_lab.params import PrecisionContext, WeightParams
 
 
@@ -37,12 +38,12 @@ def test_sigma_state_basics(grid):
     byid = {c.id: c for c in ca.verify_sigma_pde(2, grid)}
     with mp.workdps(grid.prec.work_dps):
         # H_n = n(n+alpha) + p(n) held exactly in table arithmetic
-        tab = grid.bundle().table
+        tab = grid.bundle()
         assert abs(st.Hn - 2 * (2 + mpf("0.5")) - tab.p(2)) < mpf(10) ** -100
         assert st.Delta >= 0
         assert byid["H-def"].residual < mpf(10) ** -50
         # T = R*/R has the sign of t1
-        R, Rs = grid.bundle().row(2).R
+        R, Rs = aux_row(grid.bundle(), 2).R
         assert Rs / R > 0
 
 
@@ -57,7 +58,7 @@ def test_sigma_state_general_m(grid):
         assert st.r == (t1 * H1, 2 * t2 * H2)
         assert st.beta == t1 * H1 + 2 * t2 * H2 - st.Hn + 2 * (2 + mpf("0.5"))
         assert st.dbeta == (t1 * H11 + 2 * t2 * H12, t1 * H12 + 2 * t2 * H22 + H2)
-        assert abs(st.beta - grid.bundle().table.beta(2)) < mpf(10) ** -12
+        assert abs(st.beta - grid.bundle().beta(2)) < mpf(10) ** -12
 
 
 #: sigma-layer checks that read only first derivatives
@@ -71,10 +72,11 @@ def test_sigma_layer_full(grid):
         assert c.tol < mpf(10) ** ceiling, (c.id, c.tol)
 
 
-def test_sigma_layer_catches_aux_fault(params_default, prec, stencil, monkeypatch):
+def test_sigma_layer_catches_aux_fault(params_default, prec, stencil, monkeypatch,
+                                      fresh_memo):
     # a relative error of 1e-80 in every aux row, far inside the working
     # precision, must fail the checks that compare H_n partials with the row
-    real = ca.aux_integrals
+    real = ladder.aux_integrals
 
     def faulty(table, n):
         row = real(table, n)
@@ -82,8 +84,10 @@ def test_sigma_layer_catches_aux_fault(params_default, prec, stencil, monkeypatc
             f = 1 + mpf(10) ** -80
             return AuxRow(R=tuple(f * v for v in row.R), r=tuple(f * v for v in row.r))
 
-    monkeypatch.setattr(ca, "aux_integrals", faulty)
-    # a fresh grid: rows are memoized per bundle and never cached on disk
+    monkeypatch.setattr(ladder, "aux_integrals", faulty)
+    # rows are memoized on each table and never cached on disk: fresh_memo
+    # empties the table memo, so this grid's tables (read from disk) hold
+    # no row yet, and drops them, faulted rows and all, after the test
     fresh = ca.StencilGrid(params_default, prec, stencil, ca.table_bundle_builder(4, prec))
     byid = {c.id: c for c in ca.verify_sigma_pde(3, fresh)}
     for cid in ("dH-t1", "dH-t2", "H-from-aux"):
@@ -117,7 +121,7 @@ def test_sigma_layer_negative_t1(grid_neg):
     with mp.workdps(grid_neg.prec.work_dps):
         rec = ca.reconstruct_aux_from_H(st)
         assert rec.R[0] < 0
-        R, Rs = grid_neg.bundle().row(3).R
+        R, Rs = aux_row(grid_neg.bundle(), 3).R
         assert Rs / R < 0
 
 
