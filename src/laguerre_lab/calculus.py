@@ -60,7 +60,7 @@ from .errors import (
 from .ladder import AuxRow, aux_row, pad3
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
 from .quadrature import shift_seeds
-from .reports import Check
+from .reports import Check, floored
 
 
 @dataclass(frozen=True)
@@ -336,7 +336,7 @@ def normalized(terms):
 def propagated_check(cid: str, values, point: str) -> Check:
     """|values[0]| held to 10 times its propagated error; values are the
     signed residual of a nonlinear identity on ``moved`` inputs."""
-    return Check(cid, abs(values[0]), 10 * propagated(values), point)
+    return Check(cid, abs(values[0]), floored(10 * propagated(values)), point)
 
 
 def axis_scales(point: WeightParams) -> list:
@@ -353,7 +353,7 @@ def axis_checks(n: int, grid: StencilGrid, cid: str, extract, exact) -> list:
     out = []
     for i, (scale, want) in enumerate(zip(axis_scales(grid.params), exact)):
         d, e = grid.first(extract, i)
-        out.append(Check(cid.format(i + 1), abs(scale * d - want), 10 * abs(scale) * e,
+        out.append(Check(cid.format(i + 1), abs(scale * d - want), floored(10 * abs(scale) * e),
                          _label(grid, n)))
     return out
 
@@ -436,15 +436,15 @@ def toda_checks(n: int, grid: StencilGrid, tag="") -> list:
     tab = grid.bundle()
     lhs, err = _euler(grid, lambda v: v.alpha(n))
     out = [Check(f"toda{tag}-alpha",
-                 abs(lhs - (tab.beta(n) - tab.beta(n + 1) + tab.alpha(n))), 10 * err, ps)]
+                 abs(lhs - (tab.beta(n) - tab.beta(n + 1) + tab.alpha(n))), floored(10 * err), ps)]
     if n >= 1:
         lb = lambda v: mp.log(v.beta(n))
         lhs, err = _euler(grid, lb)
         out.append(Check(f"toda{tag}-beta",
-                         abs(lhs - (tab.alpha(n - 1) - tab.alpha(n) + 2)), 10 * err, ps))
+                         abs(lhs - (tab.alpha(n - 1) - tab.alpha(n) + 2)), floored(10 * err), ps))
         lhs, err = _euler_second(grid, lb)
         rhs = tab.beta(n - 1) - 2 * tab.beta(n) + tab.beta(n + 1) - 2
-        out.append(Check(f"toda{tag}-molecule", abs(lhs - rhs), 10 * err, ps))
+        out.append(Check(f"toda{tag}-molecule", abs(lhs - rhs), floored(10 * err), ps))
     return out
 
 
@@ -457,7 +457,7 @@ def verify_toda(n: int, grid: StencilGrid):
         out = toda_checks(n, grid)
         lhs, err = _euler_second(grid, lambda v: v.log_hankel(n))
         rhs = grid.bundle().beta(n) - n * (n + to_mpf(grid.params.alpha))
-        out.append(Check("toda-lndn", abs(lhs - rhs), 10 * err, _label(grid, n)))
+        out.append(Check("toda-lndn", abs(lhs - rhs), floored(10 * err), _label(grid, n)))
     return out
 
 
@@ -765,7 +765,7 @@ def verify_sigma_pde(n: int, grid: StencilGrid):
             propagated_check("dH-t2", [s.r[1] - rs for s in states], ps),
             propagated_check("delta-identity", [s.Delta - ident for s in states], ps),
             Check("delta-nonneg", -state.Delta if state.Delta < 0 else mpf(0),
-                  to_mpf(prec.half_eps) + 10 * propagated([s.Delta for s in states]), ps),
+                  floored(to_mpf(prec.half_eps) + 10 * propagated([s.Delta for s in states])), ps),
             propagated_check("reconstruct-R", [rec.R[0] - R for rec in recs], ps),
             propagated_check("reconstruct-Rstar", [rec.R[1] - Rs for rec in recs], ps),
             propagated_check("reconstruct-r", [rec.r[0] - r for rec in recs], ps),

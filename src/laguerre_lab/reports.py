@@ -9,11 +9,15 @@ serialize to the JSON/CSV formats of the command-line surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_floor
 
 #: significant digits used when rendering numbers into reports
 REPORT_DIGITS = 30
+#: significant digits a computed tolerance keeps (``floored``)
+TOL_DIGITS = 12
 
 
 def render(x) -> str:
@@ -22,6 +26,33 @@ def render(x) -> str:
         return ""
     with mp.workdps(REPORT_DIGITS + 10):
         return mp.nstr(mpf(x) if not isinstance(x, mpf) else x, REPORT_DIGITS)
+
+
+def floored(tol) -> mpf:
+    """A computed tolerance rounded down to TOL_DIGITS significant digits.
+
+    An error estimate read off finite differences or propagated through a
+    residual, or a bound scaled by a computed value, has only about 16 good
+    digits of the REPORT_DIGITS a report prints: the rest is the noise of
+    the table bits under it.  Its check is built with the floored value,
+    so the printed tolerance is the one the check is held to, and a change
+    of table bits moves it only where it moves the estimate's 12th digit.
+    Fixed bounds are not floored.  A tolerance that is not finite and
+    positive comes back as it is.
+    """
+    tol = mpf(tol)
+    if not (tol > 0 and mp.isfinite(tol)):
+        return tol
+    exact = Fraction(int(tol.man)) * Fraction(2) ** int(tol.exp)
+    e = int(mp.floor(mp.log10(tol))) - TOL_DIGITS + 1
+    while exact >= Fraction(10) ** (e + TOL_DIGITS):
+        e += 1
+    while exact < Fraction(10) ** (e + TOL_DIGITS - 1):
+        e -= 1
+    q = int(exact / Fraction(10) ** e)
+    with mp.workdps(REPORT_DIGITS + 10):
+        return mp.make_mpf(from_rational(q * 10 ** max(e, 0), 10 ** max(-e, 0),
+                                         mp.prec, round_floor))
 
 
 @dataclass(frozen=True)

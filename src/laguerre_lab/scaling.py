@@ -28,7 +28,7 @@ from .errors import DomainError, SingularAux
 from .ladder import aux_row
 from .orthopoly import digits_for
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
-from .reports import Check
+from .reports import Check, floored
 
 #: the scaled quantities: n R_n, n R_n*, r_n, r_n*, H_n
 QUANTITIES = ("R", "Rstar", "r", "rstar", "H")
@@ -182,20 +182,20 @@ def verify_limit_identities(grid: ScaledGrid):
         (dH1, e1), (dH2, e2) = partials(grid, "H", ("1", "2")).values()
         R, Rs, r, rs = (s[q] for q in ("R", "Rstar", "r", "rstar"))
         out.append(Check("scaled-R-plus-r", abs(R.limit + r.limit),
-                         10 * (R.err + r.err), ps))
+                         floored(10 * (R.err + r.err)), ps))
         out.append(Check("scaled-Rstar-plus-rstar", abs(Rs.limit + rs.limit),
-                         10 * (Rs.err + rs.err), ps))
+                         floored(10 * (Rs.err + rs.err)), ps))
         out.append(Check("limit-R-identity", abs(R.limit + s1m * dH1),
-                         10 * (R.err + abs(s1m) * e1), ps))
+                         floored(10 * (R.err + abs(s1m) * e1)), ps))
         out.append(Check("limit-Rstar-identity", abs(Rs.limit + 2 * s2m * dH2),
-                         10 * (Rs.err + 2 * s2m * e2), ps))
+                         floored(10 * (Rs.err + 2 * s2m * e2)), ps))
         # sgn(dH/ds1) = -1: require dH1 negative beyond its error bar
         out.append(Check("dH-ds1-sign", mpf(0) if dH1 < -e1 else abs(dH1) + e1,
-                         max(10 * e1, mpf(10) ** -10), ps))
+                         floored(max(10 * e1, mpf(10) ** -10)), ps))
         V = Rs.limit / R.limit
         out.append(Check("scaled-V-sign",
                          mpf(0) if V * mp.sign(s1m) > 0 else abs(V),
-                         Rs.err + R.err, ps))
+                         floored(Rs.err + R.err), ps))
     return out
 
 

@@ -30,7 +30,7 @@ from .orthopoly import (
 )
 from .params import PrecisionContext, WeightParams, to_mpf
 from .quadrature import integrate_weighted, moment, moments
-from .reports import Check, ResidualReport
+from .reports import Check, ResidualReport, floored
 
 #: deterministic seed data for the random admissible points of the
 #: discriminant sign check (simple LCG so no library RNG is involved)
@@ -108,12 +108,14 @@ def moments_suite(config: RunConfig) -> ResidualReport:
             if not d > 0:
                 bad = max(bad, 1 - d)
         rep.add(Check("hankel-positive-definite", bad, half, "N<=12"))
+        # relative where |mu_0| > 1: mu_0 is 1.35e40 at t = (-4, 1/25)
         lo = moment(0, params, PrecisionContext(digits=max(50, prec.digits // 2)))
-        rep.add(Check("precision-doubling", abs(lo - quad[0]),
+        rep.add(Check("precision-doubling", abs(lo - quad[0]) / max(1, abs(quad[0])),
                       mpf(10) ** (-(max(50, prec.digits // 2) - 10)), "k=0"))
         (a,) = integrate_weighted(lambda x: (fone,), params, prec)
         (b,) = integrate_weighted(lambda x: (fone,), params, prec, mapping="expsinh")
-        rep.add(Check("map-invariance", abs(a - b), 10 * to_mpf(prec.quad_tol) * abs(a), "f=1"))
+        rep.add(Check("map-invariance", abs(a - b), floored(10 * to_mpf(prec.quad_tol) * abs(a)),
+                      "f=1"))
     return rep
 
 
@@ -138,7 +140,7 @@ def recurrence_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("beta-positive", bad, half, f"n<={N}"))
         d4 = hankel_determinant(tab, 4)
         rep.add(Check("hankel-product", abs(d4 - moment_determinant(tab, 4)),
-                      mpf(10) ** (-(prec.digits - 50)) * abs(d4), "n=4"))
+                      floored(mpf(10) ** (-(prec.digits - 50)) * abs(d4)), "n=4"))
         worst = max(
             christoffel_darboux_residual(tab, 6, "0.5", "2.0"),
             christoffel_darboux_residual(tab, 6, mpf(2) + mpf(10) ** (-prec.digits // 4), 2),
@@ -264,7 +266,7 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
         eps_last = frozen[-1].params.t2
         res_last, err_last = rode[-1]
         rep.add(Check("rode-reduction", res_last,
-                      max(mpf(10) ** -8, 10 * to_mpf(eps_last), 10 * err_last),
+                      floored(max(mpf(10) ** -8, 10 * to_mpf(eps_last), 10 * err_last)),
                       f"n=1;t1=0.5;eps={eps_last}"))
         ratios = [a / b for (a, _), (b, _) in zip(rode, rode[1:])]
         bad = max(abs(r - 10) for r in ratios)
@@ -293,7 +295,7 @@ def sigma_suite(config: RunConfig) -> ResidualReport:
             2, _stencil_grid(config, WeightParams(params.alpha, ("0.3", eps)), 3))
             for eps in ("1e-5", "1e-4")]
         rep.add(Check("sigma-pde-reduction", r5,
-                      min(r4, mpf(10) ** -3), "n=2;t1=0.3;eps=1e-5"))
+                      floored(min(r4, mpf(10) ** -3)), "n=2;t1=0.3;eps=1e-5"))
 
     # Delta >= 0 at 20 deterministic admissible points (desk precision;
     # a coarse stencil is plenty for a sign with Delta of order one)
@@ -373,7 +375,7 @@ def equilibrium_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("degree5-root",
                       abs(eq._poly_eval(eq.degree5_coeffs(
                           2 * n * t[0], 4 * n * n * t[1], alpha), x5)),
-                      mpf(10) ** -20 * (1 + abs(x5)) ** 5, f"n={n}"))
+                      floored(mpf(10) ** -20 * (1 + abs(x5)) ** 5), f"n={n}"))
 
         limit = eq.solve_support(n, WeightParams(params.alpha), prec=prec)
         am = to_mpf(params.alpha)

@@ -384,6 +384,18 @@ def test_classical_limit_for_negative_alpha(tmp_path, capsys):
     assert entry["point"] == "t1=1e-12,t2=t1^2"
 
 
+def test_precision_doubling_is_relative_where_mu0_is_large(tmp_path, capsys):
+    # mu_0 = 1.35e40 at t = (-4, 1/25): its values at P = 50 and P = 60
+    # differ by 1.0e-34, which is 7.7e-75 relative, against 1e-40
+    out = tmp_path / "mom.json"
+    assert cli.main(["moments", "--t1=-4", "--t2", "0.04", "--digits", "60",
+                     "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    entry = next(e for e in json.loads(out.read_text())["reports"][0]["entries"]
+                 if e["id"] == "precision-doubling")
+    assert mpf(entry["residual"]) < mpf("1e-70")
+
+
 def test_reports_name_the_verified_point(tmp_path):
     # the equilibrium suite verifies alpha = max(alpha, 1); at the default
     # alpha = 1/2 its metadata names both points

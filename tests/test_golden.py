@@ -20,6 +20,8 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
+#: the golden report runs; table-bits.json is the canary of test_table_bits.py
+RUNS = sorted(p for p in GOLDEN.glob("*.json") if p.name != "table-bits.json")
 
 # the golden document and the no-loosening gate are those of the bless script
 _spec = importlib.util.spec_from_file_location(
@@ -28,7 +30,7 @@ bless = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bless)
 
 
-@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", RUNS, ids=lambda p: p.stem)
 def test_reports_match_golden(path, tmp_path):
     want = json.loads(path.read_text())
     got = bless.golden_document(want["args"], tmp_path / "rep.json")

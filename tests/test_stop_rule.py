@@ -11,7 +11,6 @@ a time under that rule, must agree with the pass to quad_tol / 10 of
 
 import json
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -27,9 +26,8 @@ from laguerre_lab.orthopoly import recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 from laguerre_lab.quadrature import integrate_finite, integrate_weighted, level_settled
 
+from test_golden import RUNS
 from test_quadrature import FINITE_PANELS
-
-GOLDEN = Path(__file__).parent / "golden"
 
 #: the oracle passes each suite makes: f = 1 on both maps; orthogonality;
 #: ladder-coeff-integral; ladder-coeff-m; the two supplementary conditions
@@ -97,7 +95,7 @@ def oracle_runs():
     """(name, lab arguments) of each golden run cut to its suites with oracle
     passes, without repeats."""
     runs = {}
-    for path in sorted(GOLDEN.glob("*.json")):
+    for path in RUNS:
         args = json.loads(path.read_text())["args"]
         cfg = cli.config_from_args(cli.build_parser().parse_args(args))
         names = [s for s in cfg.active_suites if s in ORACLE_PASSES]
