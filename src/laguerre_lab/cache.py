@@ -42,8 +42,9 @@ from .params import PrecisionContext, WeightParams
 from .quadrature import clear_memos, seed_moments, shift_seeds
 
 #: 2: moments k >= 1 come from the Pearson recurrence, not quadrature;
-#: 3: values are stored as exact binary, not as decimal strings
-FORMAT_VERSION = 3
+#: 3: values are stored as exact binary, not as decimal strings;
+#: 4: the seed sweep stops on ``quadrature.level_settled``
+FORMAT_VERSION = 4
 
 _memo = {}
 

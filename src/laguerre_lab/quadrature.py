@@ -19,41 +19,43 @@ sweep.
 The full quadrature sweep ``moments`` stays as the independent oracle
 for both routes.
 
-The oracle rules ``integrate_weighted`` and ``integrate_finite`` sum a
-batch of integrands in one pass: the nodes and the per-node work are
-shared, while each integrand keeps its own sums, tail cut-off, L1 mass
-and level-convergence test in the order of a lone pass, so every value is
-bit-identical to integrating it alone.  A lone integral is a batch of
-one.  They stop on ``level_settled``, which the theta trapezoid of
-``equilibrium`` shares: where the level differences show the digits
+One trapezoid engine, ``_trapezoid_levels``, serves every rule on the
+real line: ``moments``, ``integrate_weighted`` and ``integrate_finite`` each
+hand it a batch of integrands for one pass.  The nodes and the per-node
+work are shared, while each integrand keeps its own sums, tail cut-off, L1
+mass and level-convergence test in the order of a lone pass, so every value
+is bit-identical to integrating it alone.  A lone integral is a batch of
+one.  Each integrand stops on ``level_settled``, which the theta trapezoid
+of ``equilibrium`` shares: where the level differences show the digits
 doubling, a pass stops on the level whose predicted error is within
-quad_tol / 10, one level before two levels agree to quad_tol and confirm
-it.  ``moments`` keeps its own pass: its integrands stop together, on a
-rule of their own that still confirms, since its seeds are table bits.
+quad_tol / 10 of the integrand's L1 mass, one level before two levels agree
+to quad_tol and confirm it.  The L1 mass of a positive integrand, such as
+every moment's, is |T|, so a seed is held to quad_tol |mu_k|, the error
+``shift_seeds`` takes for it.
 
 All arithmetic is mpmath with guard digits on top of the caller's
 working precision; results are deterministic functions of the inputs.
-The node loops of ``moments`` and ``_trapezoid_levels`` (the log weight,
-the sums, the tail cut-off and the finiteness test) run on raw mpf tuples
-through ``mpmath.libmp``, each operation correctly rounded at the working
-precision in the order mpf arithmetic would take, so their bits are those
-of plain mpf code; the tail threshold trunc * scale is formed only when a
-scale grows.  x = e^u at a node of the x = e^u map is memoized by u at one
-binary precision at a time (a pass at another precision starts a new memo;
-``clear_memos`` empties it), so sweeps at different points share the
-exponentials of their common nodes.  ``integrate_weighted`` hands its
-integrands the raw node x and takes their raw factors; on the x = e^u map
-it also memoizes the node weight w(x) e^u by u, for one point and
-precision at a time (``clear_memos`` empties it too), so the oracle passes
-at one point evaluate each weight once.  ``moments`` evaluates its weight
-x^(alpha+kmin) w(x) e^u at every node.
+The node loop of ``_trapezoid_levels`` and the node terms of ``moments``
+and ``integrate_weighted`` (the log weight, the sums, the tail cut-off and
+the finiteness test) run on raw mpf tuples through ``mpmath.libmp``, each
+operation correctly rounded at the working precision in the order mpf
+arithmetic would take, so their bits are those of plain mpf code; the tail
+threshold trunc * scale is formed only when a scale grows.  x = e^u at a
+node of the x = e^u map is memoized by u at one binary precision at a time
+(a pass at another precision starts a new memo; ``clear_memos`` empties
+it), so sweeps at different points share the exponentials of their common
+nodes.  ``integrate_weighted`` hands its integrands the raw node x and
+takes their raw factors; on the x = e^u map it also memoizes the node
+weight w(x) e^u by u, for one point and precision at a time
+(``clear_memos`` empties it too), so the oracle passes at one point
+evaluate each weight once.
 """
 
 from __future__ import annotations
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_cosh_sinh, mpf_exp, mpf_ge, mpf_gt,
-                          mpf_lt, mpf_mul, mpf_mul_int, mpf_rdiv_int, mpf_sub)
+from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_cosh_sinh, mpf_exp, mpf_gt, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_rdiv_int, mpf_sub)
 
 from .errors import DomainError, NonConvergence
 from .params import PrecisionContext, WeightParams, to_mpf
@@ -67,10 +69,10 @@ QUAD_MAX_LEVEL = 12
 
 
 def level_settled(diff, norm, tol, prev):
-    """(stop, r): whether an oracle trapezoid pass stops at its level T_L.
+    """(stop, r): whether a trapezoid pass stops at its level T_L.
 
-    diff = |T_L - T_{L-1}|, norm = |T_L| + mass (the integrand's L1 mass,
-    or the fixed scale a rule normalises by), tol the pass's quad_tol and
+    diff = |T_L - T_{L-1}|, norm the integrand's L1 mass (or the fixed
+    scale a rule normalises by), tol the pass's quad_tol and
     prev the r of the level before (None on the first refinement).  The
     pass stops when diff <= tol * norm.  It also stops on the predicted
     error of T_L, with r = diff / norm and D = log10 r, when
@@ -106,8 +108,8 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
     decay at least exponentially in both directions.  Each keeps its own
     sums, tail cut-off, L1 mass and convergence test, and leaves the pass
     where a lone pass of its own would stop, so its sum is bit-identical
-    to that lone pass.  Each stops on ``level_settled``, normalised by
-    |total| + its L1 mass.  Returns the converged sums in integrand order.
+    to that lone pass.  Each stops on ``level_settled``, normalised by its
+    L1 mass.  Returns the converged sums in integrand order.
     A sample that is not finite, or that divides by zero, raises
     NonConvergence.
     """
@@ -169,8 +171,7 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
             new_total = total[i] / 2 + h2 * (mid_r[i][0] + mid_l[i][0])
             mass[i] = mass[i] / 2 + h2 * (mid_r[i][1] + mid_l[i][1])
             prev, total[i] = total[i], new_total
-            stop, rel[i] = level_settled(abs(new_total - prev), abs(new_total) + mass[i],
-                                         prec.quad_tol, rel[i])
+            stop, rel[i] = level_settled(abs(new_total - prev), mass[i], prec.quad_tol, rel[i])
             if not stop:
                 running.append(i)
         live, h = running, h2
@@ -316,10 +317,11 @@ def integrate_weighted(f, params: WeightParams, prec: PrecisionContext, mapping=
 def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) -> dict:
     """All moments mu_k = int x^(alpha+k) w(x) dx for k = kmin..kmax in one pass.
 
-    The weight factor is shared across k at every node, so any range of
-    moments costs one tanh-sinh style sweep.  With t_m > 0 any integer k
-    is admissible; in the degenerate t = 0 mode only alpha + k > -1
-    converges.
+    A batch of ``_trapezoid_levels``: at each node the terms
+    x^(alpha+k) w(x) e^u come from one exponential, at k = kmin, and one
+    product by x per further k, so any range of moments costs one sweep.
+    With t_m > 0 any integer k is admissible; in the degenerate t = 0 mode
+    only alpha + k > -1 converges.
     """
     if kmax < kmin:
         raise DomainError("kmax < kmin")
@@ -327,73 +329,21 @@ def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) 
         raise DomainError(
             f"moment k={kmin} diverges for t = 0 (needs alpha + k > -1, alpha={params.alpha})"
         )
-    nk = kmax - kmin + 1
-
     with mp.workdps(sample_dps(prec)):
         wp, rnd = mp._prec_rounding
-        trunc = (mpf(10) ** (-(prec.digits + _TRUNC_EXTRA)))._mpf_
         logw = _log_weight_u_fn(params)
         exp_u = _node_exp_fn()
-        h = mpf(1)
-        # per k over the whole pass: the largest |term| and trunc times it
-        scales = [fzero] * nk
-        cuts = [fzero] * nk
 
-        def sweep(start, step, totals):
-            """Add x^(alpha+k) w e^u over start, start+step, ... to the raw
-            totals per k, until every k's terms are negligible."""
-            u, step = start._mpf_, step._mpf_
-            idle = 0
-            for _ in range(2_000_000):
-                x = exp_u(u)
-                base = mpf_exp(mpf_add(logw(u, x), mpf_mul_int(u, kmin, wp, rnd), wp, rnd),
-                               wp, rnd)
-                terms = [base]
-                for _ in range(nk - 1):
-                    base = mpf_mul(base, x, wp, rnd)
-                    terms.append(base)
-                if not base[1] and base[2]:  # inf or nan
-                    raise NonConvergence(f"moments: non-finite sample at u = {mp.make_mpf(u)}")
-                alive = False
-                for i, term in enumerate(terms):
-                    a = mpf_abs(term)
-                    totals[i] = mpf_add(totals[i], term, wp, rnd)
-                    if mpf_gt(a, scales[i]):
-                        scales[i] = a
-                        cuts[i] = mpf_mul(trunc, a, wp, rnd)
-                        alive = True
-                    elif mpf_ge(a, cuts[i]):
-                        alive = True
-                if alive:
-                    idle = 0
-                else:
-                    idle += 1
-                    if idle >= 3:
-                        return
-                u = mpf_add(u, step, wp, rnd)
-            raise NonConvergence("moments: tail did not decay")  # pragma: no cover
+        def g(u, live):
+            x = exp_u(u)
+            term = mpf_exp(mpf_add(logw(u, x), mpf_mul_int(u, kmin, wp, rnd), wp, rnd), wp, rnd)
+            terms = [term]
+            for _ in range(kmax - kmin):
+                term = mpf_mul(term, x, wp, rnd)
+                terms.append(term)
+            return _live(terms, live)
 
-        raw = [fzero] * nk
-        sweep(mpf(0), h, raw)
-        sweep(-h, -h, raw)
-        totals = [h * mp.make_mpf(v) for v in raw]
-
-        for _ in range(QUAD_MAX_LEVEL):
-            h2 = h / 2
-            raw = [fzero] * nk
-            sweep(h2, h, raw)
-            sweep(-h2, -h, raw)
-            new_totals = [t / 2 + h2 * mp.make_mpf(v) for t, v in zip(totals, raw)]
-            done = all(
-                abs(nt - t) <= prec.quad_tol * abs(nt)
-                for nt, t in zip(new_totals, totals)
-            )
-            totals, h = new_totals, h2
-            if done:
-                return {kmin + i: +totals[i] for i in range(nk)}
-        raise NonConvergence(
-            f"moments: level cap {QUAD_MAX_LEVEL} reached before tolerance"
-        )
+        return dict(enumerate(_trapezoid_levels(g, prec, "moments"), start=kmin))
 
 
 def _seed_depth(params: WeightParams) -> int:

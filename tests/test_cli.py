@@ -519,7 +519,7 @@ def test_cache_entry_stores_the_decimal_round_trip_bits(tmp_path):
     assert [v._mpf_ for v in values(cold)] == want
     assert [v._mpf_ for v in values(warm)] == want
     doc = json.loads((tmp_path / f"table-{table_key(params, 6, prec)}.json").read_text())
-    assert doc["version"] == FORMAT_VERSION == 3
+    assert doc["version"] == FORMAT_VERSION == 4
     assert doc["coeffs"][0] == ["1p0"] and doc["p_sub"][0] == "0p0"
 
 

@@ -14,7 +14,6 @@ from laguerre_lab.ladder import ladder_A_direct
 from laguerre_lab.orthopoly import eval_polynomials, orthogonality_residual, recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 from laguerre_lab.quadrature import (
-    _QUAD_GUARD,
     _TRUNC_EXTRA,
     _live,
     _trapezoid_levels,
@@ -330,7 +329,7 @@ def _ref_trapezoid_levels(g, prec, what):
             new_total = total[i] / 2 + h2 * (mid_r[i][0] + mid_l[i][0])
             mass[i] = mass[i] / 2 + h2 * (mid_r[i][1] + mid_l[i][1])
             prev, total[i] = total[i], new_total
-            r, last = abs(new_total - prev) / (abs(new_total) + mass[i]), rel[i]
+            r, last = abs(new_total - prev) / mass[i], rel[i]
             rel[i] = r
             if r <= to_mpf(prec.quad_tol):
                 continue
@@ -379,63 +378,22 @@ def _ref_integrate_weighted(f, params, prec, mapping="exp"):
     return [+v for v in result]
 
 
-def _ref_moments(params, kmin, kmax, prec):
-    nk = kmax - kmin + 1
-    with mp.workdps(prec.work_dps + _QUAD_GUARD):
-        trunc = mpf(10) ** (-(prec.digits + _TRUNC_EXTRA))
+def _ref_moment_batch(params, kmin, kmax, prec):
+    """The moments batch x^(alpha+k) w(x) e^u, k = kmin..kmax, through the
+    reference trapezoid."""
+    with mp.workdps(sample_dps(prec)):
         logw = _ref_log_weight_u_fn(params)
 
-        def node_terms(u):
+        def g(u, live):
             x = mp.exp(u)
-            base = mp.exp(logw(u, x) + kmin * u)
-            out = [base]
-            for _ in range(nk - 1):
-                base *= x
-                out.append(base)
-            return out
+            term = mp.exp(logw(u, x) + kmin * u)
+            terms = [term]
+            for _ in range(kmax - kmin):
+                term *= x
+                terms.append(term)
+            return _live(terms, live)
 
-        h = mpf(1)
-
-        def sweep(start, step, totals, scales):
-            u = start
-            idle = 0
-            while True:
-                terms = node_terms(u)
-                assert mp.isfinite(terms[-1])
-                alive = False
-                for i, term in enumerate(terms):
-                    a = abs(term)
-                    totals[i] += term
-                    if a > scales[i]:
-                        scales[i] = a
-                        alive = True
-                    elif a >= trunc * scales[i]:
-                        alive = True
-                if alive:
-                    idle = 0
-                else:
-                    idle += 1
-                    if idle >= 3:
-                        return
-                u += step
-
-        totals = [mpf(0)] * nk
-        scales = [mpf(0)] * nk
-        sweep(mpf(0), h, totals, scales)
-        sweep(-h, -h, totals, scales)
-        totals = [h * v for v in totals]
-        for _ in range(quadrature.QUAD_MAX_LEVEL):
-            h2 = h / 2
-            mids = [mpf(0)] * nk
-            sweep(h2, h, mids, scales)
-            sweep(-h2, -h, mids, scales)
-            new_totals = [t / 2 + h2 * v for t, v in zip(totals, mids)]
-            done = all(abs(nt - t) <= prec.quad_tol * abs(nt)
-                       for nt, t in zip(new_totals, totals))
-            totals, h = new_totals, h2
-            if done:
-                return {kmin + i: +totals[i] for i in range(nk)}
-        raise NonConvergence("moments")
+        return dict(enumerate(_ref_trapezoid_levels(g, prec, "moments"), start=kmin))
 
 
 def _ref_integrate_finite(panels, prec):
@@ -472,11 +430,11 @@ def _kernel_cases(table8, default, p120, p60):
     tp, tq = table8.params, table8.prec
     return {
         "moments-d120": (lambda: moments(default, -2, 11, p120),
-                         lambda: _ref_moments(default, -2, 11, p120)),
+                         lambda: _ref_moment_batch(default, -2, 11, p120)),
         "seeds-rode": (lambda: moments(rode, -2, 0, p120),
-                       lambda: _ref_moments(rode, -2, 0, p120)),
+                       lambda: _ref_moment_batch(rode, -2, 0, p120)),
         "moment0-d60": (lambda: moment(0, default, p60),
-                        lambda: _ref_moments(default, 0, 0, p60)[0]),
+                        lambda: _ref_moment_batch(default, 0, 0, p60)[0]),
         "weighted-exp": (lambda: integrate_weighted(mpf_integrand(batch), tp, tq),
                          lambda: _ref_integrate_weighted(batch, tp, tq)),
         "weighted-expsinh": (lambda: integrate_weighted(mpf_integrand(batch), tp, tq, "expsinh"),
@@ -497,6 +455,23 @@ def test_node_kernel_matches_mpf_reference(table8, params_default, prec120, prec
     assert bool(warm) == (case not in ("weighted-expsinh", "finite-panels"))
     assert kernel() == want  # node memo warm
     assert quadrature._node_exp[1] == warm  # every e^u came from the memo
+
+
+def test_default_seed_sweep_stops_each_seed_on_its_predicted_error(monkeypatch, params_default,
+                                                                   prec120):
+    # the seeds k = -2..0 at P = 120 stop on level_settled at h = 1/64, on
+    # 652 nodes; a shared stop that only confirmed at h = 1/128 took 1269
+    nodes = []
+    real = quadrature._log_weight_u_fn
+
+    def counted_logw(params):
+        logw = real(params)
+        return lambda u, x: (nodes.append(u), logw(u, x))[1]
+
+    monkeypatch.setattr(quadrature, "_log_weight_u_fn", counted_logw)
+    clear_memo()
+    seed_moments(params_default, prec120)
+    assert 0 < len(nodes) <= 660
 
 
 def test_node_exp_memo_holds_one_precision(monkeypatch, prec120, prec60):
@@ -603,7 +578,7 @@ def test_non_finite_sample_through_the_kernel(bad, params_default, prec60, monke
         return lambda u, x: bad if mp.make_mpf(u) > 2 else logw(u, x)
 
     monkeypatch.setattr(quadrature, "_log_weight_u_fn", poisoned)
-    with pytest.raises(NonConvergence, match="moments: non-finite sample"):
+    with pytest.raises(NonConvergence, match="moments: non-finite integrand sample"):
         moments(params_default, -2, 3, prec60)
     assert cli.main(["moments", "--digits", "60"]) == 3
 

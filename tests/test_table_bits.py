@@ -4,9 +4,14 @@
 A cache key covers the format version, so a change that moves the bits of
 a built table must bump the version, or a warm run would read the old
 bits where a cold run builds new ones.  ``tests/golden/table-bits.json``
-records the version and a sha256 of the stored values of four tables:
+records the version and a sha256 of the stored values of five tables:
 the default centre at P = 120, one shifted stencil node of its grid, the
-m = 3 point and t1 = -3/10 at P = 80.  Record it again after a bump with
+m = 3 point, t1 = -3/10 at P = 80, and the rode-reduction point
+t = (1/2, 10^-6) at P = 120.  The stored values are rounded to work_dps,
+which can hide a change of the seeds in their last digits at one point:
+at the first four tables it hid the seed sweep's move to
+``level_settled`` (2e-140 relative at P = 120), which moved the bits of
+the fifth.  Record the file again after a bump with
 
     PYTHONPATH=src python tests/test_table_bits.py
 """
@@ -23,7 +28,7 @@ RECORD = Path(__file__).parent / "golden" / "table-bits.json"
 
 
 def table_bits(cache_dir) -> dict:
-    """{name: sha256 of the stored values} of the four canary tables, each
+    """{name: sha256 of the stored values} of the canary tables, each
     built in cache_dir from an empty memo."""
     p120, p80 = PrecisionContext(digits=120), PrecisionContext(digits=80)
     default = WeightParams("1/2", ("3/10", "1/5"))
@@ -35,6 +40,8 @@ def table_bits(cache_dir) -> dict:
             WeightParams("1/2", ("3/10", "1/5", "1/10")), 3, p120, cache_dir=cache_dir),
         "t1-neg-d80": lambda: cache.cached_recurrence_table(
             WeightParams("1/2", ("-3/10", "1/5")), 5, p80, cache_dir=cache_dir),
+        "rode-d120": lambda: cache.cached_recurrence_table(
+            WeightParams("1/2", ("1/2", "1/1000000")), 2, p120, cache_dir=cache_dir),
     }
     out = {}
     cache.clear_memo()
