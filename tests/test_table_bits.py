@@ -4,14 +4,16 @@
 A cache key covers the format version, so a change that moves the bits of
 a built table must bump the version, or a warm run would read the old
 bits where a cold run builds new ones.  ``tests/golden/table-bits.json``
-records the version and a sha256 of the stored values of five tables:
+records the version and a sha256 of the stored values of six tables:
 the default centre at P = 120, one shifted stencil node of its grid, the
-m = 3 point, t1 = -3/10 at P = 80, and the rode-reduction point
-t = (1/2, 10^-6) at P = 120.  The stored values are rounded to work_dps,
-which can hide a change of the seeds in their last digits at one point:
-at the first four tables it hid the seed sweep's move to
-``level_settled`` (2e-140 relative at P = 120), which moved the bits of
-the fifth.  Record the file again after a bump with
+m = 3 point, t1 = -3/10 at P = 80, the rode-reduction point
+t = (1/2, 10^-6) at P = 120, and the n = 24 scaling point
+t = (1/48, 1/2304) at N = 24, P = 116, the deepest table a default run
+builds.  The stored values are rounded to work_dps, which can hide a
+change of the seeds in their last digits at one point: at the first four
+tables it hid the seed sweep's move to ``level_settled`` (2e-140
+relative at P = 120), which moved the bits of the fifth.  Record the
+file again after a bump with
 
     PYTHONPATH=src python tests/test_table_bits.py
 """
@@ -30,7 +32,7 @@ RECORD = Path(__file__).parent / "golden" / "table-bits.json"
 def table_bits(cache_dir) -> dict:
     """{name: sha256 of the stored values} of the canary tables, each
     built in cache_dir from an empty memo."""
-    p120, p80 = PrecisionContext(digits=120), PrecisionContext(digits=80)
+    p120, p80, p116 = (PrecisionContext(digits=d) for d in (120, 80, 116))
     default = WeightParams("1/2", ("3/10", "1/5"))
     grid = StencilGrid(default, p120, DerivativeStencil(), table_bundle_builder(5, p120, cache_dir))
     builds = {
@@ -42,6 +44,8 @@ def table_bits(cache_dir) -> dict:
             WeightParams("1/2", ("-3/10", "1/5")), 5, p80, cache_dir=cache_dir),
         "rode-d120": lambda: cache.cached_recurrence_table(
             WeightParams("1/2", ("1/2", "1/1000000")), 2, p120, cache_dir=cache_dir),
+        "scaling-n24-d116": lambda: cache.cached_recurrence_table(
+            WeightParams("1/2", ("1/48", "1/2304")), 24, p116, cache_dir=cache_dir),
     }
     out = {}
     cache.clear_memo()
