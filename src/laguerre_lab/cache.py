@@ -3,7 +3,9 @@
 Tables are the expensive artifact (a quadrature sweep for the seed
 moments, the Pearson recurrence for the rest, then the moment
 Gram-Schmidt); they are keyed by a content hash of (weight point,
-digits, quadrature tolerance, depth, format version) and stored as JSON.
+digits, depth, format version) and stored as JSON.  A document holds
+each value once: h, alpha, the coefficient vectors and the moments
+(beta_n and p(n) are read from h and the coefficients).
 A build renders every value at work_dps + 10 digits and parses it back
 at work_dps, then keeps those bits in memory and stores them exactly:
 each value is "[-]<hex mantissa>p<exponent>" of mpmath's normalized
@@ -11,8 +13,9 @@ each value is "[-]<hex mantissa>p<exponent>" of mpmath's normalized
 decimal parsing, and any other spelling (a decimal, an even mantissa, a
 signed zero) makes the entry a miss, so warm and cold runs see
 bit-identical values and reports are reproducible byte for byte.
-Format 2 stored decimal strings under other keys; those files are never
-read and can be deleted.
+Files of older formats (format 2 stored decimal strings, format 4 also
+stored beta_n and p(n)) sit under other keys; they are never read and
+can be deleted.
 
 A stencil node's table may take its seeds from the grid's centre, the
 anchor point, by ``quadrature.shift_seeds`` instead of quadrature; its
@@ -43,8 +46,9 @@ from .quadrature import clear_memos, seed_moments, shift_seeds
 
 #: 2: moments k >= 1 come from the Pearson recurrence, not quadrature;
 #: 3: values are stored as exact binary, not as decimal strings;
-#: 4: the seed sweep stops on ``quadrature.level_settled``
-FORMAT_VERSION = 4
+#: 4: the seed sweep stops on ``quadrature.level_settled``;
+#: 5: alpha_n from one inner product, and beta_n, p(n) are no longer stored
+FORMAT_VERSION = 5
 
 _memo = {}
 
@@ -71,7 +75,7 @@ def _params_doc(params: WeightParams) -> dict:
 
 def _values(src: dict, f) -> dict:
     """The value fields of a table (``vars``) or a document, each value mapped by f."""
-    out = {name: tuple(map(f, src[name])) for name in ("h", "alpha_rc", "beta_rc", "p_sub")}
+    out = {name: tuple(map(f, src[name])) for name in ("h", "alpha_rc")}
     out["coeffs"] = tuple(tuple(map(f, row)) for row in src["coeffs"])
     out["moments"] = {int(k): f(v) for k, v in src["moments"].items()}
     return out

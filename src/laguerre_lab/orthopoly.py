@@ -6,10 +6,15 @@ through the three-term recurrence
 
     x P_n = P_{n+1} + alpha_n P_n + beta_n P_{n-1},
 
-with alpha_n = <x P_n, P_n> / h_n and beta_n = h_n / h_{n-1} evaluated
-from the precomputed moment table: seeds k = -m..0 (integrated, or
-shifted from a nearby anchor's seeds) plus the exact Pearson recurrence
-(``quadrature.table_moments``).  Hankel
+with h_n = <P_n, x^n>, beta_n = h_n / h_{n-1} and alpha_n from one
+inner product, <x P_n, P_n> = <P_n, x^(n+1)> + p(n) h_n, where p(n) is
+the x^(n-1) coefficient of P_n (Gautschi, *Orthogonal Polynomials:
+Computation and Approximation*, 2004, 2.1.7).  Each is one sum over the
+precomputed moment table: seeds k = -m..0 (integrated, or shifted from a
+nearby anchor's seeds) plus the exact Pearson recurrence
+(``quadrature.table_moments``).  A table stores h, alpha, the
+coefficients and the moments; beta_n and p(n) are read from h and the
+coefficients.  Hankel
 conditioning grows exponentially in the degree, so the working
 precision is auto-raised to at least 20 + 4 N digits.  Determinant
 ratios of explicit minors serve only as a desk-scale oracle (see
@@ -43,9 +48,11 @@ class RecurrenceTable:
 
     ``coeffs[n]`` is the monic coefficient vector of P_n (degree order),
     ``moments[k]`` holds mu_k for k = -m..2N+1 (k >= 0 in the t = 0
-    limit mode).  Tables are immutable and safe to share.  ``rows`` is
-    the memo of aux rows by index (``ladder.aux_row``), shared by every
-    reader of the table; it is neither compared nor stored in the cache.
+    limit mode).  Each value is stored once: beta_n = h_n / h_{n-1} and
+    p(n) = ``coeffs[n][n-1]`` are read from h and the coefficients.
+    Tables are immutable and safe to share.  ``rows`` is the memo of aux
+    rows by index (``ladder.aux_row``), shared by every reader of the
+    table; it is neither compared nor stored in the cache.
     """
 
     params: WeightParams
@@ -53,8 +60,6 @@ class RecurrenceTable:
     N: int
     h: tuple
     alpha_rc: tuple
-    beta_rc: tuple
-    p_sub: tuple
     coeffs: tuple
     moments: dict = field(repr=False)
     rows: dict = field(default_factory=dict, compare=False, repr=False)
@@ -63,12 +68,15 @@ class RecurrenceTable:
         return self.alpha_rc[n]
 
     def beta(self, n: int) -> mpf:
+        """h_n / h_{n-1} at the table's work_dps; 0 at n = 0."""
         if n == 0:
             return mpf(0)
-        return self.beta_rc[n - 1]
+        with mp.workdps(self.prec.work_dps):
+            return self.h[n] / self.h[n - 1]
 
     def p(self, n: int) -> mpf:
-        return self.p_sub[n]
+        """The x^(n-1) coefficient of P_n; 0 at n = 0."""
+        return self.coeffs[n][n - 1] if n else mpf(0)
 
     def log_hankel(self, n: int) -> mpf:
         """ln D_n = sum_{j<n} ln h_j."""
@@ -102,6 +110,9 @@ def recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
                      seeds: dict = None) -> RecurrenceTable:
     """Build the recurrence table for n <= N, at ``table_precision``.
 
+    One Gram-Schmidt step per n: alpha_n = sum_i c_{n,i} mu_{i+n+1} / h_n
+    + p(n), then c_{n+1} = x c_n - alpha_n c_n - beta_n c_{n-1}, then
+    h_{n+1} = sum_i c_{n+1,i} mu_{i+n+1}; each sum is one ``mp.fsum``.
     ``seeds`` may hand in the seed moments k = -m..0 at the table's
     precision; without them they are integrated.
     Raises PrecisionExhausted if a squared norm comes out non-positive,
@@ -115,25 +126,21 @@ def recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
     with mp.workdps(eff.work_dps):
         coeffs = [[mpf(1)]]
         h = [mu[0]]
-        p_sub = [mpf(0)]
         alpha_rc = []
-        beta_rc = []
         if h[0] <= 0:
             raise PrecisionExhausted("h_0 <= 0")
         for n in range(N):
             cn = coeffs[n]
-            a_n = mp.fsum(
-                ci * cj * mu[i + j + 1]
-                for i, ci in enumerate(cn)
-                for j, cj in enumerate(cn)
-            ) / h[n]
+            a_n = mp.fsum(ci * mu[i + n + 1] for i, ci in enumerate(cn)) / h[n]
+            if n >= 1:
+                a_n += cn[n - 1]
             alpha_rc.append(a_n)
             # c_{n+1} = shift(c_n) - a_n c_n - beta_n c_{n-1}
             nxt = [mpf(0)] + list(cn)
             for i, ci in enumerate(cn):
                 nxt[i] -= a_n * ci
             if n >= 1:
-                b_n = beta_rc[n - 1]
+                b_n = h[n] / h[n - 1]
                 for i, ci in enumerate(coeffs[n - 1]):
                     nxt[i] -= b_n * ci
             hn1 = mp.fsum(ci * mu[i + n + 1] for i, ci in enumerate(nxt))
@@ -143,16 +150,12 @@ def recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
                 )
             coeffs.append(nxt)
             h.append(hn1)
-            beta_rc.append(hn1 / h[n])
-            p_sub.append(nxt[n])
     return RecurrenceTable(
         params=params,
         prec=eff,
         N=N,
         h=tuple(h),
         alpha_rc=tuple(alpha_rc),
-        beta_rc=tuple(beta_rc),
-        p_sub=tuple(p_sub),
         coeffs=tuple(tuple(c) for c in coeffs),
         moments=mu,
     )

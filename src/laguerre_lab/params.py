@@ -224,6 +224,5 @@ class PrecisionContext:
         return Fraction(1, 10 ** (self.digits // 2))
 
     def cache_token(self) -> str:
-        # quad_tol follows from the digits; it stays in the token so that
-        # the keys of existing caches still match
-        return f"P={self.digits};quad_tol={frac_str(self.quad_tol)}"
+        # every other setting follows from the digits
+        return f"P={self.digits}"

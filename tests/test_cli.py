@@ -506,7 +506,7 @@ def test_cache_entry_stores_the_decimal_round_trip_bits(tmp_path):
             return mpf(text)._mpf_
 
     def values(tab):
-        rows = (tab.h, tab.alpha_rc, tab.beta_rc, tab.p_sub, *tab.coeffs)
+        rows = (tab.h, tab.alpha_rc, *tab.coeffs)
         return [v for row in rows for v in row] + list(tab.moments.values())
 
     want = [round_trip(v) for v in values(raw)]
@@ -519,8 +519,10 @@ def test_cache_entry_stores_the_decimal_round_trip_bits(tmp_path):
     assert [v._mpf_ for v in values(cold)] == want
     assert [v._mpf_ for v in values(warm)] == want
     doc = json.loads((tmp_path / f"table-{table_key(params, 6, prec)}.json").read_text())
-    assert doc["version"] == FORMAT_VERSION == 4
-    assert doc["coeffs"][0] == ["1p0"] and doc["p_sub"][0] == "0p0"
+    assert doc["version"] == FORMAT_VERSION == 5
+    # each value is stored once: beta_n and p(n) are read from h and coeffs
+    assert set(doc) - {"version", "N", "digits", "params"} == {"h", "alpha_rc", "coeffs", "moments"}
+    assert doc["coeffs"][0] == ["1p0"]
 
 
 def test_stencil_suites_honour_cache_dir(tmp_path, monkeypatch):

@@ -157,12 +157,31 @@ def test_classical_limit_along_t2_eq_t1sq():
             assert abs(tab.beta(n) - n * (n + mpf("0.5"))) < mpf(10) ** -4
 
 
+def test_deep_table_matches_a_higher_precision_build():
+    # the n = 24 scaling point at its own precision, P = 116: alpha_n from
+    # one inner product, <P_n, x^(n+1)> / h_n + p(n), keeps about 112
+    # digits of alpha_n, beta_n and h_n; the O(N^3) double sum of
+    # <x P_n, P_n> kept about 95
+    point = WeightParams("1/2", ("1/48", "1/2304"))
+    tab = recurrence_table(point, 24, PrecisionContext(digits=116))
+    ref = recurrence_table(point, 24, PrecisionContext(digits=160))
+    tol = mpf(10) ** -105
+    with mp.workdps(ref.prec.work_dps):
+        for n in range(25):
+            assert abs(tab.h[n] / ref.h[n] - 1) < tol, ("h", n)
+            if n < 24:
+                assert abs(tab.alpha(n) / ref.alpha(n) - 1) < tol, ("alpha", n)
+            if n >= 1:
+                assert abs(tab.beta(n) / ref.beta(n) - 1) < tol, ("beta", n)
+
+
 def test_precision_exhausted(monkeypatch):
-    # held at 50 digits, Gram-Schmidt to N = 40 loses every digit
+    # held at 50 digits, Gram-Schmidt keeps a positive h_n through N = 40
+    # and loses every digit by h_73
     monkeypatch.setattr(orthopoly, "digits_for", lambda N: 50)
     params = WeightParams("0.5", ("0.3", "0.2"))
     with pytest.raises(PrecisionExhausted):
-        recurrence_table(params, 40, PrecisionContext(digits=50))
+        recurrence_table(params, 80, PrecisionContext(digits=50))
 
 
 @settings(max_examples=6, deadline=None)
@@ -175,7 +194,7 @@ def test_table_positivity_property(a10, t110, t210):
     params = WeightParams(mpf(a10) / 10, (mpf(t110) / 10, mpf(t210) / 10))
     tab = recurrence_table(params, 4, PrecisionContext(digits=50))
     assert all(h > 0 for h in tab.h)
-    assert all(b > 0 for b in tab.beta_rc)
+    assert all(tab.beta(n) > 0 for n in range(1, tab.N + 1))
 
 
 def _fsum_inner(table, j, k, shift):

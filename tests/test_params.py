@@ -97,8 +97,8 @@ def test_precision_context_invariants():
     prec = PrecisionContext(digits=120)
     assert prec.quad_tol == Fraction(1, 10**110)
     assert prec.fd_rel_step == Fraction(1, 10**24)
-    # the table keys of existing caches are built from this token
-    assert prec.cache_token() == "P=120;quad_tol=1/1" + "0" * 110
+    # table keys are built from this token; quad_tol follows from P
+    assert prec.cache_token() == "P=120"
 
 
 def test_cache_tokens_distinguish_points():

@@ -109,8 +109,10 @@ def test_rejected_shift_falls_back_to_quadrature(tmp_path):
     clear_memo()
     anchored = grid.bundle(((0, 1),))
     plain = cached_recurrence_table(node, 3, P60, cache_dir=tmp_path)
-    for field in ("h", "alpha_rc", "beta_rc", "p_sub", "coeffs", "moments"):
+    for field in ("h", "alpha_rc", "coeffs", "moments"):
         assert getattr(anchored, field) == getattr(plain, field), field
+    for n in range(4):
+        assert (anchored.beta(n), anchored.p(n)) == (plain.beta(n), plain.p(n)), n
 
 
 def test_node_key_and_document_cover_the_anchor(tmp_path):
