@@ -9,7 +9,9 @@ file's arguments, or the arguments given after the path (for a new file
 or a changed run), and prints every residual and tolerance string that
 changed, old -> new, plus every entry that appeared or went away.  It
 writes the file unless some tolerance is looser than the committed one;
-then it writes nothing and exits 1.
+then it writes nothing and exits 1.  A written file ends the output with
+one count line: the residual and tolerance strings moved, and the
+entries added and removed.
 
     python scripts/bless_golden.py tests/golden/NAME.json
     python scripts/bless_golden.py tests/golden/NAME.json moments,recurrence --digits 120
@@ -65,19 +67,26 @@ def looser_tolerances(old: dict, new: dict) -> list:
 
 
 def changes(old: dict, new: dict) -> list:
-    """One line per changed residual or tolerance string, added or removed entry."""
+    """(kind, line) per changed residual, tolerance or pass string and per
+    added or removed entry; kind is the field name, "added" or "removed"."""
     a, b = keyed_entries(old), keyed_entries(new)
     lines = []
     for key in a:
         name = " ".join(key[:3])
         if key not in b:
-            lines.append(f"removed {name}")
+            lines.append(("removed", f"removed {name}"))
             continue
         for field in ("residual", "tolerance", "pass"):
             if a[key][field] != b[key][field]:
-                lines.append(f"{name} {field}: {a[key][field]} -> {b[key][field]}")
-    lines += [f"added {' '.join(key[:3])}" for key in b if key not in a]
+                lines.append((field, f"{name} {field}: {a[key][field]} -> {b[key][field]}"))
+    lines += [("added", f"added {' '.join(key[:3])}") for key in b if key not in a]
     return lines
+
+
+def count_line(kinds: Counter) -> str:
+    """The counts of a bless, by the kinds of ``changes``."""
+    return (f"{kinds['residual']} residual and {kinds['tolerance']} tolerance strings moved, "
+            f"{kinds['added']} entries added, {kinds['removed']} removed")
 
 
 def main(argv=None):
@@ -95,11 +104,14 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         new = golden_document(lab_args, Path(tmp) / "rep.json")
 
+    kinds = Counter(added=len(keyed_entries(new)))
     if old is not None:
         if old["mpmath"] != new["mpmath"]:
             print(f"mpmath: {old['mpmath']} -> {new['mpmath']}")
-        for line in changes(old, new):
+        moved = changes(old, new)
+        for _, line in moved:
             print(line)
+        kinds = Counter(kind for kind, _ in moved)
         looser = looser_tolerances(old, new)
         if looser:
             for suite, cid, point, was, now in looser:
@@ -109,7 +121,7 @@ def main(argv=None):
                   "file not written", file=sys.stderr)
             raise SystemExit(1)
     args.path.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {args.path}")
+    print(f"wrote {args.path}: {count_line(kinds)}")
 
 
 if __name__ == "__main__":

@@ -55,15 +55,29 @@ def test_bless_golden_lists_changes_and_refuses_a_looser_tolerance(tmp_path, mon
     blessed = path.read_text()
     doc = json.loads(blessed)
     first = doc["reports"][0]["entries"][0]
+    # a new file: every entry is added
+    entries = len(doc["reports"][0]["entries"])
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"wrote {path}: 0 residual and 0 tolerance strings moved, {entries} entries added, 0 removed")
 
     # a moved residual string is listed old -> new and rewritten
     was = first["residual"]
     first["residual"] = "9.0e-99"
     path.write_text(json.dumps(doc))
-    capsys.readouterr()
     bless.main([str(path)])
-    assert f"{first['id']} {first['point']} residual: 9.0e-99 -> {was}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"{first['id']} {first['point']} residual: 9.0e-99 -> {was}" in out
+    assert out.splitlines()[-1] == (
+        f"wrote {path}: 1 residual and 0 tolerance strings moved, 0 entries added, 0 removed")
     assert path.read_text() == blessed
+
+    # an entry whose point string moved is one removed and one added
+    first["point"] += ";moved"
+    path.write_text(json.dumps(doc))
+    bless.main([str(path)])
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"wrote {path}: 0 residual and 0 tolerance strings moved, 1 entries added, 1 removed")
+    first["point"] = first["point"].removesuffix(";moved")
 
     # a committed tolerance below the one the run makes: refused, file kept
     first["residual"], first["tolerance"] = was, "1.0e-70"
