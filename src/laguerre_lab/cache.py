@@ -3,9 +3,8 @@
 Tables are the expensive artifact (a quadrature sweep for the seed
 moments, the Pearson recurrence for the rest, then the moment
 Gram-Schmidt); they are keyed by a content hash of (weight point,
-digits, depth, format version) and stored as JSON.  A document holds
-each value once: h, alpha, the coefficient vectors and the moments
-(beta_n and p(n) are read from h and the coefficients).
+digits, depth, format version) and stored as JSON of h, alpha, the
+coefficient vectors and the moments.
 A build renders every value at work_dps + 10 digits and parses it back
 at work_dps, then keeps those bits in memory and stores them exactly:
 each value is "[-]<hex mantissa>p<exponent>" of mpmath's normalized
@@ -13,8 +12,7 @@ each value is "[-]<hex mantissa>p<exponent>" of mpmath's normalized
 decimal parsing, and any other spelling (a decimal, an even mantissa, a
 signed zero) makes the entry a miss, so warm and cold runs see
 bit-identical values and reports are reproducible byte for byte.
-Files of older formats (format 2 stored decimal strings, format 4 also
-stored beta_n and p(n)) sit under other keys; they are never read and
+Files of older formats sit under other keys; they are never read and
 can be deleted.
 
 A stencil node's table may take its seeds from the grid's centre, the

@@ -6,15 +6,11 @@ through the three-term recurrence
 
     x P_n = P_{n+1} + alpha_n P_n + beta_n P_{n-1},
 
-with h_n = <P_n, x^n>, beta_n = h_n / h_{n-1} and alpha_n from one
-inner product, <x P_n, P_n> = <P_n, x^(n+1)> + p(n) h_n, where p(n) is
-the x^(n-1) coefficient of P_n (Gautschi, *Orthogonal Polynomials:
-Computation and Approximation*, 2004, 2.1.7).  Each is one sum over the
-precomputed moment table: seeds k = -m..0 (integrated, or shifted from a
-nearby anchor's seeds) plus the exact Pearson recurrence
-(``quadrature.table_moments``).  A table stores h, alpha, the
-coefficients and the moments; beta_n and p(n) are read from h and the
-coefficients.  Hankel
+with h_n = <P_n, x^n>, beta_n = h_n / h_{n-1} and alpha_n = <P_n,
+x^(n+1)> / h_n + p(n), p(n) the x^(n-1) coefficient of P_n (Gautschi
+2004, 2.1.7), each one sum over the moment table: seeds k = -m..0
+(integrated, or shifted from a nearby anchor's seeds) plus the exact
+Pearson recurrence (``quadrature.table_moments``).  Hankel
 conditioning grows exponentially in the degree, so the working
 precision is auto-raised to at least 20 + 4 N digits.  Determinant
 ratios of explicit minors serve only as a desk-scale oracle (see
@@ -48,8 +44,7 @@ class RecurrenceTable:
 
     ``coeffs[n]`` is the monic coefficient vector of P_n (degree order),
     ``moments[k]`` holds mu_k for k = -m..2N+1 (k >= 0 in the t = 0
-    limit mode).  Each value is stored once: beta_n = h_n / h_{n-1} and
-    p(n) = ``coeffs[n][n-1]`` are read from h and the coefficients.
+    limit mode); beta_n and p(n) = ``coeffs[n][n-1]`` are not stored.
     Tables are immutable and safe to share.  ``rows`` is the memo of aux
     rows by index (``ladder.aux_row``), shared by every reader of the
     table; it is neither compared nor stored in the cache.
@@ -75,7 +70,6 @@ class RecurrenceTable:
             return self.h[n] / self.h[n - 1]
 
     def p(self, n: int) -> mpf:
-        """The x^(n-1) coefficient of P_n; 0 at n = 0."""
         return self.coeffs[n][n - 1] if n else mpf(0)
 
     def log_hankel(self, n: int) -> mpf:
@@ -110,9 +104,7 @@ def recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
                      seeds: dict = None) -> RecurrenceTable:
     """Build the recurrence table for n <= N, at ``table_precision``.
 
-    One Gram-Schmidt step per n: alpha_n = sum_i c_{n,i} mu_{i+n+1} / h_n
-    + p(n), then c_{n+1} = x c_n - alpha_n c_n - beta_n c_{n-1}, then
-    h_{n+1} = sum_i c_{n+1,i} mu_{i+n+1}; each sum is one ``mp.fsum``.
+    alpha_n and h_{n+1} are one ``mp.fsum`` each over mu_{n+1} and up.
     ``seeds`` may hand in the seed moments k = -m..0 at the table's
     precision; without them they are integrated.
     Raises PrecisionExhausted if a squared norm comes out non-positive,
@@ -131,9 +123,8 @@ def recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
             raise PrecisionExhausted("h_0 <= 0")
         for n in range(N):
             cn = coeffs[n]
-            a_n = mp.fsum(ci * mu[i + n + 1] for i, ci in enumerate(cn)) / h[n]
-            if n >= 1:
-                a_n += cn[n - 1]
+            a_n = (mp.fsum(ci * mu[i + n + 1] for i, ci in enumerate(cn)) / h[n]
+                   + (cn[n - 1] if n else 0))
             alpha_rc.append(a_n)
             # c_{n+1} = shift(c_n) - a_n c_n - beta_n c_{n-1}
             nxt = [mpf(0)] + list(cn)
