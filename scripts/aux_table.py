@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Print the auxiliary quantities along n by all three routes.
+"""Print the auxiliary quantities along n by both routes.
 
 Shows, at one parameter point (m = 2 or m = 3), the auxiliary row from
-weighted integrals next to the difference-system iteration, with the
-worst pairwise deviation -- a quick cross-representation sanity sweep.
+the moment table (the integral route) next to the difference-system
+iteration, with the worst pairwise deviation -- a quick
+cross-representation sanity sweep.
 
     python scripts/aux_table.py --alpha 0.5 --t 0.3,0.2 --n-max 10
 """

@@ -7,11 +7,13 @@ suite, metadata (no timestamp) and entries; ``tests/test_golden.py``
 reruns it and holds the run to those bytes.  This script reruns the
 file's arguments, or the arguments given after the path (for a new file
 or a changed run), and prints every residual and tolerance string that
-changed, old -> new, plus every entry that appeared or went away.  It
-writes the file unless some tolerance is looser than the committed one;
-then it writes nothing and exits 1.  A written file ends the output with
-one count line: the residual and tolerance strings moved, and the
-entries added and removed.
+changed, old -> new, plus every entry that appeared or went away.  An
+entry that went away and one that appeared under the same suite and id
+are paired, in order, as one entry re-pointed old point -> new point,
+and compared like any other.  It writes the file unless some tolerance
+is looser than the committed one; then it writes nothing and exits 1.
+A written file ends the output with one count line: the residual and
+tolerance strings moved, and the entries added, removed and re-pointed.
 
     python scripts/bless_golden.py tests/golden/NAME.json
     python scripts/bless_golden.py tests/golden/NAME.json moments,recurrence --digits 120
@@ -21,7 +23,7 @@ import argparse
 import json
 import sys
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import mpmath
@@ -56,37 +58,67 @@ def keyed_entries(doc: dict) -> dict:
     return out
 
 
+def matched(a: dict, b: dict) -> dict:
+    """{old key: new key} of every entry both keyed documents hold: the
+    same key, or else an entry that went away paired, in order, with an
+    entry that appeared under the same (suite, id), which is re-pointed."""
+    pairs = {key: key for key in a if key in b}
+    gone, came = defaultdict(list), defaultdict(list)
+    for key in a:
+        if key not in b:
+            gone[key[:2]].append(key)
+    for key in b:
+        if key not in a:
+            came[key[:2]].append(key)
+    for sid, keys in gone.items():
+        pairs.update(zip(keys, came[sid]))
+    return pairs
+
+
+def point_text(was: tuple, now: tuple) -> str:
+    """The point of a matched entry, or old -> new where it was re-pointed."""
+    return was[2] if was[2] == now[2] else f"{was[2]} -> {now[2]}"
+
+
 def looser_tolerances(old: dict, new: dict) -> list:
-    """(suite, id, point, old tolerance, new tolerance) of every entry both
-    documents hold whose new tolerance is above the old one."""
+    """(suite, id, point, old tolerance, new tolerance) of every matched
+    entry whose new tolerance is above the old one."""
     a, b = keyed_entries(old), keyed_entries(new)
     with mp.workdps(40):
-        return [key[:3] + (a[key]["tolerance"], b[key]["tolerance"])
-                for key in a if key in b
-                and mpf(b[key]["tolerance"]) > mpf(a[key]["tolerance"])]
+        return [was[:2] + (point_text(was, now), a[was]["tolerance"], b[now]["tolerance"])
+                for was, now in matched(a, b).items()
+                if mpf(b[now]["tolerance"]) > mpf(a[was]["tolerance"])]
 
 
 def changes(old: dict, new: dict) -> list:
-    """(kind, line) per changed residual, tolerance or pass string and per
-    added or removed entry; kind is the field name, "added" or "removed"."""
+    """(kind, line) per re-pointed entry, per changed residual, tolerance or
+    pass string and per added or removed entry; kind is the field name,
+    "re-pointed", "added" or "removed"."""
     a, b = keyed_entries(old), keyed_entries(new)
+    pairs = matched(a, b)
     lines = []
     for key in a:
-        name = " ".join(key[:3])
-        if key not in b:
-            lines.append(("removed", f"removed {name}"))
+        if key not in pairs:
+            lines.append(("removed", f"removed {' '.join(key[:3])}"))
             continue
+        now = pairs[key]
+        if now != key:
+            lines.append(("re-pointed",
+                          f"re-pointed {' '.join(key[:2])}: {point_text(key, now)}"))
+        name = " ".join(now[:3])
         for field in ("residual", "tolerance", "pass"):
-            if a[key][field] != b[key][field]:
-                lines.append((field, f"{name} {field}: {a[key][field]} -> {b[key][field]}"))
-    lines += [("added", f"added {' '.join(key[:3])}") for key in b if key not in a]
+            if a[key][field] != b[now][field]:
+                lines.append((field, f"{name} {field}: {a[key][field]} -> {b[now][field]}"))
+    kept = set(pairs.values())
+    lines += [("added", f"added {' '.join(key[:3])}") for key in b if key not in kept]
     return lines
 
 
 def count_line(kinds: Counter) -> str:
     """The counts of a bless, by the kinds of ``changes``."""
     return (f"{kinds['residual']} residual and {kinds['tolerance']} tolerance strings moved, "
-            f"{kinds['added']} entries added, {kinds['removed']} removed")
+            f"{kinds['added']} entries added, {kinds['removed']} removed, "
+            f"{kinds['re-pointed']} re-pointed")
 
 
 def main(argv=None):

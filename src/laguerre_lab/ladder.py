@@ -22,7 +22,9 @@ The suites' identities on the row are written once for every m:
 and ``ladder_coeff_deviation`` (A_n from the row against its integral).
 
 Route naming used throughout tests and suites:
-  integral  -- the row from weighted moment sums of P_n^2, P_n P_{n-1}
+  integral  -- the row from the moment table: <P_n, x^-i P_n> and
+               <P_n, x^-i P_{n-1}>, each reduced by orthogonality to
+               the O(m n) terms that survive (``inner_xk``)
   identity  -- alpha_n, beta_n reassembled from the row
   iteration -- the row advanced by the difference system alone, from
                the integral route's row 0
@@ -60,7 +62,9 @@ class AuxRow:
 
 
 def aux_integrals(table: RecurrenceTable, n: int) -> AuxRow:
-    """The auxiliary row at index n, via the moment table."""
+    """The auxiliary row at index n, via the moment table: R_{n,i} and
+    r_{n,i} from ``RecurrenceTable.inner_xk`` at the shifts -1..-m, which
+    sums only the terms orthogonality leaves, O(m n) moment reads a row."""
     params = table.params
     if not params.is_deformed:
         raise DomainError("auxiliaries need a deformed weight")

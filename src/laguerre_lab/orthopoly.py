@@ -80,21 +80,34 @@ class RecurrenceTable:
     def inner_xk(self, j: int, k: int, shifts) -> tuple:
         """<P_j, P_k>_w with the measure shifted by x^s, for each s in shifts.
 
-        The moment route, on raw mpf tuples: each coefficient product a b
-        is rounded once and reused for every shift, and each term
-        (a b) mu_{ia+ib+s} is rounded and summed exactly in the same
-        order as ``mp.fsum(a * b * mu[ia + ib + s] ...)``, so every value
-        has that expression's bits.
+        The form is symmetric, so j <= k after a swap, and
+        <P_j, x^s P_k> = sum_a c_{j,a} <x^(a+s), P_k>.  Orthogonality,
+        <x^i, P_k> = 0 for 0 <= i < k, leaves only the a with a + s < 0
+        or a + s >= k (min(j + 1, -s) of them for s < 0), each
+        sum_b c_{k,b} mu_{a+b+s}: O(m n) moment reads per aux row, not
+        (n + 1)^2.  On raw mpf tuples, each product c_{j,a} c_{k,b} is
+        rounded once and reused for every shift, and the terms
+        (c_{j,a} c_{k,b}) mu_{a+b+s}, a then b ascending, are rounded and
+        summed exactly in the order of one ``mp.fsum`` over them.
         """
-        mu = self.moments
+        if j > k:
+            j, k = k, j
+        mu, cj = self.moments, self.coeffs[j]
         with mp.workdps(self.prec.work_dps):
             prec, rnd = mp._prec_rounding
-            products = [(ia + ib, mpf_mul(a._mpf_, b._mpf_, prec, rnd))
-                        for ia, a in enumerate(self.coeffs[j])
-                        for ib, b in enumerate(self.coeffs[k])]
+            ck = [b._mpf_ for b in self.coeffs[k]]
+            products = {}
+
+            def terms(a, s):
+                if a not in products:
+                    products[a] = [mpf_mul(cj[a]._mpf_, b, prec, rnd) for b in ck]
+                return [mpf_mul(ab, mu[a + b + s]._mpf_, prec, rnd)
+                        for b, ab in enumerate(products[a])]
+
             return tuple(
                 mp.make_mpf(mpf_sum(
-                    [mpf_mul(ab, mu[i + s]._mpf_, prec, rnd) for i, ab in products],
+                    [term for a in range(j + 1) if a + s < 0 or a + s >= k
+                     for term in terms(a, s)],
                     prec, rnd))
                 for s in shifts
             )

@@ -63,10 +63,13 @@ def test_initial_conditions(params3, prec, table3):
 
 def test_identification_with_m2_quantities(params3, table3, rows3):
     # R_{n,1} = R_n = t1 <P_n, x^-1 P_n>/h_n, R_{n,2} = R_n* = 2 t2 <P_n, x^-2 P_n>/h_n,
-    # R_{n,3} = R^_n = 3 t3 <P_n, x^-3 P_n>/h_n by definition
+    # R_{n,3} = R^_n = 3 t3 <P_n, x^-3 P_n>/h_n by definition, with
+    # <P_n, x^-i P_n> the explicit double sum over both coefficient vectors
+    c, mu = table3.coeffs[2], table3.moments
     with mp.workdps(table3.prec.work_dps):
         t1, t2, t3 = (to_mpf(v) for v in params3.t)
-        inner = table3.inner_xk(2, 2, (-1, -2, -3))
+        inner = [mp.fsum(a * b * mu[ia + ib - i] for ia, a in enumerate(c)
+                         for ib, b in enumerate(c)) for i in (1, 2, 3)]
         for got, scale, value in zip(rows3[2].R, (t1, 2 * t2, 3 * t3), inner):
             assert abs(got - scale * value / table3.h[2]) < TRIPLE
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,7 +200,8 @@ def test_table_positivity_property(a10, t110, t210):
 
 
 def _fsum_inner(table, j, k, shift):
-    """<P_j, P_k>_w shifted by x^shift, as one mp.fsum over mpf products."""
+    """<P_j, P_k>_w shifted by x^shift, as one mp.fsum over every product
+    c_{j,a} c_{k,b} mu_{a+b+shift}: the double sum, kept as the oracle."""
     cj, ck, mu = table.coeffs[j], table.coeffs[k], table.moments
     with mp.workdps(table.prec.work_dps):
         return mp.fsum(
@@ -206,19 +209,85 @@ def _fsum_inner(table, j, k, shift):
         )
 
 
-@pytest.mark.parametrize("t", [
-    ("0.3", "0.2"),
-    ("0.3", "0.2", "0.1"),
-    ("-0.3", "0.2", "0.1", "0.05", "0.02"),
-], ids=["m2", "m3", "m5"])
-def test_inner_xk_has_the_bits_of_one_fsum(t):
-    # one pass over the coefficient products for all shifts must give,
-    # bit for bit, the per-shift fsum of mpf products it replaces
-    table = recurrence_table(WeightParams("0.5", t), 12, PrecisionContext(digits=60))
-    shifts = tuple(range(-1, -len(t) - 1, -1))
-    for n in range(table.N + 1):
-        for k in (n, n - 1) if n else (n,):
-            got = table.inner_xk(n, k, shifts)
+def _surviving_fsum_inner(table, j, k, shift):
+    """The same value as one mp.fsum over the terms orthogonality leaves:
+    j <= k, and only the a with a + shift < 0 or a + shift >= k."""
+    j, k = min(j, k), max(j, k)
+    cj, ck, mu = table.coeffs[j], table.coeffs[k], table.moments
+    with mp.workdps(table.prec.work_dps):
+        return mp.fsum(
+            a * b * mu[ia + ib + shift] for ia, a in enumerate(cj)
+            if ia + shift < 0 or ia + shift >= k for ib, b in enumerate(ck)
+        )
+
+
+#: (alpha, t, N, P) of the inner-product tables: m = 2, 3, 5, and the
+#: n = 24 scaling point, the deepest table a default run builds
+INNER_POINTS = {
+    "m2": ("0.5", ("0.3", "0.2"), 12, 60),
+    "m3": ("0.5", ("0.3", "0.2", "0.1"), 12, 60),
+    "m5": ("0.5", ("-0.3", "0.2", "0.1", "0.05", "0.02"), 12, 60),
+    "scaling-n24": ("1/2", ("1/48", "1/2304"), 24, 116),
+}
+
+
+def _inner_table(name, extra_digits=0):
+    alpha, t, N, P = INNER_POINTS[name]
+    return recurrence_table(WeightParams(alpha, t), N, PrecisionContext(digits=P + extra_digits))
+
+
+def _aux_pairs(table):
+    """(n, k, shifts) of every aux-row inner product of the table."""
+    shifts = tuple(range(-1, -table.params.m - 1, -1))
+    return [(n, k, shifts) for n in range(table.N + 1) for k in ((n, n - 1) if n else (n,))]
+
+
+@pytest.mark.parametrize("name", sorted(INNER_POINTS))
+def test_inner_xk_agrees_with_the_double_sum(name):
+    # the orthogonality route against the double sum it replaces: both
+    # within 10^-(P-10) relative of a P + 60 build, and the route's worst
+    # error at most twice the double sum's
+    table, ref = _inner_table(name), _inner_table(name, 60)
+    worst_new = worst_old = mpf(0)
+    for n, k, shifts in _aux_pairs(table):
+        got = table.inner_xk(n, k, shifts)
+        with mp.workdps(ref.prec.work_dps):
+            for value, shift in zip(got, shifts):
+                exact = _fsum_inner(ref, n, k, shift)
+                worst_new = max(worst_new, abs(value - exact) / abs(exact))
+                worst_old = max(worst_old,
+                                abs(_fsum_inner(table, n, k, shift) - exact) / abs(exact))
+    assert worst_new < mpf(10) ** -(table.prec.digits - 10), (name, worst_new)
+    assert worst_new <= 2 * worst_old, (name, worst_new, worst_old)
+
+
+@pytest.mark.parametrize("name", ["m2", "m3", "m5"])
+def test_inner_xk_has_the_bits_of_one_fsum(name):
+    # one pass over the surviving coefficient products for all shifts
+    # must give, bit for bit, the per-shift fsum over those terms, with
+    # (j, k) in either order
+    table = _inner_table(name)
+    for n, k, shifts in _aux_pairs(table):
+        for j, kk in ((n, k), (k, n)):
+            got = table.inner_xk(j, kk, shifts)
             assert len(got) == len(shifts)
             for value, shift in zip(got, shifts):
-                assert value._mpf_ == _fsum_inner(table, n, k, shift)._mpf_, (n, k, shift)
+                assert value._mpf_ == _surviving_fsum_inner(table, n, k, shift)._mpf_, (n, k, shift)
+
+
+def test_inner_xk_reads_o_of_m_n_moments():
+    # an aux row at n = 24 reads sum over shifts of min(n+1, -s) (n+1)
+    # moments: 1 + 2 outer terms of 25 for s = -1, -2 (the double sum
+    # read 2 * 25^2 = 1250)
+    reads = []
+
+    class Counting(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    table = _inner_table("scaling-n24")
+    counted = dataclasses.replace(table, moments=Counting(table.moments))
+    value = counted.inner_xk(24, 24, (-1, -2))
+    assert len(reads) <= 3 * 25
+    assert value == table.inner_xk(24, 24, (-1, -2))

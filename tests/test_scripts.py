@@ -55,10 +55,12 @@ def test_bless_golden_lists_changes_and_refuses_a_looser_tolerance(tmp_path, mon
     blessed = path.read_text()
     doc = json.loads(blessed)
     first = doc["reports"][0]["entries"][0]
+    was_point = first["point"]
     # a new file: every entry is added
     entries = len(doc["reports"][0]["entries"])
     assert capsys.readouterr().out.splitlines()[-1] == (
-        f"wrote {path}: 0 residual and 0 tolerance strings moved, {entries} entries added, 0 removed")
+        f"wrote {path}: 0 residual and 0 tolerance strings moved, {entries} entries added, "
+        "0 removed, 0 re-pointed")
 
     # a moved residual string is listed old -> new and rewritten
     was = first["residual"]
@@ -68,19 +70,24 @@ def test_bless_golden_lists_changes_and_refuses_a_looser_tolerance(tmp_path, mon
     out = capsys.readouterr().out
     assert f"{first['id']} {first['point']} residual: 9.0e-99 -> {was}" in out
     assert out.splitlines()[-1] == (
-        f"wrote {path}: 1 residual and 0 tolerance strings moved, 0 entries added, 0 removed")
+        f"wrote {path}: 1 residual and 0 tolerance strings moved, 0 entries added, 0 removed, "
+        "0 re-pointed")
     assert path.read_text() == blessed
 
-    # an entry whose point string moved is one removed and one added
+    # an entry whose point string moved is re-pointed, not removed and added
+    first["residual"] = was
     first["point"] += ";moved"
     path.write_text(json.dumps(doc))
     bless.main([str(path)])
-    assert capsys.readouterr().out.splitlines()[-1] == (
-        f"wrote {path}: 0 residual and 0 tolerance strings moved, 1 entries added, 1 removed")
+    out = capsys.readouterr().out
+    assert f"re-pointed recurrence {first['id']}: {first['point']} -> {was_point}" in out
+    assert out.splitlines()[-1] == (
+        f"wrote {path}: 0 residual and 0 tolerance strings moved, 0 entries added, 0 removed, "
+        "1 re-pointed")
     first["point"] = first["point"].removesuffix(";moved")
 
     # a committed tolerance below the one the run makes: refused, file kept
-    first["residual"], first["tolerance"] = was, "1.0e-70"
+    first["tolerance"] = "1.0e-70"
     path.write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as exc:
         bless.main([str(path)])
@@ -88,3 +95,41 @@ def test_bless_golden_lists_changes_and_refuses_a_looser_tolerance(tmp_path, mon
     err = capsys.readouterr().err
     assert f"looser tolerance recurrence {first['id']} {first['point']}: 1.0e-70 ->" in err
     assert json.loads(path.read_text()) == doc
+
+
+def test_bless_golden_refuses_a_repointed_entry_with_a_looser_tolerance(tmp_path, monkeypatch, capsys):
+    # a worst-of entry that moves to another n is held to its old tolerance
+    bless = load("bless_golden")
+    point = "(1/2,-3/10,1/5);n={}"
+
+    def document(n, tolerance):
+        entries = [
+            {"id": "dH-t1", "pass": True, "point": point.format(n),
+             "residual": "3.78665833925110937034730388233e-63", "tolerance": tolerance},
+            {"id": "dH-t2", "pass": True, "point": point.format(1),
+             "residual": "1.0e-63", "tolerance": "1.0e-47"},
+        ]
+        return {"args": ["sigma-pde"], "mpmath": {"version": "1.3.0", "backend": "python"},
+                "reports": [{"suite": "sigma-pde", "metadata": {}, "entries": entries}]}
+
+    path = tmp_path / "golden.json"
+    committed = json.dumps(document(2, "2.89084542988e-47"), indent=2, sort_keys=True) + "\n"
+    path.write_text(committed)
+
+    monkeypatch.setattr(bless, "golden_document", lambda args, out: document(3, "3.34527799124e-47"))
+    with pytest.raises(SystemExit) as exc:
+        bless.main([str(path)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert f"re-pointed sigma-pde dH-t1: {point.format(2)} -> {point.format(3)}" in captured.out
+    assert (f"looser tolerance sigma-pde dH-t1 {point.format(2)} -> {point.format(3)}: "
+            "2.89084542988e-47 -> 3.34527799124e-47") in captured.err
+    assert path.read_text() == committed
+
+    # the same move to a tighter tolerance is written, counted as re-pointed
+    monkeypatch.setattr(bless, "golden_document", lambda args, out: document(3, "2.5e-47"))
+    bless.main([str(path)])
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"wrote {path}: 0 residual and 1 tolerance strings moved, 0 entries added, 0 removed, "
+        "1 re-pointed")
+    assert json.loads(path.read_text()) == document(3, "2.5e-47")
