@@ -13,13 +13,12 @@ is integrated only where that shift's error bound is too wide
 (``quadrature.shift_seeds``); the Pearson recurrence and Gram-Schmidt
 then run per node as before.
 Each derivative carries an error estimate (extrapolation spread plus a
-roundoff floor).  A nonlinear check reads one dict of (value, error)
-pairs, gathered by ``partials`` under the keys "1", "2", "11", "12",
-"22" (1-based axes, lower first); it evaluates its signed residual once
-on each of ``moved``'s inputs and is held to 10 times the sum of the
-changes (``propagated_check``), a linear one to 10 |coef| times the
-error.  A node's auxiliary rows are read through ``ladder.aux_row``: each
-is computed once per table, by whichever reader comes first.
+roundoff floor).  Every derivative check, linear or not, reads one
+dict of (value, error) pairs, gathered by ``partials`` under the keys
+"1", "2", "11", "12", "22" (1-based axes, lower first); it evaluates its
+signed residual once on each of ``moved``'s inputs and is held to 10
+times the sum of the changes (``propagated_check``).  A node's aux rows
+are read through ``ladder.aux_row``, each computed once per table.
 
 Every check takes (n, grid), or the grid alone, the seed shift and the
 small-t2 reductions included: its point, precision, stencil and table
@@ -344,18 +343,27 @@ def axis_scales(point: WeightParams) -> list:
     return [i * to_mpf(t) for i, t in enumerate(point.t, start=1)]
 
 
-def axis_checks(n: int, grid: StencilGrid, cid: str, extract, exact) -> list:
-    """One check per axis i = 1..m of i t_i d/dt_i extract = exact[i-1].
+def first_keys(m: int) -> list:
+    """The ``partials`` keys of the first partials on m axes."""
+    return [str(i) for i in range(1, m + 1)]
 
-    The id is cid formatted with i; the tolerance is ten times the
-    derivative's error estimate, scaled like the derivative.
-    """
-    out = []
-    for i, (scale, want) in enumerate(zip(axis_scales(grid.params), exact)):
-        d, e = grid.first(extract, i)
-        out.append(Check(cid.format(i + 1), abs(scale * d - want), floored(10 * abs(scale) * e),
-                         _label(grid, n)))
-    return out
+
+def second_keys(m: int) -> list:
+    """The ``partials`` keys of every first and second partial on m axes,
+    each mixed partial once."""
+    axes = range(1, m + 1)
+    return first_keys(m) + [f"{i}{j}" for i in axes for j in axes if i <= j]
+
+
+def axis_checks(n: int, grid: StencilGrid, cid: str, extract, exact) -> list:
+    """One check per axis i = 1..m of i t_i d/dt_i extract = exact[i-1],
+    read off one ``partials`` dict of the first partials and held by
+    ``propagated_check``.  The id is cid formatted with i."""
+    scales = axis_scales(grid.params)
+    values = moved(partials(grid, extract, first_keys(len(scales))))
+    return [propagated_check(cid.format(i), [s * v[str(i)] - want for v in values],
+                             _label(grid, n))
+            for i, (s, want) in enumerate(zip(scales, exact), start=1)]
 
 
 def derivative_relations(n: int, grid: StencilGrid, names, suffix="") -> list:
@@ -396,33 +404,22 @@ def verify_derivative_relations(n: int, grid: StencilGrid):
         return derivative_relations(n, grid, names)
 
 
-def _euler(grid: StencilGrid, extract):
-    """(D extract, error estimate), D = sum_i i t_i d/dt_i."""
-    scales = axis_scales(grid.params)
-    d = [grid.first(extract, i) for i in range(len(scales))]
-    return (mp.fsum(s * v for s, (v, _) in zip(scales, d)),
-            mp.fsum(abs(s) * e for s, (_, e) in zip(scales, d)))
+def _euler(point: WeightParams, v: dict):
+    """D f = sum_i i t_i f_i, from f's partials v by ``partials`` key."""
+    return mp.fsum(s * v[str(i)] for i, s in enumerate(axis_scales(point), start=1))
 
 
-def _euler_second(grid: StencilGrid, extract):
-    """(D(D - 1) extract, error estimate): sum_i (i t_i)^2 f_ii
-    + 2 sum_{i<j} (i t_i)(j t_j) f_ij + sum_i i(i-1) t_i f_i."""
-    t = grid.params.t
-    scales = axis_scales(grid.params)
+def _euler_second(point: WeightParams, v: dict):
+    """D(D - 1) f = sum_i (i t_i)^2 f_ii + 2 sum_{i<j} (i t_i)(j t_j) f_ij
+    + sum_i i(i-1) t_i f_i, from f's partials v by ``partials`` key."""
+    scales = axis_scales(point)
     val = mpf(0)
-    err = mpf(0)
     for i, s in enumerate(scales):
-        d2, e2 = grid.second(extract, i)
-        val += s ** 2 * d2
-        err += s ** 2 * e2
-        d1, e1 = grid.first(extract, i)
-        val += (i + 1) * i * to_mpf(t[i]) * d1
-        err += (i + 1) * i * abs(to_mpf(t[i])) * e1
+        val += s ** 2 * v[f"{i + 1}{i + 1}"]
+        val += (i + 1) * i * to_mpf(point.t[i]) * v[str(i + 1)]
         for j in range(i + 1, len(scales)):
-            dm, em = grid.mixed(extract, i, j)
-            val += 2 * s * scales[j] * dm
-            err += 2 * abs(s * scales[j]) * em
-    return val, err
+            val += 2 * s * scales[j] * v[f"{i + 1}{j + 1}"]
+    return val
 
 
 def toda_checks(n: int, grid: StencilGrid, tag="") -> list:
@@ -431,20 +428,23 @@ def toda_checks(n: int, grid: StencilGrid, tag="") -> list:
         alpha     D alpha_n       = beta_n - beta_{n+1} + alpha_n
         beta      D ln beta_n     = alpha_{n-1} - alpha_n + 2                 (n >= 1)
         molecule  D(D-1) ln beta_n = beta_{n-1} - 2 beta_n + beta_{n+1} - 2   (n >= 1)
+
+    Each residual reads alpha_n's or ln beta_n's ``partials``, each taken
+    once, and is held by ``propagated_check``.
     """
+    point = grid.params
     ps = _label(grid, n)
     tab = grid.bundle()
-    lhs, err = _euler(grid, lambda v: v.alpha(n))
-    out = [Check(f"toda{tag}-alpha",
-                 abs(lhs - (tab.beta(n) - tab.beta(n + 1) + tab.alpha(n))), floored(10 * err), ps)]
+    rhs = tab.beta(n) - tab.beta(n + 1) + tab.alpha(n)
+    out = [propagated_check(f"toda{tag}-alpha", [_euler(point, v) - rhs for v in moved(
+        partials(grid, lambda v: v.alpha(n), first_keys(point.m)))], ps)]
     if n >= 1:
-        lb = lambda v: mp.log(v.beta(n))
-        lhs, err = _euler(grid, lb)
-        out.append(Check(f"toda{tag}-beta",
-                         abs(lhs - (tab.alpha(n - 1) - tab.alpha(n) + 2)), floored(10 * err), ps))
-        lhs, err = _euler_second(grid, lb)
+        lb = moved(partials(grid, lambda v: mp.log(v.beta(n)), second_keys(point.m)))
+        rhs = tab.alpha(n - 1) - tab.alpha(n) + 2
+        out.append(propagated_check(f"toda{tag}-beta", [_euler(point, v) - rhs for v in lb], ps))
         rhs = tab.beta(n - 1) - 2 * tab.beta(n) + tab.beta(n + 1) - 2
-        out.append(Check(f"toda{tag}-molecule", abs(lhs - rhs), floored(10 * err), ps))
+        out.append(propagated_check(f"toda{tag}-molecule",
+                                    [_euler_second(point, v) - rhs for v in lb], ps))
     return out
 
 
@@ -453,11 +453,13 @@ def verify_toda(n: int, grid: StencilGrid):
     molecule equation, D(D-1) ln D_n = beta_n - n(n + alpha)."""
     if n < 1:
         raise DomainError("Toda checks need n >= 1")
+    point = grid.params
     with mp.workdps(grid.prec.work_dps):
         out = toda_checks(n, grid)
-        lhs, err = _euler_second(grid, lambda v: v.log_hankel(n))
-        rhs = grid.bundle().beta(n) - n * (n + to_mpf(grid.params.alpha))
-        out.append(Check("toda-lndn", abs(lhs - rhs), floored(10 * err), _label(grid, n)))
+        rhs = grid.bundle().beta(n) - n * (n + to_mpf(point.alpha))
+        lnd = moved(partials(grid, lambda v: v.log_hankel(n), second_keys(point.m)))
+        out.append(propagated_check("toda-lndn", [_euler_second(point, v) - rhs for v in lnd],
+                                    _label(grid, n)))
     return out
 
 
@@ -591,13 +593,11 @@ def hankel_sigma(n: int, grid: StencilGrid) -> SigmaState:
     """H_n = n(n+alpha) + p(n) and its first and second partials on grid,
     for any m, assembled by ``sigma_state``."""
     point, prec = grid.params, grid.prec
-    m = point.m
     with mp.workdps(prec.work_dps):
         nn = n * (n + to_mpf(point.alpha))
         H = lambda v: nn + v.p(n)
-        axes = range(1, m + 1)
-        keys = [str(i) for i in axes] + [f"{i}{j}" for i in axes for j in axes if i <= j]
-        return sigma_state(n, point, prec, H(grid.bundle()), partials(grid, H, keys))
+        return sigma_state(n, point, prec, H(grid.bundle()),
+                           partials(grid, H, second_keys(point.m)))
 
 
 def sigma_state(n: int, point: WeightParams, prec: PrecisionContext, Hn, d: dict) -> SigmaState:

@@ -10,8 +10,8 @@ quantity; the limiting identities and PDEs are checked on the
 extrapolated values.  Derivatives in s are taken at finite n on the
 same grids and extrapolated in 1/n by the same step (``_extrapolated``);
 this is the only derivative route.  Reported errors are the last
-Neville correction plus the stencil error.  The limiting PDEs read
-one dict of (value, error) pairs, the limits R, Rstar, H and the
+Neville correction plus the stencil error.  The limiting identities
+and PDEs read one dict of (value, error) pairs, limits and the
 ``calculus.partials`` of U and H ("dU1", .., "dH12"), and are held to 10
 times their error propagated over ``calculus.moved`` inputs.
 """
@@ -172,30 +172,28 @@ class ScaledGrid:
 
 
 def verify_limit_identities(grid: ScaledGrid):
-    """R = -s1 dH/ds1, R* = -2 s2 dH/ds2, R = -r, R* = -r*, and the
-    sign of dH/ds1; contracts are 10x the combined error."""
-    out = []
+    """R = -r, R* = -r*, R = -s1 dH/ds1, R* = -2 s2 dH/ds2 by
+    ``propagated_check``; dH/ds1 < 0 beyond its error e1 held to
+    max(10 e1, 1e-10), and sgn(R*/R) = sgn(s1) to the R and R* errors."""
     ps = f"(s1,s2)=({grid.s1},{grid.s2})"
     with mp.workdps(grid.prec.work_dps):
         s = grid.at()
         s1m, s2m = to_mpf(grid.s1), to_mpf(grid.s2)
-        (dH1, e1), (dH2, e2) = partials(grid, "H", ("1", "2")).values()
-        R, Rs, r, rs = (s[q] for q in ("R", "Rstar", "r", "rstar"))
-        out.append(Check("scaled-R-plus-r", abs(R.limit + r.limit),
-                         floored(10 * (R.err + r.err)), ps))
-        out.append(Check("scaled-Rstar-plus-rstar", abs(Rs.limit + rs.limit),
-                         floored(10 * (Rs.err + rs.err)), ps))
-        out.append(Check("limit-R-identity", abs(R.limit + s1m * dH1),
-                         floored(10 * (R.err + abs(s1m) * e1)), ps))
-        out.append(Check("limit-Rstar-identity", abs(Rs.limit + 2 * s2m * dH2),
-                         floored(10 * (Rs.err + 2 * s2m * e2)), ps))
+        x = {q: (s[q].limit, s[q].err) for q in ("R", "Rstar", "r", "rstar")}
+        x.update(("dH" + k, p) for k, p in partials(grid, "H", ("1", "2")).items())
+        out = [propagated_check(cid, [f(v) for v in moved(x)], ps) for cid, f in (
+            ("scaled-R-plus-r", lambda v: v["R"] + v["r"]),
+            ("scaled-Rstar-plus-rstar", lambda v: v["Rstar"] + v["rstar"]),
+            ("limit-R-identity", lambda v: v["R"] + s1m * v["dH1"]),
+            ("limit-Rstar-identity", lambda v: v["Rstar"] + 2 * s2m * v["dH2"]))]
         # sgn(dH/ds1) = -1: require dH1 negative beyond its error bar
+        dH1, e1 = x["dH1"]
         out.append(Check("dH-ds1-sign", mpf(0) if dH1 < -e1 else abs(dH1) + e1,
                          floored(max(10 * e1, mpf(10) ** -10)), ps))
-        V = Rs.limit / R.limit
-        out.append(Check("scaled-V-sign",
-                         mpf(0) if V * mp.sign(s1m) > 0 else abs(V),
-                         floored(Rs.err + R.err), ps))
+        (R, eR), (Rs, eRs) = x["R"], x["Rstar"]
+        V = Rs / R
+        out.append(Check("scaled-V-sign", mpf(0) if V * mp.sign(s1m) > 0 else abs(V),
+                         floored(eRs + eR), ps))
     return out
 
 

@@ -56,8 +56,9 @@ def _meta(config: RunConfig, **extra) -> dict:
     return meta
 
 
-#: the depth of every table at the configured point, the calculus grid's;
-#: a table's first rows have the same bits at any depth of one precision
+#: the depth of the configured point's grid tables and multitime's row (moments,
+#: recurrence and ladder read it 12 deep at the default n_max); a table's first
+#: rows have the same bits at any depth of one precision
 _POINT_DEPTH = 5
 
 
@@ -251,7 +252,7 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
         for stn in (coarse, fine):
             g = _stencil_grid(config, params, _POINT_DEPTH, stn)
             t1 = to_mpf(params.t1)
-            d, _ = g.first(lambda v: mp.log(v.h[3]), 0)
+            d, _ = ca.partials(g, lambda v: mp.log(v.h[3]), ("1",))["1"]
             res.append(abs(t1 * d + ld.aux_row(g.bundle(), 3).R[0]))
         ratio = res[0] / res[1]
         rep.add(Check("fd-convergence-order",

@@ -7,6 +7,7 @@ from laguerre_lab import calculus as ca
 from laguerre_lab.errors import DomainError, StencilOutOfDomain
 from laguerre_lab.ladder import aux_row
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
+from laguerre_lab.reports import floored, render
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,84 @@ def test_riccati(point, grid, params_neg_t1, prec, stencil):
     for c in checks:
         assert c.ok, c.id
         assert c.residual < mpf(10) ** -12
+
+
+@pytest.fixture(scope="module")
+def grid3():
+    """An m = 3 grid away from the golden points, depth-3 tables at P = 50."""
+    prec = PrecisionContext(digits=50)
+    return ca.StencilGrid(WeightParams("3/2", ("1/5", "1/7", "1/11")), prec,
+                          ca.DerivativeStencil(), ca.table_bundle_builder(3, prec))
+
+
+def _closed_form_tolerances(grid, n):
+    """{check id: 10 sum |c| e} of the linear derivative checks at index n,
+    summed in closed form from the grid's own first/second/mixed estimates
+    in the order the hand-written rule used: per axis, the second, first
+    and then the mixed partials of D(D - 1)."""
+    scales = ca.axis_scales(grid.params)
+    t = [to_mpf(v) for v in grid.params.t]
+
+    def axes(cid, f):
+        return {cid.format(i + 1): 10 * abs(s) * grid.first(f, i)[1]
+                for i, s in enumerate(scales)}
+
+    def euler(f):
+        return 10 * mp.fsum(abs(s) * grid.first(f, i)[1] for i, s in enumerate(scales))
+
+    def euler_second(f):
+        err = mpf(0)
+        for i, s in enumerate(scales):
+            err += s ** 2 * grid.second(f, i)[1]
+            err += (i + 1) * i * abs(t[i]) * grid.first(f, i)[1]
+            for j in range(i + 1, len(scales)):
+                err += 2 * abs(s * scales[j]) * grid.mixed(f, i, j)[1]
+        return 10 * err
+
+    lnbeta = lambda v: mp.log(v.beta(n))
+    return {**axes("dlnh-t{}", lambda v: mp.log(v.h[n])),
+            **axes("dp-t{}", lambda v: v.p(n)),
+            **axes("riccati-S-t{}", lambda v: aux_row(v, n).Rsum),
+            **axes("riccati-r-t{}", lambda v: aux_row(v, n).rsum),
+            "toda-alpha": euler(lambda v: v.alpha(n)),
+            "toda-beta": euler(lnbeta),
+            "toda-molecule": euler_second(lnbeta),
+            "toda-lndn": euler_second(lambda v: v.log_hankel(n))}
+
+
+@pytest.mark.parametrize("which", ["m3", "t1-neg"])
+def test_linear_checks_keep_closed_form_tolerances(which, grid3, params_neg_t1, prec, stencil):
+    # a linear residual's propagated error is |coef| times the error up to
+    # rounding far below the 12 digits a tolerance keeps
+    grid = grid3 if which == "m3" else ca.StencilGrid(params_neg_t1, prec, stencil,
+                                                       ca.table_bundle_builder(4, prec))
+    n = 2
+    with mp.workdps(grid.prec.work_dps):
+        checks = (ca.derivative_relations(n, grid, ("dlnh", "dp"))
+                  + sum(ca.riccati_checks(n, grid), []) + ca.verify_toda(n, grid))
+        want = _closed_form_tolerances(grid, n)
+        assert sorted(c.id for c in checks) == sorted(want)
+        for c in checks:
+            assert c.ok, c.id
+            assert render(c.tol) == render(floored(want[c.id])), c.id
+
+
+def test_toda_differentiates_each_quantity_once(grid, grid3, monkeypatch):
+    # alpha_n's first partials and ln beta_n's first and second partials,
+    # each taken once: 2 + 5 at m = 2 and 3 + 9 at m = 3
+    calls = []
+    real = ca.StencilGrid._derivative
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(ca.StencilGrid, "_derivative", counted)
+    for g, most in ((grid, 7), (grid3, 12)):
+        calls.clear()
+        with mp.workdps(g.prec.work_dps):
+            ca.toda_checks(2, g)
+        assert len(calls) <= most, (g.params.m, len(calls))
 
 
 def test_coupled_pdes(grid):
