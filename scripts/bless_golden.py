@@ -7,10 +7,11 @@ suite, metadata (no timestamp) and entries; ``tests/test_golden.py``
 reruns it and holds the run to those bytes.  This script reruns the
 file's arguments, or the arguments given after the path (for a new file
 or a changed run), and prints every residual and tolerance string that
-changed, old -> new, plus every entry that appeared or went away.  An
-entry that went away and one that appeared under the same suite and id
-are paired, in order, as one entry re-pointed old point -> new point,
-and compared like any other.  It writes the file unless some tolerance
+changed, old -> new, every entry that appeared or went away, and every
+report metadata key that changed, appeared or went away.  An entry that
+went away and one that appeared under the same suite and id are paired,
+in order, as one entry re-pointed old point -> new point, and compared
+like any other.  It writes the file unless some tolerance
 is looser than the committed one; then it writes nothing and exits 1.
 A written file ends the output with one count line: the residual and
 tolerance strings moved, and the entries added, removed and re-pointed.
@@ -114,6 +115,20 @@ def changes(old: dict, new: dict) -> list:
     return lines
 
 
+def metadata_changes(old: dict, new: dict) -> list:
+    """"metadata SUITE KEY: OLD -> NEW" per report metadata key that changed,
+    appeared or went away; a key a report lacks reads "(none)"."""
+    a, b = ({rep["suite"]: rep["metadata"] for rep in doc["reports"]} for doc in (old, new))
+    lines = []
+    for suite in dict.fromkeys(list(a) + list(b)):
+        was, now = a.get(suite, {}), b.get(suite, {})
+        for key in sorted(was.keys() | now.keys()):
+            if was.get(key) != now.get(key):
+                lines.append(f"metadata {suite} {key}: {was.get(key, '(none)')} -> "
+                             f"{now.get(key, '(none)')}")
+    return lines
+
+
 def count_line(kinds: Counter) -> str:
     """The counts of a bless, by the kinds of ``changes``."""
     return (f"{kinds['residual']} residual and {kinds['tolerance']} tolerance strings moved, "
@@ -142,6 +157,8 @@ def main(argv=None):
             print(f"mpmath: {old['mpmath']} -> {new['mpmath']}")
         moved = changes(old, new)
         for _, line in moved:
+            print(line)
+        for line in metadata_changes(old, new):
             print(line)
         kinds = Counter(kind for kind, _ in moved)
         looser = looser_tolerances(old, new)

@@ -59,7 +59,7 @@ from .errors import (
 from .ladder import AuxRow, aux_row, pad3
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
 from .quadrature import shift_seeds
-from .reports import Check, floored
+from .reports import Check, floored, sign_check
 
 
 @dataclass(frozen=True)
@@ -738,7 +738,8 @@ def verify_sigma_pde(n: int, grid: StencilGrid):
     Each derivative check is evaluated on the states of ``moved_states``
     (one row reconstruction each) and held to its propagated error,
     except ``H-def`` and ``H-from-aux``, which read the ln D_n and S_n
-    first partials.
+    first partials; ``delta-nonneg`` asks Delta to exceed 10 times that
+    error (``reports.sign_check``).
     """
     point, prec = grid.params, grid.prec
     state = hankel_sigma(n, grid)
@@ -764,8 +765,8 @@ def verify_sigma_pde(n: int, grid: StencilGrid):
             propagated_check("dH-t1", [s.r[0] - r for s in states], ps),
             propagated_check("dH-t2", [s.r[1] - rs for s in states], ps),
             propagated_check("delta-identity", [s.Delta - ident for s in states], ps),
-            Check("delta-nonneg", -state.Delta if state.Delta < 0 else mpf(0),
-                  floored(to_mpf(prec.half_eps) + 10 * propagated([s.Delta for s in states])), ps),
+            sign_check("delta-nonneg", [state.Delta], to_mpf(prec.half_eps), ps,
+                       [propagated([s.Delta for s in states])]),
             propagated_check("reconstruct-R", [rec.R[0] - R for rec in recs], ps),
             propagated_check("reconstruct-Rstar", [rec.R[1] - Rs for rec in recs], ps),
             propagated_check("reconstruct-r", [rec.r[0] - r for rec in recs], ps),

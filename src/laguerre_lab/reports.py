@@ -78,6 +78,17 @@ class Check:
         }
 
 
+def sign_check(cid: str, values, tol, point: str, errors=None) -> Check:
+    """A sign fact: each value, already multiplied by its expected sign,
+    must exceed 10 times its error (0 for exact values, the default; 10 is
+    ``calculus.propagated_check``'s factor).  The residual is 0 when every
+    value does, else 1 plus the worst shortfall, above any tol < 1."""
+    values = list(values)
+    errors = [0] * len(values) if errors is None else errors
+    short = max(10 * e - v for v, e in zip(values, errors))
+    return Check(cid, mpf(0) if short < 0 else 1 + short, tol, point)
+
+
 @dataclass
 class ResidualReport:
     """All checks of one suite plus run metadata."""

@@ -23,12 +23,12 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 
 from .calculus import (DerivativeStencil, StencilGrid, moved, normalized, partials,
-                       propagated_check, table_bundle_builder)
+                       propagated, propagated_check, table_bundle_builder)
 from .errors import DomainError, SingularAux
 from .ladder import aux_row
 from .orthopoly import digits_for
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
-from .reports import Check, floored
+from .reports import sign_check
 
 #: the scaled quantities: n R_n, n R_n*, r_n, r_n*, H_n
 QUANTITIES = ("R", "Rstar", "r", "rstar", "H")
@@ -173,8 +173,9 @@ class ScaledGrid:
 
 def verify_limit_identities(grid: ScaledGrid):
     """R = -r, R* = -r*, R = -s1 dH/ds1, R* = -2 s2 dH/ds2 by
-    ``propagated_check``; dH/ds1 < 0 beyond its error e1 held to
-    max(10 e1, 1e-10), and sgn(R*/R) = sgn(s1) to the R and R* errors."""
+    ``propagated_check``; dH/ds1 < 0 and sgn(R*/R) = sgn(s1) by
+    ``reports.sign_check``, with dH/ds1's error and the error of R*/R
+    propagated from R and R*."""
     ps = f"(s1,s2)=({grid.s1},{grid.s2})"
     with mp.workdps(grid.prec.work_dps):
         s = grid.at()
@@ -186,14 +187,11 @@ def verify_limit_identities(grid: ScaledGrid):
             ("scaled-Rstar-plus-rstar", lambda v: v["Rstar"] + v["rstar"]),
             ("limit-R-identity", lambda v: v["R"] + s1m * v["dH1"]),
             ("limit-Rstar-identity", lambda v: v["Rstar"] + 2 * s2m * v["dH2"]))]
-        # sgn(dH/ds1) = -1: require dH1 negative beyond its error bar
+        half = to_mpf(grid.prec.half_eps)
         dH1, e1 = x["dH1"]
-        out.append(Check("dH-ds1-sign", mpf(0) if dH1 < -e1 else abs(dH1) + e1,
-                         floored(max(10 * e1, mpf(10) ** -10)), ps))
-        (R, eR), (Rs, eRs) = x["R"], x["Rstar"]
-        V = Rs / R
-        out.append(Check("scaled-V-sign", mpf(0) if V * mp.sign(s1m) > 0 else abs(V),
-                         floored(eRs + eR), ps))
+        out.append(sign_check("dH-ds1-sign", [-dH1], half, ps, [e1]))
+        V = [v["Rstar"] / v["R"] for v in moved({q: x[q] for q in ("R", "Rstar")})]
+        out.append(sign_check("scaled-V-sign", [mp.sign(s1m) * V[0]], half, ps, [propagated(V)]))
     return out
 
 

@@ -30,7 +30,7 @@ from .orthopoly import (
 )
 from .params import PrecisionContext, WeightParams, to_mpf
 from .quadrature import integrate_weighted, moment, moments
-from .reports import Check, ResidualReport, floored
+from .reports import Check, ResidualReport, floored, sign_check
 
 #: deterministic seed data for the random admissible points of the
 #: discriminant sign check (simple LCG so no library RNG is involved)
@@ -96,19 +96,13 @@ def moments_suite(config: RunConfig) -> ResidualReport:
         half = to_mpf(prec.half_eps)
         kmin = -params.m if params.is_deformed else 0
         quad = moments(params, kmin, 11, prec)
-        worst_k = min((v, k) for k, v in quad.items() if k <= 6)
-        rep.add(Check("moment-positive",
-                      mpf(0) if worst_k[0] > 0 else 1 - worst_k[0],
-                      half, f"k={kmin}..6"))
+        rep.add(sign_check("moment-positive", [v for k, v in quad.items() if k <= 6],
+                           half, f"k={kmin}..6"))
         # the table's moments (Pearson recurrence) against the full sweep
         dev = max(abs(tab.moments[k] - v) / abs(v) for k, v in quad.items())
         rep.add(Check("moment-pearson", dev, 10 * to_mpf(prec.quad_tol), f"k={kmin}..11"))
-        bad = mpf(0)
-        for nn in range(1, 13):
-            d = moment_determinant(tab, nn)
-            if not d > 0:
-                bad = max(bad, 1 - d)
-        rep.add(Check("hankel-positive-definite", bad, half, "N<=12"))
+        rep.add(sign_check("hankel-positive-definite",
+                           [moment_determinant(tab, nn) for nn in range(1, 13)], half, "N<=12"))
         # relative where |mu_0| > 1: mu_0 is 1.35e40 at t = (-4, 1/25)
         lo = moment(0, params, PrecisionContext(digits=max(50, prec.digits // 2)))
         rep.add(Check("precision-doubling", abs(lo - quad[0]) / max(1, abs(quad[0])),
@@ -134,11 +128,8 @@ def recurrence_suite(config: RunConfig) -> ResidualReport:
             for nn in range(1, config.n_max + 1)
         )
         rep.add(Check("alpha-sum-rule", worst, half, f"n<={config.n_max}"))
-        bad = mpf(0)
-        for nn in range(1, N + 1):
-            if not tab.beta(nn) > 0:
-                bad = max(bad, 1 - tab.beta(nn))
-        rep.add(Check("beta-positive", bad, half, f"n<={N}"))
+        rep.add(sign_check("beta-positive", [tab.beta(nn) for nn in range(1, N + 1)],
+                           half, f"n<={N}"))
         d4 = hankel_determinant(tab, 4)
         rep.add(Check("hankel-product", abs(d4 - moment_determinant(tab, 4)),
                       floored(mpf(10) ** (-(prec.digits - 50)) * abs(d4)), "n=4"))
@@ -180,17 +171,10 @@ def ladder_suite(config: RunConfig) -> ResidualReport:
                       abs(aux[0].R[0] - t1 * mu[-1] / mu[0])
                       + abs(aux[0].R[1] - 2 * to_mpf(params.t2) * mu[-2] / mu[0]),
                       half, "n=0"))
-        sgn = mp.sign(t1)
-        bad_R = mpf(0)
-        bad_Rs = mpf(0)
-        for nn in range(n_top + 1):
-            R, Rs = aux[nn].R
-            if not R * sgn > 0:
-                bad_R = max(bad_R, abs(R))
-            if not Rs > 0:
-                bad_Rs = max(bad_Rs, 1 - Rs)
-        rep.add(Check("aux-sign-R", bad_R, half, f"n<={n_top}"))
-        rep.add(Check("aux-sign-Rstar", bad_Rs, half, f"n<={n_top}"))
+        rows = aux[:n_top + 1]
+        rep.add(sign_check("aux-sign-R", [mp.sign(t1) * a.R[0] for a in rows],
+                           half, f"n<={n_top}"))
+        rep.add(sign_check("aux-sign-Rstar", [a.R[1] for a in rows], half, f"n<={n_top}"))
 
         res = [ld.row_residuals(tab, aux, nn, prec) for nn in range(n_top + 1)]
         rep.add(Check("alpha-aux", max(r.alpha for r in res), triple, f"n<={n_top}"))
@@ -298,12 +282,17 @@ def sigma_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("sigma-pde-reduction", r5,
                       floored(min(r4, mpf(10) ** -3)), "n=2;t1=0.3;eps=1e-5"))
 
-    # Delta >= 0 at 20 deterministic admissible points (desk precision;
-    # a coarse stencil is plenty for a sign with Delta of order one)
+    rep.add(delta_random(config))
+    return rep
+
+
+def delta_random(config: RunConfig) -> Check:
+    """Delta > 0 at 20 deterministic admissible points (desk precision;
+    a coarse stencil is plenty for a sign with Delta of order one)."""
     small = PrecisionContext(digits=60)
     st60 = ca.DerivativeStencil(order=2, richardson_levels=1)
     state = _LCG_SEED
-    worst = mpf(0)
+    deltas = []
     for _ in range(20):
         state, u1 = _lcg_uniform(state)
         state, u2 = _lcg_uniform(state)
@@ -313,12 +302,9 @@ def sigma_suite(config: RunConfig) -> ResidualReport:
         t1 = (Fraction(1, 20) + Fraction(round(u2 * 950), 1000)) * (1 if u4 < Fraction(1, 2) else -1)
         t2 = Fraction(1, 20) + Fraction(round(u3 * 950), 1000)
         point = WeightParams(alpha, (t1, t2))
-        sst = ca.hankel_sigma(2, _stencil_grid(config, point, 3, st60, small))
-        with mp.workdps(small.work_dps):
-            if sst.Delta < 0:
-                worst = max(worst, -sst.Delta)
-    rep.add(Check("delta-random", worst, to_mpf(small.half_eps), "20 LCG points"))
-    return rep
+        deltas.append(ca.hankel_sigma(2, _stencil_grid(config, point, 3, st60, small)).Delta)
+    with mp.workdps(small.work_dps):
+        return sign_check("delta-random", deltas, to_mpf(small.half_eps), "20 LCG points")
 
 
 def scaling_suite(config: RunConfig) -> ResidualReport:
@@ -358,13 +344,10 @@ def equilibrium_suite(config: RunConfig) -> ResidualReport:
         # the series identities hold to the endpoint solve, like limit-A
         rep.add(Check("density-normalization", abs(eq.density_normalization(sol) - n),
                       tolN * 100, f"n={n}"))
-        neg = mpf(0)
-        for k in range(1, 102):
-            x = sol.a + (sol.b - sol.a) * k / mpf(102)
-            d = eq.density(sol, x)
-            if d < 0:
-                neg = max(neg, -d)
-        rep.add(Check("density-nonneg", neg, to_mpf(prec.half_eps), "101-point grid"))
+        rep.add(sign_check("density-nonneg",
+                           [eq.density(sol, sol.a + (sol.b - sol.a) * k / mpf(102))
+                            for k in range(1, 102)],
+                           to_mpf(prec.half_eps), "101-point grid"))
         r1, r2 = eq.supplementary_residual(sol)
         rep.add(Check("supplementary-v1", r1, mpf(10) ** -10, f"n={n}"))
         rep.add(Check("supplementary-v2", r2, mpf(10) ** -10, f"n={n}"))
@@ -401,7 +384,11 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
     prec = config.prec
     base_t = config.params.t if config.params.m >= 2 else ("0.3", "0.2")
     p3 = WeightParams(config.params.alpha, tuple(base_t[:2]) + (Fraction(1, 10),))
-    rep = ResidualReport("multitime", metadata=_meta(config, verified_point=_point_meta(p3)))
+    m4 = WeightParams(config.params.alpha, ("0.3", "0.2", "0.1", "0.05"))
+    m5 = WeightParams(config.params.alpha, ("0.3", "0.2", "0.1", "0.05", "0.02"))
+    rep = ResidualReport("multitime", metadata=_meta(
+        config, verified_point=_point_meta(p3), verified_point_m4=_point_meta(m4),
+        verified_point_m5=_point_meta(m5)))
 
     n_top = min(config.n_max, 8)
     tab3 = _table(config, p3, n_top)
@@ -431,8 +418,6 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
         )
         rep.add(Check("t3-continuity", drift, mpf("0.001"), "t3=1e-6"))
 
-    m4 = WeightParams(config.params.alpha, ("0.3", "0.2", "0.1", "0.05"))
-    m5 = WeightParams(config.params.alpha, ("0.3", "0.2", "0.1", "0.05", "0.02"))
     for n, point in ((2, m4), (1, m5)):
         rep.extend(mt.verify_S1_S2_general_m(n, _stencil_grid(config, point, n + 1)))
 

@@ -396,14 +396,17 @@ def test_precision_doubling_is_relative_where_mu0_is_large(tmp_path, capsys):
     assert mpf(entry["residual"]) < mpf("1e-70")
 
 
-def test_reports_name_the_verified_point(tmp_path):
+def test_reports_name_the_verified_point():
     # the equilibrium suite verifies alpha = max(alpha, 1); at the default
-    # alpha = 1/2 its metadata names both points
-    cfg = parse_config(None, {"digits": "60", "suites": "equilibrium",
-                              "cache_dir": str(tmp_path / "cache")})
-    meta = suites.run_suite(cfg)[0].metadata
-    assert meta["point"] == "alpha=1/2;t=3/10,1/5"
+    # alpha = 1/2 its metadata names both points.  multitime names its
+    # m = 3 point and its fixed m = 4 and m = 5 points
+    cfg = parse_config(None, {"digits": "60", "suites": "equilibrium,multitime"})
+    meta, mt_meta = (rep.metadata for rep in suites.run_suite(cfg))
+    assert meta["point"] == mt_meta["point"] == "alpha=1/2;t=3/10,1/5"
     assert meta["verified_point"] == "alpha=1;t=3/10,1/5"
+    assert mt_meta["verified_point"] == "alpha=1/2;t=3/10,1/5,1/10"
+    assert mt_meta["verified_point_m4"] == "alpha=1/2;t=3/10,1/5,1/10,1/20"
+    assert mt_meta["verified_point_m5"] == "alpha=1/2;t=3/10,1/5,1/10,1/20,1/50"
 
 
 def test_equilibrium_verifies_the_m2_part_of_an_m3_point(tmp_path):

@@ -11,6 +11,10 @@ order:
 2. the same suites, metadata, ids, entry order and point strings;
 3. no tolerance above the golden one;
 4. byte-equal residual and tolerance strings.
+
+Every tolerance string of a golden file has at most ``TOL_DIGITS``
+significant digits: computed tolerances are floored to them, and fixed
+bounds are short.
 """
 
 import importlib.util
@@ -18,6 +22,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from laguerre_lab.reports import TOL_DIGITS
 
 GOLDEN = Path(__file__).parent / "golden"
 #: the golden report runs; table-bits.json is the canary of test_table_bits.py
@@ -51,3 +57,11 @@ def test_reports_match_golden(path, tmp_path):
              for g, w in zip(gr["entries"], wr["entries"])]
     assert [(g["residual"], g["tolerance"], g["pass"]) for g, _ in pairs] == \
         [(w["residual"], w["tolerance"], w["pass"]) for _, w in pairs]
+
+
+@pytest.mark.parametrize("path", RUNS, ids=lambda p: p.stem)
+def test_tolerances_keep_at_most_tol_digits(path):
+    doc = json.loads(path.read_text())
+    digits = lambda s: len(s.split("e")[0].replace(".", "").strip("0"))
+    assert [(r["suite"], e["id"], e["tolerance"]) for r in doc["reports"]
+            for e in r["entries"] if digits(e["tolerance"]) > TOL_DIGITS] == []

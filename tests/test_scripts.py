@@ -74,8 +74,23 @@ def test_bless_golden_lists_changes_and_refuses_a_looser_tolerance(tmp_path, mon
         "0 re-pointed")
     assert path.read_text() == blessed
 
-    # an entry whose point string moved is re-pointed, not removed and added
+    # a changed, an added and a removed metadata key are listed, not counted
     first["residual"] = was
+    meta = doc["reports"][0]["metadata"]
+    meta["digits"], meta["extra"] = 40, "x"
+    n_max = meta.pop("n_max")
+    path.write_text(json.dumps(doc))
+    bless.main([str(path)])
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:] == ["metadata recurrence digits: 40 -> 50",
+                   "metadata recurrence extra: x -> (none)",
+                   f"metadata recurrence n_max: (none) -> {n_max}",
+                   f"wrote {path}: 0 residual and 0 tolerance strings moved, 0 entries added, "
+                   "0 removed, 0 re-pointed"]
+    assert path.read_text() == blessed
+    doc["reports"][0]["metadata"] = json.loads(blessed)["reports"][0]["metadata"]
+
+    # an entry whose point string moved is re-pointed, not removed and added
     first["point"] += ";moved"
     path.write_text(json.dumps(doc))
     bless.main([str(path)])
