@@ -5,13 +5,14 @@ moments, the Pearson recurrence for the rest, then the moment
 Gram-Schmidt); they are keyed by a content hash of (weight point,
 digits, depth, format version) and stored as JSON of h, alpha, the
 coefficient vectors and the moments.
-A build renders every value at work_dps + 10 digits and parses it back
-at work_dps, then keeps those bits in memory and stores them exactly:
-each value is "[-]<hex mantissa>p<exponent>" of mpmath's normalized
-(sign, man, exp), zero is "0p0".  A read decodes the bits with no
-decimal parsing, and any other spelling (a decimal, an even mantissa, a
-signed zero) makes the entry a miss, so warm and cold runs see
-bit-identical values and reports are reproducible byte for byte.
+A built table holds every value at its work_dps (``recurrence_table``
+rounds the moments and h_0 once); the memo keeps those bits and the
+file stores them exactly: each value is "[-]<hex mantissa>p<exponent>"
+of mpmath's normalized (sign, man, exp), zero is "0p0".  A read
+decodes the bits with no decimal parsing, and any other spelling (a
+decimal, an even mantissa, a signed zero) makes the entry a miss, so
+warm and cold runs see bit-identical values and reports are
+reproducible byte for byte.
 Files of older formats sit under other keys; they are never read and
 can be deleted.
 
@@ -34,13 +35,13 @@ import os
 import tempfile
 from pathlib import Path
 
-from mpmath import mp, mpf
+from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from .errors import ConfigError
 from .orthopoly import RecurrenceTable, recurrence_table, table_precision
 from .params import PrecisionContext, WeightParams
-from .quadrature import clear_memos, seed_moments, shift_seeds
+from .quadrature import clear_memos, seed_depth, seed_moments, shift_seeds
 
 #: 2: moments k >= 1 come from the Pearson recurrence, not quadrature;
 #: 3: values are stored as exact binary, not as decimal strings;
@@ -77,20 +78,6 @@ def _values(src: dict, f) -> dict:
     out["coeffs"] = tuple(tuple(map(f, row)) for row in src["coeffs"])
     out["moments"] = {int(k): f(v) for k, v in src["moments"].items()}
     return out
-
-
-def _decimal_round_trip(tab: RecurrenceTable) -> RecurrenceTable:
-    """tab with every value rendered at work_dps + 10 digits and parsed back.
-
-    The parse is at work_dps, so this moves the low bits of many values.
-    These are the bits every run reads, cold or warm, and the reports'
-    bytes rest on them.
-    """
-    dps = tab.prec.work_dps + 10
-    with mp.workdps(dps + 10):
-        text = _values(vars(tab), lambda v: mp.nstr(v, dps, strip_zeros=True))
-    with mp.workdps(tab.prec.work_dps):
-        return RecurrenceTable(params=tab.params, prec=tab.prec, N=tab.N, **_values(text, mpf))
 
 
 def _spell(v: tuple) -> str:
@@ -130,9 +117,10 @@ def _read_entry(path: Path, params: WeightParams, N: int,
                 prec: PrecisionContext, origin: WeightParams):
     """The table stored at path, or None for a miss.
 
-    A missing, unparsable or truncated file, a missing key, and a stored
+    A missing, unparsable or truncated file, a missing key, a stored
     version, depth, precision, point or anchor point that differs from
-    the request are all misses.
+    the request, and values of another shape than a depth-N table's are
+    all misses.
     """
     try:
         doc = json.loads(path.read_text())
@@ -141,7 +129,13 @@ def _read_entry(path: Path, params: WeightParams, N: int,
                   None if origin is None else _params_doc(origin))
         if stored != wanted:
             return None
-        return RecurrenceTable(params=params, prec=prec, N=N, **_values(doc, _parse))
+        values = _values(doc, _parse)
+        shape = (len(values["h"]), len(values["alpha_rc"]),
+                 [len(row) for row in values["coeffs"]], sorted(values["moments"]))
+        if shape != (N + 1, N, list(range(1, N + 2)),
+                     list(range(-seed_depth(params), 2 * N + 2))):
+            return None
+        return RecurrenceTable(params=params, prec=prec, N=N, **values)
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
@@ -187,7 +181,7 @@ def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext
     if table is None:
         seeds = None if origin is None else shift_seeds(
             origin, seed_moments(origin, prec), params, prec)
-        table = _decimal_round_trip(recurrence_table(params, N, prec, seeds=seeds))
+        table = recurrence_table(params, N, prec, seeds=seeds)
         _write_entry(root, path, _document(table, origin))
     _memo[key] = table
     return table

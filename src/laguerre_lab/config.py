@@ -95,7 +95,9 @@ def parse_config(path: str = None, overrides: dict = None) -> RunConfig:
             raise
         raise ConfigError(str(exc)) from exc
 
-    suites = tuple(s.strip() for s in str(merged["suites"]).split(",") if s.strip())
+    # the suites run in the order given; a repeated name runs once, at its first place
+    names = (s.strip() for s in str(merged["suites"]).split(","))
+    suites = tuple(dict.fromkeys(s for s in names if s))
     for s in suites:
         if s != "all" and s not in SUITE_NAMES:
             raise ConfigError(f"unknown suite {s!r} (choose from {SUITE_NAMES})")

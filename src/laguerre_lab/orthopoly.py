@@ -45,6 +45,7 @@ class RecurrenceTable:
     ``coeffs[n]`` is the monic coefficient vector of P_n (degree order),
     ``moments[k]`` holds mu_k for k = -m..2N+1 (k >= 0 in the t = 0
     limit mode); beta_n and p(n) = ``coeffs[n][n-1]`` are not stored.
+    Every value is at the table's precision, ``prec.work_dps``.
     Tables are immutable and safe to share.  ``rows`` is the memo of aux
     rows by index (``ladder.aux_row``), shared by every reader of the
     table; it is neither compared nor stored in the cache.
@@ -154,15 +155,17 @@ def recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
                 )
             coeffs.append(nxt)
             h.append(hn1)
-    return RecurrenceTable(
-        params=params,
-        prec=eff,
-        N=N,
-        h=tuple(h),
-        alpha_rc=tuple(alpha_rc),
-        coeffs=tuple(tuple(c) for c in coeffs),
-        moments=mu,
-    )
+        # the loop reads the sample-precision moments and h_0; the table
+        # keeps them rounded once to its own precision
+        return RecurrenceTable(
+            params=params,
+            prec=eff,
+            N=N,
+            h=tuple(+v for v in h),
+            alpha_rc=tuple(alpha_rc),
+            coeffs=tuple(tuple(c) for c in coeffs),
+            moments={k: +v for k, v in mu.items()},
+        )
 
 
 def hankel_determinant(table: RecurrenceTable, n: int) -> mpf:

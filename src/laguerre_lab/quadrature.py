@@ -346,7 +346,7 @@ def moments(params: WeightParams, kmin: int, kmax: int, prec: PrecisionContext) 
         return dict(enumerate(_trapezoid_levels(g, prec, "moments"), start=kmin))
 
 
-def _seed_depth(params: WeightParams) -> int:
+def seed_depth(params: WeightParams) -> int:
     """m, the depth of the seeds k = -m..0 (0 in the t = 0 mode)."""
     return params.m if params.is_deformed else 0
 
@@ -361,7 +361,7 @@ def seed_moments(params: WeightParams, prec: PrecisionContext) -> dict:
     """
     key = (params, prec)
     if key not in _seed_memo:
-        _seed_memo[key] = moments(params, -_seed_depth(params), 0, prec)
+        _seed_memo[key] = moments(params, -seed_depth(params), 0, prec)
     return _seed_memo[key]
 
 
@@ -390,7 +390,7 @@ def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext,
     dominant solution and the upward recursion is stable; it runs at the
     sweep's working precision.
     """
-    m = _seed_depth(params)
+    m = seed_depth(params)
     mu = dict(seeds if seeds is not None else seed_moments(params, prec))
     with mp.workdps(sample_dps(prec)):
         coef = [to_mpf(j * tj) for j, tj in enumerate(params.t[:m], start=1)]
@@ -423,7 +423,7 @@ def shift_seeds(centre: WeightParams, seeds: dict, node: WeightParams,
     tolerance of the ``moment-pearson`` check; otherwise None, and the node
     is integrated.
     """
-    m = _seed_depth(centre)
+    m = seed_depth(centre)
     if not m or node.alpha != centre.alpha or node.m != centre.m:
         return None
     axes = [(i, b - a) for i, (a, b) in enumerate(zip(centre.t, node.t), start=1) if b != a]

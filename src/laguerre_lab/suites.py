@@ -441,7 +441,7 @@ SUITE_RUNNERS = {
 
 
 def run_suite(config: RunConfig) -> list:
-    """Run the configured suites in registry order; deterministic."""
+    """Run the configured suites in the order given, each once; deterministic."""
     out = []
     for name in config.active_suites:
         out.append(SUITE_RUNNERS[name](config))

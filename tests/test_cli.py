@@ -5,6 +5,7 @@ import time
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from laguerre_lab import cli, suites
 from laguerre_lab import equilibrium as eq
@@ -40,6 +41,15 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.prec.digits == 60
     assert cfg.n_max == 6  # flag wins
     assert cfg.active_suites == ("moments", "ladder")
+
+
+def test_repeated_suite_runs_once_in_the_order_given(tmp_path):
+    cfg = parse_config(None, {"suites": "recurrence,moments,moments"})
+    assert cfg.active_suites == ("recurrence", "moments")
+    out = tmp_path / "rep.json"
+    assert cli.main(["recurrence,moments,moments", "--digits", "60", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [rep["suite"] for rep in doc["reports"]] == ["recurrence", "moments"]
 
 
 def test_negative_t1_accepted_by_flags():
@@ -478,8 +488,13 @@ def test_truncated_cache_file_is_a_miss(tmp_path):
     lambda doc: doc["h"].__setitem__(1, "0.25"),
     lambda doc: doc["moments"].update({"0": "2p0"}),
     lambda doc: doc["coeffs"][1].__setitem__(0, "-0p0"),
+    lambda doc: doc["h"].pop(),
+    lambda doc: doc["alpha_rc"].pop(),
+    lambda doc: doc["coeffs"][2].pop(),
+    lambda doc: doc["moments"].pop("7"),
 ], ids=["version", "N", "digits", "params", "missing-key", "bad-value", "anchor",
-        "decimal", "even-mantissa", "signed-zero"])
+        "decimal", "even-mantissa", "signed-zero", "short-h", "short-alpha", "short-coeffs",
+        "no-top-moment"])
 def test_mismatched_cache_entry_is_rebuilt(tmp_path, mangle):
     params, prec = WeightParams("0.5", ("0.3", "0.2")), PrecisionContext(digits=60)
     clear_memo()
@@ -495,37 +510,53 @@ def test_mismatched_cache_entry_is_rebuilt(tmp_path, mangle):
     assert path.read_text() == good
 
 
-def test_cache_entry_stores_the_decimal_round_trip_bits(tmp_path):
-    # a build rounds every value through a decimal string at 10 guard
-    # digits and parses it back; the entry stores those bits exactly
+def test_cache_entry_stores_the_built_bits(tmp_path):
+    # a build returns every value at the table's work_dps; the cache
+    # stores and memoizes exactly those bits
     params, prec = WeightParams("0.5", ("0.3", "0.2")), PrecisionContext(digits=60)
-    raw = recurrence_table(params, 6, prec)
-    dps = raw.prec.work_dps + 10
-
-    def round_trip(v):
-        with mp.workdps(dps + 10):
-            text = mp.nstr(v, dps, strip_zeros=True)
-        with mp.workdps(raw.prec.work_dps):
-            return mpf(text)._mpf_
+    built = recurrence_table(params, 6, prec)
+    work = built.prec.work_dps
 
     def values(tab):
-        rows = (tab.h, tab.alpha_rc, *tab.coeffs)
-        return [v for row in rows for v in row] + list(tab.moments.values())
+        rows = (tab.h, tab.alpha_rc, *tab.coeffs, tab.moments.values())
+        return [v._mpf_ for row in rows for v in row]
 
-    want = [round_trip(v) for v in values(raw)]
-    assert want != [v._mpf_ for v in values(raw)]  # the round trip moves bits
+    def round_trip(v):
+        # the decimal round trip earlier builds ran: rendered at 10 guard
+        # digits and parsed back at work_dps, a built value keeps its bits
+        with mp.workdps(work + 20):
+            text = mp.nstr(mp.make_mpf(v), work + 10, strip_zeros=True)
+        with mp.workdps(work):
+            return mpf(text)._mpf_
+
+    want = values(built)
+    assert max(bc for _, _, _, bc in want) <= dps_to_prec(work)
+    assert [round_trip(v) for v in want] == want
     clear_memo()
     cold = cached_recurrence_table(params, 6, prec, cache_dir=tmp_path)
     clear_memo()
     warm = cached_recurrence_table(params, 6, prec, cache_dir=tmp_path)
-    assert warm is not cold and list(warm.moments) == list(raw.moments)
-    assert [v._mpf_ for v in values(cold)] == want
-    assert [v._mpf_ for v in values(warm)] == want
+    assert warm is not cold and list(warm.moments) == list(built.moments)
+    assert values(cold) == want
+    assert values(warm) == want
     doc = json.loads((tmp_path / f"table-{table_key(params, 6, prec)}.json").read_text())
     assert doc["version"] == FORMAT_VERSION == 5
     # each value is stored once: beta_n and p(n) are read from h and coeffs
     assert set(doc) - {"version", "N", "digits", "params"} == {"h", "alpha_rc", "coeffs", "moments"}
     assert doc["coeffs"][0] == ["1p0"]
+
+
+def test_point_depth_tables_share_their_first_rows(params_default, prec120, table12):
+    # suites._POINT_DEPTH: the configured point's grid tables are shallower
+    # than the 12-deep table moments, recurrence and ladder read, at one
+    # precision, and every value the two share has the same bits
+    shallow = recurrence_table(params_default, suites._POINT_DEPTH, prec120)
+    n = shallow.N
+    assert n < table12.N and shallow.prec == table12.prec
+    assert shallow.h == table12.h[:n + 1]
+    assert shallow.alpha_rc == table12.alpha_rc[:n]
+    assert shallow.coeffs == table12.coeffs[:n + 1]
+    assert shallow.moments == {k: table12.moments[k] for k in shallow.moments}
 
 
 def test_stencil_suites_honour_cache_dir(tmp_path, monkeypatch):

@@ -9,17 +9,21 @@ the default centre at P = 120, one shifted stencil node of its grid, the
 m = 3 point, t1 = -3/10 at P = 80, the rode-reduction point
 t = (1/2, 10^-6) at P = 120, and the n = 24 scaling point
 t = (1/48, 1/2304) at N = 24, P = 116, the deepest table a default run
-builds.  The stored values are rounded to work_dps, which can hide a
-change of the seeds in their last digits at one point: at the first four
-tables it hid the seed sweep's move to ``level_settled`` (2e-140
-relative at P = 120), which moved the bits of the fifth.  Record the
-file again after a bump with
+builds.  The stored values are rounded to work_dps by the build itself
+(``recurrence_table``), which can hide a change of the seeds in their
+last digits at one point: at the first four tables it hid the seed
+sweep's move to ``level_settled`` (2e-140 relative at P = 120), which
+moved the bits of the fifth.  Record the file again after a bump with
 
     PYTHONPATH=src python tests/test_table_bits.py
+
+It refuses (exit 1, the file left as it is) while the recorded version
+is the current one and a recorded table's hash differs.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from laguerre_lab import cache
@@ -59,6 +63,22 @@ def table_bits(cache_dir) -> dict:
     return out
 
 
+def record(tables: dict, path: Path = RECORD) -> int:
+    """Write the canary of tables to path: 0, or 1 with nothing written
+    where the record at path has the current version and a hash moved."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    if old.get("format_version") == cache.FORMAT_VERSION:
+        moved = sorted(n for n, h in old["tables"].items() if tables.get(n, h) != h)
+        if moved:
+            print(f"table bits moved at cache.FORMAT_VERSION {cache.FORMAT_VERSION}: "
+                  f"{', '.join(moved)}; bump it first", file=sys.stderr)
+            return 1
+    doc = {"format_version": cache.FORMAT_VERSION, "tables": tables}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
 def test_table_bits_move_only_with_the_format_version(tmp_path):
     want = json.loads(RECORD.read_text())
     got = table_bits(tmp_path)
@@ -71,10 +91,24 @@ def test_table_bits_move_only_with_the_format_version(tmp_path):
         f"at {want['format_version']}: record it again")
 
 
+def test_record_refuses_moved_bits_at_the_same_version(tmp_path):
+    tables = json.loads(RECORD.read_text())["tables"]
+    path = tmp_path / "table-bits.json"
+    tampered = {"format_version": cache.FORMAT_VERSION,
+                "tables": {**tables, "default-d120": "0" * 64}}
+    path.write_text(json.dumps(tampered))
+    assert record(tables, path) == 1
+    assert json.loads(path.read_text()) == tampered
+    # after a bump, the same tables are recorded
+    path.write_text(json.dumps({**tampered, "format_version": cache.FORMAT_VERSION - 1}))
+    assert record(tables, path) == 0
+    assert json.loads(path.read_text()) == {"format_version": cache.FORMAT_VERSION,
+                                            "tables": tables}
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        doc = {"format_version": cache.FORMAT_VERSION, "tables": table_bits(tmp)}
-    RECORD.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {RECORD}")
+        tables = table_bits(tmp)
+    sys.exit(record(tables))
