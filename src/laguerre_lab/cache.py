@@ -36,7 +36,7 @@ import tempfile
 from pathlib import Path
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import fzero
 
 from .errors import ConfigError
 from .orthopoly import RecurrenceTable, recurrence_table, table_precision
@@ -93,8 +93,9 @@ def _parse(s: str) -> mpf:
     decimal, not an even mantissa ("2p0"), not a signed zero ("-0p0").
     """
     man, _, exp = s.partition("p")
-    v = from_man_exp(int(man, 16), int(exp))
-    if _spell(v) != s:
+    m, e = int(man, 16), int(exp)
+    v = (1, -m, e, (-m).bit_length()) if m < 0 else (0, m, e, m.bit_length())
+    if not (m & 1 or v == fzero) or _spell(v) != s:
         raise ValueError(f"not a normalized binary table value: {s!r}")
     return mp.make_mpf(v)
 

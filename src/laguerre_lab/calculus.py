@@ -178,6 +178,12 @@ def _richardson(seq, p):
     return best, spread
 
 
+def _offset(j: int, lev: int):
+    """j / 2^lev steps: an int where it is integral (it hashes and compares
+    as the equal Fraction does, only faster), else the Fraction."""
+    return j >> lev if j % (1 << lev) == 0 else Fraction(j, 1 << lev)
+
+
 class StencilGrid:
     """Memoized node tables on the FD stencil around one point.
 
@@ -240,7 +246,7 @@ class StencilGrid:
             q = Fraction(1, 2 ** lev)
 
             def at(offsets):
-                key = tuple((ax, j * q) for ax, j in zip(axes, offsets) if j)
+                key = tuple((ax, _offset(j, lev)) for ax, j in zip(axes, offsets) if j)
                 if key not in vals:
                     vals[key] = extract(self.bundle(key))
                 return vals[key]
@@ -523,36 +529,50 @@ def verify_coupled_pdes(n: int, grid: StencilGrid):
         x.update(("R" + k, p) for k, p in partials(
             grid, lambda v: aux_row(v, n).R[0], ("1", "2")).items())
 
+        # every factor that does not read a partial is formed once, as the
+        # written-out term forms it, since each PDE runs on every moved input
+        a = (t1 ** 2, 2 * t1 * t2, t1 * t2, T / (2 * t2) * t1, -(t1 ** 2 / R), (1 - Rs) * t1,
+             2 * t2)
+        rest1 = [
+            -R * S * (S + 2 * n + 1 + alpha),
+            t2 / t1 * R * (R - 2),
+            -alpha * t1,
+            t1 ** 2 / R,
+            -(t1 ** 3 / (4 * t2)) * T ** 2,
+        ]
+
         def pde1(v):
             dS1, dS2, dS11, dS12, dR1 = (v[k] for k in "S1 S2 S11 S12 R1".split())
             return normalized([
-                t1 ** 2 * dS11,
-                2 * t1 * t2 * dS12,
-                t1 * t2 * (T / (2 * t2) * t1 * dS1 - dS2) ** 2,
-                -(t1 ** 2 / R) * dS1 ** 2,
-                (1 - Rs) * t1 * dS1,
-                2 * t2 * (R * dS2 + dR1),
-                -R * S * (S + 2 * n + 1 + alpha),
-                t2 / t1 * R * (R - 2),
-                -alpha * t1,
-                t1 ** 2 / R,
-                -(t1 ** 3 / (4 * t2)) * T ** 2,
+                a[0] * dS11,
+                a[1] * dS12,
+                a[2] * (a[3] * dS1 - dS2) ** 2,
+                a[4] * dS1 ** 2,
+                a[5] * dS1,
+                a[6] * (R * dS2 + dR1),
+                *rest1,
             ])
+
+        b = (4 * t2 ** 2, (t1 / (4 * t2)) * T, T * t1, 2 * t2, -(2 * t1 * t2 / R),
+             t1 * (T + Rs) - 2 * t2, (1 - R) * 2 * t2, 4 * t2 ** 2 / t1)
+        rest2 = [
+            ((2 * t2 / t1) * R - Rs * S) * (S + 2 * n + 1 + alpha),
+            t2 / t1 * R * (Rs + 2),
+            -alpha * t1 * T,
+            -(t1 ** 3 / (4 * t2)) * T ** 3,
+        ]
 
         def pde2(v):
             dS1, dS2, dS22, dS12, dR2 = (v[k] for k in "S1 S2 S22 S12 R2".split())
             return normalized([
-                4 * t2 ** 2 * dS22,
-                2 * t1 * t2 * dS12,
-                (t1 / (4 * t2)) * T * (T * t1 * dS1 - 2 * t2 * dS2) ** 2,
-                -(2 * t1 * t2 / R) * dS1 * dS2,
-                dS1 * (t1 * (T + Rs) - 2 * t2),
-                (1 - R) * 2 * t2 * dS2,
-                (4 * t2 ** 2 / t1) * dR2,
-                ((2 * t2 / t1) * R - Rs * S) * (S + 2 * n + 1 + alpha),
-                t2 / t1 * R * (Rs + 2),
-                -alpha * t1 * T,
-                -(t1 ** 3 / (4 * t2)) * T ** 3,
+                b[0] * dS22,
+                a[1] * dS12,
+                b[1] * (b[2] * dS1 - b[3] * dS2) ** 2,
+                b[4] * dS1 * dS2,
+                dS1 * b[5],
+                b[6] * dS2,
+                b[7] * dR2,
+                *rest2,
             ])
 
         values = moved(x)

@@ -12,7 +12,12 @@ the rest follow from the exact Pearson recurrence of the semi-classical
 weight (``table_moments``).  Near a point whose seeds are known, a node's
 seeds come without quadrature from the exact parameter Taylor series
 d mu_k / d t_i = -mu_{k-i} (``shift_seeds``), with quadrature as the
-fallback where the shift's error bound is too wide.
+fallback where the shift's error bound is too wide.  The nodes of one
+centre share one shift context: the downward centre moments, the Taylor
+weights of each axis step and every series sum, each a pure function of
+its key, computed once on raw mpf tuples (``clear_memos`` forgets them).
+A shift stops at its first infinite error bound, a series that ran to
+its cap, since that bound rejects it.
 Seeds are integrated once per point and precision in a process
 (``seed_moments``), so grids and tables that share a centre share its
 sweep.
@@ -54,8 +59,9 @@ evaluate each weight once.
 from __future__ import annotations
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_cosh_sinh, mpf_exp, mpf_gt, mpf_lt,
-                          mpf_mul, mpf_mul_int, mpf_rdiv_int, mpf_sub)
+from mpmath.libmp import (finf, fone, from_int, fzero, mpf_abs, mpf_add, mpf_cosh_sinh, mpf_div,
+                          mpf_exp, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_pos, mpf_rdiv_int, mpf_sub)
 
 from .errors import DomainError, NonConvergence
 from .params import PrecisionContext, WeightParams, to_mpf
@@ -120,7 +126,9 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
     def sweep(start, step, live):
         """Sum each live integrand over start, start+step, ... until its own
         terms are negligible: {index: (sum, L1 mass)}."""
-        acc = {}  # index -> [sum, L1 mass, scale, trunc * scale, idle]
+        # index -> [sum, L1 mass, scale, trunc * scale, idle]; the mass is
+        # None, meaning the sum, while every term so far is its own |term|
+        acc = {}
         u, step = start._mpf_, step._mpf_
         for _ in range(2_000_000):
             try:
@@ -136,9 +144,12 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
                         f"{what}: non-finite integrand sample at u = {mp.make_mpf(u)}")
                 s = acc.get(i)
                 if s is None:
-                    s = acc[i] = [fzero, fzero, fzero, fzero, 0]
+                    s = acc[i] = [fzero, None, fzero, fzero, 0]
+                if s[1] is None and (term[0] or term[3] > wp):
+                    s[1] = s[0]  # a negative term, or one mpf_abs rounds
                 s[0] = mpf_add(s[0], term, wp, rnd)
-                s[1] = mpf_add(s[1], a, wp, rnd)
+                if s[1] is not None:
+                    s[1] = mpf_add(s[1], a, wp, rnd)
                 if mpf_gt(a, s[2]):
                     s[2] = a
                     s[3] = mpf_mul(trunc, a, wp, rnd)
@@ -149,7 +160,8 @@ def _trapezoid_levels(g, prec: PrecisionContext, what: str) -> list:
                         continue
                 running.append(i)
             if not running:
-                return {i: (mp.make_mpf(s[0]), mp.make_mpf(s[1])) for i, s in acc.items()}
+                return {i: (mp.make_mpf(s[0]), mp.make_mpf(s[0] if s[1] is None else s[1]))
+                        for i, s in acc.items()}
             live = running
             u = mpf_add(u, step, wp, rnd)
         raise NonConvergence(f"{what}: tail did not decay")  # pragma: no cover
@@ -354,6 +366,9 @@ def seed_depth(params: WeightParams) -> int:
 #: seeds already integrated in this process, by (point, precision)
 _seed_memo = {}
 
+#: the shift contexts of this process, by (centre, precision, seed bits)
+_shift_memo = {}
+
 
 def seed_moments(params: WeightParams, prec: PrecisionContext) -> dict:
     """The seeds mu_k, k = -m..0, of a point: one ``moments`` sweep per
@@ -366,10 +381,11 @@ def seed_moments(params: WeightParams, prec: PrecisionContext) -> dict:
 
 
 def clear_memos():
-    """Forget the seeds, the node exponentials e^u and the node weights of
-    this process."""
+    """Forget the seeds, the shift contexts, the node exponentials e^u and
+    the node weights of this process."""
     global _node_exp, _node_weight
     _seed_memo.clear()
+    _shift_memo.clear()
     _node_exp = (0, {})
     _node_weight = (None, {})
 
@@ -402,6 +418,96 @@ def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext,
         return {k: +v for k, v in mu.items()}
 
 
+class _ShiftContext:
+    """What ``shift_seeds`` shares among the nodes of one centre, as raw mpf
+    tuples at the sampling precision: the downward centre moments with their
+    error bounds (``moment``), each axis step's Taylor weights and every
+    series sum (``series``).  Built inside the sampling-precision block.
+    """
+
+    def __init__(self, centre: WeightParams, seeds: dict, prec: PrecisionContext):
+        wp, rnd = self.wp, self.rnd = mp._prec_rounding
+        self.m = seed_depth(centre)
+        self.ulp = (0, 1, 1 - wp, 1)
+        self.tol = to_mpf(prec.quad_tol)._mpf_
+        self.alpha = to_mpf(centre.alpha)._mpf_
+        self.coef = [to_mpf(j * tj)._mpf_ for j, tj in enumerate(centre.t[:-1], start=1)]
+        self.mtm = to_mpf(self.m * centre.t[-1])._mpf_
+        self.mu = {k: v._mpf_ for k, v in seeds.items()}
+        self.err = {k: mpf_mul(self.tol, mpf_abs(v, wp, rnd), wp, rnd) for k, v in self.mu.items()}
+        self.low = min(self.mu)
+        # a series stops once a term is below the rounding of its sum; the
+        # cap only ends a shift too wide to pay (then the bound rejects it)
+        self.cap = 4 * prec.work_dps
+        self.weights = {}  # raw step -> [((step)^a / a!, its abs), ...]
+        self.sums = {}  # axes -> {k: (sum, bound)}
+
+    def moment(self, j: int) -> tuple:
+        """(mu_j, its error bound) of the centre, running the recurrence down
+        to j where it has not been yet."""
+        mu, err, m, wp, rnd = self.mu, self.err, self.m, self.wp, self.rnd
+        for new in range(self.low - 1, j - 1, -1):
+            k = new + 1 + m
+            ka = mpf_add(self.alpha, from_int(k), wp, rnd)
+            prod = mpf_mul(ka, mu[k - 1], wp, rnd)
+            acc = mpf_sub(mu[k], prod, wp, rnd)
+            bound = mpf_add(err[k], mpf_mul(mpf_abs(ka, wp, rnd), err[k - 1], wp, rnd), wp, rnd)
+            size = mpf_add(mpf_abs(mu[k], wp, rnd), mpf_abs(prod, wp, rnd), wp, rnd)
+            for jj, c in enumerate(self.coef, start=1):
+                term = mpf_mul(c, mu[k - 1 - jj], wp, rnd)
+                acc = mpf_sub(acc, term, wp, rnd)
+                bound = mpf_add(bound, mpf_mul(mpf_abs(c, wp, rnd), err[k - 1 - jj], wp, rnd),
+                                wp, rnd)
+                size = mpf_add(size, mpf_abs(term, wp, rnd), wp, rnd)
+            rounding = mpf_mul(mpf_mul_int(self.ulp, m + 2, wp, rnd), size, wp, rnd)
+            mu[new] = mpf_div(acc, self.mtm, wp, rnd)
+            err[new] = mpf_div(mpf_add(bound, rounding, wp, rnd), self.mtm, wp, rnd)
+            self.low = new
+        return mu[j], err[j]
+
+    def series(self, k: int, axes: tuple) -> tuple:
+        """(mu_k shifted along axes, its error bound); axes is ((i, -delta_i),
+        ...) with raw steps.  The first axis is summed here, the rest inside
+        each of its terms.  The bound is +inf where a series runs to the cap;
+        a sum stops at the first term whose bound is +inf, since the shift is
+        rejected whatever the rest would add."""
+        if not axes:
+            return self.moment(k)
+        memo = self.sums.get(axes)
+        if memo is None:
+            memo = self.sums[axes] = {}
+        found = memo.get(k)
+        if found is not None:
+            return found
+        wp, rnd, ulp = self.wp, self.rnd, self.ulp
+        (i, step), rest = axes[0], axes[1:]
+        weights = self.weights.get(step)
+        if weights is None:
+            weights = self.weights[step] = [(fone, fone)]
+        total = bound = fzero
+        for a in range(self.cap):
+            v, e = self.series(k - i * a, rest)
+            if e == finf:
+                bound = finf
+                break
+            if a == len(weights):
+                w = mpf_div(mpf_mul(weights[-1][0], step, wp, rnd), from_int(a), wp, rnd)
+                weights.append((w, mpf_abs(w, wp, rnd)))
+            w, aw = weights[a]
+            term = mpf_mul(w, v, wp, rnd)
+            total = mpf_add(total, term, wp, rnd)
+            floor = mpf_mul(ulp, mpf_abs(total, wp, rnd), wp, rnd)
+            bound = mpf_add(bound, mpf_add(mpf_mul(aw, e, wp, rnd), floor, wp, rnd), wp, rnd)
+            term = mpf_abs(term, wp, rnd)
+            if a and mpf_le(term, floor):
+                bound = mpf_add(bound, term, wp, rnd)
+                break
+        else:
+            bound = finf
+        memo[k] = total, bound
+        return memo[k]
+
+
 def shift_seeds(centre: WeightParams, seeds: dict, node: WeightParams,
                 prec: PrecisionContext):
     """The seeds of node from the seeds of centre, or None if not accurate enough.
@@ -421,63 +527,35 @@ def shift_seeds(centre: WeightParams, seeds: dict, node: WeightParams,
     series term and rounding at the sweep precision.  The shifted seeds are
     returned only when every bound is within 10 quad_tol |value|, the
     tolerance of the ``moment-pearson`` check; otherwise None, and the node
-    is integrated.
+    is integrated.  A series that runs to its cap of 4 work_dps terms
+    without settling has an infinite bound, so the shift stops there and
+    returns None: the rest of the sums could not change the verdict.
+
+    One context per centre, precision and seed bits holds the downward
+    moments, the Taylor weights of each axis step and every series sum, so
+    the nodes of one grid share them (``clear_memos`` forgets them).  Each
+    is a pure function of its key and every operation is rounded at the
+    sweep precision in the order mpf arithmetic takes, so a node's seeds and
+    its rejection do not depend on the nodes shifted before it.
     """
     m = seed_depth(centre)
     if not m or node.alpha != centre.alpha or node.m != centre.m:
         return None
-    axes = [(i, b - a) for i, (a, b) in enumerate(zip(centre.t, node.t), start=1) if b != a]
     with mp.workdps(sample_dps(prec)):
-        ulp = mpf(2) ** (1 - mp.prec)
-        tol = to_mpf(prec.quad_tol)
-        alpha = to_mpf(centre.alpha)
-        coef = [to_mpf(j * tj) for j, tj in enumerate(centre.t[:-1], start=1)]
-        mtm = to_mpf(m * centre.t[-1])
-        mu = dict(seeds)
-        err = {k: tol * abs(v) for k, v in mu.items()}
-        # a series stops once a term is below the rounding of its sum; the
-        # cap only ends a shift too wide to pay (then the bound rejects it)
-        cap = 4 * prec.work_dps
-
-        def centre_moment(j):
-            for new in range(min(mu) - 1, j - 1, -1):
-                k = new + 1 + m
-                ka = k + alpha
-                acc = mu[k] - ka * mu[k - 1]
-                bound = err[k] + abs(ka) * err[k - 1]
-                size = abs(mu[k]) + abs(ka * mu[k - 1])
-                for jj, c in enumerate(coef, start=1):
-                    term = c * mu[k - 1 - jj]
-                    acc -= term
-                    bound += abs(c) * err[k - 1 - jj]
-                    size += abs(term)
-                mu[new] = acc / mtm
-                err[new] = (bound + (m + 2) * ulp * size) / mtm
-            return mu[j], err[j]
-
-        def series(k, rest):
-            if not rest:
-                return centre_moment(k)
-            (i, d), rest = rest[0], rest[1:]
-            step = -to_mpf(d)
-            total = bound = mpf(0)
-            w = mpf(1)
-            for a in range(cap):
-                v, e = series(k - i * a, rest)
-                term = w * v
-                total += term
-                bound += abs(w) * e + ulp * abs(total)
-                if a and abs(term) <= ulp * abs(total):
-                    return total, bound + abs(term)
-                w = w * step / (a + 1)
-            return total, mp.inf
-
+        wp, rnd = mp._prec_rounding
+        key = (centre, prec, tuple((k, v._mpf_) for k, v in sorted(seeds.items())))
+        ctx = _shift_memo.get(key)
+        if ctx is None:
+            ctx = _shift_memo[key] = _ShiftContext(centre, seeds, prec)
+        axes = tuple((i, mpf_neg(to_mpf(b - a)._mpf_, wp, rnd))
+                     for i, (a, b) in enumerate(zip(centre.t, node.t), start=1) if b != a)
+        limit = mpf_mul_int(ctx.tol, 10, wp, rnd)
         out = {}
         for k in range(-m, 1):
-            value, bound = series(k, axes)
-            if not bound <= 10 * tol * abs(value):
+            value, bound = ctx.series(k, axes)
+            if not mpf_le(bound, mpf_mul(limit, mpf_abs(value, wp, rnd), wp, rnd)):
                 return None
-            out[k] = +value
+            out[k] = mp.make_mpf(mpf_pos(value, wp, rnd))
         return out
 
 

@@ -223,18 +223,23 @@ def test_registry_covers_cheap_suites(tmp_path):
 
 
 def test_cache_speedup_and_stability(tmp_path):
-    cfg = parse_config(None, {"digits": "120", "suites": "calculus",
-                              "cache_dir": str(tmp_path / "cache")})
-    clear_memo()
-    t0 = time.perf_counter()
-    cold = suites.run_suite(cfg)[0]
-    cold_time = time.perf_counter() - t0
-    clear_memo()
-    t0 = time.perf_counter()
-    warm = suites.run_suite(cfg)[0]
-    warm_time = time.perf_counter() - t0
-    assert cold_time / warm_time >= 5
-    assert cold.as_dict() == warm.as_dict()
+    # the best of three cold runs, each into an empty cache, against the best
+    # of three warm runs, interleaved: a host stall during one ~0.05 s warm
+    # run does not decide the ratio
+    def timed(cfg):
+        clear_memo()
+        t0 = time.perf_counter()
+        report = suites.run_suite(cfg)[0]
+        return time.perf_counter() - t0, report.as_dict()
+
+    cold, warm = [], []
+    for i in range(3):
+        cfg = parse_config(None, {"digits": "120", "suites": "calculus",
+                                  "cache_dir": str(tmp_path / f"cache{i}")})
+        cold.append(timed(cfg))
+        warm.append(timed(cfg))
+    assert min(t for t, _ in cold) / min(t for t, _ in warm) >= 5
+    assert all(report == cold[0][1] for _, report in cold + warm)
 
 
 @pytest.mark.parametrize("suite", ["calculus", "recurrence", "ladder", "multitime", "scaling"])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, finf, fnan, fone
+from mpmath.libmp import dps_to_prec, finf, fnan, fone, from_int, mpf_mul, mpf_neg, mpf_sub
 
 from laguerre_lab import cli, quadrature, suites
 from laguerre_lab.cache import clear_memo
@@ -201,6 +201,32 @@ def test_weighted_batch_is_bit_identical_to_lone(table8, mapping):
     batch = integrate_weighted(mpf_integrand(lambda x: tuple(f(x) for f in integrands)),
                                params, prec, mapping)
     assert batch == lone
+
+
+#: raw (sign, mantissa, exponent, bitcount) of the integrals of x, -x^2 and
+#: 8 - x against w at (1/2, 3/10, 1/5), P = 50, as the rule summed each
+#: term into the L1 mass with its own mpf_add
+SIGN_BATCH_BITS = [
+    (0, 0x20a64172ac54ca5ba81e7ae3ec4a8c672334f7b05ec0d4e3d328b6e1d5eea41, -249, 250),
+    (1, 0x2d934b693c00a50651c1b769679fa827c0dea5aa40e6984c851e1b339c07d7b, -248, 250),
+    (0, 0x614049c44556e30c965b9f4a98d44c9fd9b4b45a3935ad1c2193284d766d821, -249, 251),
+]
+
+
+def test_sign_batch_keeps_its_bits():
+    # a positive integrand sums its L1 mass in its sum's accumulator, a
+    # negative one splits them at its first term and 8 - x only where a
+    # sweep passes x = 8
+    prec = PrecisionContext(digits=50)
+    params = WeightParams("1/2", ("3/10", "1/5"))
+    with mp.workdps(quadrature.sample_dps(prec)):
+        wp, rnd = mp._prec_rounding
+        integrands = (lambda x: x, lambda x: mpf_neg(mpf_mul(x, x, wp, rnd)),
+                      lambda x: mpf_sub(from_int(8), x, wp, rnd))
+        lone = [integrate_weighted(lambda x, f=f: (f(x),), params, prec)[0]._mpf_
+                for f in integrands]
+        batch = integrate_weighted(lambda x: tuple(f(x) for f in integrands), params, prec)
+    assert [v._mpf_ for v in batch] == lone == SIGN_BATCH_BITS
 
 
 def test_finite_batch_is_bit_identical_to_lone():

@@ -7,15 +7,17 @@ falls back to quadrature, and its table is the plain build bit for bit.
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from laguerre_lab import calculus as ca
+from laguerre_lab import quadrature
 from laguerre_lab.cache import cached_recurrence_table, clear_memo, table_key
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
-from laguerre_lab.quadrature import seed_moments, shift_seeds
+from laguerre_lab.quadrature import clear_memos, seed_moments, shift_seeds
 from laguerre_lab.suites import _LCG_SEED, _lcg_uniform
 
 P120 = PrecisionContext(digits=120)
@@ -69,9 +71,21 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("point, prec, stencil, axes", CASES,
-                         ids=["cold-0", "cold-1", "cold-2", "cold-3", "fd-1e-4", "fd-5e-5",
-                              "rode-1e-4", "rode-1e-6", "m3", "delta-random"])
+IDS = ["cold-0", "cold-1", "cold-2", "cold-3", "fd-1e-4", "fd-5e-5", "rode-1e-4", "rode-1e-6",
+       "m3", "delta-random"]
+#: sigma-pde-reduction's grid at t2 = 1e-5, on t1
+SIGMA_REDUCTION = (WeightParams("1/2", ("3/10", Fraction(1, 10 ** 5))), P120, DEFAULT, (0,))
+#: at t2 = 1e-6 the downward recurrence amplifies the seeds' error bound
+#: about 9e5 times on the way to the +h node of t1: every node is rejected
+REJECTED = (WeightParams("1/2", ("1/2", Fraction(1, 10 ** 6))), P60, _order2(Fraction(1, 10 ** 4)),
+            (0, 1))
+
+
+def _bits(seeds):
+    return None if seeds is None else {k: v._mpf_ for k, v in seeds.items()}
+
+
+@pytest.mark.parametrize("point, prec, stencil, axes", CASES, ids=IDS)
 def test_shifted_seeds_match_quadrature(point, prec, stencil, axes):
     seeds = seed_moments(point, prec)
     nodes = _stencil_nodes(point, prec, stencil, axes)
@@ -87,6 +101,77 @@ def test_shifted_seeds_match_quadrature(point, prec, stencil, axes):
                 assert abs(shifted[k] - v) <= tol * abs(v), (node, k)
 
 
+@pytest.mark.parametrize("point, prec, stencil, axes", [*CASES, SIGMA_REDUCTION, REJECTED],
+                         ids=[*IDS, "sigma-reduction", "rejected"])
+def test_shift_context_is_order_free(point, prec, stencil, axes):
+    # the nodes shifted one by one, each in a fresh context, and all in one
+    # context in a shuffled order: the same seeds bit for bit, the same Nones
+    seeds = seed_moments(point, prec)
+    nodes = _stencil_nodes(point, prec, stencil, axes)
+    alone = []
+    for node in nodes:
+        clear_memos()
+        alone.append(_bits(shift_seeds(point, seeds, node, prec)))
+    clear_memos()
+    order = random.Random(27).sample(range(len(nodes)), len(nodes))
+    shared = {i: _bits(shift_seeds(point, seeds, nodes[i], prec)) for i in order}
+    assert len(quadrature._shift_memo) == 1
+    assert [shared[i] for i in range(len(nodes))] == alone
+    assert (None in alone) == (stencil is REJECTED[2])
+
+
+def test_clear_memos_drops_every_shift_context():
+    clear_memos()
+    for point, prec, stencil, axes in (CASES[0], CASES[-1]):
+        node = _stencil_nodes(point, prec, stencil, axes)[0]
+        shift_seeds(point, seed_moments(point, prec), node, prec)
+    assert len(quadrature._shift_memo) == 2
+    clear_memos()
+    assert quadrature._shift_memo == {}
+    shift_seeds(point, seed_moments(point, prec), node, prec)
+    clear_memo()
+    assert quadrature._shift_memo == {}
+
+
+def test_seed_shift_check_keys_its_own_context(tmp_path):
+    # verify_seed_shift hands in the centre table's moments, rounded to
+    # work_dps: another context than the one its nodes were shifted in
+    centre = WeightParams("1/2", ("3/10", "1/5"))
+    grid = ca.StencilGrid(centre, P60, DEFAULT, ca.table_bundle_builder(3, P60, tmp_path))
+    clear_memo()
+    grid.bundle(((0, 1), (1, 1)))
+    (built,) = quadrature._shift_memo
+    check = ca.verify_seed_shift(grid)
+    (key,) = set(quadrature._shift_memo) - {built}
+    table = grid.bundle()
+    assert key[2] == tuple((k, table.moments[k]._mpf_) for k in range(-2, 1))
+    assert key[2] != built[2] == tuple((k, v._mpf_) for k, v in seed_moments(centre, P60).items())
+    quadrature._shift_memo.pop(key)
+    assert ca.verify_seed_shift(grid) == check
+
+
+def test_rejected_two_axis_shift_stops_at_its_first_infinite_bound(monkeypatch):
+    # at t2 = 1e-20 the t2 series of the (+h, +h) corner runs to its cap of
+    # 4 work_dps terms without settling: its bound is infinite, and the
+    # shift stops there, with the t1 series at its first term
+    centre = WeightParams("1/2", ("3/10", Fraction(1, 10 ** 20)))
+    prec = PrecisionContext(digits=50)
+    corner = ca.StencilGrid(centre, prec, DEFAULT, None).params_at(((0, 1), (1, 1)))
+    seeds = seed_moments(centre, prec)
+    calls = []
+    real = quadrature._ShiftContext.series
+
+    def counted(ctx, k, axes):
+        calls.append((k, len(axes)))
+        return real(ctx, k, axes)
+
+    monkeypatch.setattr(quadrature._ShiftContext, "series", counted)
+    clear_memos()
+    assert shift_seeds(centre, seeds, corner, prec) is None
+    cap = 4 * prec.work_dps
+    assert calls == [(-2, 2), (-2, 1)] + [(-2 - 2 * a, 0) for a in range(cap)]
+
+
 def test_anchor_hands_out_its_own_seeds_at_the_centre(tmp_path):
     # at its own anchor a table is the plain one: same key, same stored bits
     point = WeightParams("1/2", ("3/10", "1/5"))
@@ -99,16 +184,13 @@ def test_anchor_hands_out_its_own_seeds_at_the_centre(tmp_path):
 
 
 def test_rejected_shift_falls_back_to_quadrature(tmp_path):
-    # at t2 = 1e-6 the downward recurrence amplifies the seeds' error
-    # bound about 9e5 times on the way to the +h node of t1
-    centre = WeightParams("1/2", ("1/2", Fraction(1, 10 ** 6)))
-    grid = ca.StencilGrid(centre, P60, _order2(Fraction(1, 10 ** 4)),
-                          ca.table_bundle_builder(3, P60, tmp_path))
+    centre, prec, stencil, _ = REJECTED
+    grid = ca.StencilGrid(centre, prec, stencil, ca.table_bundle_builder(3, prec, tmp_path))
     node = grid.params_at(((0, 1),))
-    assert shift_seeds(centre, seed_moments(centre, P60), node, P60) is None
+    assert shift_seeds(centre, seed_moments(centre, prec), node, prec) is None
     clear_memo()
     anchored = grid.bundle(((0, 1),))
-    plain = cached_recurrence_table(node, 3, P60, cache_dir=tmp_path)
+    plain = cached_recurrence_table(node, 3, prec, cache_dir=tmp_path)
     for field in ("h", "alpha_rc", "coeffs", "moments"):
         assert getattr(anchored, field) == getattr(plain, field), field
     for n in range(4):
