@@ -11,8 +11,11 @@ changed, old -> new, every entry that appeared or went away, and every
 report metadata key that changed, appeared or went away.  An entry that
 went away and one that appeared under the same suite and id are paired,
 in order, as one entry re-pointed old point -> new point, and compared
-like any other.  It writes the file unless some tolerance
-is looser than the committed one; then it writes nothing and exits 1.
+like any other.  Where residual strings moved, it prints the largest move,
+|new - old| over the entry's new tolerance, so a run whose residuals move
+only at the rounding level shows it.  It writes the file unless some
+tolerance is looser than the committed one; then it writes nothing and
+exits 1.
 A written file ends the output with one count line: the residual and
 tolerance strings moved, and the entries added, removed and re-pointed.
 
@@ -115,6 +118,26 @@ def changes(old: dict, new: dict) -> list:
     return lines
 
 
+def largest_residual_move(old: dict, new: dict):
+    """"largest residual move: R of its tolerance at SUITE ID POINT", R the
+    largest |new - old| / new tolerance over the matched entries whose
+    residual string moved; None where none moved."""
+    a, b = keyed_entries(old), keyed_entries(new)
+    largest = None
+    with mp.workdps(40):
+        for was, now in matched(a, b).items():
+            if a[was]["residual"] == b[now]["residual"]:
+                continue
+            move = abs(mpf(b[now]["residual"]) - mpf(a[was]["residual"]))
+            tol = mpf(b[now]["tolerance"])
+            ratio = move / tol if tol > 0 else mp.inf
+            if largest is None or ratio > largest[0]:
+                largest = (ratio, f"{' '.join(now[:2])} {point_text(was, now)}")
+        if largest is None:
+            return None
+        return f"largest residual move: {mp.nstr(largest[0], 3)} of its tolerance at {largest[1]}"
+
+
 def metadata_changes(old: dict, new: dict) -> list:
     """"metadata SUITE KEY: OLD -> NEW" per report metadata key that changed,
     appeared or went away; a key a report lacks reads "(none)"."""
@@ -160,6 +183,9 @@ def main(argv=None):
             print(line)
         for line in metadata_changes(old, new):
             print(line)
+        largest = largest_residual_move(old, new)
+        if largest:
+            print(largest)
         kinds = Counter(kind for kind, _ in moved)
         looser = looser_tolerances(old, new)
         if looser:

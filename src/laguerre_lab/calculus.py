@@ -1,12 +1,13 @@
 """Finite-difference calculus in (t1, t2) and the differential identity checks.
 
 Derivatives of table/auxiliary quantities are central differences on a
-dyadic stencil with Richardson extrapolation.  Each difference formula
-is written once, as a table of taps (``FIRST``, ``SECOND``, ``CROSS``),
-and ``StencilGrid`` is their only reader; ``scaling`` differentiates on
-the same grids.  Every stencil node is the recurrence table at an
-exactly-rational shifted parameter point, read through the table cache,
-so grids that share a node share its table.  Only the
+dyadic stencil with Richardson extrapolation.  Each derivative kind has
+one order-2 difference, written once as a table of taps (``FIRST``,
+``SECOND``, ``CROSS``), and accuracy is set by the number of Richardson
+levels alone; ``StencilGrid`` is their only reader, and ``scaling``
+differentiates on the same grids.  Every stencil node is the recurrence
+table at an exactly-rational shifted parameter point, read through the
+table cache, so grids that share a node share its table.  Only the
 grid's centre is integrated: its seed moments (the grid's anchor) are
 shifted to each node by the exact parameter Taylor series, and a node
 is integrated only where that shift's error bound is too wide
@@ -64,15 +65,14 @@ from .reports import Check, floored, sign_check
 
 @dataclass(frozen=True)
 class DerivativeStencil:
-    """Central-difference policy: accuracy order, relative step, levels."""
+    """Central-difference policy: relative step h and Richardson levels of
+    the order-2 differences, at dyadic steps down to h / 2^(levels // 2):
+    h alone, h and h/2, or (the default) 2h, h and h/2."""
 
-    order: int = 4
     rel_step: Fraction = None
-    richardson_levels: int = 2
+    richardson_levels: int = 3
 
     def __post_init__(self):
-        if self.order not in (2, 4):
-            raise DomainError("stencil order must be 2 or 4")
         if self.richardson_levels < 1:
             raise DomainError("richardson_levels must be >= 1")
         if self.rel_step is not None:
@@ -104,19 +104,17 @@ def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
 
 @dataclass(frozen=True)
 class Difference:
-    """A central difference sum_j w_j f(x + o_j h) / (c h_1^k_1 ...).
+    """An order-2 central difference sum_j w_j f(x + o_j h) / (c h_1^k_1 ...).
 
     taps    -- (o_j, w_j): the offsets in steps, one per axis varied, and
                the weight
     c       -- the denominator factor
     powers  -- the power k_i of each axis step in the denominator
-    order   -- p of the leading error term h^p
     """
 
     taps: tuple
     c: int
     powers: tuple
-    order: int
 
     def denominator(self, steps, c=None):
         """c h_1^k_1 h_2^k_2 ..., multiplied left to right; c is the
@@ -143,53 +141,33 @@ class Difference:
         return total / self.denominator(steps)
 
 
-#: first and second differences along one axis, by accuracy order
-FIRST = {
-    2: Difference((((1,), 1), ((-1,), -1)), 2, (1,), 2),
-    4: Difference((((2,), -1), ((1,), 8), ((-1,), -8), ((-2,), 1)), 12, (1,), 4),
-}
-SECOND = {
-    2: Difference((((1,), 1), ((0,), -2), ((-1,), 1)), 1, (2,), 2),
-    4: Difference((((2,), -1), ((1,), 16), ((0,), -30), ((-1,), 16), ((-2,), -1)),
-                  12, (2,), 4),
-}
-#: the 4-corner cross difference in two axes
-CROSS = Difference((((1, 1), 1), ((1, -1), -1), ((-1, 1), -1), ((-1, -1), 1)), 4, (1, 1), 2)
+#: the first and second difference along one axis, and the 4-corner cross
+#: difference in two axes
+FIRST = Difference((((1,), 1), ((-1,), -1)), 2, (1,))
+SECOND = Difference((((1,), 1), ((0,), -2), ((-1,), 1)), 1, (2,))
+CROSS = Difference((((1, 1), 1), ((1, -1), -1), ((-1, 1), -1), ((-1, -1), 1)), 4, (1, 1))
 
 
-def _richardson(seq, p):
-    """Neville extrapolation of step-halved estimates with error h^p, h^(p+2), ...
+def _richardson(seq):
+    """Neville extrapolation of step-halved estimates with error h^2, h^4, ...
 
     Returns (value, spread); spread is the last correction size, the
     usual a-posteriori error estimate.
     """
     rows = [list(seq)]
-    k = 1
     while len(rows[-1]) > 1:
-        prev = rows[-1]
-        fac = mpf(2) ** (p + 2 * (k - 1)) - 1
-        rows.append([prev[i + 1] + (prev[i + 1] - prev[i]) / fac for i in range(len(prev) - 1)])
-        k += 1
+        fac = 4 ** len(rows) - 1
+        rows.append([b + (b - a) / fac for a, b in zip(rows[-1], rows[-1][1:])])
     best = rows[-1][0]
-    if len(rows) >= 2:
-        spread = abs(best - rows[-2][-1])
-    else:
-        spread = mpf(0)
-    return best, spread
-
-
-def _offset(j: int, lev: int):
-    """j / 2^lev steps: an int where it is integral (it hashes and compares
-    as the equal Fraction does, only faster), else the Fraction."""
-    return j >> lev if j % (1 << lev) == 0 else Fraction(j, 1 << lev)
+    return best, (abs(best - rows[-2][-1]) if len(rows) > 1 else mpf(0))
 
 
 class StencilGrid:
     """Memoized node tables on the FD stencil around one point.
 
-    Offsets are exact rationals (multiples of the per-axis step), so the
-    shifted parameter points are exact and reproducible; nodes that
-    would leave the admissible region raise StencilOutOfDomain.
+    Offsets are integers counting finest steps (``steps_per_h`` to one
+    h), so the shifted parameter points are exact and reproducible; nodes
+    that would leave the admissible region raise StencilOutOfDomain.
 
     The grid's centre is the anchor of every node: its seed moments are
     integrated once per precision, when a table is first built, and
@@ -206,18 +184,15 @@ class StencilGrid:
         self._builder = builder
         rel = stencil.step(prec)
         self._h = tuple(rel * abs(t) for t in params.t)
+        self.steps_per_h = 2 ** (stencil.richardson_levels // 2)
+        self._fine = tuple(h / self.steps_per_h for h in self._h)
+        self._mpf = {}
         self._memo = {}
-
-    def step(self, axis: int) -> Fraction:
-        h = self._h[axis]
-        if h == 0:
-            raise DomainError(f"axis {axis} has zero parameter; no relative step")
-        return h
 
     def params_at(self, offsets) -> WeightParams:
         t = list(self.params.t)
         for ax, j in offsets:
-            t[ax] = t[ax] + j * self._h[ax]
+            t[ax] = t[ax] + j * self._fine[ax]
             if (self.params.t[ax] > 0) != (t[ax] > 0):
                 raise StencilOutOfDomain(
                     f"node t_{ax + 1} = {t[ax]} leaves the admissible region")
@@ -231,42 +206,52 @@ class StencilGrid:
 
     # -- derivative estimators (inside the caller's working precision) --
 
+    def _levels(self):
+        """(each axis's level steps, coarsest first, and eps) as mpf at the
+        working precision, made once per precision; a level step is h
+        times a power of two, so exact in h's mpf."""
+        if mp.prec not in self._mpf:
+            n = self.stencil.richardson_levels
+            self._mpf[mp.prec] = ([[mp.ldexp(h, (n - 1) // 2 - lev) for lev in range(n)]
+                                   for h in map(to_mpf, self._h)], to_mpf(self.prec.eps))
+        return self._mpf[mp.prec]
+
     def _derivative(self, diff: Difference, extract, axes, gain):
         """(diff of extract on the axes, error estimate).
 
         The levels halve the steps and are Richardson-extrapolated; the
         error is the extrapolation spread plus gain times the eps noise of
-        the values over the smallest steps.
+        the values over the finest steps.
         """
         n_levels = self.stencil.richardson_levels
-        hs = [to_mpf(self.step(ax)) for ax in axes]
+        steps, eps = self._levels()
         vals = {}
         levels = []
         for lev in range(n_levels):
-            q = Fraction(1, 2 ** lev)
+            scale = 1 << (n_levels - 1 - lev)
 
             def at(offsets):
-                key = tuple((ax, _offset(j, lev)) for ax, j in zip(axes, offsets) if j)
+                key = tuple((ax, j * scale) for ax, j in zip(axes, offsets) if j)
                 if key not in vals:
                     vals[key] = extract(self.bundle(key))
                 return vals[key]
 
-            levels.append(diff.quotient(at, [h * to_mpf(q) for h in hs]))
-        val, spread = _richardson(levels, diff.order)
-        noise = to_mpf(self.prec.eps) * (max(abs(v) for v in vals.values()) + 1)
-        smallest = diff.denominator([h / 2 ** (n_levels - 1) for h in hs], c=1)
-        return val, spread + gain * noise / smallest
+            levels.append(diff.quotient(at, [steps[ax][lev] for ax in axes]))
+        val, spread = _richardson(levels)
+        noise = eps * (max(abs(v) for v in vals.values()) + 1)
+        finest = diff.denominator([steps[ax][-1] for ax in axes], c=1)
+        return val, spread + gain * noise / finest
 
     def first(self, extract, axis: int):
         """(d/dt_axis extract, error estimate)."""
-        return self._derivative(FIRST[self.stencil.order], extract, (axis,), 1)
+        return self._derivative(FIRST, extract, (axis,), 1)
 
     def second(self, extract, axis: int):
         """(d^2/dt_axis^2 extract, error estimate)."""
-        return self._derivative(SECOND[self.stencil.order], extract, (axis,), 4)
+        return self._derivative(SECOND, extract, (axis,), 4)
 
     def mixed(self, extract, ax1: int, ax2: int):
-        """(d^2/dt_ax1 dt_ax2 extract, error estimate); 4-point cross base."""
+        """(d^2/dt_ax1 dt_ax2 extract, error estimate)."""
         return self._derivative(CROSS, extract, (ax1, ax2), 1)
 
 
@@ -299,7 +284,7 @@ def verify_seed_shift(grid: StencilGrid) -> Check:
     """
     centre = grid.bundle()
     prec = centre.prec
-    corner = grid.params_at(((0, 1), (1, 1)))
+    corner = grid.params_at(((0, grid.steps_per_h), (1, grid.steps_per_h)))
     direct = grid._builder(corner, corner).moments
     seeds = {k: centre.moments[k] for k in range(-grid.params.m, 1)}
     shifted = shift_seeds(grid.params, seeds, corner, prec)

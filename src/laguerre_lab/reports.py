@@ -9,15 +9,16 @@ serialize to the JSON/CSV formats of the command-line surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_floor
+from mpmath.libmp import dps_to_prec, from_rational, round_floor
 
 #: significant digits used when rendering numbers into reports
 REPORT_DIGITS = 30
 #: significant digits a computed tolerance keeps (``floored``)
 TOL_DIGITS = 12
+#: the binary precision a floored tolerance is rounded to
+_TOL_PREC = dps_to_prec(REPORT_DIGITS + 10)
 
 
 def render(x) -> str:
@@ -43,16 +44,19 @@ def floored(tol) -> mpf:
     tol = mpf(tol)
     if not (tol > 0 and mp.isfinite(tol)):
         return tol
-    exact = Fraction(int(tol.man)) * Fraction(2) ** int(tol.exp)
-    e = int(mp.floor(mp.log10(tol))) - TOL_DIGITS + 1
-    while exact >= Fraction(10) ** (e + TOL_DIGITS):
-        e += 1
-    while exact < Fraction(10) ** (e + TOL_DIGITS - 1):
-        e -= 1
-    q = int(exact / Fraction(10) ** e)
-    with mp.workdps(REPORT_DIGITS + 10):
-        return mp.make_mpf(from_rational(q * 10 ** max(e, 0), 10 ** max(-e, 0),
-                                         mp.prec, round_floor))
+    man, exp = int(tol.man), int(tol.exp)
+    num, den = man << max(exp, 0), 1 << max(-exp, 0)
+    # q = floor(tol / 10^e) with TOL_DIGITS digits, e from a bit-length guess
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000 - TOL_DIGITS + 1
+    while True:
+        q = num * 10 ** -e // den if e < 0 else num // (den * 10 ** e)
+        if q >= 10 ** TOL_DIGITS:
+            e += 1
+        elif q < 10 ** (TOL_DIGITS - 1):
+            e -= 1
+        else:
+            return mp.make_mpf(from_rational(q * 10 ** max(e, 0), 10 ** max(-e, 0),
+                                             _TOL_PREC, round_floor))
 
 
 @dataclass(frozen=True)

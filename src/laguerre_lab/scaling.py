@@ -132,7 +132,7 @@ class ScaledGrid:
             prec_n = PrecisionContext(digits=digits_for_scaling(n))
             self.grids[n] = StencilGrid(
                 WeightParams(self.alpha, (self.s1 / (2 * n), self.s2 / (4 * n * n))), prec_n,
-                DerivativeStencil(order=2), table_bundle_builder(n, prec_n, cache_dir))
+                DerivativeStencil(richardson_levels=2), table_bundle_builder(n, prec_n, cache_dir))
 
     def at(self) -> dict:
         """``scaled_sequences`` of the grid."""

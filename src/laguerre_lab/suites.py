@@ -227,10 +227,8 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
 
     # FD convergence order: an exact identity's residual must shrink at
     # the stencil's theoretical order (2 here) when the step halves
-    coarse = ca.DerivativeStencil(order=2, rel_step=Fraction(1, 10 ** 4),
-                                  richardson_levels=1)
-    fine = ca.DerivativeStencil(order=2, rel_step=Fraction(1, 2 * 10 ** 4),
-                                richardson_levels=1)
+    coarse = ca.DerivativeStencil(rel_step=Fraction(1, 10 ** 4), richardson_levels=1)
+    fine = ca.DerivativeStencil(rel_step=Fraction(1, 2 * 10 ** 4), richardson_levels=1)
     with mp.workdps(prec.work_dps):
         res = []
         for stn in (coarse, fine):
@@ -290,7 +288,7 @@ def delta_random(config: RunConfig) -> Check:
     """Delta > 0 at 20 deterministic admissible points (desk precision;
     a coarse stencil is plenty for a sign with Delta of order one)."""
     small = PrecisionContext(digits=60)
-    st60 = ca.DerivativeStencil(order=2, richardson_levels=1)
+    st60 = ca.DerivativeStencil(richardson_levels=1)
     state = _LCG_SEED
     deltas = []
     for _ in range(20):

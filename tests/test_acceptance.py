@@ -102,11 +102,10 @@ def test_criterion_03_derivative_relations_toda(point, grid):
             worst = max(worst, c.residual)
         for c in ca.verify_toda(2, grid):
             worst = max(worst, c.residual)
-        # order >= 2 decay under step halving (order-2 stencil, no Richardson)
+        # order >= 2 decay under step halving (one order-2 level, no Richardson)
         res = []
         for denom in (10 ** 4, 2 * 10 ** 4):
-            stn = ca.DerivativeStencil(order=2, rel_step=Fraction(1, denom),
-                                       richardson_levels=1)
+            stn = ca.DerivativeStencil(rel_step=Fraction(1, denom), richardson_levels=1)
             g = ca.StencilGrid(point, PREC, stn, ca.table_bundle_builder(4, PREC))
             d, _ = g.first(lambda v: mp.log(v.h[3]), 0)
             res.append(abs(to_mpf(point.t1) * d + ld.aux_row(g.bundle(), 3).R[0]))

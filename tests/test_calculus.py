@@ -28,7 +28,7 @@ def grid(params_default, prec, stencil):
 
 def test_stencil_invariants(prec):
     with pytest.raises(DomainError):
-        ca.DerivativeStencil(order=3)
+        ca.DerivativeStencil(richardson_levels=0)
     with pytest.raises(DomainError):
         ca.DerivativeStencil(rel_step=Fraction(1, 100)).step(prec)  # > 1e-3
     with pytest.raises(DomainError):
@@ -70,6 +70,57 @@ def test_fd_partial_matches_exact_derivative(params_default, prec, stencil):
         assert (d["1"], d["11"]) == ((v, e), (v2, e2))
         v12, e12 = d["12"]
         assert abs(v12 - 2 * mpf("0.3")) < 10 * e12 + mpf(10) ** -50
+
+
+def _nodes(point, prec, stencil, kind, *axes):
+    """The t vectors of the nodes one partial of kind reads on a fresh grid."""
+    seen = set()
+    g = ca.StencilGrid(point, prec, stencil, lambda p, anchor: seen.add(p.t) or mpf(0))
+    with mp.workdps(prec.work_dps):
+        getattr(g, kind)(_value, *axes)
+    return seen
+
+
+def test_three_levels_read_the_order4_nodes_and_the_cross_corners(params_default, prec, stencil):
+    # first and second partials read the nodes of the retired five-point
+    # taps at h and h/2: +-2h, +-h, +-h/2 (and the centre); the mixed one
+    # reads the corners at 2h, h and h/2
+    (t1, t2), (h1, h2) = params_default.t, [stencil.step(prec) * abs(t) for t in params_default.t]
+    steps = (-2, -1, -Fraction(1, 2), Fraction(1, 2), 1, 2)
+    along = {(t1 + j * h1, t2) for j in steps}
+    assert _nodes(params_default, prec, stencil, "first", 0) == along
+    assert _nodes(params_default, prec, stencil, "second", 0) == along | {(t1, t2)}
+    corners = {(t1 + a * j * h1, t2 + b * j * h2)
+               for j in (2, 1, Fraction(1, 2)) for a in (1, -1) for b in (1, -1)}
+    assert _nodes(params_default, prec, stencil, "mixed", 0, 1) == corners
+
+
+def test_three_levels_extrapolate_the_order4_taps(params_default, prec, stencil):
+    # the first Richardson column of the order-2 levels at 2h, h, h/2 is the
+    # five-point order-4 formula at h and h/2, so the partials equal the
+    # order-4 taps extrapolated once, up to the rounding of the work digits
+    f = lambda x: mp.exp(x) * mp.sin(3 * x)
+    with mp.workdps(prec.work_dps):
+        x = to_mpf(params_default.t1)
+        h = to_mpf(stencil.step(prec) * abs(params_default.t1))
+        g = ca.StencilGrid(params_default, prec, stencil, lambda p, anchor: f(to_mpf(p.t1)))
+        at = lambda k, s: f(x + k * s)
+        first = [(-at(2, s) + 8 * at(1, s) - 8 * at(-1, s) + at(-2, s)) / (12 * s)
+                 for s in (h, h / 2)]
+        second = [(-at(2, s) + 16 * at(1, s) - 30 * at(0, s) + 16 * at(-1, s) - at(-2, s))
+                  / (12 * s ** 2) for s in (h, h / 2)]
+        for (v, e), (coarse, fine) in ((g.first(_value, 0), first),
+                                       (g.second(_value, 0), second)):
+            assert abs(v - (fine + (fine - coarse) / 15)) < e / 10 ** 6, (v, e)
+
+
+def test_mixed_partial_estimate_reaches_the_noise_floor(grid):
+    # three levels carry the cross difference to its h^4 correction: the
+    # estimate of d^2 p(2)/dt1 dt2 at the default point, the h^2
+    # correction of two levels (6.9e-50) before, is below 1e-65
+    with mp.workdps(grid.prec.work_dps):
+        _, err = grid.mixed(lambda v: v.p(2), 0, 1)
+    assert err < mpf(10) ** -65, err
 
 
 def test_stencil_out_of_domain(prec, stencil):
@@ -201,7 +252,7 @@ def test_coupled_pdes(grid):
         for c in ca.verify_coupled_pdes(n, grid):
             assert c.residual < mpf(10) ** -8
             assert c.ok, c.id
-            assert c.tol < mpf(10) ** -49, (c.id, c.tol)
+            assert c.tol < mpf(10) ** -65, (c.id, c.tol)
 
 
 def test_fd_convergence_order(params_default, prec):
@@ -209,8 +260,7 @@ def test_fd_convergence_order(params_default, prec):
     # the step must shrink it by ~2^order
     res = []
     for denom in (10 ** 4, 2 * 10 ** 4):
-        stn = ca.DerivativeStencil(order=2, rel_step=Fraction(1, denom),
-                                   richardson_levels=1)
+        stn = ca.DerivativeStencil(rel_step=Fraction(1, denom), richardson_levels=1)
         g = ca.StencilGrid(params_default, prec, stn, ca.table_bundle_builder(4, prec))
         with mp.workdps(prec.work_dps):
             d, _ = g.first(lambda v: mp.log(v.h[3]), 0)

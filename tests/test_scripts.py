@@ -69,6 +69,9 @@ def test_bless_golden_lists_changes_and_refuses_a_looser_tolerance(tmp_path, mon
     bless.main([str(path)])
     out = capsys.readouterr().out
     assert f"{first['id']} {first['point']} residual: 9.0e-99 -> {was}" in out
+    assert out.splitlines()[-2].startswith("largest residual move: ")
+    assert out.splitlines()[-2].endswith(f" of its tolerance at recurrence {first['id']} "
+                                         f"{first['point']}")
     assert out.splitlines()[-1] == (
         f"wrote {path}: 1 residual and 0 tolerance strings moved, 0 entries added, 0 removed, "
         "0 re-pointed")
@@ -148,3 +151,30 @@ def test_bless_golden_refuses_a_repointed_entry_with_a_looser_tolerance(tmp_path
         f"wrote {path}: 0 residual and 1 tolerance strings moved, 0 entries added, 0 removed, "
         "1 re-pointed")
     assert json.loads(path.read_text()) == document(3, "2.5e-47")
+
+
+def test_bless_golden_prints_the_largest_residual_move(tmp_path, monkeypatch, capsys):
+    # |new - old| / new tolerance over the moved residual strings: 5e-17
+    # for dH-t1 beats 2e-18 for dH-t2, and the unmoved H-def is not read
+    bless = load("bless_golden")
+    point = "(1/2,3/10,1/5);n=2"
+
+    def document(r1, r2):
+        entries = [{"id": cid, "pass": True, "point": point, "residual": r, "tolerance": tol}
+                   for cid, r, tol in (("dH-t1", r1, "1.0e-47"), ("dH-t2", r2, "1.0e-45"),
+                                       ("H-def", "1.0e-90", "1.0e-90"))]
+        return {"args": ["sigma-pde"], "mpmath": {"version": "1.3.0", "backend": "python"},
+                "reports": [{"suite": "sigma-pde", "metadata": {}, "entries": entries}]}
+
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(document("1.0e-63", "3.0e-63")))
+    monkeypatch.setattr(bless, "golden_document", lambda args, out: document("1.5e-63", "1.0e-63"))
+    bless.main([str(path)])
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [
+        f"largest residual move: 5.0e-17 of its tolerance at sigma-pde dH-t1 {point}",
+        f"wrote {path}: 2 residual and 0 tolerance strings moved, 0 entries added, 0 removed, "
+        "0 re-pointed"]
+    # nothing moved: no such line
+    bless.main([str(path)])
+    assert not any(line.startswith("largest") for line in capsys.readouterr().out.splitlines())

@@ -25,8 +25,8 @@ P60 = PrecisionContext(digits=60)
 DEFAULT = ca.DerivativeStencil()
 
 
-def _order2(step):
-    return ca.DerivativeStencil(order=2, rel_step=step, richardson_levels=1)
+def _one_level(step):
+    return ca.DerivativeStencil(rel_step=step, richardson_levels=1)
 
 
 def _stencil_nodes(point, prec, stencil, axes):
@@ -59,15 +59,15 @@ CASES = [
       for a, t1, t2 in (("1/2", "3/10", "1/5"), ("1/2", "-3/10", "1/5"),
                         ("-1/2", "9/10", "1/20"), ("3/2", "1/2", "2/5"))],
     # fd-convergence-order: order 2 at steps 1e-4 and 5e-5, on t1
-    (WeightParams("1/2", ("3/10", "1/5")), P120, _order2(Fraction(1, 10 ** 4)), (0,)),
-    (WeightParams("1/2", ("3/10", "1/5")), P120, _order2(Fraction(1, 2 * 10 ** 4)), (0,)),
+    (WeightParams("1/2", ("3/10", "1/5")), P120, _one_level(Fraction(1, 10 ** 4)), (0,)),
+    (WeightParams("1/2", ("3/10", "1/5")), P120, _one_level(Fraction(1, 2 * 10 ** 4)), (0,)),
     # rode-reduction centres, on t1
     (WeightParams("1/2", ("1/2", Fraction(1, 10 ** 4))), P120, DEFAULT, (0,)),
     (WeightParams("1/2", ("1/2", Fraction(1, 10 ** 6))), P120, DEFAULT, (0,)),
     # the multitime m = 3 grid
     (WeightParams("1/2", ("3/10", "1/5", "1/10")), P120, DEFAULT, (0, 1, 2)),
     # the first delta-random point, at P = 60
-    (_first_lcg_point(), P60, _order2(None), (0, 1)),
+    (_first_lcg_point(), P60, _one_level(None), (0, 1)),
 ]
 
 
@@ -77,8 +77,8 @@ IDS = ["cold-0", "cold-1", "cold-2", "cold-3", "fd-1e-4", "fd-5e-5", "rode-1e-4"
 SIGMA_REDUCTION = (WeightParams("1/2", ("3/10", Fraction(1, 10 ** 5))), P120, DEFAULT, (0,))
 #: at t2 = 1e-6 the downward recurrence amplifies the seeds' error bound
 #: about 9e5 times on the way to the +h node of t1: every node is rejected
-REJECTED = (WeightParams("1/2", ("1/2", Fraction(1, 10 ** 6))), P60, _order2(Fraction(1, 10 ** 4)),
-            (0, 1))
+REJECTED = (WeightParams("1/2", ("1/2", Fraction(1, 10 ** 6))), P60,
+            _one_level(Fraction(1, 10 ** 4)), (0, 1))
 
 
 def _bits(seeds):
@@ -139,7 +139,7 @@ def test_seed_shift_check_keys_its_own_context(tmp_path):
     centre = WeightParams("1/2", ("3/10", "1/5"))
     grid = ca.StencilGrid(centre, P60, DEFAULT, ca.table_bundle_builder(3, P60, tmp_path))
     clear_memo()
-    grid.bundle(((0, 1), (1, 1)))
+    grid.bundle(((0, grid.steps_per_h), (1, grid.steps_per_h)))
     (built,) = quadrature._shift_memo
     check = ca.verify_seed_shift(grid)
     (key,) = set(quadrature._shift_memo) - {built}
@@ -156,7 +156,8 @@ def test_rejected_two_axis_shift_stops_at_its_first_infinite_bound(monkeypatch):
     # shift stops there, with the t1 series at its first term
     centre = WeightParams("1/2", ("3/10", Fraction(1, 10 ** 20)))
     prec = PrecisionContext(digits=50)
-    corner = ca.StencilGrid(centre, prec, DEFAULT, None).params_at(((0, 1), (1, 1)))
+    grid = ca.StencilGrid(centre, prec, DEFAULT, None)
+    corner = grid.params_at(((0, grid.steps_per_h), (1, grid.steps_per_h)))
     seeds = seed_moments(centre, prec)
     calls = []
     real = quadrature._ShiftContext.series

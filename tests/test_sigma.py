@@ -63,12 +63,14 @@ def test_sigma_state_general_m(grid):
 
 #: sigma-layer checks that read only first derivatives
 FIRST_ORDER = ("H-def", "dH-t1", "dH-t2", "H-from-aux", "reconstruct-r", "reconstruct-rstar")
+#: sigma-layer checks held to the fixed bound half_eps = 1e-60
+FIXED = ("H-p-shift", "delta-nonneg")
 
 
 def test_sigma_layer_full(grid):
     for c in ca.verify_sigma_pde(2, grid):
         assert c.ok, (c.id, c.residual, c.tol)
-        ceiling = -90 if c.id in FIRST_ORDER else -49
+        ceiling = -90 if c.id in FIRST_ORDER else -59 if c.id in FIXED else -65
         assert c.tol < mpf(10) ** ceiling, (c.id, c.tol)
 
 

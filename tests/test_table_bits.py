@@ -41,7 +41,7 @@ def table_bits(cache_dir) -> dict:
     grid = StencilGrid(default, p120, DerivativeStencil(), table_bundle_builder(5, p120, cache_dir))
     builds = {
         "default-d120": lambda: grid.bundle(),
-        "node-t1-plus-d120": lambda: grid.bundle(((0, 1),)),
+        "node-t1-plus-d120": lambda: grid.bundle(((0, grid.steps_per_h),)),
         "m3-d120": lambda: cache.cached_recurrence_table(
             WeightParams("1/2", ("3/10", "1/5", "1/10")), 3, p120, cache_dir=cache_dir),
         "t1-neg-d80": lambda: cache.cached_recurrence_table(
