@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Compare two checkouts of the lab bit for bit: reports and table files.
+
+In each checkout it runs ``lab ARGS`` cold and then warm, in one fresh
+temporary cache per checkout, each run a fresh process that imports the
+lab from that checkout's ``src/``.  It prints whether the cold reports,
+and the warm ones, are equal apart from ``metadata.timestamp``, whether
+the two caches hold the same file names with the same bytes, and each
+run's exit code and peak RSS.  It exits 1 on any difference in bits (or
+a run that writes no report), else 0.
+
+    python scripts/compare_checkouts.py PARENT CHANGE
+    python scripts/compare_checkouts.py PARENT CHANGE moments --digits 60
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def run_lab(checkout: Path, lab_args: list, cache: Path, report: Path) -> tuple:
+    """(exit code, peak RSS in MB) of ``lab lab_args`` from checkout's src/,
+    writing its JSON report to report."""
+    env = {k: v for k, v in os.environ.items() if k != "LAB_CACHE_DIR"}
+    env["PYTHONPATH"] = str(checkout / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "laguerre_lab.cli", *lab_args, "--cache-dir", str(cache),
+         "--out", str(report), "--format", "json"],
+        env=env, cwd=report.parent, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024
+
+
+def report_body(path: Path):
+    """The report document without its timestamp, or None if there is none."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    doc.get("metadata", {}).pop("timestamp", None)
+    return doc
+
+
+def cache_files(cache: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(cache.iterdir())} if cache.exists() else {}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("lab_args", nargs=argparse.REMAINDER,
+                    help="the lab arguments (default: all)")
+    args = ap.parse_args(argv)
+    lab_args = args.lab_args or ["all"]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        reports, files = {}, {}
+        for side, checkout in (("parent", args.parent), ("change", args.change)):
+            work = Path(tmp) / side
+            work.mkdir()
+            cache = work / "cache"
+            for run in ("cold", "warm"):
+                path = work / f"{run}.json"
+                code, rss = run_lab(checkout.resolve(), lab_args, cache, path)
+                reports[side, run] = report_body(path)
+                print(f"{side} {run}: exit {code}, peak RSS {rss:.2f} MB")
+            files[side] = cache_files(cache)
+
+        same = True
+        for run in ("cold", "warm"):
+            a, b = reports["parent", run], reports["change", run]
+            equal = a is not None and a == b
+            same &= equal
+            print(f"{run} reports equal apart from the timestamp: {'yes' if equal else 'NO'}")
+        a, b = files["parent"], files["change"]
+        differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+        same &= not differ
+        print(f"cache files: {len(a)} and {len(b)}, "
+              f"{'byte-identical' if not differ else f'{len(differ)} differ'}")
+        for name in differ[:10]:
+            print(f"  {name}: {'both' if name in a and name in b else 'one side only'}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

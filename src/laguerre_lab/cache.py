@@ -24,7 +24,15 @@ A centre's key has no anchor in it.  Writes are atomic (temp file then
 rename); a cache directory that cannot be created or written is a
 ConfigError.  An entry that cannot be read, or that does not match the
 request, is a miss: the table is rebuilt and the file replaced.  Set
-LAB_CACHE_DIR to move the cache; an in-process memo layer sits on top.
+LAB_CACHE_DIR to move the cache.
+
+An in-process memo sits on top and holds each table weakly: while some
+reader (a grid, a suite, a local variable) holds a table, a request
+returns that very table, aux rows and all; after that, the next request
+reads the file again.  A build hands the seeds it read
+(``quadrature.seed_moments``, held on the same rule) to ``keep``, so
+whoever holds that list shares the sweep, and its shift context, with
+its later builds.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import hashlib
 import json
 import os
 import tempfile
+import weakref
 from pathlib import Path
 
 from mpmath import mp
@@ -49,7 +58,8 @@ from .quadrature import clear_memos, seed_depth, seed_moments, shift_seeds
 #: 5: alpha_n from one inner product, and beta_n, p(n) are no longer stored
 FORMAT_VERSION = 5
 
-_memo = {}
+#: the tables some reader holds, by ``table_key``
+_memo = weakref.WeakValueDictionary()
 
 
 def default_cache_dir() -> Path:
@@ -163,25 +173,32 @@ def _write_entry(root: Path, path: Path, doc: dict):
 
 
 def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext,
-                            cache_dir=None, anchor: WeightParams = None) -> RecurrenceTable:
-    """Recurrence table through the cache (read, or build, persist, reload).
+                            cache_dir=None, anchor: WeightParams = None,
+                            keep: list = None) -> RecurrenceTable:
+    """Recurrence table through the cache (the memo, else read, else build
+    and persist).
 
     With an anchor point other than params, a build shifts the anchor's
     seeds (``seed_moments``) to params by ``shift_seeds``, and integrates
     where the shift is rejected.  At the anchor itself the table is the
-    plain one: its seeds are the anchor's own.
+    plain one: its seeds are the anchor's own.  A build appends the seeds
+    it read, the anchor's or the point's own, to keep when given.
     """
     prec = table_precision(prec, N)
     origin = None if anchor is None or anchor == params else anchor
     key = table_key(params, N, prec, origin)
-    if key in _memo:
-        return _memo[key]
+    table = _memo.get(key)
+    if table is not None:
+        return table
     root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = root / f"table-{key}.json"
     table = _read_entry(path, params, N, prec, origin)
     if table is None:
-        seeds = None if origin is None else shift_seeds(
-            origin, seed_moments(origin, prec), params, prec)
+        seeds = seed_moments(params if origin is None else origin, prec)
+        if keep is not None:
+            keep.append(seeds)
+        if origin is not None:
+            seeds = shift_seeds(origin, seeds, params, prec)
         table = recurrence_table(params, N, prec, seeds=seeds)
         _write_entry(root, path, _document(table, origin))
     _memo[key] = table
@@ -189,7 +206,9 @@ def cached_recurrence_table(params: WeightParams, N: int, prec: PrecisionContext
 
 
 def clear_memo():
-    """Forget the tables (and so their aux rows), seed moments and
-    quadrature node exponentials e^u this process has built or read."""
+    """Forget every table, seed set and shift context held here and in
+    ``quadrature``, whoever else still holds them, and the quadrature node
+    exponentials e^u and weights: the next request of each reads its file
+    and starts with no memoized aux row."""
     _memo.clear()
     clear_memos()

@@ -91,13 +91,17 @@ def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
     Tables come through the table cache, so repeated stencil
     evaluations at the same exact rational nodes are read, not rebuilt;
     a build takes its seeds from the anchor point, the grid's centre, and
-    integrates them at a point that is its own anchor.
+    integrates them at a point that is its own anchor.  The builder keeps
+    the seeds its builds read, and with them their shift context, so they
+    live as long as it, and its grid, does.
     """
+    kept = []
 
     def build(params: WeightParams, anchor: WeightParams):
         from .cache import cached_recurrence_table
 
-        return cached_recurrence_table(params, N, prec, cache_dir=cache_dir, anchor=anchor)
+        return cached_recurrence_table(params, N, prec, cache_dir=cache_dir, anchor=anchor,
+                                       keep=kept)
 
     return build
 
@@ -331,7 +335,7 @@ def propagated_check(cid: str, values, point: str) -> Check:
 
 def axis_scales(point: WeightParams) -> list:
     """i t_i for the axes i = 1..m, the weights of D = sum_i i t_i d/dt_i."""
-    return [i * to_mpf(t) for i, t in enumerate(point.t, start=1)]
+    return [i * t for i, t in enumerate(point.t_mpf(), start=1)]
 
 
 def first_keys(m: int) -> list:
@@ -404,10 +408,11 @@ def _euler_second(point: WeightParams, v: dict):
     """D(D - 1) f = sum_i (i t_i)^2 f_ii + 2 sum_{i<j} (i t_i)(j t_j) f_ij
     + sum_i i(i-1) t_i f_i, from f's partials v by ``partials`` key."""
     scales = axis_scales(point)
+    t = point.t_mpf()
     val = mpf(0)
     for i, s in enumerate(scales):
         val += s ** 2 * v[f"{i + 1}{i + 1}"]
-        val += (i + 1) * i * to_mpf(point.t[i]) * v[str(i + 1)]
+        val += (i + 1) * i * t[i] * v[str(i + 1)]
         for j in range(i + 1, len(scales)):
             val += 2 * s * scales[j] * v[f"{i + 1}{j + 1}"]
     return val

@@ -178,9 +178,13 @@ def main(argv=None) -> int:
 
 def run(args) -> int:
     """``main`` without its error handling: 1 if a residual failed, else 0."""
-    from .suites import run_suite
+    from .suites import run_suite, scaled_grid
 
     cfg = config_from_args(args)
+    # held here to the end, the sweep's grid is the scaling suite's own
+    # (``suites.scaled_grid``): the sweep reads no table the suite read
+    held = (scaled_grid(cfg, cfg.s1, cfg.s2)
+            if args.sweep_csv and "scaling" in cfg.active_suites else None)
     reports = run_suite(cfg)
     extras(cfg, args)
     failed = 0

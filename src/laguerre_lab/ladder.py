@@ -75,8 +75,7 @@ def aux_integrals(table: RecurrenceTable, n: int) -> AuxRow:
         diag = table.inner_xk(n, n, shifts)
         off = table.inner_xk(n, n - 1, shifts) if n else None
         R, r = [], []
-        for i, ti in enumerate(params.t, start=1):
-            iti = to_mpf(i * ti)
+        for i, iti in enumerate(params.t_mpf(scaled=True), start=1):
             R.append(iti * diag[i - 1] / table.h[n])
             r.append(iti * off[i - 1] / table.h[n - 1] if n else mpf(0))
         return AuxRow(R=tuple(R), r=tuple(r))

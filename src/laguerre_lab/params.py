@@ -92,6 +92,7 @@ class WeightParams:
         object.__setattr__(self, "alpha", to_fraction(alpha))
         object.__setattr__(self, "t", tuple(to_fraction(v) for v in t))
         object.__setattr__(self, "m", len(self.t))
+        object.__setattr__(self, "_mpf", {})  # ``t_mpf`` by (precision, scaled)
         self._validate()
 
     def _validate(self):
@@ -143,6 +144,17 @@ class WeightParams:
     def materialize(self):
         """(alpha, t) as mpf at the current working precision."""
         return to_mpf(self.alpha), tuple(to_mpf(v) for v in self.t)
+
+    def t_mpf(self, scaled: bool = False) -> tuple:
+        """(t_1, .., t_m), or with scaled (1 t_1, .., m t_m) each rounded
+        once, as mpf at the current working precision: converted once per
+        precision and kept on the point."""
+        key = (mp.prec, scaled)
+        out = self._mpf.get(key)
+        if out is None:
+            out = self._mpf[key] = tuple(to_mpf(i * t if scaled else t)
+                                         for i, t in enumerate(self.t, start=1))
+        return out
 
     def potential_derivative(self, z) -> mpf:
         """v'(z) for v = -ln w:  -alpha/z + 1 - sum_k k t_k z^(-k-1)."""

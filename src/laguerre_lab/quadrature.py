@@ -18,9 +18,10 @@ weights of each axis step and every series sum, each a pure function of
 its key, computed once on raw mpf tuples (``clear_memos`` forgets them).
 A shift stops at its first infinite error bound, a series that ran to
 its cap, since that bound rejects it.
-Seeds are integrated once per point and precision in a process
-(``seed_moments``), so grids and tables that share a centre share its
-sweep.
+Seeds are integrated once per point and precision while some reader
+holds them (``seed_moments``), so grids and tables that share a centre
+share its sweep; a seed set holds the shift context made from it, and
+both go when no reader holds the seeds (the table cache's rule).
 The full quadrature sweep ``moments`` stays as the independent oracle
 for both routes.
 
@@ -57,6 +58,8 @@ evaluate each weight once.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from mpmath import mp, mpf
 from mpmath.libmp import (finf, fone, from_int, fzero, mpf_abs, mpf_add, mpf_cosh_sinh, mpf_div,
@@ -363,21 +366,31 @@ def seed_depth(params: WeightParams) -> int:
     return params.m if params.is_deformed else 0
 
 
-#: seeds already integrated in this process, by (point, precision)
-_seed_memo = {}
+class _Seeds(dict):
+    """A point's seeds {k: mu_k} from ``seed_moments``; ``context`` is the
+    shift context made from them, which lives as long as they do."""
 
-#: the shift contexts of this process, by (centre, precision, seed bits)
-_shift_memo = {}
+    context = None
+
+
+#: the seed sets some reader holds, by (point, precision)
+_seed_memo = weakref.WeakValueDictionary()
+
+#: the shift contexts whose seeds some reader holds, by (centre,
+#: precision, seed bits)
+_shift_memo = weakref.WeakValueDictionary()
 
 
 def seed_moments(params: WeightParams, prec: PrecisionContext) -> dict:
     """The seeds mu_k, k = -m..0, of a point: one ``moments`` sweep per
-    point and precision in a process.  The dict is shared; do not modify it.
+    point and precision while some reader holds the result.  The dict is
+    shared; do not modify it.
     """
     key = (params, prec)
-    if key not in _seed_memo:
-        _seed_memo[key] = moments(params, -seed_depth(params), 0, prec)
-    return _seed_memo[key]
+    seeds = _seed_memo.get(key)
+    if seeds is None:
+        seeds = _seed_memo[key] = _Seeds(moments(params, -seed_depth(params), 0, prec))
+    return seeds
 
 
 def clear_memos():
@@ -533,7 +546,8 @@ def shift_seeds(centre: WeightParams, seeds: dict, node: WeightParams,
 
     One context per centre, precision and seed bits holds the downward
     moments, the Taylor weights of each axis step and every series sum, so
-    the nodes of one grid share them (``clear_memos`` forgets them).  Each
+    the nodes of one grid share them; seeds from ``seed_moments`` hold
+    their context, other seeds none (``clear_memos`` forgets them).  Each
     is a pure function of its key and every operation is rounded at the
     sweep precision in the order mpf arithmetic takes, so a node's seeds and
     its rejection do not depend on the nodes shifted before it.
@@ -547,6 +561,8 @@ def shift_seeds(centre: WeightParams, seeds: dict, node: WeightParams,
         ctx = _shift_memo.get(key)
         if ctx is None:
             ctx = _shift_memo[key] = _ShiftContext(centre, seeds, prec)
+        if isinstance(seeds, _Seeds):
+            seeds.context = ctx
         axes = tuple((i, mpf_neg(to_mpf(b - a)._mpf_, wp, rnd))
                      for i, (a, b) in enumerate(zip(centre.t, node.t), start=1) if b != a)
         limit = mpf_mul_int(ctx.tol, 10, wp, rnd)

@@ -3,7 +3,7 @@
 A ``ScaledGrid`` holds one t-stencil grid (``calculus.StencilGrid``) per
 n, centred at the exactly-rational point (t1, t2) = (s1/2n, s2/4n^2)
 with per-n precision 20 + 4n digits.  The sequences n R_n, n R_n*, r_n,
-r_n*, H_n are read from each grid's centre table, whose aux row
+r_n*, H_n are read from each grid's centre node, whose aux row
 (``ladder.aux_row``) the stencil derivatives share, and
 Richardson-extrapolated in 1/n (Neville at 0), one ``Scaled`` per
 quantity; the limiting identities and PDEs are checked on the
@@ -78,12 +78,12 @@ def _extrapolated(grid: "ScaledGrid", at_n) -> list:
 
 def scaled_sequences(grid: "ScaledGrid") -> dict:
     """{quantity: ``Scaled``} of grid, by ``QUANTITIES``: n R_n, n R_n*,
-    r_n, r_n* and H_n read from the centre table of each per-n stencil
+    r_n, r_n* and H_n read from the centre node of each per-n stencil
     grid, then extrapolated in 1/n."""
     def at_n(n, g):
-        tab = g.bundle()
-        a = aux_row(tab, n)
-        return (n * a.R[0], n * a.R[1], a.r[0], a.r[1], n * (n + to_mpf(grid.alpha)) + tab.p(n))
+        node = g.bundle()
+        a = node.row
+        return (n * a.R[0], n * a.R[1], a.r[0], a.r[1], n * (n + to_mpf(grid.alpha)) + node.p)
 
     return dict(zip(QUANTITIES, _extrapolated(grid, at_n)))
 
@@ -106,13 +106,33 @@ def convergence_slope(grid: "ScaledGrid") -> mpf:
         return (k * sxy - sx * sy) / (k * sxx - sx ** 2)
 
 
+class _Node:
+    """A stencil node of a ``ScaledGrid`` at index n: ``p``, p(n) taken
+    when the node is built, and ``row``, the aux row at n, read on first
+    use.  The node holds its depth-n table only until the row is read; a
+    node whose row is never read computes none."""
+
+    def __init__(self, table, n: int):
+        self.p = table.p(n)
+        self._table, self._n, self._row = table, n, None
+
+    @property
+    def row(self):
+        if self._row is None:
+            self._row = aux_row(self._table, self._n)
+            self._table = None
+        return self._row
+
+
 class ScaledGrid:
     """Extrapolated limits at one (s1, s2) (``at``, memoized) and their
     derivatives in s, taken at finite n on one t-stencil grid per n and
     extrapolated in 1/n like the values.  Needs s1 != 0, s2 > 0 and an
     increasing n_list with min >= 4; the grid at n, ``grids[n]``, sits at
     (alpha, (s1/2n, s2/4n^2)) with ``digits_for_scaling(n)`` digits, so
-    the shrinking t stay resolved."""
+    the shrinking t stay resolved.  Its nodes are ``_Node``s: the grid
+    reads p(n) and the aux row at n from each, and keeps no table once
+    the rows are read."""
 
     def __init__(self, s1, s2, n_list, prec: PrecisionContext, alpha="0.5",
                  cache_dir=None):
@@ -130,9 +150,11 @@ class ScaledGrid:
         self.grids = {}
         for n in self.n_list:
             prec_n = PrecisionContext(digits=digits_for_scaling(n))
+            build = table_bundle_builder(n, prec_n, cache_dir)
             self.grids[n] = StencilGrid(
                 WeightParams(self.alpha, (self.s1 / (2 * n), self.s2 / (4 * n * n))), prec_n,
-                DerivativeStencil(richardson_levels=2), table_bundle_builder(n, prec_n, cache_dir))
+                DerivativeStencil(richardson_levels=2),
+                lambda params, anchor, build=build, n=n: _Node(build(params, anchor), n))
 
     def at(self) -> dict:
         """``scaled_sequences`` of the grid."""
@@ -148,8 +170,8 @@ class ScaledGrid:
 
         def at_n(n, g):
             # H_n = n(n + alpha) + p(n), whose constant has no t-derivative
-            extract = ((lambda v: v.p(n)) if quantity == "H"
-                       else (lambda v: n * (aux_row(v, n).R[0] + aux_row(v, n).R[1])))
+            extract = ((lambda v: v.p) if quantity == "H"
+                       else (lambda v: n * (v.row.R[0] + v.row.R[1])))
             d, e = getattr(g, kind)(extract, *sorted(set(axes)))
             # d/ds1 = (2n)^-1 d/dt1, d/ds2 = (2n)^-2 d/dt2
             scale = mpf(1) / (2 * n) ** (len(axes) + sum(axes))

@@ -4,11 +4,18 @@ Each suite function takes a RunConfig and returns a ResidualReport whose
 entry ids exactly match the registry for that suite.  Tables are pulled
 through the exact-binary table cache so a warm rerun skips quadrature and
 reproduces values (and therefore serialized reports) bit for bit.
+
+The cache's memo holds a table only while a reader does, so ``run_suite``
+holds what a later reader reads again (``_hold``): the tables the suites
+read through ``_table``, with the seeds their builds read, and the
+configured point's stencil grid, whose nodes calculus, sigma-pde and
+multitime share.  It lets them go when it returns.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -62,8 +69,23 @@ def _meta(config: RunConfig, **extra) -> dict:
 _POINT_DEPTH = 5
 
 
+#: what the running ``run_suite`` holds for its later readers; None outside a run
+_held = None
+
+
+def _hold(obj):
+    """obj, held until the running ``run_suite`` returns (outside a run, by
+    no one but the caller)."""
+    if _held is not None:
+        _held.append(obj)
+    return obj
+
+
 def _table(config: RunConfig, params: WeightParams, N: int):
-    return cached_recurrence_table(params, N, config.prec, cache_dir=config.cache_dir)
+    """The depth-N table at params through the configured cache, held for
+    the run with the seeds its build read."""
+    return _hold(cached_recurrence_table(params, N, config.prec, cache_dir=config.cache_dir,
+                                         keep=_held))
 
 
 def _stencil_grid(config: RunConfig, point: WeightParams, depth: int,
@@ -76,11 +98,20 @@ def _stencil_grid(config: RunConfig, point: WeightParams, depth: int,
                           ca.table_bundle_builder(depth, prec, config.cache_dir))
 
 
+#: the scaled grids some reader holds, by their arguments
+_scaled = weakref.WeakValueDictionary()
+
+
 def scaled_grid(config: RunConfig, s1, s2) -> sc.ScaledGrid:
     """The scaled grid at (s1, s2) over the configured n_list, alpha,
-    precision and cache."""
-    return sc.ScaledGrid(s1, s2, config.n_list, config.prec,
-                         alpha=config.params.alpha, cache_dir=config.cache_dir)
+    precision and cache; while a reader holds one, the same grid."""
+    key = (s1, s2, config.n_list, config.prec, config.params.alpha, config.cache_dir)
+    grid = _scaled.get(key)
+    if grid is None:
+        grid = _scaled[key] = sc.ScaledGrid(s1, s2, config.n_list, config.prec,
+                                            alpha=config.params.alpha,
+                                            cache_dir=config.cache_dir)
+    return grid
 
 
 def equilibrium_solution(config: RunConfig) -> eq.EquilibriumSolution:
@@ -218,7 +249,7 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
     params, prec = config.params, config.prec
     if params.m != 2:
         raise DomainError("calculus suite needs m = 2")
-    grid = _stencil_grid(config, params, _POINT_DEPTH)
+    grid = _hold(_stencil_grid(config, params, _POINT_DEPTH))
     rep.extend(ca.verify_derivative_relations(3, grid))
     rep.extend(ca.verify_toda(2, grid))
     rep.extend(ca.verify_riccati(2, grid))
@@ -263,7 +294,7 @@ def sigma_suite(config: RunConfig) -> ResidualReport:
     params, prec = config.params, config.prec
     if params.m != 2:
         raise DomainError("sigma suite needs m = 2")
-    grid = _stencil_grid(config, params, _POINT_DEPTH)
+    grid = _hold(_stencil_grid(config, params, _POINT_DEPTH))
     collected = {}
     for nn in (1, 2, 3):
         for c in ca.verify_sigma_pde(nn, grid):
@@ -313,8 +344,12 @@ def scaling_suite(config: RunConfig) -> ResidualReport:
     )
     prec = config.prec
     grid = scaled_grid(config, config.s1, config.s2)
+    # the limiting PDEs read the U partials, and so each node's aux row,
+    # first: a node then drops its table as soon as it is built, where the
+    # identities' H partials alone would keep it until the PDEs read its row
+    pdes = sc.verify_limiting_pdes(grid)
     rep.extend(sc.verify_limit_identities(grid))
-    rep.extend(sc.verify_limiting_pdes(grid))
+    rep.extend(pdes)
     with mp.workdps(prec.work_dps):
         slope = sc.convergence_slope(grid)
         rep.add(Check("convergence-slope", abs(slope + 1), mpf("0.3"),
@@ -416,8 +451,10 @@ def multitime_suite(config: RunConfig) -> ResidualReport:
         )
         rep.add(Check("t3-continuity", drift, mpf("0.001"), "t3=1e-6"))
 
-    for n, point in ((2, m4), (1, m5)):
-        rep.extend(mt.verify_S1_S2_general_m(n, _stencil_grid(config, point, n + 1)))
+    # held here: its centre is ladder-coeff-m's table
+    grid4 = _stencil_grid(config, m4, 3)
+    rep.extend(mt.verify_S1_S2_general_m(2, grid4))
+    rep.extend(mt.verify_S1_S2_general_m(1, _stencil_grid(config, m5, 2)))
 
     with mp.workdps(prec.work_dps):
         rep.add(Check("ladder-coeff-m",
@@ -439,8 +476,12 @@ SUITE_RUNNERS = {
 
 
 def run_suite(config: RunConfig) -> list:
-    """Run the configured suites in the order given, each once; deterministic."""
-    out = []
-    for name in config.active_suites:
-        out.append(SUITE_RUNNERS[name](config))
-    return out
+    """Run the configured suites in the order given, each once;
+    deterministic.  What a suite holds by ``_hold`` is held until the last
+    suite returns."""
+    global _held
+    _held = []
+    try:
+        return [SUITE_RUNNERS[name](config) for name in config.active_suites]
+    finally:
+        _held = None

@@ -1,13 +1,16 @@
 import gc
 import inspect
 import sys
+from fractions import Fraction
+from pathlib import PurePath
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
+from laguerre_lab import cache
 from laguerre_lab.cache import clear_memo
 from laguerre_lab.ladder import aux_rows
-from laguerre_lab.orthopoly import recurrence_table
+from laguerre_lab.orthopoly import RecurrenceTable, recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 
 
@@ -54,11 +57,29 @@ def fresh_memo():
     clear_memo()
 
 
+def stand_in(value):
+    """value, if it is plain data, which reaches no table; a tuple item by
+    item; a table by the key the cache's memo holds it under, which hashes
+    its point, depth, precision and anchor (by (point, depth, precision)
+    if the memo holds it under none); anything else by its type's name."""
+    if value is None or isinstance(value, (bool, int, float, str, Fraction, mpf, PurePath,
+                                           WeightParams, PrecisionContext)):
+        return value
+    if isinstance(value, tuple):
+        return tuple(map(stand_in, value))
+    if isinstance(value, RecurrenceTable):
+        return next((key for key, table in cache._memo.items() if table is value),
+                    (value.params, value.N, value.prec))
+    return type(value).__name__
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(module, attr): a list that records the arguments of every
-    later call of module.attr through any laguerre_lab binding, each call
-    as a dict of the arguments it passed, by parameter name."""
+    """count_calls(module, attr): a list that records every later call of
+    module.attr through any laguerre_lab binding, each as a dict of the
+    arguments it passed, by parameter name, each argument by its
+    ``stand_in``: the count holds no reference to a table, a grid or a
+    closure, so it keeps alive nothing that a run without it would drop."""
 
     def count(module, attr):
         calls = []
@@ -66,7 +87,8 @@ def count_calls(monkeypatch):
         signature = inspect.signature(real)
 
         def counted(*args, **kwargs):
-            calls.append(signature.bind(*args, **kwargs).arguments)
+            calls.append({name: stand_in(value) for name, value
+                          in signature.bind(*args, **kwargs).arguments.items()})
             return real(*args, **kwargs)
 
         for name, mod in list(sys.modules.items()):

@@ -339,9 +339,9 @@ def test_cold_scaling_computes_each_centre_row_once(tmp_path, count_calls):
 
 
 def test_sweep_csv_computes_no_row_twice(tmp_path, count_calls):
-    # --sweep-csv reads the scaled sequences of its own grid at the suite's
-    # point; its centre tables are the suite's, and rows are memoized on
-    # the table, so the flag adds no row computation to the 36 above
+    # --sweep-csv reads the scaled sequences at the suite's point from the
+    # suite's own grid, which `cli.run` holds across the run, so the flag
+    # adds no row computation to the 36 above
     from laguerre_lab import ladder
 
     clear_memo()
@@ -355,7 +355,9 @@ def test_sweep_csv_computes_no_row_twice(tmp_path, count_calls):
 def test_warm_multi_suite_run_computes_each_row_once(tmp_path, count_calls):
     # the calculus and sigma-pde grids, the fd-convergence grids and the
     # multitime tables read shared tables; each aux row is memoized on its
-    # table, so a warm run computes no (table, n) row twice
+    # table, and the run holds the tables a later suite reads again, so a
+    # warm run computes no row twice for one (point, depth, precision,
+    # anchor), the table's cache key, and n
     from laguerre_lab import ladder
 
     cfg = parse_config(None, {"digits": "60", "suites": "calculus,sigma-pde,multitime",
@@ -365,8 +367,24 @@ def test_warm_multi_suite_run_computes_each_row_once(tmp_path, count_calls):
     clear_memo()
     rows = count_calls(ladder, "aux_integrals")
     suites.run_suite(cfg)
-    computed = [(id(call["table"]), call["n"]) for call in rows]
-    assert computed and len(set(computed)) == len(computed)
+    computed = [(call["table"], call["n"]) for call in rows]
+    assert computed and all(isinstance(key, str) for key, _ in computed)
+    assert len(set(computed)) == len(computed)
+
+
+def test_warm_default_run_reads_each_table_once(count_calls):
+    # a warm `lab all` at the default point reads each of its 448 tables
+    # from disk once and computes 221 aux rows: the tables two suites read
+    # are held by the run, so none is read, nor any row computed, twice
+    from laguerre_lab import cache, ladder
+
+    clear_memo()
+    assert cli.main(["all"]) == 0  # fills the session cache, or reads it
+    clear_memo()
+    reads = count_calls(cache, "_read_entry")
+    rows = count_calls(ladder, "aux_integrals")
+    assert cli.main(["all"]) == 0
+    assert (len(reads), len(rows)) == (448, 221)
 
 
 def test_cold_stencil_run_reads_each_node_at_one_depth(tmp_path, count_calls):
@@ -587,8 +605,8 @@ def test_sweep_csv_honours_cache_dir(tmp_path, monkeypatch):
     args = cli.build_parser().parse_args([
         "scaling", "--n-list", "4,6", "--digits", "50",
         "--sweep-csv", str(tmp_path / "sweep.csv"), "--cache-dir", str(cache)])
-    # the sweep alone: in a full run the suite has already put these
-    # tables in the in-process memo, so the sweep never reaches the disk
+    # the sweep alone: in a full run the sweep's grid is the suite's own,
+    # which `cli.run` holds, so the sweep never reaches the disk
     clear_memo()
     cli.extras(cli.config_from_args(args), args)
     assert (tmp_path / "sweep.csv").exists()

@@ -1,3 +1,5 @@
+import gc
+import types
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -6,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from laguerre_lab import cache, suites
 from laguerre_lab import calculus as ca
 from laguerre_lab import scaling as sc
+from laguerre_lab.config import parse_config
 from laguerre_lab.errors import DomainError
+from laguerre_lab.orthopoly import RecurrenceTable
 from laguerre_lab.params import PrecisionContext, to_mpf
 
 
@@ -143,6 +148,52 @@ def test_scaled_t_derivatives_are_exact_on_a_cubic(prec, s1, s2, monkeypatch):
             assert list(got) == list(want)
             for key, (val, _) in got.items():
                 assert abs(val - to_mpf(want[key])) <= half, (key, q)
+
+
+def reachable_tables(root) -> list:
+    """The tables reachable from root by references, not through a module,
+    a class or a function's globals."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, RecurrenceTable):
+            found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_scaled_grid_holds_no_table_once_its_rows_are_read(tmp_path, monkeypatch):
+    # a node of a scaled grid keeps p(n) and its aux row, not its depth-n
+    # table: once the sequences and the U partials are read, no table can
+    # be reached from the grid, and once the run's objects are released
+    # the table memo is empty
+    cfg = parse_config(None, {"digits": "60", "suites": "scaling", "n_list": "8,10,12",
+                              "cache_dir": str(tmp_path / "cache")})
+    cache.clear_memo()
+    suites.run_suite(cfg)
+    cache.clear_memo()
+    grids, reached = [], []
+    real = sc.verify_limiting_pdes
+
+    def checked(grid):
+        out = real(grid)
+        grids.append(grid)
+        reached.append(len(reachable_tables(grid)))
+        return out
+
+    monkeypatch.setattr(sc, "verify_limiting_pdes", checked)
+    reports = suites.run_suite(cfg)
+    assert reached == [0] and reports[0].n_failed == 0
+    del grids[:]
+    gc.collect()
+    assert len(cache._memo) == 0
 
 
 def test_reduced_limit_residual(prec):

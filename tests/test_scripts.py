@@ -3,16 +3,20 @@ arguments, with the table cache in a temporary directory."""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 #: script name -> arguments; out-of-tree paths are relative to tmp_path
 ARGS = {
     "aux_table": ["--n-max", "2", "--digits", "50"],
     "bless_golden": ["{tmp}/golden.json", "recurrence", "--digits", "50"],
+    # this checkout against itself
+    "compare_checkouts": [str(ROOT), str(ROOT), "moments", "--digits", "50"],
     "equilibrium_profile": ["--n", "4", "--digits", "50", "--points", "4",
                             "--profile", "{tmp}/profile.csv"],
     "sweep_double_scaling": ["--grid", "1", "--n-list", "4,6", "--digits", "50",
@@ -35,9 +39,15 @@ def load(name):
 def test_script_main_runs(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LAB_CACHE_DIR", str(tmp_path / "cache"))
     module = load(name)
-    module.main([a.format(tmp=tmp_path) for a in ARGS[name]])
+    code = module.main([a.format(tmp=tmp_path) for a in ARGS[name]])
     out = capsys.readouterr().out
     assert out
+    if name == "compare_checkouts":
+        assert code == 0
+        assert out.splitlines()[-3:] == [
+            "cold reports equal apart from the timestamp: yes",
+            "warm reports equal apart from the timestamp: yes",
+            "cache files: 1 and 1, byte-identical"]
     if name == "equilibrium_profile":
         doc = json.loads(out[:out.rindex("}") + 1])
         assert {"lagrange_residual", "series_terms"} <= set(doc)
@@ -45,6 +55,25 @@ def test_script_main_runs(name, tmp_path, monkeypatch, capsys):
     if name == "sweep_double_scaling":
         # the tensor grid (1, 1) and its mirror (-1, 1), one CSV each
         assert len(list((tmp_path / "sweep").glob("sweep_*.csv"))) == 2
+
+
+def test_compare_checkouts_exits_1_on_other_table_files(tmp_path, capsys):
+    # a copy whose cache format number differs writes the same reports
+    # under other file names
+    mutant = tmp_path / "mutant"
+    shutil.copytree(ROOT / "src", mutant / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = mutant / "src" / "laguerre_lab" / "cache.py"
+    text = path.read_text()
+    assert "FORMAT_VERSION = 5\n" in text
+    path.write_text(text.replace("FORMAT_VERSION = 5\n", "FORMAT_VERSION = 6\n"))
+    code = load("compare_checkouts").main([str(ROOT), str(mutant), "moments", "--digits", "50"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[-5:-2] == ["cold reports equal apart from the timestamp: yes",
+                          "warm reports equal apart from the timestamp: yes",
+                          "cache files: 1 and 1, 2 differ"]
+    assert all(line.endswith(".json: one side only") for line in out[-2:])
 
 
 def test_bless_golden_lists_changes_and_refuses_a_looser_tolerance(tmp_path, monkeypatch, capsys):

@@ -121,33 +121,52 @@ def test_shift_context_is_order_free(point, prec, stencil, axes):
 
 
 def test_clear_memos_drops_every_shift_context():
+    # the seed sets, held here, hold their shift contexts; clear_memos
+    # forgets both all the same, and a context whose seeds no one holds
+    # is gone with them
     clear_memos()
+    held = []
     for point, prec, stencil, axes in (CASES[0], CASES[-1]):
         node = _stencil_nodes(point, prec, stencil, axes)[0]
-        shift_seeds(point, seed_moments(point, prec), node, prec)
-    assert len(quadrature._shift_memo) == 2
+        held.append(seed_moments(point, prec))
+        shift_seeds(point, held[-1], node, prec)
+    assert len(quadrature._shift_memo) == len(quadrature._seed_memo) == 2
     clear_memos()
-    assert quadrature._shift_memo == {}
-    shift_seeds(point, seed_moments(point, prec), node, prec)
+    assert quadrature._shift_memo == quadrature._seed_memo == {}
+    shift_seeds(point, held[-1], node, prec)
     clear_memo()
     assert quadrature._shift_memo == {}
+    shift_seeds(point, held[-1], node, prec)
+    assert len(quadrature._shift_memo) == 1
+    del held[:]
+    assert quadrature._shift_memo == {}
 
 
-def test_seed_shift_check_keys_its_own_context(tmp_path):
+def test_seed_shift_check_keys_its_own_context(tmp_path, monkeypatch):
     # verify_seed_shift hands in the centre table's moments, rounded to
-    # work_dps: another context than the one its nodes were shifted in
+    # work_dps: another context than the one its nodes were shifted in,
+    # which the grid's builder holds; no one holds the check's, so each
+    # check makes its own, and gets the same result
     centre = WeightParams("1/2", ("3/10", "1/5"))
     grid = ca.StencilGrid(centre, P60, DEFAULT, ca.table_bundle_builder(3, P60, tmp_path))
     clear_memo()
     grid.bundle(((0, grid.steps_per_h), (1, grid.steps_per_h)))
     (built,) = quadrature._shift_memo
+    made = []
+    real = quadrature._ShiftContext.__init__
+
+    def init(ctx, point, seeds, prec):
+        made.append(tuple((k, v._mpf_) for k, v in sorted(seeds.items())))
+        real(ctx, point, seeds, prec)
+
+    monkeypatch.setattr(quadrature._ShiftContext, "__init__", init)
     check = ca.verify_seed_shift(grid)
-    (key,) = set(quadrature._shift_memo) - {built}
+    assert list(quadrature._shift_memo) == [built]
     table = grid.bundle()
-    assert key[2] == tuple((k, table.moments[k]._mpf_) for k in range(-2, 1))
-    assert key[2] != built[2] == tuple((k, v._mpf_) for k, v in seed_moments(centre, P60).items())
-    quadrature._shift_memo.pop(key)
+    assert made == [tuple((k, table.moments[k]._mpf_) for k in range(-2, 1))]
+    assert made[0] != built[2] == tuple((k, v._mpf_) for k, v in seed_moments(centre, P60).items())
     assert ca.verify_seed_shift(grid) == check
+    assert made == [made[0]] * 2
 
 
 def test_rejected_two_axis_shift_stops_at_its_first_infinite_bound(monkeypatch):
