@@ -2,9 +2,13 @@
 
 Tables are the expensive artifact (a quadrature sweep for the seed
 moments, the Pearson recurrence for the rest, then the moment
-Gram-Schmidt); they are keyed by a content hash of (weight point,
-digits, depth, format version) and stored as JSON of h, alpha, the
-coefficient vectors and the moments.
+Gram-Schmidt); each is stored as JSON of h, alpha, the coefficient
+vectors and the moments, in "table-<key>.json".  The key is the first
+32 hex digits of the SHA-256 of the request token (format version,
+weight point, digits, depth; see ``table_key``), taken from the
+interpreter's builtin ``_sha256`` or ``_sha2`` module, so a lab run
+never loads OpenSSL (``hashlib`` is only the fallback where neither
+exists).  The digest is the same by either route.
 A built table holds every value at its work_dps (``recurrence_table``
 rounds the moments and h_0 once); the memo keeps those bits and the
 file stores them exactly: each value is "[-]<hex mantissa>p<exponent>"
@@ -37,7 +41,6 @@ its later builds.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -51,6 +54,15 @@ from .errors import ConfigError
 from .orthopoly import RecurrenceTable, recurrence_table, table_precision
 from .params import PrecisionContext, WeightParams
 from .quadrature import clear_memos, seed_depth, seed_moments, shift_seeds
+
+# the interpreter's builtin SHA-256, so that naming a file loads no OpenSSL
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 #: 2: moments k >= 1 come from the Pearson recurrence, not quadrature;
 #: 3: values are stored as exact binary, not as decimal strings;
@@ -75,7 +87,7 @@ def table_key(params: WeightParams, N: int, prec: PrecisionContext,
     token = f"v{FORMAT_VERSION}|{params.cache_token()}|{prec.cache_token()}|N={N}"
     if origin is not None:
         token += f"|anchor={origin.cache_token()}"
-    return hashlib.sha256(token.encode()).hexdigest()[:32]
+    return sha256(token.encode()).hexdigest()[:32]
 
 
 def _params_doc(params: WeightParams) -> dict:
