@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Solve the equilibrium measure and dump endpoints, the normalization
 residual, the largest Lagrange-condition residual at a + (b-a) {1/4, 1/2,
-3/4}, the number of log-potential series terms, and a density profile.
+3/4}, the ratio rho = (Y-X)/W at which the log potential's cosine series
+falls, and a density profile.
 
     python scripts/equilibrium_profile.py --n 10 --alpha 1 --t1 0.3 --t2 0.2 \
         --profile density.csv
@@ -16,7 +17,6 @@ from laguerre_lab.cli import write_density_profile
 from laguerre_lab.equilibrium import (
     density_normalization,
     equilibrium_condition_residual,
-    series_terms,
     solve_support,
     solve_X_equations,
 )
@@ -48,7 +48,7 @@ def main(argv=None):
             "X": render(sol.X), "Y": render(sol.Y),
             "normalization_residual": render(norm_res),
             "lagrange_residual": render(lagrange_res),
-            "series_terms": series_terms(sol),
+            "rho": render((sol.Y - sol.X) / ((sol.b - sol.a) / 2)),
             "degree9_root": render(x9), "degree5_root": render(x5),
         }
         print(json.dumps(doc, indent=2))

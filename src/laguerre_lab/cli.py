@@ -152,15 +152,14 @@ def write_sweep(grid, path: str):
 def write_density_profile(sol, path: str, points: int):
     """The equilibrium density of sol as an "x, sigma" CSV at path, at
     x = a + (b - a) k / points for k = 1..points-1, at sol's precision."""
-    from .equilibrium import density
+    from .equilibrium import densities
 
     with mp.workdps(sol.prec.work_dps):
+        xs = [sol.a + (sol.b - sol.a) * k / to_mpf(points) for k in range(1, points)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "sigma"])
-            for k in range(1, points):
-                x = sol.a + (sol.b - sol.a) * k / to_mpf(points)
-                writer.writerow([render(x), render(density(sol, x))])
+            writer.writerows([render(x), render(d)] for x, d in zip(xs, densities(sol, xs)))
 
 
 def main(argv=None) -> int:

@@ -28,22 +28,25 @@ integrals the suite checks are, at x = Y + W cos(phi),
     2 int sigma(y) ln|x-y| dy = (W^2/X) (g_0 ln(W/2) - sum_{k>=1} g_k cos(k phi) / k)
     int sigma = W^2 g_0 / (2X).
 
-The log-potential series is geometric in rho; ``series_terms`` cuts it
-where an explicit tail bound falls below 10^-(P+5) of the charge term.
-The other integrals over the support (the endpoint conditions, the
-closed-form identities) use the same substitution, under which
-1/sqrt((b-x)(x-a)) weights become trapezoid sums of smooth periodic
-functions (spectral accuracy).  The trapezoid takes a batch: the
+The bracket's coefficients are beta_j = q^j (p0 + p1 j + p2 j^2), so the
+log-potential series sums in closed form through -ln(1-z), z/(1-z) and
+z/(1-z)^2 at z = q e^(i phi) (``log_potential``).  The other integrals
+over the support (the endpoint conditions, the closed-form identities)
+use the same substitution, under which 1/sqrt((b-x)(x-a)) weights become
+trapezoid sums of smooth periodic functions (spectral accuracy).  The trapezoid takes a batch: the
 integrals of one check share one pass, each bit-identical to its lone
-value.
+value.  The passes read cos(theta) at their nodes through one memo per
+precision (``theta_cosines``), which lives while some reader holds it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import fzero, mpf_add, mpf_cos, mpf_mul
 
 from .errors import (
     DomainError,
@@ -158,14 +161,16 @@ def lagrange_closed_form(n, alpha, t1, t2, X, Y) -> mpf:
             + t1 / X + Y * t2 / X ** 3)
 
 
-def density(sol: EquilibriumSolution, x) -> mpf:
-    """Equilibrium density sigma(x) on (a, b)."""
+def densities(sol: EquilibriumSolution, xs) -> list:
+    """The equilibrium density sigma(x) at each x in xs, all in (a, b)."""
     with mp.workdps(sol.prec.work_dps):
-        x = to_mpf(x)
-        if not sol.a < x < sol.b:
-            raise OutOfSupport(f"x = {x} outside ({sol.a}, {sol.b})")
-        return mp.sqrt((sol.b - x) * (x - sol.a)) * _density_bracket(
-            _bracket_coeffs(sol), x) / (2 * mp.pi * sol.X)
+        coeffs, scale = _bracket_coeffs(sol), 2 * mp.pi * sol.X
+        out = []
+        for x in map(to_mpf, xs):
+            if not sol.a < x < sol.b:
+                raise OutOfSupport(f"x = {x} outside ({sol.a}, {sol.b})")
+            out.append(mp.sqrt((sol.b - x) * (x - sol.a)) * _density_bracket(coeffs, x) / scale)
+        return out
 
 
 def _bracket_coeffs(sol: EquilibriumSolution):
@@ -221,12 +226,38 @@ def _theta_trapezoid(g, prec: PrecisionContext) -> list:
         raise NonConvergence(f"theta trapezoid: no convergence in {QUAD_MAX_LEVEL + 8} levels")
 
 
+#: the theta-node cosines some reader holds, by binary precision
+_cosines = weakref.WeakValueDictionary()
+
+
+def theta_cosines():
+    """cos_th(theta): mp.cos of a theta node at the working precision, bit
+    for bit, memoized by node.  A pass holds cos_th while it runs; a caller
+    that holds it across passes at one precision lets them share the
+    cosines of their common nodes (the equilibrium suite does while it runs)."""
+    wp, rnd = mp._prec_rounding
+    cos_th = _cosines.get(wp)
+    if cos_th is None:
+        memo = {}
+
+        def cos_th(th):
+            c = memo.get(th._mpf_)
+            if c is None:
+                c = memo[th._mpf_] = mp.make_mpf(mpf_cos(th._mpf_, wp, rnd))
+            return c
+
+        _cosines[wp] = cos_th
+    return cos_th
+
+
 def support_integral(sol: EquilibriumSolution, f) -> list:
     """int_a^b f_i(x) / sqrt((b-x)(x-a)) dx for f(x) = (f_1(x), f_2(x), ...)
     via the cosine substitution, in one theta pass."""
-    mid = (sol.a + sol.b) / 2
-    W = (sol.b - sol.a) / 2
-    return _theta_trapezoid(lambda th: f(mid + W * mp.cos(th)), sol.prec)
+    with mp.workdps(sol.prec.work_dps):
+        mid = (sol.a + sol.b) / 2
+        W = (sol.b - sol.a) / 2
+        cos_th = theta_cosines()
+        return _theta_trapezoid(lambda th: f(mid + W * cos_th(th)), sol.prec)
 
 
 def _bracket_series(sol: EquilibriumSolution):
@@ -246,42 +277,6 @@ def _g0(q, p) -> mpf:
     """g_0 = (beta_0 - beta_2) / 2 of g(theta) = sin^2(theta) * bracket."""
     p0, p1, p2 = p
     return (p0 - q ** 2 * (p0 + 2 * p1 + 4 * p2)) / 2
-
-
-def series_terms(sol: EquilibriumSolution) -> int:
-    """The number J of cosine terms the log potential sums: the least
-    J >= 2 with T(J) <= 10^-(P+5) g_0, so that the truncation error
-    (W^2/X) T(J) is at most 10^-(P+5) of the charge term (W^2/X) g_0 = 2n
-    (twice the mass of the density).
-
-    With rho = -q, M(j) = |p0| + |p1| j + |p2| j^2 >= |beta_j| / rho^j,
-    |g_k| <= (2|beta_k| + |beta_(k-2)| + |beta_(k+2)|) / 2
-          <= 2 rho^(k-2) M(k+2)
-    and M(j+1)/M(j) <= (1 + 1/j)^2, the terms past J shrink at least by
-    the ratio r = rho (1 + 1/(J+3))^2, so for r < 1
-
-        sum_{k>J} |g_k| / k <= T(J) = 2 rho^(J-1) M(J+3) / ((J+1)(1-r)).
-
-    T falls with J, so J is found by bisection.  A J past the theta
-    trapezoid's node cap 8 * 2^(QUAD_MAX_LEVEL+8) raises NonConvergence.
-    """
-    with mp.workdps(sol.prec.work_dps):
-        _, q, p = _bracket_series(sol)
-        rho, m = -q, [abs(c) for c in p]
-        target = mpf(10) ** -(sol.prec.digits + 5) * _g0(q, p)
-
-        def within(J):
-            r = rho * (1 + mpf(1) / (J + 3)) ** 2
-            tail = 2 * rho ** (J - 1) * (m[0] + (J + 3) * (m[1] + (J + 3) * m[2]))
-            return r < 1 and tail <= target * (J + 1) * (1 - r)
-
-        lo, hi = 1, 8 * 2 ** (QUAD_MAX_LEVEL + 8)
-        if not within(hi):
-            raise NonConvergence(f"log-potential series: more than {hi} terms at rho = {rho}")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if within(mid) else (mid, hi)
-        return hi
 
 
 def density_normalization(sol: EquilibriumSolution) -> mpf:
@@ -306,33 +301,34 @@ def supplementary_residual(sol: EquilibriumSolution):
 
 def log_potential(sol: EquilibriumSolution, xs) -> list:
     """2 int_a^b sigma(y) ln|x-y| dy at each interior x in xs: the cosine
-    series of the module docstring, summed to ``series_terms`` terms."""
+    series of the module docstring, summed in closed form.
+
+    With beta_j = q^j P(j), g_k = (2 beta_k - beta_(k-2) - beta_(k+2)) / 2
+    = q^k Q(k) / 2 for k >= 2, Q(k) = 2 P(k) - P(k-2)/q^2 - q^2 P(k+2) =
+    Q0 + Q1 k + Q2 k^2, and g_1 = (beta_1 - beta_3)/2.  So the series is
+    Re (Q0 (-ln(1-z)) + Q1 z/(1-z) + Q2 z/(1-z)^2) / 2 at z = q e^(i phi),
+    cos phi = (x - Y)/W, plus (g_1 - q Q(1)/2) cos phi.
+    """
     with mp.workdps(sol.prec.work_dps):
         xs = [to_mpf(x) for x in xs]
         for x in xs:
             if not sol.a < x < sol.b:
                 raise OutOfSupport(f"probe {x} outside the support")
-        J = series_terms(sol)
         W, q, (p0, p1, p2) = _bracket_series(sol)
-        beta, qj = [], mpf(1)
-        for j in range(J + 3):
-            beta.append(qj * (p0 + j * (p1 + j * p2)))
-            qj *= q
-        # g_k / k for k = 1..J; the factor sin^2 = (1 - cos 2 theta)/2
-        # mixes beta_k with beta_(k-2) and beta_(k+2)
-        h = [(beta[1] - beta[3]) / 2] + [
-            (2 * beta[k] - beta[k - 2] - beta[k + 2]) / (2 * k) for k in range(2, J + 1)]
+        q2 = q * q
+        Q0 = 2 * p0 - (p0 - 2 * p1 + 4 * p2) / q2 - q2 * (p0 + 2 * p1 + 4 * p2)
+        Q1 = 2 * p1 - (p1 - 4 * p2) / q2 - q2 * (p1 + 4 * p2)
+        Q2 = p2 * (2 - 1 / q2 - q2)
+        first = ((p0 - p1 + p2) / q - q * (p0 + p1 + p2)) / 2  # g_1 - q Q(1)/2
         charge = _g0(q, (p0, p1, p2)) * mp.log(W / 2)
         out = []
         for x in xs:
-            # cos(k phi) by the Chebyshev recurrence, cos(phi) = (x - Y)/W
-            cos1 = (x - sol.Y) / W
-            two_cos1 = 2 * cos1
-            c_prev, c, acc = mpf(1), cos1, h[0] * cos1
-            for hk in h[1:]:
-                c_prev, c = c, two_cos1 * c - c_prev
-                acc += hk * c
-            out.append(W ** 2 / sol.X * (charge - acc))
+            c = (x - sol.Y) / W
+            qc = q * c  # Re z
+            m = 1 - 2 * qc + q2  # |1 - z|^2
+            series = (-Q0 * mp.log(m) / 2 + Q1 * (qc - q2) / m
+                      + Q2 * (qc * (1 + q2) - 2 * q2) / m ** 2) / 2 + first * c
+            out.append(W ** 2 / sol.X * (charge - series))
         return out
 
 
@@ -342,10 +338,8 @@ def equilibrium_condition_residual(sol: EquilibriumSolution, xs) -> list:
     The log potential is the cosine series of the module docstring
     (``log_potential``), from the kernel expansion
     ln|cos phi - cos theta| = -ln 2 - 2 sum_k cos(k phi) cos(k theta) / k
-    (Mason & Handscomb, Chebyshev Polynomials, 2003).  Its terms fall
-    like rho^k, rho = (Y-X)/W, and it is summed to the J of
-    ``series_terms``, whose tail bound 2 rho^(J-1) M(J+3) / ((J+1)(1-r))
-    keeps the truncation below 10^-(P+5) of the charge term.
+    (Mason & Handscomb, Chebyshev Polynomials, 2003), summed in closed
+    form: no term is cut.
     """
     with mp.workdps(sol.prec.work_dps):
         xs = [to_mpf(x) for x in xs]
@@ -379,10 +373,12 @@ def degree5_coeffs(s1, s2, alpha):
 
 
 def _poly_eval(coeffs, x):
-    acc = mpf(0)
+    """Horner's rule for descending mpf coefficients at mpf x, on raw tuples."""
+    wp, rnd = mp._prec_rounding
+    x, acc = x._mpf_, fzero
     for c in coeffs:
-        acc = acc * x + c
-    return acc
+        acc = mpf_add(mpf_mul(acc, x, wp, rnd), c._mpf_, wp, rnd)
+    return mp.make_mpf(acc)
 
 
 def _poly_derivative(coeffs):
@@ -520,7 +516,7 @@ def mp_limit_check(y, n: int, alpha, prec: PrecisionContext):
     sol = solve_support(n, params, prec=prec)
     with mp.workdps(prec.work_dps):
         x = 4 * n * to_mpf(y)
-        dens = density(sol, x)
+        (dens,) = densities(sol, [x])
         mpv = mp.sqrt((1 - to_mpf(y)) / to_mpf(y)) / (2 * mp.pi)
         return dens, mpv, abs(dens - mpv)
 
@@ -544,8 +540,10 @@ def appendix_integrals(a, b, prec: PrecisionContext):
             ("appendix-xinv3", (3 * (a + b) ** 2 - 4 * ab) * mp.pi / (8 * ab ** mpf("2.5"))),
         ]
 
+        cos_th = theta_cosines()
+
         def g(th):
-            x = mid + W * mp.cos(th)
+            x = mid + W * cos_th(th)
             return mpf(1), mp.log(x), x, 1 / x, 1 / x ** 2, 1 / x ** 3
 
         nums = _theta_trapezoid(g, prec)

@@ -589,7 +589,7 @@ def integrate_finite(panels, prec: PrecisionContext) -> list:
     a + dist with a != 0) rounds to the endpoint once dist is below its
     ulp, and a sample there that divides by zero raises NonConvergence.
     No suite calls it: it is the test oracle that the equilibrium log
-    potential's cosine series is checked against.  The panels share the
+    potential's closed form is checked against.  The panels share the
     nodes t and every factor that does not depend on the interval (sinh t,
     e^{-2|w|}, cosh t, cosh^2 w; the half-width scales them), and each
     result is bit-identical to a pass of its panel alone.

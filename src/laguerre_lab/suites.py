@@ -369,6 +369,8 @@ def equilibrium_suite(config: RunConfig) -> ResidualReport:
     rep = ResidualReport("equilibrium",
                          metadata=_meta(config, verified_point=_point_meta(params)))
     with mp.workdps(prec.work_dps):
+        # held while the suite runs: its three theta passes share their nodes' cosines
+        cosines = eq.theta_cosines()
         alpha, t = params.materialize()
         f1, f2 = eq._support_system(sol.X, sol.Y, n, alpha, t[0], t[1])
         tolN = mpf(10) ** (-(prec.digits - 25))
@@ -378,8 +380,8 @@ def equilibrium_suite(config: RunConfig) -> ResidualReport:
         rep.add(Check("density-normalization", abs(eq.density_normalization(sol) - n),
                       tolN * 100, f"n={n}"))
         rep.add(sign_check("density-nonneg",
-                           [eq.density(sol, sol.a + (sol.b - sol.a) * k / mpf(102))
-                            for k in range(1, 102)],
+                           eq.densities(sol, [sol.a + (sol.b - sol.a) * k / mpf(102)
+                                              for k in range(1, 102)]),
                            to_mpf(prec.half_eps), "101-point grid"))
         r1, r2 = eq.supplementary_residual(sol)
         rep.add(Check("supplementary-v1", r1, mpf(10) ** -10, f"n={n}"))

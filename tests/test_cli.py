@@ -270,9 +270,10 @@ def test_warm_run_integrates_and_writes_nothing(suite, tmp_path, count_calls):
 def test_warm_run_makes_one_oracle_pass(suite, rule, tmp_path, count_calls):
     # the four orthogonality pairs share one quadrature pass, and so does
     # ladder-coeff-integral, the ladder suite's one oracle.  lagrange-eq
-    # and density-normalization sum cosine series, so equilibrium makes no
-    # tanh-sinh pass, and three theta passes: the two supplementary
-    # conditions and the six closed forms of each of two (a, b) pairs
+    # and density-normalization are closed forms of cosine series, so
+    # equilibrium makes no tanh-sinh pass, and three theta passes: the two
+    # supplementary conditions and the six closed forms of each of two
+    # (a, b) pairs
     from laguerre_lab import quadrature
 
     cfg = parse_config(None, {"digits": "60", "suites": suite,
@@ -454,8 +455,8 @@ def test_equilibrium_verifies_the_m2_part_of_an_m3_point(tmp_path):
 
 @pytest.mark.parametrize("args", [["--t1", "0.001", "--t2", "0.001"], ["--digits", "200"]])
 def test_equilibrium_series_checks(args, tmp_path):
-    # rho = 0.936 at t1 = t2 = 1/1000 takes 4488 series terms; at 200
-    # digits the series carries lagrange-eq below 1e-190
+    # rho = 0.936 at t1 = t2 = 1/1000, near the t -> 0 limit; at 200
+    # digits the closed form carries lagrange-eq below 1e-190
     out = tmp_path / "eq.json"
     assert cli.main(["equilibrium", *args, "--out", str(out)]) == 0
     entries = {e["id"]: e for e in json.loads(out.read_text())["reports"][0]["entries"]}

@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from laguerre_lab import equilibrium as eq
+from laguerre_lab import suites
+from laguerre_lab.config import parse_config
 from laguerre_lab.errors import DomainError, NonConvergence, OutOfSupport
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 from laguerre_lab.quadrature import integrate_finite
@@ -57,21 +60,23 @@ def test_verified_point():
 
 def test_density_boundary_and_normalization(sol):
     with mp.workdps(sol.prec.work_dps):
-        edge = eq.density(sol, sol.a + (sol.b - sol.a) / mpf(10 ** 12))
-        closer = eq.density(sol, sol.a + (sol.b - sol.a) / mpf(10 ** 16))
+        edge = eq.densities(sol, [sol.a + (sol.b - sol.a) / mpf(10 ** 12)])[0]
+        closer = eq.densities(sol, [sol.a + (sol.b - sol.a) / mpf(10 ** 16)])[0]
         assert 0 <= closer < edge < mpf(10) ** -3  # vanishing sqrt factor
         assert abs(eq.density_normalization(sol) - 10) < mpf(10) ** -10
         r1, r2 = eq.supplementary_residual(sol)
         assert r1 < mpf(10) ** -10 and r2 < mpf(10) ** -10
     with pytest.raises(OutOfSupport):
-        eq.density(sol, sol.b + 1)
+        eq.densities(sol, [sol.b + 1])
 
 
 def test_density_nonnegative_grid(sol):
     with mp.workdps(sol.prec.work_dps):
-        for k in range(1, 102):
-            x = sol.a + (sol.b - sol.a) * k / mpf(102)
-            assert eq.density(sol, x) >= 0
+        xs = [sol.a + (sol.b - sol.a) * k / mpf(102) for k in range(1, 102)]
+        grid = eq.densities(sol, xs)
+        assert all(d >= 0 for d in grid)
+        # the grid forms its coefficients once; each value has a lone call's bits
+        assert grid == [eq.densities(sol, [x])[0] for x in xs]
 
 
 def _probes(sol):
@@ -88,31 +93,71 @@ def test_equilibrium_condition(sol):
 
 def test_log_potential_series_matches_tanh_sinh_and_mp_quad():
     # two quadrature routes: the log kernel split at its singularity into
-    # two theta panels, through integrate_finite and through mp.quad
+    # two theta panels, through integrate_finite and through mp.quad; at
+    # t = (1/1000, 1/10000), rho = 0.949
     p60 = PrecisionContext(digits=60)
-    sol = eq.solve_support(10, WeightParams("1", ("0.3", "0.2")), prec=p60)
-    with mp.workdps(p60.work_dps):
-        xs = _probes(sol)
-        series = eq.log_potential(sol, xs)
-        mid, W = (sol.a + sol.b) / 2, (sol.b - sol.a) / 2
-        coeffs = eq._bracket_coeffs(sol)
+    for t in (("0.3", "0.2"), ("1/1000", "1/10000")):
+        sol = eq.solve_support(10, WeightParams("1", t), prec=p60)
+        with mp.workdps(p60.work_dps):
+            xs = _probes(sol)
+            series = eq.log_potential(sol, xs)
+            mid, W = (sol.a + sol.b) / 2, (sol.b - sol.a) / 2
+            coeffs = eq._bracket_coeffs(sol)
 
-        def kernel(x):
-            def g(th):
-                y = mid + W * mp.cos(th)
-                d = abs(x - y)
-                if d == 0:  # a node that rounds onto the probe; its weight is negligible
-                    return mpf(0)
-                return mp.log(d) * (W * mp.sin(th)) ** 2 * eq._density_bracket(coeffs, y) \
-                    / (mp.pi * sol.X)
-            return g
+            def kernel(x):
+                def g(th):
+                    y = mid + W * mp.cos(th)
+                    d = abs(x - y)
+                    if d == 0:  # a node that rounds onto the probe; its weight is negligible
+                        return mpf(0)
+                    return mp.log(d) * (W * mp.sin(th)) ** 2 * eq._density_bracket(coeffs, y) \
+                        / (mp.pi * sol.X)
+                return g
 
-        cuts = [mp.acos((x - mid) / W) for x in xs]
-        panels = [(kernel(x), lo, hi) for x, c in zip(xs, cuts) for lo, hi in ((0, c), (c, mp.pi))]
-        tanh_sinh = integrate_finite(panels, p60)
-        for x, c, s, left, right in zip(xs, cuts, series, tanh_sinh[0::2], tanh_sinh[1::2]):
-            assert abs(s - (left + right)) < mpf(10) ** -50
-            assert abs(s - mp.quad(kernel(x), [0, c, mp.pi])) < mpf(10) ** -50
+            cuts = [mp.acos((x - mid) / W) for x in xs]
+            panels = [(kernel(x), lo, hi)
+                      for x, c in zip(xs, cuts) for lo, hi in ((0, c), (c, mp.pi))]
+            tanh_sinh = integrate_finite(panels, p60)
+            for x, c, s, left, right in zip(xs, cuts, series, tanh_sinh[0::2], tanh_sinh[1::2]):
+                assert abs(s - (left + right)) < mpf(10) ** -50, t
+                assert abs(s - mp.quad(kernel(x), [0, c, mp.pi])) < mpf(10) ** -50, t
+
+
+def cosine_partial_sum(sol, xs, J):
+    """(W^2/X) (g_0 ln(W/2) - sum_{k=1}^{J} g_k cos(k phi) / k) at each x,
+    from the beta_j of the bracket and the Chebyshev recurrence."""
+    W, q, (p0, p1, p2) = eq._bracket_series(sol)
+    beta, qj = [], mpf(1)
+    for j in range(J + 3):
+        beta.append(qj * (p0 + j * (p1 + j * p2)))
+        qj *= q
+    g = [(2 * beta[k] - beta[abs(k - 2)] - beta[k + 2]) / 2 for k in range(J + 1)]
+    out = []
+    for x in xs:
+        cos1 = (x - sol.Y) / W
+        c_prev, c, acc = mpf(1), cos1, g[1] * cos1
+        for k in range(2, J + 1):
+            c_prev, c = c, 2 * cos1 * c - c_prev
+            acc += g[k] / k * c
+        out.append(W ** 2 / sol.X * (eq._g0(q, (p0, p1, p2)) * mp.log(W / 2) - acc))
+    return out
+
+
+@pytest.mark.parametrize("digits", [60, 120])
+@pytest.mark.parametrize("t", [("0.3", "0.2"), ("1/1000", "1/10000")],
+                         ids=["rho0.849", "rho0.949"])
+def test_log_potential_closed_form_matches_cosine_partial_sum(t, digits):
+    # rho^J <= 10^-(P+20), so the cut tail (rho^J times a quadratic in J,
+    # over 1 - rho) is far below 10^-(P+5) of the charge term 2n, the bound
+    # the closed form is held to
+    prec = PrecisionContext(digits=digits)
+    sol = eq.solve_support(10, WeightParams("1", t), prec=prec)
+    with mp.workdps(prec.work_dps):
+        rho = -eq._bracket_series(sol)[1]
+        J = int(mp.ceil((digits + 20) / -mp.log10(rho)))
+        want = cosine_partial_sum(sol, _probes(sol), J)
+        for got, ref in zip(eq.log_potential(sol, _probes(sol)), want):
+            assert abs(got - ref) <= mpf(10) ** -(digits + 5) * 2 * sol.n
 
 
 def test_normalization_series_matches_theta_trapezoid(sol):
@@ -121,26 +166,6 @@ def test_normalization_series_matches_theta_trapezoid(sol):
         (theta,) = eq.support_integral(sol, lambda x: (
             (sol.b - x) * (x - sol.a) * eq._density_bracket(coeffs, x) / (2 * mp.pi * sol.X),))
         assert abs(eq.density_normalization(sol) - theta) < mpf(10) ** -110
-
-
-def test_log_potential_tail_bound_holds(monkeypatch):
-    # summing twice the terms moves the potential by at most the bound
-    # series_terms guarantees: 10^-(P+5) of the charge term 2n
-    p60 = PrecisionContext(digits=60)
-    sol = eq.solve_support(10, WeightParams("1", ("0.3", "0.2")), prec=p60)
-    with mp.workdps(p60.work_dps):
-        cut = eq.log_potential(sol, _probes(sol))
-        J = eq.series_terms(sol)
-        monkeypatch.setattr(eq, "series_terms", lambda s: 2 * J)
-        for short, long in zip(cut, eq.log_potential(sol, _probes(sol))):
-            assert abs(short - long) <= 20 * mpf(10) ** -65
-
-
-def test_series_term_cap_raises_nonconvergence(sol, monkeypatch):
-    # the default point needs 1805 terms; a cap of 8 * 2^(-5 + 8) = 64 is too few
-    monkeypatch.setattr(eq, "QUAD_MAX_LEVEL", -5)
-    with pytest.raises(NonConvergence):
-        eq.equilibrium_condition_residual(sol, _probes(sol))
 
 
 def test_condition_probes_batch_is_bit_identical_to_lone(sol):
@@ -165,6 +190,49 @@ def test_theta_batch_is_bit_identical_to_lone(prec):
         samples.append(len(nodes))
     assert len(set(samples)) > 1  # they stop at different levels
     assert eq._theta_trapezoid(lambda th: tuple(g(th) for g in integrands), prec) == lone
+
+
+def test_theta_cosine_memo_is_exact(sol, prec, monkeypatch):
+    # the suite's three theta passes give the same bits with the memo cold
+    # (each pass forms its own nodes' cosines) and warm (one memo held
+    # across them: the appendix passes read theirs from the supplementary pass)
+    formed = []
+    real = eq.mpf_cos
+    monkeypatch.setattr(eq, "mpf_cos", lambda th, *rest: (formed.append(th), real(th, *rest))[1])
+
+    def passes():
+        return [eq.supplementary_residual(sol)] + [
+            eq.appendix_integrals(a, b, prec) for a, b in (("1", "4"), ("0.5", "2.5"))]
+
+    with mp.workdps(prec.work_dps):
+        assert len(eq._cosines) == 0
+        cold, cold_formed = passes(), len(formed)
+        formed.clear()
+        cos_th = eq.theta_cosines()
+        warm = passes()
+        del cos_th
+    assert warm == cold
+    assert len(formed) == len(set(formed)) < cold_formed
+    assert len(eq._cosines) == 0
+
+
+def test_run_suite_holds_theta_cosines_while_the_suite_runs(tmp_path, monkeypatch):
+    # both appendix passes read the memo the supplementary pass filled;
+    # when run_suite returns, nothing holds it
+    held, shared = [], []
+    real = eq.appendix_integrals
+
+    def appendix(a, b, prec):
+        cos_th = eq.theta_cosines()
+        shared.append(all(ref() is cos_th for ref in held))
+        held.append(weakref.ref(cos_th))
+        return real(a, b, prec)
+
+    monkeypatch.setattr(eq, "appendix_integrals", appendix)
+    suites.run_suite(parse_config(None, {"digits": "60", "suites": "equilibrium",
+                                         "cache_dir": str(tmp_path / "cache")}))
+    assert shared == [True, True]
+    assert held[0]() is None and len(eq._cosines) == 0
 
 
 def test_theta_level_cap_raises_nonconvergence(monkeypatch):

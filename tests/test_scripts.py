@@ -50,7 +50,7 @@ def test_script_main_runs(name, tmp_path, monkeypatch, capsys):
             "cache files: 1 and 1, byte-identical"]
     if name == "equilibrium_profile":
         doc = json.loads(out[:out.rindex("}") + 1])
-        assert {"lagrange_residual", "series_terms"} <= set(doc)
+        assert {"lagrange_residual", "rho"} <= set(doc)
         assert len((tmp_path / "profile.csv").read_text().splitlines()) == 4
     if name == "sweep_double_scaling":
         # the tensor grid (1, 1) and its mirror (-1, 1), one CSV each
