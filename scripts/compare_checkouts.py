@@ -4,15 +4,16 @@
 In each checkout it runs ``lab ARGS`` cold and then warm, in one fresh
 temporary cache per checkout, each run a fresh process that imports the
 lab from that checkout's ``src/``.  It prints whether the cold reports,
-and the warm ones, are equal apart from ``metadata.timestamp``, whether
-the two caches hold the same file names with the same bytes, and each
-run's exit code and peak RSS.  It exits 1 on any difference in bits (or
-a run that writes no report), else 0.
+and the warm ones, are equal apart from ``metadata.timestamp``, how many
+cache files are in the parent's cache only, in the change's only, or in
+both with other bytes (up to ten of them by name, with their side), and
+each run's exit code and peak RSS.  It exits 1 on any difference in bits
+(or a run that writes no report), else 0.
 
 Peak RSS is the child's ``ru_maxrss``.  On Linux a child started by vfork
 and exec begins with its launcher's peak RSS there, so this script reads
 no report and no cache file until all four runs are done: it holds none
-of their bytes (3.5 MB for the 448 tables of ``lab all``) while a run is
+of their bytes (2.8 MB for the 444 tables of ``lab all``) while a run is
 measured.  A child still reads at least this script's own peak.
 
     python scripts/compare_checkouts.py PARENT CHANGE
@@ -87,12 +88,15 @@ def main(argv=None) -> int:
             same &= equal
             print(f"{run} reports equal apart from the timestamp: {'yes' if equal else 'NO'}")
         a, b = files["parent"], files["change"]
-        differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
-        same &= not differ
-        print(f"cache files: {len(a)} and {len(b)}, "
-              f"{'byte-identical' if not differ else f'{len(differ)} differ'}")
-        for name in differ[:10]:
-            print(f"  {name}: {'both' if name in a and name in b else 'one side only'}")
+        side = {name: "parent only" for name in a.keys() - b.keys()}
+        side.update((name, "change only") for name in b.keys() - a.keys())
+        side.update((name, "bytes differ") for name in a.keys() & b.keys() if a[name] != b[name])
+        same &= not side
+        counts = ", ".join(f"{list(side.values()).count(k)} {k}"
+                           for k in ("parent only", "change only", "bytes differ"))
+        print(f"cache files: {len(a)} and {len(b)}, {counts}")
+        for name in sorted(side)[:10]:
+            print(f"  {name}: {side[name]}")
     return 0 if same else 1
 
 

@@ -47,7 +47,7 @@ import tempfile
 import weakref
 from pathlib import Path
 
-from mpmath import mp
+from mpmath import mp, mpf
 from mpmath.libmp import fzero
 
 from .errors import ConfigError

@@ -3,9 +3,12 @@
 Derivatives of table/auxiliary quantities are central differences on a
 dyadic stencil with Richardson extrapolation.  Each derivative kind has
 one order-2 difference, written once as a table of taps (``FIRST``,
-``SECOND``, ``CROSS``), and accuracy is set by the number of Richardson
-levels alone; ``StencilGrid`` is their only reader, and ``scaling``
-differentiates on the same grids.  Every stencil node is the recurrence
+``SECOND``, ``CROSS``); ``StencilGrid`` is their only reader, and
+``scaling`` differentiates on the same grids.  A grid's relative step h
+is the precision's (``PrecisionContext.fd_rel_step``), and its one
+setting is the number of levels of the difference, at dyadic steps down
+to h / 2^(levels // 2): h alone, h and h/2, or (the default) 2h, h and
+h/2, Richardson-extrapolated.  Every stencil node is the recurrence
 table at an exactly-rational shifted parameter point, read through the
 table cache, so grids that share a node share its table.  Only the
 grid's centre is integrated: its seed moments (the grid's anchor) are
@@ -22,7 +25,7 @@ times the sum of the changes (``propagated_check``).  A node's aux rows
 are read through ``ladder.aux_row``, each computed once per table.
 
 Every check takes (n, grid), or the grid alone, the seed shift and the
-small-t2 reductions included: its point, precision, stencil and table
+small-t2 reductions included: its point, precision, levels and table
 depth are the grid's, and its point string names the grid's point.  No
 check builds a grid; the suites build each one, the frozen-t2 grids of
 the reductions among them.
@@ -47,7 +50,6 @@ all of these too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, mpf
 
@@ -58,31 +60,9 @@ from .errors import (
     StencilOutOfDomain,
 )
 from .ladder import AuxRow, aux_row, pad3
-from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
+from .params import PrecisionContext, WeightParams, to_mpf
 from .quadrature import shift_seeds
 from .reports import Check, floored, sign_check
-
-
-@dataclass(frozen=True)
-class DerivativeStencil:
-    """Central-difference policy: relative step h and Richardson levels of
-    the order-2 differences, at dyadic steps down to h / 2^(levels // 2):
-    h alone, h and h/2, or (the default) 2h, h and h/2."""
-
-    rel_step: Fraction = None
-    richardson_levels: int = 3
-
-    def __post_init__(self):
-        if self.richardson_levels < 1:
-            raise DomainError("richardson_levels must be >= 1")
-        if self.rel_step is not None:
-            object.__setattr__(self, "rel_step", to_fraction(self.rel_step))
-
-    def step(self, prec: PrecisionContext) -> Fraction:
-        rel = self.rel_step if self.rel_step is not None else prec.fd_rel_step
-        if not Fraction(1, 10 ** (prec.digits // 2)) < rel < Fraction(1, 1000):
-            raise DomainError(f"rel_step {rel} outside (10^-P/2, 10^-3)")
-        return rel
 
 
 def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
@@ -120,10 +100,9 @@ class Difference:
     c: int
     powers: tuple
 
-    def denominator(self, steps, c=None):
-        """c h_1^k_1 h_2^k_2 ..., multiplied left to right; c is the
-        table's own unless given."""
-        den = self.c if c is None else c
+    def denominator(self, steps):
+        """c h_1^k_1 h_2^k_2 ..., multiplied left to right."""
+        den = self.c
         for h, k in zip(steps, self.powers):
             for _ in range(k):
                 den = den * h
@@ -169,9 +148,12 @@ def _richardson(seq):
 class StencilGrid:
     """Memoized node tables on the FD stencil around one point.
 
-    Offsets are integers counting finest steps (``steps_per_h`` to one
-    h), so the shifted parameter points are exact and reproducible; nodes
-    that would leave the admissible region raise StencilOutOfDomain.
+    The relative step h is the precision's ``fd_rel_step``; ``levels``
+    (at least 1) sets the steps of the difference: h alone (1), h and h/2
+    (2), or 2h, h and h/2 (3, the default).  Offsets are integers
+    counting finest steps (``steps_per_h`` to one h), so the shifted
+    parameter points are exact and reproducible; nodes that would leave
+    the admissible region raise StencilOutOfDomain.
 
     The grid's centre is the anchor of every node: its seed moments are
     integrated once per precision, when a table is first built, and
@@ -180,15 +162,15 @@ class StencilGrid:
     ``bundle(offsets)`` is the node's table.
     """
 
-    def __init__(self, params: WeightParams, prec: PrecisionContext,
-                 stencil: DerivativeStencil, builder):
+    def __init__(self, params: WeightParams, prec: PrecisionContext, builder, levels: int = 3):
+        if levels < 1:
+            raise DomainError("a stencil grid needs levels >= 1")
         self.params = params
         self.prec = prec
-        self.stencil = stencil
+        self.levels = levels
         self._builder = builder
-        rel = stencil.step(prec)
-        self._h = tuple(rel * abs(t) for t in params.t)
-        self.steps_per_h = 2 ** (stencil.richardson_levels // 2)
+        self._h = tuple(prec.fd_rel_step * abs(t) for t in params.t)
+        self.steps_per_h = 2 ** (levels // 2)
         self._fine = tuple(h / self.steps_per_h for h in self._h)
         self._mpf = {}
         self._memo = {}
@@ -210,29 +192,24 @@ class StencilGrid:
 
     # -- derivative estimators (inside the caller's working precision) --
 
-    def _levels(self):
+    def _steps(self):
         """(each axis's level steps, coarsest first, and eps) as mpf at the
         working precision, made once per precision; a level step is h
         times a power of two, so exact in h's mpf."""
         if mp.prec not in self._mpf:
-            n = self.stencil.richardson_levels
+            n = self.levels
             self._mpf[mp.prec] = ([[mp.ldexp(h, (n - 1) // 2 - lev) for lev in range(n)]
                                    for h in map(to_mpf, self._h)], to_mpf(self.prec.eps))
         return self._mpf[mp.prec]
 
-    def _derivative(self, diff: Difference, extract, axes, gain):
-        """(diff of extract on the axes, error estimate).
-
-        The levels halve the steps and are Richardson-extrapolated; the
-        error is the extrapolation spread plus gain times the eps noise of
-        the values over the finest steps.
-        """
-        n_levels = self.stencil.richardson_levels
-        steps, eps = self._levels()
+    def quotients(self, diff: Difference, extract, axes):
+        """(diff of extract on the axes at each level step, coarsest first,
+        and the largest |extract| the differences read)."""
+        steps = self._steps()[0]
         vals = {}
-        levels = []
-        for lev in range(n_levels):
-            scale = 1 << (n_levels - 1 - lev)
+        out = []
+        for lev in range(self.levels):
+            scale = 1 << (self.levels - 1 - lev)
 
             def at(offsets):
                 key = tuple((ax, j * scale) for ax, j in zip(axes, offsets) if j)
@@ -240,23 +217,34 @@ class StencilGrid:
                     vals[key] = extract(self.bundle(key))
                 return vals[key]
 
-            levels.append(diff.quotient(at, [steps[ax][lev] for ax in axes]))
-        val, spread = _richardson(levels)
-        noise = eps * (max(abs(v) for v in vals.values()) + 1)
-        finest = diff.denominator([steps[ax][-1] for ax in axes], c=1)
-        return val, spread + gain * noise / finest
+            out.append(diff.quotient(at, [steps[ax][lev] for ax in axes]))
+        return out, max(abs(v) for v in vals.values())
+
+    def _derivative(self, diff: Difference, extract, axes):
+        """(diff of extract on the axes, error estimate).
+
+        The level quotients are Richardson-extrapolated; the error is the
+        extrapolation spread plus the eps noise of the values carried
+        through the taps of the finest difference, sum_j |w_j| over its
+        denominator.
+        """
+        quots, largest = self.quotients(diff, extract, axes)
+        val, spread = _richardson(quots)
+        steps, eps = self._steps()
+        noise = eps * (largest + 1) * sum(abs(w) for _, w in diff.taps)
+        return val, spread + noise / diff.denominator([steps[ax][-1] for ax in axes])
 
     def first(self, extract, axis: int):
         """(d/dt_axis extract, error estimate)."""
-        return self._derivative(FIRST, extract, (axis,), 1)
+        return self._derivative(FIRST, extract, (axis,))
 
     def second(self, extract, axis: int):
         """(d^2/dt_axis^2 extract, error estimate)."""
-        return self._derivative(SECOND, extract, (axis,), 4)
+        return self._derivative(SECOND, extract, (axis,))
 
     def mixed(self, extract, ax1: int, ax2: int):
         """(d^2/dt_ax1 dt_ax2 extract, error estimate)."""
-        return self._derivative(CROSS, extract, (ax1, ax2), 1)
+        return self._derivative(CROSS, extract, (ax1, ax2))
 
 
 def partials(grid, f, keys) -> dict:

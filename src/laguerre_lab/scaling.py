@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .calculus import (DerivativeStencil, StencilGrid, moved, normalized, partials,
-                       propagated, propagated_check, table_bundle_builder)
+from .calculus import (StencilGrid, moved, normalized, partials, propagated, propagated_check,
+                       table_bundle_builder)
 from .errors import DomainError, SingularAux
 from .ladder import aux_row
 from .orthopoly import digits_for
@@ -153,8 +153,7 @@ class ScaledGrid:
             build = table_bundle_builder(n, prec_n, cache_dir)
             self.grids[n] = StencilGrid(
                 WeightParams(self.alpha, (self.s1 / (2 * n), self.s2 / (4 * n * n))), prec_n,
-                DerivativeStencil(richardson_levels=2),
-                lambda params, anchor, build=build, n=n: _Node(build(params, anchor), n))
+                lambda params, anchor, build=build, n=n: _Node(build(params, anchor), n), 2)
 
     def at(self) -> dict:
         """``scaled_sequences`` of the grid."""

@@ -88,14 +88,14 @@ def _table(config: RunConfig, params: WeightParams, N: int):
                                          keep=_held))
 
 
-def _stencil_grid(config: RunConfig, point: WeightParams, depth: int,
-                  stencil=ca.DerivativeStencil(), prec: PrecisionContext = None):
-    """The stencil grid at point whose nodes are depth-``depth`` tables
-    through the configured cache, at the configured precision unless prec
-    is given."""
+def _stencil_grid(config: RunConfig, point: WeightParams, depth: int, levels: int = 3,
+                  prec: PrecisionContext = None):
+    """The stencil grid of ``levels`` levels at point whose nodes are
+    depth-``depth`` tables through the configured cache, at the configured
+    precision unless prec is given."""
     prec = config.prec if prec is None else prec
-    return ca.StencilGrid(point, prec, stencil,
-                          ca.table_bundle_builder(depth, prec, config.cache_dir))
+    return ca.StencilGrid(point, prec, ca.table_bundle_builder(depth, prec, config.cache_dir),
+                          levels)
 
 
 #: the scaled grids some reader holds, by their arguments
@@ -256,18 +256,14 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
     for nn in (1, 2, 3):
         rep.extend(ca.verify_coupled_pdes(nn, grid))
 
-    # FD convergence order: an exact identity's residual must shrink at
-    # the stencil's theoretical order (2 here) when the step halves
-    coarse = ca.DerivativeStencil(rel_step=Fraction(1, 10 ** 4), richardson_levels=1)
-    fine = ca.DerivativeStencil(rel_step=Fraction(1, 2 * 10 ** 4), richardson_levels=1)
+    # FD convergence order: an exact identity's order-2 difference at the
+    # grid's h and h/2 levels, before Richardson, is truncation error, so
+    # halving the step must shrink its residual by 2^2
     with mp.workdps(prec.work_dps):
-        res = []
-        for stn in (coarse, fine):
-            g = _stencil_grid(config, params, _POINT_DEPTH, stn)
-            t1 = to_mpf(params.t1)
-            d, _ = ca.partials(g, lambda v: mp.log(v.h[3]), ("1",))["1"]
-            res.append(abs(t1 * d + ld.aux_row(g.bundle(), 3).R[0]))
-        ratio = res[0] / res[1]
+        t1, R = to_mpf(params.t1), ld.aux_row(grid.bundle(), 3).R[0]
+        levels, _ = grid.quotients(ca.FIRST, lambda v: mp.log(v.h[3]), (0,))
+        coarse, fine = (abs(t1 * d + R) for d in levels[-2:])
+        ratio = coarse / fine
         rep.add(Check("fd-convergence-order",
                       mpf(0) if ratio > mpf("3.5") else abs(ratio - 4),
                       mpf("0.5"), "order2;h,h/2"))
@@ -317,9 +313,8 @@ def sigma_suite(config: RunConfig) -> ResidualReport:
 
 def delta_random(config: RunConfig) -> Check:
     """Delta > 0 at 20 deterministic admissible points (desk precision;
-    a coarse stencil is plenty for a sign with Delta of order one)."""
+    a one-level grid is plenty for a sign with Delta of order one)."""
     small = PrecisionContext(digits=60)
-    st60 = ca.DerivativeStencil(richardson_levels=1)
     state = _LCG_SEED
     deltas = []
     for _ in range(20):
@@ -331,7 +326,7 @@ def delta_random(config: RunConfig) -> Check:
         t1 = (Fraction(1, 20) + Fraction(round(u2 * 950), 1000)) * (1 if u4 < Fraction(1, 2) else -1)
         t2 = Fraction(1, 20) + Fraction(round(u3 * 950), 1000)
         point = WeightParams(alpha, (t1, t2))
-        deltas.append(ca.hankel_sigma(2, _stencil_grid(config, point, 3, st60, small)).Delta)
+        deltas.append(ca.hankel_sigma(2, _stencil_grid(config, point, 3, 1, small)).Delta)
     with mp.workdps(small.work_dps):
         return sign_check("delta-random", deltas, to_mpf(small.half_eps), "20 LCG points")
 

@@ -30,7 +30,6 @@ TOL10 = mpf(10) ** -10
 TOL8 = mpf(10) ** -8
 
 PREC = PrecisionContext(digits=120)
-STENCIL = ca.DerivativeStencil()
 
 
 def _line(num, name, ok, detail=""):
@@ -58,7 +57,7 @@ def tables(point, mirror):
 
 @pytest.fixture(scope="module")
 def grid(point):
-    return ca.StencilGrid(point, PREC, STENCIL, ca.table_bundle_builder(5, PREC))
+    return ca.StencilGrid(point, PREC, ca.table_bundle_builder(5, PREC))
 
 
 def test_criterion_01_cross_representation(point, mirror, tables):
@@ -102,14 +101,12 @@ def test_criterion_03_derivative_relations_toda(point, grid):
             worst = max(worst, c.residual)
         for c in ca.verify_toda(2, grid):
             worst = max(worst, c.residual)
-        # order >= 2 decay under step halving (one order-2 level, no Richardson)
-        res = []
-        for denom in (10 ** 4, 2 * 10 ** 4):
-            stn = ca.DerivativeStencil(rel_step=Fraction(1, denom), richardson_levels=1)
-            g = ca.StencilGrid(point, PREC, stn, ca.table_bundle_builder(4, PREC))
-            d, _ = g.first(lambda v: mp.log(v.h[3]), 0)
-            res.append(abs(to_mpf(point.t1) * d + ld.aux_row(g.bundle(), 3).R[0]))
-        ratio = res[0] / res[1]
+        # order >= 2 decay under step halving: the order-2 difference at the
+        # grid's h and h/2 levels, before Richardson
+        levels, _ = grid.quotients(ca.FIRST, lambda v: mp.log(v.h[3]), (0,))
+        R = ld.aux_row(grid.bundle(), 3).R[0]
+        coarse, fine = (abs(to_mpf(point.t1) * d + R) for d in levels[-2:])
+        ratio = coarse / fine
     ok = worst <= TOL12 and ratio >= mpf("3.5")
     _line(3, "derivative relations + Toda", ok,
           f"worst={mp.nstr(worst, 3)} halving-ratio={mp.nstr(ratio, 4)}")
@@ -133,7 +130,7 @@ def test_criterion_04_coupled_and_sigma_pdes(point, grid):
 def test_criterion_05_rode_reduction(point):
     eps_list = ("1e-4", "1e-5", "1e-6")
     out = [ca.verify_t2_zero_reduction(1, ca.StencilGrid(
-        WeightParams(point.alpha, ("0.5", eps)), PREC, STENCIL, ca.table_bundle_builder(2, PREC)))
+        WeightParams(point.alpha, ("0.5", eps)), PREC, ca.table_bundle_builder(2, PREC)))
         for eps in eps_list]
     with mp.workdps(60):
         res, _ = out[-1]
@@ -208,7 +205,7 @@ def test_criterion_09_m3():
             if n >= 1:
                 worst_cross = max(worst_cross, abs(
                     ld.beta_from_aux(rows[n], n, p3, PREC) - tab.beta(n)))
-    grid3 = ca.StencilGrid(p3, PREC, STENCIL, ca.table_bundle_builder(3, PREC))
+    grid3 = ca.StencilGrid(p3, PREC, ca.table_bundle_builder(3, PREC))
     ricc = [c for c in mt.verify_identities_3(2, grid3)
             if c.id.startswith("riccati")]
     recon = mt.h3_reconstruction(2, grid3)
@@ -228,8 +225,7 @@ def test_criterion_10_general_m():
     for tvec, ns in ((("0.3", "0.2", "0.1", "0.05"), (1, 2, 3)),
                      (("0.3", "0.2", "0.1", "0.05", "0.02"), (1, 2))):
         params = WeightParams("0.5", tvec)
-        g = ca.StencilGrid(params, PREC, STENCIL,
-                           ca.table_bundle_builder(max(ns) + 1, PREC))
+        g = ca.StencilGrid(params, PREC, ca.table_bundle_builder(max(ns) + 1, PREC))
         with mp.workdps(PREC.work_dps):
             for n in ns:
                 for c in mt.verify_S1_S2_general_m(n, g):

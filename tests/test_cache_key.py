@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from laguerre_lab.cache import table_key
-from laguerre_lab.calculus import DerivativeStencil, StencilGrid
+from laguerre_lab.calculus import StencilGrid
 from laguerre_lab.params import PrecisionContext, WeightParams
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -27,11 +27,11 @@ NODE_KEY = "cb3e30fa014a06e795b41c060986bece"
 #: prints the two pinned keys, one a line
 KEYS_SCRIPT = """
 from laguerre_lab.cache import table_key
-from laguerre_lab.calculus import DerivativeStencil, StencilGrid
+from laguerre_lab.calculus import StencilGrid
 from laguerre_lab.params import PrecisionContext, WeightParams
 p120 = PrecisionContext(digits=120)
 centre = WeightParams("1/2", ("3/10", "1/5"))
-node = StencilGrid(centre, p120, DerivativeStencil(), None).params_at(((0, 2),))
+node = StencilGrid(centre, p120, None).params_at(((0, 2),))
 print(table_key(centre, 12, p120))
 print(table_key(node, 5, p120, centre))
 """
@@ -50,7 +50,7 @@ def run_python(code: str) -> str:
 def test_table_keys_are_pinned():
     p120 = PrecisionContext(digits=120)
     centre = WeightParams("1/2", ("3/10", "1/5"))
-    grid = StencilGrid(centre, p120, DerivativeStencil(), None)
+    grid = StencilGrid(centre, p120, None)
     node = grid.params_at(((0, grid.steps_per_h),))
     assert grid.steps_per_h == 2
     assert table_key(centre, 12, p120) == CENTRE_KEY

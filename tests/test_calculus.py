@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,50 +17,42 @@ def prec():
 
 
 @pytest.fixture(scope="module")
-def stencil():
-    return ca.DerivativeStencil()
+def grid(params_default, prec):
+    return ca.StencilGrid(params_default, prec, ca.table_bundle_builder(5, prec))
 
 
-@pytest.fixture(scope="module")
-def grid(params_default, prec, stencil):
-    return ca.StencilGrid(params_default, prec, stencil,
-                          ca.table_bundle_builder(5, prec))
-
-
-def test_stencil_invariants(prec):
+def test_stencil_invariants(params_default, prec):
     with pytest.raises(DomainError):
-        ca.DerivativeStencil(richardson_levels=0)
-    with pytest.raises(DomainError):
-        ca.DerivativeStencil(rel_step=Fraction(1, 100)).step(prec)  # > 1e-3
-    with pytest.raises(DomainError):
-        ca.DerivativeStencil(rel_step=Fraction(1, 10**61)).step(prec)
-    assert ca.DerivativeStencil().step(prec) == Fraction(1, 10**24)
+        ca.StencilGrid(params_default, prec, None, levels=0)
+    # h alone, h and h/2, or 2h, h and h/2: one or two finest steps to h
+    assert [ca.StencilGrid(params_default, prec, None, n).steps_per_h
+            for n in (1, 2, 3)] == [1, 2, 2]
 
 
-def _scalar_grid(quantity, point, prec, stencil):
+def _scalar_grid(quantity, point, prec):
     """A stencil grid whose nodes hold quantity(params) itself."""
-    return ca.StencilGrid(point, prec, stencil, lambda p, anchor: quantity(p))
+    return ca.StencilGrid(point, prec, lambda p, anchor: quantity(p))
 
 
 def _value(v):
     return v
 
 
-def test_fd_partial_trivials(params_default, prec, stencil):
+def test_fd_partial_trivials(params_default, prec):
     with mp.workdps(prec.work_dps):
-        g = _scalar_grid(lambda p: to_mpf(p.t1) * to_mpf(p.t2), params_default, prec, stencil)
+        g = _scalar_grid(lambda p: to_mpf(p.t1) * to_mpf(p.t2), params_default, prec)
         v, e = g.mixed(_value, 0, 1)
         assert abs(v - 1) < 10 * e + mpf(10) ** -60
-        g = _scalar_grid(lambda p: mpf(3), params_default, prec, stencil)
+        g = _scalar_grid(lambda p: mpf(3), params_default, prec)
         v, e = g.first(_value, 0)
         assert abs(v) <= e
 
 
-def test_fd_partial_matches_exact_derivative(params_default, prec, stencil):
+def test_fd_partial_matches_exact_derivative(params_default, prec):
     # d/dt1 of t1^2 t2 = 2 t1 t2, second derivative = 2 t2
     q = lambda p: to_mpf(p.t1) ** 2 * to_mpf(p.t2)
     with mp.workdps(prec.work_dps):
-        g = _scalar_grid(q, params_default, prec, stencil)
+        g = _scalar_grid(q, params_default, prec)
         v, e = g.first(_value, 0)
         want = 2 * mpf("0.3") * mpf("0.2")
         assert abs(v - want) < 10 * e + mpf(10) ** -60
@@ -72,38 +65,38 @@ def test_fd_partial_matches_exact_derivative(params_default, prec, stencil):
         assert abs(v12 - 2 * mpf("0.3")) < 10 * e12 + mpf(10) ** -50
 
 
-def _nodes(point, prec, stencil, kind, *axes):
+def _nodes(point, prec, kind, *axes):
     """The t vectors of the nodes one partial of kind reads on a fresh grid."""
     seen = set()
-    g = ca.StencilGrid(point, prec, stencil, lambda p, anchor: seen.add(p.t) or mpf(0))
+    g = ca.StencilGrid(point, prec, lambda p, anchor: seen.add(p.t) or mpf(0))
     with mp.workdps(prec.work_dps):
         getattr(g, kind)(_value, *axes)
     return seen
 
 
-def test_three_levels_read_the_order4_nodes_and_the_cross_corners(params_default, prec, stencil):
+def test_three_levels_read_the_order4_nodes_and_the_cross_corners(params_default, prec):
     # first and second partials read the nodes of the retired five-point
     # taps at h and h/2: +-2h, +-h, +-h/2 (and the centre); the mixed one
     # reads the corners at 2h, h and h/2
-    (t1, t2), (h1, h2) = params_default.t, [stencil.step(prec) * abs(t) for t in params_default.t]
+    (t1, t2), (h1, h2) = params_default.t, [prec.fd_rel_step * abs(t) for t in params_default.t]
     steps = (-2, -1, -Fraction(1, 2), Fraction(1, 2), 1, 2)
     along = {(t1 + j * h1, t2) for j in steps}
-    assert _nodes(params_default, prec, stencil, "first", 0) == along
-    assert _nodes(params_default, prec, stencil, "second", 0) == along | {(t1, t2)}
+    assert _nodes(params_default, prec, "first", 0) == along
+    assert _nodes(params_default, prec, "second", 0) == along | {(t1, t2)}
     corners = {(t1 + a * j * h1, t2 + b * j * h2)
                for j in (2, 1, Fraction(1, 2)) for a in (1, -1) for b in (1, -1)}
-    assert _nodes(params_default, prec, stencil, "mixed", 0, 1) == corners
+    assert _nodes(params_default, prec, "mixed", 0, 1) == corners
 
 
-def test_three_levels_extrapolate_the_order4_taps(params_default, prec, stencil):
+def test_three_levels_extrapolate_the_order4_taps(params_default, prec):
     # the first Richardson column of the order-2 levels at 2h, h, h/2 is the
     # five-point order-4 formula at h and h/2, so the partials equal the
     # order-4 taps extrapolated once, up to the rounding of the work digits
     f = lambda x: mp.exp(x) * mp.sin(3 * x)
     with mp.workdps(prec.work_dps):
         x = to_mpf(params_default.t1)
-        h = to_mpf(stencil.step(prec) * abs(params_default.t1))
-        g = ca.StencilGrid(params_default, prec, stencil, lambda p, anchor: f(to_mpf(p.t1)))
+        h = to_mpf(prec.fd_rel_step * abs(params_default.t1))
+        g = ca.StencilGrid(params_default, prec, lambda p, anchor: f(to_mpf(p.t1)))
         at = lambda k, s: f(x + k * s)
         first = [(-at(2, s) + 8 * at(1, s) - 8 * at(-1, s) + at(-2, s)) / (12 * s)
                  for s in (h, h / 2)]
@@ -123,10 +116,10 @@ def test_mixed_partial_estimate_reaches_the_noise_floor(grid):
     assert err < mpf(10) ** -65, err
 
 
-def test_stencil_out_of_domain(prec, stencil):
+def test_stencil_out_of_domain(prec):
     # a relative step cannot leave the region, so force it via huge offset
     point = WeightParams("0.5", ("0.3", "0.2"))
-    g = ca.StencilGrid(point, prec, stencil, lambda p: mpf(1))
+    g = ca.StencilGrid(point, prec, lambda p: mpf(1))
     with pytest.raises(StencilOutOfDomain):
         g.params_at(((1, -Fraction(10 ** 25)),))
 
@@ -140,8 +133,8 @@ def test_derivative_relations(grid):
         assert c.point == "(1/2,3/10,1/5);n=3"  # the grid's own point
 
 
-def test_derivative_relations_negative_t1(params_neg_t1, prec, stencil):
-    g = ca.StencilGrid(params_neg_t1, prec, stencil, ca.table_bundle_builder(4, prec))
+def test_derivative_relations_negative_t1(params_neg_t1, prec):
+    g = ca.StencilGrid(params_neg_t1, prec, ca.table_bundle_builder(4, prec))
     for c in ca.verify_derivative_relations(3, g):
         assert c.ok, c.id
 
@@ -158,9 +151,9 @@ def test_toda(grid):
 
 
 @pytest.mark.parametrize("point", ["default", "neg-t1"])
-def test_riccati(point, grid, params_neg_t1, prec, stencil):
+def test_riccati(point, grid, params_neg_t1, prec):
     if point == "neg-t1":
-        grid = ca.StencilGrid(params_neg_t1, prec, stencil, ca.table_bundle_builder(3, prec))
+        grid = ca.StencilGrid(params_neg_t1, prec, ca.table_bundle_builder(3, prec))
     checks = ca.verify_riccati(2, grid)
     assert [c.id for c in checks] == ["riccati-S-t1", "riccati-S-t2",
                                       "riccati-r-t1", "riccati-r-t2"]
@@ -174,7 +167,7 @@ def grid3():
     """An m = 3 grid away from the golden points, depth-3 tables at P = 50."""
     prec = PrecisionContext(digits=50)
     return ca.StencilGrid(WeightParams("3/2", ("1/5", "1/7", "1/11")), prec,
-                          ca.DerivativeStencil(), ca.table_bundle_builder(3, prec))
+                          ca.table_bundle_builder(3, prec))
 
 
 def _closed_form_tolerances(grid, n):
@@ -213,10 +206,10 @@ def _closed_form_tolerances(grid, n):
 
 
 @pytest.mark.parametrize("which", ["m3", "t1-neg"])
-def test_linear_checks_keep_closed_form_tolerances(which, grid3, params_neg_t1, prec, stencil):
+def test_linear_checks_keep_closed_form_tolerances(which, grid3, params_neg_t1, prec):
     # a linear residual's propagated error is |coef| times the error up to
     # rounding far below the 12 digits a tolerance keeps
-    grid = grid3 if which == "m3" else ca.StencilGrid(params_neg_t1, prec, stencil,
+    grid = grid3 if which == "m3" else ca.StencilGrid(params_neg_t1, prec,
                                                        ca.table_bundle_builder(4, prec))
     n = 2
     with mp.workdps(grid.prec.work_dps):
@@ -255,24 +248,46 @@ def test_coupled_pdes(grid):
             assert c.tol < mpf(10) ** -65, (c.id, c.tol)
 
 
-def test_fd_convergence_order(params_default, prec):
-    # an exact identity's FD residual is pure truncation error, so halving
-    # the step must shrink it by ~2^order
-    res = []
-    for denom in (10 ** 4, 2 * 10 ** 4):
-        stn = ca.DerivativeStencil(rel_step=Fraction(1, denom), richardson_levels=1)
-        g = ca.StencilGrid(params_default, prec, stn, ca.table_bundle_builder(4, prec))
-        with mp.workdps(prec.work_dps):
-            d, _ = g.first(lambda v: mp.log(v.h[3]), 0)
-            res.append(abs(to_mpf(params_default.t1) * d + aux_row(g.bundle(), 3).R[0]))
-    with mp.workdps(60):
-        ratio = res[0] / res[1]
-        assert ratio > mpf("3.5"), ratio
+def _level_residuals(grid):
+    """|t1 q + R_3| for each level quotient q of d/dt1 ln h_3 on grid,
+    coarsest first: an exact identity's residual, so truncation error."""
+    levels, _ = grid.quotients(ca.FIRST, lambda v: mp.log(v.h[3]), (0,))
+    R = aux_row(grid.bundle(), 3).R[0]
+    return [abs(to_mpf(grid.params.t1) * d + R) for d in levels]
+
+
+def test_fd_convergence_order(grid):
+    # the order-2 difference's residual at 2h, h and h/2 shrinks by 2^2
+    # at each halving of the step
+    with mp.workdps(grid.prec.work_dps):
+        res = _level_residuals(grid)
+        ratios = [a / b for a, b in zip(res, res[1:])]
+    assert len(ratios) == 2
+    for ratio in ratios:
+        assert abs(ratio - 4) < mpf(10) ** -6, ratio
+
+
+def test_fd_convergence_order_fails_on_a_one_sided_difference(tmp_path, monkeypatch, capsys):
+    # a first difference of order 1 halves its residual when the step
+    # halves: the check reads |2 - 4| = 2 against 0.5, and the run exits 1
+    from laguerre_lab import cli
+    from laguerre_lab.cache import clear_memo
+
+    monkeypatch.setattr(ca, "FIRST", ca.Difference((((1,), 1), ((0,), -1)), 1, (1,)))
+    out = tmp_path / "calculus.json"
+    clear_memo()
+    assert cli.main(["calculus", "--digits", "60", "--cache-dir", str(tmp_path / "cache"),
+                     "--out", str(out), "--format", "json"]) == 1
+    capsys.readouterr()
+    entry = next(e for e in json.loads(out.read_text())["reports"][0]["entries"]
+                 if e["id"] == "fd-convergence-order")
+    assert not entry["pass"]
+    assert abs(mpf(entry["residual"]) - 2) < mpf(10) ** -6, entry["residual"]
 
 
 def _frozen_t2_grid(alpha, t1, eps, depth, prec):
-    """The default-stencil grid at (alpha; t1, eps), tables of the given depth."""
-    return ca.StencilGrid(WeightParams(alpha, (t1, eps)), prec, ca.DerivativeStencil(),
+    """The three-level grid at (alpha; t1, eps), tables of the given depth."""
+    return ca.StencilGrid(WeightParams(alpha, (t1, eps)), prec,
                           ca.table_bundle_builder(depth, prec))
 
 

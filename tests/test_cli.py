@@ -354,11 +354,11 @@ def test_sweep_csv_computes_no_row_twice(tmp_path, count_calls):
 
 
 def test_warm_multi_suite_run_computes_each_row_once(tmp_path, count_calls):
-    # the calculus and sigma-pde grids, the fd-convergence grids and the
-    # multitime tables read shared tables; each aux row is memoized on its
-    # table, and the run holds the tables a later suite reads again, so a
-    # warm run computes no row twice for one (point, depth, precision,
-    # anchor), the table's cache key, and n
+    # the calculus and sigma-pde grids and the multitime tables read
+    # shared tables; each aux row is memoized on its table, and the run
+    # holds the tables a later suite reads again, so a warm run computes
+    # no row twice for one (point, depth, precision, anchor), the table's
+    # cache key, and n
     from laguerre_lab import ladder
 
     cfg = parse_config(None, {"digits": "60", "suites": "calculus,sigma-pde,multitime",
@@ -374,7 +374,7 @@ def test_warm_multi_suite_run_computes_each_row_once(tmp_path, count_calls):
 
 
 def test_warm_default_run_reads_each_table_once(count_calls):
-    # a warm `lab all` at the default point reads each of its 448 tables
+    # a warm `lab all` at the default point reads each of its 444 tables
     # from disk once and computes 221 aux rows: the tables two suites read
     # are held by the run, so none is read, nor any row computed, twice
     from laguerre_lab import cache, ladder
@@ -385,13 +385,14 @@ def test_warm_default_run_reads_each_table_once(count_calls):
     reads = count_calls(cache, "_read_entry")
     rows = count_calls(ladder, "aux_integrals")
     assert cli.main(["all"]) == 0
-    assert (len(reads), len(rows)) == (448, 221)
+    assert (len(reads), len(rows)) == (444, 221)
 
 
 def test_cold_stencil_run_reads_each_node_at_one_depth(tmp_path, count_calls):
-    # the calculus, sigma-pde and fd-convergence grids and seed-shift's
-    # corner read the configured point at one depth, so no table is built
-    # twice for one (point, anchor) pair; a centre is its own anchor
+    # the calculus and sigma-pde grids (fd-convergence-order reads the
+    # calculus one) and seed-shift's corner read the configured point at
+    # one depth, so no table is built twice for one (point, anchor) pair;
+    # a centre is its own anchor
     from laguerre_lab import cache
 
     cfg = parse_config(None, {"digits": "60", "suites": "calculus,sigma-pde",

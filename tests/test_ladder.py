@@ -124,7 +124,7 @@ def test_closed_forms_stop_at_m3(prec60):
         beta_from_aux(row, 2, p4, prec60)
     with pytest.raises(DomainError):
         iterate_difference_system(recurrence_table(p4, 0, prec60), 2, prec60)
-    grid = ca.StencilGrid(p4, prec60, ca.DerivativeStencil(), lambda p, anchor: None)
+    grid = ca.StencilGrid(p4, prec60, lambda p, anchor: None)
     with pytest.raises(DomainError):
         ca.riccati_checks(2, grid)
     state = ca.SigmaState(n=2, params=p4, prec=prec60, Hn=mpf(0), d={}, r=row.r,

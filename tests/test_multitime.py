@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from laguerre_lab import multitime as mt
-from laguerre_lab.calculus import DerivativeStencil, StencilGrid, table_bundle_builder
+from laguerre_lab.calculus import StencilGrid, table_bundle_builder
 from laguerre_lab.errors import DomainError
 from laguerre_lab.ladder import (
     alpha_from_aux,
@@ -45,7 +45,7 @@ def rows3(table3):
 
 @pytest.fixture(scope="module")
 def grid3(params3, prec):
-    return StencilGrid(params3, prec, DerivativeStencil(), table_bundle_builder(3, prec))
+    return StencilGrid(params3, prec, table_bundle_builder(3, prec))
 
 
 def test_initial_conditions(params3, prec, table3):
@@ -166,7 +166,7 @@ def test_h3_reconstruction(grid3):
 
 def test_h3_reconstruction_negative_t1(prec):
     p = WeightParams("0.5", ("-0.3", "0.2", "0.1"))
-    g = StencilGrid(p, prec, DerivativeStencil(), table_bundle_builder(3, prec))
+    g = StencilGrid(p, prec, table_bundle_builder(3, prec))
     for c in mt.h3_reconstruction(2, g):
         assert c.ok, (c.id, c.residual, c.tol)
 
@@ -191,18 +191,16 @@ def test_t3_continuity(prec):
 
 
 def test_general_m_requires_range(prec):
-    g = StencilGrid(WeightParams("0.5", ("0.3",)), prec, DerivativeStencil(),
-                    table_bundle_builder(2, prec))
+    g = StencilGrid(WeightParams("0.5", ("0.3",)), prec, table_bundle_builder(2, prec))
     with pytest.raises(DomainError):
         mt.verify_S1_S2_general_m(1, g)
 
 
 def test_general_m4_m5(prec):
-    st = DerivativeStencil()
     for tvec, n in ((("0.3", "0.2", "0.1", "0.05"), 2),
                     (("0.3", "0.2", "0.1", "0.05", "0.02"), 1)):
         params = WeightParams("0.5", tvec)
-        g = StencilGrid(params, prec, st, table_bundle_builder(n + 1, prec))
+        g = StencilGrid(params, prec, table_bundle_builder(n + 1, prec))
         for c in mt.verify_S1_S2_general_m(n, g):
             assert c.ok, (params.m, c.id, c.residual, c.tol)
             if c.id.startswith("dH-"):

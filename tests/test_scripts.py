@@ -47,7 +47,7 @@ def test_script_main_runs(name, tmp_path, monkeypatch, capsys):
         assert out.splitlines()[-3:] == [
             "cold reports equal apart from the timestamp: yes",
             "warm reports equal apart from the timestamp: yes",
-            "cache files: 1 and 1, byte-identical"]
+            "cache files: 1 and 1, 0 parent only, 0 change only, 0 bytes differ"]
     if name == "equilibrium_profile":
         doc = json.loads(out[:out.rindex("}") + 1])
         assert {"lagrange_residual", "rho"} <= set(doc)
@@ -59,7 +59,8 @@ def test_script_main_runs(name, tmp_path, monkeypatch, capsys):
 
 def test_compare_checkouts_exits_1_on_other_table_files(tmp_path, capsys):
     # a copy whose cache format number differs writes the same reports
-    # under other file names
+    # under other file names: the parent's file is on its side only, the
+    # change's on the other
     mutant = tmp_path / "mutant"
     shutil.copytree(ROOT / "src", mutant / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -72,8 +73,9 @@ def test_compare_checkouts_exits_1_on_other_table_files(tmp_path, capsys):
     assert code == 1
     assert out[-5:-2] == ["cold reports equal apart from the timestamp: yes",
                           "warm reports equal apart from the timestamp: yes",
-                          "cache files: 1 and 1, 2 differ"]
-    assert all(line.endswith(".json: one side only") for line in out[-2:])
+                          "cache files: 1 and 1, 1 parent only, 1 change only, 0 bytes differ"]
+    assert sorted(line.rsplit(".json: ", 1)[1] for line in out[-2:]) == ["change only",
+                                                                         "parent only"]
 
 
 def test_bless_golden_lists_changes_and_refuses_a_looser_tolerance(tmp_path, monkeypatch, capsys):

@@ -22,23 +22,28 @@ from laguerre_lab.suites import _LCG_SEED, _lcg_uniform
 
 P120 = PrecisionContext(digits=120)
 P60 = PrecisionContext(digits=60)
-DEFAULT = ca.DerivativeStencil()
 
 
-def _one_level(step):
-    return ca.DerivativeStencil(rel_step=step, richardson_levels=1)
-
-
-def _stencil_nodes(point, prec, stencil, axes):
+def _stencil_nodes(point, prec, levels, axes):
     """Every node that first, second and mixed derivatives on axes touch."""
     seen = []
-    grid = ca.StencilGrid(point, prec, stencil, lambda p, anchor: seen.append(p) or mpf(0))
+    grid = ca.StencilGrid(point, prec, lambda p, anchor: seen.append(p) or mpf(0), levels)
     with mp.workdps(prec.work_dps):
         for a in axes:
             grid.second(lambda v: v, a)  # its nodes include those of first
         for a, b in itertools.combinations(axes, 2):
             grid.mixed(lambda v: v, a, b)
     return [p for p in seen if p != point]
+
+
+def _grid(axes, levels=3):
+    """(point, prec) -> the nodes of a grid of levels levels there, on axes."""
+    return lambda point, prec: _stencil_nodes(point, prec, levels, axes)
+
+
+def _t1_nodes(*t1):
+    """(point, prec) -> the nodes at each t1 given, the rest of t the point's."""
+    return lambda point, prec: [point.with_t((Fraction(v),) + point.t[1:]) for v in t1]
 
 
 def _first_lcg_point():
@@ -55,40 +60,41 @@ def _first_lcg_point():
 
 CASES = [
     # the calculus suite's main grid at the four cold-stencil points
-    *[(WeightParams(a, (t1, t2)), P120, DEFAULT, (0, 1))
+    *[(WeightParams(a, (t1, t2)), P120, _grid((0, 1)))
       for a, t1, t2 in (("1/2", "3/10", "1/5"), ("1/2", "-3/10", "1/5"),
                         ("-1/2", "9/10", "1/20"), ("3/2", "1/2", "2/5"))],
-    # fd-convergence-order: order 2 at steps 1e-4 and 5e-5, on t1
-    (WeightParams("1/2", ("3/10", "1/5")), P120, _one_level(Fraction(1, 10 ** 4)), (0,)),
-    (WeightParams("1/2", ("3/10", "1/5")), P120, _one_level(Fraction(1, 2 * 10 ** 4)), (0,)),
+    # wide shifts on t1, accepted: +-1e-4 and +-5e-5 of t1 = 3/10,
+    # about 10^20 production steps at P = 120
+    (WeightParams("1/2", ("3/10", "1/5")), P120, _t1_nodes("30003/100000", "29997/100000")),
+    (WeightParams("1/2", ("3/10", "1/5")), P120, _t1_nodes("60003/200000", "59997/200000")),
     # rode-reduction centres, on t1
-    (WeightParams("1/2", ("1/2", Fraction(1, 10 ** 4))), P120, DEFAULT, (0,)),
-    (WeightParams("1/2", ("1/2", Fraction(1, 10 ** 6))), P120, DEFAULT, (0,)),
+    (WeightParams("1/2", ("1/2", Fraction(1, 10 ** 4))), P120, _grid((0,))),
+    (WeightParams("1/2", ("1/2", Fraction(1, 10 ** 6))), P120, _grid((0,))),
     # the multitime m = 3 grid
-    (WeightParams("1/2", ("3/10", "1/5", "1/10")), P120, DEFAULT, (0, 1, 2)),
-    # the first delta-random point, at P = 60
-    (_first_lcg_point(), P60, _one_level(None), (0, 1)),
+    (WeightParams("1/2", ("3/10", "1/5", "1/10")), P120, _grid((0, 1, 2))),
+    # the first delta-random point, at P = 60, on delta-random's one-level grid
+    (_first_lcg_point(), P60, _grid((0, 1), levels=1)),
 ]
 
 
 IDS = ["cold-0", "cold-1", "cold-2", "cold-3", "fd-1e-4", "fd-5e-5", "rode-1e-4", "rode-1e-6",
        "m3", "delta-random"]
 #: sigma-pde-reduction's grid at t2 = 1e-5, on t1
-SIGMA_REDUCTION = (WeightParams("1/2", ("3/10", Fraction(1, 10 ** 5))), P120, DEFAULT, (0,))
-#: at t2 = 1e-6 the downward recurrence amplifies the seeds' error bound
-#: about 9e5 times on the way to the +h node of t1: every node is rejected
-REJECTED = (WeightParams("1/2", ("1/2", Fraction(1, 10 ** 6))), P60,
-            _one_level(Fraction(1, 10 ** 4)), (0, 1))
+SIGMA_REDUCTION = (WeightParams("1/2", ("3/10", Fraction(1, 10 ** 5))), P120, _grid((0,)))
+#: at t2 = 1e-20 and P = 50 no shift of the two-axis grid settles: every
+#: one of its 24 nodes is rejected
+REJECTED = (WeightParams("1/2", ("3/10", Fraction(1, 10 ** 20))), PrecisionContext(digits=50),
+            _grid((0, 1)))
 
 
 def _bits(seeds):
     return None if seeds is None else {k: v._mpf_ for k, v in seeds.items()}
 
 
-@pytest.mark.parametrize("point, prec, stencil, axes", CASES, ids=IDS)
-def test_shifted_seeds_match_quadrature(point, prec, stencil, axes):
+@pytest.mark.parametrize("point, prec, nodes", CASES, ids=IDS)
+def test_shifted_seeds_match_quadrature(point, prec, nodes):
     seeds = seed_moments(point, prec)
-    nodes = _stencil_nodes(point, prec, stencil, axes)
+    nodes = nodes(point, prec)
     assert nodes
     for node in nodes:
         shifted = shift_seeds(point, seeds, node, prec)
@@ -101,13 +107,14 @@ def test_shifted_seeds_match_quadrature(point, prec, stencil, axes):
                 assert abs(shifted[k] - v) <= tol * abs(v), (node, k)
 
 
-@pytest.mark.parametrize("point, prec, stencil, axes", [*CASES, SIGMA_REDUCTION, REJECTED],
+@pytest.mark.parametrize("point, prec, nodes", [*CASES, SIGMA_REDUCTION, REJECTED],
                          ids=[*IDS, "sigma-reduction", "rejected"])
-def test_shift_context_is_order_free(point, prec, stencil, axes):
+def test_shift_context_is_order_free(point, prec, nodes):
     # the nodes shifted one by one, each in a fresh context, and all in one
     # context in a shuffled order: the same seeds bit for bit, the same Nones
     seeds = seed_moments(point, prec)
-    nodes = _stencil_nodes(point, prec, stencil, axes)
+    rejected = nodes is REJECTED[2]
+    nodes = nodes(point, prec)
     alone = []
     for node in nodes:
         clear_memos()
@@ -117,7 +124,7 @@ def test_shift_context_is_order_free(point, prec, stencil, axes):
     shared = {i: _bits(shift_seeds(point, seeds, nodes[i], prec)) for i in order}
     assert len(quadrature._shift_memo) == 1
     assert [shared[i] for i in range(len(nodes))] == alone
-    assert (None in alone) == (stencil is REJECTED[2])
+    assert alone == [None] * len(nodes) if rejected else None not in alone
 
 
 def test_clear_memos_drops_every_shift_context():
@@ -126,8 +133,8 @@ def test_clear_memos_drops_every_shift_context():
     # is gone with them
     clear_memos()
     held = []
-    for point, prec, stencil, axes in (CASES[0], CASES[-1]):
-        node = _stencil_nodes(point, prec, stencil, axes)[0]
+    for point, prec, nodes in (CASES[0], CASES[-1]):
+        node = nodes(point, prec)[0]
         held.append(seed_moments(point, prec))
         shift_seeds(point, held[-1], node, prec)
     assert len(quadrature._shift_memo) == len(quadrature._seed_memo) == 2
@@ -148,7 +155,7 @@ def test_seed_shift_check_keys_its_own_context(tmp_path, monkeypatch):
     # which the grid's builder holds; no one holds the check's, so each
     # check makes its own, and gets the same result
     centre = WeightParams("1/2", ("3/10", "1/5"))
-    grid = ca.StencilGrid(centre, P60, DEFAULT, ca.table_bundle_builder(3, P60, tmp_path))
+    grid = ca.StencilGrid(centre, P60, ca.table_bundle_builder(3, P60, tmp_path))
     clear_memo()
     grid.bundle(((0, grid.steps_per_h), (1, grid.steps_per_h)))
     (built,) = quadrature._shift_memo
@@ -175,7 +182,7 @@ def test_rejected_two_axis_shift_stops_at_its_first_infinite_bound(monkeypatch):
     # shift stops there, with the t1 series at its first term
     centre = WeightParams("1/2", ("3/10", Fraction(1, 10 ** 20)))
     prec = PrecisionContext(digits=50)
-    grid = ca.StencilGrid(centre, prec, DEFAULT, None)
+    grid = ca.StencilGrid(centre, prec, None)
     corner = grid.params_at(((0, grid.steps_per_h), (1, grid.steps_per_h)))
     seeds = seed_moments(centre, prec)
     calls = []
@@ -204,8 +211,8 @@ def test_anchor_hands_out_its_own_seeds_at_the_centre(tmp_path):
 
 
 def test_rejected_shift_falls_back_to_quadrature(tmp_path):
-    centre, prec, stencil, _ = REJECTED
-    grid = ca.StencilGrid(centre, prec, stencil, ca.table_bundle_builder(3, prec, tmp_path))
+    centre, prec, _ = REJECTED
+    grid = ca.StencilGrid(centre, prec, ca.table_bundle_builder(3, prec, tmp_path))
     node = grid.params_at(((0, 1),))
     assert shift_seeds(centre, seed_moments(centre, prec), node, prec) is None
     clear_memo()
@@ -219,7 +226,7 @@ def test_rejected_shift_falls_back_to_quadrature(tmp_path):
 
 def test_node_key_and_document_cover_the_anchor(tmp_path):
     centre = WeightParams("1/2", ("3/10", "1/5"))
-    grid = ca.StencilGrid(centre, P60, DEFAULT, ca.table_bundle_builder(3, P60, tmp_path))
+    grid = ca.StencilGrid(centre, P60, ca.table_bundle_builder(3, P60, tmp_path))
     node = grid.params_at(((1, 1),))
     assert table_key(node, 3, P60, centre) != table_key(node, 3, P60)
     assert table_key(centre, 3, P60) == table_key(centre, 3, P60, None)

@@ -17,20 +17,13 @@ def prec():
 
 
 @pytest.fixture(scope="module")
-def stencil():
-    return ca.DerivativeStencil()
+def grid(params_default, prec):
+    return ca.StencilGrid(params_default, prec, ca.table_bundle_builder(4, prec))
 
 
 @pytest.fixture(scope="module")
-def grid(params_default, prec, stencil):
-    return ca.StencilGrid(params_default, prec, stencil,
-                          ca.table_bundle_builder(4, prec))
-
-
-@pytest.fixture(scope="module")
-def grid_neg(params_neg_t1, prec, stencil):
-    return ca.StencilGrid(params_neg_t1, prec, stencil,
-                          ca.table_bundle_builder(4, prec))
+def grid_neg(params_neg_t1, prec):
+    return ca.StencilGrid(params_neg_t1, prec, ca.table_bundle_builder(4, prec))
 
 
 def test_sigma_state_basics(grid):
@@ -74,8 +67,7 @@ def test_sigma_layer_full(grid):
         assert c.tol < mpf(10) ** ceiling, (c.id, c.tol)
 
 
-def test_sigma_layer_catches_aux_fault(params_default, prec, stencil, monkeypatch,
-                                      fresh_memo):
+def test_sigma_layer_catches_aux_fault(params_default, prec, monkeypatch, fresh_memo):
     # a relative error of 1e-80 in every aux row, far inside the working
     # precision, must fail the checks that compare H_n partials with the row
     real = ladder.aux_integrals
@@ -90,16 +82,16 @@ def test_sigma_layer_catches_aux_fault(params_default, prec, stencil, monkeypatc
     # rows are memoized on each table and never cached on disk: fresh_memo
     # empties the table memo, so this grid's tables (read from disk) hold
     # no row yet, and drops them, faulted rows and all, after the test
-    fresh = ca.StencilGrid(params_default, prec, stencil, ca.table_bundle_builder(4, prec))
+    fresh = ca.StencilGrid(params_default, prec, ca.table_bundle_builder(4, prec))
     byid = {c.id: c for c in ca.verify_sigma_pde(3, fresh)}
     for cid in ("dH-t1", "dH-t2", "H-from-aux"):
         assert not byid[cid].ok, (cid, byid[cid].residual, byid[cid].tol)
 
 
-def test_sigma_layer_assembles_each_moved_state_once(grid, prec, stencil, count_calls):
+def test_sigma_layer_assembles_each_moved_state_once(grid, prec, count_calls):
     # the hankel_sigma state, then the unmoved state and one per moved H_n
     # partial: 5 at m = 2, 9 at m = 3; one reconstruction per moved state
-    grid3 = ca.StencilGrid(WeightParams("0.5", ("0.3", "0.2", "0.1")), prec, stencil,
+    grid3 = ca.StencilGrid(WeightParams("0.5", ("0.3", "0.2", "0.1")), prec,
                            ca.table_bundle_builder(3, prec))
     runs = ((lambda: ca.verify_sigma_pde(2, grid), (7, 6)),
             (lambda: mt.h3_reconstruction(2, grid3), (11, 10)))
@@ -143,9 +135,9 @@ def test_reconstruction_guards(grid):
         ca.reconstruct_aux_from_H(tiny)
 
 
-def test_sigma_reduction_decays(params_default, prec, stencil):
+def test_sigma_reduction_decays(params_default, prec):
     r4, r5 = (ca.sigma_reduction_residual(2, ca.StencilGrid(
-        WeightParams(params_default.alpha, ("0.3", eps)), prec, stencil,
+        WeightParams(params_default.alpha, ("0.3", eps)), prec,
         ca.table_bundle_builder(3, prec))) for eps in ("1e-4", "1e-5"))
     with mp.workdps(60):
         assert r5 < r4

@@ -69,7 +69,7 @@ def delta_nonneg(monkeypatch, value):
     real = ca.hankel_sigma
     monkeypatch.setattr(ca, "hankel_sigma", lambda n, grid: replace(real(n, grid), Delta=value))
     prec = PrecisionContext(digits=60)
-    grid = ca.StencilGrid(WeightParams("0.5", ("0.3", "0.2")), prec, ca.DerivativeStencil(),
+    grid = ca.StencilGrid(WeightParams("0.5", ("0.3", "0.2")), prec,
                           ca.table_bundle_builder(5, prec))
     return _entry(ca.verify_sigma_pde(1, grid), "delta-nonneg")
 

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from laguerre_lab import cache
-from laguerre_lab.calculus import DerivativeStencil, StencilGrid, table_bundle_builder
+from laguerre_lab.calculus import StencilGrid, table_bundle_builder
 from laguerre_lab.params import PrecisionContext, WeightParams
 
 RECORD = Path(__file__).parent / "golden" / "table-bits.json"
@@ -38,7 +38,7 @@ def table_bits(cache_dir) -> dict:
     built in cache_dir from an empty memo."""
     p120, p80, p116 = (PrecisionContext(digits=d) for d in (120, 80, 116))
     default = WeightParams("1/2", ("3/10", "1/5"))
-    grid = StencilGrid(default, p120, DerivativeStencil(), table_bundle_builder(5, p120, cache_dir))
+    grid = StencilGrid(default, p120, table_bundle_builder(5, p120, cache_dir))
     builds = {
         "default-d120": lambda: grid.bundle(),
         "node-t1-plus-d120": lambda: grid.bundle(((0, grid.steps_per_h),)),
