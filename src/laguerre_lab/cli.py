@@ -84,6 +84,10 @@ def config_from_args(args) -> RunConfig:
     cfg = parse_config(args.config, overrides)
     if args.m is not None and args.m != cfg.params.m:
         raise ConfigError(f"--m {args.m} does not match the t vector length {cfg.params.m}")
+    for flag, path, suite in (("--sweep-csv", args.sweep_csv, "scaling"),
+                              ("--density-profile", args.density_profile, "equilibrium")):
+        if path and suite not in cfg.active_suites:
+            raise ConfigError(f"{flag} needs the {suite} suite, which this run does not include")
     return cfg
 
 
@@ -182,8 +186,7 @@ def run(args) -> int:
     cfg = config_from_args(args)
     # held here to the end, the sweep's grid is the scaling suite's own
     # (``suites.scaled_grid``): the sweep reads no table the suite read
-    held = (scaled_grid(cfg, cfg.s1, cfg.s2)
-            if args.sweep_csv and "scaling" in cfg.active_suites else None)
+    held = scaled_grid(cfg, cfg.s1, cfg.s2) if args.sweep_csv else None
     reports = run_suite(cfg)
     extras(cfg, args)
     failed = 0
@@ -218,11 +221,11 @@ def extras(cfg: RunConfig, args):
         tab = cached_recurrence_table(cfg.params, cfg.n_max, cfg.prec,
                                       cache_dir=cfg.cache_dir)
         write_table(tab, cfg.format, args.table_out)
-    if args.sweep_csv and "scaling" in cfg.active_suites:
+    if args.sweep_csv:
         from .suites import scaled_grid
 
         write_sweep(scaled_grid(cfg, cfg.s1, cfg.s2), args.sweep_csv)
-    if args.density_profile and "equilibrium" in cfg.active_suites:
+    if args.density_profile:
         from .suites import equilibrium_solution
 
         write_density_profile(equilibrium_solution(cfg), args.density_profile, 200)

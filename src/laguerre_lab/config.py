@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .params import PrecisionContext, WeightParams, to_fraction
 from .registry import SUITE_NAMES
 
@@ -56,8 +56,9 @@ class RunConfig:
 def _read_config_file(path: str) -> dict:
     out = {}
     try:
-        text = open(path).read()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -90,9 +91,7 @@ def parse_config(path: str = None, overrides: dict = None) -> RunConfig:
             t.append(to_fraction(merged["t3"]))
         params = WeightParams(to_fraction(merged["alpha"]), t)
         prec = PrecisionContext(digits=int(merged["digits"]))
-    except (DomainError, ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, DomainError):
-            raise
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
 
     # the suites run in the order given; a repeated name runs once, at its first place
@@ -107,7 +106,7 @@ def parse_config(path: str = None, overrides: dict = None) -> RunConfig:
         n_list = tuple(int(v) for v in str(merged["n_list"]).split(",") if v.strip())
         s1 = to_fraction(merged["s1"])
         s2 = to_fraction(merged["s2"])
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
     if n_max < 1:
         raise ConfigError("n_max must be >= 1")

@@ -386,99 +386,47 @@ def _poly_derivative(coeffs):
     return [c * (d - i) for i, c in enumerate(coeffs[:-1])]
 
 
-def sturm_chain(coeffs):
-    """Sturm sequence with tiny leading/remainder coefficients swept out."""
-    floor = max(abs(c) for c in coeffs) * mpf(10) ** (-mp.dps + 8)
-
-    def trim(p):
-        while p and abs(p[0]) <= floor:
-            p = p[1:]
-        return p
-
-    chain = [trim(list(coeffs)), trim(_poly_derivative(coeffs))]
-    while chain[-1] and len(chain[-1]) > 1:
-        num, den = chain[-2], chain[-1]
-        rem = list(num)
-        while len(rem) >= len(den) and rem:
-            q = rem[0] / den[0]
-            for i in range(len(den)):
-                rem[i] -= q * den[i]
-            rem = rem[1:]
-        rem = trim(rem)
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [c for c in chain if c]
+#: Newton steps a root may take before it settles
+NEWTON_CAP = 100
 
 
-def _sign_changes(chain, x):
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for u, w in zip(signs, signs[1:]) if u != w)
-
-
-def count_roots(chain, lo, hi) -> int:
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
-def positive_roots(coeffs, hi, tol) -> list:
-    """All positive real roots in (0, hi), isolated by Sturm bisection
-    and polished by bisection + Newton."""
-    chain = sturm_chain(coeffs)
-    lo = tol / 10
-    total = count_roots(chain, lo, hi)
-    if total == 0:
-        return []
-    stack = [(lo, hi, total)]
-    isolated = []
-    while stack:
-        a, b, cnt = stack.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            isolated.append((a, b))
-            continue
-        m = (a + b) / 2
-        cl = count_roots(chain, a, m)
-        stack.append((a, m, cl))
-        stack.append((m, b, cnt - cl))
-    roots = []
+def newton_root(coeffs, x, tol):
+    """The root Newton's method reaches from x: it steps until a step is
+    at most tol max(1, |x|), then takes 8 polish steps.  A zero
+    derivative (a multiple root) raises RootSelectionAmbiguous; a run
+    that does not settle within NEWTON_CAP steps raises NonConvergence."""
     dp = _poly_derivative(coeffs)
-    for a, b in isolated:
-        fa = _poly_eval(coeffs, a)
-        for _ in range(mp.prec + 10):  # bisect to full width resolution
-            m = (a + b) / 2
-            fm = _poly_eval(coeffs, m)
-            if fm == 0:
-                a = b = m
-                break
-            if (fa > 0) == (fm > 0):
-                a, fa = m, fm
-            else:
-                b = m
-            if b - a <= tol * max(1, abs(m)):
-                break
-        x = (a + b) / 2
-        for _ in range(8):  # Newton polish
-            d = _poly_eval(dp, x)
-            if d == 0:
-                break
-            x -= _poly_eval(coeffs, x) / d
-        roots.append(x)
-    return sorted(roots)
+
+    def step(x):
+        d = _poly_eval(dp, x)
+        if d == 0:
+            raise RootSelectionAmbiguous(f"zero derivative at {x}: a multiple root")
+        return _poly_eval(coeffs, x) / d
+
+    for _ in range(NEWTON_CAP):
+        dx = step(x)
+        x -= dx
+        if abs(dx) <= tol * max(1, abs(x)):
+            break
+    else:
+        raise NonConvergence(f"Newton did not settle within {NEWTON_CAP} steps")
+    for _ in range(8):
+        x -= step(x)
+    return x
 
 
 def solve_X_equations(sol: EquilibriumSolution):
     """(X from the degree-9 equation, X from the double-scaled degree-5)
     at the solution's n, point and precision.
 
-    The degree-9 root matching the Newton endpoint solve sol is selected;
-    roots are isolated to tol = 10^-(P-30), and another root within
-    100 tol of it raises RootSelectionAmbiguous.  The degree-5 root uses
-    s1 = 2n t1, s2 = 4 n^2 t2.
+    Each root is ``newton_root`` from the endpoint solve's X, to
+    tol = 10^-(P-30).  sol.X lies within 10^-(P-20) of a simple root of
+    the degree-9 equation, so Newton lands on the root nearest sol.X.
+    The degree-5 equation takes s1 = 2n t1, s2 = 4 n^2 t2; for
+    alpha > 0, s1 > 0, s2 > 0 (the domain ``solve_support`` admits) its
+    coefficients 1, -alpha, 0, -s1, 0, -3 s2 change sign once, so by
+    Descartes' rule of signs it has exactly one positive root, which is
+    therefore its largest.  A degree-5 root x5 <= 0 raises NoPositiveRoot.
     """
     n, params, prec = sol.n, sol.params, sol.prec
     with mp.workdps(prec.work_dps):
@@ -487,19 +435,11 @@ def solve_X_equations(sol: EquilibriumSolution):
         if not params.is_deformed:
             return alpha, alpha  # X^8 (X - alpha) and X^4 (X - alpha)
         t1, t2 = t[0], t[1]
-        hi = 10 * (2 * n + alpha)
-        roots = positive_roots(degree9_coeffs(n, alpha, t1, t2), hi, tol)
-        if not roots:
-            raise NoPositiveRoot("degree-9 equation has no positive root")
-        best = min(roots, key=lambda r: abs(r - sol.X))
-        near = [r for r in roots if abs(r - best) <= tol * 100 and r is not best]
-        if near:
-            raise RootSelectionAmbiguous(f"roots {near} within tol of {best}")
-        s1, s2 = 2 * n * t1, 4 * n * n * t2
-        roots5 = positive_roots(degree5_coeffs(s1, s2, alpha), hi, tol)
-        if not roots5:
-            raise NoPositiveRoot("degree-5 equation has no positive root")
-        return best, roots5[-1]
+        x9 = newton_root(degree9_coeffs(n, alpha, t1, t2), sol.X, tol)
+        x5 = newton_root(degree5_coeffs(2 * n * t1, 4 * n * n * t2, alpha), sol.X, tol)
+        if x5 <= 0:
+            raise NoPositiveRoot(f"the degree-5 equation's Newton root {x5} is not positive")
+        return x9, x5
 
 
 # --------------------------------------------------------------------------

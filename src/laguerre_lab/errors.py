@@ -63,8 +63,8 @@ class OutOfSupport(DomainError):
 
 
 class NoPositiveRoot(NumericalError):
-    """Root isolation found no positive real root."""
+    """A root that must be positive came out non-positive."""
 
 
 class RootSelectionAmbiguous(NumericalError):
-    """Several positive roots are indistinguishable within tolerance."""
+    """A root cannot be told apart from its neighbours (a zero derivative)."""

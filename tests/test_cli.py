@@ -57,11 +57,13 @@ def test_negative_t1_accepted_by_flags():
     assert cfg.params.t1 < 0
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, capsys):
     with pytest.raises(ConfigError):
         parse_config(None, {"suites": "bogus"})
     with pytest.raises(ConfigError):
         parse_config(None, {"format": "xml"})
+    with pytest.raises(ConfigError):
+        parse_config(None, {"s1": "1/0"})
     p = tmp_path / "bad.cfg"
     p.write_text("unknown_key = 1\n")
     with pytest.raises(ConfigError):
@@ -70,6 +72,16 @@ def test_config_errors(tmp_path):
     p2.write_text("just a line without equals\n")
     with pytest.raises(ConfigError):
         parse_config(str(p2))
+    p3 = tmp_path / "bad3.cfg"
+    p3.write_text("s2 = 1/0\n")
+    with pytest.raises(ConfigError):
+        parse_config(str(p3))
+    p4 = tmp_path / "bad4.cfg"
+    p4.write_bytes(b"alpha = 1\n\xff\xfe\n")
+    with pytest.raises(ConfigError):
+        parse_config(str(p4))
+    assert cli.main(["moments", "--s1", "1/0"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 def test_exit_code_2_for_domain_violation(capsys):
@@ -102,6 +114,22 @@ def test_exit_code_2_for_unwritable_output_path(flag, suite, tmp_path, monkeypat
     assert code == 2
     assert err.startswith("configuration error: ") and str(path) in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,suite", [("--sweep-csv", "scaling"),
+                                        ("--density-profile", "equilibrium")])
+def test_exit_code_2_for_extra_without_its_suite(flag, suite, tmp_path, monkeypatch, capsys):
+    # the flag's suite is not in the run, so there is nothing to write;
+    # the error comes before any suite runs
+    def never(config):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setitem(suites.SUITE_RUNNERS, "moments", never)
+    path = tmp_path / "x.csv"
+    assert cli.main(["moments", "--digits", "60", flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and flag in err and suite in err
+    assert not path.exists()
 
 
 def test_exit_code_2_for_unknown_suite(capsys):

@@ -7,10 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from laguerre_lab import cli, suites
 from laguerre_lab import equilibrium as eq
-from laguerre_lab import suites
 from laguerre_lab.config import parse_config
-from laguerre_lab.errors import DomainError, NonConvergence, OutOfSupport
+from laguerre_lab.errors import (
+    DomainError,
+    NonConvergence,
+    NoPositiveRoot,
+    OutOfSupport,
+    RootSelectionAmbiguous,
+)
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 from laguerre_lab.quadrature import integrate_finite
 
@@ -264,6 +270,19 @@ def test_degree9_matches_newton(params_eq, prec, sol):
         c5 = eq.degree5_coeffs(2 * 10 * t[0], 4 * 100 * t[1], alpha)
         assert abs(eq._poly_eval(c5, x5)) < mpf(10) ** -60
         assert x5 > 0
+        # x5 is a sign change of p5, not a near miss of a double root
+        assert eq._poly_eval(c5, x5 * (1 - mpf(10) ** -30)) < 0
+        assert eq._poly_eval(c5, x5 * (1 + mpf(10) ** -30)) > 0
+
+
+def test_root_solve_evaluation_budget(sol, monkeypatch):
+    # two evaluations per Newton step from the endpoint solve's X: 50 here,
+    # 16 of the 25 steps polishing
+    calls = []
+    poly_eval = eq._poly_eval
+    monkeypatch.setattr(eq, "_poly_eval", lambda c, x: calls.append(x) or poly_eval(c, x))
+    eq.solve_X_equations(sol)
+    assert 0 < len(calls) <= 100
 
 
 def test_degenerate_polynomials(prec):
@@ -273,14 +292,41 @@ def test_degenerate_polynomials(prec):
         assert x9 == to_mpf("1.5") and x5 == to_mpf("1.5")
 
 
-def test_sturm_isolation_on_known_roots(prec):
+def test_newton_root_on_known_roots(prec):
     # (x-1)(x-2)(x-4) = x^3 - 7x^2 + 14x - 8
     with mp.workdps(prec.work_dps):
         coeffs = [mpf(1), mpf(-7), mpf(14), mpf(-8)]
-        roots = eq.positive_roots(coeffs, mpf(10), mpf(10) ** -40)
-        assert len(roots) == 3
-        for r, want in zip(roots, (1, 2, 4)):
-            assert abs(r - want) < mpf(10) ** -35
+        for start, want in (("1.2", 1), ("1.9", 2), ("4.3", 4)):
+            root = eq.newton_root(coeffs, mpf(start), mpf(10) ** -40)
+            assert abs(root - want) < mpf(10) ** -35
+
+
+def test_newton_root_failures(prec):
+    with mp.workdps(prec.work_dps):
+        tol = mpf(10) ** -40
+        # x^2 - 4x + 3 has a zero derivative at x = 2
+        with pytest.raises(RootSelectionAmbiguous):
+            eq.newton_root([mpf(1), mpf(-4), mpf(3)], mpf(2), tol)
+        # x^2 + 1 has no real root, so Newton never settles
+        with pytest.raises(NonConvergence):
+            eq.newton_root([mpf(1), mpf(0), mpf(1)], mpf("0.5"), tol)
+
+
+def test_degree5_root_must_be_positive(sol, monkeypatch):
+    # the degree-5 equation has one positive root for alpha, s1, s2 > 0; a
+    # Newton run that ends at a root <= 0 is a breakdown (here x + 1)
+    monkeypatch.setattr(eq, "degree5_coeffs", lambda s1, s2, alpha: [mpf(1), mpf(1)])
+    with pytest.raises(NoPositiveRoot):
+        eq.solve_X_equations(sol)
+
+
+def test_far_degree9_root_fails_its_check(tmp_path, monkeypatch, capsys):
+    # a root Newton finds far from the endpoint solve's X (here x - 100)
+    # fails degree9-root: exit 1, not a breakdown
+    monkeypatch.setattr(eq, "degree9_coeffs", lambda n, alpha, t1, t2: [mpf(1), mpf(-100)])
+    code = cli.main(["equilibrium", "--digits", "60", "--cache-dir", str(tmp_path)])
+    assert code == 1
+    assert "FAIL degree9-root" in capsys.readouterr().out
 
 
 def test_mp_limit(prec):
