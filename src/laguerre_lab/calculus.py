@@ -165,6 +165,8 @@ class StencilGrid:
     def __init__(self, params: WeightParams, prec: PrecisionContext, builder, levels: int = 3):
         if levels < 1:
             raise DomainError("a stencil grid needs levels >= 1")
+        if not params.is_deformed:
+            raise DomainError("a stencil grid needs a deformed point (its steps are 0 at t = 0)")
         self.params = params
         self.prec = prec
         self.levels = levels

@@ -17,7 +17,7 @@ import time
 
 from mpmath import mp
 
-from .config import RunConfig, parse_config
+from .config import DEFAULTS, RunConfig, parse_config
 from .errors import ConfigError, DomainError, NumericalError
 from .params import to_mpf
 from .registry import SUITE_NAMES, validate_ids
@@ -29,13 +29,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lab",
         description="residual-verification lab for deformed Laguerre Hankel determinants",
     )
-    ap.add_argument("suite", help="suite name or 'all': %s" % ", ".join(SUITE_NAMES))
+    ap.add_argument("suites", metavar="suite",
+                    help="suite name or 'all': %s" % ", ".join(SUITE_NAMES))
     ap.add_argument("--alpha", help="weight exponent alpha (> -1)")
     ap.add_argument("--t1", help="first deformation parameter (nonzero)")
     ap.add_argument("--t2", help="second deformation parameter (> 0 at m = 2)")
     ap.add_argument("--t3", help="third deformation parameter (enables m = 3)")
-    ap.add_argument("--t", help="comma list overriding the whole t vector")
-    ap.add_argument("--m", type=int, help="pole order; must match the t vector length")
     ap.add_argument("--n-max", dest="n_max", help="largest polynomial index checked")
     ap.add_argument("--digits", help="working decimal precision (>= 50)")
     ap.add_argument("--s1", help="double-scaling coordinate s1")
@@ -55,35 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    overrides = {
-        "alpha": args.alpha,
-        "t1": args.t1,
-        "t2": args.t2,
-        "t3": args.t3,
-        "n_max": args.n_max,
-        "digits": args.digits,
-        "s1": args.s1,
-        "s2": args.s2,
-        "n_list": args.n_list,
-        "out": args.out,
-        "format": args.format,
-        "cache_dir": args.cache_dir,
-        "suites": args.suite,
-    }
-    if args.t is not None:
-        parts = [p.strip() for p in args.t.split(",") if p.strip()]
-        if len(parts) >= 1:
-            overrides["t1"] = parts[0]
-        if len(parts) >= 2:
-            overrides["t2"] = parts[1]
-        if len(parts) >= 3:
-            overrides["t3"] = parts[2]
-        if len(parts) > 3:
-            raise ConfigError("--t supports up to three entries; longer vectors "
-                              "are exercised inside the multitime suite")
-    cfg = parse_config(args.config, overrides)
-    if args.m is not None and args.m != cfg.params.m:
-        raise ConfigError(f"--m {args.m} does not match the t vector length {cfg.params.m}")
+    # each flag's dest is its config key
+    cfg = parse_config(args.config, {key: getattr(args, key) for key in DEFAULTS})
     for flag, path, suite in (("--sweep-csv", args.sweep_csv, "scaling"),
                               ("--density-profile", args.density_profile, "equilibrium")):
         if path and suite not in cfg.active_suites:

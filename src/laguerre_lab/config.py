@@ -1,8 +1,9 @@
 """Run configuration: plain key = value files plus CLI flag overrides.
 
-Documented defaults: alpha = 0.5, t = (0.3, 0.2), digits = 120,
-n_max = 10, suites = all, scaling grid s1 = s2 = 1 with
-n_list = 8,12,16,24, JSON output.  Flag values override file values.
+``DEFAULTS`` is the one list of run settings and their defaults.  Flags
+and config-file keys are the same names: each key is a ``lab`` argument
+(``suites`` is the positional suite, ``n_max`` is ``--n-max``), and flag
+values override file values.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ DEFAULTS = {
     "cache_dir": None,
 }
 
-_KNOWN_KEYS = set(DEFAULTS)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -42,9 +41,9 @@ class RunConfig:
     s1: Fraction
     s2: Fraction
     n_list: tuple
-    out: str = None
-    format: str = "json"
-    cache_dir: str = None
+    out: str
+    format: str
+    cache_dir: str
 
     @property
     def active_suites(self) -> tuple:
@@ -67,7 +66,7 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = val
     return out
@@ -81,7 +80,7 @@ def parse_config(path: str = None, overrides: dict = None) -> RunConfig:
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key not in _KNOWN_KEYS:
+        if key not in DEFAULTS:
             raise ConfigError(f"unknown option {key!r}")
         merged[key] = val
 

@@ -95,8 +95,9 @@ def solve_support(n: int, params: WeightParams,
 
     Initial guess X0 = alpha + (2n t1)^(1/3) + (12 n^2 t2)^(1/5),
     Y0 = 2n + alpha (exact in the t -> 0 limit, dominant-balance
-    corrections otherwise); steps are halved until the residual norm
-    decreases and the iterate stays in X > 0, Y > X.
+    corrections otherwise), raised to X0 + 2n + alpha where it is not
+    above X0; steps are halved until the residual norm decreases and the
+    iterate stays in X > 0, Y > X.
     """
     if n < 1:
         raise DomainError("need n >= 1")
@@ -116,6 +117,9 @@ def solve_support(n: int, params: WeightParams,
             if deformed else alpha
         if X <= 0:
             X = mpf("0.5")
+        if Y <= X:
+            # every backtracked step stays in Y > X; so must the start
+            Y = X + 2 * n + alpha
 
         f1, f2 = _support_system(X, Y, n, alpha, t1, t2)
         norm = abs(f1) + abs(f2)

@@ -204,10 +204,11 @@ class PrecisionContext:
     quad_tol   -- relative quadrature target 10^(-P+10)
 
     The FD relative step is 10^(-round(P/5)), balancing truncation
-    against roundoff.
+    against roundoff.  digits has no default of its own: a run takes it
+    from ``config.DEFAULTS``.
     """
 
-    digits: int = 120
+    digits: int
 
     def __post_init__(self):
         if self.digits < 50:

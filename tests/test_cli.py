@@ -10,7 +10,7 @@ from mpmath.libmp import dps_to_prec
 from laguerre_lab import cli, suites
 from laguerre_lab import equilibrium as eq
 from laguerre_lab.cache import FORMAT_VERSION, cached_recurrence_table, clear_memo, table_key
-from laguerre_lab.config import parse_config
+from laguerre_lab.config import DEFAULTS, parse_config
 from laguerre_lab.errors import ConfigError, PrecisionExhausted
 from laguerre_lab.orthopoly import recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams
@@ -88,6 +88,12 @@ def test_exit_code_2_for_domain_violation(capsys):
     # t2 = 0 at m = 2 violates the t_m > 0 invariant
     assert cli.main(["moments", "--t2", "0", "--digits", "60"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_exit_code_2_for_stencil_at_t0(capsys):
+    # at t = 0 every stencil step |t_i| h is 0: a domain error, not a traceback
+    assert cli.main(["sigma-pde", "--t1", "0", "--t2", "0", "--digits", "50"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 def test_exit_code_2_for_unwritable_cache_dir(tmp_path, capsys):
@@ -231,13 +237,24 @@ def test_sweep_emission(tmp_path):
     assert set(limits["limits"]) == set(names) | {"err_" + q for q in names}
 
 
-def test_table_flag_and_m_check(tmp_path):
+def test_table_flag_and_m_flag_rejected(tmp_path):
     out = tmp_path / "t.json"
     assert cli.main(["moments", "--digits", "60", "--n-max", "3",
                      "--table-out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["table"]) == 4
-    assert cli.main(["moments", "--digits", "60", "--m", "3"]) == 2
+    # the pole order is len(t); there is no flag that restates it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["moments", "--digits", "60", "--m", "3"])
+    assert exc.value.code == 2
+
+
+def test_flags_are_the_config_keys():
+    # every run setting is one flag and one config key of the same name;
+    # --config and the three extra outputs are not run settings
+    dests = set(vars(cli.build_parser().parse_args(["all"])))
+    extras = {"config", "table_out", "sweep_csv", "density_profile"}
+    assert dests - extras == set(DEFAULTS)
 
 
 def test_registry_covers_cheap_suites(tmp_path):

@@ -54,6 +54,16 @@ def test_support_preconditions(prec):
         eq.solve_support(10, WeightParams("1", ("0.3", "0.2", "0.1")), prec=prec)
 
 
+@pytest.mark.parametrize("n,t", [(1, (10, 10)), (1, (1000, 1000)), (1, ("1e-6", 1000)),
+                                 (1, (1000, "1e-6")), (2, (1000, 1000))])
+def test_support_solve_starts_inside_y_above_x(n, t):
+    # here X0 is above 2n + alpha: the solve starts from Y0 = X0 + 2n + alpha
+    sol = eq.solve_support(n, WeightParams("0.5", t), prec=PrecisionContext(digits=50))
+    with mp.workdps(sol.prec.work_dps):
+        assert 0 < sol.a < sol.b
+        assert abs(eq.density_normalization(sol) - n) < mpf(10) ** -25
+
+
 def test_verified_point():
     # alpha >= 1, (t1, t2) of the configuration when both are > 0, t3 dropped
     assert eq.verified_point(WeightParams("0.5", ("0.3", "0.2", "0.1"))) == \
