@@ -49,7 +49,7 @@ all of these too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -86,8 +86,7 @@ def table_bundle_builder(N: int, prec: PrecisionContext, cache_dir=None):
     return build
 
 
-@dataclass(frozen=True)
-class Difference:
+class Difference(NamedTuple):
     """An order-2 central difference sum_j w_j f(x + o_j h) / (c h_1^k_1 ...).
 
     taps    -- (o_j, w_j): the offsets in steps, one per axis varied, and
@@ -564,8 +563,7 @@ def verify_coupled_pdes(n: int, grid: StencilGrid):
 # sigma-function layer
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SigmaState:
+class SigmaState(NamedTuple):
     """H_n = D ln D_n at a grid's point, its partials and the sigma-layer
     quantities assembled from them, for any m.
 

@@ -10,7 +10,6 @@ path that cannot be written among them), 3 on numerical breakdowns
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -71,6 +70,8 @@ def reports_document(reports, timestamp=None) -> dict:
 def write_reports_csv(reports, path: str):
     """The reports as one CSV with a single header row (report JSON is
     ``reports_document``, written by ``run``)."""
+    import csv  # in each CSV writer, so that a JSON run never loads it
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         first = True
@@ -100,6 +101,8 @@ def write_table(tab, fmt: str, path: str):
             json.dump({"table": rows}, fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
+        import csv
+
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["n", "h", "alpha", "beta", "p"])
             writer.writeheader()
@@ -110,6 +113,8 @@ def write_sweep(grid, path: str):
     """The sweep of a ``scaling.ScaledGrid``: the per-n rows (n, n R_n,
     n R_n*, H_n) as CSV at path, and the limits with their errors as JSON
     at path + ".limits.json"."""
+    import csv
+
     seqs = grid.at()
     limits = {}
     for q, v in seqs.items():
@@ -128,6 +133,8 @@ def write_sweep(grid, path: str):
 def write_density_profile(sol, path: str, points: int):
     """The equilibrium density of sol as an "x, sigma" CSV at path, at
     x = a + (b - a) k / points for k = 1..points-1, at sol's precision."""
+    import csv
+
     from .equilibrium import densities
 
     with mp.workdps(sol.prec.work_dps):

@@ -8,8 +8,8 @@ values override file values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .params import PrecisionContext, WeightParams, to_fraction
@@ -32,8 +32,7 @@ DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     params: WeightParams
     prec: PrecisionContext
     n_max: int

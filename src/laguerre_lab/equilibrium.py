@@ -42,8 +42,8 @@ precision (``theta_cosines``), which lives while some reader holds it.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import fzero, mpf_add, mpf_cos, mpf_mul
@@ -60,8 +60,7 @@ from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
 from .quadrature import QUAD_MAX_LEVEL, level_settled
 
 
-@dataclass(frozen=True)
-class EquilibriumSolution:
+class EquilibriumSolution(NamedTuple):
     """Support endpoints and derived data of the equilibrium measure."""
 
     n: int

@@ -32,7 +32,6 @@ Route naming used throughout tests and suites:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -45,8 +44,7 @@ from .params import PrecisionContext, WeightParams, to_mpf
 from .quadrature import integrate_weighted, sample_dps
 
 
-@dataclass(frozen=True)
-class AuxRow:
+class AuxRow(NamedTuple):
     """R_{n,i} and r_{n,i} for i = 1..m at one index n and one point."""
 
     R: tuple

@@ -19,8 +19,6 @@ ratios of explicit minors serve only as a desk-scale oracle (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, fone, fzero, mpf_mul, mpf_sub, mpf_sum
 
@@ -38,7 +36,6 @@ def table_precision(prec: PrecisionContext, N: int) -> PrecisionContext:
     return prec if prec.digits >= digits_for(N) else PrecisionContext(digits=digits_for(N))
 
 
-@dataclass(frozen=True)
 class RecurrenceTable:
     """Recurrence data h_n, alpha_n, beta_n, p(n) for n = 0..N at one point.
 
@@ -46,19 +43,23 @@ class RecurrenceTable:
     ``moments[k]`` holds mu_k for k = -m..2N+1 (k >= 0 in the t = 0
     limit mode); beta_n and p(n) = ``coeffs[n][n-1]`` are not stored.
     Every value is at the table's precision, ``prec.work_dps``.
-    Tables are immutable and safe to share.  ``rows`` is the memo of aux
-    rows by index (``ladder.aux_row``), shared by every reader of the
-    table; it is neither compared nor stored in the cache.
+    Tables are not modified after they are built and are safe to share;
+    two tables are equal only if they are the same object, and the cache
+    memo holds them by weak reference.  ``rows`` is the memo of aux rows
+    by index (``ladder.aux_row``), shared by every reader of the table
+    and not stored in the cache.
     """
 
-    params: WeightParams
-    prec: PrecisionContext
-    N: int
-    h: tuple
-    alpha_rc: tuple
-    coeffs: tuple
-    moments: dict = field(repr=False)
-    rows: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, params: WeightParams, prec: PrecisionContext, N: int,
+                 h: tuple, alpha_rc: tuple, coeffs: tuple, moments: dict):
+        self.params = params
+        self.prec = prec
+        self.N = N
+        self.h = h
+        self.alpha_rc = alpha_rc
+        self.coeffs = coeffs
+        self.moments = moments
+        self.rows = {}
 
     def alpha(self, n: int) -> mpf:
         return self.alpha_rc[n]

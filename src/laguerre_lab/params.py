@@ -21,7 +21,6 @@ the quadrature and finite-difference step policy derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -80,13 +79,15 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
-@dataclass(frozen=True)
 class WeightParams:
-    """Parameters (alpha, t_1..t_m) of the deformed Laguerre weight."""
+    """Parameters (alpha, t_1..t_m) of the deformed Laguerre weight.
 
-    alpha: Fraction
-    t: tuple
-    m: int = field(init=False)
+    Immutable; two points are equal, and hash alike, when their exact
+    (alpha, t) are, so a point keys the table and seed memos.  The
+    per-precision ``t_mpf`` memo is not part of the value.
+    """
+
+    __slots__ = ("alpha", "t", "m", "_mpf")
 
     def __init__(self, alpha, t=()):
         object.__setattr__(self, "alpha", to_fraction(alpha))
@@ -94,6 +95,20 @@ class WeightParams:
         object.__setattr__(self, "m", len(self.t))
         object.__setattr__(self, "_mpf", {})  # ``t_mpf`` by (precision, scaled)
         self._validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WeightParams is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not WeightParams:
+            return NotImplemented
+        return self.alpha == other.alpha and self.t == other.t
+
+    def __hash__(self):
+        return hash((self.alpha, self.t))
+
+    def __repr__(self):
+        return f"WeightParams(alpha={self.alpha!r}, t={self.t!r})"
 
     def _validate(self):
         if not self.alpha > -1:
@@ -195,7 +210,6 @@ class WeightParams:
         return "a=%s;t=%s" % (frac_str(self.alpha), ",".join(frac_str(v) for v in self.t))
 
 
-@dataclass(frozen=True)
 class PrecisionContext:
     """Working precision P plus the quadrature / FD step policy derived
     from it; P is the only setting.
@@ -205,14 +219,29 @@ class PrecisionContext:
 
     The FD relative step is 10^(-round(P/5)), balancing truncation
     against roundoff.  digits has no default of its own: a run takes it
-    from ``config.DEFAULTS``.
+    from ``config.DEFAULTS``.  Immutable, equal and hashed by digits.
     """
 
-    digits: int
+    __slots__ = ("digits",)
 
-    def __post_init__(self):
-        if self.digits < 50:
-            raise DomainError(f"digits must be >= 50, got {self.digits}")
+    def __init__(self, digits: int):
+        if digits < 50:
+            raise DomainError(f"digits must be >= 50, got {digits}")
+        object.__setattr__(self, "digits", digits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PrecisionContext is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PrecisionContext:
+            return NotImplemented
+        return self.digits == other.digits
+
+    def __hash__(self):
+        return hash(self.digits)
+
+    def __repr__(self):
+        return f"PrecisionContext(digits={self.digits!r})"
 
     @property
     def quad_tol(self) -> Fraction:

@@ -8,7 +8,7 @@ serialize to the JSON/CSV formats of the command-line surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, from_rational, round_floor
@@ -59,8 +59,7 @@ def floored(tol) -> mpf:
                                              _TOL_PREC, round_floor))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One identity residual at one evaluation point."""
 
     id: str
@@ -93,13 +92,13 @@ def sign_check(cid: str, values, tol, point: str, errors=None) -> Check:
     return Check(cid, mpf(0) if short < 0 else 1 + short, tol, point)
 
 
-@dataclass
 class ResidualReport:
     """All checks of one suite plus run metadata."""
 
-    suite: str
-    entries: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, suite: str, metadata: dict = None):
+        self.suite = suite
+        self.entries = []
+        self.metadata = {} if metadata is None else metadata
 
     def add(self, check: Check):
         self.entries.append(check)

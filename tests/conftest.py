@@ -1,8 +1,10 @@
 import gc
 import inspect
+import os
+import subprocess
 import sys
 from fractions import Fraction
-from pathlib import PurePath
+from pathlib import Path, PurePath
 
 import pytest
 from mpmath import mp, mpf
@@ -22,6 +24,16 @@ def mpf_integrand(f):
     return lambda x: tuple(to_mpf(v)._mpf_ for v in f(mp.make_mpf(x)))
 
 
+def run_python(code: str) -> str:
+    """stdout of code run by a fresh interpreter that imports the lab from src/."""
+    env = {k: v for k, v in os.environ.items() if k != "LAB_CACHE_DIR"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def pytest_collection_finish(session):
     """Move what collection built (modules, test functions, the harness's
     own state) to the permanent generation, so a full garbage collection
@@ -35,8 +47,6 @@ def pytest_collection_finish(session):
 @pytest.fixture(scope="session", autouse=True)
 def lab_cache(tmp_path_factory):
     """Hermetic table cache shared across the test session."""
-    import os
-
     path = tmp_path_factory.mktemp("labcache")
     old = os.environ.get("LAB_CACHE_DIR")
     os.environ["LAB_CACHE_DIR"] = str(path)

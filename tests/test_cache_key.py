@@ -8,16 +8,11 @@ a run's peak RSS).  The keys below were recorded before that change; a
 file name must not move with the interpreter or the route to the digest.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 from laguerre_lab.cache import table_key
 from laguerre_lab.calculus import StencilGrid
 from laguerre_lab.params import PrecisionContext, WeightParams
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import run_python
 
 #: the default centre (alpha; t1, t2) = (1/2; 3/10, 1/5) at N = 12, P = 120
 CENTRE_KEY = "f9717b83dfd635b66fc23ded9f7341ff"
@@ -35,16 +30,6 @@ node = StencilGrid(centre, p120, None).params_at(((0, 2),))
 print(table_key(centre, 12, p120))
 print(table_key(node, 5, p120, centre))
 """
-
-
-def run_python(code: str) -> str:
-    """stdout of code run by a fresh interpreter that imports the lab from src/."""
-    env = {k: v for k, v in os.environ.items() if k != "LAB_CACHE_DIR"}
-    env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def test_table_keys_are_pinned():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +8,7 @@ from laguerre_lab import orthopoly, quadrature
 from laguerre_lab.cache import clear_memo
 from laguerre_lab.errors import DegenerateInput, DomainError, PrecisionExhausted
 from laguerre_lab.orthopoly import (
+    RecurrenceTable,
     christoffel_darboux_residual,
     eval_polynomials,
     hankel_determinant,
@@ -287,7 +286,8 @@ def test_inner_xk_reads_o_of_m_n_moments():
             return super().__getitem__(key)
 
     table = _inner_table("scaling-n24")
-    counted = dataclasses.replace(table, moments=Counting(table.moments))
+    counted = RecurrenceTable(table.params, table.prec, table.N, table.h, table.alpha_rc,
+                              table.coeffs, Counting(table.moments))
     value = counted.inner_xk(24, 24, (-1, -2))
     assert len(reads) <= 3 * 25
     assert value == table.inner_xk(24, 24, (-1, -2))

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from mpmath import mp, mpf
 
@@ -127,10 +125,10 @@ def test_sigma_pde_small_n(grid):
 
 def test_reconstruction_guards(grid):
     st = ca.hankel_sigma(2, grid)
-    bad = replace(st, Delta=mpf(-1))
+    bad = st._replace(Delta=mpf(-1))
     with pytest.raises(NegativeDiscriminant):
         ca.reconstruct_aux_from_H(bad)
-    tiny = replace(st, Delta=mpf(10) ** -200, fd_error=mpf(10) ** -50)
+    tiny = st._replace(Delta=mpf(10) ** -200, fd_error=mpf(10) ** -50)
     with pytest.raises(BranchAmbiguity):
         ca.reconstruct_aux_from_H(tiny)
 

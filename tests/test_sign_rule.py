@@ -6,7 +6,6 @@ the band its former hand-written form let pass, and then exactly 0; it
 must fail on both.
 """
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -67,7 +66,7 @@ def delta_random(monkeypatch, value):
 def delta_nonneg(monkeypatch, value):
     # Delta >= -(half_eps + 10 e) passed, e its propagated error
     real = ca.hankel_sigma
-    monkeypatch.setattr(ca, "hankel_sigma", lambda n, grid: replace(real(n, grid), Delta=value))
+    monkeypatch.setattr(ca, "hankel_sigma", lambda n, grid: real(n, grid)._replace(Delta=value))
     prec = PrecisionContext(digits=60)
     grid = ca.StencilGrid(WeightParams("0.5", ("0.3", "0.2")), prec,
                           ca.table_bundle_builder(5, prec))
