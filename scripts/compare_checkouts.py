@@ -16,6 +16,14 @@ no report and no cache file until all four runs are done: it holds none
 of their bytes (2.8 MB for the 444 tables of ``lab all``) while a run is
 measured.  A child still reads at least this script's own peak.
 
+Each run gets its own empty ``PYTHONPYCACHEPREFIX``, so it finds no
+bytecode and compiles every module from source (the lab's and its
+dependencies'), as a fresh checkout does.  Without it a side could read
+``__pycache__`` files that the other side does not have; and where
+``PYTHONDONTWRITEBYTECODE`` is set, a side whose modules changed since
+their bytecode was written compiles them on every run, and its peak RSS
+reads higher for that alone.
+
     python scripts/compare_checkouts.py PARENT CHANGE
     python scripts/compare_checkouts.py PARENT CHANGE moments --digits 60
 """
@@ -29,11 +37,13 @@ import tempfile
 from pathlib import Path
 
 
-def run_lab(checkout: Path, lab_args: list, cache: Path, report: Path) -> tuple:
+def run_lab(checkout: Path, lab_args: list, cache: Path, report: Path, pycache: Path) -> tuple:
     """(exit code, peak RSS in MB) of ``lab lab_args`` from checkout's src/,
-    writing its JSON report to report."""
+    writing its JSON report to report, with the empty directory pycache as
+    its bytecode cache."""
     env = {k: v for k, v in os.environ.items() if k != "LAB_CACHE_DIR"}
     env["PYTHONPATH"] = str(checkout / "src")
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
     proc = subprocess.Popen(
         [sys.executable, "-m", "laguerre_lab.cli", *lab_args, "--cache-dir", str(cache),
          "--out", str(report), "--format", "json"],
@@ -73,8 +83,10 @@ def main(argv=None) -> int:
             work = Path(tmp) / side
             work.mkdir()
             for run in ("cold", "warm"):
+                pycache = work / f"{run}-pycache"
+                pycache.mkdir()
                 code, rss = run_lab(checkout.resolve(), lab_args, work / "cache",
-                                    work / f"{run}.json")
+                                    work / f"{run}.json", pycache)
                 print(f"{side} {run}: exit {code}, peak RSS {rss:.2f} MB")
         # read only now, so that no run starts with these bytes in its peak RSS
         reports = {(side, run): report_body(Path(tmp) / side / f"{run}.json")

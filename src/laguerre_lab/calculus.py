@@ -1,14 +1,15 @@
 """Finite-difference calculus in (t1, t2) and the differential identity checks.
 
 Derivatives of table/auxiliary quantities are central differences on a
-dyadic stencil with Richardson extrapolation.  Each derivative kind has
-one order-2 difference, written once as a table of taps (``FIRST``,
-``SECOND``, ``CROSS``); ``StencilGrid`` is their only reader, and
-``scaling`` differentiates on the same grids.  A grid's relative step h
-is the precision's (``PrecisionContext.fd_rel_step``), and its one
-setting is the number of levels of the difference, at dyadic steps down
-to h / 2^(levels // 2): h alone, h and h/2, or (the default) 2h, h and
-h/2, Richardson-extrapolated.  Every stencil node is the recurrence
+dyadic stencil with Richardson extrapolation in h^2 (``extrapolate``, the
+lab's one Neville extrapolation to 0, which ``scaling`` runs in 1/n).
+Each derivative kind has one order-2 difference, written once as a table
+of taps (``FIRST``, ``SECOND``, ``CROSS``); ``StencilGrid`` is their only
+reader, and ``scaling`` differentiates on the same grids.  A grid's
+relative step h is the precision's (``PrecisionContext.fd_rel_step``),
+and its one setting is the number of levels of the difference, at dyadic
+steps down to h / 2^(levels // 2): h alone, h and h/2, or (the default)
+2h, h and h/2, Richardson-extrapolated.  Every stencil node is the recurrence
 table at an exactly-rational shifted parameter point, read through the
 table cache, so grids that share a node share its table.  Only the
 grid's centre is integrated: its seed moments (the grid's anchor) are
@@ -130,18 +131,26 @@ SECOND = Difference((((1,), 1), ((0,), -2), ((-1,), 1)), 1, (2,))
 CROSS = Difference((((1, 1), 1), ((1, -1), -1), ((-1, 1), -1), ((-1, -1), 1)), 4, (1, 1))
 
 
-def _richardson(seq):
-    """Neville extrapolation of step-halved estimates with error h^2, h^4, ...
+def extrapolate(xs, vals):
+    """Neville extrapolation of (x_i, vals_i) to x = 0, xs exact (ints or
+    Fractions): (value, last correction |P(L,L) - P(L,L-1)|, 0 for one value).
 
-    Returns (value, spread); spread is the last correction size, the
-    usual a-posteriori error estimate.
+    Each step is b + (b - a) / (x_{i-k}/x_i - 1), the ratio exact: an integer
+    divisor stays an int, any other num/den divides the exact (b - a) * den
+    by num, rounded once.  On x = 4^-level (step-halved estimates with error
+    h^2, h^4, ..) the divisors are Richardson's 3, 15, 63; ``scaling`` takes
+    x = 1/n.
     """
-    rows = [list(seq)]
-    while len(rows[-1]) > 1:
-        fac = 4 ** len(rows) - 1
-        rows.append([b + (b - a) / fac for a, b in zip(rows[-1], rows[-1][1:])])
-    best = rows[-1][0]
-    return best, (abs(best - rows[-2][-1]) if len(rows) > 1 else mpf(0))
+    exact = [(x.numerator, x.denominator) for x in xs]
+    prev = col = list(vals)
+    for k in range(1, len(col)):
+        prev, col = col, []
+        for (pf, qf), (pn, qn), a, b in zip(exact, exact[k:], prev, prev[1:]):
+            # x_{i-k}/x_i - 1 = num / den
+            num, den = pf * qn - qf * pn, qf * pn
+            q, r = divmod(num, den)
+            col.append(b + (mp.fmul(b - a, den, exact=True) / num if r else (b - a) / q))
+    return col[0], (abs(col[0] - prev[-1]) if len(prev) > 1 else mpf(0))
 
 
 class StencilGrid:
@@ -173,6 +182,7 @@ class StencilGrid:
         self._h = tuple(prec.fd_rel_step * abs(t) for t in params.t)
         self.steps_per_h = 2 ** (levels // 2)
         self._fine = tuple(h / self.steps_per_h for h in self._h)
+        self._xs = tuple(4 ** lev for lev in range(levels - 1, -1, -1))  # squared steps
         self._mpf = {}
         self._memo = {}
 
@@ -224,13 +234,13 @@ class StencilGrid:
     def _derivative(self, diff: Difference, extract, axes):
         """(diff of extract on the axes, error estimate).
 
-        The level quotients are Richardson-extrapolated; the error is the
-        extrapolation spread plus the eps noise of the values carried
+        The level quotients are extrapolated in h^2 (``extrapolate``); the
+        error is the last correction plus the eps noise of the values carried
         through the taps of the finest difference, sum_j |w_j| over its
         denominator.
         """
         quots, largest = self.quotients(diff, extract, axes)
-        val, spread = _richardson(quots)
+        val, spread = extrapolate(self._xs, quots)
         steps, eps = self._steps()
         noise = eps * (largest + 1) * sum(abs(w) for _, w in diff.taps)
         return val, spread + noise / diff.denominator([steps[ax][-1] for ax in axes])
@@ -376,18 +386,6 @@ def derivative_relations(n: int, grid: StencilGrid, names, suffix="") -> list:
     return out
 
 
-def verify_derivative_relations(n: int, grid: StencilGrid):
-    """Residuals of the first-order derivative relations at index n, by
-    quantity (ln h_n, p(n), ln beta_n for n >= 1, alpha_n), each on every axis.
-
-    For m = 2:  t1 d/dt1 ln h_n = -R_n,  2t2 d/dt2 ln h_n = -R_n*,
-                t1 d/dt1 p(n)   =  r_n,  2t2 d/dt2 p(n)   =  r_n*.
-    """
-    names = ("dlnh", "dp", "dlnbeta", "dalpha") if n >= 1 else ("dlnh", "dp", "dalpha")
-    with mp.workdps(grid.prec.work_dps):
-        return derivative_relations(n, grid, names)
-
-
 def _euler(point: WeightParams, v: dict):
     """D f = sum_i i t_i f_i, from f's partials v by ``partials`` key."""
     return mp.fsum(s * v[str(i)] for i, s in enumerate(axis_scales(point), start=1))
@@ -480,14 +478,6 @@ def riccati_checks(n: int, grid: StencilGrid, tag="") -> tuple:
              Rh / R * xi + rh + rh * (2 * r - t1) / R + rho * K / tau)
     return (axis_checks(n, grid, f"riccati{tag}-S-t{{}}", lambda v: aux_row(v, n).Rsum, rhs_S),
             axis_checks(n, grid, f"riccati{tag}-r-t{{}}", lambda v: aux_row(v, n).rsum, rhs_r))
-
-
-def verify_riccati(n: int, grid: StencilGrid):
-    """The four first-order Riccati-like equations of m = 2: the axis
-    components of D S_n (S_n = R_n + R_n*) and of D (r_n + r_n*)."""
-    with mp.workdps(grid.prec.work_dps):
-        ric_S, ric_r = riccati_checks(n, grid)
-    return ric_S + ric_r
 
 
 def verify_coupled_pdes(n: int, grid: StencilGrid):

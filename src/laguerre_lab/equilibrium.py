@@ -33,10 +33,12 @@ log-potential series sums in closed form through -ln(1-z), z/(1-z) and
 z/(1-z)^2 at z = q e^(i phi) (``log_potential``).  The other integrals
 over the support (the endpoint conditions, the closed-form identities)
 use the same substitution, under which 1/sqrt((b-x)(x-a)) weights become
-trapezoid sums of smooth periodic functions (spectral accuracy).  The trapezoid takes a batch: the
-integrals of one check share one pass, each bit-identical to its lone
-value.  The passes read cos(theta) at their nodes through one memo per
-precision (``theta_cosines``), which lives while some reader holds it.
+trapezoid sums of smooth periodic functions (spectral accuracy); both
+take it from ``support_integral``, the one theta pass.  The trapezoid
+takes a batch: the integrals of one check share one pass, each
+bit-identical to its lone value.  The passes read cos(theta) at their
+nodes through one memo per precision (``theta_cosines``), which lives
+while some reader holds it.
 """
 
 from __future__ import annotations
@@ -253,14 +255,15 @@ def theta_cosines():
     return cos_th
 
 
-def support_integral(sol: EquilibriumSolution, f) -> list:
+def support_integral(a, b, f, prec: PrecisionContext) -> list:
     """int_a^b f_i(x) / sqrt((b-x)(x-a)) dx for f(x) = (f_1(x), f_2(x), ...)
-    via the cosine substitution, in one theta pass."""
-    with mp.workdps(sol.prec.work_dps):
-        mid = (sol.a + sol.b) / 2
-        W = (sol.b - sol.a) / 2
+    via the cosine substitution x = (a+b)/2 + (b-a)/2 cos(theta), in one
+    theta pass at prec."""
+    with mp.workdps(prec.work_dps):
+        mid = (a + b) / 2
+        W = (b - a) / 2
         cos_th = theta_cosines()
-        return _theta_trapezoid(lambda th: f(mid + W * cos_th(th)), sol.prec)
+        return _theta_trapezoid(lambda th: f(mid + W * cos_th(th)), prec)
 
 
 def _bracket_series(sol: EquilibriumSolution):
@@ -298,7 +301,7 @@ def supplementary_residual(sol: EquilibriumSolution):
             v = mp.make_mpf(vprime(x._mpf_))
             return v, x * v
 
-        r1, r2 = support_integral(sol, g)
+        r1, r2 = support_integral(sol.a, sol.b, g, sol.prec)
         return abs(r1), abs(r2 - 2 * mp.pi * sol.n)
 
 
@@ -471,8 +474,6 @@ def appendix_integrals(a, b, prec: PrecisionContext):
     if not 0 < a < b:
         raise DomainError("need 0 < a < b")
     with mp.workdps(prec.work_dps):
-        mid = (a + b) / 2
-        W = (b - a) / 2
         ab = a * b
         closed = [
             ("appendix-1", mp.pi),
@@ -482,12 +483,6 @@ def appendix_integrals(a, b, prec: PrecisionContext):
             ("appendix-xinv2", (a + b) * mp.pi / (2 * ab ** mpf("1.5"))),
             ("appendix-xinv3", (3 * (a + b) ** 2 - 4 * ab) * mp.pi / (8 * ab ** mpf("2.5"))),
         ]
-
-        cos_th = theta_cosines()
-
-        def g(th):
-            x = mid + W * cos_th(th)
-            return mpf(1), mp.log(x), x, 1 / x, 1 / x ** 2, 1 / x ** 3
-
-        nums = _theta_trapezoid(g, prec)
+        nums = support_integral(
+            a, b, lambda x: (mpf(1), mp.log(x), x, 1 / x, 1 / x ** 2, 1 / x ** 3), prec)
         return [(cid, abs(num - value)) for (cid, value), num in zip(closed, nums)]

@@ -218,11 +218,6 @@ def polynomials_raw(table: RecurrenceTable, n: int):
     return values
 
 
-def eval_polynomials(table: RecurrenceTable, n: int, x) -> list:
-    """[P_0(x), ..., P_n(x)] from one run of the forward three-term recurrence."""
-    return [mp.make_mpf(v) for v in polynomials_raw(table, n)(to_mpf(x)._mpf_)]
-
-
 def eval_polynomial_derivative(table: RecurrenceTable, n: int, x):
     """(P_n(x), P_n'(x), P_{n-1}(x), P_{n-1}'(x)) by differentiating the recurrence."""
     if n > table.N:
@@ -248,7 +243,8 @@ def christoffel_darboux_residual(table: RecurrenceTable, n: int, x, y) -> mpf:
     if abs(x - y) < to_mpf(table.prec.half_eps):
         raise DegenerateInput("x and y too close for the divided difference")
     with mp.workdps(table.prec.work_dps):
-        px, py = eval_polynomials(table, n, x), eval_polynomials(table, n, y)
+        values = polynomials_raw(table, n)
+        px, py = ([mp.make_mpf(v) for v in values(z._mpf_)] for z in (x, y))
         lhs = mp.fsum(px[j] * py[j] / table.h[j] for j in range(n))
         rhs = (px[n] * py[n - 1] - py[n] * px[n - 1]) / (table.h[n - 1] * (x - y))
         return abs(lhs - rhs)

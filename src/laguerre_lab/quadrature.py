@@ -13,9 +13,10 @@ weight (``table_moments``).  Near a point whose seeds are known, a node's
 seeds come without quadrature from the exact parameter Taylor series
 d mu_k / d t_i = -mu_{k-i} (``shift_seeds``), with quadrature as the
 fallback where the shift's error bound is too wide.  The nodes of one
-centre share one shift context: the downward centre moments, the Taylor
-weights of each axis step and every series sum, each a pure function of
-its key, computed once on raw mpf tuples (``clear_memos`` forgets them).
+centre share one shift context, owned by the centre's seed set: the
+downward centre moments, the Taylor weights of each axis step and every
+series sum, each a pure function of its key, computed once on raw mpf
+tuples (``clear_memos`` forgets them).
 A shift stops at its first infinite error bound, a series that ran to
 its cap, since that bound rejects it.
 Seeds are integrated once per point and precision while some reader
@@ -368,7 +369,8 @@ def seed_depth(params: WeightParams) -> int:
 
 class _Seeds(dict):
     """A point's seeds {k: mu_k} from ``seed_moments``; ``context`` is the
-    shift context made from them, which lives as long as they do."""
+    shift context made from them on their first shift, which lives as long
+    as they do."""
 
     context = None
 
@@ -376,9 +378,9 @@ class _Seeds(dict):
 #: the seed sets some reader holds, by (point, precision)
 _seed_memo = weakref.WeakValueDictionary()
 
-#: the shift contexts whose seeds some reader holds, by (centre,
-#: precision, seed bits)
-_shift_memo = weakref.WeakValueDictionary()
+#: the seed sets that hold a shift context, by id (an entry goes with its
+#: seed set, so a reused id finds none)
+_with_context = weakref.WeakValueDictionary()
 
 
 def seed_moments(params: WeightParams, prec: PrecisionContext) -> dict:
@@ -394,11 +396,14 @@ def seed_moments(params: WeightParams, prec: PrecisionContext) -> dict:
 
 
 def clear_memos():
-    """Forget the seeds, the shift contexts, the node exponentials e^u and
-    the node weights of this process."""
+    """Forget the seeds and their shift contexts, the node exponentials e^u
+    and the node weights of this process: a seed set still held keeps its
+    moments but not its context."""
     global _node_exp, _node_weight
+    for seeds in list(_with_context.values()):
+        seeds.context = None
+    _with_context.clear()
     _seed_memo.clear()
-    _shift_memo.clear()
     _node_exp = (0, {})
     _node_weight = (None, {})
 
@@ -544,25 +549,26 @@ def shift_seeds(centre: WeightParams, seeds: dict, node: WeightParams,
     without settling has an infinite bound, so the shift stops there and
     returns None: the rest of the sums could not change the verdict.
 
-    One context per centre, precision and seed bits holds the downward
-    moments, the Taylor weights of each axis step and every series sum, so
-    the nodes of one grid share them; seeds from ``seed_moments`` hold
-    their context, other seeds none (``clear_memos`` forgets them).  Each
-    is a pure function of its key and every operation is rounded at the
-    sweep precision in the order mpf arithmetic takes, so a node's seeds and
-    its rejection do not depend on the nodes shifted before it.
+    A shift context holds the downward moments, the Taylor weights of each
+    axis step and every series sum.  A seed set from ``seed_moments`` makes
+    its context on its first shift and keeps it, so the nodes of one grid
+    share it (``clear_memos`` drops it); other seeds, such as a plain dict,
+    get a fresh context on each call.  Every entry is a pure function of
+    its key and every operation is rounded at the sweep precision in the
+    order mpf arithmetic takes, so a node's seeds and its rejection do not
+    depend on the nodes shifted before it.
     """
     m = seed_depth(centre)
     if not m or node.alpha != centre.alpha or node.m != centre.m:
         return None
     with mp.workdps(sample_dps(prec)):
         wp, rnd = mp._prec_rounding
-        key = (centre, prec, tuple((k, v._mpf_) for k, v in sorted(seeds.items())))
-        ctx = _shift_memo.get(key)
+        ctx = getattr(seeds, "context", None)
         if ctx is None:
-            ctx = _shift_memo[key] = _ShiftContext(centre, seeds, prec)
-        if isinstance(seeds, _Seeds):
-            seeds.context = ctx
+            ctx = _ShiftContext(centre, seeds, prec)
+            if isinstance(seeds, _Seeds):
+                seeds.context = ctx
+                _with_context[id(seeds)] = seeds
         axes = tuple((i, mpf_neg(to_mpf(b - a)._mpf_, wp, rnd))
                      for i, (a, b) in enumerate(zip(centre.t, node.t), start=1) if b != a)
         limit = mpf_mul_int(ctx.tol, 10, wp, rnd)

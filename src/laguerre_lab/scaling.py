@@ -5,25 +5,27 @@ n, centred at the exactly-rational point (t1, t2) = (s1/2n, s2/4n^2)
 with per-n precision 20 + 4n digits.  The sequences n R_n, n R_n*, r_n,
 r_n*, H_n are read from each grid's centre node, whose aux row
 (``ladder.aux_row``) the stencil derivatives share, and
-Richardson-extrapolated in 1/n (Neville at 0), one ``Scaled`` per
-quantity; the limiting identities and PDEs are checked on the
-extrapolated values.  Derivatives in s are taken at finite n on the
-same grids and extrapolated in 1/n by the same step (``_extrapolated``);
-this is the only derivative route.  Reported errors are the last
-Neville correction plus the stencil error.  The limiting identities
-and PDEs read one dict of (value, error) pairs, limits and the
-``calculus.partials`` of U and H ("dU1", .., "dH12"), and are held to 10
-times their error propagated over ``calculus.moved`` inputs.
+extrapolated to 1/n = 0 by the stencil's Neville step
+(``calculus.extrapolate`` on x = 1/n), one ``Scaled`` per quantity; the
+limiting identities and PDEs are checked on the extrapolated values.
+Derivatives in s are taken at finite n on the same grids and
+extrapolated in 1/n the same way (``_extrapolated``); this is the only
+derivative route.  Reported errors are the last Neville correction plus
+the stencil error.  The limiting identities and PDEs read one dict of
+(value, error) pairs, limits and the ``calculus.partials`` of U and H
+("dU1", .., "dH12"), and are held to 10 times their error propagated
+over ``calculus.moved`` inputs.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .calculus import (StencilGrid, moved, normalized, partials, propagated, propagated_check,
-                       table_bundle_builder)
+from .calculus import (StencilGrid, extrapolate, moved, normalized, partials, propagated,
+                       propagated_check, table_bundle_builder)
 from .errors import DomainError, SingularAux
 from .ladder import aux_row
 from .orthopoly import digits_for
@@ -42,22 +44,6 @@ class Scaled(NamedTuple):
     err: mpf
 
 
-def _neville_at_zero(ns, vals):
-    """Polynomial extrapolation of (1/n, v_n) to 1/n = 0.
-
-    Returns (limit, error estimate = last correction size).
-    """
-    xs = [mpf(1) / n for n in ns]
-    P = {(i, 0): vals[i] for i in range(len(ns))}
-    for k in range(1, len(ns)):
-        for i in range(k, len(ns)):
-            P[(i, k)] = (xs[i] * P[(i - 1, k - 1)] - xs[i - k] * P[(i, k - 1)]) / (
-                xs[i] - xs[i - k])
-    L = len(ns) - 1
-    err = abs(P[(L, L)] - P[(L, L - 1)]) if L >= 1 else mpf("inf")
-    return P[(L, L)], err
-
-
 def digits_for_scaling(n: int) -> int:
     """Table digits at scaling index n: ``orthopoly.digits_for(n)``, at
     least the 50-digit floor."""
@@ -72,8 +58,9 @@ def _extrapolated(grid: "ScaledGrid", at_n) -> list:
     for n, g in grid.grids.items():
         with mp.workdps(g.prec.work_dps):
             per_n.append(at_n(n, g))
+    xs = [Fraction(1, n) for n in grid.n_list]
     with mp.workdps(grid.prec.work_dps):
-        return [Scaled(seq, *_neville_at_zero(grid.n_list, seq)) for seq in zip(*per_n)]
+        return [Scaled(seq, *extrapolate(xs, seq)) for seq in zip(*per_n)]
 
 
 def scaled_sequences(grid: "ScaledGrid") -> dict:

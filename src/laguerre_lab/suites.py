@@ -250,9 +250,11 @@ def calculus_suite(config: RunConfig) -> ResidualReport:
     if params.m != 2:
         raise DomainError("calculus suite needs m = 2")
     grid = _hold(_stencil_grid(config, params, _POINT_DEPTH))
-    rep.extend(ca.verify_derivative_relations(3, grid))
-    rep.extend(ca.verify_toda(2, grid))
-    rep.extend(ca.verify_riccati(2, grid))
+    with mp.workdps(prec.work_dps):
+        rep.extend(ca.derivative_relations(3, grid, ("dlnh", "dp", "dlnbeta", "dalpha")))
+        rep.extend(ca.verify_toda(2, grid))
+        for checks in ca.riccati_checks(2, grid):
+            rep.extend(checks)
     for nn in (1, 2, 3):
         rep.extend(ca.verify_coupled_pdes(nn, grid))
 

@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 from laguerre_lab import cache
 from laguerre_lab.cache import clear_memo
 from laguerre_lab.ladder import aux_rows
-from laguerre_lab.orthopoly import RecurrenceTable, recurrence_table
+from laguerre_lab.orthopoly import RecurrenceTable, polynomials_raw, recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 
 
@@ -22,6 +22,12 @@ def mpf_integrand(f):
     multiplies each raw factor as the mpf rule multiplied w * f_i(x), so
     the integrals keep their bits."""
     return lambda x: tuple(to_mpf(v)._mpf_ for v in f(mp.make_mpf(x)))
+
+
+def eval_polynomials(table: RecurrenceTable, n: int, x) -> list:
+    """[P_0(x), ..., P_n(x)] as mpf, from one run of the lab's forward
+    three-term recurrence (``orthopoly.polynomials_raw``) at x."""
+    return [mp.make_mpf(v) for v in polynomials_raw(table, n)(to_mpf(x)._mpf_)]
 
 
 def run_python(code: str) -> str:

@@ -179,8 +179,9 @@ def test_log_potential_closed_form_matches_cosine_partial_sum(t, digits):
 def test_normalization_series_matches_theta_trapezoid(sol):
     with mp.workdps(sol.prec.work_dps):
         coeffs = eq._bracket_coeffs(sol)
-        (theta,) = eq.support_integral(sol, lambda x: (
-            (sol.b - x) * (x - sol.a) * eq._density_bracket(coeffs, x) / (2 * mp.pi * sol.X),))
+        (theta,) = eq.support_integral(sol.a, sol.b, lambda x: (
+            (sol.b - x) * (x - sol.a) * eq._density_bracket(coeffs, x) / (2 * mp.pi * sol.X),),
+            sol.prec)
         assert abs(eq.density_normalization(sol) - theta) < mpf(10) ** -110
 
 
@@ -368,8 +369,11 @@ def test_appendix_specific_values(prec):
     # plain integral is pi; the 1/x variant is pi/sqrt(ab) = pi/2 at (1,4)
     with mp.workdps(prec.work_dps):
         sol = eq.solve_support(10, WeightParams("1", ("0.3", "0.2")), prec=prec)
-        (v,) = eq.support_integral(sol, lambda x: (mpf(1),))
+        (v,) = eq.support_integral(sol.a, sol.b, lambda x: (mpf(1),), sol.prec)
         assert abs(v - mp.pi) < mpf(10) ** -90
+        one, inv = eq.support_integral(mpf(1), mpf(4), lambda x: (mpf(1), 1 / x), prec)
+        assert abs(one - mp.pi) < mpf(10) ** -90
+        assert abs(inv - mp.pi / 2) < mpf(10) ** -90
 
 
 @settings(max_examples=5, deadline=None)

@@ -25,11 +25,11 @@ from laguerre_lab.ladder import (
     row_residuals,
     sum_rules,
 )
-from laguerre_lab.orthopoly import eval_polynomials, recurrence_table
+from laguerre_lab.orthopoly import recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 from laguerre_lab.quadrature import integrate_weighted, moments, sample_dps
 
-from conftest import mpf_integrand
+from conftest import eval_polynomials, mpf_integrand
 
 HALF = mpf(10) ** -60  # 10^(-P/2) at the 120-digit default
 TRIPLE = mpf(10) ** -50  # 10^(-P/2+10) cross-representation contract

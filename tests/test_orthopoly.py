@@ -10,7 +10,6 @@ from laguerre_lab.errors import DegenerateInput, DomainError, PrecisionExhausted
 from laguerre_lab.orthopoly import (
     RecurrenceTable,
     christoffel_darboux_residual,
-    eval_polynomials,
     hankel_determinant,
     moment_determinant,
     orthogonality_residual,
@@ -19,7 +18,7 @@ from laguerre_lab.orthopoly import (
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 from laguerre_lab.quadrature import integrate_weighted
 
-from conftest import mpf_integrand
+from conftest import eval_polynomials, mpf_integrand
 
 
 def eval_by_coeffs(table, n: int, x) -> mpf:

@@ -11,7 +11,7 @@ from laguerre_lab.cache import clear_memo
 from laguerre_lab.config import parse_config
 from laguerre_lab.errors import DomainError, NonConvergence
 from laguerre_lab.ladder import ladder_A_direct
-from laguerre_lab.orthopoly import eval_polynomials, orthogonality_residual, recurrence_table
+from laguerre_lab.orthopoly import orthogonality_residual, recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
 from laguerre_lab.quadrature import (
     _TRUNC_EXTRA,
@@ -26,7 +26,7 @@ from laguerre_lab.quadrature import (
     table_moments,
 )
 
-from conftest import mpf_integrand
+from conftest import eval_polynomials, mpf_integrand
 
 # Self-validated 200-digit oracle values at (alpha, t1, t2) = (0.5, 0.3, 0.2):
 # recomputed at 210 digits with doubled node density, the two runs agree

@@ -8,6 +8,7 @@ falls back to quadrature, and its table is the plain build bit for bit.
 import itertools
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -107,58 +108,8 @@ def test_shifted_seeds_match_quadrature(point, prec, nodes):
                 assert abs(shifted[k] - v) <= tol * abs(v), (node, k)
 
 
-@pytest.mark.parametrize("point, prec, nodes", [*CASES, SIGMA_REDUCTION, REJECTED],
-                         ids=[*IDS, "sigma-reduction", "rejected"])
-def test_shift_context_is_order_free(point, prec, nodes):
-    # the nodes shifted one by one, each in a fresh context, and all in one
-    # context in a shuffled order: the same seeds bit for bit, the same Nones
-    seeds = seed_moments(point, prec)
-    rejected = nodes is REJECTED[2]
-    nodes = nodes(point, prec)
-    alone = []
-    for node in nodes:
-        clear_memos()
-        alone.append(_bits(shift_seeds(point, seeds, node, prec)))
-    clear_memos()
-    order = random.Random(27).sample(range(len(nodes)), len(nodes))
-    shared = {i: _bits(shift_seeds(point, seeds, nodes[i], prec)) for i in order}
-    assert len(quadrature._shift_memo) == 1
-    assert [shared[i] for i in range(len(nodes))] == alone
-    assert alone == [None] * len(nodes) if rejected else None not in alone
-
-
-def test_clear_memos_drops_every_shift_context():
-    # the seed sets, held here, hold their shift contexts; clear_memos
-    # forgets both all the same, and a context whose seeds no one holds
-    # is gone with them
-    clear_memos()
-    held = []
-    for point, prec, nodes in (CASES[0], CASES[-1]):
-        node = nodes(point, prec)[0]
-        held.append(seed_moments(point, prec))
-        shift_seeds(point, held[-1], node, prec)
-    assert len(quadrature._shift_memo) == len(quadrature._seed_memo) == 2
-    clear_memos()
-    assert quadrature._shift_memo == quadrature._seed_memo == {}
-    shift_seeds(point, held[-1], node, prec)
-    clear_memo()
-    assert quadrature._shift_memo == {}
-    shift_seeds(point, held[-1], node, prec)
-    assert len(quadrature._shift_memo) == 1
-    del held[:]
-    assert quadrature._shift_memo == {}
-
-
-def test_seed_shift_check_keys_its_own_context(tmp_path, monkeypatch):
-    # verify_seed_shift hands in the centre table's moments, rounded to
-    # work_dps: another context than the one its nodes were shifted in,
-    # which the grid's builder holds; no one holds the check's, so each
-    # check makes its own, and gets the same result
-    centre = WeightParams("1/2", ("3/10", "1/5"))
-    grid = ca.StencilGrid(centre, P60, ca.table_bundle_builder(3, P60, tmp_path))
-    clear_memo()
-    grid.bundle(((0, grid.steps_per_h), (1, grid.steps_per_h)))
-    (built,) = quadrature._shift_memo
+def _count_contexts(monkeypatch) -> list:
+    """A list that records the seed bits of every shift context made from now on."""
     made = []
     real = quadrature._ShiftContext.__init__
 
@@ -167,13 +118,89 @@ def test_seed_shift_check_keys_its_own_context(tmp_path, monkeypatch):
         real(ctx, point, seeds, prec)
 
     monkeypatch.setattr(quadrature._ShiftContext, "__init__", init)
+    return made
+
+
+@pytest.mark.parametrize("point, prec, nodes", [*CASES, SIGMA_REDUCTION, REJECTED],
+                         ids=[*IDS, "sigma-reduction", "rejected"])
+def test_shift_context_is_order_free(point, prec, nodes, monkeypatch):
+    # the nodes shifted one by one from a plain dict of the seeds, each call
+    # in a fresh context, and all from the seed set in a shuffled order, in
+    # the one context its first shift stores: the same seeds bit for bit,
+    # the same Nones
+    seeds = seed_moments(point, prec)
+    rejected = nodes is REJECTED[2]
+    nodes = nodes(point, prec)
+    made = _count_contexts(monkeypatch)
+    before = seeds.context
+    alone = [_bits(shift_seeds(point, dict(seeds), node, prec)) for node in nodes]
+    assert len(made) == len(nodes) and seeds.context is before
+    clear_memos()
+    del made[:]
+    first, *rest = random.Random(27).sample(range(len(nodes)), len(nodes))
+    shared = {first: _bits(shift_seeds(point, seeds, nodes[first], prec))}
+    ctx = seeds.context
+    assert ctx is not None
+    for i in rest:
+        shared[i] = _bits(shift_seeds(point, seeds, nodes[i], prec))
+        assert seeds.context is ctx
+    assert len(made) == 1
+    assert [shared[i] for i in range(len(nodes))] == alone
+    assert alone == [None] * len(nodes) if rejected else None not in alone
+
+
+def test_clear_memos_drops_every_shift_context(monkeypatch):
+    # the seed sets, held here, hold their shift contexts; clear_memos
+    # forgets the seed sets and drops the contexts of those still held, so
+    # the next shift makes a fresh one; a context lives as long as its seeds
+    clear_memos()
+    held = []
+    for point, prec, nodes in (CASES[0], CASES[-1]):
+        node = nodes(point, prec)[0]
+        held.append(seed_moments(point, prec))
+        shift_seeds(point, held[-1], node, prec)
+    contexts = [seeds.context for seeds in held]
+    assert None not in contexts
+    assert len(quadrature._seed_memo) == 2
+    clear_memos()
+    assert quadrature._seed_memo == {}
+    assert [seeds.context for seeds in held] == [None, None]
+    made = _count_contexts(monkeypatch)
+    shift_seeds(point, held[-1], node, prec)
+    assert len(made) == 1 and held[-1].context not in contexts
+    # the seed set is no longer memoized, yet its new context is dropped too
+    clear_memo()
+    assert held[-1].context is None
+    shift_seeds(point, held[-1], node, prec)
+    assert len(made) == 2 and held[-1].context is not None
+    shift_seeds(point, held[-1], node, prec)
+    assert len(made) == 2
+    alive = weakref.ref(held[-1].context)
+    del held[:], contexts[:]
+    assert alive() is None
+
+
+def test_seed_shift_check_keys_its_own_context(tmp_path, monkeypatch):
+    # verify_seed_shift hands in the centre table's moments, rounded to
+    # work_dps, as a plain dict: another context than the one its nodes were
+    # shifted in, which the centre's seed set holds (and the grid's builder
+    # holds the seed set); each check makes its own, and gets the same result
+    centre = WeightParams("1/2", ("3/10", "1/5"))
+    grid = ca.StencilGrid(centre, P60, ca.table_bundle_builder(3, P60, tmp_path))
+    clear_memo()
+    grid.bundle(((0, grid.steps_per_h), (1, grid.steps_per_h)))
+    seeds = seed_moments(centre, P60)
+    built = seeds.context
+    assert built is not None
+    made = _count_contexts(monkeypatch)
     check = ca.verify_seed_shift(grid)
-    assert list(quadrature._shift_memo) == [built]
+    assert seeds.context is built
     table = grid.bundle()
     assert made == [tuple((k, table.moments[k]._mpf_) for k in range(-2, 1))]
-    assert made[0] != built[2] == tuple((k, v._mpf_) for k, v in seed_moments(centre, P60).items())
+    assert made[0] != tuple((k, v._mpf_) for k, v in sorted(seeds.items()))
     assert ca.verify_seed_shift(grid) == check
     assert made == [made[0]] * 2
+    assert seeds.context is built
 
 
 def test_rejected_two_axis_shift_stops_at_its_first_infinite_bound(monkeypatch):
