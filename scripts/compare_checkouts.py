@@ -7,14 +7,21 @@ lab from that checkout's ``src/``.  It prints whether the cold reports,
 and the warm ones, are equal apart from ``metadata.timestamp``, how many
 cache files are in the parent's cache only, in the change's only, or in
 both with other bytes (up to ten of them by name, with their side), and
-each run's exit code and peak RSS.  It exits 1 on any difference in bits
-(or a run that writes no report), else 0.
+each run's exit code, peak RSS and CPU seconds.  It exits 1 on any
+difference in bits (or a run that writes no report), else 0.
 
 Peak RSS is the child's ``ru_maxrss``.  On Linux a child started by vfork
 and exec begins with its launcher's peak RSS there, so this script reads
 no report and no cache file until all four runs are done: it holds none
 of their bytes (2.8 MB for the 444 tables of ``lab all``) while a run is
 measured.  A child still reads at least this script's own peak.
+
+CPU seconds are the child's ``ru_utime + ru_stime``, from the same
+``os.wait4``: user and system time of one process, so a busy host moves
+them less than wall time.  One invocation gives one pair of
+fresh-process CPU times per run kind, so n invocations give the n pairs
+and the spread that a speed claim needs; one pair alone resolves no
+difference of a few per cent.
 
 Each run gets its own empty ``PYTHONPYCACHEPREFIX``, so it finds no
 bytecode and compiles every module from source (the lab's and its
@@ -38,9 +45,9 @@ from pathlib import Path
 
 
 def run_lab(checkout: Path, lab_args: list, cache: Path, report: Path, pycache: Path) -> tuple:
-    """(exit code, peak RSS in MB) of ``lab lab_args`` from checkout's src/,
-    writing its JSON report to report, with the empty directory pycache as
-    its bytecode cache."""
+    """(exit code, peak RSS in MB, CPU seconds) of ``lab lab_args`` from
+    checkout's src/, writing its JSON report to report, with the empty
+    directory pycache as its bytecode cache."""
     env = {k: v for k, v in os.environ.items() if k != "LAB_CACHE_DIR"}
     env["PYTHONPATH"] = str(checkout / "src")
     env["PYTHONPYCACHEPREFIX"] = str(pycache)
@@ -50,7 +57,7 @@ def run_lab(checkout: Path, lab_args: list, cache: Path, report: Path, pycache: 
         env=env, cwd=report.parent, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss / 1024
+    return proc.returncode, usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime
 
 
 def report_body(path: Path):
@@ -85,9 +92,9 @@ def main(argv=None) -> int:
             for run in ("cold", "warm"):
                 pycache = work / f"{run}-pycache"
                 pycache.mkdir()
-                code, rss = run_lab(checkout.resolve(), lab_args, work / "cache",
-                                    work / f"{run}.json", pycache)
-                print(f"{side} {run}: exit {code}, peak RSS {rss:.2f} MB")
+                code, rss, cpu = run_lab(checkout.resolve(), lab_args, work / "cache",
+                                         work / f"{run}.json", pycache)
+                print(f"{side} {run}: exit {code}, peak RSS {rss:.2f} MB, CPU {cpu:.3f} s")
         # read only now, so that no run starts with these bytes in its peak RSS
         reports = {(side, run): report_body(Path(tmp) / side / f"{run}.json")
                    for side, _ in sides for run in ("cold", "warm")}
