@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
 """Print the auxiliary quantities along n by both routes.
 
-Shows, at one parameter point (m = 2 or m = 3), the auxiliary row from
-the moment table (the integral route) next to the difference-system
-iteration, with the worst pairwise deviation -- a quick
-cross-representation sanity sweep.
+Shows, at one parameter point (m = 3 with --t3, else m = 2), the
+auxiliary row from the moment table (the integral route) next to the
+difference-system iteration, with the worst pairwise deviation -- a
+quick cross-representation sanity sweep.
 
-    python scripts/aux_table.py --alpha 0.5 --t 0.3,0.2 --n-max 10
+    python scripts/aux_table.py --alpha 0.5 --t1 0.3 --t2 0.2 --n-max 10
+
+The flags and their defaults are ``lab``'s (``config.DEFAULTS``); a
+negative value takes the ``--t1=-0.3`` form.
 """
 
 import argparse
 
 from mpmath import mp
 
+from laguerre_lab.config import DEFAULTS
 from laguerre_lab.ladder import aux_rows, iterate_difference_system
 from laguerre_lab.orthopoly import recurrence_table
 from laguerre_lab.params import PrecisionContext, WeightParams
@@ -20,15 +24,14 @@ from laguerre_lab.params import PrecisionContext, WeightParams
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--alpha", default="0.5")
-    ap.add_argument("--t", default="0.3,0.2")
-    ap.add_argument("--n-max", type=int, default=10)
-    ap.add_argument("--digits", type=int, default=120)
+    for key in ("alpha", "t1", "t2", "t3"):
+        ap.add_argument(f"--{key}", default=DEFAULTS[key])
+    ap.add_argument("--n-max", type=int, default=DEFAULTS["n_max"])
+    ap.add_argument("--digits", type=int, default=DEFAULTS["digits"])
     args = ap.parse_args(argv)
 
-    params = WeightParams(args.alpha, [v.strip() for v in args.t.split(",")])
-    if params.m not in (2, 3):
-        raise SystemExit("iteration route covers m = 2 and m = 3")
+    t = (args.t1, args.t2) if args.t3 is None else (args.t1, args.t2, args.t3)
+    params = WeightParams(args.alpha, t)
     prec = PrecisionContext(digits=args.digits)
     tab = recurrence_table(params, args.n_max + 1, prec)
 

@@ -74,13 +74,9 @@ def write_reports_csv(reports, path: str):
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        first = True
+        writer.writerow(["suite", "id", "point", "residual", "tolerance", "pass"])
         for rep in reports:
-            for row in rep.csv_rows():
-                if row[0] == "suite" and not first:
-                    continue
-                writer.writerow(row)
-                first = False
+            writer.writerows(rep.csv_rows())
 
 
 def write_table(tab, fmt: str, path: str):

@@ -108,7 +108,7 @@ def solve_support(n: int, params: WeightParams,
     if deformed and not (params.alpha > 0 and params.t1 > 0 and params.t2 > 0):
         raise DomainError("single-cut solve needs alpha > 0, t1 > 0, t2 > 0")
     with mp.workdps(prec.work_dps):
-        alpha, t = params.materialize()
+        alpha, t = to_mpf(params.alpha), params.t_mpf()
         t1 = t[0] if deformed else mpf(0)
         t2 = t[1] if deformed else mpf(0)
         tol = mpf(10) ** (-(prec.digits - 20))
@@ -180,7 +180,7 @@ def densities(sol: EquilibriumSolution, xs) -> list:
 
 def _bracket_coeffs(sol: EquilibriumSolution):
     """(c1, c2, c3) of the density bracket at the working precision."""
-    alpha, t = sol.params.materialize()
+    alpha, t = to_mpf(sol.params.alpha), sol.params.t_mpf()
     t1 = t[0] if sol.params.is_deformed else mpf(0)
     t2 = t[1] if sol.params.is_deformed else mpf(0)
     X, Y = sol.X, sol.Y
@@ -436,7 +436,7 @@ def solve_X_equations(sol: EquilibriumSolution):
     """
     n, params, prec = sol.n, sol.params, sol.prec
     with mp.workdps(prec.work_dps):
-        alpha, t = params.materialize()
+        alpha, t = to_mpf(params.alpha), params.t_mpf()
         tol = mpf(10) ** (-(prec.digits - 30))
         if not params.is_deformed:
             return alpha, alpha  # X^8 (X - alpha) and X^4 (X - alpha)

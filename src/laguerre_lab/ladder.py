@@ -39,7 +39,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import mpf_div, mpf_mul, mpf_pow_int, mpf_sub
 
 from .errors import DegenerateBracket, DegenerateInput, DomainError, SingularAux
-from .orthopoly import RecurrenceTable, eval_polynomial_derivative, polynomials_raw
+from .orthopoly import RecurrenceTable, polynomials_raw
 from .params import PrecisionContext, WeightParams, to_mpf
 from .quadrature import integrate_weighted, sample_dps
 
@@ -181,7 +181,7 @@ def ladder_residuals(table: RecurrenceTable, aux: list, n: int, z):
         raise DegenerateInput("z must be > 0")
     params = table.params
     with mp.workdps(table.prec.work_dps):
-        pn, dpn, pn1, dpn1 = eval_polynomial_derivative(table, n, z)
+        pn, dpn, pn1, dpn1 = map(mp.make_mpf, polynomials_raw(table, n, True)(z._mpf_))
         A, B = _ladder_at(aux[n], n, params, z)
         vprime = params.potential_derivative(z)
         lowering = dpn + B * pn - table.beta(n) * A * pn1

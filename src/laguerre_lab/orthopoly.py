@@ -20,7 +20,7 @@ ratios of explicit minors serve only as a desk-scale oracle (see
 from __future__ import annotations
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, fone, fzero, mpf_mul, mpf_sub, mpf_sum
+from mpmath.libmp import dps_to_prec, fone, fzero, mpf_add, mpf_mul, mpf_sub, mpf_sum
 
 from .errors import DegenerateInput, DomainError, PrecisionExhausted
 from .params import PrecisionContext, WeightParams, to_mpf
@@ -193,13 +193,16 @@ def moment_determinant(table: RecurrenceTable, n: int) -> mpf:
         return mp.det(mat)
 
 
-def polynomials_raw(table: RecurrenceTable, n: int):
+def polynomials_raw(table: RecurrenceTable, n: int, derivatives: bool = False):
     """The forward three-term recurrence on raw mpf tuples: values(x) is
-    [P_0(x), ..., P_n(x)] at the raw mpf x (``mpf._mpf_``).
+    [P_0(x), ..., P_n(x)] at the raw mpf x (``mpf._mpf_``), or with
+    derivatives (P_n(x), P_n'(x), P_{n-1}(x), P_{n-1}'(x)), the derivative
+    carried through the same loop.
 
     It runs at the table's work_dps, with alpha_j and beta_j looked up
     once.  Each operation is the one, in the order, that mpf arithmetic on
-    (x - alpha_j) P_j - beta_j P_{j-1} would make.
+    (x - alpha_j) P_j - beta_j P_{j-1} and, for the derivative,
+    P_j + (x - alpha_j) P_j' - beta_j P_{j-1}' would make.
     """
     if n > table.N:
         raise DomainError(f"n = {n} exceeds table depth {table.N}")
@@ -208,33 +211,20 @@ def polynomials_raw(table: RecurrenceTable, n: int):
 
     def values(x):
         prev, cur = fzero, fone
+        dprev = dcur = fzero
         out = [cur]
         for a, b in coefs:
-            prev, cur = cur, mpf_sub(mpf_mul(mpf_sub(x, a, prec, rnd), cur, prec, rnd),
+            shifted = mpf_sub(x, a, prec, rnd)
+            if derivatives:
+                dprev, dcur = dcur, mpf_sub(mpf_add(cur, mpf_mul(shifted, dcur, prec, rnd),
+                                                    prec, rnd),
+                                            mpf_mul(b, dprev, prec, rnd), prec, rnd)
+            prev, cur = cur, mpf_sub(mpf_mul(shifted, cur, prec, rnd),
                                      mpf_mul(b, prev, prec, rnd), prec, rnd)
             out.append(cur)
-        return out
+        return (cur, dcur, prev, dprev) if derivatives else out
 
     return values
-
-
-def eval_polynomial_derivative(table: RecurrenceTable, n: int, x):
-    """(P_n(x), P_n'(x), P_{n-1}(x), P_{n-1}'(x)) by differentiating the recurrence."""
-    if n > table.N:
-        raise DomainError(f"n = {n} exceeds table depth {table.N}")
-    x = to_mpf(x)
-    with mp.workdps(table.prec.work_dps):
-        prev, cur = mpf(0), mpf(1)
-        dprev, dcur = mpf(0), mpf(0)
-        for j in range(n):
-            shifted = (x - table.alpha(j))
-            prev, cur, dprev, dcur = (
-                cur,
-                shifted * cur - table.beta(j) * prev,
-                dcur,
-                cur + shifted * dcur - table.beta(j) * dprev,
-            )
-        return cur, dcur, prev, dprev
 
 
 def christoffel_darboux_residual(table: RecurrenceTable, n: int, x, y) -> mpf:

@@ -9,8 +9,9 @@ with alpha > -1, t_m > 0 and t_i != 0 for i < m.  The fully degenerate
 vector t = 0 is accepted as a classical-Laguerre limit mode used by limit
 tests only; mixed zero/nonzero vectors are rejected.
 
-Parameters are stored as exact rationals and materialize to mpf at the
-precision active where they are used, so a point like t1 = 0.3 means the
+Parameters are stored as exact rationals and are converted to mpf at the
+precision active where they are used (alpha by ``to_mpf``, t through the
+point's per-precision ``t_mpf`` memo), so a point like t1 = 0.3 means the
 decimal 3/10 at every working precision, and derived ratios such as
 tau = 2 t2/t1 are exact.  Numerical code must do its arithmetic inside
 ``mp.workdps(...)`` blocks; everything here follows that convention.
@@ -22,7 +23,6 @@ the quadrature and finite-difference step policy derived from it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from mpmath import mp, mpf
 from mpmath.libmp import fone, mpf_add, mpf_div, mpf_mul, mpf_sub
@@ -65,14 +65,6 @@ def to_mpf(value) -> mpf:
         return mpf(value)
     q = to_fraction(value)
     return mpf(q.numerator) / q.denominator
-
-
-@lru_cache(maxsize=64)
-def _potential_coefficients(params: WeightParams, prec: int) -> tuple:
-    """(-alpha, (k t_k for k = 1..m)) as raw mpf tuples at binary precision prec."""
-    with mp.workprec(prec):
-        return ((-to_mpf(params.alpha))._mpf_,
-                tuple((k * to_mpf(tk))._mpf_ for k, tk in enumerate(params.t, start=1)))
 
 
 def frac_str(q: Fraction) -> str:
@@ -156,10 +148,6 @@ class WeightParams:
         """Same alpha, new deformation vector."""
         return WeightParams(self.alpha, t)
 
-    def materialize(self):
-        """(alpha, t) as mpf at the current working precision."""
-        return to_mpf(self.alpha), tuple(to_mpf(v) for v in self.t)
-
     def t_mpf(self, scaled: bool = False) -> tuple:
         """(t_1, .., t_m), or with scaled (1 t_1, .., m t_m) each rounded
         once, as mpf at the current working precision: converted once per
@@ -184,7 +172,8 @@ class WeightParams:
         would make, with z^(k+1) formed by repeated multiplication.
         """
         prec, rnd = mp._prec_rounding
-        neg_alpha, ktk = _potential_coefficients(self, prec)
+        neg_alpha = (-to_mpf(self.alpha))._mpf_
+        ktk = [(k * tk)._mpf_ for k, tk in enumerate(self.t_mpf(), start=1)]
 
         def vprime(z):
             out = mpf_add(mpf_div(neg_alpha, z, prec, rnd), fone, prec, rnd)

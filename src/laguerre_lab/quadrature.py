@@ -207,7 +207,7 @@ def _live(items, live):
 
 
 def _log_weight_u_fn(params: WeightParams):
-    """ln[x w(x)] at x = e^u as a closure over materialized parameters, on
+    """ln[x w(x)] at x = e^u as a closure over the point's mpf parameters, on
     raw mpf tuples: logw(u, x) with x = e^u.
 
     Must be built inside the working-precision block; the e^u factor is
@@ -215,9 +215,8 @@ def _log_weight_u_fn(params: WeightParams):
     that mpf arithmetic on a1 u - x - sum_k t_k x^-k would make.
     """
     wp, rnd = mp._prec_rounding
-    alpha, t = params.materialize()
-    a1 = (alpha + 1)._mpf_
-    t = [tk._mpf_ for tk in t] if params.is_deformed else []
+    a1 = (to_mpf(params.alpha) + 1)._mpf_
+    t = [tk._mpf_ for tk in params.t_mpf()] if params.is_deformed else []
 
     def logw(u, x):
         acc = mpf_sub(mpf_mul(a1, u, wp, rnd), x, wp, rnd)
@@ -427,7 +426,7 @@ def table_moments(params: WeightParams, kmax: int, prec: PrecisionContext,
     m = seed_depth(params)
     mu = dict(seeds if seeds is not None else seed_moments(params, prec))
     with mp.workdps(sample_dps(prec)):
-        coef = [to_mpf(j * tj) for j, tj in enumerate(params.t[:m], start=1)]
+        coef = params.t_mpf(scaled=True)[:m]
         for k in range(1, kmax + 1):
             acc = to_mpf(k + params.alpha) * mu[k - 1]
             for j, c in enumerate(coef, start=1):
@@ -449,8 +448,7 @@ class _ShiftContext:
         self.ulp = (0, 1, 1 - wp, 1)
         self.tol = to_mpf(prec.quad_tol)._mpf_
         self.alpha = to_mpf(centre.alpha)._mpf_
-        self.coef = [to_mpf(j * tj)._mpf_ for j, tj in enumerate(centre.t[:-1], start=1)]
-        self.mtm = to_mpf(self.m * centre.t[-1])._mpf_
+        *self.coef, self.mtm = (c._mpf_ for c in centre.t_mpf(scaled=True))
         self.mu = {k: v._mpf_ for k, v in seeds.items()}
         self.err = {k: mpf_mul(self.tol, mpf_abs(v, wp, rnd), wp, rnd) for k, v in self.mu.items()}
         self.low = min(self.mu)

@@ -118,7 +118,8 @@ class ResidualReport:
         }
 
     def csv_rows(self):
-        yield ["suite", "id", "point", "residual", "tolerance", "pass"]
+        """One CSV row per entry: suite, id, point, residual, tolerance,
+        pass (the header ``cli.write_reports_csv`` writes once)."""
         for c in self.entries:
             e = c.entry()
             yield [self.suite, e["id"], e["point"], e["residual"], e["tolerance"], str(e["pass"])]

@@ -2,9 +2,10 @@
 
 A ``ScaledGrid`` holds one t-stencil grid (``calculus.StencilGrid``) per
 n, centred at the exactly-rational point (t1, t2) = (s1/2n, s2/4n^2)
-with per-n precision 20 + 4n digits.  The sequences n R_n, n R_n*, r_n,
-r_n*, H_n are read from each grid's centre node, whose aux row
-(``ladder.aux_row``) the stencil derivatives share, and
+at the precision of a depth-n table, ``orthopoly.table_precision`` of
+the 50-digit floor: max(50, 20 + 4n) digits.  The sequences n R_n,
+n R_n*, r_n, r_n*, H_n are read from each grid's centre node, whose aux
+row (``ladder.aux_row``) the stencil derivatives share, and
 extrapolated to 1/n = 0 by the stencil's Neville step
 (``calculus.extrapolate`` on x = 1/n), one ``Scaled`` per quantity; the
 limiting identities and PDEs are checked on the extrapolated values.
@@ -28,7 +29,7 @@ from .calculus import (StencilGrid, extrapolate, moved, normalized, partials, pr
                        propagated_check, table_bundle_builder)
 from .errors import DomainError, SingularAux
 from .ladder import aux_row
-from .orthopoly import digits_for
+from .orthopoly import table_precision
 from .params import PrecisionContext, WeightParams, to_fraction, to_mpf
 from .reports import sign_check
 
@@ -42,12 +43,6 @@ class Scaled(NamedTuple):
     seq: tuple
     limit: mpf
     err: mpf
-
-
-def digits_for_scaling(n: int) -> int:
-    """Table digits at scaling index n: ``orthopoly.digits_for(n)``, at
-    least the 50-digit floor."""
-    return max(50, digits_for(n))
 
 
 def _extrapolated(grid: "ScaledGrid", at_n) -> list:
@@ -116,10 +111,10 @@ class ScaledGrid:
     derivatives in s, taken at finite n on one t-stencil grid per n and
     extrapolated in 1/n like the values.  Needs s1 != 0, s2 > 0 and an
     increasing n_list with min >= 4; the grid at n, ``grids[n]``, sits at
-    (alpha, (s1/2n, s2/4n^2)) with ``digits_for_scaling(n)`` digits, so
-    the shrinking t stay resolved.  Its nodes are ``_Node``s: the grid
-    reads p(n) and the aux row at n from each, and keeps no table once
-    the rows are read."""
+    (alpha, (s1/2n, s2/4n^2)) at the depth-n ``table_precision`` of 50
+    digits, max(50, 20 + 4n), so the shrinking t stay resolved.  Its
+    nodes are ``_Node``s: the grid reads p(n) and the aux row at n from
+    each, and keeps no table once the rows are read."""
 
     def __init__(self, s1, s2, n_list, prec: PrecisionContext, alpha="0.5",
                  cache_dir=None):
@@ -136,7 +131,7 @@ class ScaledGrid:
         self._seqs = None
         self.grids = {}
         for n in self.n_list:
-            prec_n = PrecisionContext(digits=digits_for_scaling(n))
+            prec_n = table_precision(PrecisionContext(digits=50), n)
             build = table_bundle_builder(n, prec_n, cache_dir)
             self.grids[n] = StencilGrid(
                 WeightParams(self.alpha, (self.s1 / (2 * n), self.s2 / (4 * n * n))), prec_n,

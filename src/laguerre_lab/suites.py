@@ -368,7 +368,7 @@ def equilibrium_suite(config: RunConfig) -> ResidualReport:
     with mp.workdps(prec.work_dps):
         # held while the suite runs: its three theta passes share their nodes' cosines
         cosines = eq.theta_cosines()
-        alpha, t = params.materialize()
+        alpha, t = to_mpf(params.alpha), params.t_mpf()
         f1, f2 = eq._support_system(sol.X, sol.Y, n, alpha, t[0], t[1])
         tolN = mpf(10) ** (-(prec.digits - 25))
         rep.add(Check("support-eq1", abs(f1), tolN, f"n={n}"))

@@ -197,11 +197,17 @@ def test_byte_identical_reports_modulo_timestamp(tmp_path):
 
 
 def test_csv_report_output(tmp_path):
-    out = tmp_path / "rep.csv"
-    assert cli.main(["moments", "--digits", "60", "--format", "csv",
-                     "--out", str(out)]) == 0
+    out, doc = tmp_path / "rep.csv", tmp_path / "rep.json"
+    args = ["moments,recurrence", "--digits", "60"]
+    assert cli.main(args + ["--format", "csv", "--out", str(out)]) == 0
+    assert cli.main(args + ["--out", str(doc)]) == 0
     rows = list(csv.reader(out.read_text().splitlines()))
+    # one header row, then every entry of every report in order
     assert rows[0] == ["suite", "id", "point", "residual", "tolerance", "pass"]
+    assert rows[1:] == [[rep["suite"], e["id"], e["point"], e["residual"], e["tolerance"],
+                         str(e["pass"])]
+                        for rep in json.loads(doc.read_text())["reports"] for e in rep["entries"]]
+    assert {r[0] for r in rows[1:]} == {"moments", "recurrence"}
     assert all(r[5] == "True" for r in rows[1:])
 
 

@@ -276,7 +276,7 @@ def test_degree9_matches_newton(params_eq, prec, sol):
     x9, x5 = eq.solve_X_equations(sol)
     with mp.workdps(prec.work_dps):
         assert abs(x9 - sol.X) < mpf(10) ** -10
-        alpha, t = params_eq.materialize()
+        alpha, t = to_mpf(params_eq.alpha), params_eq.t_mpf()
         # the degree-5 root satisfies its polynomial
         c5 = eq.degree5_coeffs(2 * 10 * t[0], 4 * 100 * t[1], alpha)
         assert abs(eq._poly_eval(c5, x5)) < mpf(10) ** -60

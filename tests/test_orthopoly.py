@@ -13,6 +13,7 @@ from laguerre_lab.orthopoly import (
     hankel_determinant,
     moment_determinant,
     orthogonality_residual,
+    polynomials_raw,
     recurrence_table,
 )
 from laguerre_lab.params import PrecisionContext, WeightParams, to_mpf
@@ -90,6 +91,36 @@ def test_eval_polynomial(table12):
             assert abs(p[n] - eval_by_coeffs(table12, n, x)) < mpf(10) ** -110
         # a shorter run is a prefix of a longer one
         assert eval_polynomials(table12, 4, x) == p[:5]
+
+
+def _ref_polynomial_derivative(table, n, x):
+    """(P_n, P_n', P_{n-1}, P_{n-1}') by the former mpf loop that
+    differentiated the recurrence."""
+    with mp.workdps(table.prec.work_dps):
+        prev, cur = mpf(0), mpf(1)
+        dprev, dcur = mpf(0), mpf(0)
+        for j in range(n):
+            shifted = (x - table.alpha(j))
+            prev, cur, dprev, dcur = (
+                cur,
+                shifted * cur - table.beta(j) * prev,
+                dcur,
+                cur + shifted * dcur - table.beta(j) * dprev,
+            )
+        return cur, dcur, prev, dprev
+
+
+def test_polynomial_derivatives_have_the_bits_of_the_mpf_loop(table12):
+    for n in (0, 1, 6, table12.N):
+        derivatives, values = polynomials_raw(table12, n, True), polynomials_raw(table12, n)
+        for z in ("0.7", "2", "5"):
+            with mp.workdps(table12.prec.work_dps):
+                x = mpf(z)
+            want = [v._mpf_ for v in _ref_polynomial_derivative(table12, n, x)]
+            got = derivatives(x._mpf_)
+            assert list(got) == want, (n, z)
+            # the same loop gives P_n with or without the derivative rows
+            assert got[0] == values(x._mpf_)[n]
 
 
 def test_christoffel_darboux(table12):

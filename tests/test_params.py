@@ -74,6 +74,24 @@ def test_potential_derivative():
             assert abs(got - to_mpf(exact)) < mpf(10) ** (5 - digits)
 
 
+def test_potential_derivative_raw_has_the_bits_of_the_exact_coefficients():
+    # -alpha and k t_k rounded from the exact rationals at each precision,
+    # in mpf arithmetic on -alpha/z + 1 - sum_k k t_k / z^(k+1)
+    for t in (("1/7", "2/9"), ("1/7", "2/9", "5/13")):
+        p = WeightParams("1/3", t)
+        for digits in (40, 135):
+            with mp.workdps(digits):
+                vprime = p.potential_derivative_raw()
+                neg_alpha = -to_mpf(p.alpha)
+                ktk = [k * to_mpf(tk) for k, tk in enumerate(p.t, start=1)]
+                for z in (mpf(1) / 3, mpf("0.7"), mpf(2), mpf(11) / 3):
+                    want, zp = neg_alpha / z + 1, z
+                    for c in ktk:
+                        zp *= z
+                        want -= c / zp
+                    assert vprime(z._mpf_) == want._mpf_, (t, digits, z)
+
+
 def test_to_fraction_decimal_faithful():
     assert to_fraction(0.3) == Fraction(3, 10)
     assert to_fraction("1e-6") == Fraction(1, 10**6)
@@ -83,11 +101,11 @@ def test_to_fraction_decimal_faithful():
 
 
 def test_params_precision_independent():
-    # the same point materializes consistently at any working precision
+    # the same point converts to mpf consistently at any working precision
     with mp.workdps(15):
         p = WeightParams("0.5", ("0.3", "0.2"))
     with mp.workdps(200):
-        a, t = p.materialize()
+        t = p.t_mpf()
         assert abs(t[0] - mpf(3) / 10) < mpf(10) ** -195
 
 

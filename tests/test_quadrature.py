@@ -369,7 +369,7 @@ def _ref_trapezoid_levels(g, prec, what):
 
 
 def _ref_log_weight_u_fn(params):
-    alpha, t = params.materialize()
+    alpha, t = to_mpf(params.alpha), [to_mpf(v) for v in params.t]
     a1 = alpha + 1
 
     def logw(u, expu):

@@ -27,6 +27,12 @@ def grid11(prec):
     return sc.ScaledGrid(1, 1, (8, 12, 16, 24), prec)
 
 
+def test_grid_precision_is_the_table_rule(prec):
+    n_list = (4, 8, 12, 24)
+    grid = sc.ScaledGrid(1, 1, n_list, prec)
+    assert [grid.grids[n].prec.digits for n in n_list] == [max(50, 20 + 4 * n) for n in n_list]
+
+
 def test_scaling_point_invariants(prec):
     # the grid at n sits at t = (s1/2n, s2/4n^2); s1 = 0 and s2 <= 0 are
     # rejected, s1 = s2 = 0 too, though WeightParams takes t = 0 as the

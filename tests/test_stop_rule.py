@@ -255,3 +255,18 @@ def test_unit_integrand_stops_a_level_early():
                                                     params, prec))
         counts.append(len(nodes))
     assert counts == [651, 1267]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the seed sweep's stop rule ends before moment-pearson holds "
+                          "at these m = 3 points (ROADMAP item 10)")
+@pytest.mark.parametrize("args", [
+    pytest.param(["--t3", "0.1", "--digits", "50"], id="t3-d50"),
+    pytest.param(["--t3", "0.1", "--digits", "80"], id="t3-d80"),
+    pytest.param(["--alpha", "3", "--t1=1", "--t2", "1", "--t3", "0.5", "--digits", "50"],
+                 id="a3-t1-1-d50"),
+    pytest.param(["--alpha", "0", "--t1=0.3", "--t2", "0.2", "--t3", "0.1", "--digits", "80"],
+                 id="a0-d80"),
+])
+def test_admissible_m3_moments_runs_pass(args, tmp_path):
+    assert cli.main(["moments", *args, "--out", str(tmp_path / "rep.json")]) == 0
